@@ -15,18 +15,12 @@ the build when
   more than ``--max-regression``, or exceeds the absolute
   ``--rss-ceiling-mb`` (when given) — the committed memory envelope of
   the Google-trace-scale fleet bench;
-- the paired replay scenarios (``replay_object`` / ``replay_columnar``)
-  disagree on their summary digest — the columnar determinism contract,
-  checked on every gate run;
-- the intra-run columnar speedup ``wall(replay_object) /
-  wall(replay_columnar)`` fell below ``--min-speedup`` (when given) —
-  the point of the columnar engine, measured within one run so hardware
-  cancels out;
 - a baseline scenario disappeared from the fresh run.
 
-It always prints the measured speedup so CI logs double as a perf
-history.  Pure comparison logic lives in :func:`compare_reports` for the
-unit tests (``tests/test_bench_regression.py``).
+The replay kernel is gated through the wall share of the scalability
+suite's ``replay_backlog`` scenario.  Pure comparison logic lives in
+:func:`compare_reports` for the unit tests
+(``tests/test_bench_regression.py``).
 """
 
 from __future__ import annotations
@@ -48,10 +42,6 @@ MIN_GATED_WALL_S = 0.5
 #: our code — and their shares are meaninglessly uniform.
 MIN_GATED_RSS_MB = 192.0
 
-REPLAY_OBJECT = "replay_object"
-REPLAY_COLUMNAR = "replay_columnar"
-
-
 def _scenario_walls(report: dict) -> dict[str, float]:
     return {s["name"]: float(s["wall_s"]) for s in report.get("scenarios", [])}
 
@@ -64,25 +54,10 @@ def _scenario_rss(report: dict) -> dict[str, float]:
     }
 
 
-def _scenario_digests(report: dict) -> dict[str, str]:
-    return {s["name"]: s.get("summary_digest", "") for s in report.get("scenarios", [])}
-
-
-def measured_speedup(report: dict) -> float | None:
-    """Columnar speedup within one report, or None if the pair is absent."""
-    walls = _scenario_walls(report)
-    obj = walls.get(REPLAY_OBJECT)
-    col = walls.get(REPLAY_COLUMNAR)
-    if obj is None or col is None or col <= 0:
-        return None
-    return obj / col
-
-
 def compare_reports(
     baseline: dict,
     fresh: dict,
     max_regression: float = 0.25,
-    min_speedup: float | None = None,
     rss_ceiling_mb: float | None = None,
 ) -> list[str]:
     """All gate violations of ``fresh`` against ``baseline`` (empty = pass)."""
@@ -156,26 +131,6 @@ def compare_reports(
                 f"{rss_ceiling_mb:.0f} MiB"
             )
 
-    digests = _scenario_digests(fresh)
-    obj_digest = digests.get(REPLAY_OBJECT)
-    col_digest = digests.get(REPLAY_COLUMNAR)
-    if obj_digest is not None and col_digest is not None and obj_digest != col_digest:
-        problems.append(
-            "replay engines diverged: replay_object and replay_columnar "
-            "summary digests differ (determinism contract broken)"
-        )
-
-    if min_speedup is not None:
-        speedup = measured_speedup(fresh)
-        if speedup is None:
-            problems.append(
-                "cannot measure columnar speedup: replay scenario pair "
-                "missing from fresh run"
-            )
-        elif speedup < min_speedup:
-            problems.append(
-                f"columnar speedup {speedup:.2f}x below floor {min_speedup:.2f}x"
-            )
     return problems
 
 
@@ -200,12 +155,6 @@ def main(argv: list[str] | None = None) -> int:
         help="allowed per-scenario wall-share regression (fraction)",
     )
     parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        help="required intra-run columnar speedup (off when omitted)",
-    )
-    parser.add_argument(
         "--rss-ceiling-mb",
         type=float,
         default=None,
@@ -216,13 +165,6 @@ def main(argv: list[str] | None = None) -> int:
     baseline = json.loads(args.baseline.read_text())
     fresh = json.loads(args.fresh.read_text())
 
-    speedup = measured_speedup(fresh)
-    if speedup is not None:
-        print(f"columnar replay speedup (fresh run): {speedup:.2f}x")
-    baseline_speedup = measured_speedup(baseline)
-    if baseline_speedup is not None:
-        print(f"columnar replay speedup (baseline):  {baseline_speedup:.2f}x")
-
     fresh_peak = fresh.get("peak_rss_mb")
     if fresh_peak is not None:
         print(f"peak RSS (fresh run): {float(fresh_peak):.0f} MiB")
@@ -231,7 +173,6 @@ def main(argv: list[str] | None = None) -> int:
         baseline,
         fresh,
         max_regression=args.max_regression,
-        min_speedup=args.min_speedup,
         rss_ceiling_mb=args.rss_ceiling_mb,
     )
     if problems:

@@ -38,9 +38,7 @@ bench
     and a digest-verified ``JOURNAL_<suite>.jsonl`` that ``--resume``
     replays so an interrupted suite finishes where it left off.  With
     ``--corrupt`` the dirty-trace ``trace_corruption`` suite is appended
-    to the run, exercising the data-plane hardening layer.  With
-    ``--engine both`` every engine-aware scenario runs once per replay
-    engine and the paired summary digests must match exactly.
+    to the run, exercising the data-plane hardening layer.
 fleet
     Run the sharded, crash-tolerant fleet simulation (:mod:`repro.fleet`)
     at Google-trace scale: partition the census into machine-type cells,
@@ -72,7 +70,7 @@ from repro.classification import ClassifierConfig, TaskClassifier
 from repro.resilience.scenarios import SCENARIOS as RESILIENCE_SCENARIOS
 from repro.resilience.scenarios import build_scenario_plan
 from repro.simulation import HarmonyConfig, HarmonySimulation, run_policy_comparison
-from repro.simulation.harmony import ENGINES, POLICIES, energy_savings
+from repro.simulation.harmony import POLICIES, energy_savings
 from repro.trace import (
     SyntheticTraceConfig,
     Trace,
@@ -154,7 +152,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     trace = _load_or_generate(args)
-    config = HarmonyConfig(policy=args.policy, engine=args.engine)
+    config = HarmonyConfig(policy=args.policy)
     result = HarmonySimulation(config, trace).run()
     print(json.dumps(result.summary(), indent=2))
     return 0
@@ -260,62 +258,86 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
     return 0
 
 
+def _usage_error(prog: str, message: str) -> int:
+    """Print one ``<prog>: <message>`` usage line to stderr; the exit code."""
+    print(f"{prog}: {message}", file=sys.stderr)
+    return 2
+
+
+def _supervision(prog: str, args: argparse.Namespace, unit: str):
+    """The supervision half of ``repro bench`` / ``repro fleet`` arguments.
+
+    Returns exit code 2 after a usage line for a bad ``--workers`` /
+    ``--timeout`` / ``--retries`` / ``--memory-ceiling-mb``; otherwise the
+    :class:`~repro.runner.SupervisorConfig` of a supervised run, or
+    ``None`` when no flag asked for supervision.  ``unit`` names what a
+    worker runs (scenarios, shards) in the ``--workers`` hint.
+    """
+    from repro.runner import SupervisorConfig
+
+    if args.workers < 1:
+        return _usage_error(
+            prog,
+            f"--workers must be >= 1, got {args.workers} "
+            f"(hint: --workers 1 runs {unit} in-process, serially)",
+        )
+    if args.timeout is not None and args.timeout <= 0:
+        return _usage_error(
+            prog, f"--timeout must be positive seconds, got {args.timeout}"
+        )
+    if args.retries is not None and args.retries < 0:
+        return _usage_error(prog, f"--retries must be >= 0, got {args.retries}")
+    # Only ``repro fleet`` has the ceiling flag.
+    memory_ceiling = getattr(args, "memory_ceiling_mb", None)
+    if memory_ceiling is not None and memory_ceiling <= 0:
+        return _usage_error(
+            prog, f"--memory-ceiling-mb must be positive MiB, got {memory_ceiling}"
+        )
+    if not (
+        args.supervise
+        or args.resume
+        or args.timeout is not None
+        or args.retries is not None
+        or memory_ceiling is not None
+    ):
+        return None
+    return SupervisorConfig(
+        timeout_seconds=args.timeout,
+        max_attempts=(args.retries if args.retries is not None else 2) + 1,
+        memory_ceiling_mb=memory_ceiling,
+    )
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     from repro.runner import (
         SUITES,
         BenchDefaults,
         ScenarioRunner,
         ScenarioSupervisor,
-        SupervisorConfig,
         bench_defaults,
-        engine_pairs,
-        with_engine,
         write_baseline,
     )
 
     if args.shards is not None and args.suite != "google_fleet":
-        print(
-            f"repro bench: --shards only applies to the google_fleet suite, "
+        return _usage_error(
+            "repro bench",
+            f"--shards only applies to the google_fleet suite, "
             f"not {args.suite!r} (hint: repro bench google_fleet --shards "
             f"{args.shards})",
-            file=sys.stderr,
         )
-        return 2
     if args.suite == "google_fleet":
         return _cmd_bench_fleet(args)
-    if args.workers < 1:
-        print(
-            f"repro bench: --workers must be >= 1, got {args.workers} "
-            "(hint: --workers 1 runs scenarios in-process, serially)",
-            file=sys.stderr,
-        )
-        return 2
-    supervised = (
-        args.supervise
-        or args.resume
-        or args.timeout is not None
-        or args.retries is not None
-    )
+    supervision = _supervision("repro bench", args, "scenarios")
+    if isinstance(supervision, int):
+        return supervision
+    supervised = supervision is not None
     if supervised and args.verify:
-        print(
-            "repro bench: --verify compares plain serial/parallel runs and "
+        return _usage_error(
+            "repro bench",
+            "--verify compares plain serial/parallel runs and "
             "cannot be combined with supervised execution "
             "(--supervise/--resume/--timeout/--retries)",
-            file=sys.stderr,
         )
-        return 2
-    if args.timeout is not None and args.timeout <= 0:
-        print(
-            f"repro bench: --timeout must be positive seconds, got {args.timeout}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.retries is not None and args.retries < 0:
-        print(
-            f"repro bench: --retries must be >= 0, got {args.retries}",
-            file=sys.stderr,
-        )
-        return 2
 
     env = bench_defaults()
     defaults = BenchDefaults(
@@ -330,17 +352,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     exit_code = 0
     for suite in suites:
         scenarios = SUITES[suite](defaults)
-        if args.engine is not None:
-            scenarios = with_engine(scenarios, args.engine)
         serial = None
         if supervised:
             supervisor = ScenarioSupervisor(
-                suite,
-                SupervisorConfig(
-                    timeout_seconds=args.timeout,
-                    max_attempts=(args.retries if args.retries is not None else 2) + 1,
-                ),
-                journal_dir=args.output,
+                suite, supervision, journal_dir=args.output
             )
             report = supervisor.run(
                 scenarios, workers=args.workers, resume=args.resume
@@ -388,26 +403,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
         path = write_baseline(report, args.output, compare_serial=serial)
         print(f"wrote {path}")
-        if args.engine == "both":
-            digests = {r.name: r.digest() for r in report}
-            for obj_name, col_name in engine_pairs(scenarios):
-                if obj_name not in digests or col_name not in digests:
-                    continue  # one side quarantined; already exit 1 below
-                if digests[obj_name] != digests[col_name]:
-                    print(
-                        f"repro bench: engine digest mismatch for "
-                        f"{obj_name.removesuffix('__object')}: "
-                        f"object={digests[obj_name][:12]} "
-                        f"columnar={digests[col_name][:12]}",
-                        file=sys.stderr,
-                    )
-                    exit_code = 1
-                else:
-                    print(
-                        f"engines agree on "
-                        f"{obj_name.removesuffix('__object')}: "
-                        f"{digests[obj_name][:12]}"
-                    )
         if report.quarantined:
             names = ", ".join(f.name for f in report.quarantined)
             print(f"quarantined scenarios: {names}", file=sys.stderr)
@@ -418,20 +413,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_bench_fleet(args: argparse.Namespace) -> int:
     """``repro bench google_fleet`` — the fleet run at the bench point."""
     if args.verify:
-        print(
-            "repro bench: --verify doubles the Google-trace-scale fleet run; "
+        return _usage_error(
+            "repro bench",
+            "--verify doubles the Google-trace-scale fleet run; "
             "merged-digest invariance is asserted by tests/test_fleet.py and "
             "the fleet-chaos CI drill instead",
-            file=sys.stderr,
         )
-        return 2
     if args.corrupt:
-        print(
-            "repro bench: --corrupt applies to the trace_corruption suite, "
+        return _usage_error(
+            "repro bench",
+            "--corrupt applies to the trace_corruption suite, "
             "not google_fleet (hint: repro bench trace_corruption)",
-            file=sys.stderr,
         )
-        return 2
     return _fleet_run("repro bench", args)
 
 
@@ -454,68 +447,34 @@ def _fleet_run(prog: str, args: argparse.Namespace) -> int:
     )
     from repro.resilience.scenarios import SCENARIOS
     from repro.runner import (
-        SupervisorConfig,
         bench_fleet_shards,
         google_fleet_trace_params,
         trace_config_from_params,
     )
 
-    engine = getattr(args, "engine", None) or "columnar"
-    if engine == "both":
-        print(
-            f"{prog}: --engine both pairs engine-aware scenarios and only "
-            "applies to simulate-style suites; every fleet shard replays on "
-            "exactly one engine (hint: --engine object or --engine columnar)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.workers < 1:
-        print(
-            f"{prog}: --workers must be >= 1, got {args.workers} "
-            "(hint: --workers 1 runs shards in-process, serially)",
-            file=sys.stderr,
-        )
-        return 2
+    supervision = _supervision(prog, args, "shards")
+    if isinstance(supervision, int):
+        return supervision
+    supervised = supervision is not None
     shards = args.shards if args.shards is not None else bench_fleet_shards()
     if shards < 1:
-        print(
-            f"{prog}: --shards must be >= 1, got {shards} "
+        return _usage_error(
+            prog,
+            f"--shards must be >= 1, got {shards} "
             "(hint: --shards 1 replays the whole census as a single cell)",
-            file=sys.stderr,
         )
-        return 2
-    if args.timeout is not None and args.timeout <= 0:
-        print(
-            f"{prog}: --timeout must be positive seconds, got {args.timeout}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.retries is not None and args.retries < 0:
-        print(
-            f"{prog}: --retries must be >= 0, got {args.retries}",
-            file=sys.stderr,
-        )
-        return 2
-    memory_ceiling = getattr(args, "memory_ceiling_mb", None)
     memory_budget = getattr(args, "memory_budget_mb", None)
-    for flag, value in (
-        ("--memory-ceiling-mb", memory_ceiling),
-        ("--memory-budget-mb", memory_budget),
-    ):
-        if value is not None and value <= 0:
-            print(
-                f"{prog}: {flag} must be positive MiB, got {value}",
-                file=sys.stderr,
-            )
-            return 2
+    if memory_budget is not None and memory_budget <= 0:
+        return _usage_error(
+            prog, f"--memory-budget-mb must be positive MiB, got {memory_budget}"
+        )
     fault = getattr(args, "fault", None)
     if fault is not None and fault not in SCENARIOS:
-        print(
-            f"{prog}: unknown fault scenario {fault!r} "
+        return _usage_error(
+            prog,
+            f"unknown fault scenario {fault!r} "
             f"(hint: one of {', '.join(SCENARIOS)})",
-            file=sys.stderr,
         )
-        return 2
 
     trace_params = google_fleet_trace_params()
     for key in ("hours", "machines", "seed", "load"):
@@ -524,20 +483,18 @@ def _fleet_run(prog: str, args: argparse.Namespace) -> int:
             trace_params[key] = value
     census = trace_config_from_params(trace_params).census()
     if shards > max_shards(census):
-        print(
-            f"{prog}: --shards {shards} exceeds the {max_shards(census)} "
+        return _usage_error(
+            prog,
+            f"--shards {shards} exceeds the {max_shards(census)} "
             f"machine-type cells of this census; cells are machine-type "
             f"granular (hint: --shards <= {max_shards(census)}, or grow "
             "--machines)",
-            file=sys.stderr,
         )
-        return 2
 
     config = FleetConfig(
         suite="google_fleet",
         shards=shards,
         policy=getattr(args, "policy", "cbs"),
-        engine=engine,
         predictor=getattr(args, "predictor", "ewma"),
         guard=bool(getattr(args, "guard", False)),
         fault_scenario=fault,
@@ -546,20 +503,6 @@ def _fleet_run(prog: str, args: argparse.Namespace) -> int:
         progress_every=int(getattr(args, "progress_every", None) or 200_000),
         memory_budget_mb=memory_budget,
     )
-    supervised = (
-        args.supervise
-        or args.resume
-        or args.timeout is not None
-        or args.retries is not None
-        or memory_ceiling is not None
-    )
-    supervisor_config = None
-    if supervised:
-        supervisor_config = SupervisorConfig(
-            timeout_seconds=args.timeout,
-            max_attempts=(args.retries if args.retries is not None else 2) + 1,
-            memory_ceiling_mb=memory_ceiling,
-        )
     fleet = run_fleet(
         trace_params,
         config,
@@ -567,7 +510,7 @@ def _fleet_run(prog: str, args: argparse.Namespace) -> int:
         supervise=supervised,
         resume=args.resume,
         journal_dir=args.output,
-        supervisor_config=supervisor_config,
+        supervisor_config=supervision,
         progress_dir=getattr(args, "progress_dir", None),
     )
 
@@ -996,10 +939,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = subparsers.add_parser("simulate", help="run one policy")
     _add_trace_args(simulate)
     simulate.add_argument("--policy", choices=POLICIES, default="cbs")
-    simulate.add_argument(
-        "--engine", choices=ENGINES, default="object",
-        help="replay engine: object (oracle) or columnar (vectorized)",
-    )
     simulate.set_defaults(fn=cmd_simulate)
 
     compare = subparsers.add_parser("compare", help="baseline vs CBP vs CBS")
@@ -1062,11 +1001,6 @@ def build_parser() -> argparse.ArgumentParser:
              "into (default REPRO_BENCH_FLEET_SHARDS)",
     )
     bench.add_argument(
-        "--engine", choices=("object", "columnar", "both"), default=None,
-        help="pin engine-aware scenarios to one replay engine, or 'both' "
-             "to run each once per engine and assert bit-identical digests",
-    )
-    bench.add_argument(
         "--corrupt", action="store_true",
         help="also run the dirty-trace trace_corruption suite "
              "(corrupt -> sanitize -> simulate)",
@@ -1121,11 +1055,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--workers", type=int, default=4,
                        help="shard worker processes (1 = in-process serial)")
     fleet.add_argument("--policy", choices=POLICIES, default="cbs")
-    fleet.add_argument(
-        "--engine", choices=("object", "columnar", "both"), default="columnar",
-        help="replay engine inside every shard ('both' is rejected with a "
-             "hint: it is a bench pairing construct)",
-    )
     fleet.add_argument("--predictor", default="ewma")
     fleet.add_argument(
         "--guard", action="store_true",

@@ -10,7 +10,6 @@ journal layout, resume and partial-merge semantics.
 """
 
 from repro.fleet.coordinator import (
-    FLEET_ENGINES,
     FleetConfig,
     FleetReport,
     fleet_baseline_payload,
@@ -28,7 +27,6 @@ from repro.fleet.sharding import (
 from repro.fleet.tasks import fleet_shard_task, shard_progress_path
 
 __all__ = [
-    "FLEET_ENGINES",
     "FleetConfig",
     "FleetReport",
     "ShardCell",

@@ -33,10 +33,6 @@ from repro.trace.generator import TracePlan, plan_params, plan_trace
 
 from repro.fleet.sharding import partition_census
 
-#: Replay engines a fleet run accepts; "both" is a bench-pairing construct
-#: (two scenarios per point) that has no meaning inside a single shard.
-FLEET_ENGINES = ("object", "columnar")
-
 
 @dataclass(frozen=True)
 class FleetConfig:
@@ -45,7 +41,6 @@ class FleetConfig:
     suite: str = "google_fleet"
     shards: int = 4
     policy: str = "cbs"
-    engine: str = "columnar"
     predictor: str = "ewma"
     guard: bool = False
     fault_scenario: str | None = None
@@ -60,10 +55,6 @@ class FleetConfig:
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.engine not in FLEET_ENGINES:
-            raise ValueError(
-                f"fleet engine must be one of {FLEET_ENGINES}, got {self.engine!r}"
-            )
 
 
 def fleet_scenarios(
@@ -99,7 +90,6 @@ def fleet_scenarios(
             "route_seed": config.route_seed,
             "policy": config.policy,
             "predictor": config.predictor,
-            "engine": config.engine,
             "guard": config.guard,
             "fault_seed": config.fault_seed,
             "suite": config.suite,
@@ -185,7 +175,6 @@ def fleet_baseline_payload(
         "trace": dict(trace_params),
         "shards": fleet.shards,
         "policy": config.policy,
-        "engine": config.engine,
         "predictor": config.predictor,
         "digest": fleet.digest,
         "partial": fleet.partial,

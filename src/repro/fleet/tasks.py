@@ -50,8 +50,8 @@ def fleet_shard_task(params: dict) -> dict:
     Params: ``trace`` (fleet-wide trace params), ``plan`` (the
     coordinator's serialized :class:`~repro.trace.generator.TracePlan`),
     ``shards`` / ``shard_index`` / ``route_seed`` (partition coordinates),
-    ``policy`` / ``predictor`` / ``engine`` / ``guard`` /
-    ``fault_scenario`` / ``fault_seed`` (simulation knobs), ``suite`` +
+    ``policy`` / ``predictor`` / ``guard`` / ``fault_scenario`` /
+    ``fault_seed`` (simulation knobs), ``suite`` +
     ``progress_dir`` (per-shard journal location, optional) and
     ``memory_budget_mb`` (per-worker RSS ceiling, optional).
     """
@@ -130,7 +130,6 @@ def fleet_shard_task(params: dict) -> dict:
     config_kwargs: dict = {
         "policy": params.get("policy", "cbs"),
         "predictor": params.get("predictor", "ewma"),
-        "engine": params.get("engine", "columnar"),
         "guard": bool(params.get("guard", False)),
         "fleet": google_like_energy_models(cell.machine_types),
     }

@@ -287,7 +287,6 @@ def sanitized_simulate_task(params: dict) -> dict:
     sim_config = HarmonyConfig(
         policy=str(params.get("policy", "cbs")),
         predictor=str(params.get("predictor", "fallback")),
-        engine=str(params.get("engine", "object")),
         guard=bool(params.get("guard", True)),
     )
     result = HarmonySimulation(

@@ -60,18 +60,16 @@ from repro.runner.suites import (
     SUITES,
     ablation_scenarios,
     consolidation_scenarios,
-    engine_pairs,
     google_fleet_trace_params,
     horizon_scenarios,
     omega_scenarios,
     predictor_scenarios,
     preemption_scenarios,
-    replay_scenarios,
+    replay_scenario,
     robustness_scenarios,
     scalability_scenarios,
     slo_scenarios,
     trace_corruption_scenarios,
-    with_engine,
 )
 
 __all__ = [
@@ -118,16 +116,14 @@ __all__ = [
     "SUITES",
     "ablation_scenarios",
     "consolidation_scenarios",
-    "engine_pairs",
     "google_fleet_trace_params",
     "horizon_scenarios",
     "omega_scenarios",
     "predictor_scenarios",
     "preemption_scenarios",
-    "replay_scenarios",
+    "replay_scenario",
     "robustness_scenarios",
     "scalability_scenarios",
     "slo_scenarios",
     "trace_corruption_scenarios",
-    "with_engine",
 ]

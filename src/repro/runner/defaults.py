@@ -47,10 +47,10 @@ def bench_replay_hours() -> float:
 def bench_replay_machines() -> int:
     """Replay-bench fleet size (``REPRO_BENCH_REPLAY_MACHINES``).
 
-    Deliberately larger than :func:`bench_machines`: the engine-vs-engine
-    replay points exist to measure the columnar engine's speedup, which
-    only shows at production-ish backlog depths.  CI shrinks it through
-    the environment knob like every other bench parameter.
+    Deliberately larger than :func:`bench_machines`: the replay scenario
+    exists to measure the replay kernel, which only dominates at
+    production-ish backlog depths.  CI shrinks it through the
+    environment knob like every other bench parameter.
     """
     return int(os.environ.get("REPRO_BENCH_REPLAY_MACHINES", 4000))
 

@@ -85,6 +85,38 @@ def write_journal_record(path: str | Path, record: dict) -> None:
         os.fsync(handle.fileno())
 
 
+def unseal_record(
+    text: str, kind: str, path: Path, line: int | None = None, torn_ok: bool = False
+) -> dict | None:
+    """Parse one sealed record and verify its ``sha256`` (digest stripped).
+
+    ``kind``/``path``/``line`` only word the error.  With ``torn_ok`` a
+    record that is not JSON, or carries no digest, reads as ``None`` — a
+    crash-torn tail — instead of raising; a digest *mismatch* is corruption
+    in any position.
+    """
+    where = f"{kind} {path}" if line is None else f"{kind} {path} line {line}"
+    context = {} if line is None else {"line": line}
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        if torn_ok:
+            return None
+        raise JournalCorrupt(f"{where} is not valid JSON", **context) from exc
+    if not isinstance(payload, dict) or "sha256" not in payload:
+        if torn_ok:
+            return None
+        raise JournalCorrupt(f"{where} has no digest", **context)
+    stored = payload.pop("sha256")
+    if record_digest(payload) != stored:
+        raise JournalCorrupt(
+            f"{where} digest mismatch (edited or bit-rotted {kind})",
+            expected=stored,
+            **context,
+        )
+    return payload
+
+
 def read_journal_records(path: str | Path) -> list[dict]:
     """Parse and verify every journaled record (digest stripped).
 
@@ -103,33 +135,17 @@ def read_journal_records(path: str | Path) -> list[dict]:
         lines = lines[:-1]
     records: list[dict] = []
     for index, line in enumerate(lines):
-        last = index == len(lines) - 1
         if not line.strip():
             continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if last and torn_tail:
-                break  # torn by a crash mid-append; resume re-runs it
-            raise JournalCorrupt(
-                f"journal {path} line {index + 1} is not valid JSON",
-                line=index + 1,
-            ) from exc
-        if not isinstance(payload, dict) or "sha256" not in payload:
-            if last and torn_tail:
-                break
-            raise JournalCorrupt(
-                f"journal {path} line {index + 1} has no digest",
-                line=index + 1,
-            )
-        stored = payload.pop("sha256")
-        if record_digest(payload) != stored:
-            raise JournalCorrupt(
-                f"journal {path} line {index + 1} digest mismatch "
-                f"(edited or bit-rotted journal)",
-                line=index + 1,
-                expected=stored,
-            )
+        payload = unseal_record(
+            line,
+            "journal",
+            path,
+            line=index + 1,
+            torn_ok=torn_tail and index == len(lines) - 1,
+        )
+        if payload is None:
+            break  # torn by a crash mid-append; resume re-runs it
         if payload.get("version") != JOURNAL_VERSION:
             raise JournalCorrupt(
                 f"journal {path} line {index + 1} has version "
@@ -162,6 +178,25 @@ def check_run_id(path: str | Path, records: list[dict], run_id: str | None) -> N
             expected_run_id=run_id,
             found_run_id=head.get("run_id"),
         )
+
+
+def ensure_header(path: str | Path, run_id: str | None) -> None:
+    """Make ``path`` safe to append to as run ``run_id``.
+
+    A fresh (missing or empty) file gets the run-id header line; an
+    existing one is read and verified through :func:`check_run_id`.  That
+    costs a full read of the file, so each journal object calls this once,
+    before its first append.
+    """
+    if run_id is None:
+        return
+    path = Path(path)
+    if path.exists() and path.stat().st_size > 0:
+        check_run_id(path, read_journal_records(path), run_id)
+        return
+    write_journal_record(
+        path, {"version": JOURNAL_VERSION, "kind": "header", "run_id": run_id}
+    )
 
 
 # ------------------------------------------------------ the scenario journal
@@ -231,24 +266,16 @@ class Journal:
     def __init__(self, path: str | Path, run_id: str | None = None) -> None:
         self.path = Path(path)
         self.run_id = run_id
+        self._header_checked = False
 
     def exists(self) -> bool:
         return self.path.exists()
 
-    def _ensure_header(self) -> None:
-        if self.run_id is None:
-            return
-        if self.path.exists() and self.path.stat().st_size > 0:
-            check_run_id(self.path, read_journal_records(self.path), self.run_id)
-            return
-        write_journal_record(
-            self.path,
-            {"version": JOURNAL_VERSION, "kind": "header", "run_id": self.run_id},
-        )
-
     def append(self, entry: JournalEntry) -> None:
         """Durably append one completed scenario (flush + fsync per line)."""
-        self._ensure_header()
+        if not self._header_checked:
+            ensure_header(self.path, self.run_id)
+            self._header_checked = True
         write_journal_record(self.path, entry.record())
 
     def load(self) -> list[JournalEntry]:

@@ -162,7 +162,7 @@ class RunnerReport:
 
     def tasks_per_second(self) -> float:
         """Aggregate simulated-task throughput (simulate-style suites)."""
-        tasks = sum(r.summary.get("tasks_submitted", 0) for r in self.results)
+        tasks = sum(_tasks_submitted(r.summary) or 0 for r in self.results)
         if self.total_wall_seconds <= 0:
             return 0.0
         return tasks / self.total_wall_seconds
@@ -233,6 +233,16 @@ class ScenarioRunner:
         return serial, parallel
 
 
+def _tasks_submitted(summary: dict) -> int | None:
+    """Simulated tasks a scenario summary accounts for, if it ran any.
+
+    ``simulate``-style summaries carry ``tasks_submitted`` at the top
+    level; a ``fleet_shard`` summary nests its replay under
+    ``"simulation"``.  Solver scenarios have neither.
+    """
+    return summary.get("simulation", summary).get("tasks_submitted")
+
+
 def _scenario_entry(result: ScenarioResult) -> dict:
     """One scenario's row in the baseline payload.
 
@@ -252,7 +262,7 @@ def _scenario_entry(result: ScenarioResult) -> dict:
     }
     if result.rss_peak_mb is not None:
         entry["rss_peak_mb"] = round(result.rss_peak_mb, 2)
-    tasks = result.summary.get("tasks_submitted")
+    tasks = _tasks_submitted(result.summary)
     if tasks is not None:
         entry["tasks"] = int(tasks)
     resilience = result.summary.get("resilience")

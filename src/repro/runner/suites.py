@@ -51,46 +51,30 @@ def scalability_scenarios(
         )
         for num_classes, num_types in SCALABILITY_SIZES
         for seed in seeds
-    ] + replay_scenarios()
+    ] + [replay_scenario()]
 
 
-#: Replay engines the scalability suite paces against each other.
-REPLAY_ENGINES = ("object", "columnar")
+def replay_scenario() -> Scenario:
+    """The deep-backlog threshold-policy replay, ``replay_backlog``.
 
-
-def replay_trace_params() -> dict:
-    """Trace parameters of the engine-comparison replay scenarios.
-
-    A deep-backlog scenario (large fleet, high load) where the replay
-    loop, not the LP solver, dominates — the regime the columnar engine
-    exists for.  Separate ``REPRO_BENCH_REPLAY_*`` knobs so CI can shrink
-    it independently of the solver sweep.
+    Large fleet, high load: the replay loop, not the LP solver, dominates,
+    so this scenario's wall-time share is what gates the replay kernel in
+    ``scripts/check_bench_regression.py``.  Separate ``REPRO_BENCH_REPLAY_*``
+    knobs so CI can shrink it independently of the solver sweep.
     """
-    return {
-        "hours": bench_replay_hours(),
-        "seed": bench_seed(),
-        "machines": bench_replay_machines(),
-        "load": bench_replay_load(),
-    }
-
-
-def replay_scenarios() -> list[Scenario]:
-    """The same threshold-policy replay once per engine.
-
-    Identical trace and policy parameters, so the two scenarios' summary
-    digests must match (the determinism contract, asserted by
-    ``scripts/check_bench_regression.py``) while their wall times measure
-    the columnar speedup.
-    """
-    trace = replay_trace_params()
-    return [
-        Scenario(
-            name=f"replay_{engine}",
-            task="simulate",
-            params={"trace": trace, "policy": "threshold", "engine": engine},
-        )
-        for engine in REPLAY_ENGINES
-    ]
+    return Scenario(
+        name="replay_backlog",
+        task="simulate",
+        params={
+            "trace": {
+                "hours": bench_replay_hours(),
+                "seed": bench_seed(),
+                "machines": bench_replay_machines(),
+                "load": bench_replay_load(),
+            },
+            "policy": "threshold",
+        },
+    )
 
 
 def _bench_trace_params(defaults: BenchDefaults | None) -> dict:
@@ -322,58 +306,6 @@ def trace_corruption_scenarios(
             },
         )
         for fraction in fractions
-    ]
-
-
-#: Tasks that understand the ``engine`` parameter (replay-engine aware).
-ENGINE_AWARE_TASKS = ("simulate", "sanitized_simulate")
-
-
-def with_engine(scenarios: list[Scenario], engine: str) -> list[Scenario]:
-    """Pin every engine-aware scenario in the list to ``engine``.
-
-    ``engine="both"`` instead *pairs* each engine-aware scenario: one copy
-    per replay engine, names suffixed ``__object``/``__columnar``.  The
-    two copies share every other parameter, so their summary digests must
-    be bit-identical — ``repro bench --engine both`` asserts exactly that
-    (the differential contract of :mod:`repro.simulation.columnar`).
-    Scenarios whose task ignores ``engine`` pass through untouched.
-    """
-    if engine == "both":
-        paired: list[Scenario] = []
-        for scenario in scenarios:
-            if scenario.task in ENGINE_AWARE_TASKS:
-                paired.extend(
-                    Scenario(
-                        name=f"{scenario.name}__{eng}",
-                        task=scenario.task,
-                        params={**scenario.params, "engine": eng},
-                    )
-                    for eng in REPLAY_ENGINES
-                )
-            else:
-                paired.append(scenario)
-        return paired
-    return [
-        Scenario(
-            name=scenario.name,
-            task=scenario.task,
-            params={**scenario.params, "engine": engine},
-        )
-        if scenario.task in ENGINE_AWARE_TASKS
-        else scenario
-        for scenario in scenarios
-    ]
-
-
-def engine_pairs(scenarios: list[Scenario]) -> list[tuple[str, str]]:
-    """(object_name, columnar_name) pairs produced by ``with_engine(.., "both")``."""
-    names = {s.name for s in scenarios}
-    return [
-        (name, f"{base}__columnar")
-        for name in sorted(names)
-        for base in [name.removesuffix("__object")]
-        if name.endswith("__object") and f"{base}__columnar" in names
     ]
 
 

@@ -52,10 +52,9 @@ def simulate_task(params: dict) -> dict:
     """One end-to-end :class:`HarmonySimulation` run.
 
     Params: ``trace`` (dict, see :func:`trace_config_from_params`),
-    ``policy``, ``predictor``, ``engine`` (``object``/``columnar`` replay
-    engine), ``guard``, ``enable_preemption``, ``slo_multiplier``,
-    ``fault_scenario`` (+ ``fault_seed``) and ``window_hours`` (clip the
-    trace to its first H hours).
+    ``policy``, ``predictor``, ``guard``, ``enable_preemption``,
+    ``slo_multiplier``, ``fault_scenario`` (+ ``fault_seed``) and
+    ``window_hours`` (clip the trace to its first H hours).
     """
     from repro.containers import ContainerManagerConfig
     from repro.containers.manager import default_delay_slos
@@ -70,7 +69,6 @@ def simulate_task(params: dict) -> dict:
     config_kwargs: dict = {
         "policy": params.get("policy", "cbs"),
         "predictor": params.get("predictor", "ewma"),
-        "engine": params.get("engine", "object"),
         "guard": bool(params.get("guard", False)),
         "enable_preemption": bool(params.get("enable_preemption", False)),
     }

@@ -25,7 +25,6 @@ indices.  Restore is idempotent by construction: it never writes.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from pathlib import Path
 
@@ -33,8 +32,10 @@ from repro.errors import JournalCorrupt
 from repro.runner.journal import (
     JOURNAL_VERSION,
     check_run_id,
+    ensure_header,
     read_journal_records,
     record_digest,
+    unseal_record,
     write_journal_record,
 )
 from repro.runner.runner import canonical_json
@@ -71,19 +72,7 @@ class TickJournal:
     def append(self, batch: TickBatch) -> None:
         """Durably journal one batch BEFORE it is applied."""
         if not self._header_checked:
-            if self.path.exists() and self.path.stat().st_size > 0:
-                check_run_id(
-                    self.path, read_journal_records(self.path), self.run_id
-                )
-            else:
-                write_journal_record(
-                    self.path,
-                    {
-                        "version": JOURNAL_VERSION,
-                        "kind": "header",
-                        "run_id": self.run_id,
-                    },
-                )
+            ensure_header(self.path, self.run_id)
             self._header_checked = True
         write_journal_record(
             self.path,
@@ -157,23 +146,9 @@ class CheckpointStore:
         """
         if not self.path.exists():
             return None
-        raw = self.path.read_text(encoding="utf-8").strip()
-        try:
-            payload = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise JournalCorrupt(
-                f"checkpoint {self.path} is not valid JSON (torn write "
-                "should be impossible: writes are atomic)",
-            ) from exc
-        if not isinstance(payload, dict) or "sha256" not in payload:
-            raise JournalCorrupt(f"checkpoint {self.path} has no digest")
-        stored = payload.pop("sha256")
-        if record_digest(payload) != stored:
-            raise JournalCorrupt(
-                f"checkpoint {self.path} digest mismatch (edited or "
-                "bit-rotted checkpoint)",
-                expected=stored,
-            )
+        payload = unseal_record(
+            self.path.read_text(encoding="utf-8"), "checkpoint", self.path
+        )
         if payload.get("run_id") != self.run_id:
             raise JournalCorrupt(
                 f"checkpoint {self.path} belongs to run "

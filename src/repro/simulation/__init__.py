@@ -6,8 +6,8 @@ provides that simulator:
 - :mod:`repro.simulation.engine` -- a minimal event-queue core;
 - :mod:`repro.simulation.machine` -- machine lifecycle (off / booting /
   on / draining) with boot latency and switch accounting;
-- :mod:`repro.simulation.scheduler` -- quota-aware first-fit / best-fit task
-  schedulers with priority ordering and backfill;
+- :mod:`repro.simulation.scheduler` -- quota-aware first-fit task
+  scheduler with priority ordering and backfill;
 - :mod:`repro.simulation.metrics` -- scheduling-delay, energy and
   machine-count instrumentation;
 - :mod:`repro.simulation.cluster` -- the replay loop tying trace, policy
@@ -18,7 +18,7 @@ provides that simulator:
 
 from repro.simulation.engine import EventQueue, Event
 from repro.simulation.machine import Machine, MachinePool, MachineState
-from repro.simulation.scheduler import FirstFitScheduler, BestFitScheduler, QuotaLedger
+from repro.simulation.scheduler import FirstFitScheduler, QuotaLedger
 from repro.simulation.metrics import (
     FaultSample,
     MachineFailure,
@@ -54,7 +54,6 @@ __all__ = [
     "MachinePool",
     "MachineState",
     "FirstFitScheduler",
-    "BestFitScheduler",
     "QuotaLedger",
     "SimulationMetrics",
     "TaskRecord",

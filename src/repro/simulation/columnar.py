@@ -316,7 +316,7 @@ class ColumnarFirstFitScheduler(FirstFitScheduler):
         """Check-for-check replica of the base walk over the room columns.
 
         Same pool order, same skip conditions, same pareto-memo handling
-        and deferral accounting as :meth:`_BaseScheduler.try_place` — but
+        and deferral accounting as :meth:`FirstFitScheduler.try_place` — but
         the machine scan is the vectorized kernel, preceded by the O(1)
         bound reject, and a successful placement fixes the placed
         machine's room and the pool bounds up immediately so the bounds
@@ -444,8 +444,8 @@ class ColumnarFirstFitScheduler(FirstFitScheduler):
 class ColumnarClusterSimulator(ClusterSimulator):
     """Drop-in :class:`ClusterSimulator` with columnar hot paths.
 
-    Selected via ``HarmonyConfig(engine="columnar")``; the object engine
-    remains the oracle.  All object state (pools, ledger, metrics,
+    The engine ``HarmonyConfig`` selects by default; the object engine
+    (``engine="object"``) remains the oracle.  All object state (pools, ledger, metrics,
     generation/finish bookkeeping) is inherited unchanged — the overrides
     (a) source arrivals from the sorted submit column, (b) run scheduling
     rounds through the feasibility cache, (c) keep the capacity columns

@@ -88,9 +88,10 @@ class HarmonyConfig:
     #: (decision validation, delta clamping, forecast circuit breaker).
     guard: bool = False
     guard_config: GuardConfig | None = None
-    #: Replay engine: "object" (per-task dispatch, the oracle) or
-    #: "columnar" (vectorized batches; bit-identical summaries).
-    engine: str = "object"
+    #: Replay engine: "columnar" (vectorized batches, what every run uses)
+    #: or "object" (per-task dispatch; the oracle the differential tests
+    #: compare against, bit-identical summaries).
+    engine: str = "columnar"
     seed: int = 0
 
     def __post_init__(self) -> None:

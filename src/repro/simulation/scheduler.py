@@ -7,10 +7,9 @@ Schedulers place pending tasks onto schedulable machines subject to:
 - optionally, per-(machine type, task class) quotas — the ``x^{mn}_t`` caps
   CBS/CBP hand the scheduler (Sections VII-VIII).
 
-Two placement disciplines are provided: first-fit (the paper's assumption
-for production schedulers) and best-fit (minimum residual).  Both process
-the queue highest-priority first with backfill: a blocked large task does
-not stop smaller lower-priority tasks from using leftover capacity.
+Placement is first-fit (the paper's assumption for production schedulers),
+processing the queue highest-priority first with backfill: a blocked large
+task does not stop smaller lower-priority tasks from using leftover capacity.
 """
 
 from __future__ import annotations
@@ -96,8 +95,15 @@ class Placement:
     class_id: int
 
 
-class _BaseScheduler:
-    """Shared queue-walking logic; subclasses pick the machine."""
+class FirstFitScheduler:
+    """First machine with room, scanning pools smallest-capacity first.
+
+    The scan starts at a per-pool rotating hint (the index of the last
+    successful placement) and wraps around: early machines fill first and
+    re-scanning them for every task would make placement O(pool size).
+    The wrap-around keeps the scan complete, so this is first-fit from a
+    moving origin rather than next-fit.
+    """
 
     def __init__(self, pools: list[MachinePool]) -> None:
         if not pools:
@@ -111,13 +117,23 @@ class _BaseScheduler:
         #: Placement attempts that failed after skipping an unreachable
         #: cell (the partition may be why the task stayed pending).
         self.fabric_deferrals = 0
+        self._hints: dict[int, int] = {pool.platform_id: 0 for pool in self.pools}
 
     def set_unreachable(self, cells: frozenset[int]) -> None:
         """Update which cells the fabric has cut off from ingest."""
         self._unreachable = frozenset(cells)
 
     def _pick_machine(self, task: Task, pool: MachinePool) -> Machine | None:
-        raise NotImplementedError
+        machines = pool.machines
+        count = len(machines)
+        start = self._hints.get(pool.platform_id, 0) % max(count, 1)
+        for offset in range(count):
+            index = (start + offset) % count
+            machine = machines[index]
+            if machine.fits(task):
+                self._hints[pool.platform_id] = index
+                return machine
+        return None
 
     def try_place(
         self,
@@ -201,44 +217,3 @@ class _BaseScheduler:
                 placements.append(Placement(task=task, machine=machine, class_id=class_id))
         return placements, leftover
 
-
-class FirstFitScheduler(_BaseScheduler):
-    """First machine with room, scanning pools smallest-capacity first.
-
-    The scan starts at a per-pool rotating hint (the index of the last
-    successful placement) and wraps around: early machines fill first and
-    re-scanning them for every task would make placement O(pool size).
-    The wrap-around keeps the scan complete, so this is first-fit from a
-    moving origin rather than next-fit.
-    """
-
-    def __init__(self, pools: list[MachinePool]) -> None:
-        super().__init__(pools)
-        self._hints: dict[int, int] = {pool.platform_id: 0 for pool in self.pools}
-
-    def _pick_machine(self, task: Task, pool: MachinePool) -> Machine | None:
-        machines = pool.machines
-        count = len(machines)
-        start = self._hints.get(pool.platform_id, 0) % max(count, 1)
-        for offset in range(count):
-            index = (start + offset) % count
-            machine = machines[index]
-            if machine.fits(task):
-                self._hints[pool.platform_id] = index
-                return machine
-        return None
-
-
-class BestFitScheduler(_BaseScheduler):
-    """Machine minimizing leftover CPU after placement (tightest fit)."""
-
-    def _pick_machine(self, task: Task, pool: MachinePool) -> Machine | None:
-        best: Machine | None = None
-        best_residual = float("inf")
-        for machine in pool.machines:
-            if machine.fits(task):
-                residual = machine.cpu_free - task.cpu
-                if residual < best_residual:
-                    best = machine
-                    best_residual = residual
-        return best

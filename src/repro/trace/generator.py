@@ -27,7 +27,8 @@ the config, so traces are fully reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -467,66 +468,32 @@ def generate_trace(config: SyntheticTraceConfig | None = None) -> Trace:
     modulated rate, then materializes each job's tasks (shared resource
     request, jittered durations).
 
-    ``load_factor`` is calibrated *empirically*: a first pass generates the
-    trace with analytically scaled rates, measures the realized time-average
-    CPU demand (durations clipped to the horizon), and a second pass rescales
-    the arrival rates so the realized load matches the configuration — the
+    ``load_factor`` is calibrated *empirically* (:func:`_calibrate`): a
+    first pass generates the trace with analytically scaled rates and
+    measures the realized p90 CPU demand, and further passes rescale the
+    arrival rates until the realized load matches the configuration — the
     analytic moments drift from reality through size quantization, the
     discrete size catalog and the memory calibration.
     """
     config = config or SyntheticTraceConfig()
     census = config.census()
     horizon_s = config.horizon_hours * 3600.0
-    total_cpu = sum(m.cpu_capacity * m.count for m in census)
 
-    profiles = config.scaled_profiles()
+    # The task list of the latest load pass; memory passes measure over it.
+    generated_for: tuple[PriorityGroupProfile, ...] | None = None
+    tasks: list[Task] = []
 
-    def realized_load(task_list: list[Task]) -> float:
-        """p90 of the binned CPU-demand series over fleet capacity.
-
-        Long tasks accumulate through the window, so the demand series
-        ramps; calibrating on the time-average would leave the busy end of
-        the trace far above the configured load (and possibly above the
-        fleet).  The 90th percentile pins the *sustained busy* level.
-        """
-        if not task_list:
-            return 0.0
-        bin_s = 600.0
-        num_bins = int(math.ceil(horizon_s / bin_s))
-        deltas = np.zeros(num_bins + 1)
-        for t in task_list:
-            start = min(int(t.submit_time // bin_s), num_bins - 1)
-            end = min(int((t.submit_time + t.duration) // bin_s) + 1, num_bins)
-            deltas[start] += t.cpu
-            deltas[end] -= t.cpu
-        series = np.cumsum(deltas[:num_bins])
-        return float(np.percentile(series, 90)) / total_cpu
-
-    tasks = _generate_tasks(config, census, profiles, horizon_s)
-    # Iterate: heavy-tailed job sizes and durations make the realized load
-    # of a single pass noisy, so one multiplicative correction is not
-    # enough.  Each pass is deterministic given (seed, rates), so the loop
-    # is reproducible.
-    for _ in range(4):
-        realized = realized_load(tasks)
-        if realized <= 0:
-            break
-        error = abs(realized - config.load_factor) / config.load_factor
-        if error < 0.08:
-            break
-        correction = float(np.clip(config.load_factor / realized, 0.33, 3.0))
-        profiles = tuple(
-            PriorityGroupProfile(
-                **{
-                    **{f: getattr(p, f) for f in p.__dataclass_fields__},
-                    "job_rate_per_hour": p.job_rate_per_hour * correction,
-                }
-            )
-            for p in profiles
+    def measure(profiles, memory_scales):
+        nonlocal generated_for, tasks
+        if profiles is not generated_for:
+            tasks = _generate_tasks(config, census, profiles, horizon_s)
+            generated_for = profiles
+        return _demand_p90s(
+            tasks, horizon_s, memory_scales, _modal_points(profiles)
         )
-        tasks = _generate_tasks(config, census, profiles, horizon_s)
 
-    tasks = _calibrate_memory_ratio(tasks, profiles, horizon_s)
+    plan = _calibrate(config, measure)
+    tasks = _with_scaled_memory(tasks, plan)
     tasks.sort(key=lambda t: (t.submit_time, t.job_id, t.index))
     return Trace(
         machine_types=census,
@@ -637,63 +604,6 @@ def _iter_task_bins(
         yield bin_tasks
 
 
-def _calibrate_memory_ratio(
-    tasks: list[Task], profiles: tuple[PriorityGroupProfile, ...], horizon_s: float
-) -> list[Task]:
-    """Pin the realized duration-weighted memory/cpu ratio.
-
-    Zipf-popular discrete sizes make the realized resource mix extremely
-    seed-sensitive (a couple of long, popular, large points dominate the
-    duration-weighted totals), which would flip the evaluation between
-    memory-bound and cpu-bound regimes per seed.  A uniform post-scale of
-    non-modal memory requests sets the trace-wide ratio to the (task-count
-    weighted) mean of the profiles' ``memory_bias`` exactly, preserving
-    within-trace heterogeneity, cpu-memory independence and the exact
-    modal point.
-    """
-    from dataclasses import replace
-
-    if not tasks:
-        return tasks
-    target = sum(p.memory_bias for p in profiles) / len(profiles)
-    modal_points = {(p.mode_cpu, p.mode_memory) for p in profiles}
-
-    def p90_series(values_of) -> float:
-        bin_s = 600.0
-        num_bins = int(math.ceil(horizon_s / bin_s))
-        deltas = np.zeros(num_bins + 1)
-        for t in tasks:
-            start = min(int(t.submit_time // bin_s), num_bins - 1)
-            end = min(int((t.submit_time + t.duration) // bin_s) + 1, num_bins)
-            value = values_of(t)
-            deltas[start] += value
-            deltas[end] -= value
-        return float(np.percentile(np.cumsum(deltas[:num_bins]), 90))
-
-    # Iterate: the modal atoms are exempt from scaling and p90 is not
-    # linear in the scale, so one multiplicative step leaves residue.
-    for _ in range(3):
-        cpu_p90 = p90_series(lambda t: t.cpu)
-        mem_p90 = p90_series(lambda t: t.memory)
-        if cpu_p90 <= 0 or mem_p90 <= 0:
-            break
-        ratio = mem_p90 / cpu_p90
-        if abs(ratio - target) / target < 0.05:
-            break
-        scale = float(np.clip(target / ratio, 0.25, 8.0))
-        # No re-quantization: rounding small memories to the grid biases
-        # the realized ratio low; calibration accuracy wins here.
-        tasks = [
-            t
-            if (t.cpu, t.memory) in modal_points
-            else replace(
-                t, memory=float(np.clip(t.memory * scale, _MEMORY_GRID, 1.0))
-            )
-            for t in tasks
-        ]
-    return tasks
-
-
 @dataclass(frozen=True)
 class TracePlan:
     """Frozen calibration result for one ``(config)`` — the streaming recipe.
@@ -711,8 +621,7 @@ class TracePlan:
     #: Load-calibrated profiles (same values generate_trace converges to).
     profiles: tuple[PriorityGroupProfile, ...]
     #: Memory-calibration scale chain, applied sequentially (with clipping
-    #: between steps) to non-modal tasks — the exact float operations
-    #: :func:`_calibrate_memory_ratio` performs across its iterations.
+    #: between steps) to non-modal tasks — see :func:`_scaled_memory`.
     memory_scales: tuple[float, ...]
 
 
@@ -722,77 +631,108 @@ def _scaled_memory(
     scales: tuple[float, ...],
     modal_points: frozenset[tuple[float, float]],
 ) -> float:
-    """Replay the memory-calibration scale chain for one task.
+    """Apply the memory-calibration scale chain to one task.
 
-    Mirrors :func:`_calibrate_memory_ratio` exactly: each iteration checks
-    the task's *current* (cpu, memory) against the modal atoms before
-    scaling, and clips after each multiplication — so the chain is applied
-    step by step, not as one fused factor.
+    Each step checks the task's *current* (cpu, memory) against the modal
+    atoms before scaling, and clips after each multiplication — so the
+    chain is applied step by step, not as one fused factor.
     """
     for scale in scales:
         if (cpu, memory) in modal_points:
             return memory
-        memory = float(np.clip(memory * scale, _MEMORY_GRID, 1.0))
+        memory = min(max(memory * scale, _MEMORY_GRID), 1.0)
     return memory
 
 
-def _demand_stats(
-    config: SyntheticTraceConfig,
-    census: tuple[MachineType, ...],
-    profiles: tuple[PriorityGroupProfile, ...],
-    horizon_s: float,
-    memory_scales: tuple[float, ...] = (),
-    modal_points: frozenset[tuple[float, float]] = frozenset(),
-) -> tuple[float, float, int]:
-    """One constant-memory generation pass -> (cpu_p90, mem_p90, task count).
+def _with_scaled_memory(tasks: list[Task], plan: TracePlan) -> list[Task]:
+    """``tasks`` with the plan's memory-scale chain applied to each."""
+    if not plan.memory_scales:
+        return tasks
+    modal_points = _modal_points(plan.profiles)
+    return [
+        replace(
+            t,
+            memory=_scaled_memory(t.cpu, t.memory, plan.memory_scales, modal_points),
+        )
+        for t in tasks
+    ]
 
-    Accumulates the same 600 s binned delta arrays that ``realized_load``
-    and ``p90_series`` build inside :func:`generate_trace`, walking tasks
-    in generation order so the floating-point accumulation order — and
-    therefore every percentile — is bit-identical to the materialized
-    path's, without ever holding the task list.
+
+def _modal_points(
+    profiles: tuple[PriorityGroupProfile, ...],
+) -> frozenset[tuple[float, float]]:
+    """The profiles' modal (cpu, memory) atoms, exempt from memory scaling."""
+    return frozenset((p.mode_cpu, p.mode_memory) for p in profiles)
+
+
+def _demand_p90s(
+    tasks,
+    horizon_s: float,
+    memory_scales: tuple[float, ...],
+    modal_points: frozenset[tuple[float, float]],
+) -> tuple[float, float]:
+    """One pass over ``tasks`` -> (cpu_p90, mem_p90).
+
+    The p90 of the 600 s binned demand series, memory taken after the
+    ``memory_scales`` chain.  Long tasks accumulate through the window, so
+    the demand series ramps; calibrating on the time-average would leave
+    the busy end of the trace far above the configured load (and possibly
+    above the fleet).  The 90th percentile pins the *sustained busy* level.
+
+    ``tasks`` is walked once, in generation order, so a materialized list
+    and a regenerated stream accumulate in the same floating-point order
+    and every percentile is bit-identical between the two.
     """
     bin_s = 600.0
     num_bins = int(math.ceil(horizon_s / bin_s))
     cpu_deltas = np.zeros(num_bins + 1)
     mem_deltas = np.zeros(num_bins + 1)
-    count = 0
-    for bin_tasks in _iter_task_bins(config, census, profiles, horizon_s):
-        for t in bin_tasks:
-            count += 1
-            start = min(int(t.submit_time // bin_s), num_bins - 1)
-            end = min(int((t.submit_time + t.duration) // bin_s) + 1, num_bins)
-            cpu_deltas[start] += t.cpu
-            cpu_deltas[end] -= t.cpu
-            memory = _scaled_memory(t.cpu, t.memory, memory_scales, modal_points)
-            mem_deltas[start] += memory
-            mem_deltas[end] -= memory
-    if count == 0:
-        return 0.0, 0.0, 0
+    for t in tasks:
+        start = min(int(t.submit_time // bin_s), num_bins - 1)
+        end = min(int((t.submit_time + t.duration) // bin_s) + 1, num_bins)
+        cpu_deltas[start] += t.cpu
+        cpu_deltas[end] -= t.cpu
+        memory = t.memory
+        if memory_scales:
+            memory = _scaled_memory(t.cpu, memory, memory_scales, modal_points)
+        mem_deltas[start] += memory
+        mem_deltas[end] -= memory
     cpu_p90 = float(np.percentile(np.cumsum(cpu_deltas[:num_bins]), 90))
     mem_p90 = float(np.percentile(np.cumsum(mem_deltas[:num_bins]), 90))
-    return cpu_p90, mem_p90, count
+    return cpu_p90, mem_p90
 
 
-def plan_trace(config: SyntheticTraceConfig | None = None) -> TracePlan:
-    """Run the generator's calibration in constant memory.
+def _calibrate(config: SyntheticTraceConfig, measure) -> TracePlan:
+    """The generator's one calibration loop: load first, then memory.
 
-    Reproduces :func:`generate_trace`'s load loop (up to four corrective
-    rate rescalings on the p90 CPU demand) and memory loop (up to three
-    non-modal memory rescalings on the p90 memory/cpu ratio) using
-    statistics passes instead of materialized task lists.  The resulting
-    :class:`TracePlan` drives :func:`stream_trace` to a stream that is
-    bit-identical to ``generate_trace(config).tasks``.
+    ``measure(profiles, memory_scales) -> (cpu_p90, mem_p90)`` is a
+    :func:`_demand_p90s` pass over the trace those profiles generate;
+    :func:`generate_trace` measures the task list it holds,
+    :func:`plan_trace` regenerates.  Each pass is deterministic given
+    (seed, rates), so the loop is reproducible.
+
+    **Load**: heavy-tailed job sizes and durations make the realized load
+    of a single pass noisy, so one multiplicative correction is not enough
+    — up to four rate rescalings on the p90 CPU demand.
+
+    **Memory**: Zipf-popular discrete sizes make the realized resource mix
+    extremely seed-sensitive (a couple of long, popular, large points
+    dominate the duration-weighted totals), which would flip the
+    evaluation between memory-bound and cpu-bound regimes per seed.  A
+    uniform post-scale of non-modal memory requests sets the trace-wide
+    p90 memory/cpu ratio to the mean of the profiles' ``memory_bias``,
+    preserving within-trace heterogeneity, cpu-memory independence and the
+    exact modal point.  The modal atoms are exempt from scaling and p90 is
+    not linear in the scale, so one step leaves residue — up to three
+    scales, applied as a chain.  No re-quantization: rounding small
+    memories to the grid biases the realized ratio low; calibration
+    accuracy wins here.
     """
-    config = config or SyntheticTraceConfig()
-    census = config.census()
-    horizon_s = config.horizon_hours * 3600.0
-    total_cpu = sum(m.cpu_capacity * m.count for m in census)
-
+    total_cpu = sum(m.cpu_capacity * m.count for m in config.census())
     profiles = config.scaled_profiles()
-    cpu_p90, mem_p90, count = _demand_stats(config, census, profiles, horizon_s)
+    cpu_p90, mem_p90 = measure(profiles, ())
     for _ in range(4):
-        realized = (cpu_p90 / total_cpu) if count else 0.0
+        realized = cpu_p90 / total_cpu
         if realized <= 0:
             break
         error = abs(realized - config.load_factor) / config.load_factor
@@ -808,27 +748,47 @@ def plan_trace(config: SyntheticTraceConfig | None = None) -> TracePlan:
             )
             for p in profiles
         )
-        cpu_p90, mem_p90, count = _demand_stats(config, census, profiles, horizon_s)
+        cpu_p90, mem_p90 = measure(profiles, ())
 
-    memory_scales: list[float] = []
-    if count:
-        target = sum(p.memory_bias for p in profiles) / len(profiles)
-        modal_points = frozenset((p.mode_cpu, p.mode_memory) for p in profiles)
-        # The last load pass already measured the unscaled cpu/mem p90s, so
-        # the first memory iteration reuses them; each appended scale costs
-        # one further statistics pass.
-        for _ in range(3):
-            if cpu_p90 <= 0 or mem_p90 <= 0:
-                break
-            ratio = mem_p90 / cpu_p90
-            if abs(ratio - target) / target < 0.05:
-                break
-            memory_scales.append(float(np.clip(target / ratio, 0.25, 8.0)))
-            cpu_p90, mem_p90, _ = _demand_stats(
-                config, census, profiles, horizon_s,
-                tuple(memory_scales), modal_points,
-            )
-    return TracePlan(profiles=profiles, memory_scales=tuple(memory_scales))
+    memory_scales: tuple[float, ...] = ()
+    target = sum(p.memory_bias for p in profiles) / len(profiles)
+    # The last load pass already measured the unscaled p90s, so only the
+    # scales cost a further pass each.
+    for _ in range(3):
+        if memory_scales:
+            cpu_p90, mem_p90 = measure(profiles, memory_scales)
+        if cpu_p90 <= 0 or mem_p90 <= 0:
+            break
+        ratio = mem_p90 / cpu_p90
+        if abs(ratio - target) / target < 0.05:
+            break
+        memory_scales += (float(np.clip(target / ratio, 0.25, 8.0)),)
+    return TracePlan(profiles=profiles, memory_scales=memory_scales)
+
+
+def plan_trace(config: SyntheticTraceConfig | None = None) -> TracePlan:
+    """Run the generator's calibration in constant memory.
+
+    The same :func:`_calibrate` loop as :func:`generate_trace`, measuring
+    by regenerating the stream instead of holding a task list.  The
+    resulting :class:`TracePlan` drives :func:`stream_trace` to a stream
+    that is bit-identical to ``generate_trace(config).tasks``.
+    """
+    config = config or SyntheticTraceConfig()
+    census = config.census()
+    horizon_s = config.horizon_hours * 3600.0
+
+    def measure(profiles, memory_scales):
+        return _demand_p90s(
+            chain.from_iterable(
+                _iter_task_bins(config, census, profiles, horizon_s)
+            ),
+            horizon_s,
+            memory_scales,
+            _modal_points(profiles),
+        )
+
+    return _calibrate(config, measure)
 
 
 def stream_trace(
@@ -850,25 +810,13 @@ def stream_trace(
     (:func:`plan_trace`) and fan the recipe out to workers; omitted, it is
     computed here first.
     """
-    from dataclasses import replace
-
     config = config or SyntheticTraceConfig()
     if plan is None:
         plan = plan_trace(config)
     census = config.census()
     horizon_s = config.horizon_hours * 3600.0
-    modal_points = frozenset((p.mode_cpu, p.mode_memory) for p in plan.profiles)
     for bin_tasks in _iter_task_bins(config, census, plan.profiles, horizon_s):
-        if plan.memory_scales:
-            bin_tasks = [
-                replace(
-                    t,
-                    memory=_scaled_memory(
-                        t.cpu, t.memory, plan.memory_scales, modal_points
-                    ),
-                )
-                for t in bin_tasks
-            ]
+        bin_tasks = _with_scaled_memory(bin_tasks, plan)
         bin_tasks.sort(key=lambda t: (t.submit_time, t.job_id, t.index))
         yield from bin_tasks
 

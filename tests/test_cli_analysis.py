@@ -69,6 +69,23 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--engine", "columnar"],
+            ["bench", "scalability", "--engine", "object"],
+            ["bench", "google_fleet", "--engine", "both"],
+            ["fleet", "--engine", "both"],
+        ],
+        ids=["simulate", "bench", "bench-google_fleet", "fleet"],
+    )
+    def test_engine_flag_is_gone(self, argv, capsys):
+        """The replay engine is HarmonyConfig's business, not the CLI's."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
+
 
 class TestReportHelpers:
     def test_ascii_table_alignment(self):

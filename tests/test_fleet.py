@@ -418,10 +418,6 @@ class TestFleetCli:
         err = capsys.readouterr().err
         assert "exceeds the 10 machine-type cells" in err
 
-    def test_engine_both_exits_2(self, capsys):
-        assert main(["fleet", "--engine", "both", *CLI_TRACE]) == 2
-        assert "exactly one engine" in capsys.readouterr().err
-
     def test_workers_below_one_exits_2(self, capsys):
         assert main(["fleet", "--workers", "0", *CLI_TRACE]) == 2
         assert "--workers must be >= 1" in capsys.readouterr().err
@@ -439,10 +435,6 @@ class TestFleetCli:
     def test_bench_google_fleet_rejects_verify(self, capsys):
         assert main(["bench", "google_fleet", "--verify"]) == 2
         assert "fleet-chaos" in capsys.readouterr().err
-
-    def test_bench_google_fleet_rejects_engine_both(self, capsys):
-        assert main(["bench", "google_fleet", "--engine", "both"]) == 2
-        assert "exactly one engine" in capsys.readouterr().err
 
     def test_bench_all_excludes_google_fleet(self):
         from repro.runner import SUITES

@@ -19,6 +19,9 @@ class TestHarmonyConfig:
     def test_policies_constant(self):
         assert set(POLICIES) == {"cbs", "cbp", "baseline", "threshold", "static"}
 
+    def test_columnar_is_the_default_engine(self):
+        assert HarmonyConfig().engine == "columnar"
+
     def test_with_policy(self):
         config = HarmonyConfig(policy="cbs")
         other = config.with_policy("baseline")

@@ -344,7 +344,6 @@ class TestThroughputAudit:
             {
                 "trace": {"hours": 0.25, "seed": 3, "machines": 60, "load": 0.4},
                 "policy": "threshold",
-                "engine": "columnar",
             }
         )
         assert outcome["summary"]["tasks_submitted"] > 0
@@ -355,7 +354,7 @@ class TestThroughputAudit:
             workers=1,
             results=(
                 self._result("relax_c20_t4_s0", "relax_solve", {"objective": 1.0}),
-                self._result("replay_object", "simulate", {"tasks_submitted": 500}),
+                self._result("replay_backlog", "simulate", {"tasks_submitted": 500}),
             ),
             total_wall_seconds=2.0,
         )
@@ -370,22 +369,38 @@ class TestThroughputAudit:
                 workers=1,
                 results=(
                     self._result("relax_c20_t4_s0", "relax_solve", {"objective": 1.0}),
-                    self._result("replay_object", "simulate", {"tasks_submitted": 500}),
+                    self._result("replay_backlog", "simulate", {"tasks_submitted": 500}),
                 ),
                 total_wall_seconds=2.0,
             )
         )
         by_name = {entry["name"]: entry for entry in payload["scenarios"]}
-        assert by_name["replay_object"]["tasks"] == 500
+        assert by_name["replay_backlog"]["tasks"] == 500
         assert "tasks" not in by_name["relax_c20_t4_s0"]
 
-    def test_replay_pair_in_scalability_suite(self):
-        from repro.runner import replay_scenarios
+    def test_fleet_shard_summary_counts_nested_tasks(self):
+        """A fleet shard nests its replay summary under ``"simulation"``.
 
-        pair = replay_scenarios()
-        assert [s.name for s in pair] == ["replay_object", "replay_columnar"]
-        for scenario in pair:
-            assert scenario.task == "simulate"
-            assert scenario.params["trace"] == pair[0].params["trace"]
-        assert pair[0].params["engine"] == "object"
-        assert pair[1].params["engine"] == "columnar"
+        Regression: ``BENCH_google_fleet.json`` reported
+        ``tasks_per_second: 0.0`` and no per-shard ``tasks``.
+        """
+        shard = {
+            "simulation": {"tasks_submitted": 300},
+            "shard": {"index": 0, "tasks_routed": 300},
+        }
+        report = RunnerReport(
+            suite="unit",
+            workers=1,
+            results=(self._result("fleet_shard_00", "fleet_shard", shard),),
+            total_wall_seconds=2.0,
+        )
+        assert report.tasks_per_second() == pytest.approx(150.0)
+        assert baseline_payload(report)["scenarios"][0]["tasks"] == 300
+
+    def test_replay_pair_in_scalability_suite(self):
+        """One deep-backlog replay, on the config-default engine."""
+        from repro.runner import scalability_scenarios
+
+        replays = [s for s in scalability_scenarios() if s.task == "simulate"]
+        assert [s.name for s in replays] == ["replay_backlog"]
+        assert set(replays[0].params) == {"trace", "policy"}

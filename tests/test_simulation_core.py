@@ -4,7 +4,6 @@ import pytest
 
 from repro.energy import table2_fleet
 from repro.simulation import (
-    BestFitScheduler,
     Event,
     EventQueue,
     FirstFitScheduler,
@@ -297,17 +296,6 @@ class TestSchedulers:
         )
         assert len(placements) == 4
         assert len(leftover) == 6
-
-    def test_best_fit_prefers_tightest(self):
-        pools = self._pools()
-        scheduler = BestFitScheduler(pools)
-        # Pre-fill one DL385 to 0.4 cpu free; the other is empty.
-        dl385 = pools[2]
-        dl385.machines[0].place(make_task(job_id=9, cpu=0.1, memory=0.01), 0)
-        task = make_task(cpu=0.3, memory=0.05)
-        machine = scheduler.try_place(task, 0, QuotaLedger())
-        # R210/R515 can't host 0.3 cpu; best fit picks the pre-filled DL385.
-        assert machine is dl385.machines[0]
 
     def test_empty_pools_rejected(self):
         with pytest.raises(ValueError):
