@@ -20,6 +20,12 @@ import numpy as np
 from scipy import optimize
 
 
+#: Forward-difference steps of the CSS gradient (see ``fit_arima``): L-BFGS-B's
+#: absolute ``eps``, and the relative step scipy takes where ``x + eps == x``.
+_FD_STEP = 1e-8
+_FD_RELATIVE_STEP = float(np.finfo(np.float64).eps) ** 0.5
+
+
 @dataclass(frozen=True)
 class ArimaOrder:
     """(p, d, q) hyper-parameters."""
@@ -35,14 +41,14 @@ class ArimaOrder:
             raise ValueError("ARIMA(0,0,0) has no structure to fit")
 
 
-def _difference(series: np.ndarray, d: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Apply d rounds of first differencing; keep heads for inversion."""
-    heads: list[np.ndarray] = []
-    current = series
+def _diff_with_tails(series: np.ndarray, d: int) -> tuple[np.ndarray, tuple[float, ...]]:
+    """Difference ``d`` times; ``tails[i]`` is the last value of the
+    i-times-differenced series, which :func:`_undifference` inverts from."""
+    tails: list[float] = []
     for _ in range(d):
-        heads.append(current[:1].copy())
-        current = np.diff(current)
-    return current, heads
+        tails.append(float(series[-1]))
+        series = np.diff(series)
+    return series, tuple(tails)
 
 
 def _undifference(forecast: np.ndarray, tails: list[float]) -> np.ndarray:
@@ -57,20 +63,50 @@ def _undifference(forecast: np.ndarray, tails: list[float]) -> np.ndarray:
 
 
 def _css_residuals(
-    w: np.ndarray, phi: np.ndarray, theta: np.ndarray, intercept: float
+    w: np.ndarray, phi: list[float], theta: list[float], intercept: float
 ) -> np.ndarray:
-    """One-step residuals of an ARMA recursion (pre-sample terms = 0)."""
+    """One-step residuals of an ARMA recursion (pre-sample terms = 0).
+
+    Runs on Python floats, not numpy scalars.  Each prediction is summed left
+    to right as ``intercept``, ``phi[0]*w[t-1]``, ..., ``theta[0]*e[t-1]``, ...:
+    the fitted bits, and through them the simulation digests, hang on that order.
+    """
     p, q = len(phi), len(theta)
     n = len(w)
-    residuals = np.zeros(n)
-    for t in range(n):
+    values = w.tolist()
+    residuals: list[float] = []
+    # Truncated history: fewer than p (or q) earlier terms exist.
+    burn_in = min(max(p, q), n)
+    for t in range(burn_in):
         prediction = intercept
         for i in range(min(p, t)):
-            prediction += phi[i] * w[t - 1 - i]
+            prediction += phi[i] * values[t - 1 - i]
         for j in range(min(q, t)):
             prediction += theta[j] * residuals[t - 1 - j]
-        residuals[t] = w[t] - prediction
-    return residuals
+        residuals.append(values[t] - prediction)
+    if burn_in == n:
+        return np.array(residuals)
+    # Full history: the AR partial sum does not feed back, so it is the same
+    # left-to-right sum taken elementwise over shifted slices of w.
+    if p:
+        ar = intercept + phi[0] * w[burn_in - 1 : n - 1]
+        for i in range(1, p):
+            ar += phi[i] * w[burn_in - 1 - i : n - 1 - i]
+    else:
+        ar = np.full(n - burn_in, intercept)
+    if q == 0:
+        return np.concatenate([residuals, w[burn_in:] - ar])
+    if q == 1:  # the default order's path: one multiply-add per step
+        theta0, previous = theta[0], residuals[-1]
+        for value, prediction in zip(values[burn_in:], ar.tolist()):
+            previous = value - (prediction + theta0 * previous)
+            residuals.append(previous)
+        return np.array(residuals)
+    for t, prediction in enumerate(ar.tolist(), start=burn_in):
+        for j in range(q):
+            prediction += theta[j] * residuals[t - 1 - j]
+        residuals.append(values[t] - prediction)
+    return np.array(residuals)
 
 
 def _ols_ar_fit(w: np.ndarray, p: int) -> tuple[np.ndarray, float]:
@@ -139,13 +175,11 @@ class ArimaModel:
             raise ValueError(
                 f"need at least {self.order.d + 1} observations, got {series.size}"
             )
-        w = series
-        tails: list[float] = []
-        for _ in range(self.order.d):
-            tails.append(float(w[-1]))
-            w = np.diff(w)
-        residuals = _css_residuals(w, self.phi, self.theta, self.intercept)
-        return self._forecast_core(steps, w, residuals, tuple(tails))
+        w, tails = _diff_with_tails(series, self.order.d)
+        residuals = _css_residuals(
+            w, self.phi.tolist(), self.theta.tolist(), self.intercept
+        )
+        return self._forecast_core(steps, w, residuals, tails)
 
     def _forecast_core(
         self,
@@ -156,18 +190,16 @@ class ArimaModel:
     ) -> np.ndarray:
         if steps < 1:
             raise ValueError(f"steps must be >= 1, got {steps}")
-        p, q = self.order.p, self.order.q
-        history = list(w)
-        shocks = list(residuals)
+        phi, theta = self.phi.tolist(), self.theta.tolist()
+        history = w.tolist()
+        shocks = residuals.tolist()
         predictions = []
         for _ in range(steps):
             value = self.intercept
-            for i in range(p):
-                if len(history) > i:
-                    value += self.phi[i] * history[-1 - i]
-            for j in range(q):
-                if len(shocks) > j:
-                    value += self.theta[j] * shocks[-1 - j]
+            for i in range(min(len(phi), len(history))):
+                value += phi[i] * history[-1 - i]
+            for j in range(min(len(theta), len(shocks))):
+                value += theta[j] * shocks[-1 - j]
             predictions.append(value)
             history.append(value)
             shocks.append(0.0)  # future shocks have zero expectation
@@ -205,47 +237,55 @@ def fit_arima(
             f"got {series.size}"
         )
 
-    w = series
-    tails: list[float] = []
-    for _ in range(order.d):
-        tails.append(float(w[-1]))
-        w = np.diff(w)
-    # tails[i] must be the last value of the i-times differenced series,
-    # captured before the (i+1)-th difference — the loop above does exactly
-    # that in order, so tails[0] is the original series tail.
-
+    w, tails = _diff_with_tails(series, order.d)
     p, q = order.p, order.q
     phi0, intercept0 = _ols_ar_fit(w, p)
     x0 = np.concatenate([[intercept0], phi0, np.zeros(q)])
 
-    def objective(params: np.ndarray) -> float:
-        intercept = params[0]
-        phi = params[1 : 1 + p]
-        theta = params[1 + p :]
-        with np.errstate(over="ignore", invalid="ignore"):
-            residuals = _css_residuals(w, phi, theta, intercept)
-            # *Conditional* sum of squares: the first p residuals have a
-            # truncated AR history (pre-sample terms are zero) and would
-            # otherwise dominate the fit whenever the series level is far
-            # from zero, dragging phi toward zero.
-            tail = residuals[p:]
-            sse = float(tail @ tail)
+    def sse(params: list[float]) -> float:
+        residuals = _css_residuals(w, params[1 : 1 + p], params[1 + p :], params[0])
+        # *Conditional* sum of squares: the first p residuals have a
+        # truncated AR history (pre-sample terms are zero) and would
+        # otherwise dominate the fit whenever the series level is far
+        # from zero, dragging phi toward zero.
+        tail = residuals[p:]
+        total = float(tail @ tail)
         # Explosive (non-stationary/non-invertible) parameter regions can
         # overflow the recursion; steer the optimizer away with a large
         # finite penalty instead of propagating inf/NaN.
-        if not math.isfinite(sse):
-            return 1e30
-        return sse
+        return total if math.isfinite(total) else 1e30
 
+    def sse_and_gradient(x: np.ndarray) -> tuple[float, np.ndarray]:
+        # The forward difference scipy's unbounded L-BFGS-B takes when `jac`
+        # is unset ('2-point'): same steps, same quotients, same iterates.
+        params = x.tolist()
+        base = sse(params)
+        gradient = []
+        for i, value in enumerate(params):
+            stepped = value + _FD_STEP
+            if stepped == value:
+                step = _FD_RELATIVE_STEP * max(1.0, abs(value))
+                stepped = value + (step if value >= 0 else -step)
+            params[i] = stepped
+            gradient.append((sse(params) - base) / (stepped - value))
+            params[i] = value
+        return base, np.array(gradient)
+
+    params = x0
     if p + q > 0:
-        solution = optimize.minimize(objective, x0, method="L-BFGS-B")
-        params = solution.x
-    else:
-        params = x0
+        # scipy charges its finite-difference evaluations to L-BFGS-B's
+        # budget of 15000 (`maxfun`); one call here makes 1 + len(x0) of
+        # them, so the budget is divided to give up at the same iterate.
+        options = {"maxfun": 15000 // (1 + len(x0))}
+        # The AR slices of explosive trial parameters overflow, by design.
+        with np.errstate(over="ignore", invalid="ignore"):
+            params = optimize.minimize(
+                sse_and_gradient, x0, jac=True, method="L-BFGS-B", options=options
+            ).x
     intercept = float(params[0])
     phi = np.asarray(params[1 : 1 + p], dtype=float)
     theta = np.asarray(params[1 + p :], dtype=float)
-    residuals = _css_residuals(w, phi, theta, intercept)
+    residuals = _css_residuals(w, phi.tolist(), theta.tolist(), intercept)
 
     return ArimaModel(
         order=order,
@@ -254,7 +294,7 @@ def fit_arima(
         intercept=intercept,
         w=w,
         residuals=residuals,
-        diff_tails=tuple(tails),
+        diff_tails=tails,
     )
 
 

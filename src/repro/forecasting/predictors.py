@@ -164,11 +164,11 @@ class ArimaPredictor:
             len(self._values) >= self.min_observations
             and (self._model is None or self._since_refit >= self.refit_every)
         ):
+            self._since_refit = 0
             try:
                 self._model = fit_arima(np.asarray(self._values), self.order)
-                self._since_refit = 0
             except (ValueError, np.linalg.LinAlgError):
-                self._model = None
+                pass  # keep the last good model; retry on the refit cadence
 
     def forecast(self, steps: int) -> np.ndarray:
         _check_steps(steps)

@@ -1,11 +1,13 @@
 """Tests for the MPC controller (Algorithm 1), CBP and the baseline."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.containers import ContainerManagerConfig, ContainerManager
 from repro.energy import constant_price, table2_fleet
-from repro.forecasting import EwmaPredictor
+from repro.forecasting import EwmaPredictor, predictors
 from repro.provisioning import (
     BaselineConfig,
     BaselineProvisioner,
@@ -121,6 +123,31 @@ class TestHarmonyController:
         controller.prime({cid: 3.0 for cid in controller.class_ids})
         decision = controller.decide(now=0.0)
         assert decision.total_active() > 0
+
+    def test_arima_refit_cadence(self, controller_setup, monkeypatch):
+        """Every class refits in the same tick: at 12, 16 and 20 observations.
+
+        This is the latency cliff `forecasting.observe_max_ms` measures;
+        the test pins its shape (how many fits, when), not its wall-clock.
+        """
+        fleet, manager, _ = controller_setup
+        controller = HarmonyController(fleet, manager, ControllerConfig())
+        window_lengths = []
+        fit_arima = predictors.fit_arima
+
+        def counting_fit(series, order):
+            window_lengths.append(len(series))
+            return fit_arima(series, order)
+
+        monkeypatch.setattr(predictors, "fit_arima", counting_fit)
+        controller.prime({cid: 3.0 for cid in controller.class_ids}, repeats=16)
+        for tick in range(4):
+            controller.observe({cid: 3.0 + tick for cid in controller.class_ids})
+        classes = len(controller.class_ids)
+        assert classes == 40
+        assert Counter(window_lengths) == {12: classes, 16: classes, 20: classes}
+        rates = controller.forecast_rates()
+        assert np.isfinite(rates).all() and (rates >= 0).all()
 
     def test_prime_validation(self, controller_setup):
         fleet, manager, config = controller_setup

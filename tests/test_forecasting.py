@@ -14,6 +14,7 @@ from repro.forecasting import (
     NaivePredictor,
     fit_arima,
     make_predictor,
+    predictors,
     rolling_origin_evaluation,
 )
 from repro.forecasting.arima import select_order_aic
@@ -152,6 +153,31 @@ class TestPredictors:
         for _ in range(60):
             p.update(10.0 + rng.normal(0, 0.5))
         assert p.forecast(1)[0] == pytest.approx(10.0, abs=1.5)
+
+    def test_arima_predictor_keeps_model_when_a_refit_fails(self, monkeypatch):
+        attempts = []
+
+        def flaky_fit(series, order):
+            attempts.append(len(series))
+            if len(attempts) == 2:
+                raise ValueError("window cannot be fitted")
+            return fit_arima(series, order)
+
+        monkeypatch.setattr(predictors, "fit_arima", flaky_fit)
+        p = ArimaPredictor(order=(1, 0, 0), window=64, refit_every=4)
+        rng = np.random.default_rng(0)
+        for _ in range(p.min_observations):
+            p.update(10.0 + rng.normal(0, 0.5))
+        first_model = p._model
+        assert attempts == [12] and first_model is not None
+        for update in range(13, 21):
+            p.update(10.0 + rng.normal(0, 0.5))
+            if 16 <= update < 20:
+                # The failed refit neither dropped the coefficients nor
+                # turned every following tick into a fit attempt.
+                assert p._model is first_model
+        assert attempts == [12, 16, 20]
+        assert p._model is not first_model
 
     def test_fallback_chain_uses_primary_when_healthy(self):
         from repro.forecasting import FallbackChainPredictor
