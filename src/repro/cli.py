@@ -24,10 +24,11 @@ sanitize
     anything was quarantined.
 lint
     Run harmonylint (:mod:`repro.statics`) over the tree: AST rules for
-    the determinism/digest/taxonomy invariants (DET/ERR/PCK/NUM/API
+    the determinism/digest/taxonomy invariants (DET/ERR/NUM/API
     codes), ``# repro: noqa[CODE]`` suppressions and a committed
     grandfathering baseline.  Exit codes are stable: 0 clean, 1
-    non-baselined findings, 2 usage/configuration error.
+    non-baselined findings or stale baseline entries, 2
+    usage/configuration error.
 bench
     Run a scenario suite (scalability / ablation / robustness) through
     the parallel :class:`~repro.runner.ScenarioRunner` and write a
@@ -679,88 +680,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _git_changed_files(root: Path) -> set[str] | None:
-    """Root-relative paths of files changed vs HEAD (plus untracked).
-
-    Returns ``None`` when git is unavailable or ``root`` is not a work
-    tree — callers fall back to reporting the full tree.
-    """
-    import subprocess
-
-    def run(cmd: list[str]) -> str | None:
-        try:
-            proc = subprocess.run(
-                cmd, capture_output=True, text=True, timeout=30
-            )
-        except (OSError, subprocess.TimeoutExpired):
-            return None
-        return proc.stdout if proc.returncode == 0 else None
-
-    # git reports names relative to the repository toplevel; when --root
-    # is a subdirectory, strip its prefix so names match finding paths.
-    prefix_out = run(["git", "-C", str(root), "rev-parse", "--show-prefix"])
-    if prefix_out is None:
-        return None
-    prefix = prefix_out.strip()
-
-    names: set[str] = set()
-    for cmd in (
-        ["git", "-C", str(root), "diff", "--name-only", "HEAD"],
-        ["git", "-C", str(root), "ls-files", "--others", "--exclude-standard"],
-    ):
-        out = run(cmd)
-        if out is None:
-            return None
-        names.update(line.strip() for line in out.splitlines())
-    if prefix:
-        names = {
-            name[len(prefix):] for name in names if name.startswith(prefix)
-        }
-    return {name for name in names if name.endswith(".py")}
-
-
-def _print_graph_symbol(graph, spec: str) -> int:
-    keys = graph.resolve_symbol(spec)
-    if not keys:
-        print(f"repro lint: --graph: no symbol matches {spec!r}", file=sys.stderr)
-        return 2
-    reach = graph.sink_reach()
-    feed = graph.digest_feed()
-    for key in keys:
-        node = graph.functions[key]
-        print(f"{graph.label(key)}  ({node.rel_path}:{node.summary.lineno})")
-        callees = graph.edges.get(key, [])
-        callers = graph.reverse.get(key, [])
-        for target, high in callees:
-            marker = "sure" if high else "name-match"
-            print(f"  calls    {graph.label(target)}  [{marker}]")
-        for source, high in callers:
-            marker = "sure" if high else "name-match"
-            print(f"  caller   {graph.label(source)}  [{marker}]")
-        if not callees and not callers:
-            print("  (no resolved edges)")
-        if key in reach:
-            path = " -> ".join(
-                graph.label(step) for step in graph.path_to_root(key, reach)
-            )
-            print(f"  digest path (argument direction): {path}")
-        if key in feed:
-            path = " -> ".join(
-                graph.label(step) for step in graph.path_to_root(key, feed)
-            )
-            print(f"  digest path (return direction): {path}")
-        if key not in reach and key not in feed:
-            print("  not on any digest path")
-    return 0
-
-
 def cmd_lint(args: argparse.Namespace) -> int:
     from repro.statics import (
         DEFAULT_BASELINE_NAME,
-        DEFAULT_CACHE_NAME,
         Baseline,
         BaselineError,
-        LintEngine,
         build_baseline,
         lint_paths,
         load_baseline,
@@ -773,41 +697,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
         print(f"repro lint: --root {args.root} is not a directory", file=sys.stderr)
         return 2
 
-    if args.graph:
-        try:
-            graph = LintEngine().project_graph(args.paths, root=root)
-        except FileNotFoundError as exc:
-            print(f"repro lint: {exc}", file=sys.stderr)
-            return 2
-        return _print_graph_symbol(graph, args.graph)
-
-    # --changed-only narrows what is *reported*, never what is analyzed
-    # (project passes need the whole graph, and the baseline must see the
-    # full finding set or untouched baselined findings would read as
-    # stale).  The filter is therefore applied after baseline.apply().
-    changed: set[str] | None = None
-    if args.changed_only:
-        changed = _git_changed_files(root)
-        if changed is None:
-            print(
-                "repro lint: --changed-only: git unavailable; "
-                "reporting the full tree",
-                file=sys.stderr,
-            )
-
-    cache = None
-    if not args.no_cache:
-        cache = args.cache if args.cache else root / DEFAULT_CACHE_NAME
-        if not Path(cache).is_absolute():
-            cache = root / cache
-
     try:
-        report = lint_paths(
-            args.paths,
-            root=root,
-            cache=cache,
-            jobs=args.jobs,
-        )
+        report = lint_paths(args.paths, root=root)
     except FileNotFoundError as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
@@ -833,9 +724,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
         return 0
 
     reported, baselined = baseline.apply(report.findings)
-    stale = baseline.stale_fingerprints(report.findings)
-    if changed is not None:
-        reported = [f for f in reported if f.path in changed]
+    stale = baseline.stale_fingerprints(report.findings, set(report.files))
 
     if args.format == "json":
         payload = {
@@ -859,25 +748,32 @@ def cmd_lint(args: argparse.Namespace) -> int:
     else:
         for finding in reported:
             print(finding.format_text())
-        status = "clean" if not reported else f"{len(reported)} finding(s)"
-        cache_note = ""
-        if report.cache_hits or report.cache_misses:
-            cache_note = (
-                f", cache {report.cache_hits} hit(s) / "
-                f"{report.cache_misses} analyzed"
-            )
+    # A baselined finding that stopped firing was either fixed or its rule
+    # stopped working; both need a decision, so a stale entry fails the
+    # run like a finding does.  json/sarif keep stdout parseable.
+    text = args.format == "text"
+    for fingerprint in stale:
+        entry = baseline.entries[fingerprint]
         print(
-            f"repro lint: {status} — {report.files_checked} file(s), "
-            f"{baselined} baselined, {report.suppressed} suppressed"
-            f"{cache_note}"
+            f"{entry.path}: {entry.code} stale baseline entry {fingerprint} "
+            "matches no current finding; restore the rule or drop the entry "
+            "with --fix-baseline",
+            file=sys.stdout if text else sys.stderr,
         )
-        if stale:
-            print(
-                f"repro lint: {len(stale)} stale baseline entr(y/ies); "
-                "run --fix-baseline to drop them",
-                file=sys.stderr,
+    if text:
+        status = ", ".join(
+            f"{len(items)} {what}"
+            for items, what in (
+                (reported, "finding(s)"),
+                (stale, "stale baseline entr(y/ies)"),
             )
-    return 1 if reported else 0
+            if items
+        )
+        print(
+            f"repro lint: {status or 'clean'} — {report.files_checked} "
+            f"file(s), {baselined} baselined, {report.suppressed} suppressed"
+        )
+    return 1 if reported or stale else 0
 
 
 def _lint_counts(findings) -> dict[str, int]:
@@ -1194,31 +1090,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--root", type=Path, default=Path("."),
         help="tree root findings are reported relative to (default: .)",
-    )
-    lint.add_argument(
-        "--changed-only", action="store_true",
-        help="report findings only for files changed vs git HEAD "
-             "(plus untracked); analysis still covers the whole tree, "
-             "and without git the full tree is reported",
-    )
-    lint.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="parallelize the per-file phase across N spawn workers "
-             "(default: 1; findings are identical for any N)",
-    )
-    lint.add_argument(
-        "--graph", metavar="SYMBOL", default=None,
-        help="debug: print call-graph edges and digest paths for SYMBOL "
-             "(qualified name, Class.method, or bare name) and exit",
-    )
-    lint.add_argument(
-        "--cache", type=Path, default=None, metavar="PATH",
-        help="incremental analysis cache file "
-             "(default: <root>/.harmonylint-cache.json)",
-    )
-    lint.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the incremental analysis cache",
     )
     lint.add_argument(
         "--baseline", type=Path, default=None, metavar="PATH",

@@ -68,11 +68,14 @@ class ThresholdAutoscaler:
         powered: dict[int, int] | None = None,
         available: dict[int, int] | None = None,
     ) -> ProvisioningDecision:
-        """One hysteresis step.
+        """One target-tracking step.
 
         Utilization is measured as bottleneck demand over the capacity of
-        the *currently targeted* machines; the target count moves by
-        ``step_fraction`` when outside the band.
+        the *currently targeted* machines.  Inside the (low, high) band the
+        target holds; above it the target is rescaled to
+        ``target * utilization / high_watermark`` (at least +1, at most
+        what is available), below it to ``target * utilization /
+        midpoint`` of the band (at least -1, never below 0).
         """
         if demand_cpu < 0 or demand_memory < 0:
             raise ValueError("demand must be non-negative")

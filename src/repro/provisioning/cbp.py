@@ -35,19 +35,8 @@ class CbpController(HarmonyController):
         running_by_platform: dict[int, dict[int, int]] | None = None,
         powered: dict[int, int] | None = None,
     ) -> ProvisioningDecision:
-        rates = self.forecast_rates()
-        demand = self.container_demand(rates, backlog, running)
-        problem = self.build_problem(now, demand, available)
-        if powered is not None:
-            initial_active = np.array(
-                [float(powered.get(m.platform_id, 0)) for m in self.machine_models]
-            )
-        else:
-            initial_active = self._previous_active
-        solution = self._solver.solve(
-            problem,
-            initial_active=initial_active,
-            committed=self.committed_matrix(running_by_platform),
+        _problem, solution, demand = self._solve_relaxation(
+            now, backlog, available, running, running_by_platform, powered
         )
         self.last_solution = solution
         self.last_plan = None  # CBP performs no packing

@@ -265,6 +265,37 @@ class HarmonyController:
             overprovision=omega,
         )
 
+    def _solve_relaxation(
+        self,
+        now: float,
+        backlog: dict[int, int] | None,
+        available: dict[int, int] | None,
+        running: dict[int, int] | None,
+        running_by_platform: dict[int, dict[int, int]] | None,
+        powered: dict[int, int] | None,
+    ) -> tuple[ProvisioningProblem, RelaxSolution, np.ndarray]:
+        """Algorithm 1 lines 4-5: forecast, size, and solve CBS-RELAX.
+
+        Shared by every realization of the relaxed solution (CBS packing
+        here, CBP's nearest-integer rounding); returns the problem, its
+        relaxed solution and the ``(W, N)`` container demand behind it.
+        """
+        rates = self.forecast_rates()
+        demand = self.container_demand(rates, backlog, running)
+        problem = self.build_problem(now, demand, available)
+        if powered is not None:
+            initial_active = np.array(
+                [float(powered.get(m.platform_id, 0)) for m in self.machine_models]
+            )
+        else:
+            initial_active = self._previous_active
+        solution = self._solver.solve(
+            problem,
+            initial_active=initial_active,
+            committed=self.committed_matrix(running_by_platform),
+        )
+        return problem, solution, demand
+
     def decide(
         self,
         now: float,
@@ -281,19 +312,8 @@ class HarmonyController:
         machines that could not power down yet are real, and the optimizer
         should price switching against reality rather than its own plan.
         """
-        rates = self.forecast_rates()
-        demand = self.container_demand(rates, backlog, running)
-        problem = self.build_problem(now, demand, available)
-        if powered is not None:
-            initial_active = np.array(
-                [float(powered.get(m.platform_id, 0)) for m in self.machine_models]
-            )
-        else:
-            initial_active = self._previous_active
-        solution = self._solver.solve(
-            problem,
-            initial_active=initial_active,
-            committed=self.committed_matrix(running_by_platform),
+        problem, solution, demand = self._solve_relaxation(
+            now, backlog, available, running, running_by_platform, powered
         )
         plan = self._rounder.round(problem, solution, t=0)
         self.last_solution = solution

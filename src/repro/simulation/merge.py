@@ -175,12 +175,14 @@ def merge_shard_summaries(shards: list[dict]) -> dict:
     ``shards`` holds the ``fleet_shard`` task outputs: each carries the
     cell's ``"simulation"`` summary plus a ``"shard"`` block with the
     weights the merge needs (machine count, per-group routed task counts).
-    Shard order does not matter — every reduction is either commutative
-    (sums, maxes) or normalizes by the same total regardless of order, and
-    key iteration is sorted.
+    Caller order does not matter: float sums are *not* commutative in
+    their last bit, so the shards are first put in ``shard["index"]``
+    order and every reduction runs over that one order (key iteration is
+    sorted likewise).
     """
     if not shards:
         raise ValueError("cannot merge zero shard summaries")
+    shards = sorted(shards, key=lambda s: s["shard"]["index"])
     summaries = [s["simulation"] for s in shards]
     infos = [s["shard"] for s in shards]
     policies = sorted({s["policy"] for s in summaries})

@@ -2,9 +2,9 @@
 
 An AST-based lint engine with HARMONY-specific rules: every guarantee the
 runtime test layers enforce after the fact (bit-identical sweeps,
-canonical-JSON digests, the structured error taxonomy, picklable spawn
-tasks, numerically guarded queueing math) has a rule that catches the
-violation before it runs.  See ``docs/static-analysis.md`` for the rule
+canonical-JSON digests, the structured error taxonomy, numerically
+guarded queueing math) has a rule that catches the violation before it
+runs.  See ``docs/static-analysis.md`` for the rule
 catalog and workflow, and ``repro lint --help`` for the CLI.
 
 Public surface::
@@ -25,7 +25,6 @@ from repro.statics.baseline import (
     load_baseline,
     save_baseline,
 )
-from repro.statics.cache import AnalysisCache, CACHE_VERSION, DEFAULT_CACHE_NAME
 from repro.statics.context import ModuleContext, Suppression
 from repro.statics.engine import (
     EXCLUDED_DIRS,
@@ -48,14 +47,11 @@ from repro.statics.sarif import to_sarif
 
 __all__ = [
     "ALL_RULES",
-    "AnalysisCache",
     "BASELINE_VERSION",
     "Baseline",
     "BaselineEntry",
     "BaselineError",
-    "CACHE_VERSION",
     "DEFAULT_BASELINE_NAME",
-    "DEFAULT_CACHE_NAME",
     "EXCLUDED_DIRS",
     "FileAnalysis",
     "Finding",

@@ -10,9 +10,11 @@ forces a fresh decision.
 
 Duplicate fingerprints (the same code on identical lines) are handled by
 count: a baseline entry with ``count: 2`` absorbs at most two matching
-findings; a third is reported.  ``repro lint --fix-baseline`` rewrites the
-file from the current findings, preserving justifications for entries
-that survive.
+findings; a third is reported.  An entry for a linted file that matches
+*no* finding is stale and fails the run: the finding was fixed, or its
+rule stopped working.  ``repro lint --fix-baseline`` rewrites the file
+from the current findings, preserving justifications for entries that
+survive.
 """
 
 from __future__ import annotations
@@ -79,10 +81,20 @@ class Baseline:
                 reported.append(finding)
         return reported, absorbed
 
-    def stale_fingerprints(self, findings: list[Finding]) -> list[str]:
-        """Entries no longer matched by any current finding."""
+    def stale_fingerprints(
+        self, findings: list[Finding], checked: set[str] | None = None
+    ) -> list[str]:
+        """Entries no longer matched by any current finding.
+
+        ``checked`` is the set of paths linted in this run: an entry for a
+        file the run never looked at is unknown, not stale.
+        """
         current = {finding.fingerprint for finding in findings}
-        return sorted(fp for fp in self.entries if fp not in current)
+        return sorted(
+            fp
+            for fp, entry in self.entries.items()
+            if fp not in current and (checked is None or entry.path in checked)
+        )
 
 
 def load_baseline(path: str | Path) -> Baseline:

@@ -52,12 +52,50 @@ NUMERIC_HOT_PATHS = ("src/repro/queueing",)
 NUMERIC_HOT_PATH_FILES = ("src/repro/containers/sizing.py",)
 
 
+#: Wall-clock reads.  DET002 flags them outside the timing allowlist,
+#: DET006 (plus ``time.sleep``) in the control plane, and FLOW001 treats
+#: them as nondeterministic value sources — one table, so the three rules
+#: cannot drift apart on what counts as a clock.
+CLOCK_CALLS = frozenset(
+    {
+        "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
+        "time.perf_counter", "time.perf_counter_ns", "time.process_time",
+        "time.process_time_ns",
+        "datetime.datetime.now", "datetime.datetime.utcnow",
+        "datetime.datetime.today", "datetime.date.today",
+    }
+)
+
+#: Functions of the process-global stdlib RNG (DET001, DET006; FLOW001
+#: uses the value-returning subset).
+STDLIB_RANDOM_GLOBALS = frozenset(
+    {
+        "random", "randint", "randrange", "uniform", "choice", "choices",
+        "sample", "shuffle", "gauss", "normalvariate", "expovariate",
+        "betavariate", "gammavariate", "lognormvariate", "paretovariate",
+        "weibullvariate", "triangular", "vonmisesvariate", "getrandbits",
+        "randbytes", "seed",
+    }
+)
+
+#: Functions of numpy's legacy global RNG (DET001; FLOW001 as above).
+NUMPY_LEGACY_GLOBALS = frozenset(
+    {
+        "rand", "randn", "randint", "random", "random_sample", "ranf",
+        "sample", "choice", "shuffle", "permutation", "seed", "uniform",
+        "normal", "standard_normal", "exponential", "poisson", "lognormal",
+        "beta", "gamma", "binomial", "get_state", "set_state",
+    }
+)
+
+
 @dataclass
 class Suppression:
     """One ``# repro: noqa`` comment, tracked for SUP001 usefulness."""
 
     line: int
     codes: frozenset[str] | None  # None = blanket (suppresses everything)
+    text: str = ""  # stripped source of the comment's line (SUP001 fingerprint)
     used_codes: set[str] = field(default_factory=set)
 
     def covers(self, code: str) -> bool:
@@ -197,15 +235,11 @@ class ModuleContext:
                 codes = frozenset(
                     c.strip().upper() for c in raw.split(",") if c.strip()
                 )
-            found.append(Suppression(line=token.start[0], codes=codes))
+            line = token.start[0]
+            found.append(
+                Suppression(line=line, codes=codes, text=self.source_line(line))
+            )
         return found
-
-    def suppression_for(self, line: int, code: str) -> Suppression | None:
-        """The suppression covering ``code`` on ``line``, if any."""
-        for suppression in self.suppressions:
-            if suppression.line == line and suppression.covers(code):
-                return suppression
-        return None
 
 
 __all__ = [
@@ -217,4 +251,7 @@ __all__ = [
     "CONTROL_PLANE_SEAM_FILES",
     "NUMERIC_HOT_PATHS",
     "NUMERIC_HOT_PATH_FILES",
+    "CLOCK_CALLS",
+    "STDLIB_RANDOM_GLOBALS",
+    "NUMPY_LEGACY_GLOBALS",
 ]

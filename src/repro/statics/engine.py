@@ -1,46 +1,34 @@
 """The harmonylint engine: discovery, dispatch, suppression, reporting.
 
-v1 of the engine was strictly per-file: one :class:`LintEngine` walked
-each module's AST exactly once and every finding was local to that walk.
-v2 keeps that walk (rules still register by defining ``visit_<NodeType>``
-methods; the dispatcher indexes handlers per node type) but embeds it in
-a project pipeline:
+One serial pipeline, run start to finish on every invocation:
 
 1. **Per-file phase** — parse + rule walk + ``# repro: noqa`` suppression
-   per module, producing findings *and* a cacheable
-   :class:`~repro.statics.graph.ModuleSummary`.  This phase is pure per
-   file, so it can run under a spawn multiprocessing pool (``jobs=N``)
-   and hit the incremental cache (:mod:`repro.statics.cache`).
+   per module (rules register by defining ``visit_<NodeType>`` methods;
+   the dispatcher indexes handlers per node type), producing findings
+   *and* a :class:`~repro.statics.graph.ModuleSummary`.
 2. **Graph phase** — summaries assemble into the project call graph.
 3. **Project phase** — the interprocedural passes
-   (:mod:`repro.statics.flow`: FLOW001/ORD001/CONC001/CONC002) run over
-   the graph; their findings pass through the same suppression comments.
+   (:mod:`repro.statics.flow`: FLOW001/ORD001) run over the graph; their
+   findings pass through the same suppression comments.
 4. **SUP001 phase** — suppression usefulness is judged only now, once
    both per-file and project findings have had the chance to use each
    comment.
 
-Findings are sorted deterministically at the end regardless of worker
-count or cache state — the linter is held to the same reproducibility
-bar it enforces.
+Findings are sorted deterministically at the end — the linter is held to
+the same reproducibility bar it enforces.
 """
 
 from __future__ import annotations
 
 import ast
-import multiprocessing
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 
-from repro.statics.cache import AnalysisCache, FileEntry, content_hash
 from repro.statics.context import ModuleContext, Suppression
 from repro.statics.findings import Finding
 from repro.statics.flow import run_project_passes
-from repro.statics.graph import (
-    ModuleSummary,
-    ProjectGraph,
-    build_graph,
-    summarize_module,
-)
+from repro.statics.graph import ModuleSummary, build_graph, summarize_module
 from repro.statics.rules import KNOWN_CODES, Rule, UselessSuppression, default_rules
 
 #: Directory names never descended into during discovery.  ``fixtures``
@@ -104,19 +92,26 @@ class _Walk(ast.NodeVisitor):
 # -------------------------------------------------------- per-file analysis
 
 
-def _suppression_records(
-    suppressions: list[Suppression], ctx: ModuleContext
-) -> list[dict]:
-    """Suppression comments as JSON-able records (cache wire form)."""
-    return [
-        {
-            "line": s.line,
-            "codes": sorted(s.codes) if s.codes is not None else None,
-            "used": sorted(s.used_codes),
-            "text": ctx.source_line(s.line),
-        }
-        for s in suppressions
-    ]
+def _unsuppressed(
+    findings: list[Finding], suppressions: list[Suppression]
+) -> list[Finding]:
+    """Findings no ``# repro: noqa`` comment covers; each comment that
+    does cover one is marked used (SUP001 judges the rest)."""
+    kept: list[Finding] = []
+    for finding in findings:
+        match = next(
+            (
+                s
+                for s in suppressions
+                if s.line == finding.line and s.covers(finding.code)
+            ),
+            None,
+        )
+        if match is None:
+            kept.append(finding)
+        else:
+            match.used_codes.add(finding.code)
+    return kept
 
 
 @dataclass
@@ -129,38 +124,9 @@ class FileAnalysis:
 
     rel_path: str
     findings: list[Finding]
-    suppressions: list[dict]
+    suppressions: list[Suppression]
     summary: ModuleSummary
     suppressed: int
-
-    def to_payload(self) -> dict:
-        return {
-            "rel_path": self.rel_path,
-            "findings": [f.to_payload() for f in self.findings],
-            "suppressions": self.suppressions,
-            "summary": self.summary.to_dict(),
-            "suppressed": self.suppressed,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "FileAnalysis":
-        return cls(
-            rel_path=payload["rel_path"],
-            findings=[Finding.from_payload(f) for f in payload["findings"]],
-            suppressions=payload["suppressions"],
-            summary=ModuleSummary.from_dict(payload["summary"]),
-            suppressed=payload["suppressed"],
-        )
-
-    @classmethod
-    def from_entry(cls, rel_path: str, entry: FileEntry) -> "FileAnalysis":
-        return cls(
-            rel_path=rel_path,
-            findings=list(entry.findings),
-            suppressions=entry.suppressions,
-            summary=entry.summary,
-            suppressed=entry.suppressed,
-        )
 
 
 def analyze_source(
@@ -185,7 +151,7 @@ def analyze_source(
         return FileAnalysis(
             rel_path=ctx.rel_path,
             findings=[finding],
-            suppressions=_suppression_records(ctx.suppressions, ctx),
+            suppressions=ctx.suppressions,
             summary=summary,
             suppressed=0,
         )
@@ -197,31 +163,15 @@ def analyze_source(
     walker = _Walk(ctx, active, raw)
     walker.visit(ctx.tree)
 
-    kept: list[Finding] = []
-    for finding in raw:
-        suppression = ctx.suppression_for(finding.line, finding.code)
-        if suppression is not None:
-            suppression.used_codes.add(finding.code)
-        else:
-            kept.append(finding)
+    kept = _unsuppressed(raw, ctx.suppressions)
     kept.sort(key=Finding.sort_key)
     return FileAnalysis(
         rel_path=ctx.rel_path,
         findings=kept,
-        suppressions=_suppression_records(ctx.suppressions, ctx),
+        suppressions=ctx.suppressions,
         summary=summary,
         suppressed=len(raw) - len(kept),
     )
-
-
-def _analysis_worker(item: tuple[str, str]) -> dict:
-    """Spawn-pool entry point: analyze one (rel_path, source) pair.
-
-    Module-level and payload-returning so it survives the spawn pickle
-    boundary; workers always run the default rule set.
-    """
-    rel_path, source = item
-    return analyze_source(rel_path, source).to_payload()
 
 
 # ---------------------------------------------------------------- reporting
@@ -232,10 +182,14 @@ class LintReport:
     """Outcome of one lint run (pre-baseline)."""
 
     findings: list[Finding] = field(default_factory=list)
-    files_checked: int = 0
+    #: Root-relative paths of every file linted, sorted; the baseline
+    #: judges staleness only for entries under these.
+    files: list[str] = field(default_factory=list)
     suppressed: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
+
+    @property
+    def files_checked(self) -> int:
+        return len(self.files)
 
     def by_code(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -251,12 +205,10 @@ class LintEngine:
     """Runs the rule set over files and directories."""
 
     def __init__(self, rules: list[Rule] | None = None) -> None:
-        self._default_rule_set = rules is None
         self.rules = rules if rules is not None else default_rules()
         self._sup001 = next(
             (r for r in self.rules if isinstance(r, UselessSuppression)), None
         )
-        self._suppressed_last = 0
 
     # ------------------------------------------------------------- discovery
 
@@ -309,17 +261,15 @@ class LintEngine:
         the v1 contract for single-module callers.
         """
         analysis = analyze_source(rel_path, source, self.rules)
-        self._suppressed_last = analysis.suppressed
         kept = list(analysis.findings)
         if kept and kept[0].code == "SYN000":
             return kept
-        state = _runtime_suppressions(analysis.suppressions)
-        kept.extend(self._useless_suppressions(rel_path, state))
+        kept.extend(self._useless_suppressions(rel_path, analysis.suppressions))
         kept.sort(key=Finding.sort_key)
         return kept
 
     def _useless_suppressions(
-        self, rel_path: str, records: list[dict]
+        self, rel_path: str, suppressions: list[Suppression]
     ) -> list[Finding]:
         """SUP001 findings: unknown codes and suppressions that matched
         nothing.  Exempt from suppression by design."""
@@ -327,92 +277,38 @@ class LintEngine:
             return []
         findings = []
 
-        def emit(record, message):
+        def emit(suppression, message):
             findings.append(
                 Finding(
                     code=self._sup001.code,
                     severity=self._sup001.severity,
                     path=rel_path,
-                    line=record["line"],
+                    line=suppression.line,
                     column=0,
                     message=message,
-                    source_line=record["text"],
+                    source_line=suppression.text,
                 )
             )
 
-        for record in records:
-            if record["codes"] is None:
-                if not record["used"]:
-                    emit(record, "blanket 'repro: noqa' suppressed nothing")
+        for suppression in suppressions:
+            if suppression.codes is None:
+                if not suppression.used_codes:
+                    emit(suppression, "blanket 'repro: noqa' suppressed nothing")
                 continue
-            for code in sorted(record["codes"]):
+            for code in sorted(suppression.codes):
                 if code not in KNOWN_CODES:
-                    emit(record, f"unknown rule code {code} in suppression")
-                elif code not in record["used"]:
+                    emit(suppression, f"unknown rule code {code} in suppression")
+                elif code not in suppression.used_codes:
                     emit(
-                        record,
+                        suppression,
                         f"suppression for {code} matched no finding; delete it",
                     )
         return findings
 
     # -------------------------------------------------------------- pipeline
 
-    def _per_file_phase(
-        self,
-        sources: dict[str, str],
-        cache: AnalysisCache | None,
-        jobs: int,
-    ) -> tuple[dict[str, FileAnalysis], int, int]:
-        """Run (or replay from cache) the per-file phase for every file."""
-        hashes = {rel: content_hash(text) for rel, text in sources.items()}
-        results: dict[str, FileAnalysis] = {}
-        hits = 0
-        if cache is not None:
-            for rel in sorted(cache.valid_files(hashes)):
-                entry = cache.get(rel)
-                if entry is not None and rel in sources:
-                    results[rel] = FileAnalysis.from_entry(rel, entry)
-                    hits += 1
-
-        work = [
-            (rel, sources[rel]) for rel in sorted(sources) if rel not in results
-        ]
-        if jobs > 1 and len(work) > 1 and self._default_rule_set:
-            spawn = multiprocessing.get_context("spawn")
-            with spawn.Pool(processes=min(jobs, len(work))) as pool:
-                payloads = pool.map(_analysis_worker, work)
-            analyses = [FileAnalysis.from_payload(p) for p in payloads]
-        else:
-            analyses = [
-                analyze_source(rel, text, self.rules) for rel, text in work
-            ]
-        for (rel, _text), analysis in zip(work, analyses):
-            results[rel] = analysis
-            if cache is not None:
-                cache.put(
-                    rel,
-                    FileEntry(
-                        file_hash=hashes[rel],
-                        findings=analysis.findings,
-                        suppressions=analysis.suppressions,
-                        summary=analysis.summary,
-                        suppressed=analysis.suppressed,
-                    ),
-                )
-        if cache is not None:
-            cache.hits, cache.misses = hits, len(work)
-            cache.prune(set(sources))
-            cache.save()
-        return results, hits, len(work)
-
     def lint_paths(
-        self,
-        paths: list[str | Path],
-        root: str | Path = ".",
-        *,
-        cache: AnalysisCache | str | Path | None = None,
-        jobs: int = 1,
-        report_only: set[str] | None = None,
+        self, paths: list[str | Path], root: str | Path = "."
     ) -> LintReport:
         """Lint files/directories (resolved against ``root``).
 
@@ -420,92 +316,44 @@ class LintEngine:
         the same tree lints identically from any working directory — and
         so baseline fingerprints are location-independent.
 
-        The full pipeline runs here: per-file rules (optionally parallel
-        across ``jobs`` spawn workers, optionally warm-started from
-        ``cache``), then the whole-program passes over the project call
-        graph, then deferred SUP001.  ``report_only`` filters the
-        *reported* findings to a set of rel paths (``--changed-only``)
-        without narrowing the analysis itself.
+        The full pipeline runs here: per-file rules, then the
+        whole-program passes over the project call graph, then deferred
+        SUP001.
         """
         root = Path(root).resolve()
         sources = self._gather(paths, root)
-        if cache is not None and not isinstance(cache, AnalysisCache):
-            cache = AnalysisCache(cache)
-        results, hits, misses = self._per_file_phase(sources, cache, jobs)
-
-        summaries = [results[rel].summary for rel in sorted(results)]
-        graph = build_graph(summaries)
-        project = run_project_passes(graph)
-
-        state = {
-            rel: _runtime_suppressions(results[rel].suppressions)
-            for rel in sorted(results)
+        results = {
+            rel: analyze_source(rel, sources[rel], self.rules)
+            for rel in sorted(sources)
         }
-        kept_project: list[Finding] = []
-        project_suppressed = 0
-        for finding in project:
-            match = None
-            for record in state.get(finding.path, ()):
-                if record["line"] == finding.line and (
-                    record["codes"] is None or finding.code in record["codes"]
-                ):
-                    match = record
-                    break
-            if match is not None:
-                match["used"].add(finding.code)
-                project_suppressed += 1
-            else:
-                kept_project.append(finding)
+        graph = build_graph([analysis.summary for analysis in results.values()])
 
         findings: list[Finding] = []
-        for rel in sorted(results):
-            findings.extend(results[rel].findings)
-        findings.extend(kept_project)
-        for rel in sorted(state):
-            findings.extend(self._useless_suppressions(rel, state[rel]))
-        if report_only is not None:
-            findings = [f for f in findings if f.path in report_only]
+        for analysis in results.values():
+            findings.extend(analysis.findings)
+        suppressed = sum(analysis.suppressed for analysis in results.values())
+        project = run_project_passes(graph)  # sorted, so grouped by path
+        for path, group in groupby(project, key=lambda finding: finding.path):
+            raw = list(group)
+            kept = _unsuppressed(raw, results[path].suppressions)
+            findings.extend(kept)
+            suppressed += len(raw) - len(kept)
+        for rel, analysis in results.items():
+            findings.extend(self._useless_suppressions(rel, analysis.suppressions))
         findings.sort(key=Finding.sort_key)
 
         return LintReport(
-            findings=findings,
-            files_checked=len(sources),
-            suppressed=sum(results[rel].suppressed for rel in results)
-            + project_suppressed,
-            cache_hits=hits,
-            cache_misses=misses,
+            findings=findings, files=list(results), suppressed=suppressed
         )
-
-    def project_graph(
-        self, paths: list[str | Path], root: str | Path = "."
-    ) -> ProjectGraph:
-        """Build just the call graph (``repro lint --graph`` debugging)."""
-        root = Path(root).resolve()
-        sources = self._gather(paths, root)
-        summaries = [
-            summarize_module(ModuleContext(rel, sources[rel]))
-            for rel in sorted(sources)
-        ]
-        return build_graph(summaries)
-
-
-def _runtime_suppressions(records: list[dict]) -> list[dict]:
-    """Mutable per-run copies of cached suppression records.
-
-    ``used`` becomes a set so the project phase can add to it without
-    the additions leaking back into the cache entry.
-    """
-    return [dict(record, used=set(record["used"])) for record in records]
 
 
 def lint_paths(
     paths: list[str | Path],
     root: str | Path = ".",
     rules: list[Rule] | None = None,
-    **kwargs,
 ) -> LintReport:
     """Convenience wrapper: lint ``paths`` with the default rule set."""
-    return LintEngine(rules=rules).lint_paths(paths, root=root, **kwargs)
+    return LintEngine(rules=rules).lint_paths(paths, root=root)
 
 
 __all__ = [

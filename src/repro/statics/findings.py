@@ -38,7 +38,7 @@ class Finding:
         The stripped text of the offending source line, used for
         line-number-independent baseline fingerprints.
     trace:
-        For interprocedural findings (FLOW001, CONC002, ORD001): the
+        For interprocedural findings (FLOW001, ORD001): the
         source→sink call path as a tuple of ``module.qualname`` steps,
         source end first.  Empty for single-site findings.
     """
@@ -97,32 +97,6 @@ class Finding:
         if self.trace:
             payload["trace"] = list(self.trace)
         return payload
-
-    def to_payload(self) -> dict:
-        """Full lossless serialization (the analysis-cache wire form)."""
-        return {
-            "code": self.code,
-            "severity": self.severity,
-            "path": self.path,
-            "line": self.line,
-            "column": self.column,
-            "message": self.message,
-            "source_line": self.source_line,
-            "trace": list(self.trace),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Finding":
-        return cls(
-            code=payload["code"],
-            severity=payload["severity"],
-            path=payload["path"],
-            line=payload["line"],
-            column=payload["column"],
-            message=payload["message"],
-            source_line=payload.get("source_line", ""),
-            trace=tuple(payload.get("trace", ())),
-        )
 
 
 __all__ = ["Finding", "SEVERITIES"]

@@ -1,6 +1,6 @@
 """Interprocedural (whole-program) lint passes over the project graph.
 
-Four rule families run here rather than in the per-file engine because
+Two rule families run here rather than in the per-file engine because
 their evidence spans modules:
 
 FLOW001
@@ -17,19 +17,9 @@ ORD001
     Ordering: unsorted iteration over a set-typed local/parameter or a
     bare ``dict.keys()`` in a function on a digest path.  Set order
     varies with hash seeding; key order echoes insertion history.
-CONC001
-    Spawn-boundary shapes that cannot survive pickling but that the
-    per-file PCK001 rule cannot see: bound methods, lambda-valued
-    locals, lambdas hidden inside spawn arguments, ``functools.partial``
-    wrappers thereof.  (Literal lambdas and same-file nested defs stay
-    PCK001's.)
-CONC002
-    Module-global mutation reachable from a spawn worker entrypoint
-    through high-confidence call edges.  Each spawned worker mutates its
-    own copy of the module; state silently diverges across processes.
 
 Every finding is attributed to the *source* site (the clock read, the
-iteration, the mutation), carries the call path in both the message and
+iteration), carries the call path in both the message and
 the structured ``trace`` field, and fingerprints on the source line — so
 baselining and ``# repro: noqa`` behave exactly as for per-file rules.
 """
@@ -154,124 +144,11 @@ def _ord_pass(
     return findings
 
 
-_CONC001_MESSAGES = {
-    "bound-method": (
-        "bound method .{name} passed to spawn {method}(); spawn pickles "
-        "the callable together with its instance — pass a module-level "
-        "function and explicit picklable params"
-    ),
-    "lambda-local": (
-        "local {name!r} holds a lambda and is passed to spawn {method}(); "
-        "lambdas do not pickle — use a module-level function"
-    ),
-    "lambda-argument": (
-        "lambda inside the arguments of spawn {method}(); spawn pickles "
-        "every parameter — pass plain data or module-level callables"
-    ),
-}
-
-
-def _conc001_pass(graph: ProjectGraph) -> list[Finding]:
-    rule = _rule("CONC001")
-    findings = []
-    for key in sorted(graph.functions):
-        node = graph.functions[key]
-        for site in node.summary.spawn_sites:
-            for issue in site["issues"]:
-                template = _CONC001_MESSAGES[issue["kind"]]
-                message = template.format(
-                    name=issue.get("name", "<lambda>"), method=site["method"]
-                )
-                findings.append(
-                    Finding(
-                        code=rule.code,
-                        severity=rule.severity,
-                        path=node.rel_path,
-                        line=issue["line"],
-                        column=issue["col"],
-                        message=(
-                            f"{message} [spawn site: "
-                            f"{graph.label(key)}:{site['line']}]"
-                        ),
-                        source_line=issue["text"],
-                    )
-                )
-    return findings
-
-
-def _spawn_entrypoints(graph: ProjectGraph) -> dict[str, tuple[str, int]]:
-    """Resolved worker entrypoints: entry key -> (spawn scope key, line)."""
-    entries: dict[str, tuple[str, int]] = {}
-    for key in sorted(graph.functions):
-        node = graph.functions[key]
-        for site in node.summary.spawn_sites:
-            for ref in site["callables"]:
-                if ref["kind"] != "named":
-                    continue
-                target = ref["target"]
-                if "." in target:
-                    resolved = graph._resolve_qualified(target)
-                else:
-                    local_key = f"{node.rel_path}::{target}"
-                    resolved = (
-                        [local_key] if local_key in graph.functions else []
-                    )
-                for entry in resolved:
-                    entries.setdefault(entry, (key, site["line"]))
-    return entries
-
-
-def _conc002_pass(graph: ProjectGraph) -> list[Finding]:
-    rule = _rule("CONC002")
-    findings = []
-    seen: set[tuple[str, int, str]] = set()
-    entrypoints = _spawn_entrypoints(graph)
-    for entry in sorted(entrypoints):
-        spawn_scope, spawn_line = entrypoints[entry]
-        closure = graph.worker_closure(entry)
-        for fkey in sorted(closure):
-            node = graph.functions[fkey]
-            for mutation in node.summary.mutations:
-                dedup = (node.rel_path, mutation["line"], mutation["name"])
-                if dedup in seen:
-                    continue
-                seen.add(dedup)
-                chain = list(reversed(graph.path_to_root(fkey, closure)))
-                trace = tuple(graph.label(step) for step in chain)
-                rendered = " -> ".join(trace)
-                findings.append(
-                    Finding(
-                        code=rule.code,
-                        severity=rule.severity,
-                        path=node.rel_path,
-                        line=mutation["line"],
-                        column=mutation["col"],
-                        message=(
-                            f"mutation of module global {mutation['name']!r} "
-                            f"is reachable from spawn worker entrypoint "
-                            f"{graph.label(entry)} [call path: {rendered}; "
-                            f"spawned at {graph.label(spawn_scope)}:"
-                            f"{spawn_line}]; each worker mutates its own "
-                            "process copy — move the state into task "
-                            "params or returns"
-                        ),
-                        source_line=mutation["text"],
-                        trace=trace,
-                    )
-                )
-    return findings
-
-
 def run_project_passes(graph: ProjectGraph) -> list[Finding]:
     """All interprocedural findings, deterministically ordered."""
     reach = graph.sink_reach()
     feed = graph.digest_feed()
-    findings = (
-        _flow_pass(graph, reach, feed)
-        + _ord_pass(graph, reach, feed)
-        + _conc001_pass(graph)
-        + _conc002_pass(graph)
-    )
+    findings = _flow_pass(graph, reach, feed) + _ord_pass(graph, reach, feed)
     findings.sort(key=Finding.sort_key)
     return findings
 

@@ -3,12 +3,11 @@
 Per-file analysis (:mod:`repro.statics.rules`) can only see one module;
 the failure modes that actually threaten the repo's determinism
 guarantees are cross-module — an unseeded RNG three calls upstream of
-``canonical_json``, a closure slipping into a spawn pool, an unsorted set
-feeding a digest payload.  This module extracts a compact, cacheable
-:class:`ModuleSummary` from each file (function definitions, resolved
-call references, nondeterministic source sites, digest-sink calls,
-spawn-boundary sites, module-global mutations) and assembles summaries
-into a :class:`ProjectGraph` the interprocedural passes in
+``canonical_json``, an unsorted set feeding a digest payload.  This
+module extracts a compact :class:`ModuleSummary` from each file (function
+definitions, resolved call references, nondeterministic source sites,
+digest-sink calls, unsorted-iteration sites) and assembles summaries into
+a :class:`ProjectGraph` the interprocedural passes in
 :mod:`repro.statics.flow` walk.
 
 Resolution is deliberately conservative, in layers of confidence:
@@ -23,9 +22,6 @@ Resolution is deliberately conservative, in layers of confidence:
   would drown the taint passes in false paths.  The journal/checkpoint
   writers are still covered because their own bodies contain the precise
   digest-sink calls.
-
-Summaries are plain dicts end to end (``to_dict``/``from_dict``) so the
-incremental cache (:mod:`repro.statics.cache`) can persist them as JSON.
 """
 
 from __future__ import annotations
@@ -35,7 +31,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from pathlib import PurePosixPath
 
-from repro.statics.context import ModuleContext
+from repro.statics.context import (
+    CLOCK_CALLS,
+    NUMPY_LEGACY_GLOBALS,
+    STDLIB_RANDOM_GLOBALS,
+    ModuleContext,
+)
 
 #: Module-level functions whose call sites are digest sinks: anything
 #: passed into them lands in a canonical-JSON digest, a journal line or a
@@ -70,51 +71,10 @@ GENERIC_METHOD_NAMES = frozenset(
     }
 )
 
-#: Collection mutators: called on a module-level name from worker-reachable
-#: code they constitute cross-process-invisible global state (CONC002).
-MUTATOR_METHODS = frozenset(
-    {
-        "append", "add", "update", "extend", "insert", "pop", "remove",
-        "discard", "clear", "setdefault", "popitem",
-    }
-)
-
-#: Spawn-boundary entry points (mirrors PCK001's pool-method set).
-POOL_METHODS = frozenset(
-    {
-        "map", "map_async", "imap", "imap_unordered", "starmap",
-        "starmap_async", "apply", "apply_async", "submit",
-    }
-)
-
-_CLOCK_SOURCES = frozenset(
-    {
-        "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
-        "time.perf_counter", "time.perf_counter_ns", "time.process_time",
-        "time.process_time_ns",
-        "datetime.datetime.now", "datetime.datetime.utcnow",
-        "datetime.datetime.today", "datetime.date.today",
-    }
-)
-
-_STDLIB_RANDOM_GLOBALS = frozenset(
-    {
-        "random", "randint", "randrange", "uniform", "choice", "choices",
-        "sample", "shuffle", "gauss", "normalvariate", "expovariate",
-        "betavariate", "gammavariate", "lognormvariate", "paretovariate",
-        "weibullvariate", "triangular", "vonmisesvariate", "getrandbits",
-        "randbytes",
-    }
-)
-
-_NUMPY_LEGACY_GLOBALS = frozenset(
-    {
-        "rand", "randn", "randint", "random", "random_sample", "ranf",
-        "sample", "choice", "shuffle", "permutation", "uniform",
-        "normal", "standard_normal", "exponential", "poisson", "lognormal",
-        "beta", "gamma", "binomial",
-    }
-)
+#: FLOW001's RNG *value* sources: the DET001 tables minus the calls that
+#: only manage generator state and return nothing a digest could carry.
+_STDLIB_RANDOM_SOURCES = STDLIB_RANDOM_GLOBALS - {"seed"}
+_NUMPY_LEGACY_SOURCES = NUMPY_LEGACY_GLOBALS - {"seed", "get_state", "set_state"}
 
 _ENTROPY_SOURCES = frozenset(
     {"os.urandom", "uuid.uuid1", "uuid.uuid4", "secrets.token_bytes",
@@ -138,12 +98,7 @@ def module_dotted_name(rel_path: str) -> str | None:
     return ".".join(dotted) if dotted else None
 
 
-# --------------------------------------------------------------- site records
-
-
-def _record(**kwargs) -> dict:
-    """Sites are stored as plain dicts so summaries round-trip as JSON."""
-    return dict(kwargs)
+# ---------------------------------------------------------------- summaries
 
 
 @dataclass
@@ -152,38 +107,12 @@ class FunctionSummary:
 
     qualname: str
     name: str
-    lineno: int
-    col: int = 0
     is_method: bool = False
-    is_nested: bool = False
     class_name: str | None = None
     calls: list[dict] = field(default_factory=list)
     sources: list[dict] = field(default_factory=list)
     sinks: list[dict] = field(default_factory=list)
     ord_sites: list[dict] = field(default_factory=list)
-    spawn_sites: list[dict] = field(default_factory=list)
-    mutations: list[dict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "qualname": self.qualname,
-            "name": self.name,
-            "lineno": self.lineno,
-            "col": self.col,
-            "is_method": self.is_method,
-            "is_nested": self.is_nested,
-            "class_name": self.class_name,
-            "calls": self.calls,
-            "sources": self.sources,
-            "sinks": self.sinks,
-            "ord_sites": self.ord_sites,
-            "spawn_sites": self.spawn_sites,
-            "mutations": self.mutations,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FunctionSummary":
-        return cls(**payload)
 
 
 @dataclass
@@ -193,70 +122,30 @@ class ModuleSummary:
     rel_path: str
     module: str | None
     is_test: bool
-    in_src: bool
     functions: list[FunctionSummary] = field(default_factory=list)
-    #: Project-internal imports as dotted module names (cache invalidation
-    #: expands changes transitively through this graph).
-    imports: list[str] = field(default_factory=list)
-    #: Names bound by module-level assignments (CONC002 mutation targets).
-    module_globals: list[str] = field(default_factory=list)
     #: ``self.<attr> = ClassRef(...)`` bindings per class, for typed
     #: method resolution: {class_name: {attr: class_ref}}.
     attr_types: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "rel_path": self.rel_path,
-            "module": self.module,
-            "is_test": self.is_test,
-            "in_src": self.in_src,
-            "functions": [fn.to_dict() for fn in self.functions],
-            "imports": self.imports,
-            "module_globals": self.module_globals,
-            "attr_types": self.attr_types,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ModuleSummary":
-        payload = dict(payload)
-        payload["functions"] = [
-            FunctionSummary.from_dict(fn) for fn in payload["functions"]
-        ]
-        return cls(**payload)
 
 
 # ------------------------------------------------------------- extraction
 
 
 class _Extractor(ast.NodeVisitor):
-    """Single pass over one module: functions, calls, sites, mutations."""
+    """Single pass over one module: functions, calls, source/sink sites."""
 
     def __init__(self, ctx: ModuleContext, summary: ModuleSummary):
         self.ctx = ctx
         self.summary = summary
         self.class_stack: list[str] = []
         self.func_stack: list[FunctionSummary] = []
-        #: Local names assigned per active function frame (innermost last);
-        #: used to distinguish locals from module globals and to track
-        #: lambda-valued and set-valued locals.
-        self.locals_stack: list[set[str]] = []
-        self.global_decls_stack: list[set[str]] = []
-        self.lambda_locals_stack: list[set[str]] = []
+        #: Per active function frame (innermost last): set-valued locals
+        #: (ORD001) and locals whose constructor is visible (typed calls).
         self.set_locals_stack: list[set[str]] = []
         self.local_types_stack: list[dict[str, str]] = []
-        self.local_defs_stack: list[set[str]] = []
-        self.module_fn = FunctionSummary(
-            qualname=MODULE_BODY, name=MODULE_BODY, lineno=1
-        )
+        self.module_fn = FunctionSummary(qualname=MODULE_BODY, name=MODULE_BODY)
         summary.functions.append(self.module_fn)
-        self._source_allowlisted = (
-            ctx.timing_allowlisted
-            or ctx.rel_path
-            in (
-                "src/repro/serve/clock.py",
-                "src/repro/simulation/timing.py",
-            )
-        )
+        self._source_allowlisted = ctx.timing_allowlisted
 
     # -------------------------------------------------------------- helpers
 
@@ -266,9 +155,6 @@ class _Extractor(ast.NodeVisitor):
 
     def _text(self, node: ast.AST) -> str:
         return self.ctx.source_line(getattr(node, "lineno", 1))
-
-    def _is_local(self, name: str) -> bool:
-        return any(name in frame for frame in self.locals_stack)
 
     def _local_type(self, name: str) -> str | None:
         for frame in reversed(self.local_types_stack):
@@ -310,31 +196,12 @@ class _Extractor(ast.NodeVisitor):
         fn = FunctionSummary(
             qualname=prefix + node.name,
             name=node.name,
-            lineno=node.lineno,
-            col=node.col_offset,
             is_method=in_class,
-            is_nested=bool(self.func_stack),
             class_name=self.class_stack[-1] if in_class else None,
         )
         self.summary.functions.append(fn)
-        if self.func_stack:
-            self.local_defs_stack[-1].add(node.name)
         self.func_stack.append(fn)
-        arg_names = {
-            a.arg
-            for a in (
-                list(node.args.posonlyargs)
-                + list(node.args.args)
-                + list(node.args.kwonlyargs)
-                + [node.args.vararg, node.args.kwarg]
-            )
-            if a is not None
-        }
-        self.locals_stack.append(set(arg_names))
-        self.global_decls_stack.append(set())
-        self.lambda_locals_stack.append(set())
         self.local_types_stack.append({})
-        self.local_defs_stack.append(set())
         self.set_locals_stack.append(self._set_typed_params(node.args))
 
     @staticmethod
@@ -352,11 +219,7 @@ class _Extractor(ast.NodeVisitor):
 
     def _leave_function(self) -> None:
         self.func_stack.pop()
-        self.locals_stack.pop()
-        self.global_decls_stack.pop()
-        self.lambda_locals_stack.pop()
         self.local_types_stack.pop()
-        self.local_defs_stack.pop()
         self.set_locals_stack.pop()
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
@@ -368,10 +231,6 @@ class _Extractor(ast.NodeVisitor):
         self._enter_function(node)
         self.generic_visit(node)
         self._leave_function()
-
-    def visit_Global(self, node: ast.Global) -> None:
-        if self.global_decls_stack:
-            self.global_decls_stack[-1].update(node.names)
 
     # ---------------------------------------------------------- assignments
 
@@ -386,24 +245,15 @@ class _Extractor(ast.NodeVisitor):
         )
 
     def _note_binding(self, target: ast.AST, value: ast.AST | None) -> None:
-        if not isinstance(target, ast.Name):
+        if not isinstance(target, ast.Name) or not self.func_stack:
             return
         name = target.id
-        if self.func_stack:
-            in_global = name in self.global_decls_stack[-1]
-            if not in_global:
-                self.locals_stack[-1].add(name)
-                if isinstance(value, ast.Lambda):
-                    self.lambda_locals_stack[-1].add(name)
-                if value is not None and self._is_set_expr(value):
-                    self.set_locals_stack[-1].add(name)
-                if isinstance(value, ast.Call):
-                    ref = self._class_ref(value.func)
-                    if ref is not None:
-                        self.local_types_stack[-1][name] = ref
-        else:
-            if name not in self.summary.module_globals:
-                self.summary.module_globals.append(name)
+        if value is not None and self._is_set_expr(value):
+            self.set_locals_stack[-1].add(name)
+        if isinstance(value, ast.Call):
+            ref = self._class_ref(value.func)
+            if ref is not None:
+                self.local_types_stack[-1][name] = ref
 
     def _note_self_attr(self, target: ast.AST, value: ast.AST | None) -> None:
         if (
@@ -419,56 +269,22 @@ class _Extractor(ast.NodeVisitor):
                     target.attr
                 ] = ref
 
-    def _note_mutation(self, target: ast.AST, node: ast.AST) -> None:
-        """Record writes through module-level names (CONC002 raw data)."""
-        if not self.func_stack:
-            return
-        base = target
-        via_subscript = False
-        while isinstance(base, (ast.Subscript, ast.Attribute)):
-            base = base.value
-            via_subscript = True
-        if not isinstance(base, ast.Name):
-            return
-        name = base.id
-        declared_global = name in self.global_decls_stack[-1]
-        if base is target and not declared_global:
-            return  # plain local rebind
-        if via_subscript and (self._is_local(name) or name == "self"):
-            return
-        if via_subscript and name not in self.summary.module_globals:
-            return
-        self.fn.mutations.append(
-            _record(
-                name=name,
-                line=getattr(node, "lineno", 1),
-                col=getattr(node, "col_offset", 0),
-                text=self._text(node),
-                via_global=declared_global,
-            )
-        )
-
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
             self._note_binding(target, node.value)
             self._note_self_attr(target, node.value)
-            self._note_mutation(target, node)
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         self._note_binding(node.target, node.value)
         self._note_self_attr(node.target, node.value)
-        if node.value is not None:
-            self._note_mutation(node.target, node)
         self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         self._note_binding(node.target, node.value)
-        self._note_mutation(node.target, node)
         self.generic_visit(node)
 
     def visit_For(self, node: ast.For) -> None:
-        self._note_binding(node.target, None)
         self._check_ord_iter(node.iter)
         self.generic_visit(node)
 
@@ -483,7 +299,7 @@ class _Extractor(ast.NodeVisitor):
             and any(iter_node.id in frame for frame in self.set_locals_stack)
         ):
             self.fn.ord_sites.append(
-                _record(
+                dict(
                     desc=f"set {iter_node.id!r}",
                     line=iter_node.lineno,
                     col=iter_node.col_offset,
@@ -497,7 +313,7 @@ class _Extractor(ast.NodeVisitor):
             and not iter_node.args
         ):
             self.fn.ord_sites.append(
-                _record(
+                dict(
                     desc="dict.keys()",
                     line=iter_node.lineno,
                     col=iter_node.col_offset,
@@ -507,22 +323,10 @@ class _Extractor(ast.NodeVisitor):
 
     # ---------------------------------------------------------------- calls
 
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            if alias.name.split(".")[0] == "repro":
-                if alias.name not in self.summary.imports:
-                    self.summary.imports.append(alias.name)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module and node.module.split(".")[0] == "repro":
-            if node.module not in self.summary.imports:
-                self.summary.imports.append(node.module)
-
     def visit_Call(self, node: ast.Call) -> None:
         self._classify_call(node)
         self._check_source(node)
         self._check_sink(node)
-        self._check_spawn(node)
         self.generic_visit(node)
 
     def _classify_call(self, node: ast.Call) -> None:
@@ -533,7 +337,7 @@ class _Extractor(ast.NodeVisitor):
             qualified = self.ctx.resolve(func)
             if qualified is not None and qualified != name:
                 self.fn.calls.append(
-                    _record(kind="qualified", target=qualified, line=line)
+                    dict(kind="qualified", target=qualified, line=line)
                 )
             else:
                 # Unaliased bare name: nested def, same-module def, or
@@ -544,14 +348,14 @@ class _Extractor(ast.NodeVisitor):
                     f"{frame.qualname}." for frame in reversed(self.func_stack)
                 ] + [""]
                 self.fn.calls.append(
-                    _record(kind="local", name=name, line=line, scopes=scopes)
+                    dict(kind="local", name=name, line=line, scopes=scopes)
                 )
             return
         if not isinstance(func, ast.Attribute):
             return
         if isinstance(func.value, ast.Name) and func.value.id in ("self", "cls"):
             self.fn.calls.append(
-                _record(
+                dict(
                     kind="self_method",
                     name=func.attr,
                     class_name=self.class_stack[-1] if self.class_stack else None,
@@ -567,14 +371,14 @@ class _Extractor(ast.NodeVisitor):
             qualified = self.ctx.resolve(func)
             if qualified is not None:
                 self.fn.calls.append(
-                    _record(kind="qualified", target=qualified, line=line)
+                    dict(kind="qualified", target=qualified, line=line)
                 )
                 return
         if isinstance(func.value, ast.Name):
             ref = self._local_type(func.value.id)
             if ref is not None:
                 self.fn.calls.append(
-                    _record(kind="typed", class_ref=ref, name=func.attr,
+                    dict(kind="typed", class_ref=ref, name=func.attr,
                             line=line)
                 )
                 return
@@ -588,12 +392,12 @@ class _Extractor(ast.NodeVisitor):
             ref = attrs.get(func.value.attr)
             if ref is not None:
                 self.fn.calls.append(
-                    _record(kind="typed", class_ref=ref, name=func.attr,
+                    dict(kind="typed", class_ref=ref, name=func.attr,
                             line=line)
                 )
                 return
         self.fn.calls.append(
-            _record(kind="method", name=func.attr, line=line)
+            dict(kind="method", name=func.attr, line=line)
         )
 
     def _check_source(self, node: ast.Call) -> None:
@@ -605,7 +409,7 @@ class _Extractor(ast.NodeVisitor):
         label = qualified
         if qualified is None:
             return
-        if qualified in _CLOCK_SOURCES:
+        if qualified in CLOCK_CALLS:
             kind = "wall-clock"
         elif qualified in _ENTROPY_SOURCES:
             kind = "entropy"
@@ -616,12 +420,12 @@ class _Extractor(ast.NodeVisitor):
             kind = "unseeded-rng"
         elif (
             qualified.startswith("random.")
-            and qualified.split(".", 1)[1] in _STDLIB_RANDOM_GLOBALS
+            and qualified.split(".", 1)[1] in _STDLIB_RANDOM_SOURCES
         ):
             kind = "unseeded-rng"
         elif (
             qualified.startswith("numpy.random.")
-            and qualified.rsplit(".", 1)[1] in _NUMPY_LEGACY_GLOBALS
+            and qualified.rsplit(".", 1)[1] in _NUMPY_LEGACY_SOURCES
         ):
             kind = "unseeded-rng"
         elif qualified.endswith("default_rng") and qualified.startswith("numpy"):
@@ -632,7 +436,7 @@ class _Extractor(ast.NodeVisitor):
                 kind = "unseeded-rng"
         if kind is not None:
             self.fn.sources.append(
-                _record(
+                dict(
                     kind=kind,
                     name=label,
                     line=node.lineno,
@@ -647,168 +451,17 @@ class _Extractor(ast.NodeVisitor):
             return
         tail = qualified.rsplit(".", 1)[-1]
         if tail in DIGEST_SINK_NAMES:
-            self.fn.sinks.append(_record(name=tail, line=node.lineno))
-
-    # ------------------------------------------------------- spawn boundary
-
-    @staticmethod
-    def _pool_receiver(func: ast.Attribute) -> bool:
-        """Whether the receiver of ``<obj>.map(...)`` looks like a pool.
-
-        Method names like ``map``/``apply``/``submit`` are common on
-        ordinary objects (``baseline.apply``, ``series.map``); requiring
-        the receiver identifier to mention pool/executor keeps CONC001
-        anchored to actual spawn boundaries.
-        """
-        receiver = func.value
-        if isinstance(receiver, ast.Attribute):
-            name = receiver.attr
-        elif isinstance(receiver, ast.Name):
-            name = receiver.id
-        else:
-            return False
-        lowered = name.lower()
-        return "pool" in lowered or "executor" in lowered
-
-    def _check_spawn(self, node: ast.Call) -> None:
-        func = node.func
-        candidates: list[tuple[str, ast.AST]] = []
-        method = None
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in POOL_METHODS
-            and self._pool_receiver(func)
-        ):
-            method = func.attr
-            if node.args:
-                candidates.append(("callable", node.args[0]))
-            for arg in node.args[1:]:
-                candidates.append(("argument", arg))
-        qualified = self.ctx.resolve(func)
-        is_process = (qualified and qualified.endswith(".Process")) or (
-            isinstance(func, ast.Name) and func.id == "Process"
-        )
-        if is_process:
-            method = "Process"
-            for keyword in node.keywords:
-                if keyword.arg == "target":
-                    candidates.append(("callable", keyword.value))
-                elif keyword.arg == "args":
-                    candidates.append(("argument", keyword.value))
-        if method is None:
-            return
-        site = _record(
-            method=method,
-            line=node.lineno,
-            col=node.col_offset,
-            text=self._text(node),
-            scope=self.fn.qualname,
-            callables=[],
-            issues=[],
-        )
-        for role, expr in candidates:
-            self._inspect_spawn_operand(site, role, expr)
-        if site["callables"] or site["issues"]:
-            self.fn.spawn_sites.append(site)
-
-    def _inspect_spawn_operand(self, site: dict, role: str, expr: ast.AST) -> None:
-        if role == "argument":
-            for sub in ast.walk(expr):
-                if isinstance(sub, ast.Lambda):
-                    site["issues"].append(
-                        _record(
-                            kind="lambda-argument",
-                            line=sub.lineno,
-                            col=sub.col_offset,
-                            text=self._text(sub),
-                        )
-                    )
-            return
-        # The callable position.
-        if isinstance(expr, ast.Call):
-            # functools.partial(f, ...): recurse into the wrapped callable.
-            qualified = self.ctx.resolve(expr.func)
-            if qualified in ("functools.partial", "partial") and expr.args:
-                self._inspect_spawn_operand(site, "callable", expr.args[0])
-                for arg in expr.args[1:]:
-                    self._inspect_spawn_operand(site, "argument", arg)
-                return
-        if isinstance(expr, ast.Lambda):
-            return  # PCK001 owns literal lambdas (per-file rule)
-        if isinstance(expr, ast.Name):
-            name = expr.id
-            if any(name in frame for frame in self.local_defs_stack):
-                return  # PCK001 owns same-file nested defs
-            if any(name in frame for frame in self.lambda_locals_stack):
-                site["issues"].append(
-                    _record(
-                        kind="lambda-local",
-                        name=name,
-                        line=expr.lineno,
-                        col=expr.col_offset,
-                        text=self._text(expr),
-                    )
-                )
-                return
-            if self._is_local(name):
-                return  # opaque local callable: nothing provable
-            qualified = self.ctx.resolve(expr)
-            site["callables"].append(
-                _record(kind="named", target=qualified or name,
-                        line=expr.lineno)
-            )
-            return
-        if isinstance(expr, ast.Attribute):
-            # ``tasks.run_one`` (module attribute) is a picklable named
-            # reference; ``self.work`` / ``runner.work`` (instance
-            # attribute) is a bound method that drags its instance
-            # through the pickle.
-            root = expr
-            while isinstance(root, ast.Attribute):
-                root = root.value
-            class_ref = (
-                isinstance(root, ast.Name) and root.id[:1].isupper()
-            )  # Cls.helper is a plain function, not a bound method
-            if self._rooted_in_import(expr) or class_ref:
-                qualified = self.ctx.resolve(expr)
-                if qualified is not None:
-                    site["callables"].append(
-                        _record(
-                            kind="named", target=qualified, line=expr.lineno
-                        )
-                    )
-                    return
-            site["issues"].append(
-                _record(
-                    kind="bound-method",
-                    name=expr.attr,
-                    line=expr.lineno,
-                    col=expr.col_offset,
-                    text=self._text(expr),
-                )
-            )
+            self.fn.sinks.append(dict(name=tail, line=node.lineno))
 
 
 def _prescan(ctx: ModuleContext, summary: ModuleSummary) -> None:
-    """First pass: module-level globals and ``self.attr = Class()`` types.
+    """First pass: ``self.attr = Class()`` types.
 
-    Collected before the main walk so that definition order (a registry
-    declared below its mutator, ``__init__`` defined after the method
-    using the attribute) cannot hide a binding.
+    Collected before the main walk so that definition order (``__init__``
+    defined after the method using the attribute) cannot hide a binding.
     """
     extractor = _Extractor.__new__(_Extractor)
     extractor.ctx = ctx  # only resolve() is needed below
-    for stmt in ctx.tree.body:
-        targets: list[ast.AST] = []
-        if isinstance(stmt, ast.Assign):
-            targets = list(stmt.targets)
-        elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
-            targets = [stmt.target]
-        for target in targets:
-            if isinstance(target, ast.Name) and (
-                target.id not in summary.module_globals
-            ):
-                summary.module_globals.append(target.id)
     for stmt in ctx.tree.body:
         if not isinstance(stmt, ast.ClassDef):
             continue
@@ -834,7 +487,6 @@ def summarize_module(ctx: ModuleContext) -> ModuleSummary:
         rel_path=ctx.rel_path,
         module=module_dotted_name(ctx.rel_path),
         is_test=ctx.is_test,
-        in_src=ctx.in_src,
     )
     if ctx.tree is not None:
         _prescan(ctx, summary)
@@ -853,8 +505,6 @@ class FunctionNode:
     rel_path: str
     module: str | None
     summary: FunctionSummary
-    is_test: bool
-    in_src: bool
 
     @property
     def label(self) -> str:
@@ -890,8 +540,6 @@ class ProjectGraph:
                     rel_path=rel,
                     module=summary.module,
                     summary=fn,
-                    is_test=summary.is_test,
-                    in_src=summary.in_src,
                 )
                 self._by_name.setdefault(fn.name, []).append(key)
                 if fn.class_name:
@@ -1031,39 +679,6 @@ class ProjectGraph:
             chain.append(parents[chain[-1]])
         return chain
 
-    def worker_closure(self, entry: str) -> dict[str, str | None]:
-        """High-confidence call closure of one spawn entrypoint."""
-        parent: dict[str, str | None] = {entry: None}
-        queue = deque([entry])
-        while queue:
-            current = queue.popleft()
-            for target, high in self.edges.get(current, ()):
-                if high and target not in parent:
-                    parent[target] = current
-                    queue.append(target)
-        return parent
-
-    def resolve_symbol(self, spec: str) -> list[str]:
-        """Keys matching a ``--graph`` symbol spec.
-
-        Accepts a full key (``path::qualname``), a dotted label suffix
-        (``GuardedController.decide``), or a bare name.
-        """
-        if spec in self.functions:
-            return [spec]
-        matches = [
-            key
-            for key in sorted(self.functions)
-            if self.functions[key].label.endswith(spec)
-            and (
-                self.functions[key].label == spec
-                or self.functions[key].label[-len(spec) - 1] == "."
-            )
-        ]
-        if matches:
-            return matches
-        return sorted(self._by_name.get(spec, ()))
-
     def label(self, key: str) -> str:
         node = self.functions.get(key)
         return node.label if node is not None else key
@@ -1079,7 +694,6 @@ __all__ = [
     "DIGEST_ROOT_METHODS",
     "GENERIC_METHOD_NAMES",
     "MODULE_BODY",
-    "POOL_METHODS",
     "FunctionNode",
     "FunctionSummary",
     "ModuleSummary",

@@ -17,13 +17,12 @@ DET004     float ``==``/``!=`` → Lemma 1 / Erlang boundary robustness
 DET005     filesystem-order iteration → reproducible file discovery
 DET006     raw clock/random in serve//simulation/ → injected seams only
 ERR001     broad ``except`` swallowing → the repro.errors taxonomy
-PCK001     lambdas/closures into spawn multiprocessing → picklable tasks
 NUM001     unguarded division/log/sqrt in queueing/sizing hot paths
 API001     mutable default arguments → no cross-call state leaks
 SUP001     useless/unknown ``# repro: noqa`` suppressions
 =========  ==============================================================
 
-Four further families are *whole-program* passes implemented in
+Two further families are *whole-program* passes implemented in
 :mod:`repro.statics.flow` over the :mod:`repro.statics.graph` call graph
 (their classes here carry the catalog metadata; ``Rule.project`` is
 ``True`` and they define no ``visit_*`` handlers):
@@ -31,8 +30,6 @@ Four further families are *whole-program* passes implemented in
 =========  ==============================================================
 FLOW001    nondeterministic sources reaching digest sinks (taint paths)
 ORD001     unsorted set / dict.keys() iteration on a digest path
-CONC001    unpicklable callables/params at spawn boundaries (cross-file)
-CONC002    module-global mutation reachable from spawn workers
 =========  ==============================================================
 """
 
@@ -42,7 +39,12 @@ import ast
 
 from repro.errors import __all__ as _TAXONOMY_NAMES
 
-from repro.statics.context import ModuleContext
+from repro.statics.context import (
+    CLOCK_CALLS,
+    NUMPY_LEGACY_GLOBALS,
+    STDLIB_RANDOM_GLOBALS,
+    ModuleContext,
+)
 
 
 class Rule:
@@ -86,26 +88,6 @@ def _leaf_names(expr: ast.AST, ctx: ModuleContext):
 # --------------------------------------------------------------------- DET001
 
 
-_STDLIB_RANDOM_GLOBALS = frozenset(
-    {
-        "random", "randint", "randrange", "uniform", "choice", "choices",
-        "sample", "shuffle", "gauss", "normalvariate", "expovariate",
-        "betavariate", "gammavariate", "lognormvariate", "paretovariate",
-        "weibullvariate", "triangular", "vonmisesvariate", "getrandbits",
-        "randbytes", "seed",
-    }
-)
-
-_NUMPY_LEGACY_GLOBALS = frozenset(
-    {
-        "rand", "randn", "randint", "random", "random_sample", "ranf",
-        "sample", "choice", "shuffle", "permutation", "seed", "uniform",
-        "normal", "standard_normal", "exponential", "poisson", "lognormal",
-        "beta", "gamma", "binomial", "get_state", "set_state",
-    }
-)
-
-
 class UnseededRandomness(Rule):
     code = "DET001"
     name = "unseeded-randomness"
@@ -128,7 +110,7 @@ class UnseededRandomness(Rule):
             return
         if qualified.startswith("random."):
             tail = qualified.split(".", 1)[1]
-            if tail in _STDLIB_RANDOM_GLOBALS:
+            if tail in STDLIB_RANDOM_GLOBALS:
                 walk.report(
                     node,
                     f"call to the process-global stdlib RNG ({qualified}); "
@@ -138,7 +120,7 @@ class UnseededRandomness(Rule):
             return
         if qualified.startswith("numpy.random."):
             tail = qualified.rsplit(".", 1)[1]
-            if tail in _NUMPY_LEGACY_GLOBALS:
+            if tail in NUMPY_LEGACY_GLOBALS:
                 walk.report(
                     node,
                     f"legacy numpy global RNG ({qualified}); use "
@@ -158,17 +140,6 @@ class UnseededRandomness(Rule):
 # --------------------------------------------------------------------- DET002
 
 
-_CLOCK_CALLS = frozenset(
-    {
-        "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
-        "time.perf_counter", "time.perf_counter_ns", "time.process_time",
-        "time.process_time_ns",
-        "datetime.datetime.now", "datetime.datetime.utcnow",
-        "datetime.datetime.today", "datetime.date.today",
-    }
-)
-
-
 class WallClockRead(Rule):
     code = "DET002"
     name = "wall-clock-read"
@@ -184,7 +155,7 @@ class WallClockRead(Rule):
 
     def visit_Call(self, node: ast.Call, walk) -> None:
         qualified = walk.ctx.resolve(node.func)
-        if qualified in _CLOCK_CALLS:
+        if qualified in CLOCK_CALLS:
             walk.report(
                 node,
                 f"wall-clock read ({qualified}) outside the timing "
@@ -338,7 +309,7 @@ class FilesystemOrder(Rule):
 #: Raw timing primitives the control plane must reach only through a
 #: :class:`repro.serve.clock.Clock` — the DET002 set plus ``time.sleep``
 #: (pacing through the seam is what makes ManualClock tests possible).
-_CONTROL_CLOCK_CALLS = _CLOCK_CALLS | {"time.sleep"}
+_CONTROL_CLOCK_CALLS = CLOCK_CALLS | {"time.sleep"}
 
 
 class ControlPlaneSeamBypass(Rule):
@@ -369,7 +340,7 @@ class ControlPlaneSeamBypass(Rule):
             return
         if qualified == "random.Random" or (
             qualified.startswith("random.")
-            and qualified.split(".", 1)[1] in _STDLIB_RANDOM_GLOBALS
+            and qualified.split(".", 1)[1] in STDLIB_RANDOM_GLOBALS
         ):
             walk.report(
                 node,
@@ -426,75 +397,6 @@ class BroadExceptSwallow(Rule):
             name = ctx.resolve(candidate)
             if name in ("Exception", "BaseException"):
                 return True
-        return False
-
-
-# --------------------------------------------------------------------- PCK001
-
-
-_POOL_METHODS = frozenset(
-    {
-        "map", "map_async", "imap", "imap_unordered", "starmap",
-        "starmap_async", "apply", "apply_async", "submit",
-    }
-)
-
-
-class UnpicklableTask(Rule):
-    code = "PCK001"
-    name = "unpicklable-task"
-    summary = "spawn entry points need module-level (picklable) callables"
-    rationale = (
-        "The runner uses the spawn context everywhere; spawn pickles the "
-        "task callable, so lambdas and nested closures fail at runtime on "
-        "exactly the platforms CI does not cover."
-    )
-
-    def visit_Call(self, node: ast.Call, walk) -> None:
-        candidates: list[ast.AST] = []
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in _POOL_METHODS
-            and node.args
-        ):
-            candidates.append(node.args[0])
-        qualified = walk.ctx.resolve(func)
-        is_process = (qualified and qualified.endswith(".Process")) or (
-            isinstance(func, ast.Name) and func.id == "Process"
-        )
-        if is_process:
-            for keyword in node.keywords:
-                if keyword.arg == "target":
-                    candidates.append(keyword.value)
-        for candidate in candidates:
-            if isinstance(candidate, ast.Lambda):
-                walk.report(
-                    candidate,
-                    "lambda handed to a spawn-based multiprocessing entry "
-                    "point; spawn pickles the callable — use a "
-                    "module-level task function",
-                )
-            elif isinstance(candidate, ast.Name) and self._is_nested_def(
-                candidate.id, walk
-            ):
-                walk.report(
-                    candidate,
-                    f"nested function {candidate.id!r} handed to a "
-                    "spawn-based multiprocessing entry point; closures do "
-                    "not pickle — hoist it to module level",
-                )
-
-    @staticmethod
-    def _is_nested_def(name: str, walk) -> bool:
-        for scope in walk.scopes:
-            for node in ast.walk(scope):
-                if (
-                    isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and node is not scope
-                    and node.name == name
-                ):
-                    return True
         return False
 
 
@@ -713,32 +615,6 @@ class UnsortedDigestIteration(ProjectRule):
     )
 
 
-class SpawnBoundaryCallable(ProjectRule):
-    code = "CONC001"
-    name = "spawn-boundary-callable"
-    summary = "spawn boundaries need module-level callables and params"
-    rationale = (
-        "PCK001 flags literal lambdas and same-file closures; this pass "
-        "covers the shapes it cannot see — bound methods of stateful "
-        "objects, lambda-valued locals, lambdas hidden in spawn "
-        "arguments, functools.partial wrappers — all of which fail to "
-        "pickle exactly on the spawn-context platforms CI does not run."
-    )
-
-
-class WorkerGlobalMutation(ProjectRule):
-    code = "CONC002"
-    name = "worker-global-mutation"
-    severity = "warning"
-    summary = "spawn workers must not mutate module-global state"
-    rationale = (
-        "A module global mutated in a worker's call closure is mutated "
-        "per process: every spawn worker sees (and changes) its own "
-        "copy, the parent sees none of it, and resume/replay sees a "
-        "third state.  Worker state belongs in task params and returns."
-    )
-
-
 # --------------------------------------------------------------------- SUP001
 
 
@@ -771,13 +647,10 @@ ALL_RULES: tuple[type[Rule], ...] = (
     FilesystemOrder,
     ControlPlaneSeamBypass,
     BroadExceptSwallow,
-    UnpicklableTask,
     UnguardedNumerics,
     MutableDefaultArgument,
     TaintedDigestFlow,
     UnsortedDigestIteration,
-    SpawnBoundaryCallable,
-    WorkerGlobalMutation,
     UselessSuppression,
 )
 
@@ -807,13 +680,10 @@ __all__ = [
     "FilesystemOrder",
     "ControlPlaneSeamBypass",
     "BroadExceptSwallow",
-    "UnpicklableTask",
     "UnguardedNumerics",
     "MutableDefaultArgument",
     "TaintedDigestFlow",
     "UnsortedDigestIteration",
-    "SpawnBoundaryCallable",
-    "WorkerGlobalMutation",
     "UselessSuppression",
     "ALL_RULES",
     "PROJECT_RULES",

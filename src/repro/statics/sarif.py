@@ -10,7 +10,7 @@ Two harmonylint-specific mappings:
 - the baseline fingerprint travels in ``partialFingerprints`` under the
   key ``harmonylint/v1``, so code-scanning dedup follows the same
   line-number-independent identity as ``lint-baseline.json``;
-- interprocedural findings (FLOW001/ORD001/CONC002) publish their
+- interprocedural findings (FLOW001/ORD001) publish their
   source→sink call path both in the message and as a ``codeFlow`` whose
   thread-flow locations name each step's function label.
 """

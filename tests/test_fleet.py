@@ -10,9 +10,11 @@ journals, the worker-side memory budget's quarantine path and the
 supervisor's memory-ceiling admission backpressure.
 """
 
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.classification import ClassifierConfig, TaskClassifier
 from repro.cli import main
@@ -38,12 +40,18 @@ from repro.runner import (
 )
 from repro.runner.defaults import trace_config_from_params
 from repro.runner.journal import read_journal_records
-from repro.runner.runner import RunnerReport, ScenarioFailure, summary_digest
+from repro.runner.runner import (
+    RunnerReport,
+    ScenarioFailure,
+    canonical_json,
+    summary_digest,
+)
 from repro.simulation import (
     HarmonyConfig,
     HarmonySimulation,
     merge_shard_summaries,
 )
+from repro.simulation.merge import _EXTENSIVE_FIELDS
 from repro.trace import generate_trace
 from repro.trace.schema import Task
 
@@ -243,6 +251,37 @@ class TestMerge:
         }
         with pytest.raises(ValueError, match="different policies"):
             merge_shard_summaries([shards[1], impostor])
+
+    def test_every_shard_order_merges_to_one_digest(self, reference_fleet):
+        """Float sums differ in the last bit by order (energy_kwh here);
+        the merge must not depend on the order its caller happens to use."""
+        shards = [r.summary for r in reference_fleet.report.results]
+        digests = {
+            summary_digest(merge_shard_summaries(list(order)))
+            for order in itertools.permutations(shards)
+        }
+        assert len(digests) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_merge_is_permutation_invariant(self, reference_fleet, data):
+        template = reference_fleet.report.results[0].summary
+        finite = st.floats(-1e9, 1e9, allow_nan=False)
+        shards = []
+        for index in range(data.draw(st.integers(3, 6))):
+            simulation = dict(template["simulation"])
+            for field in _EXTENSIVE_FIELDS:
+                simulation[field] = data.draw(finite)
+            shards.append(
+                {
+                    "simulation": simulation,
+                    "shard": {**template["shard"], "index": index},
+                }
+            )
+        shuffled = data.draw(st.permutations(shards))
+        assert canonical_json(merge_shard_summaries(shuffled)) == canonical_json(
+            merge_shard_summaries(shards)
+        )
 
     def test_partial_merge_is_marked_inside_the_digest(self, reference_fleet):
         full = reference_fleet.report
