@@ -21,7 +21,7 @@ A full reproduction of Zhang, Zhani, Boutaba and Hellerstein,
   heterogeneity-oblivious baseline (Sections VII-IX).
 - :mod:`repro.simulation` -- a discrete-event cluster simulator and the
   end-to-end HARMONY loop.
-- :mod:`repro.analysis` -- figure/table reproduction helpers.
+- :mod:`repro.analysis` -- ASCII rendering of figure/table data.
 
 Quickstart::
 
@@ -46,7 +46,7 @@ from repro.trace import (
     generate_trace,
 )
 from repro.clustering import KMeans, KMeansResult, select_k_elbow
-from repro.classification import TaskClassifier, TaskClass, RuntimeLabeler
+from repro.classification import TaskClassifier, TaskClass
 from repro.forecasting import ArimaModel, fit_arima, make_predictor
 from repro.queueing import MGNQueue, erlang_c, required_containers
 from repro.containers import ContainerSpec, ContainerManager, gaussian_container_size
@@ -92,7 +92,6 @@ __all__ = [
     # classification
     "TaskClassifier",
     "TaskClass",
-    "RuntimeLabeler",
     # forecasting
     "ArimaModel",
     "fit_arima",

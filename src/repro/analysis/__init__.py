@@ -1,41 +1,9 @@
-"""Figure/table reproduction helpers and ASCII rendering."""
+"""ASCII rendering of figure/table data."""
 
-from repro.analysis.figures import (
-    FigureData,
-    fig_demand_series,
-    fig_machine_census,
-    fig_delay_cdf,
-    fig_duration_cdf,
-    fig_task_sizes,
-    fig_energy_curves,
-    fig_classification,
-    fig_arrival_rates,
-    fig_active_servers,
-    fig_energy_comparison,
-)
 from repro.analysis.report import ascii_table, ascii_series, format_cdf_rows
-from repro.analysis.report_builder import build_report
-from repro.analysis.svg import BarChart, LineChart
-from repro.analysis.figure_files import render_policy_figures, render_trace_figures
 
 __all__ = [
-    "FigureData",
-    "fig_demand_series",
-    "fig_machine_census",
-    "fig_delay_cdf",
-    "fig_duration_cdf",
-    "fig_task_sizes",
-    "fig_energy_curves",
-    "fig_classification",
-    "fig_arrival_rates",
-    "fig_active_servers",
-    "fig_energy_comparison",
     "ascii_table",
     "ascii_series",
     "format_cdf_rows",
-    "build_report",
-    "BarChart",
-    "LineChart",
-    "render_policy_figures",
-    "render_trace_figures",
 ]

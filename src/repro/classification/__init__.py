@@ -8,8 +8,8 @@ Two-step scheme:
    second K-means (k=2) on log duration.
 
 At run time every arriving task is labeled with the nearest static centroid
-and initially assumed *short*; the :class:`RuntimeLabeler` relabels it *long*
-once its observed running time crosses the class's split boundary — the
+and initially assumed *short*; :meth:`TaskClassifier.classify` relabels it
+*long* once its observed running time crosses the class's split boundary — the
 paper's observation that "tasks are either short or long, and the majority
 are short" keeps the transient labeling error small.
 """
@@ -21,8 +21,7 @@ from repro.classification.classifier import (
     TaskClassifier,
     ClassifierConfig,
 )
-from repro.classification.labeler import RuntimeLabeler, RelabelEvent
-from repro.classification.features import static_features, duration_features
+from repro.classification.features import static_features
 
 __all__ = [
     "DurationCategory",
@@ -30,8 +29,5 @@ __all__ = [
     "StaticClass",
     "TaskClassifier",
     "ClassifierConfig",
-    "RuntimeLabeler",
-    "RelabelEvent",
     "static_features",
-    "duration_features",
 ]

@@ -4,9 +4,9 @@ Static features are the attributes known at submission time (CPU and memory
 request); duration is only known once the task finishes, which is why the
 classifier treats it in a separate second step (Section V).
 
-Both feature sets are log-scaled: task sizes and durations span several
-orders of magnitude (Section III-D), and clustering in raw units would
-collapse everything but the few largest tasks into one class.
+The features are log-scaled: task sizes span several orders of magnitude
+(Section III-D), and clustering in raw units would collapse everything but
+the few largest tasks into one class.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.clustering.scaling import LogScaler
 from repro.trace.schema import Task
 
 _SIZE_SCALER = LogScaler(floor=1e-6)
-_DURATION_SCALER = LogScaler(floor=1.0)
 
 
 def static_features(tasks: Sequence[Task]) -> np.ndarray:
@@ -28,14 +27,3 @@ def static_features(tasks: Sequence[Task]) -> np.ndarray:
         return np.empty((0, 2))
     raw = np.array([[t.cpu, t.memory] for t in tasks], dtype=float)
     return _SIZE_SCALER.transform(raw)
-
-
-def duration_features(durations: Sequence[float] | np.ndarray) -> np.ndarray:
-    """``(n, 1)`` array of log10 durations (floored at 1 second)."""
-    raw = np.asarray(durations, dtype=float)
-    return _DURATION_SCALER.transform(raw)[:, None] if raw.ndim == 1 else raw
-
-
-def log_duration(duration: float) -> float:
-    """log10 of a single duration, floored at 1 second."""
-    return float(np.log10(max(duration, 1.0)))

@@ -68,6 +68,7 @@ from pathlib import Path
 
 from repro.analysis import ascii_table
 from repro.classification import ClassifierConfig, TaskClassifier
+from repro.errors import TraceFieldCorrupt
 from repro.resilience.scenarios import SCENARIOS as RESILIENCE_SCENARIOS
 from repro.resilience.scenarios import build_scenario_plan
 from repro.simulation import HarmonyConfig, HarmonySimulation, run_policy_comparison
@@ -783,30 +784,6 @@ def _lint_counts(findings) -> dict[str, int]:
     return dict(sorted(counts.items()))
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    from repro.analysis import build_report
-
-    trace = _load_or_generate(args)
-    markdown = build_report(trace, HarmonyConfig())
-    args.output.write_text(markdown)
-    print(f"wrote {args.output} ({len(markdown.splitlines())} lines)")
-    return 0
-
-
-def cmd_figures(args: argparse.Namespace) -> int:
-    from repro.analysis import render_policy_figures, render_trace_figures
-    from repro.simulation import run_policy_comparison
-
-    trace = _load_or_generate(args)
-    written = render_trace_figures(trace, args.output)
-    if not args.trace_only:
-        results = run_policy_comparison(trace, HarmonyConfig())
-        written += render_policy_figures(results, trace.horizon, args.output)
-    for path in written:
-        print(f"wrote {path}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="HARMONY reproduction toolkit"
@@ -1107,31 +1084,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.set_defaults(fn=cmd_lint)
 
-    report = subparsers.add_parser(
-        "report", help="run the evaluation and write a markdown report"
-    )
-    _add_trace_args(report)
-    report.add_argument("output", type=Path, help="markdown file to write")
-    report.set_defaults(fn=cmd_report)
-
-    figures = subparsers.add_parser(
-        "figures", help="render the paper's figures as SVG files"
-    )
-    _add_trace_args(figures)
-    figures.add_argument("output", type=Path, help="output directory")
-    figures.add_argument(
-        "--trace-only", action="store_true",
-        help="only the Section III figures (skip the policy simulations)",
-    )
-    figures.set_defaults(fn=cmd_figures)
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except TraceFieldCorrupt as exc:
+        return _usage_error(f"repro {args.command}", str(exc))
 
 
 if __name__ == "__main__":

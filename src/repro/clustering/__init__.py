@@ -7,15 +7,13 @@ k-selection heuristics from scratch.
 """
 
 from repro.clustering.kmeans import KMeans, KMeansResult
-from repro.clustering.scaling import StandardScaler, LogScaler
-from repro.clustering.selection import select_k_elbow, inertia_curve, silhouette_score
+from repro.clustering.scaling import LogScaler
+from repro.clustering.selection import select_k_elbow, inertia_curve
 
 __all__ = [
     "KMeans",
     "KMeansResult",
-    "StandardScaler",
     "LogScaler",
     "select_k_elbow",
     "inertia_curve",
-    "silhouette_score",
 ]

@@ -2,48 +2,13 @@
 
 Task sizes span several orders of magnitude (Section III-D), so clustering in
 raw units would be dominated by the few largest tasks.  The classifier scales
-features with a log transform followed by standardization, both provided
-here with a fit/transform/inverse interface.
+features with a log transform, provided here with a fit/transform/inverse
+interface.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-class StandardScaler:
-    """Zero-mean, unit-variance standardization per feature."""
-
-    def __init__(self) -> None:
-        self.mean_: np.ndarray | None = None
-        self.std_: np.ndarray | None = None
-
-    def fit(self, data: np.ndarray) -> "StandardScaler":
-        data = np.asarray(data, dtype=float)
-        if data.ndim != 2 or data.shape[0] == 0:
-            raise ValueError(f"expected non-empty 2-D data, got shape {data.shape}")
-        self.mean_ = data.mean(axis=0)
-        std = data.std(axis=0)
-        # Constant features map to zero, not NaN.  Exact equality is
-        # deliberate here: numpy's std() returns exactly 0.0 for a
-        # constant column, and any nonzero std — however tiny — is a
-        # real scale that must be preserved.
-        std[std == 0.0] = 1.0  # repro: noqa[DET004]
-        self.std_ = std
-        return self
-
-    def transform(self, data: np.ndarray) -> np.ndarray:
-        if self.mean_ is None or self.std_ is None:
-            raise RuntimeError("StandardScaler.transform called before fit")
-        return (np.asarray(data, dtype=float) - self.mean_) / self.std_
-
-    def fit_transform(self, data: np.ndarray) -> np.ndarray:
-        return self.fit(data).transform(data)
-
-    def inverse_transform(self, data: np.ndarray) -> np.ndarray:
-        if self.mean_ is None or self.std_ is None:
-            raise RuntimeError("StandardScaler.inverse_transform called before fit")
-        return np.asarray(data, dtype=float) * self.std_ + self.mean_
 
 
 class LogScaler:

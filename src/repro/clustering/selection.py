@@ -1,4 +1,4 @@
-"""Choosing k: inertia curves, the elbow rule, and silhouette scores.
+"""Choosing k: inertia curves and the elbow rule.
 
 Section IX-A: "the best value of k for each priority group is selected as the
 one for which no significant benefit can be achieved by increasing the value
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.clustering.kmeans import KMeans, _squared_distances
+from repro.clustering.kmeans import KMeans
 
 
 def inertia_curve(
@@ -65,46 +65,3 @@ def select_k_elbow(
             selected = k
             break
     return selected, curve
-
-
-def silhouette_score(data: np.ndarray, labels: np.ndarray, sample_cap: int = 2000,
-                     seed: int = 0) -> float:
-    """Mean silhouette coefficient (subsampled for large n).
-
-    Complements the elbow rule when validating cluster quality in tests.
-    """
-    data = np.asarray(data, dtype=float)
-    labels = np.asarray(labels)
-    if data.shape[0] != labels.shape[0]:
-        raise ValueError("data and labels must align")
-    unique = np.unique(labels)
-    if unique.size < 2:
-        return 0.0
-    n = data.shape[0]
-    if n > sample_cap:
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(n, size=sample_cap, replace=False)
-        data, labels = data[idx], labels[idx]
-        unique = np.unique(labels)
-        if unique.size < 2:
-            return 0.0
-
-    scores = []
-    members = {label: data[labels == label] for label in unique}
-    for i, point in enumerate(data):
-        own = labels[i]
-        own_members = members[own]
-        if own_members.shape[0] <= 1:
-            scores.append(0.0)
-            continue
-        d_own = np.sqrt(_squared_distances(own_members, point[None, :])).ravel()
-        a = d_own.sum() / (own_members.shape[0] - 1)
-        b = np.inf
-        for label in unique:
-            if label == own:
-                continue
-            d_other = np.sqrt(_squared_distances(members[label], point[None, :])).ravel()
-            b = min(b, float(d_other.mean()))
-        denom = max(a, b)
-        scores.append(0.0 if denom == 0 else (b - a) / denom)
-    return float(np.mean(scores))

@@ -10,7 +10,6 @@ from repro.containers.sizing import (
     ContainerSpec,
     gaussian_container_size,
     multiplexed_container_size,
-    hoeffding_container_size,
     per_resource_epsilon,
     z_quantile,
     size_container_for_class,
@@ -25,7 +24,6 @@ __all__ = [
     "ContainerSpec",
     "gaussian_container_size",
     "multiplexed_container_size",
-    "hoeffding_container_size",
     "per_resource_epsilon",
     "z_quantile",
     "size_container_for_class",

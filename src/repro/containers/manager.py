@@ -40,10 +40,6 @@ class ContainerManagerConfig:
         Machine-capacity violation bound for container sizing (Eq. 3).
     delay_slos:
         Target mean scheduling delay per priority group.
-    sizing_method:
-        "multiplexed" (default, Eq. 3 with the sqrt(G) co-location gain),
-        "gaussian" (the paper's per-task mu + Z sigma) or "hoeffding"
-        (distribution-free extension).
     min_containers:
         Floor on container count for a class with any forecast demand, so a
         class never loses all capacity between bursts.
@@ -57,7 +53,6 @@ class ContainerManagerConfig:
     #: placement unit.
     epsilon: float = 0.4
     delay_slos: dict[PriorityGroup, float] = field(default_factory=default_delay_slos)
-    sizing_method: str = "multiplexed"
     min_containers: int = 1
     #: The per-class delay target is max(group floor, factor * mean
     #: duration): a bounded-slowdown SLO.  Demanding a 30 s wait for a task
@@ -126,11 +121,7 @@ class ContainerManager:
         self.config = config or ContainerManagerConfig()
         self._specs: dict[int, ContainerSpec] = {
             leaf.class_id: self._snap_to_ladders(
-                size_container_for_class(
-                    leaf,
-                    epsilon=self.config.epsilon,
-                    method=self.config.sizing_method,
-                )
+                size_container_for_class(leaf, epsilon=self.config.epsilon)
             )
             for leaf in classifier.classes
         }

@@ -10,10 +10,6 @@ and the container size set to
 where ``Z_q`` is the (1-q)-percentile of the unit normal.  Any group of
 containers that fits a machine by size then overflows the machine's true
 capacity with probability at most ``eps``.
-
-The paper notes the same construction works for non-Gaussian demand through
-concentration bounds; :func:`hoeffding_container_size` implements that
-extension for bounded demand.
 """
 
 from __future__ import annotations
@@ -108,38 +104,6 @@ def multiplexed_container_size(
     return float(min(max(size, mean, floor), cap))
 
 
-def hoeffding_container_size(
-    mean: float,
-    lower: float,
-    upper: float,
-    epsilon: float,
-    group_size: int,
-    cap: float = 1.0,
-) -> float:
-    """Distribution-free sizing for bounded demand (paper's closing remark).
-
-    For ``G`` independent tasks with demand in ``[lower, upper]``, Hoeffding
-    gives ``P(sum s_i - sum mu_i > t) <= exp(-2 t^2 / (G (upper-lower)^2))``;
-    splitting ``t`` evenly across the group yields per-task padding
-    ``(upper - lower) * sqrt(ln(1/eps) / (2 G))``.
-    """
-    if not all(math.isfinite(v) for v in (mean, lower, upper)):
-        raise ContainerSizingError(
-            f"non-finite bounds: mean={mean}, lower={lower}, upper={upper}",
-            mean=mean,
-            lower=lower,
-            upper=upper,
-        )
-    if upper < lower:
-        raise ValueError(f"upper must be >= lower, got [{lower}, {upper}]")
-    if group_size < 1:
-        raise ValueError(f"group_size must be >= 1, got {group_size}")
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    padding = (upper - lower) * math.sqrt(math.log(1.0 / epsilon) / (2.0 * group_size))
-    return float(min(max(mean + padding, mean), cap))
-
-
 @dataclass(frozen=True)
 class ContainerSpec:
     """A sized container type: the provisioning unit for one task class."""
@@ -186,48 +150,17 @@ def size_container_for_class(
     task_class: TaskClass,
     epsilon: float = 0.05,
     num_resources: int = 2,
-    method: str = "multiplexed",
 ) -> ContainerSpec:
-    """Size one class's container by Eq. 3 (or a variant).
-
-    Methods: "multiplexed" (default — Eq. 3 with the sqrt(G) multiplexing
-    gain), "gaussian" (per-task mu + Z sigma, conservative), "hoeffding"
-    (distribution-free).
-    """
+    """Size one class's container by Eq. 3 with the sqrt(G) multiplexing gain."""
     eps_r = per_resource_epsilon(epsilon, num_resources)
-    if method == "multiplexed":
-        cpu = multiplexed_container_size(
-            task_class.cpu_mean, task_class.cpu_std, eps_r,
-            group_size=_group_size(task_class.cpu_mean),
-        )
-        memory = multiplexed_container_size(
-            task_class.memory_mean, task_class.memory_std, eps_r,
-            group_size=_group_size(task_class.memory_mean),
-        )
-    elif method == "gaussian":
-        cpu = gaussian_container_size(task_class.cpu_mean, task_class.cpu_std, eps_r)
-        memory = gaussian_container_size(
-            task_class.memory_mean, task_class.memory_std, eps_r
-        )
-    elif method == "hoeffding":
-        # Conservative bounded-support assumption: demand within mean +/- 3 std.
-        group = max(task_class.num_tasks, 1)
-        cpu = hoeffding_container_size(
-            task_class.cpu_mean,
-            max(task_class.cpu_mean - 3 * task_class.cpu_std, 0.0),
-            min(task_class.cpu_mean + 3 * task_class.cpu_std, 1.0),
-            eps_r,
-            group_size=min(group, 64),
-        )
-        memory = hoeffding_container_size(
-            task_class.memory_mean,
-            max(task_class.memory_mean - 3 * task_class.memory_std, 0.0),
-            min(task_class.memory_mean + 3 * task_class.memory_std, 1.0),
-            eps_r,
-            group_size=min(group, 64),
-        )
-    else:
-        raise ValueError(f"unknown sizing method {method!r}")
+    cpu = multiplexed_container_size(
+        task_class.cpu_mean, task_class.cpu_std, eps_r,
+        group_size=_group_size(task_class.cpu_mean),
+    )
+    memory = multiplexed_container_size(
+        task_class.memory_mean, task_class.memory_std, eps_r,
+        group_size=_group_size(task_class.memory_mean),
+    )
     cpu = max(cpu, 1e-4)
     memory = max(memory, 1e-4)
     return ContainerSpec(task_class=task_class, cpu=cpu, memory=memory)

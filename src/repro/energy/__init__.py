@@ -5,13 +5,11 @@ from repro.energy.catalog import (
     table2_fleet,
     TABLE2_MODELS,
     google_like_energy_models,
-    models_for_machine_types,
 )
 from repro.energy.prices import (
     PriceSchedule,
     constant_price,
     time_of_use_price,
-    spot_price_series,
 )
 from repro.energy.accounting import EnergyMeter, EnergyRecord
 
@@ -21,11 +19,9 @@ __all__ = [
     "table2_fleet",
     "TABLE2_MODELS",
     "google_like_energy_models",
-    "models_for_machine_types",
     "PriceSchedule",
     "constant_price",
     "time_of_use_price",
-    "spot_price_series",
     "EnergyMeter",
     "EnergyRecord",
 ]

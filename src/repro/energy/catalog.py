@@ -117,21 +117,3 @@ def google_like_energy_models(
             )
         )
     return tuple(models)
-
-
-def models_for_machine_types(
-    machine_types: tuple[MachineType, ...],
-    models: tuple[MachineModel, ...] | None = None,
-) -> dict[int, MachineModel]:
-    """Map platform_id -> MachineModel for a census.
-
-    When ``models`` is given, platform ids must match; otherwise Google-like
-    defaults are synthesized.
-    """
-    if models is None:
-        models = google_like_energy_models(machine_types)
-    by_platform = {m.platform_id: m for m in models}
-    missing = [mt.platform_id for mt in machine_types if mt.platform_id not in by_platform]
-    if missing:
-        raise KeyError(f"no energy model for platform ids {missing}")
-    return {mt.platform_id: by_platform[mt.platform_id] for mt in machine_types}

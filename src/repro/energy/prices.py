@@ -2,8 +2,7 @@
 
 HARMONY's formulation is price-aware: the controller weighs energy against
 utility at the *current* price, so time-varying prices shift provisioning
-toward cheap hours.  Three schedules are provided: constant, time-of-use,
-and a seeded mean-reverting spot series.
+toward cheap hours.  Two schedules are provided: constant and time-of-use.
 """
 
 from __future__ import annotations
@@ -63,33 +62,3 @@ def time_of_use_price(
         return mid_peak
 
     return PriceSchedule(fn=fn, name="time_of_use")
-
-
-def spot_price_series(
-    horizon: float,
-    interval: float,
-    base: float = 0.10,
-    volatility: float = 0.015,
-    mean_reversion: float = 0.2,
-    seed: int = 0,
-) -> PriceSchedule:
-    """A seeded Ornstein-Uhlenbeck-style spot market price.
-
-    The series is pre-sampled per interval and held piecewise-constant, so
-    repeated evaluations are consistent within a control period.
-    """
-    if horizon <= 0 or interval <= 0:
-        raise ValueError("horizon and interval must be positive")
-    rng = np.random.default_rng(seed)
-    steps = int(np.ceil(horizon / interval)) + 1
-    prices = np.empty(steps)
-    prices[0] = base
-    for i in range(1, steps):
-        drift = mean_reversion * (base - prices[i - 1])
-        prices[i] = max(prices[i - 1] + drift + rng.normal(0.0, volatility), 0.01)
-
-    def fn(t: float) -> float:
-        idx = min(int(t // interval), steps - 1)
-        return float(prices[idx])
-
-    return PriceSchedule(fn=fn, name="spot")

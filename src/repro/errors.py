@@ -136,8 +136,9 @@ class JournalCorrupt(TraceCorrupt):
 class TraceFieldCorrupt(TraceCorrupt, ValueError):
     """A trace CSV cell failed to parse or a required column is missing.
 
-    Carries ``row`` (1-based data row number), ``column`` and ``value``
-    context so a malformed cell is locatable without re-parsing the file.
+    Carries ``row`` (1-based data row number; 0 for the header), ``column``
+    and ``value`` context — plus ``file`` from the census and meta loaders —
+    so a malformed cell is locatable without re-parsing the file.
     Also a :class:`ValueError` (what the bare ``float()``/``int()`` casts
     used to raise) so generic CSV error handling still applies.
     """

@@ -8,7 +8,7 @@ average, EWMA and Holt baselines — behind a streaming ``update/forecast``
 interface the controller consumes.
 """
 
-from repro.forecasting.arima import ArimaModel, ArimaOrder, fit_arima, select_order_aic
+from repro.forecasting.arima import ArimaModel, ArimaOrder, fit_arima
 from repro.forecasting.predictors import (
     Predictor,
     NaivePredictor,
@@ -26,7 +26,6 @@ __all__ = [
     "ArimaModel",
     "ArimaOrder",
     "fit_arima",
-    "select_order_aic",
     "Predictor",
     "NaivePredictor",
     "MovingAveragePredictor",

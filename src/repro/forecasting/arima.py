@@ -296,27 +296,3 @@ def fit_arima(
         residuals=residuals,
         diff_tails=tails,
     )
-
-
-def select_order_aic(
-    series: np.ndarray | list[float],
-    p_values: tuple[int, ...] = (0, 1, 2),
-    d_values: tuple[int, ...] = (0, 1),
-    q_values: tuple[int, ...] = (0, 1),
-) -> ArimaModel:
-    """Grid-search (p, d, q) by AIC; returns the best fitted model."""
-    best: ArimaModel | None = None
-    for d in d_values:
-        for p in p_values:
-            for q in q_values:
-                if p == 0 and q == 0 and d == 0:
-                    continue
-                try:
-                    model = fit_arima(series, ArimaOrder(p, d, q))
-                except ValueError:
-                    continue
-                if best is None or model.aic < best.aic:
-                    best = model
-    if best is None:
-        raise ValueError("series too short for any candidate ARIMA order")
-    return best

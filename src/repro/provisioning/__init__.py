@@ -44,12 +44,6 @@ from repro.provisioning.migration import (
     consolidation_savings,
 )
 from repro.provisioning.autoscaler import ThresholdAutoscaler, ThresholdConfig
-from repro.provisioning.geo import (
-    DataCenter,
-    auto_offsets,
-    build_geo_problem,
-    machines_by_dc,
-)
 
 __all__ = [
     "ContainerType",
@@ -75,8 +69,4 @@ __all__ = [
     "consolidation_savings",
     "ThresholdAutoscaler",
     "ThresholdConfig",
-    "DataCenter",
-    "auto_offsets",
-    "build_geo_problem",
-    "machines_by_dc",
 ]

@@ -79,13 +79,7 @@ class UtilityFunction:
 
 @dataclass(frozen=True)
 class MachineClass:
-    """One machine type from the optimizer's point of view.
-
-    ``price_multiplier`` scales the electricity price this class pays
-    relative to the problem's ``p_t`` — the hook for geo-distributed
-    provisioning where machine classes live in data centers with different
-    tariffs (see :mod:`repro.provisioning.geo`).
-    """
+    """One machine type from the optimizer's point of view."""
 
     platform_id: int
     name: str
@@ -94,13 +88,8 @@ class MachineClass:
     idle_watts: float
     alpha_watts: tuple[float, ...]
     switch_cost: float
-    price_multiplier: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.price_multiplier <= 0:
-            raise ValueError(
-                f"price_multiplier must be positive, got {self.price_multiplier}"
-            )
         if len(self.capacity) != len(self.alpha_watts):
             raise ValueError("capacity and alpha_watts must share dimensions")
         if any(c <= 0 for c in self.capacity):
@@ -248,10 +237,7 @@ class ProvisioningProblem:
         """Idle energy cost of one active machine per class, for one interval."""
         hours = self.interval_seconds / 3600.0
         return np.array(
-            [
-                m.idle_watts / 1000.0 * hours * price * m.price_multiplier
-                for m in self.machines
-            ]
+            [m.idle_watts / 1000.0 * hours * price for m in self.machines]
         )
 
     def container_energy_cost(self, price: float) -> np.ndarray:
@@ -271,7 +257,7 @@ class ProvisioningProblem:
                         machine.alpha_watts, container.size, machine.capacity
                     )
                 )
-                cost[i, j] = watts / 1000.0 * hours * price * machine.price_multiplier
+                cost[i, j] = watts / 1000.0 * hours * price
         return cost
 
 

@@ -38,7 +38,6 @@ from repro.trace.workload import (
     bin_arrivals,
     arrival_rate_series,
     demand_timeseries,
-    pending_running_demand,
 )
 from repro.trace.statistics import (
     empirical_cdf,
@@ -82,7 +81,6 @@ __all__ = [
     "bin_arrivals",
     "arrival_rate_series",
     "demand_timeseries",
-    "pending_running_demand",
     "empirical_cdf",
     "duration_cdf_by_group",
     "size_scatter_by_group",

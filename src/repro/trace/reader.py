@@ -23,6 +23,7 @@ from repro.errors import TraceFieldCorrupt
 from repro.trace.schema import MachineType, Task, Trace
 
 _MACHINE_FIELDS = ("platform_id", "cpu_capacity", "memory_capacity", "count", "name")
+_META_FIELDS = ("horizon", "metadata_json")
 _TASK_FIELDS = (
     "timestamp",
     "job_id",
@@ -68,8 +69,14 @@ def save_tasks_csv(tasks: Iterable[Task], path: str | Path) -> int:
     return count
 
 
-def _parse_field(row: dict, column: str, cast, row_number: int):
-    """Cast one CSV cell, raising a locatable error instead of a bare one."""
+def _parse_field(
+    row: dict, column: str, cast, row_number: int, file: Path | None = None
+):
+    """Cast one CSV cell, raising a locatable error instead of a bare one.
+
+    ``file``, when given, joins row, column and value in the error's context.
+    """
+    context = {} if file is None else {"file": str(file)}
     value = row.get(column)
     if value is None:
         raise TraceFieldCorrupt(
@@ -77,6 +84,7 @@ def _parse_field(row: dict, column: str, cast, row_number: int):
             row=row_number,
             column=column,
             value=None,
+            **context,
         )
     try:
         return cast(value)
@@ -86,7 +94,23 @@ def _parse_field(row: dict, column: str, cast, row_number: int):
             row=row_number,
             column=column,
             value=value,
+            **context,
         ) from exc
+
+
+def _checked_reader(handle, path: Path, fields: tuple[str, ...]) -> csv.DictReader:
+    """A ``DictReader`` over ``handle`` whose header has every one of ``fields``."""
+    reader = csv.DictReader(handle)
+    missing = set(fields) - set(reader.fieldnames or ())
+    if missing:
+        raise TraceFieldCorrupt(
+            f"trace csv {path} missing columns: {sorted(missing)}",
+            file=str(path),
+            row=0,
+            column=",".join(sorted(missing)),
+            value=None,
+        )
+    return reader
 
 
 def _parse_allowed_platforms(raw: str) -> frozenset[int] | None:
@@ -129,15 +153,7 @@ def load_tasks_csv(path: str | Path) -> list[Task]:
     path = Path(path)
     tasks: list[Task] = []
     with path.open(newline="") as handle:
-        reader = csv.DictReader(handle)
-        missing = set(_TASK_FIELDS) - set(reader.fieldnames or ())
-        if missing:
-            raise TraceFieldCorrupt(
-                f"task csv {path} missing columns: {sorted(missing)}",
-                row=0,
-                column=",".join(sorted(missing)),
-                value=None,
-            )
+        reader = _checked_reader(handle, path, _TASK_FIELDS)
         for row_number, row in enumerate(reader, start=1):
             tasks.append(parse_task_row(row, row_number))
     return tasks
@@ -166,36 +182,52 @@ def save_trace(trace: Trace, directory: str | Path) -> Path:
 
     with (directory / "meta.csv").open("w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["horizon", "metadata_json"])
+        writer.writerow(_META_FIELDS)
         writer.writerow([f"{trace.horizon:.6f}", json.dumps(trace.metadata, default=str)])
 
     return directory
 
 
 def load_machine_types_csv(path: str | Path) -> list[MachineType]:
-    """Read the machine census written by :func:`save_trace`."""
+    """Read the machine census written by :func:`save_trace`.
+
+    A missing column or malformed cell raises
+    :class:`repro.errors.TraceFieldCorrupt` naming the file, row and column.
+    """
+    path = Path(path)
     machine_types: list[MachineType] = []
-    with Path(path).open(newline="") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
+    with path.open(newline="") as handle:
+        reader = _checked_reader(handle, path, _MACHINE_FIELDS)
+        for n, row in enumerate(reader, start=1):
             machine_types.append(
                 MachineType(
-                    platform_id=int(row["platform_id"]),
-                    cpu_capacity=float(row["cpu_capacity"]),
-                    memory_capacity=float(row["memory_capacity"]),
-                    count=int(row["count"]),
-                    name=row["name"],
+                    platform_id=_parse_field(row, "platform_id", int, n, path),
+                    cpu_capacity=_parse_field(row, "cpu_capacity", float, n, path),
+                    memory_capacity=_parse_field(
+                        row, "memory_capacity", float, n, path
+                    ),
+                    count=_parse_field(row, "count", int, n, path),
+                    name=_parse_field(row, "name", str, n, path),
                 )
             )
     return machine_types
 
 
 def load_meta_csv(path: str | Path) -> tuple[float, dict]:
-    """Read the ``(horizon, metadata)`` pair written by :func:`save_trace`."""
-    with Path(path).open(newline="") as handle:
-        reader = csv.DictReader(handle)
-        meta_row = next(reader)
-    return float(meta_row["horizon"]), json.loads(meta_row["metadata_json"])
+    """Read the ``(horizon, metadata)`` pair written by :func:`save_trace`.
+
+    ``save_trace`` writes this file last, so a save killed midway leaves it
+    empty or header-only: that, like a malformed cell or undecodable
+    ``metadata_json``, raises :class:`repro.errors.TraceFieldCorrupt`.
+    """
+    path = Path(path)
+    with path.open(newline="") as handle:
+        # A header-only file has no row 1: every cell of it is missing.
+        meta_row = next(_checked_reader(handle, path, _META_FIELDS), {})
+    return (
+        _parse_field(meta_row, "horizon", float, 1, path),
+        _parse_field(meta_row, "metadata_json", json.loads, 1, path),
+    )
 
 
 def load_trace(directory: str | Path) -> Trace:

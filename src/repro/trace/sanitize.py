@@ -56,6 +56,7 @@ from typing import TextIO
 
 from repro.trace.reader import (
     _TASK_FIELDS,
+    _parse_allowed_platforms,
     load_machine_types_csv,
     load_meta_csv,
 )
@@ -149,13 +150,6 @@ def _cast(row: dict, column: str, cast):
         ) from None
 
 
-def _parse_platforms(raw: str) -> frozenset[int] | None:
-    raw = raw.strip()
-    if not raw:
-        return None
-    return frozenset(int(p) for p in raw.split("|"))
-
-
 def _sanitize_row(
     row: dict,
     horizon: float | None,
@@ -178,7 +172,7 @@ def _sanitize_row(
         scheduling_class = 0
         repairs.append("scheduling_class_defaulted")
     try:
-        allowed = _cast(row, "allowed_platforms", _parse_platforms)
+        allowed = _cast(row, "allowed_platforms", _parse_allowed_platforms)
     except _Quarantine:
         allowed = None
         repairs.append("allowed_platforms_defaulted")

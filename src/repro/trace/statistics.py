@@ -31,14 +31,6 @@ def empirical_cdf(values: np.ndarray | list[float]) -> tuple[np.ndarray, np.ndar
     return array, fractions
 
 
-def cdf_at(values: np.ndarray | list[float], points: list[float]) -> list[float]:
-    """CDF evaluated at specific points (for table-style reporting)."""
-    array = np.sort(np.asarray(values, dtype=float))
-    if array.size == 0:
-        return [float("nan")] * len(points)
-    return [float(np.searchsorted(array, p, side="right")) / array.size for p in points]
-
-
 def duration_cdf_by_group(
     trace: Trace,
 ) -> dict[PriorityGroup, tuple[np.ndarray, np.ndarray]]:

@@ -5,15 +5,13 @@ These are the inputs the HARMONY pipeline consumes at run time:
 - :func:`bin_arrivals` / :class:`ArrivalSeries` -- per-class arrival counts
   per control interval, feeding the ARIMA predictor (Section VI, Fig. 19);
 - :func:`demand_timeseries` -- total requested CPU/memory of all tasks in
-  the system over time (Figs. 1-2);
-- :func:`pending_running_demand` -- instantaneous decomposition used by the
-  simulator's metrics.
+  the system over time (Figs. 1-2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable
 
 import numpy as np
 
@@ -130,26 +128,3 @@ def demand_timeseries(
     mem_series = np.cumsum(mem[:num_bins])
     times = (np.arange(num_bins) + 0.5) * bin_seconds
     return times, cpu_series, mem_series
-
-
-def pending_running_demand(
-    tasks: Sequence[Task],
-    schedule_times: dict[tuple[int, int], float],
-    at: float,
-) -> tuple[float, float]:
-    """(pending, running) CPU demand at instant ``at``.
-
-    ``schedule_times`` maps task uid to the time it started executing;
-    missing entries mean the task is still pending (if it has arrived).
-    """
-    pending = 0.0
-    running = 0.0
-    for task in tasks:
-        if task.submit_time > at:
-            continue
-        started = schedule_times.get(task.uid)
-        if started is None:
-            pending += task.cpu
-        elif started <= at < started + task.duration:
-            running += task.cpu
-    return pending, running

@@ -1,4 +1,4 @@
-"""Tests for the two-step task classifier and run-time labeler (Section V)."""
+"""Tests for the two-step task classifier and run-time labeling (Section V)."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.classification import (
     ClassifierConfig,
     DurationCategory,
-    RuntimeLabeler,
     TaskClassifier,
 )
 from repro.trace import PriorityGroup
@@ -148,77 +147,3 @@ class TestRuntimeClassification:
         for leaf in classifier.classes:
             assert leaf.service_rate == pytest.approx(1.0 / leaf.duration_mean)
             assert leaf.duration_scv >= 0
-
-
-class TestRuntimeLabeler:
-    def _fitted(self):
-        return TaskClassifier(ClassifierConfig(seed=0)).fit(bimodal_tasks())
-
-    def test_label_track_finish(self):
-        classifier = self._fitted()
-        labeler = RuntimeLabeler(classifier)
-        task = make_task(job_id=5000, duration=30.0, cpu=0.01, memory=0.02)
-        label = labeler.label_arrival(task, now=0.0)
-        assert label.duration_category is DurationCategory.SHORT
-        assert labeler.num_live == 1
-        final = labeler.finish(task, now=30.0)
-        assert final.class_id == label.class_id
-        assert labeler.num_live == 0
-        assert labeler.stats.final_accuracy == 1.0
-
-    def test_advance_relabels_long_task(self):
-        classifier = self._fitted()
-        labeler = RuntimeLabeler(classifier)
-        task = make_task(job_id=5001, duration=50000.0, cpu=0.01, memory=0.02)
-        labeler.label_arrival(task, now=0.0)
-        boundary = classifier.classify_static(task).split_seconds
-        events = labeler.advance(now=boundary * 2)
-        assert len(events) == 1
-        assert events[0].new_class.duration_category is DurationCategory.LONG
-        assert labeler.current_label(task).duration_category is DurationCategory.LONG
-        labeler.finish(task, now=50000.0)
-        assert labeler.stats.final_accuracy == 1.0
-        assert labeler.stats.mislabel_seconds > 0
-
-    def test_mislabel_seconds_bounded_by_boundary(self):
-        """The error from optimistic labeling is 'small and short-lived':
-        a relabeled task is mislabeled for at most the split boundary."""
-        classifier = self._fitted()
-        labeler = RuntimeLabeler(classifier)
-        task = make_task(job_id=5002, duration=50000.0, cpu=0.01, memory=0.02)
-        labeler.label_arrival(task, now=0.0)
-        boundary = classifier.classify_static(task).split_seconds
-        labeler.advance(now=boundary * 1.5)
-        labeler.finish(task, now=50000.0)
-        assert labeler.stats.mislabel_seconds <= boundary + 1e-9
-
-    def test_finish_unknown_task_raises(self):
-        labeler = RuntimeLabeler(self._fitted())
-        with pytest.raises(KeyError):
-            labeler.finish(make_task(job_id=1), now=1.0)
-
-    def test_majority_correct_on_trace(self, classifier, small_trace):
-        """End-to-end labeling accuracy on a realistic trace.
-
-        Events are processed in time order (a task must finish at its end
-        time, not after later advance sweeps, or short tasks would be
-        spuriously relabeled long).
-        """
-        labeler = RuntimeLabeler(classifier)
-        tasks = list(small_trace.tasks[:500])
-        events = []
-        for task in tasks:
-            events.append((task.submit_time, 0, "arrive", task))
-            events.append((task.submit_time + task.duration, 1, "finish", task))
-        horizon = max(t for t, *_ in events)
-        for k in range(1, 21):
-            events.append((horizon * k / 20, 2, "advance", None))
-        events.sort(key=lambda e: (e[0], e[1]))
-        for time, _, kind, task in events:
-            if kind == "arrive":
-                labeler.label_arrival(task, now=time)
-            elif kind == "finish":
-                labeler.finish(task, now=time)
-            else:
-                labeler.advance(now=time)
-        assert labeler.stats.final_accuracy > 0.7

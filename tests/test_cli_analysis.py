@@ -5,20 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    ascii_series,
-    ascii_table,
-    fig_arrival_rates,
-    fig_classification,
-    fig_demand_series,
-    fig_duration_cdf,
-    fig_energy_curves,
-    fig_machine_census,
-    fig_task_sizes,
-    format_cdf_rows,
-)
-from repro.cli import main
-from repro.energy import TABLE2_MODELS
+from repro.analysis import ascii_series, ascii_table, format_cdf_rows
+from repro.cli import build_parser, main
+from repro.containers import ContainerManagerConfig
 from repro.trace import save_trace
 
 
@@ -56,15 +45,6 @@ class TestCli:
         assert "Calibration" in output
         assert rc == 0
 
-    def test_figures_trace_only(self, tiny_trace, tmp_path, capsys):
-        out = tmp_path / "trace"
-        save_trace(tiny_trace, out)
-        figures_dir = tmp_path / "figs"
-        rc = main(["figures", "--trace", str(out), "--trace-only", str(figures_dir)])
-        assert rc == 0
-        svgs = list(figures_dir.glob("*.svg"))
-        assert len(svgs) == 5
-
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
@@ -85,6 +65,30 @@ class TestCli:
             main(argv)
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --engine" in capsys.readouterr().err
+
+    def test_subcommands_are_exactly_the_documented_twelve(self):
+        (subparsers,) = [
+            action for action in build_parser()._actions if action.dest == "command"
+        ]
+        assert list(subparsers.choices) == [
+            "generate", "analyze", "validate", "classify", "simulate", "compare",
+            "resilience", "sanitize", "bench", "fleet", "serve", "lint",
+        ]
+
+    @pytest.mark.parametrize(
+        "argv", [["report", "x.md"], ["figures", "out"]], ids=["report", "figures"]
+    )
+    def test_retired_subcommand_is_gone(self, argv, capsys):
+        """One figure pipeline: the benches print the paper's figures."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"invalid choice: {argv[0]!r}" in capsys.readouterr().err
+
+    def test_sizing_method_knob_is_gone(self):
+        """Eq. 3 with statistical multiplexing is the only container sizing."""
+        with pytest.raises(TypeError):
+            ContainerManagerConfig(sizing_method="hoeffding")
 
 
 class TestReportHelpers:
@@ -109,36 +113,3 @@ class TestReportHelpers:
         rows = format_cdf_rows(np.array([1.0, 2.0, 3.0, 4.0]), [2.5, 10.0])
         assert rows[0] == ("<= 2.5s", 0.5)
         assert rows[1] == ("<= 10s", 1.0)
-
-
-class TestFigureHelpers:
-    def test_fig_demand_series(self, tiny_trace):
-        fig1, fig2 = fig_demand_series(tiny_trace)
-        assert "cpu_demand" in fig1.series
-        assert "memory_demand" in fig2.series
-
-    def test_fig_machine_census(self, tiny_trace):
-        fig = fig_machine_census(tiny_trace)
-        assert len(fig.rows) == len(tiny_trace.machine_types)
-
-    def test_fig_duration_cdf(self, tiny_trace):
-        fig = fig_duration_cdf(tiny_trace)
-        assert set(fig.series) == {"gratis", "other", "production"}
-
-    def test_fig_task_sizes(self, tiny_trace):
-        fig = fig_task_sizes(tiny_trace)
-        assert {row["group"] for row in fig.rows} == {"gratis", "other", "production"}
-
-    def test_fig_energy_curves(self):
-        fig = fig_energy_curves(TABLE2_MODELS, points=5)
-        assert len(fig.series) == 4
-        for utilization, watts in fig.series.values():
-            assert watts[0] < watts[-1]  # power grows with utilization
-
-    def test_fig_classification(self, classifier):
-        fig = fig_classification(classifier)
-        assert len(fig.rows) == classifier.num_classes
-
-    def test_fig_arrival_rates(self, tiny_trace):
-        fig = fig_arrival_rates(tiny_trace)
-        assert set(fig.series) == {"gratis", "other", "production"}

@@ -7,10 +7,8 @@ from hypothesis import given, settings, strategies as st
 from repro.clustering import (
     KMeans,
     LogScaler,
-    StandardScaler,
     inertia_curve,
     select_k_elbow,
-    silhouette_score,
 )
 
 
@@ -162,42 +160,8 @@ class TestSelection:
         k, _ = select_k_elbow(data, k_max=6, improvement_threshold=0.3, seed=0)
         assert k <= 2
 
-    def test_silhouette_high_for_separated(self):
-        data, _ = three_blobs()
-        labels = KMeans(k=3, seed=1).fit(data).labels
-        assert silhouette_score(data, labels) > 0.8
-
-    def test_silhouette_single_cluster_zero(self):
-        data, _ = three_blobs()
-        assert silhouette_score(data, np.zeros(len(data), dtype=int)) == 0.0
-
-    def test_silhouette_misaligned_raises(self):
-        with pytest.raises(ValueError):
-            silhouette_score(np.zeros((5, 2)), np.zeros(4, dtype=int))
-
 
 class TestScalers:
-    def test_standard_scaler_zero_mean_unit_var(self):
-        rng = np.random.default_rng(0)
-        data = rng.normal(5.0, 3.0, size=(200, 2))
-        scaled = StandardScaler().fit_transform(data)
-        assert np.allclose(scaled.mean(axis=0), 0.0, atol=1e-9)
-        assert np.allclose(scaled.std(axis=0), 1.0, atol=1e-9)
-
-    def test_standard_scaler_round_trip(self):
-        data = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        scaler = StandardScaler().fit(data)
-        assert np.allclose(scaler.inverse_transform(scaler.transform(data)), data)
-
-    def test_standard_scaler_constant_feature(self):
-        data = np.array([[1.0, 7.0], [2.0, 7.0]])
-        scaled = StandardScaler().fit_transform(data)
-        assert np.allclose(scaled[:, 1], 0.0)
-
-    def test_standard_scaler_unfitted_raises(self):
-        with pytest.raises(RuntimeError):
-            StandardScaler().transform(np.zeros((2, 2)))
-
     def test_log_scaler_round_trip(self):
         data = np.array([0.001, 0.1, 1.0])
         scaler = LogScaler()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.clustering import KMeans, select_k_elbow, silhouette_score
+from repro.clustering import KMeans, select_k_elbow
 from repro.clustering.kmeans import kmeans_plus_plus_init
 
 
@@ -78,15 +78,3 @@ class TestSelectionEdges:
     def test_invalid_k_max(self):
         with pytest.raises(ValueError):
             select_k_elbow(np.zeros((5, 2)), k_max=0)
-
-    def test_silhouette_subsampling_deterministic(self):
-        rng = np.random.default_rng(1)
-        data = np.vstack([
-            rng.normal(0, 1, size=(2000, 2)),
-            rng.normal(20, 1, size=(2000, 2)),
-        ])
-        labels = (data[:, 0] > 10).astype(int)
-        a = silhouette_score(data, labels, sample_cap=500, seed=3)
-        b = silhouette_score(data, labels, sample_cap=500, seed=3)
-        assert a == b
-        assert a > 0.8

@@ -9,7 +9,6 @@ from repro.containers import (
     ContainerManagerConfig,
     ContainerSpec,
     gaussian_container_size,
-    hoeffding_container_size,
     per_resource_epsilon,
     size_container_for_class,
     z_quantile,
@@ -145,34 +144,7 @@ class TestMultiplexedSizing:
             multiplexed_container_size(0.1, 0.1, 0.05, 0)
 
 
-class TestHoeffdingSizing:
-    def test_larger_group_smaller_padding(self):
-        small = hoeffding_container_size(0.1, 0.0, 0.2, 0.05, group_size=4)
-        large = hoeffding_container_size(0.1, 0.0, 0.2, 0.05, group_size=64)
-        assert large < small
-
-    def test_degenerate_range_is_mean(self):
-        assert hoeffding_container_size(0.1, 0.1, 0.1, 0.05, 10) == pytest.approx(0.1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            hoeffding_container_size(0.1, 0.3, 0.2, 0.05, 10)
-        with pytest.raises(ValueError):
-            hoeffding_container_size(0.1, 0.0, 0.2, 0.05, 0)
-
-
 class TestSizeContainerForClass:
-    def test_gaussian_vs_hoeffding(self, classifier):
-        leaf = max(classifier.classes, key=lambda c: c.num_tasks)
-        gaussian = size_container_for_class(leaf, method="gaussian")
-        hoeffding = size_container_for_class(leaf, method="hoeffding")
-        assert gaussian.cpu >= leaf.cpu_mean - 1e-9
-        assert hoeffding.cpu >= leaf.cpu_mean - 1e-9
-
-    def test_unknown_method(self, classifier):
-        with pytest.raises(ValueError):
-            size_container_for_class(classifier.classes[0], method="magic")
-
     def test_spec_properties(self, classifier):
         spec = size_container_for_class(classifier.classes[0])
         assert spec.class_id == classifier.classes[0].class_id

@@ -1,6 +1,5 @@
 """Tests for the energy models, Table II catalog, prices and accounting."""
 
-import numpy as np
 import pytest
 
 from repro.energy import (
@@ -10,8 +9,6 @@ from repro.energy import (
     TABLE2_MODELS,
     constant_price,
     google_like_energy_models,
-    models_for_machine_types,
-    spot_price_series,
     table2_fleet,
     time_of_use_price,
 )
@@ -110,19 +107,7 @@ class TestGoogleLikeEnergyModels:
         census = google_like_machine_census(500)
         models = google_like_energy_models(census)
         assert len(models) == len(census)
-        mapping = models_for_machine_types(census, models)
-        assert set(mapping) == {m.platform_id for m in census}
-
-    def test_defaults_synthesized(self):
-        census = google_like_machine_census(500)
-        mapping = models_for_machine_types(census)
-        for model in mapping.values():
-            assert model.idle_watts > 0
-
-    def test_missing_platform_raises(self):
-        census = google_like_machine_census(500)
-        with pytest.raises(KeyError):
-            models_for_machine_types(census, models=(TABLE2_MODELS[0],))
+        assert {m.platform_id for m in models} == {m.platform_id for m in census}
 
 
 class TestPrices:
@@ -138,14 +123,6 @@ class TestPrices:
         assert price(13 * 3600) == 0.15     # 13:00
         assert price(22 * 3600) == 0.07     # 22:00
         assert price(27 * 3600) == 0.07     # 03:00 next day
-
-    def test_spot_series_deterministic_positive(self):
-        a = spot_price_series(horizon=3600 * 24, interval=300, seed=5)
-        b = spot_price_series(horizon=3600 * 24, interval=300, seed=5)
-        series_a = a.series(3600 * 24, 300)
-        series_b = b.series(3600 * 24, 300)
-        assert np.array_equal(series_a, series_b)
-        assert (series_a > 0).all()
 
     def test_negative_price_rejected(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ from repro.energy import (
     PriceSchedule,
     constant_price,
     google_like_energy_models,
-    spot_price_series,
     time_of_use_price,
 )
 from repro.trace import google_like_machine_census
@@ -28,18 +27,6 @@ class TestPriceScheduleContract:
         series = constant_price(0.1).series(horizon=3600, interval=300)
         assert series.shape == (12,)
         assert np.allclose(series, 0.1)
-
-    def test_spot_mean_reverts(self):
-        schedule = spot_price_series(
-            horizon=86400 * 4, interval=300, base=0.10,
-            volatility=0.01, mean_reversion=0.3, seed=2,
-        )
-        series = schedule.series(86400 * 4, 300)
-        assert abs(float(series.mean()) - 0.10) < 0.05
-
-    def test_spot_validation(self):
-        with pytest.raises(ValueError):
-            spot_price_series(horizon=0, interval=300)
 
     def test_tou_continuity_over_midnight(self):
         tou = time_of_use_price()

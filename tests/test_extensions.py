@@ -2,7 +2,6 @@
 
 Section III: "it is straightforward to extend our approach to consider
 additional resource types" — the CBS model is dimension-generic.
-Section VII-A closing remark: non-Gaussian sizing via concentration bounds.
 Placement constraints (Section III-B's hard-to-schedule tasks) flow through
 the LP's compatibility mask.
 """
@@ -10,7 +9,6 @@ the LP's compatibility mask.
 import numpy as np
 import pytest
 
-from repro.containers import ContainerManager, ContainerManagerConfig
 from repro.provisioning import (
     CbsRelaxSolver,
     ContainerType,
@@ -110,24 +108,3 @@ class TestPlatformConstrainedContainers:
         )
         solution = CbsRelaxSolver().solve(problem)
         assert solution.scheduled(0)[0] == pytest.approx(0.0, abs=1e-9)
-
-
-class TestHoeffdingManager:
-    def test_manager_with_hoeffding_sizing(self, classifier):
-        manager = ContainerManager(
-            classifier, ContainerManagerConfig(sizing_method="hoeffding")
-        )
-        for spec in manager.specs.values():
-            assert spec.cpu >= spec.task_class.cpu_mean - 1e-12
-            assert 0 < spec.cpu <= 1
-
-    def test_hoeffding_vs_gaussian_ordering_is_instancewise(self, classifier):
-        """Neither dominates universally; both must stay within [mean, 1]."""
-        gaussian = ContainerManager(classifier, ContainerManagerConfig())
-        hoeffding = ContainerManager(
-            classifier, ContainerManagerConfig(sizing_method="hoeffding")
-        )
-        for class_id in gaussian.specs:
-            g = gaussian.spec(class_id)
-            h = hoeffding.spec(class_id)
-            assert g.cpu <= 1.0 and h.cpu <= 1.0

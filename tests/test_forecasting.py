@@ -17,7 +17,6 @@ from repro.forecasting import (
     predictors,
     rolling_origin_evaluation,
 )
-from repro.forecasting.arima import select_order_aic
 
 
 def ar1_series(n=300, phi=0.8, c=2.0, sigma=0.5, seed=0):
@@ -90,11 +89,6 @@ class TestArimaFit:
     def test_residuals_and_sigma2(self):
         model = fit_arima(ar1_series(), (1, 0, 0))
         assert model.sigma2 == pytest.approx(0.25, rel=0.3)  # sigma=0.5
-
-    def test_select_order_aic_prefers_structure(self):
-        series = ar1_series()
-        model = select_order_aic(series, p_values=(0, 1), d_values=(0,), q_values=(0,))
-        assert model.order.p == 1
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 50), steps=st.integers(1, 10))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.forecasting import ArimaOrder, ArimaPredictor, fit_arima
-from repro.forecasting.arima import _ols_ar_fit, select_order_aic
+from repro.forecasting.arima import _ols_ar_fit
 
 
 def ar1(n=150, phi=0.7, c=3.0, sigma=0.4, seed=2):
@@ -63,18 +63,6 @@ class TestConditionalSSE:
         phi, intercept = _ols_ar_fit(np.array([1.0, 2.0, 3.0]), p=0)
         assert phi.size == 0
         assert intercept == pytest.approx(2.0)
-
-
-class TestOrderSelection:
-    def test_prefers_differencing_for_trend(self):
-        t = np.arange(150, dtype=float)
-        series = 5.0 * t + np.random.default_rng(0).normal(0, 0.5, 150)
-        model = select_order_aic(series, p_values=(0, 1), d_values=(0, 1), q_values=(0,))
-        assert model.order.d == 1
-
-    def test_too_short_raises(self):
-        with pytest.raises(ValueError):
-            select_order_aic([1.0, 2.0], p_values=(3,), d_values=(1,), q_values=(3,))
 
 
 class TestArimaPredictorEdges:

@@ -76,6 +76,64 @@ class TestReaderErrors:
         assert excinfo.value.context["row"] == 0
 
 
+CENSUS_HEADER = "platform_id,cpu_capacity,memory_capacity,count,name"
+
+#: One torn or hand-edited file of a saved trace directory per case:
+#: (file, new contents, expected row, column, value of the error).
+TORN_FILES = {
+    "meta-header-only": ("meta.csv", "horizon,metadata_json\n", 1, "horizon", None),
+    "meta-empty": ("meta.csv", "", 0, "horizon,metadata_json", None),
+    "meta-not-json": (
+        "meta.csv", "horizon,metadata_json\n360.0,{oops\n",
+        1, "metadata_json", "{oops",
+    ),
+    "census-bad-platform-id": (
+        "machine_types.csv", CENSUS_HEADER + "\nabc,0.5,0.5,10,small\n",
+        1, "platform_id", "abc",
+    ),
+    "census-no-count-column": (
+        "machine_types.csv",
+        "platform_id,cpu_capacity,memory_capacity,name\n1,0.5,0.5,small\n",
+        0, "count", None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TORN_FILES))
+class TestTornTraceDirectory:
+    """``save_trace`` writes meta.csv last; a kill mid-save (or an edit)
+    must surface as a located error, not a bare StopIteration/ValueError."""
+
+    def torn(self, tiny_trace, tmp_path, case):
+        name, contents, row, column, value = TORN_FILES[case]
+        directory = save_trace(tiny_trace, tmp_path / "trace")
+        (directory / name).write_text(contents)
+        path = str(directory / name)
+        return directory, {"file": path, "row": row, "column": column, "value": value}
+
+    def test_loader_locates_file_row_column_value(self, tiny_trace, tmp_path, case):
+        directory, context = self.torn(tiny_trace, tmp_path, case)
+        for load in (load_trace, sanitize_trace):
+            with pytest.raises(TraceFieldCorrupt) as excinfo:
+                load(directory)
+            assert excinfo.value.context == context
+
+    def test_cli_prints_one_line_and_exits_two(
+        self, tiny_trace, tmp_path, case, capsys
+    ):
+        from repro.cli import main
+
+        directory, context = self.torn(tiny_trace, tmp_path, case)
+        assert main(["sanitize", str(directory)]) == 2
+        assert main(["analyze", "--trace", str(directory)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 2
+        for line, command in zip(lines, ("sanitize", "analyze")):
+            assert line.startswith(f"repro {command}: ") and context["file"] in line
+
+
 class TestSanitizer:
     def test_classifies_every_row(self, tmp_path):
         tasks, report = sanitize_tasks_csv(write_dirty_csv(tmp_path / "t.csv"))

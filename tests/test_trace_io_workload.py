@@ -18,7 +18,6 @@ from repro.trace import (
     duration_cdf_by_group,
     machine_census_table,
 )
-from repro.trace.statistics import cdf_at
 from tests.conftest import make_task
 
 
@@ -123,29 +122,6 @@ class TestDemandTimeseries:
         assert integral <= clipped_work + 300.0 * tiny_trace.num_tasks
 
 
-class TestPendingRunningDemand:
-    def test_split_pending_vs_running(self):
-        from repro.trace import pending_running_demand
-
-        tasks = [
-            make_task(job_id=1, submit_time=0.0, duration=100.0, cpu=0.2),
-            make_task(job_id=2, submit_time=0.0, duration=100.0, cpu=0.3),
-            make_task(job_id=3, submit_time=50.0, duration=100.0, cpu=0.4),
-        ]
-        schedule_times = {(1, 0): 10.0}  # only job 1 started
-        pending, running = pending_running_demand(tasks, schedule_times, at=20.0)
-        assert running == pytest.approx(0.2)
-        assert pending == pytest.approx(0.3)  # job 3 not yet arrived
-
-    def test_finished_task_not_counted(self):
-        from repro.trace import pending_running_demand
-
-        tasks = [make_task(job_id=1, submit_time=0.0, duration=10.0, cpu=0.2)]
-        pending, running = pending_running_demand(tasks, {(1, 0): 0.0}, at=50.0)
-        assert running == 0.0
-        assert pending == 0.0
-
-
 class TestStatistics:
     def test_empirical_cdf_monotone(self):
         x, f = empirical_cdf([3.0, 1.0, 2.0])
@@ -155,10 +131,6 @@ class TestStatistics:
     def test_empirical_cdf_empty(self):
         x, f = empirical_cdf([])
         assert x.size == 0 and f.size == 0
-
-    def test_cdf_at_points(self):
-        assert cdf_at([1, 2, 3, 4], [2.5]) == [0.5]
-        assert np.isnan(cdf_at([], [1.0])[0])
 
     def test_duration_cdf_by_group(self, tiny_trace):
         cdfs = duration_cdf_by_group(tiny_trace)
