@@ -267,21 +267,29 @@ class TaskClassifier:
 
     # ------------------------------------------------------------ labeling
 
+    def _classify_static_batch(self, tasks: list[Task]) -> list[StaticClass]:
+        """Nearest static class per task: one K-means predict per priority
+        group instead of one per task."""
+        self._require_fitted()
+        statics: list[StaticClass | None] = [None] * len(tasks)
+        by_group: dict[PriorityGroup, list[int]] = {}
+        for position, task in enumerate(tasks):
+            by_group.setdefault(task.priority_group, []).append(position)
+        for group, positions in by_group.items():
+            model = self._group_models.get(group)
+            if model is None:
+                raise KeyError(f"no static classes fitted for group {group.name}")
+            features = static_features([tasks[p] for p in positions])
+            static_by_index = {
+                s.index: s for s in self.static_classes if s.group is group
+            }
+            for position, static_label in zip(positions, model.predict(features)):
+                statics[position] = static_by_index[int(static_label)]
+        return [static for static in statics if static is not None]
+
     def classify_static(self, task: Task) -> StaticClass:
         """Nearest static class for a task (features known at submit time)."""
-        self._require_fitted()
-        model = self._group_models.get(task.priority_group)
-        if model is None:
-            raise KeyError(
-                f"no static classes fitted for group {task.priority_group.name}"
-            )
-        label = int(model.predict(static_features([task]))[0])
-        for static in self.static_classes:
-            if static.group is task.priority_group and static.index == label:
-                return static
-        raise KeyError(
-            f"static class ({task.priority_group.name}, {label}) has no members"
-        )
+        return self._classify_static_batch([task])[0]
 
     def classify(self, task: Task, observed_runtime: float = 0.0) -> TaskClass:
         """Leaf class for a task given its observed running time so far.
@@ -291,69 +299,34 @@ class TaskClassifier:
         labeling; once the observed runtime crosses the class boundary the
         same call returns the *long* sub-class.
         """
-        static = self.classify_static(task)
-        category = (
-            DurationCategory.LONG
-            if observed_runtime > static.split_seconds
-            else DurationCategory.SHORT
-        )
-        leaf = self._leaf_lookup.get((static.group, static.index, category))
-        if leaf is None:
-            # Class was not split (or a sub-class was merged): fall back to
-            # whichever sub-class exists.
-            fallback = (
-                DurationCategory.SHORT
-                if category is DurationCategory.LONG
-                else DurationCategory.LONG
-            )
-            leaf = self._leaf_lookup.get((static.group, static.index, fallback))
-        if leaf is None:
-            raise KeyError(f"no leaf class for static class {static.group}/{static.index}")
-        return leaf
+        return self.classify_batch([task], observed_runtime)[0]
 
     def classify_batch(self, tasks: list[Task], observed_runtime: float = 0.0
                        ) -> list[TaskClass]:
-        """Vectorized :meth:`classify` over many tasks (one K-means predict
-        per priority group instead of one per task)."""
-        self._require_fitted()
-        labels: list[TaskClass | None] = [None] * len(tasks)
-        by_group: dict[PriorityGroup, list[int]] = {}
-        for position, task in enumerate(tasks):
-            by_group.setdefault(task.priority_group, []).append(position)
-        for group, positions in by_group.items():
-            model = self._group_models.get(group)
-            if model is None:
-                raise KeyError(f"no static classes fitted for group {group.name}")
-            features = static_features([tasks[p] for p in positions])
-            static_labels = model.predict(features)
-            static_by_index = {
-                s.index: s for s in self.static_classes if s.group is group
-            }
-            for position, static_label in zip(positions, static_labels):
-                static = static_by_index[int(static_label)]
-                category = (
-                    DurationCategory.LONG
-                    if observed_runtime > static.split_seconds
-                    else DurationCategory.SHORT
+        """:meth:`classify` over many tasks — the one labeling path."""
+        labels: list[TaskClass] = []
+        for static in self._classify_static_batch(tasks):
+            category = (
+                DurationCategory.LONG
+                if observed_runtime > static.split_seconds
+                else DurationCategory.SHORT
+            )
+            leaf = self._leaf_lookup.get((static.group, static.index, category))
+            if leaf is None:
+                # Class was not split (or a sub-class was merged): fall back
+                # to whichever sub-class exists.
+                fallback = (
+                    DurationCategory.SHORT
+                    if category is DurationCategory.LONG
+                    else DurationCategory.LONG
                 )
-                leaf = self._leaf_lookup.get((group, static.index, category))
-                if leaf is None:
-                    fallback = (
-                        DurationCategory.SHORT
-                        if category is DurationCategory.LONG
-                        else DurationCategory.LONG
-                    )
-                    leaf = self._leaf_lookup.get((group, static.index, fallback))
-                if leaf is None:
-                    raise KeyError(
-                        f"no leaf class for static class {group}/{static.index}"
-                    )
-                labels[position] = leaf
-        return [label for label in labels if label is not None]
-
-    def true_class(self, task: Task) -> TaskClass:
-        """The label a clairvoyant classifier would assign (duration known)."""
-        return self.classify(task, observed_runtime=task.duration)
+                leaf = self._leaf_lookup.get((static.group, static.index, fallback))
+            if leaf is None:
+                raise KeyError(
+                    f"no leaf class for static class {static.group}/{static.index}"
+                )
+            labels.append(leaf)
+        return labels
 
     def sibling(self, leaf: TaskClass) -> TaskClass | None:
         """The other duration sub-class of the same static class, if any."""

@@ -597,6 +597,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.ticks is not None and args.ticks < 1:
+        return _usage_error(
+            "repro serve",
+            f"--ticks must be >= 1, got {args.ticks} "
+            "(hint: omit --ticks to run to the end of the stream)",
+        )
     if args.follow is not None and args.listen is not None:
         print(
             "repro serve: --follow and --listen are mutually exclusive "
@@ -1090,6 +1096,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    trace_dir = getattr(args, "trace", None)
+    if trace_dir is not None and not trace_dir.is_dir():
+        return _usage_error(
+            f"repro {args.command}", f"--trace {trace_dir} is not a directory"
+        )
     try:
         return args.fn(args)
     except TraceFieldCorrupt as exc:

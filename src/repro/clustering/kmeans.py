@@ -47,20 +47,6 @@ class KMeansResult:
     def k(self) -> int:
         return self.centroids.shape[0]
 
-    def cluster_sizes(self) -> np.ndarray:
-        """Number of samples per cluster."""
-        return np.bincount(self.labels, minlength=self.k)
-
-    def cluster_std(self, data: np.ndarray) -> np.ndarray:
-        """Per-cluster, per-feature standard deviation, ``(k, d)``."""
-        data = np.asarray(data, dtype=float)
-        stds = np.zeros_like(self.centroids)
-        for j in range(self.k):
-            members = data[self.labels == j]
-            if members.shape[0] > 1:
-                stds[j] = members.std(axis=0)
-        return stds
-
 
 def _squared_distances(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances, ``(n, k)``."""

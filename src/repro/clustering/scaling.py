@@ -2,8 +2,7 @@
 
 Task sizes span several orders of magnitude (Section III-D), so clustering in
 raw units would be dominated by the few largest tasks.  The classifier scales
-features with a log transform, provided here with a fit/transform/inverse
-interface.
+features with a log transform, provided here.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ import numpy as np
 
 
 class LogScaler:
-    """Elementwise ``log10`` with a positivity floor, plus inverse.
+    """Elementwise ``log10`` with a positivity floor.
 
     Appropriate for features like task size and duration whose heterogeneity
     spans orders of magnitude.
@@ -25,13 +24,3 @@ class LogScaler:
 
     def transform(self, data: np.ndarray) -> np.ndarray:
         return np.log10(np.maximum(np.asarray(data, dtype=float), self.floor))
-
-    def inverse_transform(self, data: np.ndarray) -> np.ndarray:
-        return np.power(10.0, np.asarray(data, dtype=float))
-
-    # LogScaler is stateless; fit is provided for interface symmetry.
-    def fit(self, data: np.ndarray) -> "LogScaler":
-        return self
-
-    def fit_transform(self, data: np.ndarray) -> np.ndarray:
-        return self.transform(data)

@@ -92,15 +92,6 @@ class ContainerPlan:
     def count(self, class_id: int) -> int:
         return self.counts.get(class_id, 0)
 
-    def total_containers(self) -> int:
-        return sum(self.counts.values())
-
-    def total_demand(self) -> tuple[float, float]:
-        """Aggregate (cpu, memory) reserved by the plan."""
-        cpu = sum(self.specs[c].cpu * n for c, n in self.counts.items())
-        memory = sum(self.specs[c].memory * n for c, n in self.counts.items())
-        return cpu, memory
-
     def by_group(self) -> dict[PriorityGroup, int]:
         """Container counts aggregated per priority group (Fig. 20)."""
         result = {group: 0 for group in PriorityGroup}

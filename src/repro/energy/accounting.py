@@ -91,15 +91,6 @@ class EnergyMeter:
         """Energy plus switching cost."""
         return self.total_energy_cost + self.total_switch_cost
 
-    def kwh_by_platform(self) -> dict[int, float]:
-        """Total kWh per machine type."""
-        result: dict[int, float] = {}
-        for record in self.records:
-            result[record.platform_id] = (
-                result.get(record.platform_id, 0.0) + record.energy_kwh
-            )
-        return result
-
     def timeline(self) -> list[tuple[float, float]]:
         """(time, total kWh in that interval) pairs, aggregated over types."""
         by_time: dict[float, float] = {}

@@ -151,14 +151,6 @@ class ArimaModel:
             return 0.0
         return float(np.mean(tail**2))
 
-    @property
-    def aic(self) -> float:
-        """Akaike information criterion under Gaussian CSS likelihood."""
-        n = max(self.residuals.size, 1)
-        k = self.order.p + self.order.q + 1
-        sigma2 = max(self.sigma2, 1e-12)
-        return n * float(np.log(sigma2)) + 2 * k
-
     def forecast(self, steps: int) -> np.ndarray:
         """Point forecast ``steps`` ahead on the original scale."""
         return self._forecast_core(steps, self.w, self.residuals, self.diff_tails)

@@ -23,14 +23,6 @@ class ForecastScore:
     mape: float
     num_forecasts: int
 
-    def as_dict(self) -> dict:
-        return {
-            "mae": self.mae,
-            "rmse": self.rmse,
-            "mape": self.mape,
-            "num_forecasts": self.num_forecasts,
-        }
-
 
 def rolling_origin_evaluation(
     series: np.ndarray | list[float],

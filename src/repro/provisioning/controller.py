@@ -47,8 +47,6 @@ class ControllerConfig:
         Electricity price schedule (p_t).
     overprovision:
         Uniform omega applied to every container type (Eq. 17); 1.0 disables.
-    utility_weights:
-        Optional per-class utility weight override.
     predictor_factory:
         Builds one streaming predictor per task class; defaults to the
         paper's ARIMA.
@@ -58,7 +56,6 @@ class ControllerConfig:
     horizon: int = 4
     price: PriceSchedule = field(default_factory=constant_price)
     overprovision: float = 1.0
-    utility_weights: dict[int, float] | None = None
     predictor_factory: Callable[[], Predictor] = ArimaPredictor
 
     def __post_init__(self) -> None:
@@ -166,6 +163,11 @@ class HarmonyController:
 
     # ------------------------------------------------------------- observe
 
+    @property
+    def predictors(self) -> dict[int, Predictor]:
+        """The per-class streaming predictors, keyed by class id."""
+        return self._predictors
+
     def observe(self, arrival_counts: dict[int, float]) -> None:
         """Feed the arrival counts of the just-finished control period."""
         for class_id in self.class_ids:
@@ -259,7 +261,6 @@ class HarmonyController:
             demand=demand,
             prices=prices,
             interval_seconds=self.config.interval_seconds,
-            weights=self.config.utility_weights,
             available=available,
             allowed_platforms=self.allowed_platforms,
             overprovision=omega,

@@ -267,7 +267,6 @@ def build_problem(
     demand: np.ndarray,
     prices: np.ndarray,
     interval_seconds: float,
-    weights: dict[int, float] | None = None,
     available: dict[int, int] | None = None,
     allowed_platforms: dict[int, frozenset[int] | None] | None = None,
     overprovision: np.ndarray | None = None,
@@ -278,10 +277,10 @@ def build_problem(
     ----------
     demand:
         ``(W, N)`` container demand, columns ordered by sorted class id.
-    weights:
-        Utility weight per class id; defaults to an SLO-derived weight that
-        prices a scheduled container above its worst-case energy cost so the
-        optimizer prefers scheduling whenever capacity exists.
+
+    Each class's utility weight is SLO-derived: it prices a scheduled
+    container above its worst-case energy cost, so the optimizer prefers
+    scheduling whenever capacity exists.
     """
     machines = tuple(
         MachineClass.from_machine_model(
@@ -300,11 +299,9 @@ def build_problem(
     containers = []
     for column, class_id in enumerate(class_ids):
         spec = specs[class_id]
-        weight = None if weights is None else weights.get(class_id)
-        if weight is None:
-            weight = default_utility_weight(
-                machines, spec, float(np.max(prices)), interval_seconds
-            ) * group_utility_multiplier(spec)
+        weight = default_utility_weight(
+            machines, spec, float(np.max(prices)), interval_seconds
+        ) * group_utility_multiplier(spec)
         platforms = None
         if allowed_platforms is not None:
             platforms = allowed_platforms.get(class_id)

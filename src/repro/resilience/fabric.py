@@ -269,9 +269,6 @@ class FabricState:
 
     # ------------------------------------------------------------- queries
 
-    def link_severed(self, pair: tuple[int, int]) -> bool:
-        return self._state(pair).cuts > 0
-
     def link_stretch(self, pair: tuple[int, int]) -> float:
         """Compounded stretch of a link's active degradations (1.0 clean)."""
         stretch = 1.0

@@ -9,17 +9,22 @@ model-predictive core misbehaves:
 - **Clamping** — per-tick machine deltas are limited to a fraction of each
   pool (no fleet-wide flapping on one bad forecast), and targets never
   exceed availability;
-- **Solver fallback** — if the wrapped policy raises or exceeds the solve
-  time budget, the last-known-good plan is reapplied (capped by current
-  availability);
+- **Solver fallback** — if the wrapped policy raises, the last-known-good
+  plan is reapplied (capped by current availability);
 - **Circuit breaker** — one-step-ahead forecast residuals are tracked
   against observed arrivals; ``trip_after`` consecutive large residuals
   trip the controller into reactive threshold provisioning (a
   :class:`~repro.provisioning.autoscaler.ThresholdAutoscaler` over current
   demand, which needs no forecasts), and ``recover_after`` consecutive
   calm intervals anneal it back to the model-predictive path.  While
-  tripped, the wrapped controller keeps observing arrivals so its
-  predictors re-converge before control is handed back.
+  tripped, the ``observe`` hook keeps feeding arrivals to the wrapped
+  predictors so they re-converge before control is handed back.
+
+The guard knows nothing about what it wraps beyond ``policy.decide(view)``
+and the two optional hooks it is constructed with (``observe(view)``,
+``forecast()``); :class:`~repro.simulation.control.ControlPipeline` is what
+wires them to a real controller.  No wall clock is read anywhere here: a
+decision is a function of the views the guard has seen.
 
 This is the reactive-fallback discipline of Pace et al. (arXiv:1807.00368)
 grafted onto HARMONY's Algorithm 1: trust the model when its residuals say
@@ -30,9 +35,8 @@ not (monitoring blackouts, regime changes, poisoned telemetry).
 from __future__ import annotations
 
 import math
-import time as _time
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Callable
 
 from repro.energy.models import MachineModel
 from repro.errors import SolverError
@@ -64,11 +68,7 @@ class GuardConfig:
         intervals to close it again.
     ewma_alpha:
         Smoothing for the fallback self-forecast of total arrivals, used
-        when the wrapped policy does not expose its own forecasts.
-    solve_timeout_seconds:
-        Wall-clock budget for one wrapped ``decide``; exceeding it counts
-        as a solver failure and reapplies the last-known-good plan.
-        ``None`` disables the check.
+        when the guard is given no ``forecast`` hook.
     """
 
     max_step_fraction: float = 0.25
@@ -78,7 +78,6 @@ class GuardConfig:
     trip_after: int = 2
     recover_after: int = 3
     ewma_alpha: float = 0.3
-    solve_timeout_seconds: float | None = None
 
     def __post_init__(self) -> None:
         if not 0 < self.max_step_fraction <= 1:
@@ -101,10 +100,6 @@ class GuardConfig:
             raise ValueError(f"recover_after must be >= 1, got {self.recover_after}")
         if not 0 < self.ewma_alpha <= 1:
             raise ValueError(f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}")
-        if self.solve_timeout_seconds is not None and self.solve_timeout_seconds < 0:
-            raise ValueError(
-                f"solve_timeout_seconds must be >= 0, got {self.solve_timeout_seconds}"
-            )
 
 
 @dataclass
@@ -133,10 +128,18 @@ class GuardedController:
         machine_models: tuple[MachineModel, ...],
         config: GuardConfig | None = None,
         fallback: ThresholdAutoscaler | None = None,
+        observe: Callable[["ClusterView"], None] | None = None,
+        forecast: Callable[[], float] | None = None,
     ) -> None:
         if not machine_models:
             raise ValueError("need at least one machine model")
         self.policy = policy
+        #: Feeds a tick's arrivals to the wrapped predictors; called only
+        #: while tripped (closed, ``policy.decide`` observes for itself).
+        self.observe = observe
+        #: The wrapped model's next-interval total arrivals, which the
+        #: breaker scores against; without it the guard's own EWMA is used.
+        self.forecast = forecast
         self.machine_models = machine_models
         self.config = config or GuardConfig()
         self.fallback = fallback or ThresholdAutoscaler(machine_models, ThresholdConfig())
@@ -189,9 +192,8 @@ class GuardedController:
     # ------------------------------------------------------ solver fallback
 
     def _guarded_inner_decide(self, view: "ClusterView") -> ProvisioningDecision:
-        started = _time.perf_counter()
         try:
-            decision = self.policy.decide(view)
+            return self.policy.decide(view)
         except Exception as exc:
             # Any solver-path failure must be absorbed (that is the guard's
             # contract), but mapped onto the structured taxonomy rather
@@ -207,12 +209,6 @@ class GuardedController:
             )
             self.stats.solver_failures += 1
             return self._last_good_decision(view)
-        elapsed = _time.perf_counter() - started
-        timeout = self.config.solve_timeout_seconds
-        if timeout is not None and elapsed > timeout:
-            self.stats.solver_failures += 1
-            return self._last_good_decision(view)
-        return decision
 
     def _last_good_decision(self, view: "ClusterView") -> ProvisioningDecision:
         """Reapply the last validated plan (hold current power if none yet)."""
@@ -224,22 +220,22 @@ class GuardedController:
         )
 
     def _feed_inner(self, view: "ClusterView") -> None:
-        """Forward observations to the wrapped policy without deciding."""
-        observe = getattr(self.policy, "observe_view", None)
-        if observe is not None:
-            try:
-                observe(view)
-            except Exception as exc:
-                # A failing observer must not break the reactive path, but
-                # the failure is recorded, not swallowed.
-                self.failure_log.append(
-                    SolverError(
-                        "wrapped policy observe_view() failed while tripped",
-                        stage="observe",
-                        time=view.time,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
+        """Forward observations to the wrapped predictors without deciding."""
+        if self.observe is None:
+            return
+        try:
+            self.observe(view)
+        except Exception as exc:
+            # A failing observer must not break the reactive path, but
+            # the failure is recorded, not swallowed.
+            self.failure_log.append(
+                SolverError(
+                    "observe hook failed while tripped",
+                    stage="observe",
+                    time=view.time,
+                    error=f"{type(exc).__name__}: {exc}",
                 )
+            )
 
     # ---------------------------------------------------- (de)serialization
 
@@ -328,20 +324,17 @@ class GuardedController:
         self._predicted_next = predicted if predicted is not None else self._ewma_level
 
     def _inner_forecast(self) -> float | None:
-        """Next-interval total arrivals as the wrapped controller sees them."""
-        controller = getattr(self.policy, "controller", None)
-        if controller is None or not hasattr(controller, "forecast_rates"):
+        """Next-interval total arrivals as the wrapped model sees them."""
+        if self.forecast is None:
             return None
         try:
-            rates = controller.forecast_rates()
-            return float(rates[0].sum()) * float(controller.config.interval_seconds)
+            return float(self.forecast())
         except Exception as exc:
             # Fall back to the EWMA self-forecast, but leave a structured
             # trace of why the model's own forecast was unusable.
             self.failure_log.append(
                 SolverError(
-                    "wrapped controller forecast_rates() failed; using "
-                    "EWMA self-forecast",
+                    "forecast hook failed; using EWMA self-forecast",
                     stage="forecast",
                     error=f"{type(exc).__name__}: {exc}",
                 )

@@ -262,6 +262,7 @@ def sanitized_simulate_task(params: dict) -> dict:
     from repro.classification import ClassifierConfig, TaskClassifier
     from repro.runner.defaults import trace_config_from_params
     from repro.simulation import HarmonyConfig, HarmonySimulation
+    from repro.simulation.timing import PhaseTimer
     from repro.trace import generate_trace, sanitize_trace, save_trace
 
     config = trace_config_from_params(dict(params.get("trace", {})))
@@ -270,8 +271,10 @@ def sanitized_simulate_task(params: dict) -> dict:
     if window_hours is not None:
         trace = trace.window(0.0, min(float(window_hours) * 3600.0, trace.horizon))
 
-    start = time.perf_counter()
-    with tempfile.TemporaryDirectory(prefix="repro-dirty-") as tmp:
+    timer = PhaseTimer()
+    with timer.phase("sanitize"), tempfile.TemporaryDirectory(
+        prefix="repro-dirty-"
+    ) as tmp:
         save_trace(trace, tmp)
         corrupted = corrupt_tasks_csv(
             Path(tmp) / "task_events.csv",
@@ -279,7 +282,6 @@ def sanitized_simulate_task(params: dict) -> dict:
             seed=int(params.get("corrupt_seed", 0)),
         )
         sanitized, report = sanitize_trace(tmp)
-    sanitize_seconds = time.perf_counter() - start
 
     classifier = TaskClassifier(ClassifierConfig(seed=config.seed)).fit(
         list(sanitized.tasks)
@@ -294,9 +296,10 @@ def sanitized_simulate_task(params: dict) -> dict:
     ).run()
     summary = result.summary()
     summary["corrupted_rows"] = corrupted
-    phases = dict(result.phase_timings)
-    phases["sanitize"] = sanitize_seconds
-    return {"summary": summary, "phases": phases}
+    return {
+        "summary": summary,
+        "phases": {**result.phase_timings, **timer.snapshot()},
+    }
 
 
 def transient_fault_scenario(

@@ -14,13 +14,13 @@ replay reconstructs the state bit-identically, two runs over the same
 feeder trace produce the same rolling :attr:`chain` digest, and a SIGKILL
 at any point is recoverable.
 
-The decision pipeline nests the resilience layers the same way the batch
-simulator does (``repro.simulation.harmony``): the
-:class:`~repro.resilience.guard.GuardedController` wraps a policy whose
-``decide`` runs the :class:`~repro.simulation.degradation.DegradationLadder`
-around the MPC-lite primary — per-class M/G/N sizing
-(:func:`~repro.queueing.mgn.required_containers`) over forecast arrival
-rates, translated to machine targets over the Table II fleet.  Solver
+The decision stack is the same object the batch simulator holds: a
+:class:`~repro.simulation.control.ControlPipeline` (guard -> degradation
+ladder -> primary), here built around the MPC-lite primary — per-class
+M/G/N sizing (:func:`~repro.queueing.mgn.required_containers`) over
+forecast arrival rates, translated to machine targets over the Table II
+fleet.  ``apply_tick`` feeds the predictors itself, so the pipeline gets no
+``observe`` / ``forecast`` hook and the breaker scores its own EWMA.  Solver
 failures step the ladder down; bad decisions and forecast residual storms
 trip the guard; fabric partitions hold per-cell targets in both layers.
 """
@@ -33,16 +33,16 @@ from dataclasses import asdict, dataclass, field
 
 from repro.energy.catalog import table2_fleet
 from repro.errors import ServeError
-from repro.provisioning.autoscaler import ThresholdAutoscaler, ThresholdConfig
 from repro.provisioning.controller import ProvisioningDecision
 from repro.queueing.mgn import required_containers
 from repro.resilience.fabric import FabricView
-from repro.resilience.guard import GuardConfig, GuardedController
+from repro.resilience.guard import GuardConfig
 from repro.runner.runner import canonical_json, summary_digest
 from repro.serve.config import ServeConfig
 from repro.serve.feeder import TickBatch
 from repro.simulation.cluster import ClusterView
-from repro.simulation.degradation import DEGRADATION_LEVELS, DegradationLadder
+from repro.simulation.control import ControlPipeline
+from repro.simulation.degradation import DEGRADATION_LEVELS
 
 #: Bumped when the checkpoint/state payload layout changes.
 STATE_VERSION = 1
@@ -206,17 +206,6 @@ class TickOutcome:
         return DEGRADATION_LEVELS[self.rung]
 
 
-class _LadderedPolicy:
-    """The guard-facing policy: degradation ladder around the primary."""
-
-    def __init__(self, state: "ServeState") -> None:
-        self._state = state
-
-    def decide(self, view: ClusterView) -> ProvisioningDecision:
-        state = self._state
-        return state.ladder.decide(view, lambda: state._primary_decide(view))
-
-
 class ServeState:
     """Deterministic online control-plane state (see module docstring)."""
 
@@ -237,14 +226,8 @@ class ServeState:
             )
             for _ in range(config.num_classes)
         ]
-        self.ladder = DegradationLadder(
-            ThresholdAutoscaler(self.fleet, ThresholdConfig())
-        )
-        self.guard = GuardedController(
-            policy=_LadderedPolicy(self),
-            machine_models=self.fleet,
-            config=GuardConfig(solve_timeout_seconds=None),
-            fallback=ThresholdAutoscaler(self.fleet, ThresholdConfig()),
+        self.pipeline = ControlPipeline(
+            self.fleet, self._primary_decide, guard=GuardConfig()
         )
         #: Applied-tick count == the next tick index expected.
         self.ticks_applied = 0
@@ -309,19 +292,13 @@ class ServeState:
             self.predictors[class_id].update(observed[class_id])
 
         self._pending_primary_fail = effects.primary_fail
-        ladder_len = len(self.ladder.timeline)
         try:
-            decision = self.guard.decide(view)
+            decision = self.pipeline.decide(view)
         finally:
             self._pending_primary_fail = None
         self._powered = dict(decision.active)
 
-        if len(self.ladder.timeline) > ladder_len:
-            _, rung, reason = self.ladder.timeline[-1]
-        else:
-            # Guard tripped: the ladder never ran; reactive == rung 1.
-            rung, reason = 1, "guard_tripped"
-        mode = self.guard.mode_timeline[-1][1]
+        rung, reason, mode = self.pipeline.last_tick
         outcome = TickOutcome(
             tick=tick,
             time=batch.time,
@@ -450,8 +427,9 @@ class ServeState:
 
     def summary(self) -> dict:
         """The digest-relevant summary (canonical-JSON clean, no wall time)."""
+        ladder, guard = self.pipeline.ladder, self.pipeline.guard
         rung_counts = {name: 0 for name in DEGRADATION_LEVELS}
-        for _, level, _ in self.ladder.timeline:
+        for _, level, _ in ladder.timeline:
             rung_counts[DEGRADATION_LEVELS[level]] += 1
         forecast_rungs = {name: 0 for name in self.predictors[0].RUNGS}
         for predictor in self.predictors:
@@ -468,11 +446,11 @@ class ServeState:
             "classifier": self.classifier.to_state(),
             "rung_counts": rung_counts,
             "forecast_rungs": forecast_rungs,
-            "guard": asdict(self.guard.stats),
-            "guard_tripped": self.guard.tripped,
-            "partition_hold_ticks": pairs(self.ladder.cell_hold_ticks),
-            "reconciliations": self.ladder.reconciliations,
-            "reconciliation_divergence": self.ladder.reconciliation_divergence,
+            "guard": asdict(guard.stats),
+            "guard_tripped": guard.tripped,
+            "partition_hold_ticks": pairs(ladder.cell_hold_ticks),
+            "reconciliations": ladder.reconciliations,
+            "reconciliation_divergence": ladder.reconciliation_divergence,
             "last_active": pairs(self._last_active),
             "last_rung": self._last_rung,
         }
@@ -495,8 +473,7 @@ class ServeState:
             "classifier": self.classifier.to_state(),
             "durations": [s.to_state() for s in self.durations],
             "predictors": [p.to_state() for p in self.predictors],
-            "ladder": self.ladder.to_state(),
-            "guard": self.guard.to_state(),
+            **self.pipeline.to_state(),  # the "ladder" and "guard" blocks
             "powered": pairs(self._powered),
             "last_active": pairs(self._last_active),
             "last_rung": self._last_rung,
@@ -531,8 +508,7 @@ class ServeState:
         state.durations = [WelfordStats.from_state(s) for s in payload["durations"]]
         for predictor, snapshot in zip(state.predictors, payload["predictors"]):
             predictor.restore_state(snapshot)
-        state.ladder.restore_state(payload["ladder"])
-        state.guard.restore_state(payload["guard"])
+        state.pipeline.restore_state(payload)
         state._powered = unpairs(payload["powered"])
         state._last_active = {k: int(v) for k, v in unpairs(payload["last_active"]).items()}
         state._last_rung = (

@@ -12,6 +12,9 @@ provides that simulator:
   machine-count instrumentation;
 - :mod:`repro.simulation.cluster` -- the replay loop tying trace, policy
   and machines together;
+- :mod:`repro.simulation.control` -- :class:`ControlPipeline`, the one
+  guard -> degradation ladder -> primary stack the simulator and the serve
+  daemon both hold;
 - :mod:`repro.simulation.harmony` -- one-call end-to-end runs of CBS / CBP /
   baseline / static policies over a trace.
 """
@@ -37,6 +40,7 @@ from repro.simulation.columnar import (
 )
 from repro.simulation.degradation import DEGRADATION_LEVELS, DegradationLadder
 from repro.simulation.timing import PhaseTimer
+from repro.simulation.control import ControlPipeline
 from repro.simulation.harmony import (
     ENGINES,
     HarmonyConfig,
@@ -71,6 +75,7 @@ __all__ = [
     "ENGINES",
     "DEGRADATION_LEVELS",
     "DegradationLadder",
+    "ControlPipeline",
     "PhaseTimer",
     "HarmonyConfig",
     "HarmonySimulation",

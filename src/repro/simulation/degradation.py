@@ -33,6 +33,8 @@ This ladder complements (and sits *inside*) the
 :class:`~repro.resilience.guard.GuardedController`: the guard defends
 against bad decisions and bad forecasts from outside the policy; the
 ladder keeps the policy producing decisions at all when its solver fails.
+:class:`~repro.simulation.control.ControlPipeline` is the only place that
+constructs a ladder and nests the two.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from repro.provisioning.controller import (
 from repro.resilience.faults import FaultPlan, FaultStats
 from repro.resilience.guard import GuardConfig, GuardedController, GuardStats
 from repro.simulation.cluster import ClusterConfig, ClusterSimulator, ClusterView
-from repro.simulation.degradation import DegradationLadder
+from repro.simulation.control import ControlPipeline
 from repro.simulation.metrics import SimulationMetrics
 from repro.simulation.timing import PhaseTimer
 from repro.trace.sanitize import SanitizationReport
@@ -73,12 +73,10 @@ class HarmonyConfig:
     #: rounder can realize (nearly) everything the LP schedules.
     overprovision: float = 1.05
     predictor: str = "arima"
-    predictor_kwargs: dict = field(default_factory=dict)
     epsilon: float = 0.4
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
     manager: ContainerManagerConfig | None = None
     classifier_sample: int = 40_000
-    baseline_utilization: float = 0.8
     #: Enable priority preemption in the simulated scheduler (the trace's
     #: priority semantics: production evicts gratis when room is tight).
     enable_preemption: bool = False
@@ -106,60 +104,6 @@ class HarmonyConfig:
 
     def with_policy(self, policy: str) -> "HarmonyConfig":
         return replace(self, policy=policy)
-
-
-class _ControllerPolicy:
-    """Adapter: HarmonyController/CbpController -> cluster Policy protocol.
-
-    ``arrival_splitter`` redistributes observed arrival counts between the
-    short and long sub-classes using the classifier's historical long
-    fractions — every task is labeled short at arrival (Section V), so raw
-    counts would starve the long classes the forecasts must provision for.
-
-    ``ladder`` (a :class:`~repro.simulation.degradation.DegradationLadder`)
-    makes every control tick total: if CBS-RELAX fails mid-run the tick
-    degrades to reactive threshold provisioning, and to the last-known-good
-    plan if that fails too, instead of raising out of the simulation.
-    """
-
-    def __init__(
-        self,
-        controller: HarmonyController,
-        arrival_splitter=None,
-        ladder: DegradationLadder | None = None,
-    ) -> None:
-        self.controller = controller
-        self.arrival_splitter = arrival_splitter
-        self.ladder = ladder
-
-    def observe_view(self, view: ClusterView) -> None:
-        """Feed observed arrivals to the predictors without deciding.
-
-        Used directly by :class:`~repro.resilience.guard.GuardedController`
-        while its circuit breaker is open, so forecasts re-converge before
-        control returns to the MPC path.
-        """
-        arrivals = view.arrivals
-        if self.arrival_splitter is not None:
-            arrivals = self.arrival_splitter(arrivals)
-        self.controller.observe(arrivals)
-
-    def decide(self, view: ClusterView) -> ProvisioningDecision:
-        self.observe_view(view)
-
-        def solve() -> ProvisioningDecision:
-            return self.controller.decide(
-                view.time,
-                backlog=view.backlog,
-                available=view.available,
-                running=view.running,
-                running_by_platform=view.running_by_platform,
-                powered=view.powered,
-            )
-
-        if self.ladder is None:
-            return solve()
-        return self.ladder.decide(view, solve)
 
 
 class _BaselinePolicy:
@@ -365,6 +309,9 @@ class HarmonySimulation:
             ),
         )
         self.manager = ContainerManager(self.classifier, manager_config)
+        #: The MPC controller behind a ``cbs`` / ``cbp`` pipeline, set by
+        #: :meth:`build_policy`.
+        self.controller: HarmonyController | None = None
         self._class_by_uid = self._precompute_classes()
 
     def _fit_classifier(self) -> TaskClassifier:
@@ -464,49 +411,59 @@ class HarmonySimulation:
     def build_policy(self):
         """Instantiate the configured policy (exposed for tests).
 
-        With ``config.guard`` set, the policy comes back wrapped in a
-        :class:`~repro.resilience.guard.GuardedController`.
+        ``cbs`` / ``cbp`` come back as the
+        :class:`~repro.simulation.control.ControlPipeline` (guard -> ladder
+        -> controller; the guard only with ``config.guard``).  The other
+        policies need no ladder and with ``config.guard`` are wrapped in a
+        bare :class:`~repro.resilience.guard.GuardedController`.
         """
-        policy = self._build_raw_policy()
-        if self.config.guard:
-            return GuardedController(
-                policy, self.config.fleet, config=self.config.guard_config
-            )
-        return policy
-
-    def _build_raw_policy(self):
         config = self.config
         if config.policy in ("cbs", "cbp"):
-            controller_config = ControllerConfig(
-                interval_seconds=config.control_interval,
-                horizon=config.mpc_horizon,
-                price=config.price,
-                overprovision=config.overprovision,
-                predictor_factory=lambda: make_predictor(
-                    config.predictor, **config.predictor_kwargs
-                ),
-            )
-            cls = HarmonyController if config.policy == "cbs" else CbpController
-            controller = cls(config.fleet, self.manager, controller_config)
-            controller.prime(self._historical_interval_counts())
-            ladder = DegradationLadder(
-                ThresholdAutoscaler(config.fleet, ThresholdConfig())
-            )
-            return _ControllerPolicy(
-                controller, arrival_splitter=self.split_arrivals, ladder=ladder
-            )
+            return self._build_pipeline()
         if config.policy == "baseline":
-            return _BaselinePolicy(
-                BaselineProvisioner(
-                    config.fleet,
-                    BaselineConfig(target_utilization=config.baseline_utilization),
-                )
-            )
-        if config.policy == "threshold":
-            return _ThresholdPolicy(
+            policy = _BaselinePolicy(BaselineProvisioner(config.fleet, BaselineConfig()))
+        elif config.policy == "threshold":
+            policy = _ThresholdPolicy(
                 ThresholdAutoscaler(config.fleet, ThresholdConfig())
             )
-        return _StaticPolicy(config.fleet)
+        else:
+            policy = _StaticPolicy(config.fleet)
+        if config.guard:
+            return GuardedController(policy, config.fleet, config=config.guard_config)
+        return policy
+
+    def _build_pipeline(self) -> ControlPipeline:
+        config = self.config
+        controller_config = ControllerConfig(
+            interval_seconds=config.control_interval,
+            horizon=config.mpc_horizon,
+            price=config.price,
+            overprovision=config.overprovision,
+            predictor_factory=lambda: make_predictor(config.predictor),
+        )
+        cls = HarmonyController if config.policy == "cbs" else CbpController
+        controller = cls(config.fleet, self.manager, controller_config)
+        controller.prime(self._historical_interval_counts())
+        self.controller = controller
+        return ControlPipeline(
+            config.fleet,
+            solve=lambda view: controller.decide(
+                view.time,
+                backlog=view.backlog,
+                available=view.available,
+                running=view.running,
+                running_by_platform=view.running_by_platform,
+                powered=view.powered,
+            ),
+            # Every task is labeled short at arrival (Section V), so raw
+            # counts would starve the long classes the forecasts provision for.
+            observe=lambda view: controller.observe(
+                self.split_arrivals(view.arrivals)
+            ),
+            forecast=lambda: float(controller.forecast_rates()[0].sum())
+            * float(config.control_interval),
+            guard=(config.guard_config or GuardConfig()) if config.guard else None,
+        )
 
     def run(self) -> SimulationResult:
         with self.timer.phase("policy_build"):
@@ -536,41 +493,34 @@ class HarmonySimulation:
         with self.timer.phase("replay"):
             metrics = simulator.run()
 
-        guard_stats: GuardStats | None = None
-        guard_timeline: list[tuple[float, str]] = []
+        pipeline = policy if isinstance(policy, ControlPipeline) else None
         inner = policy
-        decisions: list[ProvisioningDecision] = []
-        if isinstance(policy, GuardedController):
-            guard_stats = policy.stats
-            guard_timeline = policy.mode_timeline
-            # The sanitized decisions are what the cluster actually applied.
-            decisions = policy.decisions
-            inner = policy.policy
+        if pipeline is not None:
+            guard = pipeline.guard
+        elif isinstance(policy, GuardedController):
+            guard, inner = policy, policy.policy
+        else:
+            guard = None
         forecast_fallback: dict = {}
-        if isinstance(inner, _ThresholdPolicy):
-            decisions = decisions or inner.autoscaler.decisions
-        elif isinstance(inner, _ControllerPolicy):
-            decisions = decisions or inner.controller.decisions
-            if inner.ladder is not None:
-                metrics.degradation_timeline.extend(inner.ladder.timeline)
-                fabric_metrics = metrics.fabric
-                for cell, ticks in sorted(inner.ladder.cell_hold_ticks.items()):
-                    fabric_metrics.cell_hold_ticks[str(cell)] = (
-                        fabric_metrics.cell_hold_ticks.get(str(cell), 0) + ticks
-                    )
-                fabric_metrics.reconciliations += inner.ladder.reconciliations
-                fabric_metrics.reconciliation_divergence += (
-                    inner.ladder.reconciliation_divergence
-                )
-            forecast_fallback = _collect_forecast_fallback(inner.controller)
+        decisions: list[ProvisioningDecision] = []
+        if guard is not None:
+            # The sanitized decisions are what the cluster actually applied.
+            decisions = guard.decisions
+        elif pipeline is not None:
+            decisions = self.controller.decisions
+        elif isinstance(inner, _ThresholdPolicy):
+            decisions = inner.autoscaler.decisions
+        elif isinstance(inner, _BaselinePolicy):
+            decisions = inner.provisioner.decisions
+        if pipeline is not None:
+            pipeline.fold_into(metrics)
+            forecast_fallback = _collect_forecast_fallback(self.controller)
             for decision in decisions:
                 by_group: dict[PriorityGroup, int] = {g: 0 for g in PriorityGroup}
                 for class_id, demand in decision.demand.items():
                     group = self.manager.spec(class_id).task_class.group
                     by_group[group] += int(demand)
                 metrics.container_timeline.append((decision.time, by_group))
-        elif isinstance(inner, _BaselinePolicy):
-            decisions = decisions or inner.provisioner.decisions
 
         return SimulationResult(
             policy=self.config.policy,
@@ -586,8 +536,8 @@ class HarmonySimulation:
             tasks_killed=simulator.tasks_killed,
             tasks_preempted=simulator.tasks_preempted,
             relabel_events=simulator.relabel_events,
-            guard_stats=guard_stats,
-            guard_timeline=guard_timeline,
+            guard_stats=guard.stats if guard is not None else None,
+            guard_timeline=guard.mode_timeline if guard is not None else [],
             fault_stats=(
                 simulator.fault_injector.stats
                 if simulator.fault_injector is not None
@@ -608,7 +558,7 @@ def _collect_forecast_fallback(controller: HarmonyController) -> dict:
     rungs = {"primary": 0, "seasonal_naive": 0, "last_value": 0}
     per_class: dict[str, int] = {}
     chained = False
-    for class_id, predictor in sorted(getattr(controller, "_predictors", {}).items()):
+    for class_id, predictor in sorted(controller.predictors.items()):
         counts = getattr(predictor, "rung_counts", None)
         timeline = getattr(predictor, "timeline", None)
         if counts is None or timeline is None:

@@ -139,9 +139,6 @@ class MachinePool:
     def total(self) -> int:
         return len(self.machines)
 
-    def count_state(self, state: MachineState) -> int:
-        return sum(1 for m in self.machines if m.state is state)
-
     @property
     def powered(self) -> int:
         """Machines drawing power (ON or BOOTING)."""

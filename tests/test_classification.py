@@ -111,8 +111,13 @@ class TestRuntimeClassification:
         classifier = TaskClassifier(ClassifierConfig(seed=0)).fit(bimodal_tasks())
         long_task = make_task(job_id=999, duration=50000.0, cpu=0.01, memory=0.02)
         short_task = make_task(job_id=998, duration=30.0, cpu=0.01, memory=0.02)
-        assert classifier.true_class(long_task).duration_category is DurationCategory.LONG
-        assert classifier.true_class(short_task).duration_category is DurationCategory.SHORT
+        # The clairvoyant label: classify with the whole duration observed.
+        for task, category in (
+            (long_task, DurationCategory.LONG),
+            (short_task, DurationCategory.SHORT),
+        ):
+            leaf = classifier.classify(task, observed_runtime=task.duration)
+            assert leaf.duration_category is category
 
     def test_classify_batch_matches_single(self, classifier, small_trace):
         tasks = list(small_trace.tasks[:200])

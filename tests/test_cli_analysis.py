@@ -45,6 +45,27 @@ class TestCli:
         assert "Calibration" in output
         assert rc == 0
 
+    @pytest.mark.parametrize("ticks", ["0", "-5"])
+    def test_serve_rejects_nonpositive_ticks(self, ticks, tmp_path, capsys):
+        state_dir = tmp_path / "state"
+        argv = ["serve", "--hours", "0.5", "--machines", "200",
+                "--state-dir", str(state_dir), "--ticks", ticks]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("repro serve: --ticks must be >= 1")
+        assert not state_dir.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "compare"])
+    def test_missing_trace_dir_is_a_usage_error(self, command, tmp_path, capsys):
+        not_a_dir = tmp_path / "trace.csv"
+        not_a_dir.write_text("")
+        for path in (tmp_path / "nonexistent", not_a_dir):
+            assert main([command, "--trace", str(path)]) == 2
+            [line] = capsys.readouterr().err.splitlines()
+            assert line == f"repro {command}: --trace {path} is not a directory"
+
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

@@ -161,15 +161,13 @@ class TestContainerManager:
         rates = {cid: 0.02 for cid in class_ids}
         plan = manager.plan(rates)
         assert set(plan.counts) == set(class_ids)
-        assert plan.total_containers() == sum(plan.counts.values())
-        cpu, mem = plan.total_demand()
-        assert cpu > 0 and mem > 0
+        assert all(plan.count(cid) > 0 for cid in class_ids)
 
     def test_plan_by_group_partition(self, manager):
         rates = {cid: 0.01 for cid in manager.specs}
         plan = manager.plan(rates)
         by_group = plan.by_group()
-        assert sum(by_group.values()) == plan.total_containers()
+        assert sum(by_group.values()) == sum(plan.counts.values())
 
     def test_zero_rate_zero_containers(self, manager):
         class_id = next(iter(manager.specs))

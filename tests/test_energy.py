@@ -164,13 +164,11 @@ class TestEnergyMeter:
         assert record.cpu_utilization == 1.0
         assert record.memory_utilization == 0.0
 
-    def test_kwh_by_platform_and_timeline(self):
+    def test_timeline_aggregates_platforms(self):
         meter, fleet = self._meter()
         meter.record_interval(0.0, 300.0, fleet[0].platform_id, 2, 0.1, 0.1)
         meter.record_interval(0.0, 300.0, fleet[1].platform_id, 3, 0.1, 0.1)
         meter.record_interval(300.0, 300.0, fleet[0].platform_id, 2, 0.1, 0.1)
-        by_platform = meter.kwh_by_platform()
-        assert set(by_platform) == {fleet[0].platform_id, fleet[1].platform_id}
         timeline = meter.timeline()
         assert len(timeline) == 2
         assert timeline[0][0] == 0.0

@@ -132,9 +132,9 @@ class TestFabricState:
         state.sever((1, 2))
         state.sever((1, 2))
         state.heal((1, 2))
-        assert state.link_severed((1, 2))
+        assert state.partitioned
         state.heal((1, 2))
-        assert not state.link_severed((1, 2))
+        assert not state.partitioned
 
     def test_stretch_compounds_multiplicatively(self):
         state = FabricState(FabricTopology.full_mesh((1, 2)))

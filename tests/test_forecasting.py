@@ -70,7 +70,7 @@ class TestArimaFit:
         e = rng.normal(size=300)
         series = 5.0 + e[1:] + 0.6 * e[:-1]
         model = fit_arima(series, (0, 0, 1))
-        assert np.isfinite(model.aic)
+        assert np.isfinite(model.sigma2)
         assert abs(model.theta[0]) < 1.5
 
     def test_too_short_rejected(self):
@@ -272,7 +272,6 @@ class TestEvaluation:
         score = rolling_origin_evaluation(ar1_series(100), NaivePredictor)
         assert score.num_forecasts > 0
         assert score.mae <= score.rmse + 1e-9
-        assert set(score.as_dict()) == {"mae", "rmse", "mape", "num_forecasts"}
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):

@@ -5,10 +5,10 @@ import pytest
 from repro.containers import ContainerManagerConfig
 from repro.energy import time_of_use_price
 from repro.simulation import HarmonyConfig, HarmonySimulation
+from repro.simulation.control import ControlPipeline
 from repro.simulation.harmony import (
     POLICIES,
     _BaselinePolicy,
-    _ControllerPolicy,
     _StaticPolicy,
     replace_constraint,
 )
@@ -47,16 +47,16 @@ class TestHarmonyConfig:
         )
         simulation = HarmonySimulation(config, tiny_trace)
         policy = simulation.build_policy()
-        assert isinstance(policy, _ControllerPolicy)
-        assert policy.controller.config.price.name == "time_of_use"
+        assert isinstance(policy, ControlPipeline)
+        assert simulation.controller.config.price.name == "time_of_use"
 
 
 class TestPolicyAdapters:
     def test_build_policy_types(self, tiny_trace):
         classifier = None
         expected = {
-            "cbs": _ControllerPolicy,
-            "cbp": _ControllerPolicy,
+            "cbs": ControlPipeline,
+            "cbp": ControlPipeline,
             "baseline": _BaselinePolicy,
             "static": _StaticPolicy,
         }

@@ -214,6 +214,49 @@ class TestGuardedController:
         modes = {mode for _, mode in guard.mode_timeline}
         assert modes == {"mpc", "reactive"}
 
+    def _trip(self, guard):
+        """Steady arrivals, then a blackout long enough to open the breaker."""
+        for tick, count in enumerate([100.0] * 3 + [0.0] * 3):
+            guard.decide(_view(time=300.0 * tick, arrivals={0: count}))
+        assert guard.tripped
+
+    def test_policy_attributes_are_not_probed(self, fleet):
+        """The guard calls ``policy.decide`` and its explicit hooks, nothing
+        else: attributes that merely look like hooks are left alone."""
+        pid = fleet[0].platform_id
+
+        class _LookalikePolicy(_ScriptedPolicy):
+            def observe_view(self, view):
+                raise AssertionError("observe_view must not be called")
+
+            @property
+            def controller(self):
+                raise AssertionError("controller must not be read")
+
+        guard = GuardedController(
+            _LookalikePolicy([{pid: 5}] * 6),
+            fleet,
+            config=GuardConfig(trip_after=2, recover_after=2),
+        )
+        self._trip(guard)
+        assert guard.failure_log == []
+
+    def test_explicit_hooks_drive_observe_and_breaker(self, fleet):
+        pid = fleet[0].platform_id
+        observed = []
+        guard = GuardedController(
+            _ScriptedPolicy([{pid: 5}] * 6),
+            fleet,
+            config=GuardConfig(trip_after=2, recover_after=2),
+            observe=lambda view: observed.append(view.time),
+            forecast=lambda: 100.0,
+        )
+        self._trip(guard)
+        # Closed, observing is policy.decide's job; the hook runs only on
+        # the reactive ticks, once each.
+        assert observed == [t for t, mode in guard.mode_timeline if mode == "reactive"]
+        assert guard._predicted_next == 100.0
+
     def test_empty_fleet_rejected(self):
         with pytest.raises(ValueError):
             GuardedController(_ScriptedPolicy([]), ())
@@ -228,7 +271,6 @@ class TestGuardedController:
             {"trip_after": 0},
             {"recover_after": 0},
             {"ewma_alpha": 0.0},
-            {"solve_timeout_seconds": -1.0},
         ],
     )
     def test_bad_guard_config_rejected(self, kwargs):
@@ -459,6 +501,35 @@ class TestBlackoutAcceptance:
         assert stats.reactive_ticks >= 1
         assert stats.recoveries >= 1
         assert blackout.fault_stats.blackout_ticks == 3
+
+    def test_arrivals_observed_exactly_once_per_tick(
+        self, guarded_runs, res_trace, monkeypatch
+    ):
+        """Closed or open, each control tick feeds the predictors once."""
+        from repro.provisioning import HarmonyController
+
+        calls = []
+        observe = HarmonyController.observe
+        monkeypatch.setattr(
+            HarmonyController,
+            "observe",
+            lambda self, counts: (calls.append(1), observe(self, counts))[1],
+        )
+        reference = guarded_runs["blackout"]
+        simulation = HarmonySimulation(
+            reference.config, res_trace, classifier=reference.classifier
+        )
+        build, primed = simulation.build_policy, []
+
+        def build_then_mark():
+            policy = build()
+            primed.append(len(calls))  # prime() observes the history
+            return policy
+
+        monkeypatch.setattr(simulation, "build_policy", build_then_mark)
+        result = simulation.run()
+        assert result.guard_stats.trips >= 1 and result.guard_stats.recoveries >= 1
+        assert len(calls) - primed[0] == len(result.guard_timeline)
 
     def test_mode_timeline_returns_to_mpc(self, guarded_runs):
         timeline = guarded_runs["blackout"].guard_timeline

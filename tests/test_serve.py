@@ -311,6 +311,18 @@ class TestServeStateDeterminism:
         restored = ServeState.from_state(state.to_state(), CONFIG)
         assert restored.digest() == state.digest()
 
+    @pytest.mark.parametrize("ticks", [7, 13])  # mid-trip, mid-partition-hold
+    def test_state_round_trips_through_the_pipeline(self, trace_tasks, ticks):
+        chaos = make_chaos("drill")
+        state = ServeState(CONFIG)
+        for batch in make_feeder(trace_tasks, max_ticks=ticks).batches():
+            outcome = state.apply_tick(batch, chaos.effects(batch.tick))
+        expected = {7: (1, "reactive"), 13: (2, "mpc")}[ticks]
+        assert (outcome.rung, outcome.mode) == expected
+        payload = state.to_state()
+        assert {"ladder", "guard"} <= set(payload)
+        assert ServeState.from_state(payload, CONFIG).to_state() == payload
+
     def test_config_mismatch_rejected(self, trace_tasks):
         state = run_state(trace_tasks, ticks=2)
         other = ServeConfig(num_classes=2)
@@ -346,7 +358,7 @@ class TestServeChaos:
         chaos = make_chaos("partition")
         state = run_state(trace_tasks, chaos=chaos)
         assert state.summary()["partition_hold_ticks"]
-        assert state.ladder.reconciliations >= 1
+        assert state.pipeline.ladder.reconciliations >= 1
 
     def test_solver_outage_steps_ladder_down(self, trace_tasks):
         chaos = ServeChaos(

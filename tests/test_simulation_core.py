@@ -114,6 +114,10 @@ class TestMachine:
             self._machine().release(make_task())
 
 
+def _count(pool, state):
+    return sum(1 for m in pool.machines if m.state is state)
+
+
 class TestMachinePool:
     def _pool(self):
         return MachinePool(table2_fleet(0.1)[2])  # 100 x DL385
@@ -121,17 +125,17 @@ class TestMachinePool:
     def test_initially_off(self):
         pool = self._pool()
         assert pool.powered == 0
-        assert pool.count_state(MachineState.OFF) == pool.total == 100
+        assert _count(pool, MachineState.OFF) == pool.total == 100
 
     def test_reconcile_up_boots_machines(self):
         pool = self._pool()
         started = pool.reconcile(10)
         assert len(started) == 10
-        assert pool.count_state(MachineState.BOOTING) == 10
+        assert _count(pool, MachineState.BOOTING) == 10
         assert pool.stats.switch_on_events == 10
         for machine in started:
             pool.machine_ready(machine)
-        assert pool.count_state(MachineState.ON) == 10
+        assert _count(pool, MachineState.ON) == 10
         assert len(pool.schedulable_machines()) == 10
 
     def test_reconcile_down_prefers_idle(self):
@@ -144,7 +148,7 @@ class TestMachinePool:
         pool.reconcile(1)
         # The two idle machines shut off; the busy one stays.
         assert busy.state is MachineState.ON
-        assert pool.count_state(MachineState.ON) == 1
+        assert _count(pool, MachineState.ON) == 1
         assert pool.stats.switch_off_events == 2
 
     def test_reconcile_down_drains_busy(self):
