@@ -150,8 +150,12 @@ class TaskClassifier:
             "nonfinite_features_dropped": 0,
         }
 
-        for group in PriorityGroup:
-            group_tasks = [t for t in tasks if t.priority_group is group]
+        tasks_by_group: dict[PriorityGroup, list[Task]] = {
+            group: [] for group in PriorityGroup
+        }
+        for task in tasks:
+            tasks_by_group[task.priority_group].append(task)
+        for group, group_tasks in tasks_by_group.items():
             if not group_tasks:
                 continue
             features = static_features(group_tasks)
@@ -181,10 +185,10 @@ class TaskClassifier:
             self._note_kmeans_result(result)
             self._group_models[group] = model
 
-            for j in range(result.k):
-                members = [
-                    t for t, label in zip(group_tasks, result.labels) if label == j
-                ]
+            members_by_label: list[list[Task]] = [[] for _ in range(result.k)]
+            for task, label in zip(group_tasks, result.labels.tolist()):
+                members_by_label[label].append(task)
+            for j, members in enumerate(members_by_label):
                 if not members:
                     continue
                 cpu = np.array([t.cpu for t in members])

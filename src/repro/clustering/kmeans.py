@@ -48,11 +48,20 @@ class KMeansResult:
         return self.centroids.shape[0]
 
 
-def _squared_distances(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, ``(n, k)``."""
+def _squared_norms(data: np.ndarray) -> np.ndarray:
+    """``||x||^2`` of every row, ``(n, 1)``; computed once per fit."""
+    return np.einsum("ij,ij->i", data, data)[:, None]
+
+
+def _squared_distances(
+    data: np.ndarray, x_sq: np.ndarray, centroids: np.ndarray
+) -> np.ndarray:
+    """Pairwise squared Euclidean distances, ``(n, k)``.
+
+    ``x_sq`` is :func:`_squared_norms` of ``data``.
+    """
     # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2 — fast and memory-friendly
     # for the (n ~ 1e5, k ~ 10) shapes we see.
-    x_sq = np.einsum("ij,ij->i", data, data)[:, None]
     c_sq = np.einsum("ij,ij->i", centroids, centroids)[None, :]
     cross = data @ centroids.T
     distances = x_sq - 2.0 * cross + c_sq
@@ -60,15 +69,53 @@ def _squared_distances(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return distances
 
 
+def _member_means(data: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """``data[labels == j].mean(axis=0)`` for every cluster j, bit for bit.
+
+    Rows of empty clusters are zero; the caller re-seeds them.
+    """
+    counts = np.bincount(labels, minlength=k)
+    if data.shape[1] == 1:
+        # numpy pairwise-sums a contiguous column, an order no grouped
+        # accumulation reproduces, so one feature keeps the per-cluster
+        # reduction (the step-2 duration split, k = 2).
+        means = np.zeros((k, 1))
+        for j in np.flatnonzero(counts):
+            means[j] = data[labels == j].mean(axis=0)
+        return means
+    # numpy reduces an (m, d >= 2) member block along axis 0 one row after
+    # another, from the first member to the last: exactly the order in
+    # which bincount accumulates each feature.
+    sums = np.stack(
+        [
+            np.bincount(labels, weights=data[:, c], minlength=k)
+            for c in range(data.shape[1])
+        ],
+        axis=1,
+    )
+    return sums / np.maximum(counts, 1)[:, None]
+
+
+def _distinct_rows(data: np.ndarray) -> int:
+    """``np.unique(data, axis=0).shape[0]`` without sorting structured rows.
+
+    Lexicographic order puts rows that are equal (float ``==``, as
+    ``np.unique`` compares them) next to each other.
+    """
+    ordered = data[np.lexsort(data.T)]
+    return 1 + int(np.count_nonzero((ordered[1:] != ordered[:-1]).any(axis=1)))
+
+
 def kmeans_plus_plus_init(
     data: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
     """k-means++ seeding (Arthur & Vassilvitskii 2007)."""
     n = data.shape[0]
+    x_sq = _squared_norms(data)
     centroids = np.empty((k, data.shape[1]), dtype=float)
     first = int(rng.integers(n))
     centroids[0] = data[first]
-    closest_sq = _squared_distances(data, centroids[:1]).ravel()
+    closest_sq = _squared_distances(data, x_sq, centroids[:1]).ravel()
     for j in range(1, k):
         total = closest_sq.sum()
         if total <= 0:
@@ -77,7 +124,7 @@ def kmeans_plus_plus_init(
         else:
             choice = int(rng.choice(n, p=closest_sq / total))
         centroids[j] = data[choice]
-        new_sq = _squared_distances(data, centroids[j : j + 1]).ravel()
+        new_sq = _squared_distances(data, x_sq, centroids[j : j + 1]).ravel()
         np.minimum(closest_sq, new_sq, out=closest_sq)
     return centroids
 
@@ -140,15 +187,16 @@ class KMeans:
             # surplus cluster would then thrash through empty-cluster
             # reseeds without ever separating.  Collapse k to the distinct
             # count — deterministic, and exact for such data.
-            distinct = np.unique(data, axis=0).shape[0]
+            distinct = _distinct_rows(data)
             if distinct < k:
                 k = distinct
                 collapsed = True
 
         rng = np.random.default_rng(self.seed)
+        x_sq = _squared_norms(data)
         best: KMeansResult | None = None
         for _ in range(self.n_init):
-            result = self._fit_once(data, k, rng)
+            result = self._fit_once(data, x_sq, k, rng)
             if best is None or result.inertia < best.inertia:
                 best = result
         assert best is not None
@@ -158,28 +206,42 @@ class KMeans:
         return best
 
     def _fit_once(
-        self, data: np.ndarray, k: int, rng: np.random.Generator
+        self, data: np.ndarray, x_sq: np.ndarray, k: int, rng: np.random.Generator
     ) -> KMeansResult:
         centroids = kmeans_plus_plus_init(data, k, rng)
+        rows = np.arange(data.shape[0])
         labels = np.full(data.shape[0], -1, dtype=int)
         converged = False
         n_iter = 0
         reseeds = 0
         for n_iter in range(1, self.max_iter + 1):
-            distances = _squared_distances(data, centroids)
+            distances = _squared_distances(data, x_sq, centroids)
             new_labels = distances.argmin(axis=1)
-            new_centroids = np.empty_like(centroids)
-            for j in range(k):
-                members = data[new_labels == j]
-                if members.shape[0] == 0:
+            counts = np.bincount(new_labels, minlength=k)
+            # The labels each cluster's mean is taken over: the assignment
+            # as it stood when the cluster's turn came in ascending j.
+            member_labels = new_labels
+            reseeded: list[tuple[int, int]] = []
+            if not counts.all():
+                member_labels = new_labels.copy()
+                for j in range(k):
+                    if counts[j]:
+                        continue
                     # Empty cluster: re-seed at the point farthest from its
                     # assigned centroid (classic repair strategy).
-                    farthest = distances[np.arange(len(new_labels)), new_labels].argmax()
-                    new_centroids[j] = data[farthest]
+                    farthest = int(distances[rows, new_labels].argmax())
+                    donor = new_labels[farthest]
+                    if donor > j:
+                        # The donor is averaged after j: without the point.
+                        member_labels[farthest] = j
                     new_labels[farthest] = j
+                    counts[donor] -= 1
+                    counts[j] += 1
+                    reseeded.append((j, farthest))
                     reseeds += 1
-                else:
-                    new_centroids[j] = members.mean(axis=0)
+            new_centroids = _member_means(data, member_labels, k)
+            for j, farthest in reseeded:
+                new_centroids[j] = data[farthest]
             shift = float(np.linalg.norm(new_centroids - centroids))
             scale = float(np.linalg.norm(centroids)) or 1.0
             same_assignment = bool(np.array_equal(new_labels, labels))
@@ -187,8 +249,8 @@ class KMeans:
             if same_assignment or shift / scale < self.tol:
                 converged = True
                 break
-        final_distances = _squared_distances(data, centroids)
-        inertia = float(final_distances[np.arange(len(labels)), labels].sum())
+        final_distances = _squared_distances(data, x_sq, centroids)
+        inertia = float(final_distances[rows, labels].sum())
         return KMeansResult(
             centroids=centroids,
             labels=labels,
@@ -205,7 +267,9 @@ class KMeans:
         data = np.asarray(data, dtype=float)
         if data.ndim == 1:
             data = data[:, None]
-        return _squared_distances(data, self.result.centroids).argmin(axis=1)
+        return _squared_distances(
+            data, _squared_norms(data), self.result.centroids
+        ).argmin(axis=1)
 
     def transform(self, data: np.ndarray) -> np.ndarray:
         """Distances from samples to every fitted centroid, ``(n, k)``."""
@@ -214,4 +278,6 @@ class KMeans:
         data = np.asarray(data, dtype=float)
         if data.ndim == 1:
             data = data[:, None]
-        return np.sqrt(_squared_distances(data, self.result.centroids))
+        return np.sqrt(
+            _squared_distances(data, _squared_norms(data), self.result.centroids)
+        )

@@ -44,10 +44,16 @@ def select_k_elbow(
     elbow, each extra cluster shaves a roughly constant *fraction* of the
     residual, which would never fall below a current-relative threshold.
 
+    Each k is fitted by its own seeded :class:`KMeans`, independent of every
+    other k, so the sweep stops at the first insignificant gain: the k is
+    the one the full :func:`inertia_curve` would give.
+
     Returns
     -------
     (k, curve):
-        The selected k and the full inertia curve for reporting.
+        The selected k and the inertia curve the rule looked at: k = 1 to
+        the selected k + 1, to ``min(k_max, n)`` when no gain was
+        insignificant, or k = 1 alone when the data has no spread.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -55,13 +61,12 @@ def select_k_elbow(
     if data.ndim == 1:
         data = data[:, None]
     k_cap = min(k_max, data.shape[0])
-    curve = inertia_curve(data, range(1, k_cap + 1), seed=seed)
+    curve = inertia_curve(data, [1], seed=seed)
     total = curve[1]
     if total <= 0:
         return 1, curve
-    selected = k_cap
     for k in range(1, k_cap):
+        curve.update(inertia_curve(data, [k + 1], seed=seed))
         if (curve[k] - curve[k + 1]) / total < improvement_threshold:
-            selected = k
-            break
-    return selected, curve
+            return k, curve
+    return k_cap, curve

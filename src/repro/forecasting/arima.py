@@ -143,14 +143,6 @@ class ArimaModel:
     #: (level 0 = original series, ... level d-1).
     diff_tails: tuple[float, ...]
 
-    @property
-    def sigma2(self) -> float:
-        """Residual variance estimate (conditioned past the AR burn-in)."""
-        tail = self.residuals[self.order.p :]
-        if tail.size == 0:
-            return 0.0
-        return float(np.mean(tail**2))
-
     def forecast(self, steps: int) -> np.ndarray:
         """Point forecast ``steps`` ahead on the original scale."""
         return self._forecast_core(steps, self.w, self.residuals, self.diff_tails)

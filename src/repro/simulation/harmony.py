@@ -329,13 +329,17 @@ class HarmonySimulation:
         leaves = self.classifier.classify_batch(tasks, observed_runtime=0.0)
         # For every (short) arrival label, pre-resolve the long sibling and
         # the split boundary so per-tick relabeling is a dict lookup.
-        self._relabel_table: dict[tuple[int, int], tuple[int, int, float]] = {}
-        for task, leaf in zip(tasks, leaves):
+        relabel_by_leaf: dict[int, tuple[int, int, float]] = {}
+        for leaf in self.classifier.classes:
             sibling = self.classifier.sibling(leaf)
             boundary = self.classifier.split_boundary(leaf.group, leaf.static_index)
             long_id = sibling.class_id if sibling is not None else leaf.class_id
-            self._relabel_table[task.uid] = (leaf.class_id, long_id, boundary)
-        return {task.uid: leaf.class_id for task, leaf in zip(tasks, leaves)}
+            relabel_by_leaf[leaf.class_id] = (leaf.class_id, long_id, boundary)
+        self._relabel_table: dict[tuple[int, int], tuple[int, int, float]] = {
+            task.uid: relabel_by_leaf[leaf.class_id]
+            for task, leaf in zip(tasks, leaves)
+        }
+        return {uid: short_id for uid, (short_id, _, _) in self._relabel_table.items()}
 
     def relabel_class(self, task: Task, elapsed: float) -> int:
         """The class a running task should carry after ``elapsed`` seconds."""
