@@ -60,7 +60,7 @@ def fleet_shard_task(params: dict) -> dict:
     from repro.resilience.scenarios import build_scenario_plan
     from repro.simulation import HarmonyConfig, HarmonySimulation
     from repro.simulation.timing import PhaseTimer
-    from repro.trace import Trace
+    from repro.trace import NUM_PRIORITIES, PriorityGroup, Trace
     from repro.trace.generator import plan_from_params, stream_trace
 
     config = trace_config_from_params(params["trace"])
@@ -87,13 +87,13 @@ def fleet_shard_task(params: dict) -> dict:
     timer = PhaseTimer()
     kept: list = []
     seen = 0
-    group_tasks = {"gratis": 0, "other": 0, "production": 0}
+    kept_by_priority = [0] * NUM_PRIORITIES
     with timer.phase("stream"):
         for task in stream_trace(config, plan=plan):
             seen += 1
             if router.route(task) == index:
                 kept.append(task)
-                group_tasks[task.priority_group.name.lower()] += 1
+                kept_by_priority[task.priority] += 1
             if seen % progress_every == 0:
                 if progress_path is not None:
                     write_journal_record(
@@ -107,6 +107,10 @@ def fleet_shard_task(params: dict) -> dict:
                             f"shard {index} exceeded its memory budget: "
                             f"{rss:.0f} MiB resident > {float(budget_mb):.0f} MiB"
                         )
+
+    group_tasks = {"gratis": 0, "other": 0, "production": 0}
+    for priority, count in enumerate(kept_by_priority):
+        group_tasks[PriorityGroup.from_priority(priority).name.lower()] += count
 
     horizon_s = config.horizon_hours * 3600.0
     trace = Trace(

@@ -29,19 +29,28 @@ def _trace_key(params: dict) -> tuple:
     return tuple(sorted((str(k), str(v)) for k, v in params.items()))
 
 
-def _trace_and_classifier(trace_params: dict):
-    """The (trace, fitted classifier) pair for one trace parameter dict."""
+def _trace_and_classifier(trace_params: dict, timer=None):
+    """The (trace, fitted classifier) pair for one trace parameter dict.
+
+    When it builds them (not on a memo hit), the build is timed into
+    ``timer`` (a :class:`~repro.simulation.timing.PhaseTimer`, if given) as
+    the ``trace`` and ``classifier_fit`` phases.
+    """
     key = _trace_key(trace_params)
     cached = _TRACE_CACHE.get(key)
     if cached is None:
         from repro.classification import ClassifierConfig, TaskClassifier
+        from repro.simulation.timing import PhaseTimer
         from repro.trace import generate_trace
 
+        timer = timer or PhaseTimer()
         config = trace_config_from_params(trace_params)
-        trace = generate_trace(config)
-        classifier = TaskClassifier(ClassifierConfig(seed=config.seed)).fit(
-            list(trace.tasks)
-        )
+        with timer.phase("trace"):
+            trace = generate_trace(config)
+        with timer.phase("classifier_fit"):
+            classifier = TaskClassifier(ClassifierConfig(seed=config.seed)).fit(
+                list(trace.tasks)
+            )
         cached = (trace, classifier)
         _TRACE_CACHE[key] = cached
     return cached
@@ -60,8 +69,10 @@ def simulate_task(params: dict) -> dict:
     from repro.containers.manager import default_delay_slos
     from repro.resilience.scenarios import build_scenario_plan
     from repro.simulation import HarmonyConfig, HarmonySimulation
+    from repro.simulation.timing import PhaseTimer
 
-    trace, classifier = _trace_and_classifier(params.get("trace", {}))
+    timer = PhaseTimer()
+    trace, classifier = _trace_and_classifier(params.get("trace", {}), timer)
     window_hours = params.get("window_hours")
     if window_hours is not None:
         trace = trace.window(0.0, min(float(window_hours) * 3600.0, trace.horizon))
@@ -92,7 +103,9 @@ def simulate_task(params: dict) -> dict:
 
     config = HarmonyConfig(**config_kwargs)
     result = HarmonySimulation(config, trace, classifier=classifier).run()
-    return {"summary": result.summary(), "phases": dict(result.phase_timings)}
+    with timer.phase("summary"):
+        summary = result.summary()
+    return {"summary": summary, "phases": {**timer.timings, **result.phase_timings}}
 
 
 def synthetic_relax_problem(num_classes: int, num_machine_types: int,

@@ -167,10 +167,10 @@ class SimulationResult:
     guard_timeline: list[tuple[float, str]] = field(default_factory=list)
     #: What the fault injector actually did, when faults were configured.
     fault_stats: FaultStats | None = None
-    #: Wall-clock seconds per pipeline phase (classifier fit, prepare,
-    #: policy build, replay, collect) — feeds the scenario runner's
-    #: ``BENCH_<name>.json`` perf baselines.  Not part of :meth:`summary`,
-    #: which must stay deterministic for a given scenario.
+    #: Wall-clock seconds per pipeline phase (classifier fit, task
+    #: labelling, policy build, prepare, replay) — feeds the scenario
+    #: runner's ``BENCH_<name>.json`` perf baselines.  Not part of
+    #: :meth:`summary`, which must stay deterministic for a given scenario.
     phase_timings: dict[str, float] = field(default_factory=dict)
     #: What the trace sanitizer did, when the run ingested a dirty trace.
     sanitization: SanitizationReport | None = None
@@ -185,21 +185,12 @@ class SimulationResult:
 
     def summary(self) -> dict:
         """Headline numbers for reports and EXPERIMENTS.md."""
-        delays = {
-            group.name.lower(): {
-                "mean_s": self.metrics.mean_delay(group, include_unscheduled_at=self.horizon),
-                "p95_s": self.metrics.delay_percentile(
-                    95, group, include_unscheduled_at=self.horizon
-                ),
-                "immediate_fraction": self.metrics.immediate_fraction(group),
-            }
-            for group in PriorityGroup
-        }
+        delays = self.metrics.delay_summary(self.horizon)
         return {
             "policy": self.policy,
             "tasks_submitted": self.metrics.num_submitted,
-            "tasks_scheduled": self.metrics.num_scheduled,
-            "tasks_unscheduled": self.metrics.num_unscheduled,
+            "tasks_scheduled": delays["scheduled"],
+            "tasks_unscheduled": self.metrics.num_submitted - delays["scheduled"],
             "energy_kwh": self.energy_kwh,
             "energy_cost": self.energy_cost,
             "switch_cost": self.switch_cost,
@@ -209,8 +200,8 @@ class SimulationResult:
             "relabel_events": self.relabel_events,
             "total_cost": self.total_cost,
             "mean_active_machines": self.metrics.mean_active_machines(),
-            "mean_delay_s": self.metrics.mean_delay(include_unscheduled_at=self.horizon),
-            "delay_by_group": delays,
+            "mean_delay_s": delays["mean_s"],
+            "delay_by_group": delays["by_group"],
             "resilience": {
                 "availability": self.metrics.availability(),
                 "mttr_s": self.metrics.mttr(censor_at=self.horizon),
@@ -312,7 +303,8 @@ class HarmonySimulation:
         #: The MPC controller behind a ``cbs`` / ``cbp`` pipeline, set by
         #: :meth:`build_policy`.
         self.controller: HarmonyController | None = None
-        self._class_by_uid = self._precompute_classes()
+        with self.timer.phase("label_tasks"):
+            self._class_by_uid = self._precompute_classes()
 
     def _fit_classifier(self) -> TaskClassifier:
         tasks = list(self.trace.tasks)

@@ -16,6 +16,22 @@ import numpy as np
 from repro.trace.schema import PriorityGroup, Task
 
 
+def _pooled(by_group: dict[PriorityGroup, np.ndarray]) -> np.ndarray:
+    return np.concatenate(list(by_group.values()))
+
+
+def _mean(values: np.ndarray) -> float:
+    return float(values.mean()) if values.size else 0.0
+
+
+def _percentile(values: np.ndarray, q: float) -> float:
+    return float(np.percentile(values, q)) if values.size else 0.0
+
+
+def _within(delays: np.ndarray, tolerance: float) -> float:
+    return float((delays <= tolerance).mean()) if delays.size else 0.0
+
+
 @dataclass
 class TaskRecord:
     """Lifecycle of one task through the simulator."""
@@ -217,20 +233,14 @@ class SimulationMetrics:
                    include_unscheduled_at: float | None = None) -> float:
         """Mean scheduling delay, overall or for one group."""
         by_group = self.delays_by_group(include_unscheduled_at)
-        if group is not None:
-            values = by_group[group]
-        else:
-            values = np.concatenate([v for v in by_group.values()]) if by_group else np.array([])
-        return float(values.mean()) if values.size else 0.0
+        return _mean(by_group[group] if group is not None else _pooled(by_group))
 
     def delay_percentile(self, q: float, group: PriorityGroup | None = None,
                          include_unscheduled_at: float | None = None) -> float:
         by_group = self.delays_by_group(include_unscheduled_at)
-        if group is not None:
-            values = by_group[group]
-        else:
-            values = np.concatenate([v for v in by_group.values()])
-        return float(np.percentile(values, q)) if values.size else 0.0
+        return _percentile(
+            by_group[group] if group is not None else _pooled(by_group), q
+        )
 
     @property
     def num_submitted(self) -> int:
@@ -250,10 +260,31 @@ class SimulationMetrics:
 
     def immediate_fraction(self, group: PriorityGroup, tolerance: float = 1.0) -> float:
         """Fraction of a group's scheduled tasks placed within ``tolerance`` s."""
-        delays = self.delays_by_group()[group]
-        if delays.size == 0:
-            return 0.0
-        return float((delays <= tolerance).mean())
+        return _within(self.delays_by_group()[group], tolerance)
+
+    def delay_summary(self, horizon: float) -> dict:
+        """The delay figures of a run summary from two walks over ``records``.
+
+        ``by_group`` holds, per lower-case group name, :meth:`mean_delay`
+        and the p95 of :meth:`delay_percentile` censored at ``horizon``, and
+        :meth:`immediate_fraction`; ``mean_s`` is the censored overall mean
+        and ``scheduled`` is :attr:`num_scheduled` — each value bit-identical
+        to its query, which walks ``records`` again per call.
+        """
+        censored = self.delays_by_group(include_unscheduled_at=horizon)
+        scheduled = self.delays_by_group()
+        return {
+            "by_group": {
+                group.name.lower(): {
+                    "mean_s": _mean(censored[group]),
+                    "p95_s": _percentile(censored[group], 95),
+                    "immediate_fraction": _within(scheduled[group], 1.0),
+                }
+                for group in PriorityGroup
+            },
+            "mean_s": _mean(_pooled(censored)),
+            "scheduled": sum(delays.size for delays in scheduled.values()),
+        }
 
     def mean_active_machines(self) -> float:
         if not self.machine_timeline:

@@ -27,8 +27,9 @@ the config, so traces are fully reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from itertools import chain
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -280,6 +281,14 @@ class SyntheticTraceConfig:
             raise ValueError("constrained_fraction must be in [0, 1)")
         if self.mean_job_tasks < 1:
             raise ValueError("mean_job_tasks must be >= 1")
+        if not self.arrival_bin_seconds > 0:
+            raise ValueError(
+                f"arrival_bin_seconds must be positive, got {self.arrival_bin_seconds}"
+            )
+        for name in ("burst_rate_per_day", "burst_magnitude", "burst_duration_hours"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         groups = [p.group for p in self.profiles]
         if sorted(groups) != sorted(set(groups)):
             raise ValueError("at most one profile per priority group")
@@ -389,10 +398,47 @@ class _SizeCatalog:
         # Popularity independent of size.
         self.weights = np.asarray(rng.permutation(weights / weights.sum()))
         self.points = points
+        self._cdf = _choice_cdf(self.weights)
 
     def sample(self, rng: np.random.Generator) -> tuple[float, float]:
-        index = int(rng.choice(len(self.points), p=self.weights))
-        return self.points[index]
+        return self.points[_choice_index(rng, self._cdf)]
+
+
+def _choice_cdf(p) -> list[float]:
+    """The table ``Generator.choice(n, p=p)`` searches: ``cumsum(p)``
+    divided by its last entry, computed the way ``choice`` computes it."""
+    cdf = np.asarray(p, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _choice_index(rng: np.random.Generator, cdf: list[float]) -> int:
+    """One ``rng.choice(len(cdf), p=...)`` draw without its per-call checks.
+
+    ``choice`` draws one ``rng.random()`` and returns
+    ``cdf.searchsorted(u, side="right")``; ``bisect_right`` over the same
+    floats is that index, and the generator state after it is the same.
+    """
+    return bisect_right(cdf, rng.random())
+
+
+#: Scheduling-class weights per priority group (Section III), as
+#: :func:`_choice_cdf` tables.
+_SCHEDULING_CLASS_CDFS = {
+    PriorityGroup.GRATIS: _choice_cdf((0.70, 0.25, 0.04, 0.01)),
+    PriorityGroup.OTHER: _choice_cdf((0.35, 0.40, 0.20, 0.05)),
+    PriorityGroup.PRODUCTION: _choice_cdf((0.05, 0.20, 0.40, 0.35)),
+}
+
+
+def _scheduling_class_for(rng: np.random.Generator, group: PriorityGroup) -> int:
+    """Scheduling class correlated with priority group (Section III)."""
+    return _choice_index(rng, _SCHEDULING_CLASS_CDFS[group])
+
+
+def _normalized(weights: tuple[float, ...]) -> np.ndarray:
+    array = np.asarray(weights, dtype=float)
+    return array / array.sum()
 
 
 def _sample_size(
@@ -412,7 +458,7 @@ def _sample_duration(rng: np.random.Generator, profile: PriorityGroupProfile) ->
         duration = rng.lognormal(profile.short_log_mean, profile.short_log_sigma)
     else:
         duration = rng.lognormal(profile.long_log_mean, profile.long_log_sigma)
-    return float(np.clip(duration, 1.0, profile.max_duration))
+    return min(max(duration, 1.0), profile.max_duration)
 
 
 def _sample_job_size(rng: np.random.Generator, mean_tasks: float) -> int:
@@ -468,36 +514,38 @@ def generate_trace(config: SyntheticTraceConfig | None = None) -> Trace:
     modulated rate, then materializes each job's tasks (shared resource
     request, jittered durations).
 
-    ``load_factor`` is calibrated *empirically* (:func:`_calibrate`): a
-    first pass generates the trace with analytically scaled rates and
-    measures the realized p90 CPU demand, and further passes rescale the
-    arrival rates until the realized load matches the configuration — the
-    analytic moments drift from reality through size quantization, the
-    discrete size catalog and the memory calibration.
+    ``load_factor`` is calibrated *empirically* (:func:`_calibrate`): each
+    load pass generates the trace's columns (:class:`_Block`) with the
+    current arrival rates and measures the realized p90 CPU demand, and
+    further passes rescale the rates until the realized load matches the
+    configuration — the analytic moments drift from reality through size
+    quantization, the discrete size catalog and the memory calibration.
+    The memory passes re-measure the last load pass's columns.  ``Task``
+    objects are built once, from those columns, with the final memory
+    chain applied.
     """
     config = config or SyntheticTraceConfig()
     census = config.census()
     horizon_s = config.horizon_hours * 3600.0
 
-    # The task list of the latest load pass; memory passes measure over it.
+    # The columns of the latest load pass; memory passes measure over them.
     generated_for: tuple[PriorityGroupProfile, ...] | None = None
-    tasks: list[Task] = []
+    block: _Block | None = None
 
     def measure(profiles, memory_scales):
-        nonlocal generated_for, tasks
+        nonlocal generated_for, block
         if profiles is not generated_for:
-            tasks = _generate_tasks(config, census, profiles, horizon_s)
+            bins = _iter_blocks(config, census, profiles, horizon_s)
+            block = _Block(*map(np.concatenate, zip(*bins)))
             generated_for = profiles
         return _demand_p90s(
-            tasks, horizon_s, memory_scales, _modal_points(profiles)
+            (block,), horizon_s, memory_scales, _modal_points(profiles)
         )
 
     plan = _calibrate(config, measure)
-    tasks = _with_scaled_memory(tasks, plan)
-    tasks.sort(key=lambda t: (t.submit_time, t.job_id, t.index))
     return Trace(
         machine_types=census,
-        tasks=tuple(tasks),
+        tasks=tuple(_planned_tasks(block, plan)),
         horizon=horizon_s,
         metadata={
             "generator": "repro.trace.generator",
@@ -508,37 +556,48 @@ def generate_trace(config: SyntheticTraceConfig | None = None) -> Trace:
     )
 
 
-def _generate_tasks(
-    config: SyntheticTraceConfig,
-    census: tuple[MachineType, ...],
-    profiles: tuple[PriorityGroupProfile, ...],
-    horizon_s: float,
-) -> list[Task]:
-    """One full generation pass with the given (possibly rescaled) profiles."""
-    return [
-        task
-        for bin_tasks in _iter_task_bins(config, census, profiles, horizon_s)
-        for task in bin_tasks
-    ]
+class _Block(NamedTuple):
+    """Tasks as columns, one per :class:`Task` field in field order.
+
+    :func:`_iter_blocks` yields one per arrival bin, rows in generation
+    order; :func:`generate_trace` concatenates a whole pass into one.
+    """
+
+    job_id: np.ndarray
+    index: np.ndarray
+    submit_time: np.ndarray
+    duration: np.ndarray
+    priority: np.ndarray
+    scheduling_class: np.ndarray
+    cpu: np.ndarray
+    memory: np.ndarray
+    #: ``frozenset[int] | None`` per task (object dtype).
+    allowed_platforms: np.ndarray
 
 
-def _iter_task_bins(
+def _iter_blocks(
     config: SyntheticTraceConfig,
     census: tuple[MachineType, ...],
     profiles: tuple[PriorityGroupProfile, ...],
     horizon_s: float,
 ):
-    """Yield each arrival bin's tasks, in generation order.
+    """Yield each arrival bin's tasks as a :class:`_Block`.
 
-    The single shared generation loop: :func:`_generate_tasks` flattens it
-    into the materialized list and :func:`stream_trace` consumes it bin by
-    bin, so the two paths draw the exact same random variates in the exact
-    same order from the one seeded generator.
+    The single shared generation kernel: every calibration pass, the
+    materialized trace and :func:`stream_trace` draw the exact same random
+    variates in the exact same order from the one seeded generator.  Each
+    job's scalar draws keep their order; its per-task duration jitters are
+    one ``rng.lognormal(..., size=num_tasks)``, which is bit-identical to
+    that many scalar draws and leaves the generator in the same state.
     """
     rng = np.random.default_rng(config.seed)
     bursts = _burst_windows(rng, config)
     constraint_pool = config.constraint_platforms or census
     catalogs = {profile.group: _SizeCatalog(profile, rng) for profile in profiles}
+    priority_cdfs = {
+        profile.group: _choice_cdf(_normalized(profile.priority_weights))
+        for profile in profiles
+    }
 
     job_id = 0
     bin_s = config.arrival_bin_seconds
@@ -550,20 +609,22 @@ def _iter_task_bins(
         width = bin_end - bin_start
         if width <= 0:
             continue
-        bin_tasks: list[Task] = []
+        jobs = []
+        sizes = []
+        jitters = []
         multiplier = _rate_multiplier(bin_start + width / 2, config, bursts)
         for profile in profiles:
+            catalog = catalogs[profile.group]
+            priority_cdf = priority_cdfs[profile.group]
             lam = profile.job_rate_per_hour / 3600.0 * width * multiplier
             num_jobs = int(rng.poisson(lam))
             for _ in range(num_jobs):
                 job_id += 1
                 submit = float(rng.uniform(bin_start, bin_end))
                 num_tasks = _sample_job_size(rng, config.mean_job_tasks)
-                cpu, mem = _sample_size(rng, profile, catalogs[profile.group])
+                cpu, mem = _sample_size(rng, profile, catalog)
                 base_duration = _sample_duration(rng, profile)
-                priority = int(
-                    rng.choice(profile.priorities, p=_normalized(profile.priority_weights))
-                )
+                priority = profile.priorities[_choice_index(rng, priority_cdf)]
                 sched_class = _scheduling_class_for(rng, profile.group)
                 constrained = rng.random() < config.constrained_fraction
                 allowed = None
@@ -580,28 +641,46 @@ def _iter_task_bins(
                         allowed = frozenset(
                             int(p) for p in rng.choice(hosts, size=k, replace=False)
                         )
-                for index in range(num_tasks):
-                    duration = float(
-                        np.clip(
-                            base_duration * rng.lognormal(0.0, 0.25),
-                            1.0,
-                            profile.max_duration,
-                        )
-                    )
-                    bin_tasks.append(
-                        Task(
-                            job_id=job_id,
-                            index=index,
-                            submit_time=submit,
-                            duration=duration,
-                            priority=priority,
-                            scheduling_class=sched_class,
-                            cpu=cpu,
-                            memory=mem,
-                            allowed_platforms=allowed,
-                        )
-                    )
-        yield bin_tasks
+                jobs.append((
+                    job_id, submit, base_duration, profile.max_duration,
+                    priority, sched_class, cpu, mem, allowed,
+                ))
+                sizes.append(num_tasks)
+                jitters.append(rng.lognormal(0.0, 0.25, size=num_tasks))
+        yield _bin_block(jobs, sizes, jitters)
+
+
+def _bin_block(
+    jobs: list[tuple], sizes: list[int], jitters: list[np.ndarray]
+) -> _Block:
+    """Expand one bin's per-job draws into per-task columns."""
+    (job_id, submit, base_duration, max_duration, priority, sched_class,
+     cpu, memory, allowed) = zip(*jobs) if jobs else ((),) * 9
+    counts = np.array(sizes, dtype=np.intp)
+
+    def per_task(values, dtype=float) -> np.ndarray:
+        return np.repeat(np.array(values, dtype=dtype), counts)
+
+    # Elementwise, so each task's float ops are the scalar loop's
+    # ``np.clip(base * jitter, 1.0, max_duration)``.
+    duration = per_task(base_duration) * (
+        np.concatenate(jitters) if jitters else np.empty(0)
+    )
+    duration = np.minimum(np.maximum(duration, 1.0), per_task(max_duration))
+    first_row = np.repeat(np.cumsum(counts) - counts, counts)
+    return _Block(
+        job_id=per_task(job_id, np.int64),
+        index=np.arange(len(first_row), dtype=np.int64) - first_row,
+        submit_time=per_task(submit),
+        duration=duration,
+        priority=per_task(priority, np.int64),
+        scheduling_class=per_task(sched_class, np.int64),
+        cpu=per_task(cpu),
+        memory=per_task(memory),
+        allowed_platforms=np.repeat(
+            np.fromiter(allowed, dtype=object, count=len(jobs)), counts
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -626,36 +705,43 @@ class TracePlan:
 
 
 def _scaled_memory(
-    cpu: float,
-    memory: float,
+    cpu: np.ndarray,
+    memory: np.ndarray,
     scales: tuple[float, ...],
     modal_points: frozenset[tuple[float, float]],
-) -> float:
-    """Apply the memory-calibration scale chain to one task.
+) -> np.ndarray:
+    """Apply the memory-calibration scale chain to a column of tasks.
 
-    Each step checks the task's *current* (cpu, memory) against the modal
-    atoms before scaling, and clips after each multiplication — so the
-    chain is applied step by step, not as one fused factor.
+    Each step first retires the tasks whose *current* (cpu, memory) is a
+    modal atom — they keep their memory from then on — then scales and
+    clips the rest, so the chain is applied step by step, not as one fused
+    factor.
     """
+    if not scales:
+        return memory
+    memory = memory.copy()
+    pending = np.ones(memory.shape, dtype=bool)
     for scale in scales:
-        if (cpu, memory) in modal_points:
-            return memory
-        memory = min(max(memory * scale, _MEMORY_GRID), 1.0)
+        for mode_cpu, mode_memory in sorted(modal_points):
+            pending &= (cpu != mode_cpu) | (memory != mode_memory)
+        memory[pending] = np.minimum(
+            np.maximum(memory[pending] * scale, _MEMORY_GRID), 1.0
+        )
     return memory
 
 
-def _with_scaled_memory(tasks: list[Task], plan: TracePlan) -> list[Task]:
-    """``tasks`` with the plan's memory-scale chain applied to each."""
-    if not plan.memory_scales:
-        return tasks
-    modal_points = _modal_points(plan.profiles)
-    return [
-        replace(
-            t,
-            memory=_scaled_memory(t.cpu, t.memory, plan.memory_scales, modal_points),
+def _planned_tasks(block: _Block, plan: TracePlan) -> list[Task]:
+    """One ``Task`` per row of ``block``, with the plan's memory chain.
+
+    Ordered by ``(submit_time, job_id, index)``, keys that never tie.
+    """
+    block = block._replace(
+        memory=_scaled_memory(
+            block.cpu, block.memory, plan.memory_scales, _modal_points(plan.profiles)
         )
-        for t in tasks
-    ]
+    )
+    order = np.lexsort((block.index, block.job_id, block.submit_time))
+    return list(map(Task, *(column[order].tolist() for column in block)))
 
 
 def _modal_points(
@@ -666,12 +752,12 @@ def _modal_points(
 
 
 def _demand_p90s(
-    tasks,
+    blocks,
     horizon_s: float,
     memory_scales: tuple[float, ...],
     modal_points: frozenset[tuple[float, float]],
 ) -> tuple[float, float]:
-    """One pass over ``tasks`` -> (cpu_p90, mem_p90).
+    """One pass over ``blocks`` -> (cpu_p90, mem_p90).
 
     The p90 of the 600 s binned demand series, memory taken after the
     ``memory_scales`` chain.  Long tasks accumulate through the window, so
@@ -679,24 +765,25 @@ def _demand_p90s(
     the busy end of the trace far above the configured load (and possibly
     above the fleet).  The 90th percentile pins the *sustained busy* level.
 
-    ``tasks`` is walked once, in generation order, so a materialized list
-    and a regenerated stream accumulate in the same floating-point order
-    and every percentile is bit-identical between the two.
+    Each task adds ``+v`` at its start slot and ``-v`` at its end slot.
+    ``np.add.at`` is unbuffered and applies its operands in order, so one
+    call per block over the interleaved ``(start, end)`` slots with
+    ``(+v, -v)`` values performs, slot by slot, the same additions in the
+    same order as a loop over the tasks in generation order — and every
+    percentile is bit-identical whether the pass arrives as one block or
+    bin by bin.
     """
     bin_s = 600.0
     num_bins = int(math.ceil(horizon_s / bin_s))
     cpu_deltas = np.zeros(num_bins + 1)
     mem_deltas = np.zeros(num_bins + 1)
-    for t in tasks:
-        start = min(int(t.submit_time // bin_s), num_bins - 1)
-        end = min(int((t.submit_time + t.duration) // bin_s) + 1, num_bins)
-        cpu_deltas[start] += t.cpu
-        cpu_deltas[end] -= t.cpu
-        memory = t.memory
-        if memory_scales:
-            memory = _scaled_memory(t.cpu, memory, memory_scales, modal_points)
-        mem_deltas[start] += memory
-        mem_deltas[end] -= memory
+    for block in blocks:
+        start = np.minimum(block.submit_time // bin_s, num_bins - 1)
+        end = np.minimum((block.submit_time + block.duration) // bin_s + 1, num_bins)
+        slots = np.column_stack((start, end)).astype(np.intp).ravel()
+        memory = _scaled_memory(block.cpu, block.memory, memory_scales, modal_points)
+        np.add.at(cpu_deltas, slots, np.column_stack((block.cpu, -block.cpu)).ravel())
+        np.add.at(mem_deltas, slots, np.column_stack((memory, -memory)).ravel())
     cpu_p90 = float(np.percentile(np.cumsum(cpu_deltas[:num_bins]), 90))
     mem_p90 = float(np.percentile(np.cumsum(mem_deltas[:num_bins]), 90))
     return cpu_p90, mem_p90
@@ -707,7 +794,7 @@ def _calibrate(config: SyntheticTraceConfig, measure) -> TracePlan:
 
     ``measure(profiles, memory_scales) -> (cpu_p90, mem_p90)`` is a
     :func:`_demand_p90s` pass over the trace those profiles generate;
-    :func:`generate_trace` measures the task list it holds,
+    :func:`generate_trace` measures the columns it holds,
     :func:`plan_trace` regenerates.  Each pass is deterministic given
     (seed, rates), so the loop is reproducible.
 
@@ -770,9 +857,10 @@ def plan_trace(config: SyntheticTraceConfig | None = None) -> TracePlan:
     """Run the generator's calibration in constant memory.
 
     The same :func:`_calibrate` loop as :func:`generate_trace`, measuring
-    by regenerating the stream instead of holding a task list.  The
-    resulting :class:`TracePlan` drives :func:`stream_trace` to a stream
-    that is bit-identical to ``generate_trace(config).tasks``.
+    by regenerating the pass one bin's columns at a time instead of
+    holding it.  The resulting :class:`TracePlan` drives
+    :func:`stream_trace` to a stream that is bit-identical to
+    ``generate_trace(config).tasks``.
     """
     config = config or SyntheticTraceConfig()
     census = config.census()
@@ -780,9 +868,7 @@ def plan_trace(config: SyntheticTraceConfig | None = None) -> TracePlan:
 
     def measure(profiles, memory_scales):
         return _demand_p90s(
-            chain.from_iterable(
-                _iter_task_bins(config, census, profiles, horizon_s)
-            ),
+            _iter_blocks(config, census, profiles, horizon_s),
             horizon_s,
             memory_scales,
             _modal_points(profiles),
@@ -798,9 +884,9 @@ def stream_trace(
     """Yield the trace's tasks in final order with constant memory.
 
     The stream is bit-identical to ``generate_trace(config).tasks`` at the
-    same seed: one emission pass re-generates the calibrated task stream,
-    applies the plan's memory-scale chain and sorts each arrival bin's
-    buffer by ``(submit_time, job_id, index)``.  Per-bin sorting equals the
+    same seed: one emission pass re-generates the calibrated columns bin by
+    bin, applies the plan's memory-scale chain and orders each bin's rows
+    by ``(submit_time, job_id, index)``.  Per-bin sorting equals the
     materialized global sort because bins cover disjoint submit-time
     intervals and ``job_id`` increases monotonically across bins, which
     breaks any tie exactly at a bin boundary.
@@ -815,10 +901,8 @@ def stream_trace(
         plan = plan_trace(config)
     census = config.census()
     horizon_s = config.horizon_hours * 3600.0
-    for bin_tasks in _iter_task_bins(config, census, plan.profiles, horizon_s):
-        bin_tasks = _with_scaled_memory(bin_tasks, plan)
-        bin_tasks.sort(key=lambda t: (t.submit_time, t.job_id, t.index))
-        yield from bin_tasks
+    for block in _iter_blocks(config, census, plan.profiles, horizon_s):
+        yield from _planned_tasks(block, plan)
 
 
 def plan_params(plan: TracePlan) -> dict:
@@ -858,18 +942,3 @@ def plan_from_params(params: dict) -> TracePlan:
         profiles=tuple(profiles),
         memory_scales=tuple(float(s) for s in params["memory_scales"]),
     )
-
-
-def _normalized(weights: tuple[float, ...]) -> np.ndarray:
-    array = np.asarray(weights, dtype=float)
-    return array / array.sum()
-
-
-def _scheduling_class_for(rng: np.random.Generator, group: PriorityGroup) -> int:
-    """Scheduling class correlated with priority group (Section III)."""
-    weights = {
-        PriorityGroup.GRATIS: (0.70, 0.25, 0.04, 0.01),
-        PriorityGroup.OTHER: (0.35, 0.40, 0.20, 0.05),
-        PriorityGroup.PRODUCTION: (0.05, 0.20, 0.40, 0.35),
-    }[group]
-    return int(rng.choice(4, p=np.asarray(weights)))

@@ -318,6 +318,27 @@ class TestPhaseTimer:
         # Timings are observability, not behaviour: never in the summary.
         assert "phase_timings" not in result.summary()
 
+    def test_simulate_task_times_the_shared_trace_build_once(self, monkeypatch):
+        from repro.runner import tasks
+
+        monkeypatch.setattr(tasks, "_TRACE_CACHE", {})
+        params = {
+            "trace": {"hours": 0.25, "seed": 5, "machines": 60, "load": 0.3},
+            "policy": "static",
+        }
+        built = tasks.simulate_task(params)
+        assert set(built["phases"]) == {
+            "trace", "classifier_fit", "label_tasks", "policy_build", "prepare",
+            "replay", "summary",
+        }
+        assert all(seconds >= 0.0 for seconds in built["phases"].values())
+        # A memo hit builds nothing, so it times nothing of the build.
+        memo_hit = tasks.simulate_task(params)
+        assert set(memo_hit["phases"]) == {
+            "label_tasks", "policy_build", "prepare", "replay", "summary",
+        }
+        assert memo_hit["summary"] == built["summary"]
+
 
 class TestThroughputAudit:
     """Suite throughput must not silently divide to zero.

@@ -1,5 +1,6 @@
 """Tests for the simulator core: event queue, machines, schedulers, metrics."""
 
+import numpy as np
 import pytest
 
 from repro.energy import table2_fleet
@@ -371,6 +372,36 @@ class TestSimulationMetrics:
             metrics.task_submitted(task, 0.0)
             metrics.task_scheduled(task, delay, class_id=0, platform_id=1)
         assert metrics.immediate_fraction(PriorityGroup.PRODUCTION) == pytest.approx(2 / 3)
+
+    def test_delay_summary_equals_the_per_query_values(self):
+        metrics = SimulationMetrics()
+        rng = np.random.default_rng(3)
+        for i in range(300):
+            priority = (0, 2, 9)[i % 3] if i < 250 else 0  # gratis-heavy tail
+            submit = float(rng.uniform(0, 1000))
+            task = make_task(job_id=i, priority=priority, submit_time=submit)
+            metrics.task_submitted(task, submit)
+            if rng.random() < 0.7:
+                delay = float(rng.choice([0.0, 0.5, rng.uniform(0, 600)]))
+                metrics.task_scheduled(task, submit + delay, class_id=0, platform_id=1)
+        horizon = 1200.0
+        summary = metrics.delay_summary(horizon)
+        for group in PriorityGroup:
+            stats = summary["by_group"][group.name.lower()]
+            assert stats["mean_s"] == metrics.mean_delay(group, include_unscheduled_at=horizon)
+            assert stats["p95_s"] == metrics.delay_percentile(
+                95, group, include_unscheduled_at=horizon
+            )
+            assert stats["immediate_fraction"] == metrics.immediate_fraction(group)
+        assert summary["mean_s"] == metrics.mean_delay(include_unscheduled_at=horizon)
+        assert summary["scheduled"] == metrics.num_scheduled
+
+    def test_delay_summary_of_an_empty_run_is_zero(self):
+        summary = SimulationMetrics().delay_summary(100.0)
+        assert summary["mean_s"] == 0.0 and summary["scheduled"] == 0
+        assert all(
+            value == 0.0 for stats in summary["by_group"].values() for value in stats.values()
+        )
 
     def test_series_helpers(self):
         metrics = SimulationMetrics()

@@ -208,6 +208,29 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SyntheticTraceConfig(constrained_fraction=1.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("arrival_bin_seconds", 0.0),
+            ("arrival_bin_seconds", -300.0),
+            ("arrival_bin_seconds", float("nan")),
+            ("burst_rate_per_day", -1.0),
+            ("burst_magnitude", -0.5),
+            ("burst_duration_hours", -1.5),
+            ("burst_rate_per_day", float("nan")),
+        ],
+    )
+    def test_bad_rate_fields_name_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SyntheticTraceConfig(**{field: value})
+
+    def test_zero_bursts_allowed(self):
+        config = SyntheticTraceConfig(
+            horizon_hours=0.5, total_machines=100, burst_rate_per_day=0.0,
+            burst_magnitude=0.0, burst_duration_hours=0.0,
+        )
+        assert generate_trace(config).num_tasks > 0
+
     def test_constrained_tasks_generated(self):
         trace = generate_trace(
             SyntheticTraceConfig(
