@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from scipy import stats
+from scipy.special import ndtri
 
 from repro.classification.classifier import TaskClass
 from repro.errors import ContainerSizingError
@@ -50,11 +50,13 @@ def z_quantile(epsilon: float) -> float:
     """The ``(1 - epsilon)``-percentile of the unit normal distribution.
 
     Memoized: every container of every class is sized at the same few
-    bounds, and one ``norm.ppf`` call costs more than the rest of Eq. 3.
+    bounds, and one quantile call costs more than the rest of Eq. 3.
+    ``ndtri`` is the function ``scipy.stats.norm.ppf`` evaluates (times a
+    unit scale, plus a zero location), without importing ``scipy.stats``.
     """
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    return float(stats.norm.ppf(1.0 - epsilon))
+    return float(ndtri(1.0 - epsilon))
 
 
 def per_resource_epsilon(epsilon: float, num_resources: int) -> float:

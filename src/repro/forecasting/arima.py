@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 
 #: Forward-difference steps of the CSS gradient (see ``fit_arima``): L-BFGS-B's
@@ -257,6 +256,10 @@ def fit_arima(
 
     params = x0
     if p + q > 0:
+        # Imported here: scipy.optimize costs a quarter second of import
+        # time, which every process importing repro would otherwise pay.
+        from scipy import optimize
+
         # scipy charges its finite-difference evaluations to L-BFGS-B's
         # budget of 15000 (`maxfun`); one call here makes 1 + len(x0) of
         # them, so the budget is divided to give up at the same iterate.

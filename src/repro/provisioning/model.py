@@ -19,6 +19,7 @@ like and keeps CBS-RELAX a linear program.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -233,32 +234,42 @@ class ProvisioningProblem:
             dtype=bool,
         )
 
-    def idle_cost_per_interval(self, price: float) -> np.ndarray:
-        """Idle energy cost of one active machine per class, for one interval."""
-        hours = self.interval_seconds / 3600.0
-        return np.array(
-            [m.idle_watts / 1000.0 * hours * price for m in self.machines]
-        )
+    @cached_property
+    def idle_kwh(self) -> np.ndarray:
+        """``(M,)`` energy of one idle active machine per class, per interval.
 
-    def container_energy_cost(self, price: float) -> np.ndarray:
-        """``(M, N)`` energy cost of hosting one container for one interval.
+        Price-independent, so it is computed once per problem: every
+        ``idle_cost_per_interval(price)`` is one multiply by ``price``.
+        """
+        hours = self.interval_seconds / 3600.0
+        return np.array([m.idle_watts / 1000.0 * hours for m in self.machines])
+
+    @cached_property
+    def container_kwh(self) -> np.ndarray:
+        """``(M, N)`` energy of hosting one container for one interval.
 
         Implements the ``alpha_mr * c_nr / C_mr`` term of Eq. 14: a container
         of size ``c_nr`` raises machine utilization of resource ``r`` by
         ``c_nr / C_mr`` and therefore power by ``alpha_mr * c_nr / C_mr``.
+        Price-independent, so it is computed once per problem.
         """
         hours = self.interval_seconds / 3600.0
-        cost = np.zeros((len(self.machines), len(self.containers)))
-        for i, machine in enumerate(self.machines):
-            for j, container in enumerate(self.containers):
-                watts = sum(
-                    alpha * size / cap
-                    for alpha, size, cap in zip(
-                        machine.alpha_watts, container.size, machine.capacity
-                    )
-                )
-                cost[i, j] = watts / 1000.0 * hours * price
-        return cost
+        alpha = np.array([m.alpha_watts for m in self.machines], dtype=float)
+        capacity = np.array([m.capacity for m in self.machines], dtype=float)
+        sizes = np.array([c.size for c in self.containers], dtype=float)
+        watts = np.zeros((len(self.machines), len(self.containers)))
+        # Summed over resources left to right, as a scalar loop would.
+        for r in range(self.num_resources):
+            watts = watts + alpha[:, None, r] * sizes[None, :, r] / capacity[:, None, r]
+        return watts / 1000.0 * hours
+
+    def idle_cost_per_interval(self, price: float) -> np.ndarray:
+        """Idle energy cost of one active machine per class, for one interval."""
+        return self.idle_kwh * price
+
+    def container_energy_cost(self, price: float) -> np.ndarray:
+        """``(M, N)`` energy cost of hosting one container for one interval."""
+        return self.container_kwh * price
 
 
 def build_problem(

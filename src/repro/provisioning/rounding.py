@@ -63,6 +63,10 @@ def first_fit_pack(
     before production, matching the LP's utility ordering.  Returns the
     per-machine assignments and the leftover counts that did not fit within
     ``max_machines``.
+
+    Every machine of the pool is identical, so an empty machine's fill
+    repeats until some type it takes runs short: the fill is computed once
+    and emitted for the whole run of machines it covers.
     """
     counts = np.asarray(counts, dtype=int).copy()
     if counts.shape != (len(sizes),):
@@ -77,36 +81,72 @@ def first_fit_pack(
         priorities = np.asarray(priorities, dtype=float)
         order = sorted(range(len(sizes)), key=lambda n: (-priorities[n], -max(sizes[n])))
     machines: list[MachineAssignment] = []
-    capacity_arr = np.asarray(capacity, dtype=float)
+    remaining = counts.tolist()
+    capacity_floats = [float(c) for c in capacity]
 
-    while counts.sum() > 0 and len(machines) < max_machines:
-        machine = MachineAssignment(
-            platform_id=platform_id,
-            capacity=tuple(capacity),
-            used=np.zeros(len(capacity)),
-            machine_id=len(machines),
-        )
-        placed_any = False
-        for n in order:
-            if counts[n] == 0:
-                continue
-            size = np.asarray(sizes[n], dtype=float)
-            residual = capacity_arr - machine.used
-            # How many of this type still fit, in one shot.
-            with np.errstate(divide="ignore"):
-                per_dim = np.floor((residual + 1e-9) / size)
-            fit = int(min(per_dim.min(), counts[n]))
-            if fit > 0:
-                machine.add(n, tuple(sizes[n]), fit)
-                counts[n] -= fit
-                placed_any = True
-        if not placed_any:
+    while sum(remaining) > 0 and len(machines) < max_machines:
+        fill, used = _empty_machine_fill(remaining, order, sizes, capacity_floats)
+        if not fill:
             # Nothing fits an empty machine: the remaining types exceed
             # machine capacity outright; stop to avoid spinning.
             break
-        machines.append(machine)
+        # The same fill repeats while every type it takes still has a full
+        # share left, and as long as the budget lasts.
+        run = min(remaining[n] // fit for n, fit in fill.items())
+        run = min(run, max_machines - len(machines))
+        for _ in range(run):
+            machines.append(
+                MachineAssignment(
+                    platform_id=platform_id,
+                    capacity=tuple(capacity),
+                    containers=dict(fill),
+                    used=np.array(used),
+                    machine_id=len(machines),
+                )
+            )
+        for n, fit in fill.items():
+            remaining[n] -= run * fit
 
+    counts[:] = remaining
     return machines, counts
+
+
+def _empty_machine_fill(
+    remaining: list[int],
+    order: list[int],
+    sizes: list[tuple[float, ...]],
+    capacity: list[float],
+) -> tuple[dict[int, int], list[float]]:
+    """First-Fit onto one empty machine: ``({type: count}, used per dim)``.
+
+    Scalar floats in the operations and order of a numpy 2-vector fill:
+    ``floor((capacity - used + 1e-9) / size)`` per dimension, a zero size
+    dimension divided as numpy divides, and a minimum over dimensions that
+    propagates nan, as ``ndarray.min`` does.
+    """
+    used = [0.0] * len(capacity)
+    fill: dict[int, int] = {}
+    for n in order:
+        count = remaining[n]
+        if count == 0:
+            continue
+        fits = math.inf
+        for cap, load, size in zip(capacity, used, sizes[n]):
+            residual = cap - load + 1e-9
+            if size:
+                per_dim = residual / size
+            else:  # numpy's x / 0: +-inf, or nan for 0 / 0
+                with np.errstate(divide="ignore"):
+                    per_dim = float(np.float64(residual) / size)
+            if math.isnan(per_dim) or per_dim < fits:
+                fits = per_dim
+        if math.isfinite(fits):
+            fits = math.floor(fits)
+        fit = int(min(fits, count))
+        if fit > 0:
+            fill[n] = fit
+            used = [load + float(size) * fit for load, size in zip(used, sizes[n])]
+    return fill, used
 
 
 def _largest_remainder_targets(x: np.ndarray) -> np.ndarray:
@@ -225,9 +265,7 @@ class FirstFitRounder:
                 priorities=utility_priority,
             )
             active[m] = len(machines_used)
-            for assignment in machines_used:
-                for n, count in assignment.containers.items():
-                    packed[m, n] += count
+            packed[m] = target - leftover
             dropped += leftover
             assignments.append(tuple(machines_used))
 

@@ -22,6 +22,10 @@ N in the thousands poses no overflow risk.
 from __future__ import annotations
 
 import math
+import threading
+from array import array
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,21 +39,62 @@ from repro.errors import CapacityModelUnstable
 _ERLANG_CACHE_SIZE = 65_536
 _INVERSE_CACHE_SIZE = 16_384
 
+class _OpenCurves(threading.local):
+    """The Erlang-B curve of the inversion running on this thread.
 
-@lru_cache(maxsize=_ERLANG_CACHE_SIZE)
-def _erlang_b_cached(offered_load: float, servers: int) -> float:
-    # Validated here (not only in the erlang_b wrapper) so the recurrence
-    # itself can never run on a negative or NaN load, whichever entry
-    # point reached it; lru_cache does not cache raises, so bad inputs
-    # fail on every call.
+    ``by_load[a][k] = B(a, k)``, grown on demand.  Every probe of one
+    inversion shares ``a``, so each probe reads the prefix instead of
+    restarting the recurrence at ``k = 1``.  A curve lives for its one
+    inversion only (a compact ``array('d')``, never a process-global
+    cache), so it costs nothing once the inversion returns.
+    """
+
+    def __init__(self) -> None:
+        self.by_load: dict[float, array] = {}
+
+
+_open_curves = _OpenCurves()
+
+
+def _erlang_b_prefix(curve: array, offered_load: float, servers: int) -> float:
+    """``B(a, servers)``, extending ``curve`` (``curve[k] = B(a, k)``) as needed.
+
+    The one implementation of the recurrence: the same operations in the
+    same order as a loop from ``B(a, 0) = 1``, so a value read from the
+    prefix is the float a fresh recurrence would return.  Validated here so
+    the recurrence can never run on a negative or NaN load, whichever
+    entry point reached it.
+    """
     if not (offered_load >= 0):
         raise ValueError(f"offered_load must be >= 0, got {offered_load}")
     if servers < 0:
         raise ValueError(f"servers must be >= 0, got {servers}")
-    blocking = 1.0
-    for k in range(1, servers + 1):
-        blocking = offered_load * blocking / (k + offered_load * blocking)
-    return blocking
+    if servers >= len(curve):
+        blocking = curve[-1]
+        append = curve.append
+        for k in range(len(curve), servers + 1):
+            blocking = offered_load * blocking / (k + offered_load * blocking)
+            append(blocking)
+    return curve[servers]
+
+
+@contextmanager
+def _open_curve(offered_load: float) -> Iterator[None]:
+    """Share one Erlang-B prefix among every probe of one inversion."""
+    _open_curves.by_load[offered_load] = array("d", (1.0,))
+    try:
+        yield
+    finally:
+        del _open_curves.by_load[offered_load]
+
+
+@lru_cache(maxsize=_ERLANG_CACHE_SIZE)
+def _erlang_b_cached(offered_load: float, servers: int) -> float:
+    # lru_cache does not cache raises, so bad inputs fail on every call.
+    curve = _open_curves.by_load.get(offered_load)
+    if curve is None:
+        curve = array("d", (1.0,))  # outside an inversion: a throwaway prefix
+    return _erlang_b_prefix(curve, offered_load, servers)
 
 
 def erlang_b(offered_load: float, servers: int) -> float:
@@ -153,7 +198,9 @@ def required_containers(
     exponential search plus bisection on the exact Eq. 1; large offered
     loads (> ~2000 Erlangs, where each exact Erlang-C costs O(a)) start
     from the Halfin-Whitt square-root-staffing estimate and walk to the
-    exact answer with a handful of O(a) evaluations.
+    exact answer with a handful of exact evaluations.  Every probe shares
+    one Erlang-B prefix ``B(a, 0..k)``, so one inversion runs the O(N)
+    recurrence once, up to the largest N it probes.
 
     Results are memoized per exact argument tuple (the inverse-lookup
     cache): the container manager re-inverts the same (lambda, mu, SLO,
@@ -186,57 +233,37 @@ def _required_containers_cached(
     max_servers: int,
 ) -> int:
     offered = arrival_rate / service_rate
-    low = int(math.floor(offered)) + 1  # smallest N with rho < 1
-    if low > max_servers:
-        raise CapacityModelUnstable(
-            f"offered load {offered:.0f} exceeds max_servers {max_servers}",
-            arrival_rate=arrival_rate,
-            service_rate=service_rate,
-            target_delay=target_delay,
-            max_servers=max_servers,
-        )
-    if mgn_mean_wait(arrival_rate, service_rate, low, scv) <= target_delay:
-        return low
-
-    if offered > 2000.0:
-        # Square-root staffing: find the smallest beta grid point whose
-        # approximate wait meets the target, then correct with exact checks.
-        sqrt_a = math.sqrt(offered)
-        candidate = None
-        for i in range(81):
-            beta = 0.005 * (1.3 ** i)  # 0.005 .. ~5e8 (log grid)
-            n = int(math.ceil(offered + beta * sqrt_a))
-            slack = n * service_rate - arrival_rate
-            if slack <= 0:
-                continue
-            wait = (
-                _halfin_whitt_wait_probability(beta) * (1.0 + scv) / (2.0 * slack)
-            )
-            if wait <= target_delay * 0.95:
-                candidate = max(n, low)
-                break
-        if candidate is None or candidate > max_servers:
+    with _open_curve(offered):
+        low = int(math.floor(offered)) + 1  # smallest N with rho < 1
+        if low > max_servers:
             raise CapacityModelUnstable(
-                f"no container count up to {max_servers} meets delay "
-                f"{target_delay} (lambda={arrival_rate}, mu={service_rate})",
+                f"offered load {offered:.0f} exceeds max_servers {max_servers}",
                 arrival_rate=arrival_rate,
                 service_rate=service_rate,
                 target_delay=target_delay,
                 max_servers=max_servers,
             )
-        # Walk down while the exact wait still meets the target, then up if
-        # the approximation undershot.  Steps of ~0.5% of sqrt(a) keep the
-        # number of exact O(a) evaluations small.
-        step = max(int(0.05 * sqrt_a), 1)
-        while (
-            candidate - step >= low
-            and mgn_mean_wait(arrival_rate, service_rate, candidate - step, scv)
-            <= target_delay
-        ):
-            candidate -= step
-        while mgn_mean_wait(arrival_rate, service_rate, candidate, scv) > target_delay:
-            candidate += 1
-            if candidate > max_servers:
+        if mgn_mean_wait(arrival_rate, service_rate, low, scv) <= target_delay:
+            return low
+
+        if offered > 2000.0:
+            # Square-root staffing: find the smallest beta grid point whose
+            # approximate wait meets the target, then correct with exact checks.
+            sqrt_a = math.sqrt(offered)
+            candidate = None
+            for i in range(81):
+                beta = 0.005 * (1.3 ** i)  # 0.005 .. ~5e8 (log grid)
+                n = int(math.ceil(offered + beta * sqrt_a))
+                slack = n * service_rate - arrival_rate
+                if slack <= 0:
+                    continue
+                wait = (
+                    _halfin_whitt_wait_probability(beta) * (1.0 + scv) / (2.0 * slack)
+                )
+                if wait <= target_delay * 0.95:
+                    candidate = max(n, low)
+                    break
+            if candidate is None or candidate > max_servers:
                 raise CapacityModelUnstable(
                     f"no container count up to {max_servers} meets delay "
                     f"{target_delay} (lambda={arrival_rate}, mu={service_rate})",
@@ -245,35 +272,59 @@ def _required_containers_cached(
                     target_delay=target_delay,
                     max_servers=max_servers,
                 )
-        # Refine to the exact minimum within the last step.
-        while (
-            candidate - 1 >= low
-            and mgn_mean_wait(arrival_rate, service_rate, candidate - 1, scv)
-            <= target_delay
-        ):
-            candidate -= 1
-        return candidate
+            # Walk down while the exact wait still meets the target, then up if
+            # the approximation undershot.  Steps of ~0.5% of sqrt(a) keep the
+            # number of exact O(a) evaluations small.
+            step = max(int(0.05 * sqrt_a), 1)
+            while (
+                candidate - step >= low
+                and mgn_mean_wait(arrival_rate, service_rate, candidate - step, scv)
+                <= target_delay
+            ):
+                candidate -= step
+            while (
+                mgn_mean_wait(arrival_rate, service_rate, candidate, scv)
+                > target_delay
+            ):
+                candidate += 1
+                if candidate > max_servers:
+                    raise CapacityModelUnstable(
+                        f"no container count up to {max_servers} meets delay "
+                        f"{target_delay} (lambda={arrival_rate}, mu={service_rate})",
+                        arrival_rate=arrival_rate,
+                        service_rate=service_rate,
+                        target_delay=target_delay,
+                        max_servers=max_servers,
+                    )
+            # Refine to the exact minimum within the last step.
+            while (
+                candidate - 1 >= low
+                and mgn_mean_wait(arrival_rate, service_rate, candidate - 1, scv)
+                <= target_delay
+            ):
+                candidate -= 1
+            return candidate
 
-    # Exact exponential search + bisection for modest loads.
-    high = low
-    while mgn_mean_wait(arrival_rate, service_rate, high, scv) > target_delay:
-        high *= 2
-        if high > max_servers:
-            raise CapacityModelUnstable(
-                f"no container count up to {max_servers} meets delay "
-                f"{target_delay} (lambda={arrival_rate}, mu={service_rate})",
-                arrival_rate=arrival_rate,
-                service_rate=service_rate,
-                target_delay=target_delay,
-                max_servers=max_servers,
-            )
-    while low + 1 < high:
-        mid = (low + high) // 2
-        if mgn_mean_wait(arrival_rate, service_rate, mid, scv) <= target_delay:
-            high = mid
-        else:
-            low = mid
-    return high
+        # Exact exponential search + bisection for modest loads.
+        high = low
+        while mgn_mean_wait(arrival_rate, service_rate, high, scv) > target_delay:
+            high *= 2
+            if high > max_servers:
+                raise CapacityModelUnstable(
+                    f"no container count up to {max_servers} meets delay "
+                    f"{target_delay} (lambda={arrival_rate}, mu={service_rate})",
+                    arrival_rate=arrival_rate,
+                    service_rate=service_rate,
+                    target_delay=target_delay,
+                    max_servers=max_servers,
+                )
+        while low + 1 < high:
+            mid = (low + high) // 2
+            if mgn_mean_wait(arrival_rate, service_rate, mid, scv) <= target_delay:
+                high = mid
+            else:
+                low = mid
+        return high
 
 
 def queueing_cache_info() -> dict[str, dict[str, int]]:

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import ndtri
 
 from repro.trace.schema import (
     MachineType,
@@ -369,12 +370,10 @@ class _SizeCatalog:
     """
 
     def __init__(self, profile: PriorityGroupProfile, rng: np.random.Generator) -> None:
-        from scipy import stats
-
         levels = np.linspace(0.005, 0.995, _SIZE_CATALOG_POINTS)
         cpu_quantiles = np.exp(
             profile.size_log_mean
-            + profile.size_log_sigma * stats.norm.ppf(levels)
+            + profile.size_log_sigma * ndtri(levels)
         )
         points: list[tuple[float, float]] = []
         for base_cpu in cpu_quantiles:

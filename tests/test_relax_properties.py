@@ -6,7 +6,7 @@ satisfy the model's invariants regardless of the draw.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.provisioning import (
     CbsRelaxSolver,
@@ -18,12 +18,8 @@ from repro.provisioning import (
 )
 
 
-@st.composite
-def problems(draw):
-    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
-    num_machines = draw(st.integers(1, 3))
-    num_containers = draw(st.integers(1, 4))
-    W = draw(st.integers(1, 3))
+def _problem(seed: int, num_machines: int, num_containers: int, W: int):
+    rng = np.random.default_rng(seed)
     machines = tuple(
         MachineClass(
             platform_id=m + 1,
@@ -55,6 +51,16 @@ def problems(draw):
         demand=demand,
         prices=prices,
         interval_seconds=300.0,
+    )
+
+
+@st.composite
+def problems(draw):
+    return _problem(
+        draw(st.integers(0, 10_000)),
+        draw(st.integers(1, 3)),
+        draw(st.integers(1, 4)),
+        draw(st.integers(1, 3)),
     )
 
 
@@ -115,13 +121,9 @@ def test_rounding_invariants(problem):
     assert (plan.packed.sum(axis=0) + plan.dropped >= 0).all()
 
 
-@settings(max_examples=10, deadline=None)
-@given(problem=problems(), seed=st.integers(0, 100))
-def test_more_utility_never_hurts_scheduling(problem, seed):
-    """Scaling every utility up schedules at least as many containers."""
-    solver = CbsRelaxSolver()
-    base = solver.solve(problem)
-    boosted = ProvisioningProblem(
+def _boosted(problem: ProvisioningProblem, factor: float) -> ProvisioningProblem:
+    """The same problem with every utility slope scaled by ``factor``."""
+    return ProvisioningProblem(
         machines=problem.machines,
         containers=tuple(
             ContainerType(
@@ -129,7 +131,7 @@ def test_more_utility_never_hurts_scheduling(problem, seed):
                 c.name,
                 c.size,
                 UtilityFunction(
-                    segments=tuple((w, s * 10.0) for w, s in c.utility.segments)
+                    segments=tuple((w, s * factor) for w, s in c.utility.segments)
                 ),
                 c.allowed_platforms,
             )
@@ -139,5 +141,43 @@ def test_more_utility_never_hurts_scheduling(problem, seed):
         prices=problem.prices,
         interval_seconds=problem.interval_seconds,
     )
-    more = solver.solve(boosted)
-    assert more.scheduled(0).sum() >= base.scheduled(0).sum() - 1e-5
+
+
+#: HiGHS's default primal and dual feasibility tolerance: how far from the
+#: exact optimum either solve may land.
+_LP_TOLERANCE = 1e-7
+
+#: A draw of ``problems()`` where the boosted LP schedules fewer containers:
+#: the LP trades classes against each other once their utility outweighs
+#: their energy cost.
+_FEWER_CONTAINERS = _problem(601, 2, 4, 1)
+
+
+@example(problem=_FEWER_CONTAINERS, seed=0)
+@settings(max_examples=10, deadline=None)
+@given(problem=problems(), seed=st.integers(0, 100))
+def test_more_utility_never_hurts_scheduling(problem, seed):
+    """Scaling every utility slope x10 never lowers the utility scheduled.
+
+    Utility is measured with the base slopes.  With ``U`` that utility and
+    ``C`` the energy and switching cost, optimality of ``x`` for the base
+    problem and of ``x'`` for the boosted one give
+    ``U(x) - C(x) >= U(x') - C(x')`` and ``10 U(x') - C(x') >= 10 U(x) - C(x)``;
+    their sum is ``9 U(x') >= 9 U(x)``.  The container count is not
+    monotone (see ``_FEWER_CONTAINERS``).
+    """
+    solver = CbsRelaxSolver()
+    base = solver.solve(problem)
+    more = solver.solve(_boosted(problem, 10.0))
+    base_slope_utility = more.utility / 10.0
+    slack = _LP_TOLERANCE * (1.0 + abs(base.utility))
+    assert base_slope_utility >= base.utility - slack
+
+
+def test_more_utility_can_schedule_fewer_containers():
+    """Why the property above is about utility, not container counts."""
+    solver = CbsRelaxSolver()
+    base = solver.solve(_FEWER_CONTAINERS)
+    more = solver.solve(_boosted(_FEWER_CONTAINERS, 10.0))
+    assert more.scheduled(0).sum() < base.scheduled(0).sum() - 0.1
+    assert more.utility / 10.0 > base.utility
