@@ -30,9 +30,9 @@ lint
     non-baselined findings or stale baseline entries, 2
     usage/configuration error.
 bench
-    Run a scenario suite (scalability / ablation / robustness) through
-    the parallel :class:`~repro.runner.ScenarioRunner` and write a
-    ``BENCH_<suite>.json`` perf baseline.  With ``--supervise`` (or
+    Run a scenario suite through the parallel runner, write a
+    ``BENCH_<suite>.json`` perf baseline, then print the suite's shapes
+    (``repro.runner.suites``); a failed one exits 1.  With ``--supervise`` (or
     ``--timeout``/``--retries``/``--resume``) the suite runs under the
     crash-safe :class:`~repro.runner.ScenarioSupervisor` instead:
     per-scenario timeouts, deterministic-backoff retries, quarantine,
@@ -47,8 +47,8 @@ fleet
     crash-safe supervisor with timeouts, retries, journaled ``--resume``
     and a fleet-wide memory ceiling), then merge the per-shard summaries
     into one deterministic fleet digest.  ``repro bench google_fleet`` is
-    the same run priced at the ``REPRO_BENCH_FLEET_*`` bench point and
-    recorded as ``BENCH_google_fleet.json``.
+    the same run priced at the ``REPRO_BENCH_FLEET_*`` bench point,
+    shape-checked and recorded as ``BENCH_google_fleet.json``.
 serve
     Run the crash-safe online provisioning daemon (:mod:`repro.serve`):
     a live arrival stream (trace replay, ``--follow`` file tail or
@@ -310,6 +310,22 @@ def _supervision(prog: str, args: argparse.Namespace, unit: str):
     )
 
 
+def _check_shapes(suite: str, rows) -> bool:
+    """Print a suite's shape rows; True (after a stderr line) if one failed."""
+    verdict = {True: "ok", False: "FAILED", None: "not checked"}
+    table = [
+        [r.shape, "-" if r.measured is None else f"{r.measured:.6g}",
+         "-" if r.bound is None else f"{r.op} {r.bound:.6g}", verdict[r.ok]]
+        for r in rows
+    ]
+    print(ascii_table(["shape", "measured", "bound", "result"], table,
+                      title=f"shapes {suite}"))
+    failed = "; ".join(r.shape for r in rows if r.ok is False)
+    if failed:
+        print(f"failed shapes: {failed}", file=sys.stderr)
+    return bool(failed)
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     from repro.runner import (
         SUITES,
@@ -319,6 +335,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         bench_defaults,
         write_baseline,
     )
+    from repro.runner.suites import SHAPES
 
     if args.shards is not None and args.suite != "google_fleet":
         return _usage_error(
@@ -405,6 +422,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
         path = write_baseline(report, args.output, compare_serial=serial)
         print(f"wrote {path}")
+        if suite in SHAPES and _check_shapes(suite, SHAPES[suite](report, serial)):
+            exit_code = 1
         if report.quarantined:
             names = ", ".join(f.name for f in report.quarantined)
             print(f"quarantined scenarios: {names}", file=sys.stderr)
@@ -448,17 +467,15 @@ def _fleet_run(prog: str, args: argparse.Namespace) -> int:
         run_fleet,
     )
     from repro.resilience.scenarios import SCENARIOS
-    from repro.runner import (
-        bench_fleet_shards,
-        google_fleet_trace_params,
-        trace_config_from_params,
-    )
+    from repro.runner import google_fleet_trace_params, trace_config_from_params
+    from repro.runner.defaults import FLEET_SHARDS
+    from repro.runner.suites import google_fleet_shapes
 
     supervision = _supervision(prog, args, "shards")
     if isinstance(supervision, int):
         return supervision
     supervised = supervision is not None
-    shards = args.shards if args.shards is not None else bench_fleet_shards()
+    shards = args.shards if args.shards is not None else FLEET_SHARDS
     if shards < 1:
         return _usage_error(
             prog,
@@ -570,7 +587,11 @@ def _fleet_run(prog: str, args: argparse.Namespace) -> int:
     path = args.output / f"BENCH_{config.suite}.json"
     path.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {path}")
-    return 1 if fleet.partial else 0
+    # Only the bench point is shaped; ``repro fleet`` runs any policy/fault.
+    failed = prog == "repro bench" and _check_shapes(
+        config.suite, google_fleet_shapes(merged)
+    )
+    return 1 if fleet.partial or failed else 0
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -877,7 +898,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--shards", type=int, default=None, metavar="N",
         help="google_fleet only: machine-type cells to partition the census "
-             "into (default REPRO_BENCH_FLEET_SHARDS)",
+             "into (default 4)",
     )
     bench.add_argument(
         "--corrupt", action="store_true",
@@ -929,7 +950,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--shards", type=int, default=None, metavar="N",
         help="machine-type cells to partition the census into "
-             "(default REPRO_BENCH_FLEET_SHARDS)",
+             "(default 4)",
     )
     fleet.add_argument("--workers", type=int, default=4,
                        help="shard worker processes (1 = in-process serial)")

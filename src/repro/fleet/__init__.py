@@ -16,7 +16,6 @@ from repro.fleet.coordinator import (
     fleet_scenarios,
     merge_fleet_report,
     run_fleet,
-    write_fleet_baseline,
 )
 from repro.fleet.sharding import (
     ShardCell,
@@ -39,5 +38,4 @@ __all__ = [
     "partition_census",
     "run_fleet",
     "shard_progress_path",
-    "write_fleet_baseline",
 ]

@@ -1,6 +1,7 @@
 """Fleet coordination: plan once, fan out shards, merge deterministically.
 
-``run_fleet`` is the one-call entry point the CLI and benches use:
+``run_fleet`` is the one-call entry point ``repro fleet`` and ``repro bench
+google_fleet`` use:
 
 1. **Plan** — run the trace generator's calibration once, in constant
    memory (:func:`~repro.trace.generator.plan_trace`), and embed the
@@ -188,23 +189,6 @@ def fleet_baseline_payload(
         payload["fleet"]["tasks_scheduled"] = merged["tasks_scheduled"]
         payload["fleet"]["energy_kwh"] = round(merged["energy_kwh"], 3)
     return payload
-
-
-def write_fleet_baseline(
-    fleet: FleetReport,
-    trace_params: dict,
-    config: FleetConfig,
-    directory: str | Path = ".",
-) -> Path:
-    """Write ``BENCH_<suite>.json`` into ``directory`` and return the path."""
-    import json
-
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"BENCH_{config.suite}.json"
-    payload = fleet_baseline_payload(fleet, trace_params, config)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    return path
 
 
 def run_fleet(

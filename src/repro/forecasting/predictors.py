@@ -8,7 +8,7 @@ Every predictor implements the same two-method protocol:
 - ``forecast(steps)`` -- non-negative point forecasts for the next ``steps``.
 
 :class:`ArimaPredictor` is the paper's choice; the others serve as ablation
-baselines (``bench_ablation_predictor``).
+baselines (the ``predictor_*`` scenarios of ``repro bench ablation``).
 """
 
 from __future__ import annotations

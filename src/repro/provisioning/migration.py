@@ -15,7 +15,8 @@ this module provides the planner that actually finds the moves:
 
 The planner works on the same :class:`MachineAssignment` representation the
 rounder produces, so it composes with :class:`FirstFitRounder` and is also
-usable standalone for consolidation studies (``bench_ablation_migration``).
+usable standalone for consolidation studies (the ``consolidation_frag``
+scenario of ``repro bench ablation``).
 """
 
 from __future__ import annotations

@@ -15,8 +15,7 @@ ticks.  Fault kinds:
   for ``intervals`` control periods (the telemetry pipeline is down, the
   cluster is not);
 - :class:`RandomMachineFailures` -- independent Poisson crashes per
-  powered machine-hour (the legacy ``failure_rate_per_machine_hour``
-  behaviour, now one composable spec among the others);
+  powered machine-hour;
 - the fabric specs from :mod:`repro.resilience.fabric` --
   :class:`~repro.resilience.fabric.LinkDegradation` (correlated link
   brownout stretching cross-cell service times),
@@ -133,8 +132,7 @@ class MonitoringBlackout:
 class RandomMachineFailures:
     """Independent Poisson crashes per powered machine-hour.
 
-    The legacy ``ClusterConfig.failure_rate_per_machine_hour`` behaviour:
-    each control interval, each pool loses a Poisson-sampled number of its
+    Each control interval, each pool loses a Poisson-sampled number of its
     powered machines.
     """
 
@@ -181,17 +179,6 @@ class FaultPlan:
     def has_faults(self) -> bool:
         return bool(self.faults)
 
-    @classmethod
-    def poisson(
-        cls, rate_per_machine_hour: float, repair_seconds: float = 3600.0, seed: int = 0
-    ) -> "FaultPlan":
-        """The legacy Poisson-crash preset as a one-spec plan."""
-        if rate_per_machine_hour <= 0:
-            return cls(seed=seed)
-        return cls(
-            faults=(RandomMachineFailures(rate_per_machine_hour, repair_seconds),),
-            seed=seed,
-        )
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Named fault scenarios shared by the CLI, benches and scenario runner.
 
 One place defines what "outage" or "blackout" means, so ``repro
-resilience``, ``repro bench robustness`` and
-``benchmarks/bench_robustness_failures.py`` replay *the same* fault
-matrix and their numbers stay comparable.
+resilience``, ``repro bench robustness`` and ``repro bench
+network_faults`` replay *the same* fault matrix and their numbers stay
+comparable.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
 """Shared scenario-execution subsystem.
 
-One runner serves the repo's three consumers of "run these independent
+One runner serves the repo's consumers of "run these independent
 scenario configurations and report":
 
-- the ``bench_*`` pytest benches (``benchmarks/``), which fan their sweeps
-  out across workers and assert on the collected summaries;
-- the ``repro bench`` CLI subcommand, for ad-hoc perf runs;
-- CI, which emits ``BENCH_<suite>.json`` perf baselines from short smokes.
+- ``repro bench``, which runs a suite, checks its shapes and records it
+  as a ``BENCH_<suite>.json`` perf baseline;
+- ``repro fleet`` (through :mod:`repro.fleet`), the sharded fleet run;
+- CI, which runs both at smoke size.
 
 Determinism contract: every task seeds all randomness from its scenario
 params, so per-scenario summaries are bit-identical between serial and
@@ -19,13 +19,11 @@ from repro.runner.defaults import (
     bench_fleet_hours,
     bench_fleet_load,
     bench_fleet_machines,
-    bench_fleet_shards,
     bench_hours,
     bench_load,
     bench_machines,
     bench_repeats,
     bench_replay_hours,
-    bench_replay_load,
     bench_replay_machines,
     bench_seed,
     trace_config_from_params,
@@ -45,7 +43,6 @@ from repro.runner.runner import (
     ScenarioRunner,
     baseline_payload,
     canonical_json,
-    repo_root,
     summary_digest,
     write_baseline,
 )
@@ -59,16 +56,10 @@ from repro.runner.supervisor import (
 from repro.runner.suites import (
     SUITES,
     ablation_scenarios,
-    consolidation_scenarios,
     google_fleet_trace_params,
-    horizon_scenarios,
-    omega_scenarios,
-    predictor_scenarios,
-    preemption_scenarios,
     replay_scenario,
     robustness_scenarios,
     scalability_scenarios,
-    slo_scenarios,
     trace_corruption_scenarios,
 )
 
@@ -78,13 +69,11 @@ __all__ = [
     "bench_fleet_hours",
     "bench_fleet_load",
     "bench_fleet_machines",
-    "bench_fleet_shards",
     "bench_hours",
     "bench_load",
     "bench_machines",
     "bench_repeats",
     "bench_replay_hours",
-    "bench_replay_load",
     "bench_replay_machines",
     "bench_seed",
     "trace_config_from_params",
@@ -97,7 +86,6 @@ __all__ = [
     "backoff_delay",
     "baseline_payload",
     "canonical_json",
-    "repo_root",
     "summary_digest",
     "write_baseline",
     "Journal",
@@ -115,15 +103,9 @@ __all__ = [
     "registered_tasks",
     "SUITES",
     "ablation_scenarios",
-    "consolidation_scenarios",
     "google_fleet_trace_params",
-    "horizon_scenarios",
-    "omega_scenarios",
-    "predictor_scenarios",
-    "preemption_scenarios",
     "replay_scenario",
     "robustness_scenarios",
     "scalability_scenarios",
-    "slo_scenarios",
     "trace_corruption_scenarios",
 ]

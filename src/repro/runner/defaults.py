@@ -55,9 +55,8 @@ def bench_replay_machines() -> int:
     return int(os.environ.get("REPRO_BENCH_REPLAY_MACHINES", 4000))
 
 
-def bench_replay_load() -> float:
-    """Replay-bench trace load factor (``REPRO_BENCH_REPLAY_LOAD``)."""
-    return float(os.environ.get("REPRO_BENCH_REPLAY_LOAD", 0.85))
+#: Replay-bench trace load factor: deep enough to keep a backlog pending.
+REPLAY_LOAD = 0.85
 
 
 def bench_fleet_hours() -> float:
@@ -86,9 +85,8 @@ def bench_fleet_load() -> float:
     return float(os.environ.get("REPRO_BENCH_FLEET_LOAD", 0.55))
 
 
-def bench_fleet_shards() -> int:
-    """Fleet-bench shard count (``REPRO_BENCH_FLEET_SHARDS``)."""
-    return int(os.environ.get("REPRO_BENCH_FLEET_SHARDS", 4))
+#: Fleet-bench shard count when ``--shards`` is not given.
+FLEET_SHARDS = 4
 
 
 @dataclass(frozen=True)

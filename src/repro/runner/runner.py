@@ -328,7 +328,3 @@ def write_baseline(
     path.write_text(json.dumps(payload, indent=2, sort_keys=False) + "\n")
     return path
 
-
-def repo_root() -> Path:
-    """The repository root (where BENCH_*.json baselines live)."""
-    return Path(__file__).resolve().parents[3]

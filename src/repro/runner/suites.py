@@ -1,22 +1,96 @@
-"""Canonical scenario suites.
+"""Canonical scenario suites, and the shapes ``repro bench`` checks.
 
-The pytest benches (``benchmarks/bench_*.py``) and the ``repro bench`` CLI
-both build their scenario lists here, from the shared defaults in
-:mod:`repro.runner.defaults` — one definition of each sweep, everywhere.
+``repro bench`` builds its scenario lists here, from the shared defaults
+in :mod:`repro.runner.defaults` — one definition of each sweep — and
+checks each shaped suite's results against the shapes written next to it.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+import os
+from types import SimpleNamespace
+from typing import NamedTuple
+
 from repro.runner.defaults import (
+    REPLAY_LOAD,
     BenchDefaults,
     bench_defaults,
+    bench_fleet_hours,
+    bench_fleet_load,
+    bench_fleet_machines,
     bench_repeats,
     bench_replay_hours,
-    bench_replay_load,
     bench_replay_machines,
     bench_seed,
 )
 from repro.runner.scenario import Scenario
+
+
+class ShapeRow(NamedTuple):
+    """One claim about a run: ``measured`` ``op`` ``bound``.  ``ok`` is
+    ``None`` ("not checked") when a scenario it reads has no result (it
+    was quarantined) or the claim does not apply to the run."""
+
+    shape: str
+    measured: float | None
+    op: str
+    bound: float | None
+    ok: bool | None
+
+
+class Rel(NamedTuple):
+    """A bound: ``factor`` x the least ``path`` value (default: the shape's
+    own) of scenario(s) ``of``, plus ``offset``."""
+
+    factor: float
+    of: str | tuple[str, ...]
+    offset: float = 0.0
+    path: str | None = None
+
+
+_OPS = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "==": operator.eq,
+}
+
+
+def _value(results: dict, scenario: str, path):
+    """``path(result)``, or the result's summary at dotted ``path``."""
+    if scenario not in results:
+        return None
+    if callable(path):
+        return path(results[scenario])
+    value = results[scenario].summary
+    for key in path.split("."):
+        value = value[key]
+    return value
+
+
+def _shape_row(shape: str, measured, op: str, bound) -> ShapeRow:
+    ok = None if measured is None or bound is None else _OPS[op](measured, bound)
+    return ShapeRow(shape, measured, op, bound, ok)
+
+
+def check_shapes(specs, results: dict) -> list[ShapeRow]:
+    """Rows of ``(scenario, path, op, bound)`` specs over scenario results:
+    ``path`` is a dotted summary path or a function of the result, and
+    ``bound`` a number or a :class:`Rel`."""
+    rows = []
+    for scenario, path, op, bound in specs:
+        shape = f"{scenario} {getattr(path, '__name__', path)}"
+        if isinstance(bound, Rel):
+            of = (bound.of,) if isinstance(bound.of, str) else bound.of
+            values = [_value(results, name, bound.path or path) for name in of]
+            label = of[0] if len(of) == 1 else f"the least of {len(of)}"
+            shape += f" vs {bound.factor:g} x {label} {bound.path or ''}".rstrip()
+            shape += f" + {bound.offset:g}" if bound.offset else ""
+            least = None if None in values else min(values)
+            bound = None if least is None else least * bound.factor + bound.offset
+        rows.append(_shape_row(shape, _value(results, scenario, path), op, bound))
+    return rows
+
 
 #: Problem sizes of the CBS-RELAX scalability sweep (classes, machine types).
 #: The first four are the paper-scale points; the last two stretch toward
@@ -70,11 +144,30 @@ def replay_scenario() -> Scenario:
                 "hours": bench_replay_hours(),
                 "seed": bench_seed(),
                 "machines": bench_replay_machines(),
-                "load": bench_replay_load(),
+                "load": REPLAY_LOAD,
             },
             "policy": "threshold",
         },
     )
+
+
+def scalability_shapes(report, serial=None) -> list[ShapeRow]:
+    """Section VII-B's online-control claim, and the parallel speedup of a
+    ``--verify`` run (``serial``) on >= 4 workers with as many cores."""
+
+    def seconds_per_solve(result):
+        return result.wall_seconds / result.summary["repeats"]
+
+    specs = [
+        (f"relax_c80_t10_s{seed}", seconds_per_solve, "<", 10.0) for seed in (0, 1)
+    ]
+    rows = check_shapes(specs, {r.name: r for r in report})
+    speedup = None
+    if serial is not None and 4 <= report.workers <= (os.cpu_count() or 1):
+        wall = report.total_wall_seconds
+        speedup = serial.total_wall_seconds / wall if wall > 0 else 0.0
+    rows.append(_shape_row("parallel speedup over serial", speedup, ">=", 2.0))
+    return rows
 
 
 def _bench_trace_params(defaults: BenchDefaults | None) -> dict:
@@ -84,32 +177,6 @@ def _bench_trace_params(defaults: BenchDefaults | None) -> dict:
     # the Table II fleet; the runner suites replay the identical trace.
     params["constraints"] = True
     return params
-
-
-def omega_scenarios(defaults: BenchDefaults | None = None) -> list[Scenario]:
-    """Eq. 17 over-provisioning sweep (one scenario per omega)."""
-    trace = _bench_trace_params(defaults)
-    return [
-        Scenario(
-            name=f"omega_{omega}",
-            task="omega_round",
-            params={"trace": trace, "omega": omega, "demand_seed": 5},
-        )
-        for omega in (1.0, 1.25, 1.5, 2.0, 3.0, 4.0)
-    ]
-
-
-def horizon_scenarios(defaults: BenchDefaults | None = None) -> list[Scenario]:
-    """MPC look-ahead sweep (one scenario per W)."""
-    trace = _bench_trace_params(defaults)
-    return [
-        Scenario(
-            name=f"horizon_W{W}",
-            task="horizon_solve",
-            params={"trace": trace, "W": W},
-        )
-        for W in (1, 2, 4, 8)
-    ]
 
 
 #: Predictor name -> factory kwargs, as in the Section VI ablation.
@@ -124,100 +191,104 @@ PREDICTOR_GRID: tuple[tuple[str, str, dict], ...] = (
 )
 
 
-def predictor_scenarios(defaults: BenchDefaults | None = None) -> list[Scenario]:
-    """Arrival-predictor ablation (one scenario per predictor)."""
-    trace = _bench_trace_params(defaults)
-    return [
-        Scenario(
-            name=f"predictor_{label}",
-            task="predictor_eval",
-            params={
-                "trace": trace,
-                "predictor": name,
-                "predictor_kwargs": dict(kwargs),
-                "warmup": 12,
-            },
-        )
-        for label, name, kwargs in PREDICTOR_GRID
-    ]
-
-
-def preemption_scenarios(defaults: BenchDefaults | None = None) -> list[Scenario]:
-    """CBS with and without priority preemption, 2 h window."""
-    trace = _bench_trace_params(defaults)
-    return [
-        Scenario(
-            name=f"preemption_{'on' if flag else 'off'}",
-            task="simulate",
-            params={
-                "trace": trace,
-                "policy": "cbs",
-                "predictor": "ewma",
-                "enable_preemption": flag,
-                "window_hours": 2.0,
-            },
-        )
-        for flag in (False, True)
-    ]
-
-
-def slo_scenarios(defaults: BenchDefaults | None = None) -> list[Scenario]:
-    """SLO-tightness sweep (energy/delay trade-off), 2 h window."""
-    trace = _bench_trace_params(defaults)
-    return [
-        Scenario(
-            name=f"slo_{multiplier}x",
-            task="simulate",
-            params={
-                "trace": trace,
-                "policy": "cbs",
-                "predictor": "ewma",
-                "slo_multiplier": multiplier,
-                "window_hours": 2.0,
-            },
-        )
-        for multiplier in (0.25, 1.0, 4.0)
-    ]
-
-
-def consolidation_scenarios() -> list[Scenario]:
-    """Migration consolidation over fragmented fleets."""
-    return [
-        Scenario(
-            name="consolidation_frag",
-            task="consolidation",
-            params={"seed": 11, "trials": 10, "num_machines": 20, "mean_load": 0.35},
-        )
-    ]
-
-
 def ablation_scenarios(defaults: BenchDefaults | None = None) -> list[Scenario]:
-    """Every ablation sweep as one suite."""
+    """Every ablation sweep as one suite.
+
+    ``omega_*`` solves and rounds one CBS instance per Eq. 17 factor;
+    ``horizon_W*`` solves one MPC instance per look-ahead W on a step-2
+    demand surge; ``predictor_*`` scores one-step forecasts of each
+    :data:`PREDICTOR_GRID` entry; ``preemption_*`` and ``slo_*`` run CBS
+    over a 2 h window with eviction off/on and with the group SLOs scaled;
+    ``consolidation_frag`` migrates containers off fragmented fleets.
+    """
+    trace = _bench_trace_params(defaults)
+    cbs = {"trace": trace, "policy": "cbs", "predictor": "ewma"}
     return (
-        omega_scenarios(defaults)
-        + horizon_scenarios(defaults)
-        + predictor_scenarios(defaults)
-        + preemption_scenarios(defaults)
-        + slo_scenarios(defaults)
-        + consolidation_scenarios()
+        [
+            Scenario(f"omega_{omega}", "omega_round",
+                     {"trace": trace, "omega": omega, "demand_seed": 5})
+            for omega in (1.0, 1.25, 1.5, 2.0, 3.0, 4.0)
+        ]
+        + [
+            Scenario(f"horizon_W{W}", "horizon_solve", {"trace": trace, "W": W})
+            for W in (1, 2, 4, 8)
+        ]
+        + [
+            Scenario(f"predictor_{label}", "predictor_eval", {
+                "trace": trace, "predictor": name,
+                "predictor_kwargs": dict(kwargs), "warmup": 12,
+            })
+            for label, name, kwargs in PREDICTOR_GRID
+        ]
+        + [
+            Scenario(f"preemption_{'on' if flag else 'off'}", "simulate",
+                     {**cbs, "enable_preemption": flag, "window_hours": 2.0})
+            for flag in (False, True)
+        ]
+        + [
+            Scenario(f"slo_{multiplier}x", "simulate",
+                     {**cbs, "slo_multiplier": multiplier, "window_hours": 2.0})
+            for multiplier in (0.25, 1.0, 4.0)
+        ]
+        + [
+            Scenario("consolidation_frag", "consolidation",
+                     {"seed": 11, "trials": 10, "num_machines": 20, "mean_load": 0.35})
+        ]
     )
 
 
+BASELINE_PREDICTORS = tuple(
+    f"predictor_{label}" for label, name, _ in PREDICTOR_GRID if name != "arima"
+)
+
+
+def lp_solve_seconds(result) -> float:
+    return result.phases["solve"]
+
+
+#: The claims of EXPERIMENTS.md's "Ablations" table.
+ABLATION_SHAPES = (
+    # Eq. 17: mild omega buys packing headroom; heavy omega hits the
+    # utility cliff and sheds work instead of buying machines.
+    ("omega_1.0", "placement_ratio", ">", 0.6),
+    ("omega_1.25", "placement_ratio", ">=", 0.9),
+    ("omega_1.25", "machines", ">=", Rel(0.8, "omega_1.0")),
+    ("omega_4.0", "machines", "<=", Rel(1.0, "omega_1.5")),
+    # The MPC stays interactive at W = 8, and W = 1 still provisions.
+    ("horizon_W8", lp_solve_seconds, "<", 30.0),
+    ("horizon_W1", "z_first_step", ">", 0.0),
+    # Section VI: ARIMA within 25% of the best baseline predictor.
+    ("predictor_arima(2,0,1)", "mean_rmse", "<=", Rel(1.25, BASELINE_PREDICTORS)),
+    # Preemption must not hurt the production tail.
+    ("preemption_on", "delay_by_group.production.p95_s", "<=",
+     Rel(1.05, "preemption_off", offset=1.0)),
+    # Tight SLOs buy delay with energy; loose SLOs do the reverse.
+    ("slo_0.25x", "energy_kwh", ">=", Rel(0.95, "slo_4.0x")),
+    ("slo_4.0x", "mean_delay_s", ">=", Rel(0.8, "slo_0.25x")),
+    # Migration releases a meaningful share of fragmented machines.
+    ("consolidation_frag", "released", ">=", 30),
+    ("consolidation_frag", "moves", ">", 0),
+)
+
+
+def ablation_shapes(report, serial=None) -> list[ShapeRow]:
+    """:data:`ABLATION_SHAPES` over one ablation run."""
+    return check_shapes(ABLATION_SHAPES, {r.name: r for r in report})
+
+
 #: Fault scenarios the robustness suite replays (a subset of
-#: :data:`repro.resilience.scenarios.SCENARIOS` — stragglers and poisson
-#: stay CLI-only to keep the bench matrix at its historical three rows).
-ROBUSTNESS_SCENARIOS = ("clean", "outage", "blackout")
+#: :data:`repro.resilience.scenarios.SCENARIOS`; stragglers stay CLI-only).
+ROBUSTNESS_SCENARIOS = ("clean", "outage", "blackout", "poisson")
 
 
-def robustness_scenarios(
-    defaults: BenchDefaults | None = None,
-    scenarios: tuple[str, ...] = ROBUSTNESS_SCENARIOS,
+def _guarded_fault_scenarios(
+    prefix: str, scenarios: tuple[str, ...], fault_seed: int, defaults
 ) -> list[Scenario]:
-    """Guarded CBS under the named fault scenarios, 2 h window."""
+    """Guarded CBS (EWMA) under each named fault scenario, 2 h window."""
     trace = _bench_trace_params(defaults)
     return [
         Scenario(
-            name=f"fault_{scenario}",
+            name=f"{prefix}_{scenario}",
             task="simulate",
             params={
                 "trace": trace,
@@ -225,12 +296,40 @@ def robustness_scenarios(
                 "predictor": "ewma",
                 "guard": True,
                 "fault_scenario": None if scenario == "clean" else scenario,
-                "fault_seed": 1,
+                "fault_seed": fault_seed,
                 "window_hours": 2.0,
             },
         )
         for scenario in scenarios
     ]
+
+
+def robustness_scenarios(
+    defaults: BenchDefaults | None = None,
+    scenarios: tuple[str, ...] = ROBUSTNESS_SCENARIOS,
+) -> list[Scenario]:
+    """Guarded CBS under the named fault scenarios, 2 h window."""
+    return _guarded_fault_scenarios("fault", scenarios, 1, defaults)
+
+
+def robustness_shapes(report, serial=None) -> list[ShapeRow]:
+    """Graceful degradation (Fig. 8): the outage takes >= 25% of the largest
+    Table II pool, yet the guarded controller keeps >= 85% of the clean
+    scheduled count with no invalid decision; Poisson churn costs < 10%."""
+    from repro.energy.catalog import table2_fleet
+
+    quarter_pool = math.ceil(0.25 * max(m.count for m in table2_fleet(0.1)))
+    specs = (
+        ("fault_outage", "resilience.machines_failed", ">=", quarter_pool),
+        ("fault_outage", "tasks_killed", ">", 0),
+        ("fault_outage", "tasks_scheduled", ">=", Rel(0.85, "fault_clean")),
+        ("fault_outage", "resilience.invalid_decisions", "==", 0),
+        ("fault_outage", "resilience.availability", "<", 1.0),
+        ("fault_outage", "resilience.mttr_s", ">", 0.0),
+        ("fault_poisson", "resilience.machines_failed", ">", 0),
+        ("fault_poisson", "tasks_scheduled", ">=", Rel(0.9, "fault_clean")),
+    )
+    return check_shapes(specs, {r.name: r for r in report})
 
 
 #: Fabric fault scenarios the network_faults suite replays — the clean
@@ -254,23 +353,7 @@ def network_faults_scenarios(
     universe: correlated link degradation, flapping links and a partial
     partition severing cell 4 from the ingest cell.
     """
-    trace = _bench_trace_params(defaults)
-    return [
-        Scenario(
-            name=f"net_{scenario}",
-            task="simulate",
-            params={
-                "trace": trace,
-                "policy": "cbs",
-                "predictor": "ewma",
-                "guard": True,
-                "fault_scenario": None if scenario == "clean" else scenario,
-                "fault_seed": 3,
-                "window_hours": 2.0,
-            },
-        )
-        for scenario in scenarios
-    ]
+    return _guarded_fault_scenarios("net", scenarios, 3, defaults)
 
 
 #: Corruption fractions the dirty-trace suite replays; the first satisfies
@@ -317,18 +400,28 @@ def google_fleet_trace_params() -> dict:
     layer (:mod:`repro.fleet`) rather than a single process.  Separate
     ``REPRO_BENCH_FLEET_*`` knobs so CI can shrink it independently.
     """
-    from repro.runner.defaults import (
-        bench_fleet_hours,
-        bench_fleet_load,
-        bench_fleet_machines,
-    )
-
     return {
         "hours": bench_fleet_hours(),
         "seed": bench_seed(),
         "machines": bench_fleet_machines(),
         "load": bench_fleet_load(),
     }
+
+
+def shards_missing(result) -> int:
+    return len(result.summary["shards"]["missing"])
+
+
+def google_fleet_shapes(merged: dict | None) -> list[ShapeRow]:
+    """Every shard merged (``merged`` is ``None`` when none did), and the
+    fleet serves the bulk of the workload."""
+    specs = (
+        ("merged", shards_missing, "==", 0),
+        ("merged", "tasks_scheduled", ">", Rel(0.5, "merged", path="tasks_submitted")),
+        ("merged", "energy_kwh", ">", 0.0),
+    )
+    results = {} if merged is None else {"merged": SimpleNamespace(summary=merged)}
+    return check_shapes(specs, results)
 
 
 #: Suite name -> builder, for the ``repro bench`` CLI.  The sharded
@@ -342,4 +435,10 @@ SUITES = {
     "robustness": robustness_scenarios,
     "network_faults": network_faults_scenarios,
     "trace_corruption": trace_corruption_scenarios,
+}
+#: Suite name -> ``shapes(report, serial)``; ``serial`` is ``--verify``'s.
+SHAPES = {
+    "scalability": scalability_shapes,
+    "ablation": ablation_shapes,
+    "robustness": robustness_shapes,
 }

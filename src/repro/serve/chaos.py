@@ -109,10 +109,6 @@ class ServeChaos:
         #: daemon refills the cache identically from tick 0).
         self._last_heard_cache: list[dict[int, float]] = []
 
-    @property
-    def has_fabric_faults(self) -> bool:
-        return bool(self._fabric_specs)
-
     # --------------------------------------------------------------- effects
 
     def effects(self, tick: int) -> ChaosEffects:

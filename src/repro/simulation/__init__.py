@@ -36,7 +36,6 @@ from repro.simulation.columnar import (
     TaskColumns,
     capacity_room,
     first_fit_index,
-    reissue_finish_times,
 )
 from repro.simulation.degradation import DEGRADATION_LEVELS, DegradationLadder
 from repro.simulation.timing import PhaseTimer
@@ -71,7 +70,6 @@ __all__ = [
     "TaskColumns",
     "capacity_room",
     "first_fit_index",
-    "reissue_finish_times",
     "ENGINES",
     "DEGRADATION_LEVELS",
     "DegradationLadder",

@@ -27,7 +27,7 @@ from repro.energy.models import MachineModel
 from repro.energy.prices import PriceSchedule, constant_price
 from repro.provisioning.controller import ProvisioningDecision
 from repro.resilience.fabric import FabricState, FabricView, link_label
-from repro.resilience.faults import FaultInjector, FaultPlan, RandomMachineFailures
+from repro.resilience.faults import FaultInjector, FaultPlan
 from repro.simulation.engine import EventKind, EventQueue
 from repro.simulation.machine import MachinePool, MachineState
 from repro.simulation.metrics import SimulationMetrics
@@ -83,17 +83,9 @@ class ClusterConfig:
     max_schedule_attempts: int = 5000
     #: Smaller cap for the opportunistic pass after each task finish.
     backfill_attempts: int = 200
-    #: Failure injection: expected crashes per powered machine-hour.  Tasks
-    #: on a crashed machine restart from scratch elsewhere; the machine is
-    #: unavailable for ``repair_seconds``.  A thin preset over
-    #: :class:`~repro.resilience.faults.RandomMachineFailures` — for
-    #: correlated outages, stragglers and monitoring blackouts compose a
-    #: ``fault_plan`` instead.
-    failure_rate_per_machine_hour: float = 0.0
-    repair_seconds: float = 3600.0
-    failure_seed: int = 0
-    #: Composable fault scenario (scripted + stochastic); merged with the
-    #: legacy Poisson knob above when both are set.
+    #: Composable fault scenario (scripted + stochastic): Poisson machine
+    #: crashes, correlated outages, stragglers, monitoring blackouts and
+    #: fabric faults.
     fault_plan: FaultPlan | None = None
     #: Priority preemption (the trace's priority semantics, Section III):
     #: a task may evict running tasks at least ``preemption_priority_gap``
@@ -113,13 +105,6 @@ class ClusterConfig:
             raise ValueError(
                 f"backfill_attempts must be >= 1, got {self.backfill_attempts}"
             )
-        if self.failure_rate_per_machine_hour < 0:
-            raise ValueError(
-                "failure_rate_per_machine_hour must be >= 0, got "
-                f"{self.failure_rate_per_machine_hour}"
-            )
-        if self.repair_seconds < 0:
-            raise ValueError(f"repair_seconds must be >= 0, got {self.repair_seconds}")
         if self.preemption_priority_gap < 1:
             raise ValueError(
                 f"preemption_priority_gap must be >= 1, got {self.preemption_priority_gap}"
@@ -208,13 +193,8 @@ class ClusterSimulator:
         self.fault_injector = self._build_fault_injector()
 
     def _build_fault_injector(self) -> FaultInjector | None:
-        """Merge the legacy Poisson knob with any composed fault plan."""
+        """Attach an injector for the configured fault plan, if it has faults."""
         plan = self.config.fault_plan
-        if self.config.failure_rate_per_machine_hour > 0:
-            preset = RandomMachineFailures(
-                self.config.failure_rate_per_machine_hour, self.config.repair_seconds
-            )
-            plan = (plan or FaultPlan(seed=self.config.failure_seed)).with_fault(preset)
         if plan is None or not plan.has_faults:
             return None
         injector = FaultInjector(plan)

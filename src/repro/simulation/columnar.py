@@ -14,9 +14,8 @@ the hot paths through numpy columns:
 - each scheduling round consults a vectorized *feasibility cache* over the
   examined window and only runs the exact serial first-fit logic on tasks
   the cache admits;
-- the per-pool first-fit machine scan and the fault-driven finish-time
-  reissue are numpy kernels (:func:`first_fit_index`,
-  :func:`reissue_finish_times`) with scalar-identical semantics;
+- the per-pool first-fit machine scan is a numpy kernel
+  (:func:`first_fit_index`) with scalar-identical semantics;
 - task arrivals stream from a pre-sorted column instead of the event heap,
   merged against the heap under the exact ``(time, kind)`` ordering.
 
@@ -120,18 +119,6 @@ def first_fit_index(
         if head[offset]:
             return offset
     return -1
-
-
-def reissue_finish_times(
-    finish_times: np.ndarray, now: float, ratio: float
-) -> np.ndarray:
-    """Stretch/compress remaining service, batched.
-
-    Scalar-identical to the object engine's per-task update:
-    ``new = now + max(finish - now, 0.0) * ratio``.  Total remaining
-    service time scales by exactly ``ratio``.
-    """
-    return now + np.maximum(finish_times - now, 0.0) * ratio
 
 
 # ----------------------------------------------------------- task columns
@@ -376,22 +363,6 @@ class ColumnarFirstFitScheduler(FirstFitScheduler):
             self.fabric_deferrals += 1
         return None
 
-    def _pick_machine(self, task: Task, pool: MachinePool) -> Machine | None:
-        j = self._pool_index[pool.platform_id]
-        if task.cpu > self._cpu_bound[j] or task.memory > self._memory_bound[j]:
-            return None
-        index = first_fit_index(
-            self._cpu_room[j],
-            self._memory_room[j],
-            task.cpu,
-            task.memory,
-            self._hints.get(pool.platform_id, 0),
-        )
-        if index < 0:
-            return None
-        self._hints[pool.platform_id] = index
-        return pool.machines[index]
-
     # ------------------------------------------------------ feasibility
 
     def feasible_mask(
@@ -579,30 +550,6 @@ class ColumnarClusterSimulator(ClusterSimulator):
         # Reachability may have grown; stretch reissues don't touch
         # capacity but partitions healing re-open whole cells.
         self._invalidate_proofs()
-
-    def _reissue_finishes(self, machine, ratio: float, now: float) -> None:
-        """Batch finish-time reissue (straggler/fabric stretch)."""
-        running = machine.running
-        if not running:
-            return
-        uids = list(running.keys())
-        finish_time = self._finish_time
-        finishes = np.fromiter(
-            (finish_time.get(uid, np.nan) for uid in uids),
-            dtype=np.float64,
-            count=len(uids),
-        )
-        new_finishes = reissue_finish_times(finishes, now, ratio)
-        generations = self._generation
-        queue = self._queue
-        for uid, old, new in zip(uids, finishes, new_finishes):
-            if np.isnan(old):
-                continue
-            generation = generations.get(uid, 0) + 1
-            generations[uid] = generation
-            new = float(new)
-            finish_time[uid] = new
-            queue.schedule(new, EventKind.TASK_FINISH, (running[uid][0], generation))
 
     # ---------------------------------------------------- proof-bit cache
 

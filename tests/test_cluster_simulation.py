@@ -5,6 +5,7 @@ import pytest
 
 from repro.energy import table2_fleet
 from repro.provisioning import ProvisioningDecision
+from repro.resilience import FaultPlan, RandomMachineFailures
 from repro.simulation import (
     ClusterConfig,
     ClusterSimulator,
@@ -189,9 +190,11 @@ class TestFailureInjection:
             class_of=lambda task: 0,
             config=ClusterConfig(
                 control_interval=300.0,
-                failure_rate_per_machine_hour=rate,
-                repair_seconds=1800.0,
-                failure_seed=3,
+                fault_plan=FaultPlan(seed=3).with_fault(
+                    RandomMachineFailures(
+                        rate_per_machine_hour=rate, repair_seconds=1800.0
+                    )
+                ),
             ),
         )
         metrics = simulator.run()

@@ -7,10 +7,7 @@ object engine's code path; hypothesis drives randomized agreement checks:
   first-fit scan of :class:`FirstFitScheduler._pick_machine` picks;
 - :func:`capacity_room` must make ``demand <= room`` equivalent to
   :meth:`Machine.fits`'s ``demand <= free + 1e-9`` (and unsatisfiable for
-  non-schedulable machines);
-- :func:`reissue_finish_times` must match the object engine's per-task
-  stretch update and scale total remaining service time by exactly the
-  stretch ratio.
+  non-schedulable machines).
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ from repro.simulation.columnar import (
     FIT_EPS,
     capacity_room,
     first_fit_index,
-    reissue_finish_times,
 )
 
 finite = st.floats(
@@ -104,42 +100,3 @@ class TestCapacityRoom:
         room = capacity_room(np.array([5.0]), np.array([False]))
         assert room[0] == -np.inf
         assert not (0.0 <= room[0])
-
-
-class TestReissueFinishTimes:
-    @given(st.data())
-    def test_matches_scalar_update(self, data):
-        count = data.draw(st.integers(min_value=1, max_value=16))
-        now = data.draw(st.floats(min_value=0.0, max_value=1e6, allow_nan=False))
-        finishes = np.array(
-            [
-                now + data.draw(st.floats(min_value=-100.0, max_value=1e5,
-                                          allow_nan=False))
-                for _ in range(count)
-            ]
-        )
-        ratio = data.draw(st.floats(min_value=0.1, max_value=10.0, allow_nan=False))
-        got = reissue_finish_times(finishes, now, ratio)
-        for i in range(count):
-            expected = now + max(finishes[i] - now, 0.0) * ratio
-            assert got[i] == expected
-
-    @given(st.data())
-    def test_total_remaining_service_scales_by_ratio(self, data):
-        count = data.draw(st.integers(min_value=1, max_value=16))
-        now = 1000.0
-        remaining = np.array(
-            [data.draw(st.floats(min_value=0.0, max_value=1e4, allow_nan=False))
-             for _ in range(count)]
-        )
-        ratio = data.draw(st.floats(min_value=0.25, max_value=4.0, allow_nan=False))
-        new_finishes = reissue_finish_times(now + remaining, now, ratio)
-        total_before = float(np.sum(remaining))
-        total_after = float(np.sum(new_finishes - now))
-        assert np.isclose(total_after, ratio * total_before, rtol=1e-9, atol=1e-9)
-
-    def test_past_finishes_clamp_to_now(self):
-        finishes = np.array([50.0, 100.0])
-        got = reissue_finish_times(finishes, 100.0, 2.0)
-        assert got[0] == 100.0  # already overdue: fires immediately, no stretch
-        assert got[1] == 100.0

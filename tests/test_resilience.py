@@ -25,6 +25,7 @@ from repro.resilience import (
     MachineDegradation,
     MonitoringBlackout,
     RandomMachineFailures,
+    build_scenario_plan,
 )
 from repro.simulation import (
     ClusterConfig,
@@ -51,8 +52,8 @@ class TestFaultSpecs:
         assert extended.seed == 3
 
     def test_poisson_preset(self):
-        plan = FaultPlan.poisson(rate_per_machine_hour=0.1, seed=5)
-        assert plan.has_faults
+        plan = build_scenario_plan("poisson", 3600.0, seed=5)
+        assert plan.faults == (RandomMachineFailures(rate_per_machine_hour=0.05),)
         assert plan.seed == 5
 
     @pytest.mark.parametrize(
@@ -343,14 +344,10 @@ def _crash_run(seed, rate=0.1, plan=None):
             )
 
     if plan is None:
-        config = ClusterConfig(
-            control_interval=300.0,
-            failure_rate_per_machine_hour=rate,
-            repair_seconds=1800.0,
-            failure_seed=seed,
+        plan = FaultPlan(seed=seed).with_fault(
+            RandomMachineFailures(rate_per_machine_hour=rate, repair_seconds=1800.0)
         )
-    else:
-        config = ClusterConfig(control_interval=300.0, fault_plan=plan)
+    config = ClusterConfig(control_interval=300.0, fault_plan=plan)
     simulator = ClusterSimulator(
         tasks=tasks,
         horizon=7200.0,
@@ -380,15 +377,6 @@ class TestFailureDeterminism:
         _, _, first = _crash_run(seed=3)
         _, _, second = _crash_run(seed=4)
         assert first[0] != second[0]
-
-    def test_legacy_knob_matches_explicit_fault_plan(self):
-        """failure_rate_per_machine_hour is a thin preset over FaultPlan."""
-        _, _, legacy = _crash_run(seed=3, rate=0.1)
-        plan = FaultPlan(seed=3).with_fault(
-            RandomMachineFailures(rate_per_machine_hour=0.1, repair_seconds=1800.0)
-        )
-        _, _, explicit = _crash_run(seed=3, plan=plan)
-        assert legacy == explicit
 
 
 # --------------------------------------------------------------------------
