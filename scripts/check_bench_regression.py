@@ -15,7 +15,10 @@ the build when
   more than ``--max-regression``, or exceeds the absolute
   ``--rss-ceiling-mb`` (when given) — the committed memory envelope of
   the Google-trace-scale fleet bench;
-- a baseline scenario disappeared from the fresh run.
+- a baseline scenario disappeared from the fresh run;
+- a fresh scenario's recorded ``phases`` cover less than
+  ``MIN_PHASE_COVERAGE`` of its wall: the rest is time no layer answers
+  for.  A scenario that records no phases covers none of it.
 
 The replay kernel is gated through the wall share of the scalability
 suite's ``replay_backlog`` scenario.  Pure comparison logic lives in
@@ -41,6 +44,11 @@ MIN_GATED_WALL_S = 0.5
 #: all import baseline — which moves with toolchain versions, not with
 #: our code — and their shares are meaninglessly uniform.
 MIN_GATED_RSS_MB = 192.0
+
+#: The share of a fresh scenario's wall its recorded phases must cover,
+#: checked for scenarios at or above ``MIN_GATED_WALL_S``.
+MIN_PHASE_COVERAGE = 0.95
+
 
 def _scenario_walls(report: dict) -> dict[str, float]:
     return {s["name"]: float(s["wall_s"]) for s in report.get("scenarios", [])}
@@ -84,6 +92,17 @@ def compare_reports(
                     f"{base_share:.1%} -> {fresh_share:.1%} "
                     f"(limit +{max_regression:.0%})"
                 )
+
+    for scenario in fresh.get("scenarios", []):
+        wall = float(scenario["wall_s"])
+        if wall < MIN_GATED_WALL_S:
+            continue
+        coverage = sum((scenario.get("phases") or {}).values()) / wall
+        if coverage < MIN_PHASE_COVERAGE:
+            problems.append(
+                f"{scenario['name']}: phases cover {coverage:.1%} of its wall "
+                f"(floor {MIN_PHASE_COVERAGE:.0%})"
+            )
 
     # Peak-RSS share gate — the memory mirror of the wall-share gate.
     # Skips silently when either side predates RSS recording.

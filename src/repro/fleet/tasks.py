@@ -150,8 +150,10 @@ def fleet_shard_task(params: dict) -> dict:
     ).run()
 
     kept_count = trace.num_tasks
+    with timer.phase("summary"):
+        simulation_summary = result.summary()
     summary = {
-        "simulation": result.summary(),
+        "simulation": simulation_summary,
         "shard": {
             "index": index,
             "shards": shards,

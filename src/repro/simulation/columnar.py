@@ -13,7 +13,8 @@ the hot paths through numpy columns:
   independently, so no float drift can accumulate;
 - each scheduling round consults a vectorized *feasibility cache* over the
   examined window and only runs the exact serial first-fit logic on tasks
-  the cache admits;
+  the cache admits, and after a failed placement it skips straight to the
+  next candidate that can be placed;
 - the per-pool first-fit machine scan is a numpy kernel
   (:func:`first_fit_index`) with scalar-identical semantics;
 - task arrivals stream from a pre-sorted column instead of the event heap,
@@ -32,17 +33,31 @@ capacity (usually a single machine) or the *opened* quota slot.  Bulk
 invalidations (reconcile, preemption, fabric changes) clear the cache and
 the next round rebuilds it with one full vectorized mask.
 
+Within a round the same vectorized pass
+(:meth:`ColumnarFirstFitScheduler.placeable`) runs again after each failed
+``try_place``, over the candidates still to come and on the current state:
+a retest after one task finish clears every flagged task fitting the freed
+machine, and the walk places only the few that fit it first.  Candidates
+the pass rejects are skipped, flagged and counted as the failing walk
+would count them; the rest go on to ``try_place``, still the only
+placement routine.  The skip is exact: stocks only tighten within a round,
+so the pass on the current state answers exactly what the walk would.
+
 Determinism contract: for any scenario, the columnar engine produces a
 ``summary()`` bit-identical to the object engine's.  The cache may only
 *over*-approximate feasibility (capacity and quota stocks tighten
 monotonically within a round, so round-start feasibility is a superset of
 feasibility at any later point in the round, and retests clear bits
 conservatively), and a task examined without being placed has no
-outcome-affecting side effects in the object engine — the pareto memo and
-rotating hints mutate only on success.  Everything else (placement order,
-ledger stocks, metrics, fabric deferrals, event ordering) follows the
-object engine's code paths exactly; the differential suite
-(``tests/test_columnar_differential.py``) enforces the digests.
+outcome-affecting side effects in the object engine: the rotating hints
+mutate only on success, and the pareto memo, which a failed walk does
+extend, is outcome-neutral — it only rejects demands dominating one that
+already failed in that pool this round, which cannot fit there either.
+Skipping a walk therefore changes nothing but the work done.  Everything
+else (placement order, ledger stocks, metrics, fabric deferrals, event
+ordering) follows the object engine's code paths exactly; the
+differential suite (``tests/test_columnar_differential.py``) enforces the
+digests.
 """
 
 from __future__ import annotations
@@ -229,6 +244,26 @@ class ColumnarFirstFitScheduler(FirstFitScheduler):
         self._dirty = [True] * len(self.pools)
         self._any_dirty = True
         self._stale: set[int] = set()
+        #: Per-pool machine-model capacities, the walk's size check.
+        self._cpu_capacity = np.array([pool.model.cpu_capacity for pool in self.pools])
+        self._memory_capacity = np.array(
+            [pool.model.memory_capacity for pool in self.pools]
+        )
+        #: Per-pool reachability from the ingest cell, kept in step with
+        #: :meth:`set_unreachable`.
+        self._reachable = np.ones(len(self.pools), dtype=bool)
+        #: Whether a failing :meth:`try_place` walk counts a fabric
+        #: deferral: it does exactly when it skipped an unreachable pool,
+        #: and a failing walk visits every pool.
+        self.defers = False
+
+    def set_unreachable(self, cells: frozenset[int]) -> None:
+        super().set_unreachable(cells)
+        self._reachable = np.array(
+            [pool.platform_id not in self._unreachable for pool in self.pools],
+            dtype=bool,
+        )
+        self.defers = not self._reachable.all()
 
     # ------------------------------------------------------ column upkeep
 
@@ -365,48 +400,72 @@ class ColumnarFirstFitScheduler(FirstFitScheduler):
 
     # ------------------------------------------------------ feasibility
 
-    def feasible_mask(
-        self, rows: np.ndarray, columns: TaskColumns, ledger: QuotaLedger
-    ) -> np.ndarray:
-        """Round-start feasibility of each window row (superset of success).
+    def admission_table(
+        self, ledger: QuotaLedger, class_ids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(table, index)``: ``table[index[k], j]`` is whether the ledger
+        admits ``class_ids[k]`` on pool j, one table row per distinct class.
 
-        A row is marked feasible when *some* reachable, constraint-allowed,
-        quota-admitting pool has a schedulable machine with room at the
-        current (round-start) capacities.  Rows marked infeasible cannot be
-        placed by the serial walk either — capacity and quota stocks only
-        tighten within a round — so skipping them changes no outcome.
+        A snapshot: a caller that places tasks afterwards must patch the
+        placed (class, pool) cell, the only one a placement moves.
+        """
+        classes, index = np.unique(class_ids, return_inverse=True)
+        class_list = classes.tolist()
+        table = np.empty((len(class_list), len(self.pools)), dtype=bool)
+        for j, pool in enumerate(self.pools):
+            table[:, j] = ledger.admits_each(pool.platform_id, class_list)
+        return table, index
+
+    def placeable(
+        self,
+        rows: np.ndarray,
+        columns: TaskColumns,
+        admits: np.ndarray | None,
+    ) -> np.ndarray:
+        """Exactly which rows :meth:`try_place` would place on the current state.
+
+        A row is placeable when some pool passes every check of the walk —
+        reachable, within the machine model's size, ``allowed``, admitted
+        (``admits[k, j]`` for row k, ``None`` meaning unrestricted) — and
+        has a schedulable machine with room.  The pareto memo is ignored:
+        it only rejects demands that dominate one that already failed in
+        the pool this round, which cannot fit there either.  The first
+        four checks are one (row x pool) prefilter, including the pools'
+        exact room maxima; machine rooms are compared only for the pools a
+        row passes it on.
         """
         self._flush()
         cpu = columns.cpu[rows]
         memory = columns.memory[rows]
-        classes = columns.class_id[rows]
-        allowed = columns.allowed[rows]
-        mask = np.zeros(len(rows), dtype=bool)
-        unique_classes, inverse = np.unique(classes, return_inverse=True)
-        class_list = [int(c) for c in unique_classes]
-        for j, pool in enumerate(self.pools):
-            if pool.platform_id in self._unreachable:
+        cpu_limit = np.minimum(self._cpu_capacity, self._cpu_bound)
+        memory_limit = np.minimum(self._memory_capacity, self._memory_bound)
+        passes = (
+            columns.allowed[rows]
+            & self._reachable
+            & (cpu[:, None] <= cpu_limit)
+            & (memory[:, None] <= memory_limit)
+        )
+        if admits is not None:
+            passes &= admits
+        fits = np.zeros(len(rows), dtype=bool)
+        for j in np.flatnonzero(passes.any(axis=0)).tolist():
+            sub = np.flatnonzero(passes[:, j] & ~fits)
+            if not len(sub):
                 continue
-            if self._cpu_bound[j] == -np.inf:
-                continue  # nothing schedulable in this pool
-            admits = np.asarray(
-                ledger.admits_each(pool.platform_id, class_list), dtype=bool
+            sub_cpu = cpu[sub]
+            sub_memory = memory[sub]
+            cpu_room = self._cpu_room[j]
+            memory_room = self._memory_room[j]
+            # Only a machine with room for the smallest demands can host
+            # any of them; compare the rows against those machines alone.
+            roomy = np.flatnonzero(
+                (sub_cpu.min() <= cpu_room) & (sub_memory.min() <= memory_room)
             )
-            candidates = admits[inverse] & allowed[:, j] & ~mask
-            # O(1)-per-row bound prefilter: a demand above the pool's
-            # exact per-dimension room maxima cannot fit any machine, so
-            # it is excluded before the row-by-machine broadcast.
-            candidates &= (cpu <= self._cpu_bound[j]) & (
-                memory <= self._memory_bound[j]
-            )
-            if not candidates.any():
-                continue
-            sub = np.flatnonzero(candidates)
-            fits = (cpu[sub, None] <= self._cpu_room[j][None, :]) & (
-                memory[sub, None] <= self._memory_room[j][None, :]
-            )
-            mask[sub] = fits.any(axis=1)
-        return mask
+            fits[sub] = (
+                (sub_cpu[:, None] <= cpu_room[roomy])
+                & (sub_memory[:, None] <= memory_room[roomy])
+            ).any(axis=1)
+        return fits
 
 
 # ----------------------------------------------------- columnar simulator
@@ -771,37 +830,77 @@ class ColumnarClusterSimulator(ClusterSimulator):
         window_len = min(max_attempts, total)
         window_pos = spos[:window_len]
         window_rows = self._sorted_rows[:window_len]
+        infeasible = self._infeasible
+        ledger = self.ledger
+        class_ids = self.columns.class_id
+        # Round-local (class x pool) admission over the window's classes,
+        # built on first use when the ledger is restricted; each placement
+        # patches the one cell it moves, so it stays exact all round.
+        admission: np.ndarray | None = None
+        local_class: np.ndarray | None = None
+
+        def placeable(index: np.ndarray) -> np.ndarray:
+            """Which window entries ``try_place`` would place right now."""
+            nonlocal admission, local_class
+            if admission is None and ledger.restricted:
+                admission, local_class = scheduler.admission_table(
+                    ledger, class_ids[window_rows]
+                )
+            admits = None if admission is None else admission[local_class[index]]
+            return scheduler.placeable(window_rows[index], self.columns, admits)
+
         if self._mask_valid:
-            feasible = ~self._infeasible[window_rows]
+            feasible = ~infeasible[window_rows]
         else:
-            feasible = scheduler.feasible_mask(window_rows, self.columns, self.ledger)
-            self._infeasible[window_rows] = ~feasible
+            feasible = placeable(np.arange(window_len))
+            infeasible[window_rows] = ~feasible
             self._mask_valid = True
         # Only candidate entries need the serial walk; proven-infeasible
         # entries keep their queue position wholesale.  A failing
         # examination in the object engine walks every pool, so each one
         # counts a fabric deferral exactly when any pool is unreachable
         # (and serial failures count their own inside ``try_place``).
-        candidate_index = np.flatnonzero(feasible)
-        if bool(scheduler._unreachable):
-            scheduler.fabric_deferrals += int(window_len - len(candidate_index))
-        if not len(candidate_index):
+        candidates = np.flatnonzero(feasible)
+        defers = scheduler.defers
+        if defers:
+            scheduler.fabric_deferrals += int(window_len - len(candidates))
+        if not len(candidates):
             return
-        infeasible = self._infeasible
         placed = np.zeros(window_len, dtype=bool)
         placements: list[tuple[Task, int, Machine]] = []
         failed: dict[int, list[tuple[float, float]]] = {}
-        class_ids = self.columns.class_id
-        ledger = self.ledger
-        for i in candidate_index.tolist():
+        pool_index = scheduler._pool_index
+        order = candidates.tolist()
+        k = 0
+        while k < len(order):
+            i = order[k]
+            k += 1
             task = pending[window_pos[i]]
             class_id = int(class_ids[window_rows[i]])
             machine = scheduler.try_place(task, class_id, ledger, failed)
-            if machine is None:
-                infeasible[window_rows[i]] = True
-            else:
+            if machine is not None:
                 placed[i] = True
                 placements.append((task, class_id, machine))
+                if admission is not None:
+                    platform_id = machine.model.platform_id
+                    admission[local_class[i], pool_index[platform_id]] = (
+                        ledger.admits(platform_id, class_id)
+                    )
+                continue
+            infeasible[window_rows[i]] = True
+            if k == len(order):
+                break
+            # Skip straight to the next candidate the walk can place.  Stocks
+            # only tighten within a round, so each candidate the pass
+            # rejects fails its walk here too, and counts as that walk would.
+            rest = np.asarray(order[k:], dtype=np.intp)
+            fits = placeable(rest)
+            skipped = rest[~fits]
+            infeasible[window_rows[skipped]] = True
+            if defers:
+                scheduler.fabric_deferrals += len(skipped)
+            order = rest[fits].tolist()
+            k = 0
         if placements:
             keep = ~placed
             self._sorted_pos = np.concatenate([window_pos[keep], spos[window_len:]])

@@ -9,16 +9,21 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 from check_bench_regression import (  # noqa: E402
     MIN_GATED_RSS_MB,
     MIN_GATED_WALL_S,
+    MIN_PHASE_COVERAGE,
     compare_reports,
     main,
 )
 
+REPO = Path(__file__).resolve().parent.parent
+
 
 def report(scenarios):
+    """A suite report whose scenarios' phases cover their whole wall."""
     return {
         "bench": "scalability",
         "scenarios": [
-            {"name": name, "wall_s": wall, "summary_digest": digest}
+            {"name": name, "wall_s": wall, "phases": {"run": wall},
+             "summary_digest": digest}
             for name, wall, digest in scenarios
         ],
     }
@@ -75,8 +80,8 @@ def rss_report(scenarios, peak=None):
     payload = {
         "bench": "google_fleet",
         "scenarios": [
-            {"name": name, "wall_s": 10.0, "summary_digest": "d",
-             "rss_peak_mb": rss}
+            {"name": name, "wall_s": 10.0, "phases": {"run": 10.0},
+             "summary_digest": "d", "rss_peak_mb": rss}
             for name, rss in scenarios
         ],
     }
@@ -162,6 +167,59 @@ class TestRssGate:
         assert "peak RSS (fresh run): 900 MiB" in capsys.readouterr().out
         assert main([*args, "--rss-ceiling-mb", "800"]) == 1
         assert "exceeds ceiling" in capsys.readouterr().err
+
+
+def with_phases(payload, name, phases):
+    """``payload`` with scenario ``name``'s phases replaced."""
+    payload = json.loads(json.dumps(payload))
+    for scenario in payload["scenarios"]:
+        if scenario["name"] == name:
+            scenario["phases"] = phases
+    return payload
+
+
+class TestPhaseCoverage:
+    def test_uncovered_wall_fails(self):
+        # replay_backlog (8 s) records 7 s of phases: 87.5 % < 95 %.
+        fresh = with_phases(
+            BASELINE, "replay_backlog", {"trace": 3.0, "replay": 4.0}
+        )
+        problems = compare_reports(BASELINE, fresh)
+        assert problems == [
+            "replay_backlog: phases cover 87.5% of its wall (floor 95%)"
+        ]
+
+    def test_floor_is_inclusive(self):
+        fresh = with_phases(
+            BASELINE, "replay_backlog", {"replay": 8.0 * MIN_PHASE_COVERAGE}
+        )
+        assert compare_reports(BASELINE, fresh) == []
+
+    def test_scenario_without_phases_covers_nothing(self):
+        fresh = with_phases(BASELINE, "relax_c80_t4_s0", None)
+        problems = compare_reports(BASELINE, fresh)
+        assert problems == [
+            "relax_c80_t4_s0: phases cover 0.0% of its wall (floor 95%)"
+        ]
+
+    def test_short_scenarios_not_gated(self):
+        base = report([("tiny", MIN_GATED_WALL_S / 2, "x"), ("big", 50.0, "y")])
+        fresh = with_phases(base, "tiny", {})
+        assert compare_reports(base, fresh) == []
+
+    def test_only_the_fresh_run_is_gated(self):
+        # A baseline recorded before phases existed does not fail the run.
+        legacy = with_phases(BASELINE, "replay_backlog", {})
+        assert compare_reports(legacy, BASELINE) == []
+
+    def test_committed_baselines_pass(self):
+        """Each committed gated baseline passes against itself, as CI runs it."""
+        scalability = json.loads((REPO / "BENCH_scalability.json").read_text())
+        assert compare_reports(scalability, scalability) == []
+        fleet = json.loads((REPO / "BENCH_google_fleet.json").read_text())
+        assert compare_reports(
+            fleet, fleet, max_regression=0.5, rss_ceiling_mb=2048
+        ) == []
 
 
 class TestCli:

@@ -24,6 +24,10 @@ from hypothesis import strategies as st
 
 from repro.resilience.scenarios import SCENARIOS, build_scenario_plan
 from repro.simulation import HarmonyConfig, HarmonySimulation
+from repro.simulation.columnar import (
+    ColumnarClusterSimulator,
+    ColumnarFirstFitScheduler,
+)
 from repro.trace import SyntheticTraceConfig, generate_trace
 
 
@@ -99,6 +103,85 @@ class TestDeepBacklog:
         assert_engines_agree(
             trace, policy="cbs", predictor="fallback", fault_plan=plan, seed=4
         )
+
+    def test_round_skip_under_quotas_partition_and_preemption(self, monkeypatch):
+        """A deep backlog where scheduling rounds skip failing candidates.
+
+        CBS quotas make admission refuse, constrained tasks exercise the
+        ``allowed`` rows, a partial partition makes skipped candidates
+        count fabric deferrals, and preemption invalidates proofs mid-run.
+        A spy inside scheduling rounds records each skip pass (a pass made
+        while the round's proofs are valid, i.e. after a failed
+        ``try_place``) and each walk: the skip must fire, and since it is
+        exact, the walk right after a pass always places.
+        """
+        trace = generate_trace(
+            SyntheticTraceConfig(
+                horizon_hours=0.5,
+                seed=22,
+                total_machines=120,
+                load_factor=0.9,
+                constrained_fraction=0.3,
+            )
+        )
+        plan = build_scenario_plan("partial_partition", trace.horizon, seed=22)
+        config = dict(
+            policy="cbs",
+            predictor="ewma",
+            fault_plan=plan,
+            enable_preemption=True,
+            seed=22,
+        )
+        # ("round", 0), ("skip", candidates skipped), ("walk", placed).
+        events: list[tuple[str, int]] = []
+        in_round: list[ColumnarClusterSimulator] = []
+        schedule_round = ColumnarClusterSimulator._schedule_round
+        placeable = ColumnarFirstFitScheduler.placeable
+        try_place = ColumnarFirstFitScheduler.try_place
+
+        def spy_round(self, max_attempts):
+            events.append(("round", 0))
+            in_round.append(self)
+            try:
+                schedule_round(self, max_attempts)
+            finally:
+                in_round.pop()
+
+        def spy_placeable(self, rows, columns, admits):
+            fits = placeable(self, rows, columns, admits)
+            if in_round and in_round[-1]._mask_valid:
+                events.append(("skip", int((~fits).sum())))
+            return fits
+
+        def spy_try_place(self, task, class_id, ledger, failed=None):
+            machine = try_place(self, task, class_id, ledger, failed)
+            if in_round:
+                events.append(("walk", int(machine is not None)))
+            return machine
+
+        monkeypatch.setattr(ColumnarClusterSimulator, "_schedule_round", spy_round)
+        monkeypatch.setattr(ColumnarFirstFitScheduler, "placeable", spy_placeable)
+        monkeypatch.setattr(ColumnarFirstFitScheduler, "try_place", spy_try_place)
+        summaries = {
+            engine: HarmonySimulation(
+                HarmonyConfig(engine=engine, **config), trace
+            ).run().summary()
+            for engine in ("object", "columnar")
+        }
+        assert summary_digest(summaries["object"]) == summary_digest(
+            summaries["columnar"]
+        )
+        assert sum(count for kind, count in events if kind == "skip") > 0
+        after_skip = [
+            placed
+            for (kind, _), (next_kind, placed) in zip(events, events[1:])
+            if kind == "skip" and next_kind == "walk"
+        ]
+        assert after_skip and all(after_skip)
+        # The paths the scenario is meant to reach did run.
+        columnar = summaries["columnar"]
+        assert columnar["tasks_preempted"] > 0
+        assert columnar["resilience"]["fabric"]["deferred_placements"] > 0
 
 
 class TestRandomizedTraces:

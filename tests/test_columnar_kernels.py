@@ -7,20 +7,31 @@ object engine's code path; hypothesis drives randomized agreement checks:
   first-fit scan of :class:`FirstFitScheduler._pick_machine` picks;
 - :func:`capacity_room` must make ``demand <= room`` equivalent to
   :meth:`Machine.fits`'s ``demand <= free + 1e-9`` (and unsatisfiable for
-  non-schedulable machines).
+  non-schedulable machines);
+- :meth:`ColumnarFirstFitScheduler.placeable`, the pass a scheduling round
+  uses to skip candidates, must mark exactly the tasks ``try_place`` can
+  place on the same state.
 """
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.energy.models import LinearPowerModel, MachineModel
 from repro.simulation.columnar import (
     FIT_EPS,
+    ColumnarFirstFitScheduler,
+    TaskColumns,
     capacity_room,
     first_fit_index,
 )
+from repro.simulation.machine import MachinePool, MachineState
+from repro.simulation.scheduler import QuotaLedger
+from repro.trace.schema import Task
 
 finite = st.floats(
     min_value=0.0, max_value=8.0, allow_nan=False, allow_infinity=False
@@ -100,3 +111,122 @@ class TestCapacityRoom:
         room = capacity_room(np.array([5.0]), np.array([False]))
         assert room[0] == -np.inf
         assert not (0.0 <= room[0])
+
+
+# ------------------------------------------------------- the skip pass
+
+PLATFORMS = (1, 2, 3, 4)
+CLASSES = (0, 1, 2)
+demand = st.sampled_from([0.05, 0.1, 0.25, 0.3, 0.5, 0.75, 1.0])
+
+
+def draw_state(draw):
+    """Random pools, machine rooms, ledger stocks, fabric and tasks."""
+    pools = []
+    for offset, platform_id in enumerate(PLATFORMS[: draw(st.integers(1, 4))]):
+        model = MachineModel(
+            name=f"m{platform_id}",
+            platform_id=platform_id,
+            cpu_capacity=draw(st.sampled_from([0.25, 0.5, 1.0])),
+            memory_capacity=draw(st.sampled_from([0.25, 0.5, 1.0])),
+            count=draw(st.integers(0, 4)),
+            power_model=LinearPowerModel(100.0, (50.0, 10.0)),
+        )
+        pool = MachinePool(model, id_offset=offset * 100)
+        for machine in pool.machines:
+            machine.state = draw(st.sampled_from([*MachineState, MachineState.ON]))
+            machine.cpu_used = draw(st.floats(0.0, model.cpu_capacity))
+            machine.memory_used = draw(st.floats(0.0, model.memory_capacity))
+        pools.append(pool)
+    platforms = [pool.platform_id for pool in pools]
+    ledger = QuotaLedger()
+    if draw(st.booleans()):
+        # A platform left out of the table admits nothing.
+        ledger.set_quotas(
+            {
+                p: {c: draw(st.integers(0, 4)) for c in CLASSES}
+                for p in platforms
+                if draw(st.integers(0, 3)) > 0
+            }
+        )
+        for p in platforms:
+            for c in CLASSES:
+                for _ in range(draw(st.integers(0, 1))):
+                    ledger.place(p, c)
+    scheduler = ColumnarFirstFitScheduler(pools)
+    scheduler.set_unreachable(
+        frozenset(p for p in platforms if draw(st.integers(0, 3)) == 0)
+    )
+    tasks = []
+    class_of = {}
+    for index in range(draw(st.integers(2, 12))):
+        allowed = None
+        if draw(st.booleans()):
+            allowed = frozenset(
+                p for p in PLATFORMS if draw(st.booleans())
+            )
+        task = Task(
+            job_id=0,
+            index=index,
+            submit_time=0.0,
+            duration=1.0,
+            priority=0,
+            scheduling_class=0,
+            cpu=draw(demand),
+            memory=draw(demand),
+            allowed_platforms=allowed,
+        )
+        tasks.append(task)
+        class_of[task.uid] = draw(st.sampled_from(CLASSES))
+    return scheduler, ledger, tasks, class_of
+
+
+def walk_places(scheduler, ledger, task, class_id, failed):
+    """Whether ``try_place`` places ``task`` on a copy of the state.
+
+    Also checks the deferral a failing walk counts, which the round adds
+    for every candidate the pass skips.
+    """
+    scheduler, ledger, failed = copy.deepcopy((scheduler, ledger, failed))
+    before = scheduler.fabric_deferrals
+    placed = scheduler.try_place(task, class_id, ledger, failed) is not None
+    deferred = scheduler.fabric_deferrals - before
+    assert deferred == (0 if placed else int(scheduler.defers))
+    return placed
+
+
+class TestPlaceable:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_try_place_along_a_serial_walk(self, data):
+        """Every skipped row fails its walk; every kept row places.
+
+        The rows are walked serially as a round walks them, sharing one
+        pareto memo and patching the admission table after each
+        placement, and at every step the pass over the remaining rows
+        must agree with ``try_place`` row by row.  In particular the first
+        row it keeps is the first one ``try_place`` can place.
+        """
+        scheduler, ledger, tasks, class_of = draw_state(data.draw)
+        columns = TaskColumns(
+            tuple(tasks),
+            lambda task: class_of[task.uid],
+            tuple(pool.platform_id for pool in scheduler.pools),
+        )
+        classes = [class_of[task.uid] for task in tasks]
+        table, index = scheduler.admission_table(ledger, np.array(classes))
+        failed: dict[int, list[tuple[float, float]]] = {}
+        for k, task in enumerate(tasks):
+            rows = np.arange(k, len(tasks))
+            admits = table[index[k:]] if ledger.restricted else None
+            fits = scheduler.placeable(rows, columns, admits)
+            expected = [
+                walk_places(scheduler, ledger, tasks[row], classes[row], failed)
+                for row in rows
+            ]
+            assert fits.tolist() == expected
+            machine = scheduler.try_place(task, classes[k], ledger, failed)
+            if machine is not None:
+                platform_id = machine.model.platform_id
+                j = scheduler._pool_index[platform_id]
+                table[index[k], j] = ledger.admits(platform_id, classes[k])
