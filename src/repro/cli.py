@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -816,6 +817,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro", description="HARMONY reproduction toolkit"
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
+    # A default worker count the machine can run: recorded in BENCH files.
+    default_workers = min(4, os.cpu_count() or 1)
 
     generate = subparsers.add_parser("generate", help="synthesize and save a trace")
     _add_trace_args(generate)
@@ -889,6 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
             "robustness",
             "network_faults",
             "trace_corruption",
+            "figures",
             "google_fleet",
             "all",
         ),
@@ -905,8 +909,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run the dirty-trace trace_corruption suite "
              "(corrupt -> sanitize -> simulate)",
     )
-    bench.add_argument("--workers", type=int, default=4,
-                       help="worker processes (1 = in-process serial)")
+    bench.add_argument("--workers", type=int, default=default_workers,
+                       help="worker processes (default min(4, CPU count); "
+                            "1 = in-process serial)")
     bench.add_argument(
         "--verify", action="store_true",
         help="also run serially and assert bit-identical summaries",
@@ -952,8 +957,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="machine-type cells to partition the census into "
              "(default 4)",
     )
-    fleet.add_argument("--workers", type=int, default=4,
-                       help="shard worker processes (1 = in-process serial)")
+    fleet.add_argument("--workers", type=int, default=default_workers,
+                       help="shard worker processes (default min(4, CPU "
+                            "count); 1 = in-process serial)")
     fleet.add_argument("--policy", choices=POLICIES, default="cbs")
     fleet.add_argument("--predictor", default="ewma")
     fleet.add_argument(

@@ -124,10 +124,6 @@ class MachineModel:
             return False
         return task.cpu <= self.cpu_capacity and task.memory <= self.memory_capacity
 
-    def power_at(self, cpu_util: float, memory_util: float = 0.0) -> float:
-        """Draw (watts) at the given utilization (Fig. 9's curves)."""
-        return self.power_model.power((cpu_util, memory_util))
-
     def to_machine_type(self) -> MachineType:
         """Project to the trace-layer machine type."""
         return MachineType(

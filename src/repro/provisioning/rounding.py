@@ -6,8 +6,8 @@ Lemma 1: given a fractional solution with ``z*`` type-m machines and
 
 The practical rounder implemented here packs the *full* rounded counts
 first-fit-decreasing into ``floor(z*) + 1`` machines (capped at
-availability); whatever does not fit is reported as dropped, and the bench
-``bench_rounding_guarantee`` verifies the Lemma 1 fraction always fits.
+availability); whatever does not fit is reported as dropped, and
+``tests/test_rounding_lemma1.py`` verifies the Lemma 1 fraction always fits.
 """
 
 from __future__ import annotations

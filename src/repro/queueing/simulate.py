@@ -1,8 +1,9 @@
 """Discrete-event M/G/N queue simulation.
 
-A reference implementation used to validate the Eq. 1 approximation (tests
-and ``bench_queueing_model``) and available to users who want to check the
-container-count model against their own service-time distributions.
+A reference implementation used to validate the Eq. 1 approximation
+(``tests/test_queueing_differential.py``) and available to users who want
+to check the container-count model against their own service-time
+distributions.
 """
 
 from __future__ import annotations

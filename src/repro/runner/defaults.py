@@ -1,9 +1,9 @@
 """The single source of truth for default bench/scenario parameters.
 
-Both ``benchmarks/conftest.py`` (the pytest figure benches) and the
-scenario suites in :mod:`repro.runner.suites` read these values, so the
-laptop-scale evaluation point cannot drift between the two.  CI shrinks
-everything through the same ``REPRO_BENCH_*`` environment knobs.
+Every scenario suite in :mod:`repro.runner.suites`, the paper's
+``figures`` included, reads these values, so the laptop-scale evaluation
+point is defined once.  CI shrinks everything through the same
+``REPRO_BENCH_*`` environment knobs.
 """
 
 from __future__ import annotations
@@ -124,7 +124,8 @@ def trace_config_from_params(params: dict) -> SyntheticTraceConfig:
     The canonical decoding used by every runner task, so a scenario's
     result is a pure function of its (picklable) parameter dict.  With
     ``constraints: true`` the trace draws placement constraints against
-    the Table II fleet, exactly as the figure benches' shared trace does.
+    the Table II fleet, so the "difficult to schedule" tasks of
+    Section III-B stay meaningful at replay time.
     """
     constraint_platforms = None
     if params.get("constraints"):

@@ -85,7 +85,8 @@ def check_shapes(specs, results: dict) -> list[ShapeRow]:
             values = [_value(results, name, bound.path or path) for name in of]
             label = of[0] if len(of) == 1 else f"the least of {len(of)}"
             shape += f" vs {bound.factor:g} x {label} {bound.path or ''}".rstrip()
-            shape += f" + {bound.offset:g}" if bound.offset else ""
+            if bound.offset:
+                shape += f" {'+' if bound.offset > 0 else '-'} {abs(bound.offset):g}"
             least = None if None in values else min(values)
             bound = None if least is None else least * bound.factor + bound.offset
         rows.append(_shape_row(shape, _value(results, scenario, path), op, bound))
@@ -173,8 +174,8 @@ def scalability_shapes(report, serial=None) -> list[ShapeRow]:
 def _bench_trace_params(defaults: BenchDefaults | None) -> dict:
     defaults = defaults or bench_defaults()
     params = defaults.trace_params()
-    # The figure benches' shared trace draws placement constraints against
-    # the Table II fleet; the runner suites replay the identical trace.
+    # Placement constraints drawn against the Table II fleet the suites
+    # replay on.
     params["constraints"] = True
     return params
 
@@ -424,6 +425,142 @@ def google_fleet_shapes(merged: dict | None) -> list[ShapeRow]:
     return check_shapes(specs, results)
 
 
+#: The Fig. 26 pressure regime's trace: memory-bound, near fleet capacity.
+PRESSURE_TRACE = {
+    "hours": 2.0, "seed": 7, "machines": 400, "load": 0.75, "constraints": True,
+}
+#: Policies of the standard-regime comparison (Figs. 20-26).
+FIGURE_POLICIES = ("baseline", "cbp", "cbs")
+
+
+def figures_scenarios(defaults: BenchDefaults | None = None) -> list[Scenario]:
+    """The paper's figures over the constrained bench trace.
+
+    ``trace`` (Figs. 1-2, 6-7, 19) and ``classification`` (Figs. 10-18)
+    read the memoized trace and classifier; ``static`` (Figs. 3-4) and the
+    :data:`FIGURE_POLICIES` (Figs. 20-26) replay it under ``HarmonyConfig()``
+    defaults; ``threshold`` is the reactive autoscaler as ``simulate`` runs
+    it; ``pressure_*`` is Fig. 26's pressure pair on :data:`PRESSURE_TRACE`.
+    """
+    trace = _bench_trace_params(defaults)
+    return [
+        Scenario("trace", "trace_figures", {"trace": trace}),
+        Scenario("classification", "classification_figures", {"trace": trace}),
+        *(
+            Scenario(policy, "figure_simulate", {"trace": trace, "policy": policy})
+            for policy in ("static", *FIGURE_POLICIES)
+        ),
+        Scenario("threshold", "simulate",
+                 {"trace": trace, "policy": "threshold", "predictor": "arima"}),
+        *(
+            Scenario(f"pressure_{policy}", "figure_simulate",
+                     {"trace": PRESSURE_TRACE, "policy": policy})
+            for policy in ("baseline", "cbs")
+        ),
+    ]
+
+
+GROUPS = ("gratis", "other", "production")
+
+
+def cpu_demand_swing(result) -> float:
+    """Fig. 1: peak CPU demand over the lesser of 1.3 x the demand a tenth
+    into the trace and 2 x its trough; above 1, demand fluctuates."""
+    demand = result.summary["demand"]
+    floor = min(1.3 * max(demand["cpu_tenth"], 1e-9), 2 * demand["cpu_min"])
+    if floor <= 0:
+        return math.inf if demand["cpu_max"] > floor else 0.0
+    return demand["cpu_max"] / floor
+
+
+def kwh_per_machine(result) -> float:
+    """Fig. 26: energy per mean powered machine, i.e. the fleet mix's draw."""
+    summary = result.summary
+    return summary["energy_kwh"] / max(summary["mean_active_machines"], 1e-9)
+
+
+#: The figures' claims (EXPERIMENTS.md's figure table).
+FIGURES_SHAPES = (
+    # Figs. 1-2: demand fluctuates and is never negative.
+    ("trace", cpu_demand_swing, ">", 1.0),
+    ("trace", "demand.cpu_min", ">=", 0.0),
+    ("trace", "demand.memory_min", ">=", 0.0),
+    # Fig. 6: most tasks are short; production runs longest.
+    ("trace", "short_fraction", ">", 0.5),
+    ("trace", "duration_cdf.gratis.36000", ">", 0.85),
+    ("trace", "duration_cdf.production.100", "<=",
+     Rel(1.0, "trace", path="duration_cdf.gratis.100")),
+    # Fig. 7: the gratis mode holds 30-55 % of gratis tasks; sizes span
+    # orders of magnitude with little cpu-memory correlation.
+    ("trace", "sizes.gratis.modal_fraction", ">=", 0.30),
+    ("trace", "sizes.gratis.modal_fraction", "<=", 0.55),
+    *(("trace", f"sizes.{g}.span_orders", ">=", 1.5) for g in GROUPS),
+    *(("trace", f"sizes.{g}.abs_correlation", "<", 0.7) for g in GROUPS),
+    # Fig. 19: every group arrives; production is a smaller stream than other.
+    *(("trace", f"arrival_rates.{g}", ">", 0.0) for g in GROUPS),
+    ("trace", "arrival_rates.production", "<",
+     Rel(1.0, "trace", path="arrival_rates.other")),
+    # Figs. 10-18: every group has classes, tight within and uneven across,
+    # and the k = 2 split yields long classes far longer than their siblings.
+    *(("classification", f"classes_by_group.{g}", ">", 0) for g in GROUPS),
+    ("classification", "cpu_std_over_mean", "<", 0.6),
+    ("classification", "max_class_tasks", ">",
+     Rel(10.0, "classification", path="min_class_tasks")),
+    ("classification", "short_classes", ">", 0),
+    ("classification", "long_classes", ">", 0),
+    ("classification", "long_over_short_duration", ">", 3.0),
+    # Figs. 3-4: the all-on cluster serves nearly everything at low
+    # utilization, production no slower than gratis at any CDF point.
+    ("static", "tasks_scheduled", ">", Rel(0.9, "static", path="tasks_submitted")),
+    ("static", "figures.cpu_utilization_mean", "<", 0.6),
+    *(
+        ("static", f"figures.delay_cdf.production.{p}", ">=",
+         Rel(1.0, "static", offset=-0.10, path=f"figures.delay_cdf.gratis.{p}"))
+        for p in (1, 10, 60, 300, 1800)
+    ),
+    ("static", "figures.delay_cdf.production.300", ">", 0.5),
+    # Fig. 20: CBS holds containers for every group once warm.
+    ("cbs", "figures.containers_total", ">", 0.0),
+    *(("cbs", f"figures.containers_warm.{g}", ">", 0.0) for g in GROUPS),
+    # Figs. 21-22: every policy keeps machines on, CBS's premium over the
+    # baseline is bounded, and the fleet tracks the workload's ramp.
+    *((policy, "figures.powered_mean", ">", 0.0) for policy in FIGURE_POLICIES),
+    ("cbs", "figures.powered_mean", "<=", Rel(1.5, "baseline")),
+    *(
+        (policy, "figures.powered_late", ">",
+         Rel(1.0, policy, path="figures.powered_early"))
+        for policy in ("baseline", "cbs")
+    ),
+    # Figs. 23-26: CBS keeps the production tail competitive, everybody
+    # serves > 90 % of the work, CBS's fleet draws no more per machine and
+    # its cost premium stays under 35 %.
+    ("cbs", "delay_by_group.production.p95_s", "<=", Rel(1.25, "baseline")),
+    *(
+        (policy, "tasks_unscheduled", "<", Rel(0.1, policy, path="tasks_submitted"))
+        for policy in FIGURE_POLICIES
+    ),
+    ("cbs", kwh_per_machine, "<=", Rel(1.02, "baseline")),
+    ("cbs", "total_cost", "<", Rel(1.35, "baseline")),
+    # Fig. 26 under pressure: the paper's direction, CBS saves > 8 % of cost
+    # and uses less energy.
+    ("pressure_cbs", "total_cost", "<", Rel(0.92, "pressure_baseline")),
+    ("pressure_cbs", "energy_kwh", "<", Rel(1.0, "pressure_baseline")),
+    # The reactive autoscaler serves most of the workload.
+    ("threshold", "tasks_scheduled", ">",
+     Rel(0.85, "threshold", path="tasks_submitted")),
+)
+
+
+def figures_shapes(report, serial=None) -> list[ShapeRow]:
+    """:data:`FIGURES_SHAPES`, and Fig. 3's all-on cluster keeping > 90 % of
+    the Table II fleet powered."""
+    from repro.energy.catalog import table2_fleet
+
+    fleet = sum(m.count for m in table2_fleet(0.1))
+    specs = (*FIGURES_SHAPES, ("static", "figures.powered_mean", ">", 0.9 * fleet))
+    return check_shapes(specs, {r.name: r for r in report})
+
+
 #: Suite name -> builder, for the ``repro bench`` CLI.  The sharded
 #: ``google_fleet`` suite is deliberately absent: it does not fit the
 #: plain scenario-list shape (it plans, fans out and *merges*), is priced
@@ -435,10 +572,12 @@ SUITES = {
     "robustness": robustness_scenarios,
     "network_faults": network_faults_scenarios,
     "trace_corruption": trace_corruption_scenarios,
+    "figures": figures_scenarios,
 }
 #: Suite name -> ``shapes(report, serial)``; ``serial`` is ``--verify``'s.
 SHAPES = {
     "scalability": scalability_shapes,
     "ablation": ablation_shapes,
     "robustness": robustness_shapes,
+    "figures": figures_shapes,
 }

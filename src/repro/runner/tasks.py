@@ -21,39 +21,48 @@ import numpy as np
 from repro.runner.defaults import trace_config_from_params
 from repro.runner.scenario import register_task
 
-#: trace-params key -> (Trace, TaskClassifier); per-process memo.
-_TRACE_CACHE: dict[tuple, tuple] = {}
+#: trace-params key -> [Trace, TaskClassifier or None]; per-process memo.
+_TRACE_CACHE: dict[tuple, list] = {}
 
 
 def _trace_key(params: dict) -> tuple:
     return tuple(sorted((str(k), str(v)) for k, v in params.items()))
 
 
+def _trace(trace_params: dict, timer=None):
+    """The memoized trace for one trace parameter dict; a build is timed
+    into ``timer`` (a :class:`~repro.simulation.timing.PhaseTimer`, if
+    given) as the ``trace`` phase."""
+    key = _trace_key(trace_params)
+    if key not in _TRACE_CACHE:
+        from repro.simulation.timing import PhaseTimer
+        from repro.trace import generate_trace
+
+        with (timer or PhaseTimer()).phase("trace"):
+            _TRACE_CACHE[key] = [
+                generate_trace(trace_config_from_params(trace_params)), None
+            ]
+    return _TRACE_CACHE[key][0]
+
+
 def _trace_and_classifier(trace_params: dict, timer=None):
     """The (trace, fitted classifier) pair for one trace parameter dict.
 
     When it builds them (not on a memo hit), the build is timed into
-    ``timer`` (a :class:`~repro.simulation.timing.PhaseTimer`, if given) as
-    the ``trace`` and ``classifier_fit`` phases.
+    ``timer`` as the ``trace`` and ``classifier_fit`` phases.
     """
-    key = _trace_key(trace_params)
-    cached = _TRACE_CACHE.get(key)
-    if cached is None:
+    trace = _trace(trace_params, timer)
+    entry = _TRACE_CACHE[_trace_key(trace_params)]
+    if entry[1] is None:
         from repro.classification import ClassifierConfig, TaskClassifier
         from repro.simulation.timing import PhaseTimer
-        from repro.trace import generate_trace
 
-        timer = timer or PhaseTimer()
-        config = trace_config_from_params(trace_params)
-        with timer.phase("trace"):
-            trace = generate_trace(config)
-        with timer.phase("classifier_fit"):
-            classifier = TaskClassifier(ClassifierConfig(seed=config.seed)).fit(
+        seed = trace_config_from_params(trace_params).seed
+        with (timer or PhaseTimer()).phase("classifier_fit"):
+            entry[1] = TaskClassifier(ClassifierConfig(seed=seed)).fit(
                 list(trace.tasks)
             )
-        cached = (trace, classifier)
-        _TRACE_CACHE[key] = cached
-    return cached
+    return trace, entry[1]
 
 
 @register_task("simulate")
@@ -106,6 +115,181 @@ def simulate_task(params: dict) -> dict:
     with timer.phase("summary"):
         summary = result.summary()
     return {"summary": summary, "phases": {**timer.timings, **result.phase_timings}}
+
+
+#: Delay-CDF points (seconds) of Figs. 4 and 23-25.
+DELAY_CDF_POINTS = (1, 10, 60, 300, 1800)
+#: Duration-CDF points (seconds) of Fig. 6.
+DURATION_CDF_POINTS = (10, 100, 1000, 36000, 432000)
+#: Fig. 7's modal gratis request (cpu, memory).
+GRATIS_MODE = (0.0125, 0.0159)
+
+
+def _cdf_at(values, points) -> dict:
+    """Fraction of ``values`` <= each point, keyed ``f"{point:g}"``; ``None``
+    for an empty sample."""
+    values = np.sort(np.asarray(values, dtype=float))
+    return {
+        f"{point:g}": (
+            float(np.searchsorted(values, point, side="right")) / values.size
+            if values.size else None
+        )
+        for point in points
+    }
+
+
+def _mean(values) -> float | None:
+    values = np.asarray(values, dtype=float)
+    return float(values.mean()) if values.size else None
+
+
+@register_task("figure_simulate")
+def figure_simulate_task(params: dict) -> dict:
+    """One ``HarmonyConfig(policy=...)`` run, plus the series of Figs. 3-4
+    and 20-22.
+
+    Params: ``trace``, ``policy``.  Unlike ``simulate``, the run fits its
+    own classifier from the config, as :func:`run_policy_comparison` does.
+    The summary is ``summary()`` plus ``figures``: the powered-machine mean
+    past the first sample, over samples 2-6 and over the last five; the mean
+    CPU utilization; per-group delay CDFs (censored at the horizon) at
+    :data:`DELAY_CDF_POINTS`; per-group peak containers past the first two
+    samples, and the container total.
+    """
+    from repro.simulation import HarmonyConfig, HarmonySimulation
+    from repro.simulation.timing import PhaseTimer
+    from repro.trace import PriorityGroup
+
+    timer = PhaseTimer()
+    trace = _trace(params.get("trace", {}), timer)
+    config = HarmonyConfig(policy=params.get("policy", "cbs"))
+    result = HarmonySimulation(config, trace).run()
+    with timer.phase("summary"):
+        summary = result.summary()
+    with timer.phase("figures"):
+        metrics = result.metrics
+        _, powered = metrics.machines_series()
+        _, containers = metrics.containers_series()
+        delays = metrics.delays_by_group(include_unscheduled_at=trace.horizon)
+        summary["figures"] = {
+            "powered_mean": _mean(powered[1:]),
+            "powered_early": _mean(powered[2:7]),
+            "powered_late": _mean(powered[-5:]),
+            "cpu_utilization_mean": _mean(
+                [u for _, u, _ in metrics.utilization_timeline]
+            ),
+            "delay_cdf": {
+                g.name.lower(): _cdf_at(delays[g], DELAY_CDF_POINTS)
+                for g in PriorityGroup
+            },
+            "containers_warm": {
+                g.name.lower(): float(containers[g][2:].max(initial=0))
+                for g in PriorityGroup
+            },
+            "containers_total": float(sum(s.sum() for s in containers.values())),
+        }
+    return {"summary": summary, "phases": {**timer.timings, **result.phase_timings}}
+
+
+@register_task("trace_figures")
+def trace_figures_task(params: dict) -> dict:
+    """The trace characterization of Figs. 1-2, 6-7 and 19.
+
+    Params: ``trace``.  CPU demand's peak, trough and value a tenth into
+    the trace, and memory demand's trough (300 s bins); the share of tasks
+    under 100 s and per-group duration CDFs at :data:`DURATION_CDF_POINTS`;
+    per-group size span (orders of magnitude), |cpu-memory correlation| and
+    share at :data:`GRATIS_MODE`; per-group arrival rates summed over the
+    300 s bins.
+    """
+    from repro.simulation.timing import PhaseTimer
+    from repro.trace import (
+        PriorityGroup,
+        arrival_rate_series,
+        demand_timeseries,
+        duration_cdf_by_group,
+        size_scatter_by_group,
+    )
+
+    timer = PhaseTimer()
+    trace = _trace(params.get("trace", {}), timer)
+    with timer.phase("figures"):
+        _, cpu, memory = demand_timeseries(trace, 300.0)
+        durations = duration_cdf_by_group(trace)
+        scatters = size_scatter_by_group(trace)
+        rates = arrival_rate_series(trace, 300.0)
+        all_durations = np.array([t.duration for t in trace.tasks])
+        summary = {
+            "demand": {
+                "cpu_max": float(cpu.max()),
+                "cpu_min": float(cpu.min()),
+                "cpu_tenth": float(cpu[len(cpu) // 10]),
+                "memory_min": float(memory.min()),
+            },
+            "short_fraction": float((all_durations < 100.0).mean()),
+            "duration_cdf": {
+                g.name.lower(): _cdf_at(durations[g][0], DURATION_CDF_POINTS)
+                for g in PriorityGroup
+            },
+            "sizes": {
+                g.name.lower(): {
+                    "span_orders": scatters[g].size_span_orders,
+                    "abs_correlation": abs(scatters[g].cpu_memory_correlation),
+                    "modal_fraction": scatters[g].modal_fraction(*GRATIS_MODE),
+                }
+                for g in PriorityGroup
+            },
+            "arrival_rates": {
+                g.name.lower(): float(rates[g].sum()) for g in PriorityGroup
+            },
+        }
+    return {"summary": summary, "phases": timer.timings}
+
+
+@register_task("classification_figures")
+def classification_figures_task(params: dict) -> dict:
+    """The task classes of Figs. 10-18 (Section IX-A).
+
+    Params: ``trace`` (the memoized classifier's).  Per group, the class
+    count; the task-weighted mean cpu std/mean; the largest and smallest
+    class; short and long class counts; and the least ratio of a long
+    class's mean duration to its short sibling's (``None`` without a pair).
+    """
+    from repro.classification import DurationCategory
+    from repro.simulation.timing import PhaseTimer
+    from repro.trace import PriorityGroup
+
+    timer = PhaseTimer()
+    _, classifier = _trace_and_classifier(params.get("trace", {}), timer)
+    with timer.phase("figures"):
+        leaves = classifier.classes
+        weighted = [
+            (leaf.cpu_std / leaf.cpu_mean, leaf.num_tasks)
+            for leaf in leaves if leaf.cpu_mean > 0
+        ]
+        ratios = [
+            leaf.duration_mean / sibling.duration_mean
+            for leaf in leaves
+            if leaf.duration_category is DurationCategory.LONG
+            and (sibling := classifier.sibling(leaf)) is not None
+        ]
+        counts = [leaf.num_tasks for leaf in leaves]
+        categories = [leaf.duration_category for leaf in leaves]
+        summary = {
+            "classes_by_group": {
+                g.name.lower(): len(classifier.classes_in_group(g))
+                for g in PriorityGroup
+            },
+            "cpu_std_over_mean": float(
+                np.average([r for r, _ in weighted], weights=[w for _, w in weighted])
+            ),
+            "max_class_tasks": max(counts),
+            "min_class_tasks": min(counts),
+            "short_classes": categories.count(DurationCategory.SHORT),
+            "long_classes": categories.count(DurationCategory.LONG),
+            "long_over_short_duration": min(ratios) if ratios else None,
+        }
+    return {"summary": summary, "phases": timer.timings}
 
 
 def synthetic_relax_problem(num_classes: int, num_machine_types: int,

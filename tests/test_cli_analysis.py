@@ -96,11 +96,22 @@ class TestCli:
             "resilience", "sanitize", "bench", "fleet", "serve", "lint",
         ]
 
+    @pytest.mark.parametrize(("cores", "workers"), [(1, 1), (8, 4), (None, 1)])
+    @pytest.mark.parametrize("command", ["bench", "fleet"])
+    def test_workers_default_to_what_the_machine_can_run(
+        self, command, cores, workers, monkeypatch
+    ):
+        """A default run records a worker count its machine can run."""
+        monkeypatch.setattr("repro.cli.os.cpu_count", lambda: cores)
+        argv = [command, "ablation"] if command == "bench" else [command]
+        assert build_parser().parse_args(argv).workers == workers
+
     @pytest.mark.parametrize(
         "argv", [["report", "x.md"], ["figures", "out"]], ids=["report", "figures"]
     )
     def test_retired_subcommand_is_gone(self, argv, capsys):
-        """One figure pipeline: the benches print the paper's figures."""
+        """One figure pipeline: ``repro bench figures`` records the paper's
+        figures and the examples draw them."""
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2

@@ -330,7 +330,7 @@ class TestPolicyComparison:
         assert savings["baseline"] == 0.0
         # On a 30-minute trace the ramp dominates and ratios are noisy;
         # this test only checks the computation, the headline shape is
-        # asserted at bench scale (bench_fig26_energy_savings).
+        # checked at bench scale (the figures suite's Fig. 26 shapes).
         for value in savings.values():
             assert -10.0 < value < 1.0
 

@@ -46,10 +46,10 @@ class TestGoogleLikeEnergyModels:
     def test_power_monotone_in_utilization(self):
         census = google_like_machine_census(200)
         for model in google_like_energy_models(census):
-            low = model.power_at(0.1, 0.1)
-            high = model.power_at(0.9, 0.9)
+            low = model.power_model.power((0.1, 0.1))
+            high = model.power_model.power((0.9, 0.9))
             assert high > low
-            assert model.power_at(0.0, 0.0) == pytest.approx(model.idle_watts)
+            assert model.power_model.power((0.0, 0.0)) == pytest.approx(model.idle_watts)
 
     def test_counts_preserved(self):
         census = google_like_machine_census(200)

@@ -60,6 +60,9 @@ class TestErlangC:
         with pytest.raises(ValueError):
             erlang_c(1.0, 0)
 
+    def test_large_load_stable(self):
+        assert 0.0 <= erlang_c(5000.0, 5200) <= 1.0
+
     @settings(max_examples=50, deadline=None)
     @given(
         a=st.floats(min_value=0.01, max_value=50.0),

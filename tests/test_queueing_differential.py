@@ -6,8 +6,7 @@ one via the Allen-Cunneen approximation over Erlang-C, one by replaying
 arrivals against N servers.  Running both on matched parameters bounds the
 modelling error the container manager inherits.
 
-Documented tolerances (matching ``bench_queueing_model``'s accuracy
-classes):
+Documented tolerances (the approximation's accuracy classes):
 
 - ``scv <= 1`` (M/M/N and hypo-exponential service): Eq. 1 is near-exact;
   we demand 35% relative agreement on mean wait, which covers the Monte

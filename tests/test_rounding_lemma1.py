@@ -3,11 +3,10 @@
 Lemma 1: given a fractional CBS-RELAX solution assigning ``x*_{m,n}``
 containers and ``z*_m`` machines to type m, first-fit packing places at
 least ``floor(x*_{m,n} / (2|R|))`` containers of *every* type n into
-``floor(z*_m) + 1`` machines.  The bench ``bench_rounding_guarantee``
-reports how far the practical rounder beats the bound; this tier-1 test
-fuzzes the guarantee itself over random fleets, container mixes and
-demand levels — every machine class of every instance must pack its
-scaled counts with nothing left over.
+``floor(z*_m) + 1`` machines.  This test fuzzes the guarantee over random
+fleets, container mixes and demand levels — every machine class of every
+instance must pack its scaled counts with nothing left over — and checks
+how far the practical rounder beats the bound.
 """
 
 import numpy as np
@@ -115,4 +114,4 @@ def test_practical_rounder_beats_lemma_bound_on_average():
         solution = solver.solve(problem)
         plan = rounder.round(problem, solution)
         ratios.append(plan.placement_ratio(solution.scheduled(0)))
-    assert float(np.mean(ratios)) > 0.5
+    assert float(np.mean(ratios)) > 0.7

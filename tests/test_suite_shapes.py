@@ -11,6 +11,7 @@ failed shape.
 from __future__ import annotations
 
 import copy
+import math
 
 import pytest
 
@@ -24,7 +25,7 @@ from repro.runner import (
     ablation_scenarios,
     suites,
 )
-from repro.runner.suites import SHAPES, google_fleet_shapes
+from repro.runner.suites import SHAPES, figures_scenarios, google_fleet_shapes
 
 
 def _report(summaries, phases=None, walls=None, workers=1, total_wall=1.0):
@@ -286,11 +287,259 @@ class TestGoogleFleetShapes:
         assert all(row.ok is None for row in google_fleet_shapes(None))
 
 
+# ----------------------------------------------------------------- figures
+
+GROUPS = ("gratis", "other", "production")
+CDF_POINTS = ("1", "10", "60", "300", "1800")
+
+
+def _policy(**overrides):
+    summary = {
+        "tasks_unscheduled": 270,
+        "tasks_submitted": 9000,
+        "energy_kwh": 200.0,
+        "mean_active_machines": 200.0,
+        "total_cost": 28.0,
+        "delay_by_group": {"production": {"p95_s": 2000.0}},
+        "figures": {"powered_mean": 200.0, "powered_early": 60.0, "powered_late": 300.0},
+    }
+    summary.update(overrides)
+    return summary
+
+
+FIGURES_PASSING = {
+    "trace": {
+        "demand": {"cpu_max": 100.0, "cpu_min": 5.0, "cpu_tenth": 40.0, "memory_min": 6.0},
+        "short_fraction": 0.6,
+        "duration_cdf": {"gratis": {"100": 0.75, "36000": 0.98}, "production": {"100": 0.4}},
+        "sizes": {
+            g: {"span_orders": 2.0, "abs_correlation": 0.2,
+                "modal_fraction": 0.5 if g == "gratis" else 0.0}
+            for g in GROUPS
+        },
+        "arrival_rates": {"gratis": 10.0, "other": 16.0, "production": 4.0},
+    },
+    "classification": {
+        "classes_by_group": {g: 8 for g in GROUPS},
+        "cpu_std_over_mean": 0.2,
+        "max_class_tasks": 1400,
+        "min_class_tasks": 10,
+        "short_classes": 24,
+        "long_classes": 23,
+        "long_over_short_duration": 100.0,
+    },
+    "static": {
+        "tasks_scheduled": 8900,
+        "tasks_submitted": 9000,
+        "figures": {
+            "powered_mean": 1000.0,
+            "cpu_utilization_mean": 0.3,
+            "delay_cdf": {
+                "gratis": {p: 1.0 for p in CDF_POINTS},
+                "production": {p: 0.97 for p in CDF_POINTS},
+            },
+        },
+    },
+    "baseline": _policy(
+        tasks_unscheduled=60, energy_kwh=180.0, mean_active_machines=150.0,
+        total_cost=24.0,
+        figures={"powered_mean": 160.0, "powered_early": 30.0, "powered_late": 300.0},
+    ),
+    "cbp": _policy(tasks_unscheduled=280),
+    "cbs": _policy(),
+    "threshold": {"tasks_scheduled": 8900, "tasks_submitted": 9000},
+    "pressure_baseline": {"total_cost": 25.0, "energy_kwh": 150.0},
+    "pressure_cbs": {"total_cost": 20.0, "energy_kwh": 130.0},
+}
+FIGURES_PASSING["cbs"]["figures"].update(
+    containers_total=50000.0, containers_warm={g: 400.0 for g in GROUPS}
+)
+
+
+def below(x):
+    return math.nextafter(x, -math.inf)
+
+
+def above(x):
+    return math.nextafter(x, math.inf)
+
+
+def _cdf_row(p):
+    return f"static figures.delay_cdf.production.{p} vs 1 x static figures.delay_cdf.gratis.{p} - 0.1 >="
+
+
+#: "shape op" -> (scenario, summary path, value at which the row fails, and
+#: the other rows that value must fail too).
+FIGURES_VIOLATIONS = {
+    "trace cpu_demand_swing >": ("trace", ("demand", "cpu_max"), 10.0, ()),
+    "trace demand.cpu_min >=": ("trace", ("demand", "cpu_min"), below(0.0), ()),
+    "trace demand.memory_min >=": ("trace", ("demand", "memory_min"), below(0.0), ()),
+    "trace short_fraction >": ("trace", ("short_fraction",), 0.5, ()),
+    "trace duration_cdf.gratis.36000 >": (
+        "trace", ("duration_cdf", "gratis", "36000"), 0.85, (),
+    ),
+    "trace duration_cdf.production.100 vs 1 x trace duration_cdf.gratis.100 <=": (
+        "trace", ("duration_cdf", "production", "100"), above(0.75), (),
+    ),
+    "trace sizes.gratis.modal_fraction >=": (
+        "trace", ("sizes", "gratis", "modal_fraction"), below(0.30), (),
+    ),
+    "trace sizes.gratis.modal_fraction <=": (
+        "trace", ("sizes", "gratis", "modal_fraction"), above(0.55), (),
+    ),
+    **{
+        f"trace sizes.{g}.span_orders >=": (
+            "trace", ("sizes", g, "span_orders"), below(1.5), (),
+        )
+        for g in GROUPS
+    },
+    **{
+        f"trace sizes.{g}.abs_correlation <": (
+            "trace", ("sizes", g, "abs_correlation"), 0.7, (),
+        )
+        for g in GROUPS
+    },
+    **{
+        f"trace arrival_rates.{g} >": ("trace", ("arrival_rates", g), 0.0, ())
+        for g in ("gratis", "production")
+    },
+    "trace arrival_rates.other >": (
+        "trace", ("arrival_rates", "other"), 0.0,
+        ("trace arrival_rates.production vs 1 x trace arrival_rates.other <",),
+    ),
+    "trace arrival_rates.production vs 1 x trace arrival_rates.other <": (
+        "trace", ("arrival_rates", "production"), 16.0, (),
+    ),
+    **{
+        f"classification classes_by_group.{g} >": (
+            "classification", ("classes_by_group", g), 0, (),
+        )
+        for g in GROUPS
+    },
+    "classification cpu_std_over_mean <": (
+        "classification", ("cpu_std_over_mean",), 0.6, (),
+    ),
+    "classification max_class_tasks vs 10 x classification min_class_tasks >": (
+        "classification", ("max_class_tasks",), 100, (),
+    ),
+    "classification short_classes >": ("classification", ("short_classes",), 0, ()),
+    "classification long_classes >": ("classification", ("long_classes",), 0, ()),
+    "classification long_over_short_duration >": (
+        "classification", ("long_over_short_duration",), 3.0, (),
+    ),
+    "static tasks_scheduled vs 0.9 x static tasks_submitted >": (
+        "static", ("tasks_scheduled",), 8100, (),
+    ),
+    "static figures.cpu_utilization_mean <": (
+        "static", ("figures", "cpu_utilization_mean"), 0.6, (),
+    ),
+    **{
+        _cdf_row(p): (
+            "static", ("figures", "delay_cdf", "production", p), below(0.9), (),
+        )
+        for p in CDF_POINTS
+    },
+    "static figures.delay_cdf.production.300 >": (
+        "static", ("figures", "delay_cdf", "production", "300"), 0.5, (_cdf_row("300"),),
+    ),
+    "static figures.powered_mean >": ("static", ("figures", "powered_mean"), 900.0, ()),
+    "cbs figures.containers_total >": ("cbs", ("figures", "containers_total"), 0.0, ()),
+    **{
+        f"cbs figures.containers_warm.{g} >": (
+            "cbs", ("figures", "containers_warm", g), 0.0, (),
+        )
+        for g in GROUPS
+    },
+    "baseline figures.powered_mean >": (
+        "baseline", ("figures", "powered_mean"), 0.0,
+        ("cbs figures.powered_mean vs 1.5 x baseline <=",),
+    ),
+    "cbp figures.powered_mean >": ("cbp", ("figures", "powered_mean"), 0.0, ()),
+    "cbs figures.powered_mean >": ("cbs", ("figures", "powered_mean"), 0.0, ()),
+    "cbs figures.powered_mean vs 1.5 x baseline <=": (
+        "cbs", ("figures", "powered_mean"), above(240.0), (),
+    ),
+    "baseline figures.powered_late vs 1 x baseline figures.powered_early >": (
+        "baseline", ("figures", "powered_late"), 30.0, (),
+    ),
+    "cbs figures.powered_late vs 1 x cbs figures.powered_early >": (
+        "cbs", ("figures", "powered_late"), 60.0, (),
+    ),
+    "cbs delay_by_group.production.p95_s vs 1.25 x baseline <=": (
+        "cbs", ("delay_by_group", "production", "p95_s"), above(2500.0), (),
+    ),
+    **{
+        f"{p} tasks_unscheduled vs 0.1 x {p} tasks_submitted <": (
+            p, ("tasks_unscheduled",), 900, (),
+        )
+        for p in ("baseline", "cbp", "cbs")
+    },
+    # 1.02 x baseline's 180 kWh / 150 machines, over cbs's 200 machines.
+    "cbs kwh_per_machine vs 1.02 x baseline <=": ("cbs", ("energy_kwh",), 244.81, ()),
+    "cbs total_cost vs 1.35 x baseline <": ("cbs", ("total_cost",), 24.0 * 1.35, ()),
+    "pressure_cbs total_cost vs 0.92 x pressure_baseline <": (
+        "pressure_cbs", ("total_cost",), 25.0 * 0.92, (),
+    ),
+    "pressure_cbs energy_kwh vs 1 x pressure_baseline <": (
+        "pressure_cbs", ("energy_kwh",), 150.0, (),
+    ),
+    "threshold tasks_scheduled vs 0.85 x threshold tasks_submitted >": (
+        "threshold", ("tasks_scheduled",), 7650, (),
+    ),
+}
+
+
+def _figures_rows(summaries=FIGURES_PASSING):
+    rows = suites.figures_shapes(_report(summaries))
+    return {f"{row.shape} {row.op}": row for row in rows}
+
+
+class TestFiguresShapes:
+    def test_passing_run_passes_every_shape(self):
+        rows = _figures_rows()
+        assert len(rows) == len(suites.FIGURES_SHAPES) + 1
+        assert all(row.ok is True for row in rows.values()), rows
+
+    def test_every_shape_has_a_violation(self):
+        assert set(_figures_rows()) == set(FIGURES_VIOLATIONS)
+
+    def test_fig3_bound_is_nine_tenths_of_the_table2_fleet(self):
+        # Table II at 1/10 scale: 700 + 150 + 100 + 50 machines.
+        assert _figures_rows()["static figures.powered_mean >"].bound == 900.0
+
+    @pytest.mark.parametrize("shape", sorted(FIGURES_VIOLATIONS))
+    def test_each_violation_fails_its_row(self, shape):
+        scenario, path, value, also = FIGURES_VIOLATIONS[shape]
+        rows = _figures_rows(_set(FIGURES_PASSING, scenario, path, value))
+        failed = {s for s, row in rows.items() if row.ok is False}
+        assert failed == {shape, *also}
+
+    def test_missing_scenario_reads_not_checked(self):
+        summaries = {
+            k: v for k, v in FIGURES_PASSING.items() if k != "pressure_baseline"
+        }
+        rows = _figures_rows(summaries)
+        unchecked = {s for s, row in rows.items() if row.ok is None}
+        assert unchecked == {
+            "pressure_cbs total_cost vs 0.92 x pressure_baseline <",
+            "pressure_cbs energy_kwh vs 1 x pressure_baseline <",
+        }
+        assert all(row.ok is True for s, row in rows.items() if s not in unchecked)
+
+    def test_the_shapes_read_every_scenario_of_the_suite(self):
+        read = set()
+        for scenario, _, _, bound in suites.FIGURES_SHAPES:
+            read.add(scenario)
+            if isinstance(bound, suites.Rel):
+                read.add(bound.of)
+        assert read == {s.name for s in figures_scenarios()}
+
+
 # --------------------------------------------------------------------- CLI
 
 
-def test_shaped_suites_are_the_documented_three():
-    assert set(SHAPES) == {"scalability", "ablation", "robustness"}
+def test_shaped_suites_are_the_documented_four():
+    assert set(SHAPES) == {"scalability", "ablation", "robustness", "figures"}
     assert set(SHAPES) <= set(SUITES)
 
 
