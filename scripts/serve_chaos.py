@@ -12,8 +12,10 @@ solver outage + injected control-step crashes):
    progress — no graceful shutdown, possibly a torn tail.
 3. **Restart**: ``repro serve --restore`` resumes over the same state
    directory; the probe asserts ``/healthz`` answers 200 while the
-   resumed loop runs, and the final summary (chain digest included) must
-   equal the reference bit for bit.
+   resumed loop runs.  The drill's control-step crash fires in this
+   daemon, so its event log must show both failed attempts (each rolled
+   back through checkpoint + journal replay), and the final summary
+   (chain digest included) must equal the reference bit for bit.
 
 Exit code 0 on success, 1 on any divergence.  Runtime is a few seconds
 of compute plus the pacing delays — well inside a 5-minute CI budget::
@@ -35,6 +37,9 @@ import urllib.request
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
+
+#: The drill preset's ``ControlCrash(tick=18, attempts=2)``.
+CRASH_TICK, CRASH_ATTEMPTS = 18, 2
 
 
 def log(message: str) -> None:
@@ -70,22 +75,37 @@ def journaled_ticks(state_dir: Path) -> int:
     )
 
 
-def http_port(state_dir: Path) -> int | None:
-    """The auto-assigned health port, from the daemon's event log.
+def events(state_dir: Path) -> list[dict]:
+    """Every complete line of the run's event log, oldest first.
 
-    The event log survives restarts, so the LAST ``http_listening`` entry
-    is the live daemon's port — earlier ones belong to killed incarnations.
+    The event log survives restarts, so it holds every incarnation's
+    events; a SIGKILL may leave a torn last line, which is skipped.
     """
-    port = None
-    for events in state_dir.glob("EVENTS_*.jsonl"):
-        for line in events.read_text(errors="replace").splitlines():
+    found = []
+    for log_file in state_dir.glob("EVENTS_*.jsonl"):
+        for line in log_file.read_text(errors="replace").splitlines():
             try:
-                event = json.loads(line)
+                found.append(json.loads(line))
             except json.JSONDecodeError:
                 continue
-            if event.get("event") == "http_listening":
-                port = int(event["port"])
-    return port
+    return found
+
+
+def http_port(state_dir: Path) -> int | None:
+    """The live daemon's health port: the LAST ``http_listening`` event."""
+    ports = [e["port"] for e in events(state_dir) if e["event"] == "http_listening"]
+    return int(ports[-1]) if ports else None
+
+
+def crash_rollbacks(state_dir: Path) -> int:
+    """``control_step_failed`` events at the crash tick since the restore."""
+    logged = events(state_dir)
+    restored = max(i for i, e in enumerate(logged) if e["event"] == "restored")
+    return sum(
+        1
+        for e in logged[restored:]
+        if e["event"] == "control_step_failed" and e["tick"] == CRASH_TICK
+    )
 
 
 def probe_healthz(port: int) -> int | None:
@@ -167,6 +187,13 @@ def phase_restart(state_dir: Path, hours: float, reference: dict) -> bool:
     if not recovered:
         log("FAIL: /healthz never recovered to 200 during the restored run")
         return False
+    rollbacks = crash_rollbacks(state_dir)
+    if rollbacks != CRASH_ATTEMPTS:
+        log(
+            f"FAIL: restored run logged {rollbacks} control_step_failed "
+            f"event(s) at tick {CRASH_TICK}, expected {CRASH_ATTEMPTS}"
+        )
+        return False
     summary = json.loads(stdout)
     if summary != reference:
         diverged = sorted(
@@ -176,8 +203,9 @@ def phase_restart(state_dir: Path, hours: float, reference: dict) -> bool:
         log(f"FAIL: restored summary diverged from reference on: {diverged}")
         return False
     log(
-        f"restored run: /healthz recovered, {summary['ticks']} ticks, "
-        f"chain matches reference ({summary['chain'][:12]}...)"
+        f"restored run: /healthz recovered, {rollbacks} rollbacks at tick "
+        f"{CRASH_TICK}, {summary['ticks']} ticks, chain matches reference "
+        f"({summary['chain'][:12]}...)"
     )
     return True
 
@@ -194,6 +222,8 @@ def main() -> int:
         help="kill-phase budget in seconds (default 120)",
     )
     args = parser.parse_args()
+    if args.kill_after >= CRASH_TICK:
+        parser.error(f"--kill-after must be below the drill's crash tick {CRASH_TICK}")
 
     with tempfile.TemporaryDirectory(prefix="serve-chaos-") as tmpdir:
         tmp = Path(tmpdir)

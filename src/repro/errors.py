@@ -169,9 +169,9 @@ class ConfigInvalid(ServeError, ValueError):
 class ControlStepFailed(ServeError):
     """One control-step attempt raised and was absorbed by the watchdog.
 
-    Carries ``tick`` and ``attempt`` context; the watchdog retries with
-    deterministic backoff and, once attempts are exhausted, applies the
-    tick as a last-known-good hold instead of crashing the daemon.
+    Carries ``tick`` and ``attempt`` context; the watchdog rolls back
+    through restore and retries with deterministic backoff.  Once attempts
+    are exhausted it raises this error and the daemon exits nonzero.
     """
 
     code = "control_step_failed"

@@ -1,29 +1,26 @@
-"""Crash-safe, digest-verified JSONL journals.
+"""Crash-safe, digest-verified journals: the repo's one durable-write module.
 
-Two layers live here:
+**Durable writes.** Every record is canonical JSON sealed by a ``sha256``
+field over the rest of it (:func:`record_digest`, :func:`unseal_record`).
+:func:`write_journal_record` appends one sealed line (flush + fsync) for
+the scenario, serve tick and fleet progress journals;
+:func:`replace_sealed_file` atomically replaces a whole file with one
+(tmp + fsync + ``os.replace``) for the serve checkpoint.
+:func:`read_journal_records` drops at most one torn trailing line (the
+crash signature journaling exists to survive); any *other* malformed
+line, or any digest/version mismatch, raises
+:class:`~repro.errors.JournalCorrupt` naming the line.
 
-**The line machinery** (:func:`write_journal_record`,
-:func:`read_journal_records`) — generic append-only JSONL where every
-line is canonical JSON carrying a ``sha256`` field over the rest of the
-record, flushed and fsynced per line.  A SIGKILLed writer leaves at most
-one torn trailing line, which reads drop silently (that is the crash
-signature journaling exists to survive); any *other* malformed line, or
-any digest/version mismatch, raises
-:class:`~repro.errors.JournalCorrupt` naming the line.  The serve
-daemon's tick journal and checkpoints reuse this layer.
+**The scenario journal** (:class:`Journal`) — one line per completed bench
+scenario; an entry satisfies a scenario only when suite, name, task *and*
+params all match, so a journal written at different bench parameters can
+never leak stale results into a run.
 
-**The scenario journal** (:class:`Journal`, ``JOURNAL_<suite>*.jsonl``) —
-one line per completed bench scenario, with resume semantics: an entry
-satisfies a scenario only when suite, name, task *and* params all match,
-so a journal written at different bench parameters can never leak stale
-results into a run.
-
-Collision safety: journals carry an optional **run-id header** (first
-line, ``kind: "header"``).  :func:`suite_run_id` derives a stable id from
-the suite name plus the exact scenario list; :func:`journal_path` folds
-it into the filename; and a :class:`Journal` opened with a ``run_id``
-refuses — with a clear ``journal_corrupt`` code, not silent mixing — to
-append to or load a file whose header belongs to a different run.
+Collision safety: a journal's first line is a **run-id header**.
+:func:`suite_run_id` derives a stable id from the suite name plus the
+exact scenario list and :func:`journal_path` folds it into the filename;
+:func:`ensure_header` / :func:`check_run_id` refuse (``journal_corrupt``,
+not silent mixing) a file whose header is missing or another run's.
 """
 
 from __future__ import annotations
@@ -42,12 +39,9 @@ from repro.runner.scenario import Scenario
 JOURNAL_VERSION = 1
 
 
-def journal_path(
-    suite: str, directory: str | Path = ".", run_id: str | None = None
-) -> Path:
-    """Where the journal for ``suite`` (optionally one run of it) lives."""
-    stem = f"JOURNAL_{suite}" if run_id is None else f"JOURNAL_{suite}_{run_id}"
-    return Path(directory) / f"{stem}.jsonl"
+def journal_path(suite: str, directory: str | Path, run_id: str) -> Path:
+    """Where the journal for one run of ``suite`` lives."""
+    return Path(directory) / f"JOURNAL_{suite}_{run_id}.jsonl"
 
 
 def suite_run_id(suite: str, scenarios: list[Scenario]) -> str:
@@ -66,23 +60,37 @@ def suite_run_id(suite: str, scenarios: list[Scenario]) -> str:
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()[:12]
 
 
-# ------------------------------------------------------- the line machinery
+# ------------------------------------------------ the durable-write primitives
 
 
 def record_digest(record: dict) -> str:
-    """SHA-256 of a record's canonical JSON (the per-line integrity seal)."""
+    """SHA-256 of a record's canonical JSON (the per-record integrity seal)."""
     return hashlib.sha256(canonical_json(record).encode()).hexdigest()
 
 
-def write_journal_record(path: str | Path, record: dict) -> None:
-    """Durably append one record (digest field + flush + fsync per line)."""
-    path = Path(path)
+def _write_sealed(path: Path, mode: str, record: dict) -> None:
+    """Write ``record`` + its seal as one line, flushed and fsynced."""
     line = canonical_json({**record, "sha256": record_digest(record)})
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as handle:
+    with open(path, mode, encoding="utf-8") as handle:
         handle.write(line + "\n")
         handle.flush()
         os.fsync(handle.fileno())
+
+
+def write_journal_record(path: str | Path, record: dict) -> None:
+    """Durably append one sealed record (one line, flush + fsync)."""
+    _write_sealed(Path(path), "a", record)
+
+
+def replace_sealed_file(path: str | Path, record: dict) -> Path:
+    """Atomically replace ``path`` with one sealed record (tmp + fsync +
+    ``os.replace``: a crash leaves the old file or the new one, never a mix)."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    _write_sealed(tmp, "w", record)
+    os.replace(tmp, path)
+    return path
 
 
 def unseal_record(
@@ -156,14 +164,14 @@ def read_journal_records(path: str | Path) -> list[dict]:
     return records
 
 
-def check_run_id(path: str | Path, records: list[dict], run_id: str | None) -> None:
+def check_run_id(path: str | Path, records: list[dict], run_id: str) -> None:
     """Refuse a journal whose header belongs to a different run.
 
-    With ``run_id`` set, the first record must be a matching header — a
-    missing header means the file predates run-id journaling (or is some
-    other file entirely) and appending would silently mix runs.
+    The first record must be a matching header — a missing header means
+    the file predates run-id journaling (or is some other file entirely)
+    and appending would silently mix runs.
     """
-    if run_id is None or not records:
+    if not records:
         return
     head = records[0]
     if head.get("kind") != "header":
@@ -180,20 +188,30 @@ def check_run_id(path: str | Path, records: list[dict], run_id: str | None) -> N
         )
 
 
-def ensure_header(path: str | Path, run_id: str | None) -> None:
+def ensure_header(path: str | Path, run_id: str) -> None:
     """Make ``path`` safe to append to as run ``run_id``.
 
     A fresh (missing or empty) file gets the run-id header line; an
     existing one is read and verified through :func:`check_run_id`.  That
     costs a full read of the file, so each journal object calls this once,
-    before its first append.
+    before its first append.  A last line a crash cut short is mended the
+    way reads see it: a whole record gets its newline, a fragment is cut
+    off, so the next append never glues onto it (the append's fsync makes
+    the repair durable).
     """
-    if run_id is None:
-        return
     path = Path(path)
     if path.exists() and path.stat().st_size > 0:
-        check_run_id(path, read_journal_records(path), run_id)
-        return
+        records = read_journal_records(path)
+        check_run_id(path, records, run_id)
+        raw = path.read_bytes()
+        if not raw.endswith(b"\n"):
+            if len(records) > raw.count(b"\n"):
+                with open(path, "ab") as handle:
+                    handle.write(b"\n")
+            else:
+                os.truncate(path, raw.rfind(b"\n") + 1)
+        if records:
+            return
     write_journal_record(
         path, {"version": JOURNAL_VERSION, "kind": "header", "run_id": run_id}
     )
@@ -256,20 +274,15 @@ class JournalEntry:
 class Journal:
     """Append-only, digest-verified scenario journal.
 
-    With ``run_id`` set, the journal is collision-safe: the first line of
-    a fresh file is a run-id header, and appends/loads against a file
-    carrying a different (or no) header raise
+    Collision-safe: the first line of a fresh file is a run-id header, and
+    appends/loads against a file carrying a different (or no) header raise
     :class:`~repro.errors.JournalCorrupt` instead of mixing runs.
-    Without ``run_id`` the pre-run-id behaviour is preserved exactly.
     """
 
-    def __init__(self, path: str | Path, run_id: str | None = None) -> None:
+    def __init__(self, path: str | Path, run_id: str) -> None:
         self.path = Path(path)
         self.run_id = run_id
         self._header_checked = False
-
-    def exists(self) -> bool:
-        return self.path.exists()
 
     def append(self, entry: JournalEntry) -> None:
         """Durably append one completed scenario (flush + fsync per line)."""

@@ -23,9 +23,9 @@ Two serve-only specs exercise the crash machinery itself:
 - :class:`SolverOutage` makes the MPC-lite primary raise for a window of
   ticks (visible as ladder rung 1);
 - :class:`ControlCrash` makes the first ``attempts`` watchdog attempts of
-  one tick fail *before touching state* — the watchdog's snapshot/retry
-  path runs, and because retries are attempt-aware the final digest still
-  matches a clean run.
+  one tick fail — each failure rolls back through ``restore`` (checkpoint
+  + journal replay) before the retry, so the final digest still matches a
+  clean run.
 
 Because every effect is a pure function of the tick index, a restored
 daemon recomputes the exact same effects for the replayed suffix — chaos

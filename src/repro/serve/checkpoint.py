@@ -10,22 +10,23 @@ the run id (derived from the deterministic config + feeder spec, so a
     shared :mod:`repro.runner.journal` line machinery (torn-tail
     tolerant, run-id header, ``JournalCorrupt`` on mixing).
 ``CHECKPOINT_<run_id>.json``
-    The latest state snapshot, written atomically (tmp + fsync +
-    ``os.replace``) every ``checkpoint_interval_ticks`` applied ticks.
-    The record carries both a line digest (file integrity) and the
-    state's ``summary_digest`` (semantic integrity): a checkpoint that
-    loads but does not reproduce its recorded digest is rejected.
+    The latest state snapshot, atomically replaced every
+    ``checkpoint_interval_ticks`` applied ticks (``replace_sealed_file``).
+    The record carries both a seal (file integrity) and the state's
+    ``summary_digest`` (semantic integrity): a checkpoint that loads but
+    does not reproduce its recorded digest is rejected.
 
 :func:`restore` = load checkpoint (or fresh state) + replay the journal
 suffix through ``apply_tick`` — bit-identical to the uninterrupted run
 because ``apply_tick`` is pure and chaos effects are derived from tick
-indices.  Restore is idempotent by construction: it never writes.
+indices.  It never writes, and it is the daemon's one way back to a known
+state: ``--restore`` replays the whole journal, a watchdog rollback at
+tick *t* stops before *t* (``stop_tick``).
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from pathlib import Path
 
 from repro.errors import JournalCorrupt
@@ -34,7 +35,7 @@ from repro.runner.journal import (
     check_run_id,
     ensure_header,
     read_journal_records,
-    record_digest,
+    replace_sealed_file,
     unseal_record,
     write_journal_record,
 )
@@ -53,19 +54,11 @@ def derive_run_id(config: ServeConfig, feeder_spec: dict) -> str:
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()[:12]
 
 
-def tick_journal_path(directory: str | Path, run_id: str) -> Path:
-    return Path(directory) / f"TICKS_{run_id}.jsonl"
-
-
-def checkpoint_path(directory: str | Path, run_id: str) -> Path:
-    return Path(directory) / f"CHECKPOINT_{run_id}.json"
-
-
 class TickJournal:
     """Write-ahead journal of tick batches (shared line machinery)."""
 
     def __init__(self, directory: str | Path, run_id: str) -> None:
-        self.path = tick_journal_path(directory, run_id)
+        self.path = Path(directory) / f"TICKS_{run_id}.jsonl"
         self.run_id = run_id
         self._header_checked = False
 
@@ -102,19 +95,13 @@ class TickJournal:
         ]
         return sorted(batches, key=lambda b: b.tick)
 
-    def tick_count(self) -> int:
-        return len(self.load())
-
 
 class CheckpointStore:
     """Atomic, digest-verified single-slot checkpoint."""
 
     def __init__(self, directory: str | Path, run_id: str) -> None:
-        self.path = checkpoint_path(directory, run_id)
+        self.path = Path(directory) / f"CHECKPOINT_{run_id}.json"
         self.run_id = run_id
-
-    def exists(self) -> bool:
-        return self.path.exists()
 
     def write(self, state: ServeState) -> Path:
         """Atomically replace the checkpoint with ``state``'s snapshot."""
@@ -126,15 +113,7 @@ class CheckpointStore:
             "summary_digest": state.digest(),
             "state": state.to_state(),
         }
-        payload = canonical_json({**record, "sha256": record_digest(record)})
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(".json.tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
-        return self.path
+        return replace_sealed_file(self.path, record)
 
     def load(self, config: ServeConfig) -> ServeState | None:
         """Verified state from the checkpoint, or ``None`` if absent.
@@ -173,19 +152,23 @@ def restore(
     directory: str | Path,
     run_id: str,
     chaos=None,
+    stop_tick: int | None = None,
 ) -> ServeState:
     """Checkpoint + journal-suffix replay -> bit-identical state.
 
     Pure read path (idempotent): loads the checkpoint if one exists,
     then re-applies every journaled batch at or past the checkpoint's
-    tick, recomputing chaos effects per tick.  A gap in the journal
-    (a tick the daemon never journaled) is unrecoverable and raises
+    tick — and before ``stop_tick``, when given — recomputing chaos
+    effects per tick.  A gap in the journal (a tick the daemon never
+    journaled) is unrecoverable and raises
     :class:`~repro.errors.JournalCorrupt`.
     """
     store = CheckpointStore(directory, run_id)
     journal = TickJournal(directory, run_id)
     state = store.load(config) or ServeState(config)
     for batch in journal.load():
+        if stop_tick is not None and batch.tick >= stop_tick:
+            break
         if batch.tick < state.ticks_applied:
             continue
         if batch.tick > state.ticks_applied:
@@ -204,8 +187,6 @@ def restore(
 __all__ = [
     "CheckpointStore",
     "TickJournal",
-    "checkpoint_path",
     "derive_run_id",
     "restore",
-    "tick_journal_path",
 ]

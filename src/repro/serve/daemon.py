@@ -8,14 +8,15 @@ One loop, one invariant.  Per tick batch from the feeder:
 2. **Write-ahead journal** — the batch is fsynced to the tick journal
    *before* anything touches state, so a crash at any later point is
    recoverable by replay.
-3. **Watchdog control step** — snapshot the state, attempt
-   ``apply_tick``; on a :class:`~repro.errors.ReproError` roll the
-   snapshot back, sleep the deterministic backoff
-   (:func:`~repro.runner.supervisor.backoff_delay`), retry.  Because the
-   snapshot restores *exactly* the pre-attempt state, a retried tick is
-   bit-identical to a first-try tick.  Exhausted attempts crash the
-   daemon loudly (exit nonzero) — the state on disk is consistent and a
-   ``--restore`` resumes from it.
+3. **Watchdog control step** — attempt ``apply_tick``; on a
+   :class:`~repro.errors.ReproError` roll back through recovery
+   (:func:`~repro.serve.checkpoint.restore` up to the previous tick),
+   sleep the deterministic backoff
+   (:func:`~repro.runner.supervisor.backoff_delay`), retry.  Restore
+   rebuilds *exactly* the pre-attempt state, so a retried tick is
+   bit-identical to a first-try tick, and no tick pays for a snapshot.
+   Exhausted attempts crash the daemon loudly (exit nonzero) — the state
+   on disk is consistent and a ``--restore`` resumes from it.
 4. **Ops bookkeeping** — decision latency, rung, partition state into
    :class:`~repro.serve.http.ServeMetrics`; a structured JSONL event
    line; per-stage soft budgets (overruns are counted, never allowed to
@@ -143,7 +144,7 @@ class ServeDaemon:
                 chain=self.state.chain,
             )
         else:
-            if self.journal.path.exists() and self.journal.tick_count() > 0:
+            if self.journal.path.exists() and self.journal.load():
                 raise ServeError(
                     f"state dir {self.state_dir} already holds journaled "
                     f"ticks for run {self.run_id}; pass --restore to resume "
@@ -203,8 +204,7 @@ class ServeDaemon:
         self._check_budget("checkpoint", stage_start, budget, batch.tick)
 
     def _watchdog_apply(self, batch: TickBatch, effects) -> TickOutcome:
-        """Transactional control step: snapshot, attempt, rollback, retry."""
-        snapshot = self.state.to_state()
+        """Transactional control step: attempt, roll back via restore, retry."""
         attempts = self.config.watchdog_attempts
         backoff = SupervisorConfig(
             timeout_seconds=None,
@@ -223,10 +223,12 @@ class ServeDaemon:
                 outcome = self.state.apply_tick(batch, effects)
             except ReproError as exc:
                 last_error = exc
-                # Roll back to the exact pre-attempt state so the retry
-                # (and hence the digest) is indistinguishable from a
-                # first-try success.
-                self.state = ServeState.from_state(snapshot, self.config)
+                # Rebuild the exact pre-attempt state (checkpoint + journal
+                # before batch.tick) so the retry, and hence the digest, is
+                # indistinguishable from a first-try success.
+                self.state = restore(
+                    self.config, self.state_dir, self.run_id, self.chaos, batch.tick
+                )
                 self.metrics.increment("restarts")
                 self.events.emit(
                     "control_step_failed",

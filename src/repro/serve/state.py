@@ -180,7 +180,7 @@ class ChaosEffects:
     #: reason and the ladder steps down to rung 1.
     primary_fail: str | None = None
     #: Control-step sabotage: the first N watchdog attempts of this tick
-    #: raise before touching state (exercises snapshot/retry; digest-safe).
+    #: raise (exercises rollback-through-restore + retry; digest-safe).
     crash_attempts: int = 0
 
 

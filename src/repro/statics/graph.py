@@ -49,6 +49,7 @@ DIGEST_SINK_NAMES = frozenset(
         "fleet_digest",
         "record_digest",
         "write_journal_record",
+        "replace_sealed_file",
     }
 )
 

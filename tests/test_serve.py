@@ -6,7 +6,8 @@ classifier, the determinism contract of :class:`ServeState` (chain
 digests, checkpoint round-trips, idempotent restore), chaos projection
 (blackouts, outages, partitions, solver outages, control-step crashes),
 collision-safe tick journals and digest-verified checkpoints, the
-watchdog's snapshot/rollback/retry invariance, hot reload and the HTTP
+watchdog's rollback-through-restore/retry invariance (including a tick
+that fails half-applied), hot reload and the HTTP
 health/readiness/metrics endpoints.
 
 Everything in-process runs on :class:`ManualClock` — no wall-clock reads,
@@ -53,6 +54,7 @@ from repro.serve import (
 )
 from repro.serve.chaos import drill_plan
 from repro.serve.state import NO_EFFECTS, ChaosEffects
+from repro.simulation.control import ControlPipeline
 from repro.trace import SyntheticTraceConfig, generate_trace
 
 CONFIG = ServeConfig(checkpoint_interval_ticks=4)
@@ -410,7 +412,6 @@ class TestTickJournal:
         journal.append(self.batch(0))
         journal.append(self.batch(1))
         assert journal.load() == [self.batch(0), self.batch(1)]
-        assert journal.tick_count() == 2
 
     def test_refuses_foreign_run_id(self, tmp_path):
         journal = TickJournal(tmp_path, "run000000001")
@@ -421,6 +422,26 @@ class TestTickJournal:
             imposter.append(self.batch(1))
         with pytest.raises(JournalCorrupt, match="refusing to mix runs"):
             imposter.load()
+
+    @pytest.mark.parametrize("cut", ["fragment", "newline_only"])
+    def test_append_after_a_crash_cut_tail(self, tmp_path, cut):
+        # A crash mid-append leaves the last line without its newline.  A
+        # resumed writer must not glue its next line onto it, or every later
+        # load (a restore, a watchdog rollback) finds a corrupt mid-file line.
+        journal = TickJournal(tmp_path, "run000000001")
+        journal.append(self.batch(0))
+        journal.append(self.batch(1))
+        head, last = journal.path.read_text()[:-1].rsplit("\n", 1)
+        if cut == "fragment":  # reads drop it: tick 1 was never journaled
+            last = last[:25]
+            kept = [self.batch(0)]
+        else:  # the whole record made it; only its newline is missing
+            kept = [self.batch(0), self.batch(1)]
+        journal.path.write_text(head + "\n" + last)
+        assert journal.load() == kept
+        resumed = TickJournal(tmp_path, "run000000001")
+        resumed.append(self.batch(len(kept)))
+        assert resumed.load() == kept + [self.batch(len(kept))]
 
 
 class TestCheckpointStore:
@@ -559,6 +580,58 @@ class TestServeDaemon:
         )
         summary = crashy.run(max_ticks=8)
         assert crashy.metrics.snapshot()["restarts"] == 2
+        assert summary == reference
+
+    @pytest.mark.parametrize(
+        "crash_tick, resume_at",
+        [(2, None), (8, None), (10, 6)],
+        ids=["before_first_checkpoint", "on_checkpoint_boundary", "after_restore"],
+    )
+    def test_watchdog_rolls_back_a_half_applied_tick(
+        self, tmp_path, trace_tasks, monkeypatch, crash_tick, resume_at
+    ):
+        ticks = 12
+        reference = ServeDaemon(
+            CONFIG,
+            make_feeder(trace_tasks),
+            state_dir=tmp_path / "clean",
+            run_id="run000000001",
+            clock=ManualClock(),
+        ).run(max_ticks=ticks)
+
+        def daemon():
+            return ServeDaemon(
+                CONFIG,
+                make_feeder(trace_tasks),
+                state_dir=tmp_path / "crashy",
+                run_id="run000000001",
+                clock=ManualClock(),
+            )
+
+        if resume_at is not None:
+            daemon().run(max_ticks=resume_at)
+        # Fail once *after* the decision stack ran: the classifier, the
+        # running set, the predictors, guard and ladder are all mutated,
+        # so only a real rollback makes the retry digest-invisible.
+        crash_time = list(make_feeder(trace_tasks).batches())[crash_tick].time
+        original = ControlPipeline.decide
+        fired = []
+
+        def flaky_decide(pipeline, view):
+            decision = original(pipeline, view)
+            if view.time == crash_time and not fired:
+                fired.append(view.time)
+                raise ControlStepFailed("injected mid-tick crash", time=view.time)
+            return decision
+
+        monkeypatch.setattr(ControlPipeline, "decide", flaky_decide)
+        crashy = daemon()
+        summary = crashy.run(
+            restore_state=resume_at is not None,
+            max_ticks=ticks - (resume_at or 0),
+        )
+        assert fired == [crash_time]
+        assert crashy.metrics.snapshot()["restarts"] == 1
         assert summary == reference
 
     def test_watchdog_exhaustion_fails_loudly_but_recoverably(

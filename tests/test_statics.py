@@ -393,6 +393,24 @@ class TestProjectPasses:
             in messages[1]
         )
 
+    def test_checkpoint_payload_reaches_a_digest_sink(self, tmp_path):
+        # The serve checkpoint is written through replace_sealed_file, so a
+        # nondeterministic value in its payload is a FLOW001 finding.
+        pkg = tmp_path / "src" / "repro"
+        pkg.mkdir(parents=True)
+        (pkg / "mod.py").write_text(
+            "import os\n\n"
+            "from repro.runner.journal import replace_sealed_file\n\n\n"
+            "def checkpoint(path) -> None:\n"
+            "    nonce = os.urandom(4).hex()\n"
+            "    replace_sealed_file(path, {'nonce': nonce})\n"
+        )
+        report = lint_paths(["src"], root=tmp_path)
+        [finding] = report.findings
+        assert finding.code == "FLOW001"
+        assert "os.urandom()" in finding.message
+        assert "replace_sealed_file()" in finding.message
+
     def test_project_finding_respects_noqa(self, tmp_path):
         pkg = tmp_path / "src" / "repro"
         pkg.mkdir(parents=True)

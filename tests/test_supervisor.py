@@ -32,6 +32,7 @@ from repro.runner import (
     canonical_json,
     journal_path,
     suite_run_id,
+    write_journal_record,
 )
 
 #: One tiny LP solve — the cheapest spawnable unit of real work.
@@ -126,11 +127,12 @@ class TestSupervisorRun:
         assert report.quarantined == ()
         assert report["relax_tiny"].attempts == 1
         assert report["relax_tiny"].digest() == tiny_digest()
-        # The journal path now carries the suite's run id.
+        # The journal path carries the suite's run id.
         assert supervisor.journal is not None
         assert supervisor.journal.path.exists()
-        assert supervisor.journal.path.name.startswith("JOURNAL_unit_")
-        assert not journal_path("unit", tmp_path).exists()
+        assert supervisor.journal.path == journal_path(
+            "unit", tmp_path, suite_run_id("unit", [TINY])
+        )
 
     def test_transient_raise_retried_with_identical_digest(self, tmp_path):
         scenario = transient_fault_scenario(
@@ -267,9 +269,16 @@ def _entry(name="s0", suite="unit", summary=None) -> JournalEntry:
     )
 
 
+RUN_ID = "aaa111bbb222"
+
+
+def _journal(tmp_path, run_id=RUN_ID) -> Journal:
+    return Journal(journal_path("unit", tmp_path, run_id), run_id)
+
+
 class TestJournal:
     def test_append_load_round_trip(self, tmp_path):
-        journal = Journal(journal_path("unit", tmp_path))
+        journal = _journal(tmp_path)
         journal.append(_entry("s0"))
         journal.append(_entry("s1"))
         entries = journal.load()
@@ -277,10 +286,10 @@ class TestJournal:
         assert entries[0].to_result().summary == {"value": 1.0}
 
     def test_missing_journal_loads_empty(self, tmp_path):
-        assert Journal(journal_path("unit", tmp_path)).load() == []
+        assert _journal(tmp_path).load() == []
 
     def test_torn_final_line_is_dropped(self, tmp_path):
-        journal = Journal(journal_path("unit", tmp_path))
+        journal = _journal(tmp_path)
         journal.append(_entry("s0"))
         journal.append(_entry("s1"))
         with open(journal.path, "a", encoding="utf-8") as handle:
@@ -289,18 +298,18 @@ class TestJournal:
         assert [e.scenario.name for e in entries] == ["s0", "s1"]
 
     def test_tampered_line_raises_journal_corrupt(self, tmp_path):
-        journal = Journal(journal_path("unit", tmp_path))
+        journal = _journal(tmp_path)
         journal.append(_entry("s0"))
         journal.append(_entry("s1"))
         lines = journal.path.read_text().splitlines()
-        lines[0] = lines[0].replace('"value":1.0', '"value":2.0')
+        # Line 1 is the run-id header; line 2 is the first entry.
+        lines[1] = lines[1].replace('"value":1.0', '"value":2.0')
         journal.path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(JournalCorrupt, match="line 1"):
+        with pytest.raises(JournalCorrupt, match="line 2"):
             journal.load()
 
     def test_run_id_mismatch_refused_on_append_and_load(self, tmp_path):
-        run_id = "aaa111bbb222"
-        journal = Journal(journal_path("unit", tmp_path, run_id), run_id)
+        journal = _journal(tmp_path)
         journal.append(_entry("s0"))
         imposter = Journal(journal.path, "cccdddeeefff")
         with pytest.raises(JournalCorrupt, match="refusing to mix runs"):
@@ -312,14 +321,14 @@ class TestJournal:
         assert [e.scenario.name for e in journal.load()] == ["s0", "s1"]
 
     def test_headerless_file_refused_when_run_id_expected(self, tmp_path):
-        legacy = Journal(journal_path("unit", tmp_path))
-        legacy.append(_entry("s0"))
-        strict = Journal(legacy.path, "aaa111bbb222")
+        path = journal_path("unit", tmp_path, RUN_ID)
+        write_journal_record(path, _entry("s0").record())  # no header line
+        strict = Journal(path, RUN_ID)
         with pytest.raises(JournalCorrupt, match="no run-id header"):
             strict.append(_entry("s1"))
 
     def test_mid_file_garbage_raises_journal_corrupt(self, tmp_path):
-        journal = Journal(journal_path("unit", tmp_path))
+        journal = _journal(tmp_path)
         journal.append(_entry("s0"))
         lines = journal.path.read_text().splitlines()
         journal.path.write_text("not json at all\n" + "\n".join(lines) + "\n")
@@ -332,10 +341,10 @@ class TestJournal:
         record = _entry("s0").record()
         record["version"] = 99
         digest = hashlib.sha256(canonical_json(record).encode()).hexdigest()
-        path = journal_path("unit", tmp_path)
+        path = journal_path("unit", tmp_path, RUN_ID)
         path.write_text(canonical_json({**record, "sha256": digest}) + "\n")
         with pytest.raises(JournalCorrupt, match="version"):
-            Journal(path).load()
+            Journal(path, RUN_ID).load()
 
     def test_matches_requires_suite_name_task_and_params(self):
         entry = _entry("s0", suite="unit")
@@ -353,7 +362,7 @@ class TestJournal:
         )
 
     def test_later_entries_win(self, tmp_path):
-        journal = Journal(journal_path("unit", tmp_path))
+        journal = _journal(tmp_path)
         journal.append(_entry("s0", summary={"value": 1.0}))
         journal.append(_entry("s0", summary={"value": 5.0}))
         scenario = Scenario(name="s0", task="relax_solve", params={"seed": 0})
@@ -361,8 +370,9 @@ class TestJournal:
         assert done["s0"].summary == {"value": 5.0}
 
     def test_journal_lines_are_canonical_json(self, tmp_path):
-        journal = Journal(journal_path("unit", tmp_path))
+        journal = _journal(tmp_path)
         journal.append(_entry("s0"))
-        line = journal.path.read_text().splitlines()[0]
-        payload = json.loads(line)
-        assert line == canonical_json(payload)
+        lines = journal.path.read_text().splitlines()
+        assert len(lines) == 2  # run-id header + the entry
+        for line in lines:
+            assert line == canonical_json(json.loads(line))
