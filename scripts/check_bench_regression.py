@@ -18,7 +18,10 @@ the build when
 - a baseline scenario disappeared from the fresh run;
 - a fresh scenario's recorded ``phases`` cover less than
   ``MIN_PHASE_COVERAGE`` of its wall: the rest is time no layer answers
-  for.  A scenario that records no phases covers none of it.
+  for.  A scenario that records no phases covers none of it;
+- the fresh run's scenarios record simulated ``tasks`` but its
+  ``tasks_per_second`` is 0 or missing: a throughput that reads 0 on a
+  run that did work measures nothing.
 
 The replay kernel is gated through the wall share of the scalability
 suite's ``replay_backlog`` scenario.  Pure comparison logic lives in
@@ -39,10 +42,12 @@ from pathlib import Path
 MIN_GATED_WALL_S = 0.5
 
 #: Scenarios (and run peaks) below this resident size are exempt from the
-#: RSS checks: a spawn worker that merely imports the simulator sits at
-#: ~110-120 MiB (interpreter + numpy/scipy), so readings down there are
-#: all import baseline — which moves with toolchain versions, not with
-#: our code — and their shares are meaninglessly uniform.
+#: RSS checks: a spawn worker that imports the runner's tasks sits at
+#: ~41 MiB (interpreter + numpy), ~80 MiB once a CBS/CBP solve or an
+#: ARIMA fit loads scipy.optimize, and the committed baselines' small
+#: scenarios record 84-125 MiB.  Readings down there are mostly import
+#: baseline — which moves with toolchain versions, not with our code —
+#: and their shares are meaninglessly uniform.
 MIN_GATED_RSS_MB = 192.0
 
 #: The share of a fresh scenario's wall its recorded phases must cover,
@@ -103,6 +108,13 @@ def compare_reports(
                 f"{scenario['name']}: phases cover {coverage:.1%} of its wall "
                 f"(floor {MIN_PHASE_COVERAGE:.0%})"
             )
+
+    tasks = sum(int(s.get("tasks") or 0) for s in fresh.get("scenarios", []))
+    if tasks > 0 and not fresh.get("tasks_per_second"):
+        problems.append(
+            f"scenarios record {tasks} tasks but tasks_per_second is "
+            f"{fresh.get('tasks_per_second')!r}"
+        )
 
     # Peak-RSS share gate — the memory mirror of the wall-share gate.
     # Skips silently when either side predates RSS recording.

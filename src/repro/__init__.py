@@ -34,6 +34,13 @@ Quickstart::
     print(result.summary())
 """
 
+# numpy 2 imports ``numpy.random`` and ``numpy.ma`` on first attribute
+# access; every trace build reaches both (the generator's RNG, and the
+# masked-array check inside ``np.unique``).  Importing them with the
+# package keeps that one-time cost out of the first trace build.
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
+
 from repro.version import __version__
 
 from repro.trace import (

@@ -18,10 +18,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from scipy.special import ndtri
-
 from repro.classification.classifier import TaskClass
 from repro.errors import ContainerSizingError
+from repro.normal import ndtri
 
 
 def _check_moments(mean: float, std: float) -> None:
@@ -51,8 +50,8 @@ def z_quantile(epsilon: float) -> float:
 
     Memoized: every container of every class is sized at the same few
     bounds, and one quantile call costs more than the rest of Eq. 3.
-    ``ndtri`` is the function ``scipy.stats.norm.ppf`` evaluates (times a
-    unit scale, plus a zero location), without importing ``scipy.stats``.
+    :func:`repro.normal.ndtri` returns the float ``scipy.stats.norm.ppf``
+    (and ``scipy.special.ndtri``) would, without importing scipy.
     """
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")

@@ -256,8 +256,10 @@ def fit_arima(
 
     params = x0
     if p + q > 0:
-        # Imported here: scipy.optimize costs a quarter second of import
-        # time, which every process importing repro would otherwise pay.
+        # Imported here: repro imports no other scipy, so the first fit
+        # pays scipy.optimize's ~0.5 s and ~40 MiB (scipy.special and
+        # scipy.sparse included), which every process importing repro
+        # would otherwise pay.
         from scipy import optimize
 
         # scipy charges its finite-difference evaluations to L-BFGS-B's

@@ -22,12 +22,15 @@ solves instances of this size (W<=8, M~4-10, N~10-40) in milliseconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from repro.errors import SolverInfeasible
 from repro.provisioning.model import ProvisioningProblem
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from scipy import sparse
 
 
 @dataclass(frozen=True)
@@ -154,6 +157,10 @@ def build_lp(
     in the same order as an entry-by-entry loop and the CSR conversion sees
     identical input.
     """
+    # Imported here: ``scipy.sparse`` is ~12 MiB that only a CBS/CBP
+    # solve uses, and every process importing repro would otherwise load it.
+    from scipy import sparse
+
     W = problem.horizon
     M = len(problem.machines)
     N = len(problem.containers)
@@ -298,7 +305,8 @@ class CbsRelaxSolver:
         lp = build_lp(problem, initial_active, committed)
         W, M, N = lp.shape
         # Imported here, like fit_arima's: a process that never solves
-        # (CLI commands, threshold-policy runs) skips its import cost.
+        # (CLI commands, threshold and baseline runs, the serve daemon)
+        # loads no scipy at all.  The first solve pays ~0.5 s of import.
         from scipy import optimize
 
         result = optimize.linprog(

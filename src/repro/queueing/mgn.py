@@ -70,11 +70,20 @@ def _erlang_b_prefix(curve: array, offered_load: float, servers: int) -> float:
     if servers < 0:
         raise ValueError(f"servers must be >= 0, got {servers}")
     if servers >= len(curve):
+        # ``a * B`` is computed once per step (the textbook line evaluates
+        # the same product twice), ``k`` counts in floats (exact below
+        # 2**53, and ``int + float`` converts the int first), and the new
+        # entries land in one ``extend``: every float is unchanged.
+        start = len(curve)
+        block = [0.0] * (servers + 1 - start)
         blocking = curve[-1]
-        append = curve.append
-        for k in range(len(curve), servers + 1):
-            blocking = offered_load * blocking / (k + offered_load * blocking)
-            append(blocking)
+        k = float(start)
+        for i in range(len(block)):
+            load_blocking = offered_load * blocking
+            blocking = load_blocking / (k + load_blocking)
+            block[i] = blocking
+            k += 1.0
+        curve.extend(block)
     return curve[servers]
 
 

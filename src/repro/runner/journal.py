@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,9 +69,27 @@ def record_digest(record: dict) -> str:
     return hashlib.sha256(canonical_json(record).encode()).hexdigest()
 
 
+def _sealed_line(record: dict) -> str:
+    """``canonical_json({**record, "sha256": record_digest(record)})``.
+
+    Each top-level member is encoded once: the members joined in key
+    order are ``canonical_json(record)``, which is hashed, and the seal
+    member is spliced in at its sorted position.  A non-``str`` key (the
+    encoder sorts before converting keys) or a ``sha256`` key already
+    present takes the two-encoding form.
+    """
+    if "sha256" in record or not all(isinstance(key, str) for key in record):
+        return canonical_json({**record, "sha256": record_digest(record)})
+    keys = sorted(record)
+    members = [f"{canonical_json(key)}:{canonical_json(record[key])}" for key in keys]
+    digest = hashlib.sha256(("{" + ",".join(members) + "}").encode()).hexdigest()
+    members.insert(bisect_left(keys, "sha256"), f'"sha256":"{digest}"')
+    return "{" + ",".join(members) + "}"
+
+
 def _write_sealed(path: Path, mode: str, record: dict) -> None:
     """Write ``record`` + its seal as one line, flushed and fsynced."""
-    line = canonical_json({**record, "sha256": record_digest(record)})
+    line = _sealed_line(record)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, mode, encoding="utf-8") as handle:
         handle.write(line + "\n")

@@ -78,8 +78,12 @@ class TickJournal:
             },
         )
 
-    def load(self) -> list[TickBatch]:
-        """Every journaled batch, verified, in tick order."""
+    def load(self, start_tick: int = 0) -> list[TickBatch]:
+        """Every journaled batch from ``start_tick`` on, in tick order.
+
+        Every line's seal and the run-id header are verified whatever
+        ``start_tick`` is; only the batches before it are not built.
+        """
         records = read_journal_records(self.path)
         check_run_id(self.path, records, self.run_id)
         batches = [
@@ -91,7 +95,7 @@ class TickJournal:
                 ),
             )
             for r in records
-            if r.get("kind") == "tick"
+            if r.get("kind") == "tick" and int(r["tick"]) >= start_tick
         ]
         return sorted(batches, key=lambda b: b.tick)
 
@@ -159,14 +163,15 @@ def restore(
     Pure read path (idempotent): loads the checkpoint if one exists,
     then re-applies every journaled batch at or past the checkpoint's
     tick — and before ``stop_tick``, when given — recomputing chaos
-    effects per tick.  A gap in the journal (a tick the daemon never
+    effects per tick.  Batches before the checkpoint are verified but
+    never built.  A gap in the journal (a tick the daemon never
     journaled) is unrecoverable and raises
     :class:`~repro.errors.JournalCorrupt`.
     """
     store = CheckpointStore(directory, run_id)
     journal = TickJournal(directory, run_id)
     state = store.load(config) or ServeState(config)
-    for batch in journal.load():
+    for batch in journal.load(start_tick=state.ticks_applied):
         if stop_tick is not None and batch.tick >= stop_tick:
             break
         if batch.tick < state.ticks_applied:

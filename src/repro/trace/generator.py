@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
 
+from repro.normal import ndtri
 from repro.trace.schema import (
     MachineType,
     PriorityGroup,
@@ -371,10 +371,8 @@ class _SizeCatalog:
 
     def __init__(self, profile: PriorityGroupProfile, rng: np.random.Generator) -> None:
         levels = np.linspace(0.005, 0.995, _SIZE_CATALOG_POINTS)
-        cpu_quantiles = np.exp(
-            profile.size_log_mean
-            + profile.size_log_sigma * ndtri(levels)
-        )
+        z = np.array([ndtri(level) for level in levels.tolist()])
+        cpu_quantiles = np.exp(profile.size_log_mean + profile.size_log_sigma * z)
         points: list[tuple[float, float]] = []
         for base_cpu in cpu_quantiles:
             cpu = float(base_cpu * rng.lognormal(0.0, 0.15))

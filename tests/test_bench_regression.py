@@ -4,6 +4,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 
 from check_bench_regression import (  # noqa: E402
@@ -220,6 +222,32 @@ class TestPhaseCoverage:
         assert compare_reports(
             fleet, fleet, max_regression=0.5, rss_ceiling_mb=2048
         ) == []
+
+
+def with_tasks(payload, tasks, tasks_per_second):
+    """``payload`` whose first scenario replayed ``tasks`` tasks."""
+    payload = json.loads(json.dumps(payload))
+    payload["scenarios"][0]["tasks"] = tasks
+    if tasks_per_second is not None:
+        payload["tasks_per_second"] = tasks_per_second
+    return payload
+
+
+class TestThroughput:
+    def test_recorded_throughput_passes(self):
+        assert compare_reports(BASELINE, with_tasks(BASELINE, 4151, 4258.2)) == []
+
+    def test_no_tasks_needs_no_throughput(self):
+        # Solver-only suites record neither.
+        assert compare_reports(BASELINE, with_tasks(BASELINE, 0, 0.0)) == []
+
+    @pytest.mark.parametrize("tasks_per_second", [0.0, None])
+    def test_zero_or_missing_throughput_fails(self, tasks_per_second):
+        fresh = with_tasks(BASELINE, 4151, tasks_per_second)
+        assert compare_reports(BASELINE, fresh) == [
+            f"scenarios record 4151 tasks but tasks_per_second is "
+            f"{tasks_per_second!r}"
+        ]
 
 
 class TestCli:

@@ -19,6 +19,7 @@ these numbers.
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -97,6 +98,26 @@ def test_erlang_formulas_match_reference_outside_an_inversion():
             assert mgn.erlang_b(load, servers) == reference.erlang_b(load, servers)
             if servers:
                 assert mgn.erlang_c(load, servers) == reference.erlang_c(load, servers)
+
+
+@pytest.mark.parametrize("load", [0.5, 3.4, 131.0, 3540.4, 14078.4])
+def test_erlang_b_prefix_is_the_textbook_curve(load):
+    """Every entry of the prefix, grown at once or probe by probe, is the
+    float the textbook recurrence returns, up to ``erlang_c``'s cut-off."""
+    servers = int(load + 12.0 * math.sqrt(load) + 50.0)
+    textbook = [1.0]
+    blocking = 1.0
+    for k in range(1, servers + 1):
+        blocking = load * blocking / (k + load * blocking)
+        textbook.append(blocking)
+    whole = array("d", (1.0,))
+    assert mgn._erlang_b_prefix(whole, load, servers) == textbook[-1]
+    assert np.array_equal(whole, textbook)
+    grown = array("d", (1.0,))
+    for probe in range(0, servers + 1, max(1, servers // 7)):
+        assert mgn._erlang_b_prefix(grown, load, probe) == textbook[probe]
+    mgn._erlang_b_prefix(grown, load, servers)
+    assert np.array_equal(grown, textbook)
 
 
 class _ProbeCounter:

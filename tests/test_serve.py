@@ -52,6 +52,7 @@ from repro.serve import (
     parse_arrival_line,
     restore,
 )
+from repro.serve import checkpoint
 from repro.serve.chaos import drill_plan
 from repro.serve.state import NO_EFFECTS, ChaosEffects
 from repro.simulation.control import ControlPipeline
@@ -443,6 +444,16 @@ class TestTickJournal:
         resumed.append(self.batch(len(kept)))
         assert resumed.load() == kept + [self.batch(len(kept))]
 
+    def test_load_from_a_start_tick_still_verifies_every_line(self, tmp_path):
+        journal = TickJournal(tmp_path, "run000000001")
+        for tick in range(3):
+            journal.append(self.batch(tick))
+        assert journal.load(start_tick=2) == [self.batch(2)]
+        raw = journal.path.read_text()
+        journal.path.write_text(raw.replace('"tick":0,', '"tick":7,', 1))
+        with pytest.raises(JournalCorrupt, match="digest mismatch"):
+            journal.load(start_tick=2)
+
 
 class TestCheckpointStore:
     def test_write_load_round_trip(self, tmp_path, trace_tasks):
@@ -515,6 +526,26 @@ class TestRestore:
         # Pure read path: restoring never mutates the files it reads.
         third = restore(CONFIG, tmp_path, "run000000001")
         assert third.digest() == first.digest()
+
+    def test_restore_builds_only_the_replayed_suffix(
+        self, tmp_path, trace_tasks, monkeypatch
+    ):
+        # The whole run's journal beside a checkpoint taken at tick 8.
+        live, _ = self.run_daemon(trace_tasks, tmp_path / "live", "run000000001")
+        cut, _ = self.run_daemon(
+            trace_tasks, tmp_path / "cut", "run000000001", max_ticks=8
+        )
+        cut.journal.path.write_bytes(live.journal.path.read_bytes())
+        built = []
+
+        def counted(**fields):
+            built.append(fields["tick"])
+            return TickBatch(**fields)
+
+        monkeypatch.setattr(checkpoint, "TickBatch", counted)
+        restored = restore(CONFIG, tmp_path / "cut", "run000000001")
+        assert built == list(range(8, live.state.ticks_applied))
+        assert restored.digest() == live.state.digest()
 
     def test_journal_gap_is_unrecoverable(self, tmp_path, trace_tasks):
         daemon, _ = self.run_daemon(

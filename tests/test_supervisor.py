@@ -12,6 +12,7 @@ behaviour, including torn-tail tolerance and corruption detection.
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import (
     JournalCorrupt,
@@ -34,6 +35,7 @@ from repro.runner import (
     suite_run_id,
     write_journal_record,
 )
+from repro.runner.journal import _sealed_line, record_digest
 
 #: One tiny LP solve — the cheapest spawnable unit of real work.
 TINY = Scenario(
@@ -45,6 +47,22 @@ TINY2 = Scenario(
     name="relax_tiny2",
     task="relax_solve",
     params={"num_classes": 4, "num_types": 2, "W": 2, "seed": 1, "repeats": 1},
+)
+
+#: Keys that sort on either side of ``sha256``, plus non-ASCII ones.
+_KEYS = st.one_of(
+    st.sampled_from(["sha", "sha256a", "Sha", "sha25", "shb", "a", "z", "é", "日本"]),
+    st.text(max_size=6),
+)
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=12,
 )
 
 #: Keep retry waits negligible in tests.
@@ -376,3 +394,26 @@ class TestJournal:
         assert len(lines) == 2  # run-id header + the entry
         for line in lines:
             assert line == canonical_json(json.loads(line))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(_KEYS.filter(lambda k: k != "sha256"), _JSON, max_size=8))
+    def test_sealed_line_encodes_each_member_once(self, record):
+        assert _sealed_line(record) == canonical_json(
+            {**record, "sha256": record_digest(record)}
+        )
+
+    def test_sealed_line_falls_back_when_sha256_is_a_key(self):
+        record = {"a": 1, "sha256": "stale"}
+        assert _sealed_line(record) == canonical_json(
+            {**record, "sha256": record_digest(record)}
+        )
+
+    def test_sealed_line_falls_back_on_a_non_str_key(self):
+        # The two-encoding form raises while sorting the keys; the fallback
+        # must raise that same error, not one of its own.
+        record = {1: "a", 2: {"b": 3}}
+        with pytest.raises(TypeError) as expected:
+            canonical_json({**record, "sha256": record_digest(record)})
+        with pytest.raises(TypeError) as got:
+            _sealed_line(record)
+        assert str(got.value) == str(expected.value)
