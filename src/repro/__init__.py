@@ -69,7 +69,6 @@ from repro.provisioning import (
 from repro.resilience import (
     CorrelatedOutage,
     FaultPlan,
-    GuardConfig,
     GuardedController,
     MachineDegradation,
     MonitoringBlackout,
@@ -133,6 +132,5 @@ __all__ = [
     "MachineDegradation",
     "MonitoringBlackout",
     "RandomMachineFailures",
-    "GuardConfig",
     "GuardedController",
 ]

@@ -17,7 +17,7 @@ the rest of HARMONY needs:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,21 +98,20 @@ class TaskClass:
         )
 
 
+#: Step 1 picks k per priority group by the elbow rule, capped at K_MAX,
+#: stopping once one more cluster gains less than ELBOW_THRESHOLD.
+K_MAX = 24
+ELBOW_THRESHOLD = 0.015
+#: Minimum members for a sub-class to exist on its own; smaller ones are
+#: merged into their sibling.
+MIN_SUBCLASS_SIZE = 5
+
+
 @dataclass(frozen=True)
 class ClassifierConfig:
-    """Knobs for :class:`TaskClassifier.fit`.
+    """Knobs for :class:`TaskClassifier.fit`: the K-means seed."""
 
-    ``k_per_group`` pins the step-1 k per priority group; unset groups use
-    the elbow rule capped at ``k_max``.
-    """
-
-    k_per_group: dict[PriorityGroup, int] = field(default_factory=dict)
-    k_max: int = 24
-    elbow_threshold: float = 0.015
     seed: int = 0
-    #: Minimum members for a sub-class to exist on its own; smaller ones are
-    #: merged into their sibling.
-    min_subclass_size: int = 5
 
 
 class TaskClassifier:
@@ -172,14 +171,12 @@ class TaskClassifier:
                 if not group_tasks:
                     continue
                 features = features[finite_rows]
-            k = self.config.k_per_group.get(group)
-            if k is None:
-                k, _ = select_k_elbow(
-                    features,
-                    k_max=self.config.k_max,
-                    improvement_threshold=self.config.elbow_threshold,
-                    seed=self.config.seed,
-                )
+            k, _ = select_k_elbow(
+                features,
+                k_max=K_MAX,
+                improvement_threshold=ELBOW_THRESHOLD,
+                seed=self.config.seed,
+            )
             model = KMeans(k=k, n_init=3, seed=self.config.seed)
             result = model.fit(features)
             self._note_kmeans_result(result)
@@ -249,7 +246,7 @@ class TaskClassifier:
         """Step 2: k=2 K-means on log duration -> (boundary_s, masks)."""
         n = durations.size
         log_d = np.log10(np.maximum(durations, 1.0))[:, None]
-        if n < 2 * self.config.min_subclass_size or np.ptp(log_d) < 1e-9:
+        if n < 2 * MIN_SUBCLASS_SIZE or np.ptp(log_d) < 1e-9:
             # Too small or degenerate to split: everything is "short".
             return float("inf"), {DurationCategory.SHORT: np.ones(n, dtype=bool)}
         result = KMeans(k=2, n_init=3, seed=self.config.seed).fit(log_d)
@@ -259,8 +256,7 @@ class TaskClassifier:
         short_mask = result.labels == short_label
         long_mask = ~short_mask
         if (
-            short_mask.sum() < self.config.min_subclass_size
-            or long_mask.sum() < self.config.min_subclass_size
+            short_mask.sum() < MIN_SUBCLASS_SIZE or long_mask.sum() < MIN_SUBCLASS_SIZE
         ):
             return float("inf"), {DurationCategory.SHORT: np.ones(n, dtype=bool)}
         boundary = 10 ** float(centers.mean())

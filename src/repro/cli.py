@@ -25,9 +25,8 @@ sanitize
 lint
     Run harmonylint (:mod:`repro.statics`) over the tree: AST rules for
     the determinism/digest/taxonomy invariants (DET/ERR/NUM/API
-    codes), ``# repro: noqa[CODE]`` suppressions and a committed
-    grandfathering baseline.  Exit codes are stable: 0 clean, 1
-    non-baselined findings or stale baseline entries, 2
+    codes) with ``# repro: noqa[CODE]`` as the one way to accept a
+    finding.  Exit codes are stable: 0 clean, 1 findings, 2
     usage/configuration error.
 bench
     Run a scenario suite through the parallel runner, write a
@@ -710,16 +709,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    from repro.statics import (
-        DEFAULT_BASELINE_NAME,
-        Baseline,
-        BaselineError,
-        build_baseline,
-        lint_paths,
-        load_baseline,
-        save_baseline,
-        to_sarif,
-    )
+    from repro.statics import lint_paths, to_sarif
 
     root = Path(args.root).resolve()
     if not root.is_dir():
@@ -732,77 +722,33 @@ def cmd_lint(args: argparse.Namespace) -> int:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
 
-    baseline_path = Path(args.baseline) if args.baseline else root / DEFAULT_BASELINE_NAME
-    if not baseline_path.is_absolute():
-        baseline_path = root / baseline_path
-    baseline = Baseline()
-    if not args.no_baseline and baseline_path.exists():
-        try:
-            baseline = load_baseline(baseline_path)
-        except BaselineError as exc:
-            print(f"repro lint: {exc}", file=sys.stderr)
-            return 2
-
-    if args.fix_baseline:
-        previous = baseline if baseline.entries else None
-        path = save_baseline(build_baseline(report.findings, previous), baseline_path)
-        print(
-            f"wrote {path} ({len(report.findings)} finding(s) baselined; "
-            "justify each entry before committing)"
-        )
-        return 0
-
-    reported, baselined = baseline.apply(report.findings)
-    stale = baseline.stale_fingerprints(report.findings, set(report.files))
-
+    findings = report.findings
     if args.format == "json":
         payload = {
             "tool": "harmonylint",
             "version": 1,
             "root": str(root),
             "files_checked": report.files_checked,
-            "findings": [finding.to_dict() for finding in reported],
+            "findings": [finding.to_dict() for finding in findings],
             "summary": {
-                "total": len(reported),
-                "baselined": baselined,
+                "total": len(findings),
                 "suppressed": report.suppressed,
-                "stale_baseline_entries": len(stale),
-                "by_code": _lint_counts(reported),
+                "by_code": _lint_counts(findings),
             },
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif args.format == "sarif":
-        sarif = to_sarif(reported, root_uri=root.as_uri() + "/")
+        sarif = to_sarif(findings, root_uri=root.as_uri() + "/")
         print(json.dumps(sarif, indent=2, sort_keys=True))
     else:
-        for finding in reported:
+        for finding in findings:
             print(finding.format_text())
-    # A baselined finding that stopped firing was either fixed or its rule
-    # stopped working; both need a decision, so a stale entry fails the
-    # run like a finding does.  json/sarif keep stdout parseable.
-    text = args.format == "text"
-    for fingerprint in stale:
-        entry = baseline.entries[fingerprint]
+        status = f"{len(findings)} finding(s)" if findings else "clean"
         print(
-            f"{entry.path}: {entry.code} stale baseline entry {fingerprint} "
-            "matches no current finding; restore the rule or drop the entry "
-            "with --fix-baseline",
-            file=sys.stdout if text else sys.stderr,
+            f"repro lint: {status} — {report.files_checked} "
+            f"file(s), {report.suppressed} suppressed"
         )
-    if text:
-        status = ", ".join(
-            f"{len(items)} {what}"
-            for items, what in (
-                (reported, "finding(s)"),
-                (stale, "stale baseline entr(y/ies)"),
-            )
-            if items
-        )
-        print(
-            f"repro lint: {status or 'clean'} — {report.files_checked} "
-            f"file(s), {baselined} baselined, {report.suppressed} suppressed"
-        )
-    return 1 if reported or stale else 0
+    return 1 if findings else 0
 
 
 def _lint_counts(findings) -> dict[str, int]:
@@ -1100,20 +1046,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--root", type=Path, default=Path("."),
         help="tree root findings are reported relative to (default: .)",
-    )
-    lint.add_argument(
-        "--baseline", type=Path, default=None, metavar="PATH",
-        help="baseline file of grandfathered findings "
-             "(default: <root>/lint-baseline.json when it exists)",
-    )
-    lint.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file; report every finding",
-    )
-    lint.add_argument(
-        "--fix-baseline", action="store_true",
-        help="rewrite the baseline from the current findings "
-             "(existing justifications are preserved) and exit 0",
     )
     lint.set_defaults(fn=cmd_lint)
 

@@ -30,6 +30,18 @@ def default_delay_slos() -> dict[PriorityGroup, float]:
     }
 
 
+#: Floor on container count for a class with any forecast demand, so a
+#: class never loses all capacity between bursts.
+MIN_CONTAINERS = 1
+#: The per-class delay target is max(group floor, factor * mean duration):
+#: a bounded-slowdown SLO.  Demanding a 30 s wait for a task class whose
+#: members run for half a day forces square-root staffing (tens of idle
+#: spare containers per class) for no practical benefit; the paper's SLO is
+#: "desired scheduling delay ... for each type of tasks", which this
+#: realizes per class.
+RELATIVE_SLO_FACTOR = 0.05
+
+
 @dataclass(frozen=True)
 class ContainerManagerConfig:
     """Knobs for the container manager.
@@ -40,9 +52,6 @@ class ContainerManagerConfig:
         Machine-capacity violation bound for container sizing (Eq. 3).
     delay_slos:
         Target mean scheduling delay per priority group.
-    min_containers:
-        Floor on container count for a class with any forecast demand, so a
-        class never loses all capacity between bursts.
     """
 
     #: Eq. 3 violation bound.  The paper targets 5% for container-blind
@@ -53,14 +62,6 @@ class ContainerManagerConfig:
     #: placement unit.
     epsilon: float = 0.4
     delay_slos: dict[PriorityGroup, float] = field(default_factory=default_delay_slos)
-    min_containers: int = 1
-    #: The per-class delay target is max(group floor, factor * mean
-    #: duration): a bounded-slowdown SLO.  Demanding a 30 s wait for a task
-    #: class whose members run for half a day forces square-root staffing
-    #: (tens of idle spare containers per class) for no practical benefit;
-    #: the paper's SLO is "desired scheduling delay ... for each type of
-    #: tasks", which this realizes per class.
-    relative_slo_factor: float = 0.05
     #: Distinct machine capacities per resource ((cpu...), (memory...)).
     #: When set, a container whose *mean* fits below a capacity boundary is
     #: never padded across it: crossing the boundary would exclude an
@@ -71,12 +72,6 @@ class ContainerManagerConfig:
     def __post_init__(self) -> None:
         if not 0 < self.epsilon < 1:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if self.min_containers < 0:
-            raise ValueError(f"min_containers must be >= 0, got {self.min_containers}")
-        if self.relative_slo_factor < 0:
-            raise ValueError(
-                f"relative_slo_factor must be >= 0, got {self.relative_slo_factor}"
-            )
         for group, slo in self.delay_slos.items():
             if slo <= 0:
                 raise ValueError(f"delay SLO for {group.name} must be positive, got {slo}")
@@ -151,7 +146,7 @@ class ContainerManager:
         proportionally relaxed target (bounded slowdown).
         """
         floor = self.config.delay_slos[task_class.group]
-        return max(floor, self.config.relative_slo_factor * task_class.duration_mean)
+        return max(floor, RELATIVE_SLO_FACTOR * task_class.duration_mean)
 
     def containers_for_class(self, task_class: TaskClass, arrival_rate: float) -> int:
         """Containers needed so the class's M/G/N delay meets its SLO (Eq. 1)."""
@@ -165,7 +160,7 @@ class ContainerManager:
             target_delay=self.slo_for(task_class),
             scv=task_class.duration_scv,
         )
-        return max(needed, self.config.min_containers)
+        return max(needed, MIN_CONTAINERS)
 
     def erlang_headroom(self, task_class: TaskClass, arrival_rate: float) -> int:
         """Free-container slack above mean occupancy that meets the SLO.
@@ -230,7 +225,7 @@ class ContainerManager:
         demand = math.ceil(projected - 1e-9) + self.erlang_headroom(task_class, arrival_rate)
         if demand == 0 and occupancy > 0:
             demand = occupancy
-        return max(demand, self.config.min_containers if (arrival_rate > 0 or occupancy > 0) else 0)
+        return max(demand, MIN_CONTAINERS if (arrival_rate > 0 or occupancy > 0) else 0)
 
     def plan(self, arrival_rates: dict[int, float]) -> ContainerPlan:
         """One planning round over per-class arrival-rate forecasts.

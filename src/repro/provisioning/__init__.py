@@ -36,14 +36,14 @@ from repro.provisioning.controller import (
     ProvisioningDecision,
 )
 from repro.provisioning.cbp import CbpController
-from repro.provisioning.baseline import BaselineProvisioner, BaselineConfig
+from repro.provisioning.baseline import BaselineProvisioner
 from repro.provisioning.migration import (
     Move,
     MigrationPlan,
     plan_consolidation,
     consolidation_savings,
 )
-from repro.provisioning.autoscaler import ThresholdAutoscaler, ThresholdConfig
+from repro.provisioning.autoscaler import ThresholdAutoscaler
 
 __all__ = [
     "ContainerType",
@@ -62,11 +62,9 @@ __all__ = [
     "ProvisioningDecision",
     "CbpController",
     "BaselineProvisioner",
-    "BaselineConfig",
     "Move",
     "MigrationPlan",
     "plan_consolidation",
     "consolidation_savings",
     "ThresholdAutoscaler",
-    "ThresholdConfig",
 ]

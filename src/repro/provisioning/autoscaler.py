@@ -14,45 +14,27 @@ the scheduler unrestricted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.energy.models import MachineModel
 from repro.provisioning.controller import ProvisioningDecision
 
 
-@dataclass(frozen=True)
-class ThresholdConfig:
-    """Hysteresis band for target-tracking scaling.
-
-    Outside the (low, high) utilization band the target machine count is
-    rescaled proportionally (``target * utilization / watermark``), the
-    standard target-tracking rule — one overloaded period roughly corrects
-    the deficit instead of creeping by fixed steps.
-    """
-
-    high_watermark: float = 0.75
-    low_watermark: float = 0.40
-
-    def __post_init__(self) -> None:
-        if not 0 < self.low_watermark < self.high_watermark <= 1:
-            raise ValueError(
-                "need 0 < low_watermark < high_watermark <= 1, got "
-                f"{self.low_watermark}, {self.high_watermark}"
-            )
+#: The hysteresis band for target-tracking scaling.  Outside the (low,
+#: high) utilization band the target machine count is rescaled
+#: proportionally (``target * utilization / watermark``), the standard
+#: target-tracking rule: one overloaded period roughly corrects the
+#: deficit instead of creeping by fixed steps.
+HIGH_WATERMARK = 0.75
+LOW_WATERMARK = 0.40
 
 
 class ThresholdAutoscaler:
     """Rule-based scale-up/scale-down over an efficiency-ordered fleet."""
 
-    def __init__(
-        self,
-        machine_models: tuple[MachineModel, ...],
-        config: ThresholdConfig | None = None,
-    ) -> None:
+    def __init__(self, machine_models: tuple[MachineModel, ...]) -> None:
         if not machine_models:
             raise ValueError("need at least one machine model")
         self.machine_models = machine_models
-        self.config = config or ThresholdConfig()
         self.efficiency_order = tuple(sorted(machine_models, key=lambda m: -m.efficiency))
         self._target_total = 0
         self.decisions: list[ProvisioningDecision] = []
@@ -91,14 +73,12 @@ class ThresholdAutoscaler:
         )
         if self._target_total == 0 and (demand_cpu > 0 or demand_memory > 0):
             self._target_total = 1
-        elif utilization > self.config.high_watermark:
+        elif utilization > HIGH_WATERMARK:
             # Target tracking: rescale so utilization lands at the high mark.
-            grown = math.ceil(
-                self._target_total * utilization / self.config.high_watermark
-            )
+            grown = math.ceil(self._target_total * utilization / HIGH_WATERMARK)
             self._target_total = min(max(grown, self._target_total + 1), total_available)
-        elif utilization < self.config.low_watermark and self._target_total > 0:
-            midpoint = (self.config.low_watermark + self.config.high_watermark) / 2
+        elif utilization < LOW_WATERMARK and self._target_total > 0:
+            midpoint = (LOW_WATERMARK + HIGH_WATERMARK) / 2
             shrunk = math.floor(self._target_total * utilization / midpoint)
             self._target_total = max(min(shrunk, self._target_total - 1), 0)
 
@@ -137,12 +117,9 @@ class ThresholdAutoscaler:
         self, total: int, available: dict[int, int] | None
     ) -> tuple[float, float]:
         allocation = self._allocate(total, available)
-        cpu = sum(
-            next(m for m in self.machine_models if m.platform_id == pid).cpu_capacity * n
-            for pid, n in allocation.items()
-        )
-        memory = sum(
-            next(m for m in self.machine_models if m.platform_id == pid).memory_capacity * n
-            for pid, n in allocation.items()
-        )
+        cpu = memory = 0.0
+        for model in self.machine_models:
+            machines = allocation[model.platform_id]
+            cpu += model.cpu_capacity * machines
+            memory += model.memory_capacity * machines
         return cpu, memory

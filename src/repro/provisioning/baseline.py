@@ -12,41 +12,22 @@ it turn on the wrong machines for large or constrained tasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.energy.models import MachineModel
 from repro.provisioning.controller import ProvisioningDecision
 
 
-@dataclass(frozen=True)
-class BaselineConfig:
-    """Baseline knobs.
-
-    ``target_utilization`` is the bottleneck-resource utilization the
-    provisioner maintains (the paper's 80%).
-    """
-
-    target_utilization: float = 0.8
-
-    def __post_init__(self) -> None:
-        if not 0 < self.target_utilization <= 1:
-            raise ValueError(
-                f"target_utilization must be in (0, 1], got {self.target_utilization}"
-            )
+#: The bottleneck-resource utilization the provisioner maintains (the
+#: paper's 80%).
+TARGET_UTILIZATION = 0.8
 
 
 class BaselineProvisioner:
     """Greedy energy-efficiency-ordered, heterogeneity-oblivious provisioning."""
 
-    def __init__(
-        self,
-        machine_models: tuple[MachineModel, ...],
-        config: BaselineConfig | None = None,
-    ) -> None:
+    def __init__(self, machine_models: tuple[MachineModel, ...]) -> None:
         if not machine_models:
             raise ValueError("need at least one machine model")
         self.machine_models = machine_models
-        self.config = config or BaselineConfig()
         #: Models in decreasing energy-efficiency (capacity per peak watt).
         self.efficiency_order = tuple(
             sorted(machine_models, key=lambda m: -m.efficiency)
@@ -73,8 +54,8 @@ class BaselineProvisioner:
         """
         if demand_cpu < 0 or demand_memory < 0:
             raise ValueError("demand must be non-negative")
-        required_cpu = demand_cpu / self.config.target_utilization
-        required_memory = demand_memory / self.config.target_utilization
+        required_cpu = demand_cpu / TARGET_UTILIZATION
+        required_memory = demand_memory / TARGET_UTILIZATION
 
         active: dict[int, int] = {m.platform_id: 0 for m in self.machine_models}
         got_cpu = 0.0

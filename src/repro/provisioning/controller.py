@@ -15,8 +15,8 @@ Every control period the controller:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -31,6 +31,9 @@ from repro.provisioning.rounding import (
     RoundedPlan,
     _largest_remainder_targets,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.simulation.cluster import ClusterView
 
 
 @dataclass(frozen=True)
@@ -132,6 +135,16 @@ class ProvisioningDecision:
             dropped={int(k): int(v) for k, v in state["dropped"]},
             objective=float(state["objective"]),
         )
+
+
+def hold_last_good(
+    last_good: ProvisioningDecision | None, view: "ClusterView"
+) -> ProvisioningDecision:
+    """The last-known-good plan re-stamped at ``view.time``; before any
+    plan succeeded, one that keeps ``view.powered`` as it is."""
+    if last_good is not None:
+        return replace(last_good, time=view.time)
+    return ProvisioningDecision(time=view.time, active=dict(view.powered), quotas=None)
 
 
 class HarmonyController:

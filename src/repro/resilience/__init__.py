@@ -45,7 +45,7 @@ from repro.resilience.faults import (
     MonitoringBlackout,
     RandomMachineFailures,
 )
-from repro.resilience.guard import GuardConfig, GuardedController, GuardStats
+from repro.resilience.guard import GuardedController, GuardStats
 from repro.resilience.scenarios import (
     CORRUPTION_KINDS,
     SCENARIOS,
@@ -78,7 +78,6 @@ __all__ = [
     "PartialPartition",
     "link_key",
     "link_label",
-    "GuardConfig",
     "GuardedController",
     "GuardStats",
 ]

@@ -12,10 +12,10 @@ model-predictive core misbehaves:
 - **Solver fallback** — if the wrapped policy raises, the last-known-good
   plan is reapplied (capped by current availability);
 - **Circuit breaker** — one-step-ahead forecast residuals are tracked
-  against observed arrivals; ``trip_after`` consecutive large residuals
+  against observed arrivals; ``TRIP_AFTER`` consecutive large residuals
   trip the controller into reactive threshold provisioning (a
   :class:`~repro.provisioning.autoscaler.ThresholdAutoscaler` over current
-  demand, which needs no forecasts), and ``recover_after`` consecutive
+  demand, which needs no forecasts), and ``RECOVER_AFTER`` consecutive
   calm intervals anneal it back to the model-predictive path.  While
   tripped, the ``observe`` hook keeps feeding arrivals to the wrapped
   predictors so they re-converge before control is handed back.
@@ -40,66 +40,30 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.energy.models import MachineModel
 from repro.errors import SolverError
-from repro.provisioning.autoscaler import ThresholdAutoscaler, ThresholdConfig
-from repro.provisioning.controller import ProvisioningDecision
+from repro.provisioning.autoscaler import ThresholdAutoscaler
+from repro.provisioning.controller import ProvisioningDecision, hold_last_good
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulation.cluster import ClusterView, Policy
 
 
-@dataclass(frozen=True)
-class GuardConfig:
-    """Knobs for :class:`GuardedController`.
-
-    Attributes
-    ----------
-    max_step_fraction:
-        Per-tick machine-target delta cap, as a fraction of each pool's
-        size (with a floor of ``min_step_machines`` so small pools can
-        still move).
-    residual_threshold:
-        Relative one-step forecast error (``|observed - predicted| /
-        max(observed, predicted)``) counted as a breaker strike.
-    min_residual:
-        Absolute error floor (tasks/interval) below which no strike is
-        counted — quiet periods should not trip the breaker.
-    trip_after / recover_after:
-        Consecutive strikes to open the breaker; consecutive calm
-        intervals to close it again.
-    ewma_alpha:
-        Smoothing for the fallback self-forecast of total arrivals, used
-        when the guard is given no ``forecast`` hook.
-    """
-
-    max_step_fraction: float = 0.25
-    min_step_machines: int = 4
-    residual_threshold: float = 0.5
-    min_residual: float = 5.0
-    trip_after: int = 2
-    recover_after: int = 3
-    ewma_alpha: float = 0.3
-
-    def __post_init__(self) -> None:
-        if not 0 < self.max_step_fraction <= 1:
-            raise ValueError(
-                f"max_step_fraction must be in (0, 1], got {self.max_step_fraction}"
-            )
-        if self.min_step_machines < 1:
-            raise ValueError(
-                f"min_step_machines must be >= 1, got {self.min_step_machines}"
-            )
-        if not 0 < self.residual_threshold:
-            raise ValueError(
-                f"residual_threshold must be positive, got {self.residual_threshold}"
-            )
-        if self.min_residual < 0:
-            raise ValueError(f"min_residual must be >= 0, got {self.min_residual}")
-        if self.trip_after < 1:
-            raise ValueError(f"trip_after must be >= 1, got {self.trip_after}")
-        if self.recover_after < 1:
-            raise ValueError(f"recover_after must be >= 1, got {self.recover_after}")
-        if not 0 < self.ewma_alpha <= 1:
-            raise ValueError(f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}")
+#: Per-tick machine-target delta cap, as a fraction of each pool's size,
+#: with a floor of ``MIN_STEP_MACHINES`` so small pools can still move.
+MAX_STEP_FRACTION = 0.25
+MIN_STEP_MACHINES = 4
+#: Relative one-step forecast error (``|observed - predicted| /
+#: max(observed, predicted)``) counted as a breaker strike.
+RESIDUAL_THRESHOLD = 0.5
+#: Absolute error floor (tasks/interval) below which no strike is counted:
+#: quiet periods should not trip the breaker.
+MIN_RESIDUAL = 5.0
+#: Consecutive strikes that open the breaker; consecutive calm intervals
+#: that close it again.
+TRIP_AFTER = 2
+RECOVER_AFTER = 3
+#: Smoothing for the fallback self-forecast of total arrivals, used when
+#: the guard is given no ``forecast`` hook.
+EWMA_ALPHA = 0.3
 
 
 @dataclass
@@ -126,8 +90,6 @@ class GuardedController:
         self,
         policy: "Policy",
         machine_models: tuple[MachineModel, ...],
-        config: GuardConfig | None = None,
-        fallback: ThresholdAutoscaler | None = None,
         observe: Callable[["ClusterView"], None] | None = None,
         forecast: Callable[[], float] | None = None,
     ) -> None:
@@ -141,8 +103,7 @@ class GuardedController:
         #: breaker scores against; without it the guard's own EWMA is used.
         self.forecast = forecast
         self.machine_models = machine_models
-        self.config = config or GuardConfig()
-        self.fallback = fallback or ThresholdAutoscaler(machine_models, ThresholdConfig())
+        self.fallback = ThresholdAutoscaler(machine_models)
         self.stats = GuardStats()
         self.tripped = False
         #: Structured record of every wrapped-policy failure the guard
@@ -213,11 +174,7 @@ class GuardedController:
     def _last_good_decision(self, view: "ClusterView") -> ProvisioningDecision:
         """Reapply the last validated plan (hold current power if none yet)."""
         self.stats.fallback_decisions += 1
-        if self._last_good is not None:
-            return replace(self._last_good, time=view.time)
-        return ProvisioningDecision(
-            time=view.time, active=dict(view.powered), quotas=None
-        )
+        return hold_last_good(self._last_good, view)
 
     def _feed_inner(self, view: "ClusterView") -> None:
         """Forward observations to the wrapped predictors without deciding."""
@@ -297,29 +254,29 @@ class GuardedController:
         residual = abs(observed - predicted)
         scale = max(observed, predicted, 1e-9)
         strike = (
-            residual > self.config.min_residual
-            and residual / scale > self.config.residual_threshold
+            residual > MIN_RESIDUAL and residual / scale > RESIDUAL_THRESHOLD
         )
         if strike:
             self._strikes += 1
             self._calm = 0
-            if not self.tripped and self._strikes >= self.config.trip_after:
+            if not self.tripped and self._strikes >= TRIP_AFTER:
                 self.tripped = True
                 self.stats.trips += 1
         else:
             self._calm += 1
             self._strikes = 0
-            if self.tripped and self._calm >= self.config.recover_after:
+            if self.tripped and self._calm >= RECOVER_AFTER:
                 self.tripped = False
                 self.stats.recoveries += 1
 
     def _refresh_prediction(self, observed: float) -> None:
         """One-step-ahead total-arrival forecast for the next tick."""
-        alpha = self.config.ewma_alpha
         if self._ewma_level is None:
             self._ewma_level = observed
         else:
-            self._ewma_level = alpha * observed + (1 - alpha) * self._ewma_level
+            self._ewma_level = (
+                EWMA_ALPHA * observed + (1 - EWMA_ALPHA) * self._ewma_level
+            )
         predicted = self._inner_forecast()
         self._predicted_next = predicted if predicted is not None else self._ewma_level
 
@@ -369,8 +326,7 @@ class GuardedController:
             pid = model.platform_id
             powered = int(view.powered.get(pid, 0))
             step = max(
-                self.config.min_step_machines,
-                math.ceil(self.config.max_step_fraction * self._pool_size[pid]),
+                MIN_STEP_MACHINES, math.ceil(MAX_STEP_FRACTION * self._pool_size[pid])
             )
             bounded = min(max(int(targets[pid]), powered - step), powered + step)
             bounded = max(0, min(bounded, int(view.available.get(pid, model.count))))

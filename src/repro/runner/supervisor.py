@@ -51,6 +51,13 @@ from repro.runner.scenario import Scenario
 
 #: Supervisor poll granularity (seconds); bounds timeout overshoot.
 _TICK_SECONDS = 0.01
+#: Growth of the retry delay per failed attempt.
+BACKOFF_FACTOR = 2.0
+#: Max relative jitter added to each retry delay.
+JITTER_FRACTION = 0.25
+#: Fraction of ``SupervisorConfig.memory_ceiling_mb`` at which admission
+#: pauses.
+MEMORY_WATERMARK = 0.9
 
 
 @dataclass(frozen=True)
@@ -63,36 +70,27 @@ class SupervisorConfig:
         Per-attempt wall-clock budget; ``None`` disables timeouts.
     max_attempts:
         Total attempts (first try + retries) before quarantine.
-    backoff_base_seconds / backoff_factor / backoff_cap_seconds:
+    backoff_base_seconds / backoff_cap_seconds:
         Retry delay after attempt ``k`` (1-based) is
-        ``min(cap, base * factor**(k-1))`` scaled by the deterministic
-        jitter below.  The defaults keep test suites fast; production
-        sweeps should raise the base.
-    jitter_fraction:
-        Max relative jitter added to each delay.  The jitter value is
-        derived from SHA-256 of ``"<scenario name>:<attempt>"`` — no
-        ``random``, no clock — so reruns back off at identical offsets.
+        ``min(cap, base * BACKOFF_FACTOR**(k-1))`` plus the deterministic
+        jitter of :func:`backoff_delay`.  The defaults keep test suites
+        fast; production sweeps should raise the base.
     memory_ceiling_mb:
         Soft cap on the run's resident memory (supervisor + live
         workers), enforced as admission-control backpressure: while the
         sampled process-tree RSS sits above
-        ``memory_watermark * memory_ceiling_mb`` and at least one worker
+        ``MEMORY_WATERMARK * memory_ceiling_mb`` and at least one worker
         is in flight, no new workers are spawned.  Already-running
         workers are never killed for memory — backpressure only delays
         *new* streaming feeders, so results (and digests) are unchanged.
         ``None`` disables the ceiling.
-    memory_watermark:
-        Fraction of the ceiling at which admission pauses.
     """
 
     timeout_seconds: float | None = None
     max_attempts: int = 3
     backoff_base_seconds: float = 0.05
-    backoff_factor: float = 2.0
     backoff_cap_seconds: float = 2.0
-    jitter_fraction: float = 0.25
     memory_ceiling_mb: float | None = None
-    memory_watermark: float = 0.9
 
     def __post_init__(self) -> None:
         if self.timeout_seconds is not None and self.timeout_seconds <= 0:
@@ -105,45 +103,33 @@ class SupervisorConfig:
             raise ValueError(
                 f"backoff_base_seconds must be >= 0, got {self.backoff_base_seconds}"
             )
-        if self.backoff_factor < 1.0:
-            raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
         if self.backoff_cap_seconds < 0:
             raise ValueError(
                 f"backoff_cap_seconds must be >= 0, got {self.backoff_cap_seconds}"
-            )
-        if not 0 <= self.jitter_fraction <= 1:
-            raise ValueError(
-                f"jitter_fraction must be in [0, 1], got {self.jitter_fraction}"
             )
         if self.memory_ceiling_mb is not None and self.memory_ceiling_mb <= 0:
             raise ValueError(
                 f"memory_ceiling_mb must be positive, got {self.memory_ceiling_mb}"
             )
-        if not 0 < self.memory_watermark <= 1:
-            raise ValueError(
-                f"memory_watermark must be in (0, 1], got {self.memory_watermark}"
-            )
 
 
-def backoff_delay(name: str, attempt: int, config: SupervisorConfig) -> float:
+def backoff_delay(
+    name: str, attempt: int, base_seconds: float, cap_seconds: float
+) -> float:
     """Deterministic retry delay after ``attempt`` failures of ``name``.
 
-    Exponential in the attempt number, capped, with jitter derived from
-    SHA-256 of ``"<name>:<attempt>"`` — bit-identical across reruns and
-    machines, yet de-correlated across scenarios so a mass failure does
-    not retry in lockstep.
+    ``min(cap_seconds, base_seconds * BACKOFF_FACTOR**(attempt-1))``, plus
+    up to ``JITTER_FRACTION`` of it as jitter derived from SHA-256 of
+    ``"<name>:<attempt>"`` — no ``random``, no clock — so it is
+    bit-identical across reruns and machines, yet de-correlated across
+    scenarios so a mass failure does not retry in lockstep.
     """
     if attempt < 1:
         raise ValueError(f"attempt must be >= 1, got {attempt}")
-    base = min(
-        config.backoff_cap_seconds,
-        config.backoff_base_seconds * config.backoff_factor ** (attempt - 1),
-    )
+    base = min(cap_seconds, base_seconds * BACKOFF_FACTOR ** (attempt - 1))
     digest = hashlib.sha256(f"{name}:{attempt}".encode()).digest()
     fraction = int.from_bytes(digest[:8], "big") / 2**64  # uniform [0, 1)
-    return base * (1.0 + config.jitter_fraction * fraction)
+    return base * (1.0 + JITTER_FRACTION * fraction)
 
 
 def _worker_main(scenario: Scenario, conn) -> None:
@@ -358,7 +344,7 @@ class ScenarioSupervisor:
             self.peak_rss_mb = observed
         if ceiling is None:
             return False
-        return observed >= self.config.memory_watermark * ceiling
+        return observed >= MEMORY_WATERMARK * ceiling
 
     def _spawn(self, context, scenario: Scenario, attempt: int) -> _InFlight:
         parent_conn, child_conn = context.Pipe(duplex=False)
@@ -458,5 +444,10 @@ class ScenarioSupervisor:
                 message=str(error),
             )
             return
-        delay = backoff_delay(name, flight.attempt, self.config)
+        delay = backoff_delay(
+            name,
+            flight.attempt,
+            self.config.backoff_base_seconds,
+            self.config.backoff_cap_seconds,
+        )
         delayed.append((time.monotonic() + delay, flight.scenario, flight.attempt + 1))

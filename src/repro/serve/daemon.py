@@ -39,7 +39,7 @@ import threading
 from pathlib import Path
 
 from repro.errors import ConfigInvalid, ControlStepFailed, ReproError, ServeError
-from repro.runner.supervisor import SupervisorConfig, backoff_delay
+from repro.runner.supervisor import backoff_delay
 from repro.serve.chaos import ServeChaos
 from repro.serve.checkpoint import CheckpointStore, TickJournal, restore
 from repro.serve.clock import Clock, SystemClock
@@ -47,6 +47,9 @@ from repro.serve.config import ServeConfig, load_config_file
 from repro.serve.feeder import TickBatch
 from repro.serve.http import HealthServer, ServeMetrics
 from repro.serve.state import NO_EFFECTS, ServeState, TickOutcome
+
+#: Ceiling on one watchdog retry delay (wall time only, never digest state).
+WATCHDOG_BACKOFF_CAP_SECONDS = 2.0
 
 
 def event_log_path(directory: str | Path, run_id: str) -> Path:
@@ -206,10 +209,6 @@ class ServeDaemon:
     def _watchdog_apply(self, batch: TickBatch, effects) -> TickOutcome:
         """Transactional control step: attempt, roll back via restore, retry."""
         attempts = self.config.watchdog_attempts
-        backoff = SupervisorConfig(
-            timeout_seconds=None,
-            backoff_base_seconds=self.config.watchdog_backoff_base_seconds,
-        )
         last_error: ReproError | None = None
         for attempt in range(1, attempts + 1):
             started = self.clock.monotonic()
@@ -239,7 +238,12 @@ class ServeDaemon:
                 )
                 if attempt < attempts:
                     self.clock.sleep(
-                        backoff_delay(f"serve:{batch.tick}", attempt, backoff)
+                        backoff_delay(
+                            f"serve:{batch.tick}",
+                            attempt,
+                            self.config.watchdog_backoff_base_seconds,
+                            WATCHDOG_BACKOFF_CAP_SECONDS,
+                        )
                     )
                 continue
             latency = self.clock.monotonic() - started

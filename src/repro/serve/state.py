@@ -36,7 +36,6 @@ from repro.errors import ServeError
 from repro.provisioning.controller import ProvisioningDecision
 from repro.queueing.mgn import required_containers
 from repro.resilience.fabric import FabricView
-from repro.resilience.guard import GuardConfig
 from repro.runner.runner import canonical_json, summary_digest
 from repro.serve.config import ServeConfig
 from repro.serve.feeder import TickBatch
@@ -226,9 +225,7 @@ class ServeState:
             )
             for _ in range(config.num_classes)
         ]
-        self.pipeline = ControlPipeline(
-            self.fleet, self._primary_decide, guard=GuardConfig()
-        )
+        self.pipeline = ControlPipeline(self.fleet, self._primary_decide, guard=True)
         #: Applied-tick count == the next tick index expected.
         self.ticks_applied = 0
         #: Rolling SHA-256 chain over every applied tick's record.

@@ -73,42 +73,34 @@ class Policy(Protocol):
         """Return machine targets and (optional) container quotas."""
 
 
+#: Cap on pending-queue entries examined per scheduling round.
+MAX_SCHEDULE_ATTEMPTS = 5000
+#: Smaller cap for the opportunistic pass after each task finish.
+BACKFILL_ATTEMPTS = 200
+#: With preemption on, a task may evict running tasks at least this many
+#: priority levels below it.
+PREEMPTION_PRIORITY_GAP = 2
+
+
 @dataclass(frozen=True)
 class ClusterConfig:
     """Simulator knobs."""
 
     control_interval: float = 300.0
     price: PriceSchedule = field(default_factory=constant_price)
-    #: Cap on pending-queue entries examined per scheduling round.
-    max_schedule_attempts: int = 5000
-    #: Smaller cap for the opportunistic pass after each task finish.
-    backfill_attempts: int = 200
     #: Composable fault scenario (scripted + stochastic): Poisson machine
     #: crashes, correlated outages, stragglers, monitoring blackouts and
     #: fabric faults.
     fault_plan: FaultPlan | None = None
     #: Priority preemption (the trace's priority semantics, Section III):
-    #: a task may evict running tasks at least ``preemption_priority_gap``
+    #: a task may evict running tasks at least ``PREEMPTION_PRIORITY_GAP``
     #: priority levels below it when no machine has room.  Evicted tasks
     #: restart from scratch (the clusterdata EVICT/resubmit cycle).
     enable_preemption: bool = False
-    preemption_priority_gap: int = 2
 
     def __post_init__(self) -> None:
         if self.control_interval <= 0:
             raise ValueError(f"control_interval must be positive, got {self.control_interval}")
-        if self.max_schedule_attempts < 1:
-            raise ValueError(
-                f"max_schedule_attempts must be >= 1, got {self.max_schedule_attempts}"
-            )
-        if self.backfill_attempts < 1:
-            raise ValueError(
-                f"backfill_attempts must be >= 1, got {self.backfill_attempts}"
-            )
-        if self.preemption_priority_gap < 1:
-            raise ValueError(
-                f"preemption_priority_gap must be >= 1, got {self.preemption_priority_gap}"
-            )
 
 
 class ClusterSimulator:
@@ -301,7 +293,7 @@ class ClusterSimulator:
         pool = self._pool_by_platform[machine.model.platform_id]
         pool.maybe_power_off(machine)
         if self._pending:
-            self._schedule_round(self.config.backfill_attempts)
+            self._schedule_round(BACKFILL_ATTEMPTS)
 
     def _on_machine_ready(self, machine) -> None:
         pool = self._pool_by_platform[machine.model.platform_id]
@@ -311,7 +303,7 @@ class ClusterSimulator:
             # otherwise); a boot cancelled by a mid-boot crash stays open.
             self.metrics.machine_recovered(machine.machine_id, self._queue.now)
         if self._pending:
-            self._schedule_round(self.config.backfill_attempts)
+            self._schedule_round(BACKFILL_ATTEMPTS)
 
     def _on_tick(self, now: float) -> None:
         self._account_energy(now)
@@ -354,7 +346,7 @@ class ClusterSimulator:
         self._interval_arrivals = {}
         decision = self.policy.decide(view)
         self._apply_decision(decision, now)
-        self._schedule_round(self.config.max_schedule_attempts)
+        self._schedule_round(MAX_SCHEDULE_ATTEMPTS)
 
     # ------------------------------------------------------------ internals
 
@@ -363,12 +355,12 @@ class ClusterSimulator:
 
         Scans schedulable machines the task could run on for the one where
         evicting the smallest set of tasks at least
-        ``preemption_priority_gap`` levels below frees enough room.
+        ``PREEMPTION_PRIORITY_GAP`` levels below frees enough room.
         Evicted tasks restart from scratch (re-enqueued pending), matching
         the clusterdata EVICT/resubmit semantics.  Quota admission still
         applies to the preemptor.
         """
-        threshold = task.priority - self.config.preemption_priority_gap
+        threshold = task.priority - PREEMPTION_PRIORITY_GAP
         if threshold < 0:
             return None
         best_machine = None

@@ -31,9 +31,9 @@ from types import SimpleNamespace
 from typing import Callable
 
 from repro.energy.models import MachineModel
-from repro.provisioning.autoscaler import ThresholdAutoscaler, ThresholdConfig
+from repro.provisioning.autoscaler import ThresholdAutoscaler
 from repro.provisioning.controller import ProvisioningDecision
-from repro.resilience.guard import GuardConfig, GuardedController
+from repro.resilience.guard import GuardedController
 from repro.simulation.cluster import ClusterView
 from repro.simulation.degradation import DegradationLadder
 from repro.simulation.metrics import SimulationMetrics
@@ -45,7 +45,7 @@ class ControlPipeline:
     ``solve(view)`` is the primary decision; ``observe(view)`` feeds the
     tick's arrivals to its predictors; ``forecast()`` is its next-interval
     total, which the breaker scores against (the guard's own EWMA without
-    it).  ``guard=None`` leaves the guard out.
+    it).  ``guard=False`` leaves the guard out.
     """
 
     def __init__(
@@ -54,17 +54,16 @@ class ControlPipeline:
         solve: Callable[[ClusterView], ProvisioningDecision],
         observe: Callable[[ClusterView], None] | None = None,
         forecast: Callable[[], float] | None = None,
-        guard: GuardConfig | None = None,
+        guard: bool = False,
     ) -> None:
         self.solve = solve
         self.observe = observe
-        self.ladder = DegradationLadder(ThresholdAutoscaler(fleet, ThresholdConfig()))
+        self.ladder = DegradationLadder(ThresholdAutoscaler(fleet))
         self.guard: GuardedController | None = None
-        if guard is not None:
+        if guard:
             self.guard = GuardedController(
                 SimpleNamespace(decide=self._laddered),
                 fleet,
-                config=guard,
                 observe=observe,
                 forecast=forecast,
             )

@@ -43,7 +43,7 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Callable
 
 from repro.provisioning.autoscaler import ThresholdAutoscaler
-from repro.provisioning.controller import ProvisioningDecision
+from repro.provisioning.controller import ProvisioningDecision, hold_last_good
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulation.cluster import ClusterView
@@ -112,7 +112,8 @@ class DegradationLadder:
                 available=view.available,
             )
         except Exception as exc:  # noqa: BLE001 — rung 1 failed too
-            return self._hold(view), 2, f"{reason}; then {self._reason(exc)}"
+            hold = hold_last_good(self._last_good, view)
+            return hold, 2, f"{reason}; then {self._reason(exc)}"
         return decision, 1, reason
 
     def _partition_overlay(
@@ -228,11 +229,3 @@ class DegradationLadder:
         self._held_targets = {int(c): int(n) for c, n in state["held_targets"]}
         self._partitioned_prev = frozenset(int(c) for c in state["partitioned_prev"])
         self.fallback.restore_state(state["fallback"])
-
-    def _hold(self, view: "ClusterView") -> ProvisioningDecision:
-        """Rung 2: re-stamp the last-known-good plan, or keep current power."""
-        if self._last_good is not None:
-            return replace(self._last_good, time=view.time)
-        return ProvisioningDecision(
-            time=view.time, active=dict(view.powered), quotas=None
-        )

@@ -19,8 +19,8 @@ from repro.energy.catalog import table2_fleet
 from repro.energy.models import MachineModel
 from repro.energy.prices import PriceSchedule, constant_price
 from repro.forecasting.predictors import make_predictor
-from repro.provisioning.autoscaler import ThresholdAutoscaler, ThresholdConfig
-from repro.provisioning.baseline import BaselineConfig, BaselineProvisioner
+from repro.provisioning.autoscaler import ThresholdAutoscaler
+from repro.provisioning.baseline import BaselineProvisioner
 from repro.provisioning.cbp import CbpController
 from repro.provisioning.controller import (
     ControllerConfig,
@@ -28,7 +28,7 @@ from repro.provisioning.controller import (
     ProvisioningDecision,
 )
 from repro.resilience.faults import FaultPlan, FaultStats
-from repro.resilience.guard import GuardConfig, GuardedController, GuardStats
+from repro.resilience.guard import GuardedController, GuardStats
 from repro.simulation.cluster import ClusterConfig, ClusterSimulator, ClusterView
 from repro.simulation.control import ControlPipeline
 from repro.simulation.metrics import SimulationMetrics
@@ -41,6 +41,12 @@ POLICIES = ("cbs", "cbp", "baseline", "threshold", "static")
 #: Replay engines: the per-task-object oracle and the vectorized columnar
 #: core (:mod:`repro.simulation.columnar`), contractually bit-identical.
 ENGINES = ("object", "columnar")
+
+#: Eq. 17's omega for the cbs / cbp pipelines: headroom for first-fit
+#: bin-packing slack, so the rounder can realize (nearly) everything the
+#: LP schedules.  ``ControllerConfig`` itself defaults to 1.0 (no
+#: headroom), which the controller's unit tests rely on.
+OVERPROVISION = 1.05
 
 
 @dataclass(frozen=True)
@@ -56,10 +62,13 @@ class HarmonyConfig:
     fleet:
         Machine models to simulate; defaults to the Table II fleet at 1/10
         scale.
-    control_interval / mpc_horizon / price / overprovision / predictor:
-        Controller knobs (Algorithm 1, Eq. 17, Section VI).
-    epsilon:
-        Container sizing violation bound (Eq. 3).
+    control_interval / price / predictor:
+        Controller knobs (Algorithm 1, Section VI); the MPC horizon W and
+        Eq. 17's omega are :class:`ControllerConfig`'s default and
+        :data:`OVERPROVISION`.
+    manager:
+        Container manager knobs; by default the Eq. 3 bound of
+        :class:`ContainerManagerConfig` with the fleet's capacity ladders.
     classifier_sample:
         Max tasks used to fit the classifier (sampled deterministically).
     """
@@ -67,13 +76,8 @@ class HarmonyConfig:
     policy: str = "cbs"
     fleet: tuple[MachineModel, ...] = field(default_factory=lambda: table2_fleet(0.1))
     control_interval: float = 300.0
-    mpc_horizon: int = 4
     price: PriceSchedule = field(default_factory=constant_price)
-    #: Eq. 17's omega: headroom for first-fit bin-packing slack, so the
-    #: rounder can realize (nearly) everything the LP schedules.
-    overprovision: float = 1.05
     predictor: str = "arima"
-    epsilon: float = 0.4
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
     manager: ContainerManagerConfig | None = None
     classifier_sample: int = 40_000
@@ -85,7 +89,6 @@ class HarmonyConfig:
     #: Wrap the policy in a :class:`~repro.resilience.guard.GuardedController`
     #: (decision validation, delta clamping, forecast circuit breaker).
     guard: bool = False
-    guard_config: GuardConfig | None = None
     #: Replay engine: "columnar" (vectorized batches, what every run uses)
     #: or "object" (per-task dispatch; the oracle the differential tests
     #: compare against, bit-identical summaries).
@@ -293,7 +296,6 @@ class HarmonySimulation:
             with self.timer.phase("classifier_fit"):
                 self.classifier = self._fit_classifier()
         manager_config = config.manager or ContainerManagerConfig(
-            epsilon=config.epsilon,
             capacity_ladders=(
                 tuple(sorted({m.cpu_capacity for m in config.fleet})),
                 tuple(sorted({m.memory_capacity for m in config.fleet})),
@@ -417,24 +419,21 @@ class HarmonySimulation:
         if config.policy in ("cbs", "cbp"):
             return self._build_pipeline()
         if config.policy == "baseline":
-            policy = _BaselinePolicy(BaselineProvisioner(config.fleet, BaselineConfig()))
+            policy = _BaselinePolicy(BaselineProvisioner(config.fleet))
         elif config.policy == "threshold":
-            policy = _ThresholdPolicy(
-                ThresholdAutoscaler(config.fleet, ThresholdConfig())
-            )
+            policy = _ThresholdPolicy(ThresholdAutoscaler(config.fleet))
         else:
             policy = _StaticPolicy(config.fleet)
         if config.guard:
-            return GuardedController(policy, config.fleet, config=config.guard_config)
+            return GuardedController(policy, config.fleet)
         return policy
 
     def _build_pipeline(self) -> ControlPipeline:
         config = self.config
         controller_config = ControllerConfig(
             interval_seconds=config.control_interval,
-            horizon=config.mpc_horizon,
             price=config.price,
-            overprovision=config.overprovision,
+            overprovision=OVERPROVISION,
             predictor_factory=lambda: make_predictor(config.predictor),
         )
         cls = HarmonyController if config.policy == "cbs" else CbpController
@@ -458,7 +457,7 @@ class HarmonySimulation:
             ),
             forecast=lambda: float(controller.forecast_rates()[0].sum())
             * float(config.control_interval),
-            guard=(config.guard_config or GuardConfig()) if config.guard else None,
+            guard=config.guard,
         )
 
     def run(self) -> SimulationResult:

@@ -15,16 +15,6 @@ Public surface::
         print(finding.format_text())
 """
 
-from repro.statics.baseline import (
-    BASELINE_VERSION,
-    Baseline,
-    BaselineEntry,
-    BaselineError,
-    DEFAULT_BASELINE_NAME,
-    build_baseline,
-    load_baseline,
-    save_baseline,
-)
 from repro.statics.context import ModuleContext, Suppression
 from repro.statics.engine import (
     EXCLUDED_DIRS,
@@ -47,11 +37,6 @@ from repro.statics.sarif import to_sarif
 
 __all__ = [
     "ALL_RULES",
-    "BASELINE_VERSION",
-    "Baseline",
-    "BaselineEntry",
-    "BaselineError",
-    "DEFAULT_BASELINE_NAME",
     "EXCLUDED_DIRS",
     "FileAnalysis",
     "Finding",
@@ -65,12 +50,9 @@ __all__ = [
     "SEVERITIES",
     "Suppression",
     "analyze_source",
-    "build_baseline",
     "build_graph",
     "default_rules",
     "lint_paths",
-    "load_baseline",
-    "save_baseline",
     "summarize_module",
     "to_sarif",
 ]

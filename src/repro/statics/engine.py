@@ -179,11 +179,10 @@ def analyze_source(
 
 @dataclass
 class LintReport:
-    """Outcome of one lint run (pre-baseline)."""
+    """Outcome of one lint run."""
 
     findings: list[Finding] = field(default_factory=list)
-    #: Root-relative paths of every file linted, sorted; the baseline
-    #: judges staleness only for entries under these.
+    #: Root-relative paths of every file linted, sorted.
     files: list[str] = field(default_factory=list)
     suppressed: int = 0
 
@@ -314,7 +313,7 @@ class LintEngine:
 
         Finding paths are reported relative to ``root`` (POSIX form), so
         the same tree lints identically from any working directory — and
-        so baseline fingerprints are location-independent.
+        so fingerprints are location-independent.
 
         The full pipeline runs here: per-file rules, then the
         whole-program passes over the project call graph, then deferred

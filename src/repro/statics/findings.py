@@ -1,8 +1,8 @@
 """Finding model for the ``harmonylint`` static-analysis suite.
 
 A :class:`Finding` is one rule violation at one source location.  Findings
-are plain, hashable data so the engine can sort, deduplicate, suppress and
-baseline them without touching the AST again, and so ``--format json``
+are plain, hashable data so the engine can sort, deduplicate and suppress
+them without touching the AST again, and so ``--format json``
 output is a direct serialization of the same objects the text formatter
 prints.
 """
@@ -27,7 +27,7 @@ class Finding:
         is reserved for files the engine could not parse.
     severity:
         ``"error"`` or ``"warning"``; informational — both fail the build
-        unless baselined or suppressed.
+        unless suppressed.
     path:
         Root-relative POSIX path of the offending file.
     line / column:
@@ -36,7 +36,7 @@ class Finding:
         Human-readable description of the violation.
     source_line:
         The stripped text of the offending source line, used for
-        line-number-independent baseline fingerprints.
+        line-number-independent fingerprints.
     trace:
         For interprocedural findings (FLOW001, ORD001): the
         source→sink call path as a tuple of ``module.qualname`` steps,
@@ -63,9 +63,9 @@ class Finding:
         """Location-content fingerprint, independent of the line number.
 
         Hashes ``path``, ``code`` and the *text* of the offending line, so
-        a baselined finding keeps matching when unrelated edits shift it up
-        or down the file, but stops matching (and must be re-justified or
-        fixed) when the offending line itself changes.
+        code scanning keeps matching an alert when unrelated edits shift it
+        up or down the file, but treats it as new when the offending line
+        itself changes.
         """
         body = f"{self.path}::{self.code}::{self.source_line}"
         return hashlib.sha256(body.encode()).hexdigest()[:16]

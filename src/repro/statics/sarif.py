@@ -7,9 +7,9 @@ can show the rationale for each code) and one ``result`` per finding.
 
 Two harmonylint-specific mappings:
 
-- the baseline fingerprint travels in ``partialFingerprints`` under the
-  key ``harmonylint/v1``, so code-scanning dedup follows the same
-  line-number-independent identity as ``lint-baseline.json``;
+- :attr:`Finding.fingerprint` travels in ``partialFingerprints`` under
+  the key ``harmonylint/v1``, so code-scanning dedup follows its
+  line-number-independent identity;
 - interprocedural findings (FLOW001/ORD001) publish their
   source→sink call path both in the message and as a ``codeFlow`` whose
   thread-flow locations name each step's function label.

@@ -3,20 +3,13 @@
 import pytest
 
 from repro.energy import table2_fleet
-from repro.provisioning import ThresholdAutoscaler, ThresholdConfig
+from repro.provisioning import ThresholdAutoscaler
+from repro.provisioning.autoscaler import HIGH_WATERMARK, LOW_WATERMARK
 
 
 @pytest.fixture()
 def autoscaler():
-    return ThresholdAutoscaler(table2_fleet(0.1), ThresholdConfig())
-
-
-class TestThresholdConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ThresholdConfig(high_watermark=0.3, low_watermark=0.5)
-        with pytest.raises(ValueError):
-            ThresholdConfig(high_watermark=1.5)
+    return ThresholdAutoscaler(table2_fleet(0.1))
 
 
 class TestThresholdAutoscaler:
@@ -36,7 +29,7 @@ class TestThresholdAutoscaler:
         assert decision.total_active() > 10
         # Capacity eventually covers demand below the high watermark.
         cpu, mem = autoscaler._capacity_of(autoscaler._target_total, None)
-        assert max(40.0 / cpu, 40.0 / mem) <= ThresholdConfig().high_watermark + 0.15
+        assert max(40.0 / cpu, 40.0 / mem) <= HIGH_WATERMARK + 0.15
 
     def test_scales_down_when_idle(self, autoscaler):
         for tick in range(12):
@@ -56,7 +49,7 @@ class TestThresholdAutoscaler:
             # Utilization sits inside (low, high): no movement.
             cpu, mem = autoscaler._capacity_of(stable, None)
             util = max(30.0 / cpu, 30.0 / mem)
-            if ThresholdConfig().low_watermark < util < ThresholdConfig().high_watermark:
+            if LOW_WATERMARK < util < HIGH_WATERMARK:
                 assert autoscaler._target_total == stable
 
     def test_efficiency_order_fill(self, autoscaler):

@@ -54,22 +54,21 @@ class TestFit:
         with pytest.raises(ValueError):
             TaskClassifier().fit([])
 
-    def test_pinned_k(self):
+    def test_elbow_separates_four_sizes(self):
         rng_sizes = [(0.01, 0.02), (0.05, 0.1), (0.2, 0.15), (0.6, 0.5)]
         tasks = [
             make_task(job_id=i, duration=50.0, cpu=c, memory=m, priority=0)
             for i in range(80)
             for c, m in [rng_sizes[i % 4]]
         ]
-        config = ClassifierConfig(k_per_group={PriorityGroup.GRATIS: 4}, seed=0)
-        classifier = TaskClassifier(config).fit(tasks)
+        classifier = TaskClassifier(ClassifierConfig(seed=0)).fit(tasks)
         gratis_static = [s for s in classifier.static_classes if s.group is PriorityGroup.GRATIS]
         assert len(gratis_static) == 4
 
     def test_small_class_not_split(self):
         """A class with too few members stays a single 'short' leaf."""
         tasks = [make_task(job_id=i, duration=50.0, cpu=0.1, memory=0.1) for i in range(6)]
-        classifier = TaskClassifier(ClassifierConfig(seed=0, min_subclass_size=5)).fit(tasks)
+        classifier = TaskClassifier(ClassifierConfig(seed=0)).fit(tasks)
         assert all(
             leaf.duration_category is DurationCategory.SHORT for leaf in classifier.classes
         )

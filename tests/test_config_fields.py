@@ -1,0 +1,50 @@
+"""The settable values of the run configs, pinned.
+
+Every field here doubles the configurations tests and benchmarks must
+cover, so a value only ever left at its default is a module constant
+instead.  Adding a field means updating this list on purpose.
+"""
+
+from dataclasses import fields
+
+import pytest
+
+import repro.provisioning
+import repro.resilience
+from repro.classification import ClassifierConfig
+from repro.containers import ContainerManagerConfig
+from repro.runner import SupervisorConfig
+from repro.simulation import ClusterConfig, HarmonyConfig
+
+
+FIELDS = {
+    HarmonyConfig: [
+        "policy", "fleet", "control_interval", "price", "predictor",
+        "classifier", "manager", "classifier_sample", "enable_preemption",
+        "fault_plan", "guard", "engine", "seed",
+    ],
+    ClusterConfig: ["control_interval", "price", "fault_plan", "enable_preemption"],
+    ContainerManagerConfig: ["epsilon", "delay_slos", "capacity_ladders"],
+    ClassifierConfig: ["seed"],
+    SupervisorConfig: [
+        "timeout_seconds", "max_attempts", "backoff_base_seconds",
+        "backoff_cap_seconds", "memory_ceiling_mb",
+    ],
+}
+
+
+@pytest.mark.parametrize("config", list(FIELDS), ids=lambda c: c.__name__)
+def test_config_fields_are_pinned(config):
+    assert [f.name for f in fields(config)] == FIELDS[config]
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        (repro.resilience, "GuardConfig"),
+        (repro.provisioning, "ThresholdConfig"),
+        (repro.provisioning, "BaselineConfig"),
+    ],
+)
+def test_single_value_configs_are_gone(module, name):
+    assert not hasattr(module, name)

@@ -13,6 +13,7 @@ from repro.containers import (
     size_container_for_class,
     z_quantile,
 )
+from repro.containers.manager import RELATIVE_SLO_FACTOR
 from repro.trace import PriorityGroup
 
 
@@ -184,15 +185,11 @@ class TestContainerManager:
             leaf = leaf_spec.task_class
             slo = manager.slo_for(leaf)
             assert slo >= manager.config.delay_slos[leaf.group]
-            assert slo >= manager.config.relative_slo_factor * leaf.duration_mean - 1e-9
+            assert slo >= RELATIVE_SLO_FACTOR * leaf.duration_mean - 1e-9
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ContainerManagerConfig(epsilon=0.0)
-        with pytest.raises(ValueError):
-            ContainerManagerConfig(min_containers=-1)
-        with pytest.raises(ValueError):
-            ContainerManagerConfig(relative_slo_factor=-0.1)
         with pytest.raises(ValueError):
             ContainerManagerConfig(
                 delay_slos={

@@ -6,7 +6,6 @@ from pathlib import Path
 
 from repro.energy import table2_fleet
 from repro.provisioning import ProvisioningDecision
-from repro.resilience import GuardConfig
 from repro.serve import ServeConfig, ServeState
 from repro.simulation import HarmonyConfig, HarmonySimulation
 from repro.simulation.control import ControlPipeline
@@ -61,7 +60,7 @@ class TestLastTick:
         pipeline = self._pipeline(
             self._ok,
             observe=lambda view: observed.append(view.time),
-            guard=GuardConfig(trip_after=2, recover_after=2),
+            guard=True,
         )
         for tick, count in enumerate([100.0] * 3 + [0.0] * 3):
             pipeline.decide(_view(time=300.0 * tick, arrivals={0: count}))
@@ -76,7 +75,7 @@ class TestLastTick:
             raise RuntimeError("telemetry gone")
 
         pipeline = self._pipeline(
-            self._ok, observe=failing_observe, guard=GuardConfig()
+            self._ok, observe=failing_observe, guard=True
         )
         pipeline.decide(_view())
         assert pipeline.guard.stats.solver_failures == 1

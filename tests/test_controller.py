@@ -9,7 +9,6 @@ from repro.containers import ContainerManagerConfig, ContainerManager
 from repro.energy import constant_price, table2_fleet
 from repro.forecasting import EwmaPredictor, predictors
 from repro.provisioning import (
-    BaselineConfig,
     BaselineProvisioner,
     CbpController,
     ControllerConfig,
@@ -198,7 +197,7 @@ class TestBaselineProvisioner:
 
     def test_eighty_percent_rule(self):
         fleet = table2_fleet(0.1)
-        baseline = BaselineProvisioner(fleet, BaselineConfig(target_utilization=0.8))
+        baseline = BaselineProvisioner(fleet)
         decision = baseline.decide(now=0.0, demand_cpu=10.0, demand_memory=5.0)
         got_cpu = sum(
             next(m for m in fleet if m.platform_id == pid).cpu_capacity * n
@@ -242,7 +241,5 @@ class TestBaselineProvisioner:
             baseline.decide(now=0.0, demand_cpu=-1.0, demand_memory=0.0)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            BaselineConfig(target_utilization=0.0)
         with pytest.raises(ValueError):
             BaselineProvisioner(())

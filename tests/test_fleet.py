@@ -514,12 +514,11 @@ class TestMemoryControls:
             SupervisorConfig(
                 backoff_base_seconds=0.01,
                 backoff_cap_seconds=0.05,
-                memory_ceiling_mb=1.0,
-                memory_watermark=0.5,
+                memory_ceiling_mb=0.5,
             ),
         )
         report = supervisor.run(scenarios, workers=3)
-        # A 1 MiB ceiling is always over watermark, so admission control
+        # A 0.5 MiB ceiling is always over watermark, so admission control
         # must have throttled spawns — yet results are digest-identical.
         assert supervisor.deferred_spawns > 0
         assert supervisor.peak_rss_mb is not None

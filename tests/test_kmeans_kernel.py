@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.classification import ClassifierConfig
+from repro.classification.classifier import ELBOW_THRESHOLD, K_MAX
 from repro.classification.features import static_features
 from repro.clustering import KMeans, kmeans, select_k_elbow
 from repro.trace import PriorityGroup
@@ -85,15 +86,13 @@ def test_plus_plus_seeding_draws_like_reference():
 
 
 def test_static_feature_blocks_match_reference(group_blocks):
-    config = ClassifierConfig()
+    seed = ClassifierConfig().seed
     for features, _ in group_blocks.values():
-        k = assert_same_elbow(
-            features, config.k_max, config.elbow_threshold, config.seed
-        )
+        k = assert_same_elbow(features, K_MAX, ELBOW_THRESHOLD, seed)
         assert k > 1
-        assert_same_fit(features, k, config.seed, n_init=3)
+        assert_same_fit(features, k, seed, n_init=3)
         for other_k in (2, 5, 8, 24):
-            assert_same_fit(features, other_k, config.seed)
+            assert_same_fit(features, other_k, seed)
 
 
 def test_log_duration_split_matches_reference(group_blocks):

@@ -19,7 +19,6 @@ def run(tasks, preemption=True, horizon=3600.0, fleet_scale=0.002):
         config=ClusterConfig(
             control_interval=300.0,
             enable_preemption=preemption,
-            preemption_priority_gap=2,
         ),
     )
     metrics = simulator.run()

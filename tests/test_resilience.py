@@ -20,13 +20,13 @@ from repro.provisioning import ProvisioningDecision
 from repro.resilience import (
     CorrelatedOutage,
     FaultPlan,
-    GuardConfig,
     GuardedController,
     MachineDegradation,
     MonitoringBlackout,
     RandomMachineFailures,
     build_scenario_plan,
 )
+from repro.resilience.guard import MAX_STEP_FRACTION, MIN_RESIDUAL, MIN_STEP_MACHINES
 from repro.simulation import (
     ClusterConfig,
     ClusterSimulator,
@@ -82,15 +82,6 @@ class TestClusterConfigValidation:
     def test_defaults_valid(self):
         ClusterConfig()
 
-    @pytest.mark.parametrize("value", [0, -1])
-    def test_max_schedule_attempts_must_be_positive(self, value):
-        with pytest.raises(ValueError, match="max_schedule_attempts"):
-            ClusterConfig(max_schedule_attempts=value)
-
-    @pytest.mark.parametrize("value", [0, -5])
-    def test_backfill_attempts_must_be_positive(self, value):
-        with pytest.raises(ValueError, match="backfill_attempts"):
-            ClusterConfig(backfill_attempts=value)
 
 
 # --------------------------------------------------------------------------
@@ -163,25 +154,19 @@ class TestGuardedController:
 
     def test_step_clamp_limits_per_tick_delta(self, fleet):
         pid = fleet[0].platform_id
-        config = GuardConfig(max_step_fraction=0.1, min_step_machines=2)
         guard = GuardedController(
-            _ScriptedPolicy([{m.platform_id: m.count for m in fleet}]),
-            fleet,
-            config=config,
+            _ScriptedPolicy([{m.platform_id: m.count for m in fleet}]), fleet
         )
         powered = {m.platform_id: 0 for m in fleet}
         decision = guard.decide(_view(powered=powered))
-        step = max(2, math.ceil(0.1 * fleet[0].count))
-        assert decision.active[pid] <= step
+        step = max(MIN_STEP_MACHINES, math.ceil(MAX_STEP_FRACTION * fleet[0].count))
+        assert step < fleet[0].count
+        assert decision.active[pid] == step
         assert guard.stats.clamped_decisions == 1
 
     def test_target_never_exceeds_availability(self, fleet):
         pid = fleet[0].platform_id
-        guard = GuardedController(
-            _ScriptedPolicy([{pid: 10_000}]),
-            fleet,
-            config=GuardConfig(max_step_fraction=1.0),
-        )
+        guard = GuardedController(_ScriptedPolicy([{pid: 10_000}]), fleet)
         available = {m.platform_id: 3 for m in fleet}
         powered = {m.platform_id: 3 for m in fleet}
         decision = guard.decide(_view(powered=powered, available=available))
@@ -189,28 +174,30 @@ class TestGuardedController:
 
     def test_breaker_trips_and_recovers_on_residuals(self, fleet):
         pid = fleet[0].platform_id
-        config = GuardConfig(trip_after=2, recover_after=2, min_residual=5.0)
-        guard = GuardedController(
-            _ScriptedPolicy([{pid: 5}] * 20), fleet, config=config
-        )
+        guard = GuardedController(_ScriptedPolicy([{pid: 5}] * 20), fleet)
         t = 0.0
         # Steady arrivals: prediction converges, no strikes.
         for _ in range(3):
             guard.decide(_view(time=t, arrivals={0: 100.0}))
             t += 300.0
         assert not guard.tripped
-        # Arrivals vanish (blackout-like): two big residuals trip it.
+        # Arrivals vanish (blackout-like): the second big residual trips it.
         for _ in range(2):
+            assert not guard.tripped
             guard.decide(_view(time=t, arrivals={0: 0.0}))
             t += 300.0
         assert guard.tripped
         assert guard.stats.trips == 1
-        # EWMA decays below the absolute residual floor: calm intervals
-        # close the breaker again.
-        for _ in range(10):
+        # The EWMA decays below the absolute residual floor; the third calm
+        # interval in a row closes the breaker again.
+        calm = 0
+        for _ in range(15):
+            calm = calm + 1 if guard._predicted_next <= MIN_RESIDUAL else 0
             guard.decide(_view(time=t, arrivals={0: 0.0}))
             t += 300.0
-        assert not guard.tripped
+            if not guard.tripped:
+                break
+        assert calm == 3
         assert guard.stats.recoveries == 1
         modes = {mode for _, mode in guard.mode_timeline}
         assert modes == {"mpc", "reactive"}
@@ -234,11 +221,7 @@ class TestGuardedController:
             def controller(self):
                 raise AssertionError("controller must not be read")
 
-        guard = GuardedController(
-            _LookalikePolicy([{pid: 5}] * 6),
-            fleet,
-            config=GuardConfig(trip_after=2, recover_after=2),
-        )
+        guard = GuardedController(_LookalikePolicy([{pid: 5}] * 6), fleet)
         self._trip(guard)
         assert guard.failure_log == []
 
@@ -248,7 +231,6 @@ class TestGuardedController:
         guard = GuardedController(
             _ScriptedPolicy([{pid: 5}] * 6),
             fleet,
-            config=GuardConfig(trip_after=2, recover_after=2),
             observe=lambda view: observed.append(view.time),
             forecast=lambda: 100.0,
         )
@@ -261,22 +243,6 @@ class TestGuardedController:
     def test_empty_fleet_rejected(self):
         with pytest.raises(ValueError):
             GuardedController(_ScriptedPolicy([]), ())
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_step_fraction": 0.0},
-            {"max_step_fraction": 1.5},
-            {"min_step_machines": 0},
-            {"residual_threshold": 0.0},
-            {"trip_after": 0},
-            {"recover_after": 0},
-            {"ewma_alpha": 0.0},
-        ],
-    )
-    def test_bad_guard_config_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            GuardConfig(**kwargs)
 
 
 # --------------------------------------------------------------------------
@@ -426,7 +392,6 @@ def guarded_runs(res_trace):
         policy="cbs",
         predictor="ewma",
         guard=True,
-        guard_config=GuardConfig(trip_after=2, recover_after=2),
         classifier_sample=1000,
     )
     plans = {

@@ -1,4 +1,4 @@
-"""Tests for repro.statics (harmonylint): rules, suppressions, baseline, CLI.
+"""Tests for repro.statics (harmonylint): rules, suppressions, fingerprints, CLI.
 
 The fixture corpus under ``tests/fixtures/lint`` is a miniature tree
 (``src/repro/...``) linted with ``--root tests/fixtures/lint`` so the
@@ -15,17 +15,10 @@ from repro.cli import main
 from repro.statics import (
     ALL_RULES,
     KNOWN_CODES,
-    Baseline,
-    BaselineError,
     Finding,
     LintEngine,
-    build_baseline,
-    default_rules,
     lint_paths,
-    load_baseline,
-    save_baseline,
 )
-from repro.statics.rules import WallClockRead
 
 FIXTURE_ROOT = Path(__file__).parent / "fixtures" / "lint"
 REPO_ROOT = Path(__file__).parents[1]
@@ -217,63 +210,6 @@ class TestFingerprints:
         assert len({a.fingerprint, b.fingerprint, c.fingerprint}) == 3
 
 
-class TestBaseline:
-    def _findings(self):
-        return lint_corpus("src/repro/bad/det004.py").findings
-
-    def test_round_trip(self, tmp_path):
-        findings = self._findings()
-        baseline = build_baseline(findings)
-        path = tmp_path / "baseline.json"
-        save_baseline(baseline, path)
-        loaded = load_baseline(path)
-        reported, absorbed = loaded.apply(findings)
-        assert reported == []
-        assert absorbed == len(findings)
-        assert loaded.stale_fingerprints(findings) == []
-
-    def test_new_findings_still_report(self, tmp_path):
-        findings = self._findings()
-        baseline = build_baseline(findings[:1])
-        reported, absorbed = baseline.apply(findings)
-        assert absorbed == 1
-        assert len(reported) == len(findings) - 1
-
-    def test_fixed_findings_become_stale(self):
-        findings = self._findings()
-        baseline = build_baseline(findings)
-        assert baseline.stale_fingerprints([]) == sorted(
-            f.fingerprint for f in findings
-        )
-
-    def test_justifications_survive_rebuild(self):
-        findings = self._findings()
-        first = build_baseline(findings)
-        for entry in first.entries.values():
-            entry.justification = "known-good: sentinel compare"
-        second = build_baseline(findings, previous=first)
-        assert all(
-            e.justification == "known-good: sentinel compare"
-            for e in second.entries.values()
-        )
-
-    def test_load_rejects_malformed(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text('{"version": 99, "findings": []}')
-        with pytest.raises(BaselineError):
-            load_baseline(path)
-        path.write_text("not json")
-        with pytest.raises(BaselineError):
-            load_baseline(path)
-
-    def test_deterministic_serialization(self, tmp_path):
-        findings = list(reversed(self._findings()))
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        save_baseline(build_baseline(findings), a)
-        save_baseline(build_baseline(list(reversed(findings))), b)
-        assert a.read_text() == b.read_text()
-
-
 class TestCli:
     def test_clean_tree_exits_zero(self, capsys):
         code = main(
@@ -298,7 +234,10 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "flag",
-        ["--jobs=2", "--changed-only", "--graph=f", "--cache=c.json", "--no-cache"],
+        [
+            "--jobs=2", "--changed-only", "--graph=f", "--cache=c.json",
+            "--no-cache", "--baseline=b.json", "--no-baseline", "--fix-baseline",
+        ],
     )
     def test_removed_option_is_a_usage_error(self, flag, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -313,10 +252,7 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["tool"] == "harmonylint"
         assert payload["version"] == 1
-        assert set(payload["summary"]) == {
-            "total", "baselined", "suppressed",
-            "stale_baseline_entries", "by_code",
-        }
+        assert set(payload["summary"]) == {"total", "suppressed", "by_code"}
         assert payload["summary"]["total"] == len(payload["findings"])
         required = {
             "code", "severity", "path", "line", "column",
@@ -329,37 +265,6 @@ class TestCli:
         by_code = payload["summary"]["by_code"]
         assert sum(by_code.values()) == payload["summary"]["total"]
         assert set(by_code) == KNOWN_CODES
-
-    def test_fix_baseline_then_clean(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        args = [
-            "lint", "src", "--root", str(FIXTURE_ROOT),
-            "--baseline", str(baseline),
-        ]
-        assert main(args + ["--fix-baseline"]) == 0
-        capsys.readouterr()
-        assert main(args) == 0
-        assert "baselined" in capsys.readouterr().out
-
-    def test_no_baseline_overrides_baseline_file(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        args = [
-            "lint", "src", "--root", str(FIXTURE_ROOT),
-            "--baseline", str(baseline),
-        ]
-        assert main(args + ["--fix-baseline"]) == 0
-        capsys.readouterr()
-        assert main(args + ["--no-baseline"]) == 1
-
-    def test_corrupt_baseline_exits_two(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text("{broken")
-        code = main(
-            ["lint", "src", "--root", str(FIXTURE_ROOT),
-             "--baseline", str(baseline)]
-        )
-        assert code == 2
-
 
 class TestProjectPasses:
     def test_flow001_reports_cross_module_call_path(self):
@@ -431,6 +336,8 @@ class TestProjectPasses:
 
 
 class TestBaselineStability:
+    """Code scanning matches alerts across commits by fingerprint."""
+
     def test_fingerprints_survive_line_moves(self):
         engine = LintEngine()
         src = "def f(scv):\n    return scv == 1.0\n"
@@ -446,29 +353,6 @@ class TestBaselineStability:
         a = engine.lint_source("src/repro/x.py", f1 + "\n\n" + f2)
         b = engine.lint_source("src/repro/x.py", f2 + "\n\n" + f1)
         assert {f.fingerprint for f in a} == {f.fingerprint for f in b}
-
-    def _saved_baseline(self, tmp_path):
-        findings = lint_corpus("src/repro/bad/det004.py").findings
-        path = tmp_path / "baseline.json"
-        save_baseline(build_baseline(findings[:1]), path)
-        return path
-
-    def test_duplicate_fingerprint_entries_raise(self, tmp_path):
-        path = self._saved_baseline(tmp_path)
-        payload = json.loads(path.read_text())
-        payload["findings"].append(dict(payload["findings"][0]))
-        path.write_text(json.dumps(payload))
-        with pytest.raises(BaselineError, match="duplicate"):
-            load_baseline(path)
-
-    def test_nonpositive_count_raises(self, tmp_path):
-        path = self._saved_baseline(tmp_path)
-        payload = json.loads(path.read_text())
-        payload["findings"][0]["count"] = 0
-        path.write_text(json.dumps(payload))
-        with pytest.raises(BaselineError, match="count"):
-            load_baseline(path)
-
 
 class TestCliV2:
     def test_sarif_output(self, capsys):
@@ -493,74 +377,10 @@ class TestCliV2:
         assert all("codeFlows" in r for r in flows)
 
 
-class TestStaleBaseline:
-    """A baselined finding that stops firing fails the run: either it was
-    fixed (drop the entry) or its rule went blind (fix the rule)."""
-
-    FLOAT_EQ = "def f(scv):\n    return scv == 1.0\n"
-
-    def _baselined_tree(self, tmp_path):
-        pkg = tmp_path / "src" / "repro"
-        pkg.mkdir(parents=True)
-        (pkg / "a.py").write_text(self.FLOAT_EQ)
-        (pkg / "b.py").write_text(self.FLOAT_EQ.replace("1.0", "2.0"))
-        args = ["lint", "src", "--root", str(tmp_path)]
-        assert main(args + ["--fix-baseline"]) == 0
-        assert main(args) == 0
-        return pkg, args
-
-    def test_disabled_rule_leaves_its_baseline_entries_stale(self, tmp_path):
-        # The shipped baseline is empty, so the baselined wall-clock reads
-        # live in a scratch tree.
-        pkg = tmp_path / "src" / "repro"
-        pkg.mkdir(parents=True)
-        (pkg / "a.py").write_text(
-            "import time\n\n\ndef f():\n    return time.perf_counter()\n"
-            "\n\ndef g():\n    return time.time()\n"
-        )
-        assert main(["lint", "src", "--root", str(tmp_path), "--fix-baseline"]) == 0
-        baseline = load_baseline(tmp_path / "lint-baseline.json")
-        assert {e.code for e in baseline.entries.values()} == {"DET002"}
-        rules = [r for r in default_rules() if not isinstance(r, WallClockRead)]
-        report = lint_paths(["src"], root=tmp_path, rules=rules)
-        stale = baseline.stale_fingerprints(report.findings, set(report.files))
-        assert len(stale) == len(baseline.entries) == 2
-
-    def test_fixed_line_exits_one_and_names_the_entry(self, tmp_path, capsys):
-        pkg, args = self._baselined_tree(tmp_path)
-        baseline = load_baseline(tmp_path / "lint-baseline.json")
-        [fixed] = [
-            e for e in baseline.entries.values() if e.path == "src/repro/a.py"
-        ]
-        (pkg / "a.py").write_text("def f(scv):\n    return scv > 1.0\n")
-        capsys.readouterr()
-        assert main(args) == 1
-        out = capsys.readouterr().out
-        assert fixed.fingerprint in out
-        assert "DET004" in out and "src/repro/a.py" in out
-        assert "1 stale baseline" in out
-        # the JSON summary counts it and the exit code is format-independent
-        assert main(args + ["--format", "json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["summary"]["stale_baseline_entries"] == 1
-        assert payload["findings"] == []
-        # --fix-baseline is the way to drop it
-        assert main(args + ["--fix-baseline"]) == 0
-        assert main(args) == 0
-
-    def test_entry_for_unlinted_path_is_not_stale(self, tmp_path, capsys):
-        pkg, args = self._baselined_tree(tmp_path)
-        # b.py's entry is neither matched nor stale when only a.py is linted
-        assert main(["lint", "src/repro/a.py", "--root", str(tmp_path)]) == 0
-        (pkg / "b.py").write_text("def g(load):\n    return load\n")
-        assert main(["lint", "src/repro/a.py", "--root", str(tmp_path)]) == 0
-        assert main(args) == 1
-
-
 class TestShippedTree:
-    def test_repo_src_lints_clean_with_committed_baseline(self, capsys):
-        code = main(["lint", "src", "--root", str(REPO_ROOT)])
-        assert code == 0, capsys.readouterr().out
+    def test_repo_lints_clean(self):
+        report = lint_paths(["src", "tests"], root=REPO_ROOT)
+        assert [f.format_text() for f in report.findings] == []
 
     def test_fixture_corpus_excluded_from_discovery(self):
         report = lint_paths(["tests"], root=REPO_ROOT)

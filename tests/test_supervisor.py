@@ -9,6 +9,7 @@ uninterrupted run — and the crash-safe journal's append / verify / resume
 behaviour, including torn-tail tolerance and corruption detection.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -76,35 +77,36 @@ def tiny_digest(scenario=TINY) -> str:
 
 class TestBackoffDelay:
     def test_deterministic_across_calls(self):
-        config = SupervisorConfig()
-        assert backoff_delay("s", 1, config) == backoff_delay("s", 1, config)
-        assert backoff_delay("s", 2, config) == backoff_delay("s", 2, config)
+        assert backoff_delay("s", 1, 0.05, 2.0) == backoff_delay("s", 1, 0.05, 2.0)
+        assert backoff_delay("s", 2, 0.05, 2.0) == backoff_delay("s", 2, 0.05, 2.0)
 
     def test_decorrelated_across_scenarios(self):
-        config = SupervisorConfig()
-        assert backoff_delay("relax_a", 1, config) != backoff_delay("relax_b", 1, config)
+        assert backoff_delay("relax_a", 1, 0.05, 2.0) != backoff_delay(
+            "relax_b", 1, 0.05, 2.0
+        )
+
+    @staticmethod
+    def _jitter(name, attempt):
+        digest = hashlib.sha256(f"{name}:{attempt}".encode()).digest()
+        return int.from_bytes(digest[:8], "big") / 2**64
 
     def test_exponential_and_capped(self):
-        config = SupervisorConfig(
-            backoff_base_seconds=0.1, backoff_factor=2.0,
-            backoff_cap_seconds=1.0, jitter_fraction=0.0,
-        )
-        assert backoff_delay("s", 1, config) == pytest.approx(0.1)
-        assert backoff_delay("s", 2, config) == pytest.approx(0.2)
-        assert backoff_delay("s", 10, config) == pytest.approx(1.0)  # capped
+        # Doubling from the base, capped, then scaled by 1 + a quarter of
+        # the name's SHA-256 jitter.
+        for attempt, base in ((1, 0.1), (2, 0.2), (3, 0.4), (10, 1.0)):
+            assert backoff_delay("s", attempt, 0.1, 1.0) == pytest.approx(
+                base * (1.0 + 0.25 * self._jitter("s", attempt))
+            )
 
     def test_jitter_bounded(self):
-        config = SupervisorConfig(
-            backoff_base_seconds=0.1, backoff_cap_seconds=10.0, jitter_fraction=0.25
-        )
         for attempt in range(1, 6):
-            delay = backoff_delay("s", attempt, config)
+            delay = backoff_delay("s", attempt, 0.1, 10.0)
             base = min(10.0, 0.1 * 2.0 ** (attempt - 1))
             assert base <= delay <= base * 1.25
 
     def test_attempt_must_be_positive(self):
         with pytest.raises(ValueError, match="attempt"):
-            backoff_delay("s", 0, SupervisorConfig())
+            backoff_delay("s", 0, 0.05, 2.0)
 
 
 class TestSupervisorConfigValidation:
@@ -115,10 +117,9 @@ class TestSupervisorConfigValidation:
             {"timeout_seconds": -1.0},
             {"max_attempts": 0},
             {"backoff_base_seconds": -0.1},
-            {"backoff_factor": 0.5},
             {"backoff_cap_seconds": -1.0},
-            {"jitter_fraction": -0.1},
-            {"jitter_fraction": 1.5},
+            {"memory_ceiling_mb": 0.0},
+            {"memory_ceiling_mb": -1.0},
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):
