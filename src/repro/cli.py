@@ -8,14 +8,13 @@ analyze
     Print the Section III workload characterization of a saved trace.
 classify
     Fit the two-step task classifier and print the class table.
+validate
+    Check a trace against the paper's Section III marginals.
 simulate
-    Run one provisioning policy over a trace and print the summary.
-compare
-    Run baseline/CBP/CBS over the same trace and print Figs. 21-26 data.
-resilience
-    Replay a fault-scenario matrix (outage / stragglers / blackout /
-    poisson) under a guarded or unguarded policy and print availability,
-    MTTR, restart latency and SLO attainment per scenario.
+    Run one provisioning policy over a trace and print the summary.  The
+    baseline / CBP / CBS comparison (Figs. 21-26) is ``repro bench
+    figures``; the fault matrix is ``repro bench robustness`` and
+    ``repro bench network_faults``.
 sanitize
     Ingest a saved trace directory through the streaming sanitizer
     (:mod:`repro.trace.sanitize`) and print the JSON sanitization report:
@@ -45,9 +44,10 @@ fleet
     stream-route-replay each cell in its own worker (optionally under the
     crash-safe supervisor with timeouts, retries, journaled ``--resume``
     and a fleet-wide memory ceiling), then merge the per-shard summaries
-    into one deterministic fleet digest.  ``repro bench google_fleet`` is
-    the same run priced at the ``REPRO_BENCH_FLEET_*`` bench point,
-    shape-checked and recorded as ``BENCH_google_fleet.json``.
+    into one deterministic fleet digest, recorded as
+    ``BENCH_google_fleet.json``.  Every run prints the ``google_fleet``
+    shapes and exits 1 on a failed one, as ``repro bench`` does.  The
+    trace defaults to the ``REPRO_BENCH_FLEET_*`` bench point.
 serve
     Run the crash-safe online provisioning daemon (:mod:`repro.serve`):
     a live arrival stream (trace replay, ``--follow`` file tail or
@@ -69,10 +69,8 @@ from pathlib import Path
 from repro.analysis import ascii_table
 from repro.classification import ClassifierConfig, TaskClassifier
 from repro.errors import TraceFieldCorrupt
-from repro.resilience.scenarios import SCENARIOS as RESILIENCE_SCENARIOS
-from repro.resilience.scenarios import build_scenario_plan
-from repro.simulation import HarmonyConfig, HarmonySimulation, run_policy_comparison
-from repro.simulation.harmony import POLICIES, energy_savings
+from repro.simulation import HarmonyConfig, HarmonySimulation
+from repro.simulation.harmony import POLICIES
 from repro.trace import (
     SyntheticTraceConfig,
     Trace,
@@ -84,7 +82,7 @@ from repro.trace import (
 
 
 def _load_or_generate(args: argparse.Namespace) -> Trace:
-    if getattr(args, "trace", None):
+    if args.trace:
         return load_trace(args.trace)
     return generate_trace(
         SyntheticTraceConfig(
@@ -160,85 +158,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    trace = _load_or_generate(args)
-    results = run_policy_comparison(trace, HarmonyConfig())
-    savings = energy_savings(results)
-    print(
-        ascii_table(
-            ["policy", "kWh", "total $", "mean machines", "mean delay (s)",
-             "unscheduled", "vs baseline"],
-            [
-                [
-                    policy,
-                    f"{r.energy_kwh:.1f}",
-                    f"{r.total_cost:.2f}",
-                    f"{r.metrics.mean_active_machines():.1f}",
-                    f"{r.metrics.mean_delay(include_unscheduled_at=trace.horizon):.1f}",
-                    r.metrics.num_unscheduled,
-                    f"{savings[policy]:+.1%}",
-                ]
-                for policy, r in results.items()
-            ],
-        )
-    )
-    return 0
-
-
-def cmd_resilience(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    if args.scenario != "all" and args.scenario not in RESILIENCE_SCENARIOS:
-        names = ", ".join(RESILIENCE_SCENARIOS + ("all",))
-        print(
-            f"repro resilience: unknown scenario {args.scenario!r} "
-            f"(hint: --scenario one of {names})",
-            file=sys.stderr,
-        )
-        return 2
-    trace = _load_or_generate(args)
-    base = HarmonyConfig(
-        policy=args.policy, predictor=args.predictor, guard=not args.no_guard
-    )
-    scenarios = RESILIENCE_SCENARIOS if args.scenario == "all" else (args.scenario,)
-    simulation = HarmonySimulation(base, trace)
-    rows = []
-    for scenario in scenarios:
-        plan = build_scenario_plan(scenario, trace.horizon)
-        config = replace(base, fault_plan=plan)
-        result = HarmonySimulation(
-            config, trace, classifier=simulation.classifier
-        ).run()
-        metrics = result.metrics
-        guard = result.guard_stats
-        rows.append(
-            [
-                scenario,
-                f"{metrics.num_scheduled}/{metrics.num_submitted}",
-                result.tasks_killed,
-                f"{metrics.availability():.3f}",
-                f"{metrics.mttr(censor_at=trace.horizon):.0f}s",
-                f"{metrics.mean_restart_latency(censor_at=trace.horizon):.0f}s",
-                f"{metrics.slo_attainment(300.0, include_unscheduled_at=trace.horizon):.3f}",
-                f"{metrics.fabric.partition_seconds:.0f}s",
-                metrics.fabric.deferred_placements,
-                guard.trips if guard else "-",
-                guard.invalid_decisions if guard else "-",
-            ]
-        )
-    print(
-        ascii_table(
-            ["scenario", "scheduled", "killed", "availability", "MTTR",
-             "restart lat", "SLO(5m)", "partition", "deferred",
-             "trips", "invalid"],
-            rows,
-            title=f"Resilience matrix — {args.policy}"
-                  f" ({'guarded' if not args.no_guard else 'unguarded'})",
-        )
-    )
-    return 0
-
-
 def cmd_sanitize(args: argparse.Namespace) -> int:
     from repro.trace import sanitize_trace
 
@@ -266,11 +185,14 @@ def _usage_error(prog: str, message: str) -> int:
     return 2
 
 
-def _supervision(prog: str, args: argparse.Namespace, unit: str):
+def _supervision(
+    prog: str, args: argparse.Namespace, unit: str, memory_ceiling=None
+):
     """The supervision half of ``repro bench`` / ``repro fleet`` arguments.
 
     Returns exit code 2 after a usage line for a bad ``--workers`` /
-    ``--timeout`` / ``--retries`` / ``--memory-ceiling-mb``; otherwise the
+    ``--timeout`` / ``--retries`` / ``memory_ceiling`` (``repro fleet``'s
+    ``--memory-ceiling-mb``); otherwise the
     :class:`~repro.runner.SupervisorConfig` of a supervised run, or
     ``None`` when no flag asked for supervision.  ``unit`` names what a
     worker runs (scenarios, shards) in the ``--workers`` hint.
@@ -289,8 +211,6 @@ def _supervision(prog: str, args: argparse.Namespace, unit: str):
         )
     if args.retries is not None and args.retries < 0:
         return _usage_error(prog, f"--retries must be >= 0, got {args.retries}")
-    # Only ``repro fleet`` has the ceiling flag.
-    memory_ceiling = getattr(args, "memory_ceiling_mb", None)
     if memory_ceiling is not None and memory_ceiling <= 0:
         return _usage_error(
             prog, f"--memory-ceiling-mb must be positive MiB, got {memory_ceiling}"
@@ -337,15 +257,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
     from repro.runner.suites import SHAPES
 
-    if args.shards is not None and args.suite != "google_fleet":
-        return _usage_error(
-            "repro bench",
-            f"--shards only applies to the google_fleet suite, "
-            f"not {args.suite!r} (hint: repro bench google_fleet --shards "
-            f"{args.shards})",
-        )
-    if args.suite == "google_fleet":
-        return _cmd_bench_fleet(args)
     supervision = _supervision("repro bench", args, "scenarios")
     if isinstance(supervision, int):
         return supervision
@@ -431,35 +342,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def _cmd_bench_fleet(args: argparse.Namespace) -> int:
-    """``repro bench google_fleet`` — the fleet run at the bench point."""
-    if args.verify:
-        return _usage_error(
-            "repro bench",
-            "--verify doubles the Google-trace-scale fleet run; "
-            "merged-digest invariance is asserted by tests/test_fleet.py and "
-            "the fleet-chaos CI drill instead",
-        )
-    if args.corrupt:
-        return _usage_error(
-            "repro bench",
-            "--corrupt applies to the trace_corruption suite, "
-            "not google_fleet (hint: repro bench trace_corruption)",
-        )
-    return _fleet_run("repro bench", args)
-
-
 def cmd_fleet(args: argparse.Namespace) -> int:
-    return _fleet_run("repro fleet", args)
-
-
-def _fleet_run(prog: str, args: argparse.Namespace) -> int:
-    """Shared body of ``repro fleet`` and ``repro bench google_fleet``.
-
-    ``repro bench``'s namespace lacks the fleet-only knobs (policy,
-    predictor, fault injection, memory budget, ...), so those are read
-    with ``getattr`` defaults matching the ``repro fleet`` parser.
-    """
     from repro.fleet import (
         FleetConfig,
         fleet_baseline_payload,
@@ -468,60 +351,56 @@ def _fleet_run(prog: str, args: argparse.Namespace) -> int:
     )
     from repro.resilience.scenarios import SCENARIOS
     from repro.runner import google_fleet_trace_params, trace_config_from_params
-    from repro.runner.defaults import FLEET_SHARDS
     from repro.runner.suites import google_fleet_shapes
 
-    supervision = _supervision(prog, args, "shards")
+    prog = "repro fleet"
+    supervision = _supervision(prog, args, "shards", args.memory_ceiling_mb)
     if isinstance(supervision, int):
         return supervision
     supervised = supervision is not None
-    shards = args.shards if args.shards is not None else FLEET_SHARDS
-    if shards < 1:
+    if args.shards < 1:
         return _usage_error(
             prog,
-            f"--shards must be >= 1, got {shards} "
+            f"--shards must be >= 1, got {args.shards} "
             "(hint: --shards 1 replays the whole census as a single cell)",
         )
-    memory_budget = getattr(args, "memory_budget_mb", None)
-    if memory_budget is not None and memory_budget <= 0:
-        return _usage_error(
-            prog, f"--memory-budget-mb must be positive MiB, got {memory_budget}"
-        )
-    fault = getattr(args, "fault", None)
-    if fault is not None and fault not in SCENARIOS:
+    if args.fault is not None and args.fault not in SCENARIOS:
         return _usage_error(
             prog,
-            f"unknown fault scenario {fault!r} "
+            f"unknown fault scenario {args.fault!r} "
             f"(hint: one of {', '.join(SCENARIOS)})",
         )
+    try:
+        config = FleetConfig(
+            shards=args.shards,
+            policy=args.policy,
+            predictor=args.predictor,
+            guard=args.guard,
+            fault_scenario=args.fault,
+            fault_seed=args.fault_seed,
+            route_seed=args.route_seed,
+            progress_every=args.progress_every,
+            memory_budget_mb=args.memory_budget_mb,
+        )
+    except ValueError as exc:
+        return _usage_error(prog, str(exc))
 
+    overrides = {
+        "hours": args.hours, "machines": args.machines,
+        "seed": args.seed, "load": args.load,
+    }
     trace_params = google_fleet_trace_params()
-    for key in ("hours", "machines", "seed", "load"):
-        value = getattr(args, key, None)
-        if value is not None:
-            trace_params[key] = value
+    trace_params.update((k, v) for k, v in overrides.items() if v is not None)
     census = trace_config_from_params(trace_params).census()
-    if shards > max_shards(census):
+    if args.shards > max_shards(census):
         return _usage_error(
             prog,
-            f"--shards {shards} exceeds the {max_shards(census)} "
+            f"--shards {args.shards} exceeds the {max_shards(census)} "
             f"machine-type cells of this census; cells are machine-type "
             f"granular (hint: --shards <= {max_shards(census)}, or grow "
             "--machines)",
         )
 
-    config = FleetConfig(
-        suite="google_fleet",
-        shards=shards,
-        policy=getattr(args, "policy", "cbs"),
-        predictor=getattr(args, "predictor", "ewma"),
-        guard=bool(getattr(args, "guard", False)),
-        fault_scenario=fault,
-        fault_seed=int(getattr(args, "fault_seed", 0) or 0),
-        route_seed=int(getattr(args, "route_seed", 0) or 0),
-        progress_every=int(getattr(args, "progress_every", None) or 200_000),
-        memory_budget_mb=memory_budget,
-    )
     fleet = run_fleet(
         trace_params,
         config,
@@ -530,7 +409,7 @@ def _fleet_run(prog: str, args: argparse.Namespace) -> int:
         resume=args.resume,
         journal_dir=args.output,
         supervisor_config=supervision,
-        progress_dir=getattr(args, "progress_dir", None),
+        progress_dir=args.progress_dir,
     )
 
     report = fleet.report
@@ -562,7 +441,7 @@ def _fleet_run(prog: str, args: argparse.Namespace) -> int:
         ascii_table(
             ["shard", "machines", "tasks", "wall", "peak rss"],
             rows,
-            title=f"fleet {config.suite} — {shards} shard(s), "
+            title=f"fleet {config.suite} — {config.shards} shard(s), "
                   f"{args.workers} worker(s)"
                   + (" [supervised]" if supervised else ""),
         )
@@ -587,10 +466,7 @@ def _fleet_run(prog: str, args: argparse.Namespace) -> int:
     path = args.output / f"BENCH_{config.suite}.json"
     path.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {path}")
-    # Only the bench point is shaped; ``repro fleet`` runs any policy/fault.
-    failed = prog == "repro bench" and _check_shapes(
-        config.suite, google_fleet_shapes(merged)
-    )
+    failed = _check_shapes(config.suite, google_fleet_shapes(merged))
     return 1 if fleet.partial or failed else 0
 
 
@@ -762,6 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="HARMONY reproduction toolkit"
     )
+    parser.set_defaults(trace=None)  # for the commands without --trace
     subparsers = parser.add_subparsers(dest="command", required=True)
     # A default worker count the machine can run: recorded in BENCH files.
     default_workers = min(4, os.cpu_count() or 1)
@@ -789,27 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace_args(simulate)
     simulate.add_argument("--policy", choices=POLICIES, default="cbs")
     simulate.set_defaults(fn=cmd_simulate)
-
-    compare = subparsers.add_parser("compare", help="baseline vs CBP vs CBS")
-    _add_trace_args(compare)
-    compare.set_defaults(fn=cmd_compare)
-
-    resilience = subparsers.add_parser(
-        "resilience", help="fault-scenario matrix with availability/MTTR/SLO"
-    )
-    _add_trace_args(resilience)
-    resilience.add_argument("--policy", choices=POLICIES, default="cbs")
-    resilience.add_argument("--predictor", default="ewma")
-    resilience.add_argument(
-        "--scenario", default="all",
-        help="fault scenario name, or 'all' for the full matrix "
-             "(validated in cmd_resilience so the hint can list names)",
-    )
-    resilience.add_argument(
-        "--no-guard", action="store_true",
-        help="run the raw policy without the GuardedController wrapper",
-    )
-    resilience.set_defaults(fn=cmd_resilience)
 
     sanitize = subparsers.add_parser(
         "sanitize", help="ingest a dirty trace through the sanitizer"
@@ -839,16 +695,10 @@ def build_parser() -> argparse.ArgumentParser:
             "network_faults",
             "trace_corruption",
             "figures",
-            "google_fleet",
             "all",
         ),
-        help="which scenario suite to run ('all' excludes the "
-             "Google-trace-scale google_fleet suite; request it explicitly)",
-    )
-    bench.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="google_fleet only: machine-type cells to partition the census "
-             "into (default 4)",
+        help="which scenario suite to run (the sharded fleet run is "
+             "repro fleet)",
     )
     bench.add_argument(
         "--corrupt", action="store_true",
@@ -899,9 +749,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="sharded, crash-tolerant fleet simulation with a merged digest",
     )
     fleet.add_argument(
-        "--shards", type=int, default=None, metavar="N",
+        "--shards", type=int, default=4, metavar="N",
         help="machine-type cells to partition the census into "
-             "(default 4)",
+             "(default %(default)s)",
     )
     fleet.add_argument("--workers", type=int, default=default_workers,
                        help="shard worker processes (default min(4, CPU "
@@ -963,9 +813,9 @@ def build_parser() -> argparse.ArgumentParser:
              "OOM-killing the host",
     )
     fleet.add_argument(
-        "--progress-every", type=int, default=None, metavar="TASKS",
+        "--progress-every", type=int, default=200_000, metavar="TASKS",
         help="streamed tasks between per-shard progress checkpoints and "
-             "memory checks (default 200000)",
+             "memory checks (default %(default)s)",
     )
     fleet.add_argument(
         "--progress-dir", type=Path, default=None,
@@ -1055,10 +905,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    trace_dir = getattr(args, "trace", None)
-    if trace_dir is not None and not trace_dir.is_dir():
+    if args.trace is not None and not args.trace.is_dir():
         return _usage_error(
-            f"repro {args.command}", f"--trace {trace_dir} is not a directory"
+            f"repro {args.command}", f"--trace {args.trace} is not a directory"
         )
     try:
         return args.fn(args)

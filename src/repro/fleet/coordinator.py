@@ -1,7 +1,6 @@
 """Fleet coordination: plan once, fan out shards, merge deterministically.
 
-``run_fleet`` is the one-call entry point ``repro fleet`` and ``repro bench
-google_fleet`` use:
+``run_fleet`` is the one-call entry point ``repro fleet`` uses:
 
 1. **Plan** — run the trace generator's calibration once, in constant
    memory (:func:`~repro.trace.generator.plan_trace`), and embed the
@@ -56,6 +55,14 @@ class FleetConfig:
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
+        if self.progress_every < 1:
+            raise ValueError(
+                f"progress_every must be >= 1 streamed task, got {self.progress_every}"
+            )
+        if self.memory_budget_mb is not None and self.memory_budget_mb <= 0:
+            raise ValueError(
+                f"memory_budget_mb must be positive MiB, got {self.memory_budget_mb}"
+            )
 
 
 def fleet_scenarios(

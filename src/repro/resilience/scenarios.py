@@ -1,9 +1,8 @@
-"""Named fault scenarios shared by the CLI, benches and scenario runner.
+"""Named fault scenarios shared by the runner suites and ``repro fleet``.
 
-One place defines what "outage" or "blackout" means, so ``repro
-resilience``, ``repro bench robustness`` and ``repro bench
-network_faults`` replay *the same* fault matrix and their numbers stay
-comparable.
+One place defines what "outage" or "blackout" means, so ``repro bench
+robustness``, ``repro bench network_faults`` and ``repro fleet --fault``
+replay *the same* fault matrix and their numbers stay comparable.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ scenario configurations and report":
 
 - ``repro bench``, which runs a suite, checks its shapes and records it
   as a ``BENCH_<suite>.json`` perf baseline;
-- ``repro fleet`` (through :mod:`repro.fleet`), the sharded fleet run;
+- ``repro fleet`` (through :mod:`repro.fleet`), the sharded fleet run,
+  which checks the ``google_fleet`` shapes the same way;
 - CI, which runs both at smoke size.
 
 Determinism contract: every task seeds all randomness from its scenario

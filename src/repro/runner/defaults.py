@@ -85,10 +85,6 @@ def bench_fleet_load() -> float:
     return float(os.environ.get("REPRO_BENCH_FLEET_LOAD", 0.55))
 
 
-#: Fleet-bench shard count when ``--shards`` is not given.
-FLEET_SHARDS = 4
-
-
 @dataclass(frozen=True)
 class BenchDefaults:
     """One resolved snapshot of the bench parameter environment."""

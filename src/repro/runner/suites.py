@@ -2,7 +2,8 @@
 
 ``repro bench`` builds its scenario lists here, from the shared defaults
 in :mod:`repro.runner.defaults` — one definition of each sweep — and
-checks each shaped suite's results against the shapes written next to it.
+checks each shaped suite's results against the shapes written next to it;
+``repro fleet`` checks :func:`google_fleet_shapes` the same way.
 """
 
 from __future__ import annotations
@@ -277,9 +278,10 @@ def ablation_shapes(report, serial=None) -> list[ShapeRow]:
     return check_shapes(ABLATION_SHAPES, {r.name: r for r in report})
 
 
-#: Fault scenarios the robustness suite replays (a subset of
-#: :data:`repro.resilience.scenarios.SCENARIOS`; stragglers stay CLI-only).
-ROBUSTNESS_SCENARIOS = ("clean", "outage", "blackout", "poisson")
+#: Fault scenarios the robustness suite replays: the machine faults of
+#: :data:`repro.resilience.scenarios.SCENARIOS` (the network_faults suite
+#: replays the fabric ones).
+ROBUSTNESS_SCENARIOS = ("clean", "outage", "blackout", "poisson", "stragglers")
 
 
 def _guarded_fault_scenarios(
@@ -316,7 +318,8 @@ def robustness_scenarios(
 def robustness_shapes(report, serial=None) -> list[ShapeRow]:
     """Graceful degradation (Fig. 8): the outage takes >= 25% of the largest
     Table II pool, yet the guarded controller keeps >= 85% of the clean
-    scheduled count with no invalid decision; Poisson churn costs < 10%."""
+    scheduled count with no invalid decision; Poisson churn costs < 10%;
+    stragglers slow machines down but kill nothing and cost < 10%."""
     from repro.energy.catalog import table2_fleet
 
     quarter_pool = math.ceil(0.25 * max(m.count for m in table2_fleet(0.1)))
@@ -329,6 +332,9 @@ def robustness_shapes(report, serial=None) -> list[ShapeRow]:
         ("fault_outage", "resilience.mttr_s", ">", 0.0),
         ("fault_poisson", "resilience.machines_failed", ">", 0),
         ("fault_poisson", "tasks_scheduled", ">=", Rel(0.9, "fault_clean")),
+        ("fault_stragglers", "tasks_killed", "==", 0),
+        ("fault_stragglers", "resilience.invalid_decisions", "==", 0),
+        ("fault_stragglers", "tasks_scheduled", ">=", Rel(0.9, "fault_clean")),
     )
     return check_shapes(specs, {r.name: r for r in report})
 
@@ -562,10 +568,10 @@ def figures_shapes(report, serial=None) -> list[ShapeRow]:
 
 
 #: Suite name -> builder, for the ``repro bench`` CLI.  The sharded
-#: ``google_fleet`` suite is deliberately absent: it does not fit the
-#: plain scenario-list shape (it plans, fans out and *merges*), is priced
-#: at Google-trace scale, and so must be requested explicitly — see
-#: ``repro fleet`` / ``repro bench google_fleet``.
+#: ``google_fleet`` run is deliberately absent: it does not fit the plain
+#: scenario-list shape (it plans, fans out and *merges*) and is priced at
+#: Google-trace scale, so it has its own command, ``repro fleet``, which
+#: checks :func:`google_fleet_shapes`.
 SUITES = {
     "scalability": lambda defaults: scalability_scenarios(),
     "ablation": ablation_scenarios,

@@ -254,10 +254,6 @@ class SimulationMetrics:
     def num_finished(self) -> int:
         return sum(1 for r in self.records.values() if r.finish_time is not None)
 
-    @property
-    def num_unscheduled(self) -> int:
-        return self.num_submitted - self.num_scheduled
-
     def immediate_fraction(self, group: PriorityGroup, tolerance: float = 1.0) -> float:
         """Fraction of a group's scheduled tasks placed within ``tolerance`` s."""
         return _within(self.delays_by_group()[group], tolerance)

@@ -57,7 +57,7 @@ class TestCli:
         assert line.startswith("repro serve: --ticks must be >= 1")
         assert not state_dir.exists()
 
-    @pytest.mark.parametrize("command", ["analyze", "simulate", "compare"])
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
     def test_missing_trace_dir_is_a_usage_error(self, command, tmp_path, capsys):
         not_a_dir = tmp_path / "trace.csv"
         not_a_dir.write_text("")
@@ -75,10 +75,9 @@ class TestCli:
         [
             ["simulate", "--engine", "columnar"],
             ["bench", "scalability", "--engine", "object"],
-            ["bench", "google_fleet", "--engine", "both"],
             ["fleet", "--engine", "both"],
         ],
-        ids=["simulate", "bench", "bench-google_fleet", "fleet"],
+        ids=["simulate", "bench", "fleet"],
     )
     def test_engine_flag_is_gone(self, argv, capsys):
         """The replay engine is HarmonyConfig's business, not the CLI's."""
@@ -87,13 +86,13 @@ class TestCli:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
-    def test_subcommands_are_exactly_the_documented_twelve(self):
+    def test_subcommands_are_exactly_the_documented_ten(self):
         (subparsers,) = [
             action for action in build_parser()._actions if action.dest == "command"
         ]
         assert list(subparsers.choices) == [
-            "generate", "analyze", "validate", "classify", "simulate", "compare",
-            "resilience", "sanitize", "bench", "fleet", "serve", "lint",
+            "generate", "analyze", "validate", "classify", "simulate",
+            "sanitize", "bench", "fleet", "serve", "lint",
         ]
 
     @pytest.mark.parametrize(("cores", "workers"), [(1, 1), (8, 4), (None, 1)])
@@ -107,15 +106,18 @@ class TestCli:
         assert build_parser().parse_args(argv).workers == workers
 
     @pytest.mark.parametrize(
-        "argv", [["report", "x.md"], ["figures", "out"]], ids=["report", "figures"]
+        "argv",
+        [["report"], ["figures"], ["compare"], ["resilience"], ["bench", "google_fleet"]],
+        ids=["report", "figures", "compare", "resilience", "bench-google_fleet"],
     )
     def test_retired_subcommand_is_gone(self, argv, capsys):
-        """One figure pipeline: ``repro bench figures`` records the paper's
-        figures and the examples draw them."""
+        """One front door per experiment: ``repro bench figures`` records the
+        paper's figures and policy comparison, ``repro bench robustness`` /
+        ``network_faults`` the fault matrix, and ``repro fleet`` the fleet."""
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
-        assert f"invalid choice: {argv[0]!r}" in capsys.readouterr().err
+        assert f"invalid choice: {argv[-1]!r}" in capsys.readouterr().err
 
     def test_sizing_method_knob_is_gone(self):
         """Eq. 3 with statistical multiplexing is the only container sizing."""

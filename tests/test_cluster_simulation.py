@@ -83,8 +83,7 @@ class TestClusterSimulator:
         fleet = table2_fleet(0.02)
         tasks = [make_task(job_id=i, submit_time=1.0, duration=10.0) for i in range(5)]
         _, metrics = self.run_sim(tasks, fleet, NothingPolicy())
-        assert metrics.num_scheduled == 0
-        assert metrics.num_unscheduled == 5
+        assert (metrics.num_submitted, metrics.num_scheduled) == (5, 0)
 
     def test_boot_delay_gates_first_placements(self):
         fleet = table2_fleet(0.02)

@@ -21,7 +21,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.cli import main
 from repro.provisioning.controller import ProvisioningDecision
 from repro.resilience import (
     FabricState,
@@ -618,25 +617,3 @@ class TestNetworkFaultsSuiteDeterminism:
         report = ScenarioRunner("unit").run([tiny], workers=1)
         (entry,) = baseline_payload(report)["scenarios"]
         assert "fabric" not in entry
-
-
-# --------------------------------------------------------------------------
-# Satellite: CLI rejects unknown scenarios with a usage hint
-
-
-class TestResilienceCliValidation:
-    def test_unknown_scenario_exits_2_with_hint(self, capsys):
-        assert main(["resilience", "--scenario", "frobnicate"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown scenario 'frobnicate'" in err
-        assert "partial_partition" in err  # the hint lists every scenario
-
-    def test_known_fabric_scenario_is_accepted_by_the_parser(self):
-        # Parsing alone must not reject it (full runs are covered by the
-        # bench suite tests; this guards the argparse wiring).
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["resilience", "--scenario", "partial_partition"]
-        )
-        assert args.scenario == "partial_partition"

@@ -431,9 +431,12 @@ class TestFleetCli:
              "--output", str(tmp_path), "--progress-dir", str(tmp_path),
              *CLI_TRACE]
         )
-        out = capsys.readouterr().out
+        captured = capsys.readouterr()
+        out = captured.out
         assert code == 0
         assert reference_fleet.digest in out
+        assert "shapes google_fleet" in out
+        assert "failed shapes" not in captured.err
         payload = json.loads((tmp_path / "BENCH_google_fleet.json").read_text())
         assert payload["fleet"]["digest"] == reference_fleet.digest
         assert payload["fleet"]["shards"] == 3
@@ -466,19 +469,65 @@ class TestFleetCli:
         err = capsys.readouterr().err
         assert "unknown fault scenario" in err and "outage" in err
 
-    def test_bench_shards_on_other_suite_exits_2(self, capsys):
-        assert main(["bench", "scalability", "--shards", "4"]) == 2
-        err = capsys.readouterr().err
-        assert "--shards only applies to the google_fleet suite" in err
+    def test_failed_shape_exits_1(self, tmp_path, capsys, monkeypatch):
+        """Every ``repro fleet`` run is shape-checked, as ``repro bench`` is."""
+        from repro.runner import suites
 
-    def test_bench_google_fleet_rejects_verify(self, capsys):
-        assert main(["bench", "google_fleet", "--verify"]) == 2
-        assert "fleet-chaos" in capsys.readouterr().err
+        shapes = suites.google_fleet_shapes
+        monkeypatch.setattr(
+            suites, "google_fleet_shapes",
+            lambda merged: shapes({**merged, "energy_kwh": 0.0}),
+        )
+        code = main(
+            ["fleet", "--shards", "2", "--workers", "1",
+             "--output", str(tmp_path), *CLI_TRACE]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "shapes google_fleet" in captured.out
+        assert "failed shapes: merged energy_kwh" in captured.err
+
+    @pytest.mark.parametrize(
+        ("flag", "value", "message"),
+        [
+            ("--progress-every", "0", "progress_every must be >= 1"),
+            ("--progress-every", "-5", "progress_every must be >= 1"),
+            ("--memory-budget-mb", "0", "memory_budget_mb must be positive"),
+        ],
+    )
+    def test_invalid_fleet_config_exits_2(
+        self, flag, value, message, tmp_path, capsys
+    ):
+        code = main(["fleet", flag, value, "--output", str(tmp_path), *CLI_TRACE])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"repro fleet: {message}")
+        assert not (tmp_path / "BENCH_google_fleet.json").exists()
+
+    def test_bench_shards_on_other_suite_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "scalability", "--shards", "4"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --shards 4" in capsys.readouterr().err
 
     def test_bench_all_excludes_google_fleet(self):
         from repro.runner import SUITES
 
         assert "google_fleet" not in SUITES
+
+
+class TestFleetConfig:
+    @pytest.mark.parametrize("every", [0, -5])
+    def test_progress_every_below_one_rejected(self, every):
+        with pytest.raises(ValueError, match="progress_every must be >= 1"):
+            FleetConfig(progress_every=every)
+
+    @pytest.mark.parametrize("budget", [0, -1.0])
+    def test_nonpositive_memory_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="memory_budget_mb must be positive"):
+            FleetConfig(memory_budget_mb=budget)
 
 
 class TestMemoryControls:

@@ -360,7 +360,7 @@ class TestSimulationMetrics:
         metrics = SimulationMetrics()
         task = make_task(priority=0, submit_time=10.0)
         metrics.task_submitted(task, 10.0)
-        assert metrics.num_unscheduled == 1
+        assert (metrics.num_submitted, metrics.num_scheduled) == (1, 0)
         assert metrics.delays_by_group()[PriorityGroup.GRATIS].size == 0
         censored = metrics.delays_by_group(include_unscheduled_at=100.0)
         assert censored[PriorityGroup.GRATIS][0] == pytest.approx(90.0)

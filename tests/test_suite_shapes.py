@@ -153,6 +153,11 @@ ROBUSTNESS_PASSING = {
         },
     },
     "fault_poisson": {"tasks_scheduled": 4000, "resilience": {"machines_failed": 10}},
+    "fault_stragglers": {
+        "tasks_scheduled": 4000,
+        "tasks_killed": 0,
+        "resilience": {"invalid_decisions": 0},
+    },
 }
 
 ROBUSTNESS_VIOLATIONS = {
@@ -169,6 +174,13 @@ ROBUSTNESS_VIOLATIONS = {
     "fault_poisson resilience.machines_failed": ("fault_poisson", ("resilience", "machines_failed"), 0),
     "fault_poisson tasks_scheduled vs 0.9 x fault_clean": (
         "fault_poisson", ("tasks_scheduled",), 3599,
+    ),
+    "fault_stragglers tasks_killed": ("fault_stragglers", ("tasks_killed",), 1),
+    "fault_stragglers resilience.invalid_decisions": (
+        "fault_stragglers", ("resilience", "invalid_decisions"), 1,
+    ),
+    "fault_stragglers tasks_scheduled vs 0.9 x fault_clean": (
+        "fault_stragglers", ("tasks_scheduled",), 3599,
     ),
 }
 
@@ -196,6 +208,7 @@ class TestRobustnessShapes:
         rows = _by_shape(suites.robustness_shapes(_report(summaries)))
         assert rows["fault_outage tasks_scheduled vs 0.85 x fault_clean"].ok is None
         assert rows["fault_poisson tasks_scheduled vs 0.9 x fault_clean"].ok is None
+        assert rows["fault_stragglers tasks_scheduled vs 0.9 x fault_clean"].ok is None
         assert rows["fault_outage tasks_killed"].ok is True
 
 
