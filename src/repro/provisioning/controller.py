@@ -155,14 +155,12 @@ class HarmonyController:
         machine_models: tuple[MachineModel, ...],
         manager: ContainerManager,
         config: ControllerConfig | None = None,
-        allowed_platforms: dict[int, frozenset[int] | None] | None = None,
     ) -> None:
         if not machine_models:
             raise ValueError("need at least one machine model")
         self.machine_models = machine_models
         self.manager = manager
         self.config = config or ControllerConfig()
-        self.allowed_platforms = allowed_platforms
         self.class_ids: list[int] = sorted(manager.specs)
         self._predictors: dict[int, Predictor] = {
             class_id: self.config.predictor_factory() for class_id in self.class_ids
@@ -275,7 +273,6 @@ class HarmonyController:
             prices=prices,
             interval_seconds=self.config.interval_seconds,
             available=available,
-            allowed_platforms=self.allowed_platforms,
             overprovision=omega,
         )
 

@@ -132,18 +132,12 @@ class ContainerType:
             raise ValueError(f"container sizes must be positive, got {self.size}")
 
     @staticmethod
-    def from_spec(
-        spec: ContainerSpec,
-        weight: float,
-        demand: float,
-        allowed_platforms: frozenset[int] | None = None,
-    ) -> "ContainerType":
+    def from_spec(spec: ContainerSpec, weight: float, demand: float) -> "ContainerType":
         return ContainerType(
             class_id=spec.class_id,
             name=spec.task_class.name,
             size=(spec.cpu, spec.memory),
             utility=UtilityFunction.capped_linear(weight, max(demand, 1e-9)),
-            allowed_platforms=allowed_platforms,
         )
 
     def fits(self, machine: MachineClass) -> bool:
@@ -279,7 +273,6 @@ def build_problem(
     prices: np.ndarray,
     interval_seconds: float,
     available: dict[int, int] | None = None,
-    allowed_platforms: dict[int, frozenset[int] | None] | None = None,
     overprovision: np.ndarray | None = None,
 ) -> ProvisioningProblem:
     """Assemble a :class:`ProvisioningProblem` from catalog + container plan.
@@ -313,15 +306,9 @@ def build_problem(
         weight = default_utility_weight(
             machines, spec, float(np.max(prices)), interval_seconds
         ) * group_utility_multiplier(spec)
-        platforms = None
-        if allowed_platforms is not None:
-            platforms = allowed_platforms.get(class_id)
         containers.append(
             ContainerType.from_spec(
-                spec,
-                weight=weight,
-                demand=max(float(peak_demand[column]), 1.0),
-                allowed_platforms=platforms,
+                spec, weight=weight, demand=max(float(peak_demand[column]), 1.0)
             )
         )
     return ProvisioningProblem(

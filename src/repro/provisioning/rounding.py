@@ -210,17 +210,11 @@ class RoundedPlan:
 class FirstFitRounder:
     """Rounds a fractional CBS-RELAX step to an integer machine plan.
 
-    The machine budget per type is ``ceil(z*) + extra_machines``.  For
-    fractional z* this equals Lemma 1's ``floor(z*) + 1``; at integer z*
-    the lemma's extra machine is only needed when the packing drops
-    containers, and at small fleet scales a flat +1 per type is a
-    measurable energy tax, so it is opt-in via ``extra_machines``.
+    The machine budget per type is ``ceil(z*)``.  For fractional z* this
+    equals Lemma 1's ``floor(z*) + 1``; at integer z* the lemma's extra
+    machine is only needed when the packing drops containers, and at small
+    fleet scales a flat +1 per type is a measurable energy tax.
     """
-
-    def __init__(self, extra_machines: int = 0) -> None:
-        if extra_machines < 0:
-            raise ValueError(f"extra_machines must be >= 0, got {extra_machines}")
-        self.extra_machines = extra_machines
 
     def round(
         self,
@@ -251,10 +245,7 @@ class FirstFitRounder:
 
         for m, machine in enumerate(problem.machines):
             z_frac = float(solution.z[t, m])
-            budget = min(
-                int(math.ceil(z_frac - 1e-9)) + self.extra_machines,
-                machine.available,
-            )
+            budget = min(int(math.ceil(z_frac - 1e-9)), machine.available)
             target = targets[m]
             machines_used, leftover = first_fit_pack(
                 target,

@@ -634,8 +634,8 @@ class ClusterSimulator:
         """Priority-order the pending queue if appends dirtied it.
 
         Highest priority first; FIFO (stable by submit time) within a
-        priority level.  Shared by the object and columnar engines so both
-        walk an identically ordered queue.
+        priority level.  The columnar engine's rank-keyed queue reproduces
+        this order exactly.
         """
         if self._pending_dirty:
             self._pending.sort(key=lambda t: (-t.priority, t.submit_time))

@@ -6,8 +6,10 @@ machines in pure python.  This module keeps the *object state* — machines,
 pools, quota ledger, metrics — authoritative and bit-identical, but drives
 the hot paths through numpy columns:
 
-- the task population lives in a numpy structured array
-  (:class:`TaskColumns`: arrival, size, duration, priority, class);
+- the task population lives in plain numpy columns (:class:`TaskColumns`:
+  arrival, size, class, queue rank);
+- the pending queue is an array of task rows sorted by their static queue
+  rank, ties in append order, merged with one binary search per batch;
 - per-pool capacity columns (cpu-free / memory-free / schedulable) mirror
   the machine objects and are refreshed from them, never integrated
   independently, so no float drift can accumulate;
@@ -50,19 +52,19 @@ monotonically within a round, so round-start feasibility is a superset of
 feasibility at any later point in the round, and retests clear bits
 conservatively), and a task examined without being placed has no
 outcome-affecting side effects in the object engine: the rotating hints
-mutate only on success, and the pareto memo, which a failed walk does
-extend, is outcome-neutral — it only rejects demands dominating one that
-already failed in that pool this round, which cannot fit there either.
-Skipping a walk therefore changes nothing but the work done.  Everything
-else (placement order, ledger stocks, metrics, fabric deferrals, event
-ordering) follows the object engine's code paths exactly; the
-differential suite (``tests/test_columnar_differential.py``) enforces the
-digests.
+mutate only on success, and the object engine's pareto memo, which a
+failed walk does extend, is outcome-neutral — it only rejects demands
+dominating one that already failed in that pool this round, which cannot
+fit there either.  The columnar walk therefore keeps no memo, and skipping
+a walk changes nothing but the work done.  Everything else (placement
+order, ledger stocks, metrics, fabric deferrals, event ordering) follows
+the object engine's code paths exactly; the differential suite
+(``tests/test_columnar_differential.py``) enforces the digests.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -75,17 +77,6 @@ from repro.trace.schema import Task
 #: The capacity epsilon of :meth:`Machine.fits` — the kernels must compare
 #: with the exact same float expression (``demand <= free + EPS``).
 FIT_EPS = 1e-9
-
-_TASK_DTYPE = np.dtype(
-    [
-        ("submit", np.float64),
-        ("cpu", np.float64),
-        ("memory", np.float64),
-        ("duration", np.float64),
-        ("priority", np.int64),
-        ("class_id", np.int64),
-    ]
-)
 
 
 # ---------------------------------------------------------------- kernels
@@ -140,11 +131,13 @@ def first_fit_index(
 
 
 class TaskColumns:
-    """The task population as a numpy structured array plus constraint bits.
+    """The task population as plain numpy columns plus constraint bits.
 
-    One row per task in trace order: arrival (submit), size (cpu, memory),
-    duration, priority and class-id columns in :attr:`table`, and a dense
-    boolean ``allowed[row, pool]`` matrix resolving each task's
+    One row per task in trace order: ``submit``, ``cpu``, ``memory`` and
+    ``class_id`` columns; a static queue ``rank``, ordering rows as the
+    object engine's pending sort key ``(-priority, submit_time)`` does,
+    with equal keys getting equal ranks; and a dense boolean
+    ``allowed[row, pool]`` matrix resolving each task's
     ``allowed_platforms`` against a pool ordering.  ``row_of`` maps task
     uid -> row for O(1) gather of any pending window.
     """
@@ -155,41 +148,26 @@ class TaskColumns:
         class_of: Callable[[Task], int],
         pool_platform_ids: tuple[int, ...],
     ) -> None:
-        n = len(tasks)
-        self.table = np.zeros(n, dtype=_TASK_DTYPE)
-        self.allowed = np.ones((n, len(pool_platform_ids)), dtype=bool)
-        self.row_of: dict[tuple[int, int], int] = {}
+        self.submit = np.array([task.submit_time for task in tasks], dtype=np.float64)
+        self.cpu = np.array([task.cpu for task in tasks], dtype=np.float64)
+        self.memory = np.array([task.memory for task in tasks], dtype=np.float64)
+        self.class_id = np.array([class_of(task) for task in tasks], dtype=np.int64)
+        keys = [(-task.priority, task.submit_time) for task in tasks]
+        rank_of = {key: rank for rank, key in enumerate(sorted(set(keys)))}
+        self.rank = np.array([rank_of[key] for key in keys], dtype=np.intp)
+        self.allowed = np.ones((len(tasks), len(pool_platform_ids)), dtype=bool)
+        self.row_of = {task.uid: row for row, task in enumerate(tasks)}
         pool_index = {pid: j for j, pid in enumerate(pool_platform_ids)}
         for row, task in enumerate(tasks):
-            self.table[row] = (
-                task.submit_time,
-                task.cpu,
-                task.memory,
-                task.duration,
-                task.priority,
-                class_of(task),
-            )
             if task.allowed_platforms is not None:
                 self.allowed[row, :] = False
                 for platform_id in task.allowed_platforms:
                     j = pool_index.get(platform_id)
                     if j is not None:
                         self.allowed[row, j] = True
-            self.row_of[task.uid] = row
-        self.submit = self.table["submit"]
-        self.cpu = self.table["cpu"]
-        self.memory = self.table["memory"]
-        self.duration = self.table["duration"]
-        self.priority = self.table["priority"]
-        self.class_id = self.table["class_id"]
 
     def __len__(self) -> int:
-        return len(self.table)
-
-    def rows_for(self, tasks: Iterable[Task]) -> np.ndarray:
-        """Row indices of ``tasks``, in the given order."""
-        row_of = self.row_of
-        return np.fromiter((row_of[t.uid] for t in tasks), dtype=np.intp)
+        return len(self.submit)
 
 
 # ----------------------------------------------------- columnar scheduler
@@ -329,20 +307,16 @@ class ColumnarFirstFitScheduler(FirstFitScheduler):
     # --------------------------------------------------------- placement
 
     def try_place(
-        self,
-        task: Task,
-        class_id: int,
-        ledger: QuotaLedger,
-        failed: dict[int, list[tuple[float, float]]] | None = None,
+        self, task: Task, class_id: int, ledger: QuotaLedger
     ) -> Machine | None:
         """Check-for-check replica of the base walk over the room columns.
 
-        Same pool order, same skip conditions, same pareto-memo handling
-        and deferral accounting as :meth:`FirstFitScheduler.try_place` — but
-        the machine scan is the vectorized kernel, preceded by the O(1)
-        bound reject, and a successful placement fixes the placed
-        machine's room and the pool bounds up immediately so the bounds
-        stay exact within a round.
+        Same pool order, same skip conditions and deferral accounting as
+        :meth:`FirstFitScheduler.try_place`, without its pareto memo (which
+        only rejects demands that cannot fit either) — but the machine scan
+        is the vectorized kernel, preceded by the O(1) bound reject, and a
+        successful placement fixes the placed machine's room and the pool
+        bounds up immediately so the bounds stay exact within a round.
         """
         self._flush()
         skipped_unreachable = False
@@ -361,12 +335,6 @@ class ColumnarFirstFitScheduler(FirstFitScheduler):
                 continue
             if not ledger.admits(platform_id, class_id):
                 continue
-            if failed is not None:
-                pool_failed = failed.get(platform_id)
-                if pool_failed is not None and any(
-                    task_cpu >= fc and task_memory >= fm for fc, fm in pool_failed
-                ):
-                    continue
             if task_cpu > self._cpu_bound[j] or task_memory > self._memory_bound[j]:
                 index = -1
             else:
@@ -386,14 +354,6 @@ class ColumnarFirstFitScheduler(FirstFitScheduler):
                     self._refresh_machine(j, index)
                     self._recompute_bounds(j)
                 return machine
-            if failed is not None:
-                entry = failed.setdefault(platform_id, [])
-                entry[:] = [
-                    (fc, fm)
-                    for fc, fm in entry
-                    if not (fc >= task_cpu and fm >= task_memory)
-                ]
-                entry.append((task_cpu, task_memory))
         if skipped_unreachable:
             self.fabric_deferrals += 1
         return None
@@ -427,12 +387,9 @@ class ColumnarFirstFitScheduler(FirstFitScheduler):
         A row is placeable when some pool passes every check of the walk —
         reachable, within the machine model's size, ``allowed``, admitted
         (``admits[k, j]`` for row k, ``None`` meaning unrestricted) — and
-        has a schedulable machine with room.  The pareto memo is ignored:
-        it only rejects demands that dominate one that already failed in
-        the pool this round, which cannot fit there either.  The first
-        four checks are one (row x pool) prefilter, including the pools'
-        exact room maxima; machine rooms are compared only for the pools a
-        row passes it on.
+        has a schedulable machine with room.  The first four checks are one
+        (row x pool) prefilter, including the pools' exact room maxima;
+        machine rooms are compared only for the pools a row passes it on.
         """
         self._flush()
         cpu = columns.cpu[rows]
@@ -480,8 +437,8 @@ class ColumnarClusterSimulator(ClusterSimulator):
     (a) source arrivals from the sorted submit column, (b) run scheduling
     rounds through the feasibility cache, (c) keep the capacity columns
     and the cache in sync with machine mutations, and (d) hold the
-    priority queue as parallel numpy arrays over an append-only backing
-    list, merged incrementally instead of resorting a python list.
+    priority queue as task rows sorted by queue rank, merging appends
+    instead of resorting a python list.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -492,18 +449,14 @@ class ColumnarClusterSimulator(ClusterSimulator):
             self._task_class,
             tuple(pool.platform_id for pool in self.scheduler.pools),
         )
-        #: The priority queue as parallel numpy arrays instead of a sorted
-        #: python list.  ``self._pending`` stays append-only (the parent
-        #: only ever appends); these arrays hold the *active* entries in
-        #: the exact order the object engine's sorted list would have:
-        #: positions into ``self._pending``, task rows, and the sort-key
-        #: columns (negated priority, submit) used for incremental merges.
-        self._sorted_pos = np.empty(0, dtype=np.intp)
-        self._sorted_rows = np.empty(0, dtype=np.intp)
-        self._sorted_negp = np.empty(0, dtype=np.int64)
-        self._sorted_submit = np.empty(0, dtype=np.float64)
-        #: Prefix of ``self._pending`` already merged into the arrays;
-        #: entries past it are appends awaiting the next round's merge.
+        #: The priority queue: the queued tasks' rows, in the exact order the
+        #: object engine's sorted list would have — by queue rank, ties in
+        #: append order — and their ranks alongside.  ``self._pending``
+        #: stays append-only (the parent only ever appends).
+        self._queue_rows = np.empty(0, dtype=np.intp)
+        self._queue_rank = np.empty(0, dtype=np.intp)
+        #: Prefix of ``self._pending`` already merged into the queue;
+        #: entries past it are appends awaiting the next merge.
         self._merged_len = 0
         #: Per-task proof bits: True = a placement attempt (or a full
         #: vectorized mask) proved this pending task unplaceable, and no
@@ -620,100 +573,41 @@ class ColumnarClusterSimulator(ClusterSimulator):
         self._openings.clear()
 
     def _merge_appends(self) -> None:
-        """Merge tasks appended to ``_pending`` into the sorted arrays.
+        """Merge tasks appended to ``_pending`` into the queue.
 
         The object engine's stable ``list.sort(key=(-priority, submit))``
         over *already-sorted prefix + appended tail* is exactly a stable
-        merge: each appended task lands after every equal-key entry of the
-        prefix (stability), appended tasks keep their relative order on
-        ties, and unequal keys find their positions independently.  Small
-        batches binary-search their slots against the cached key columns
-        and go in with one multi-index ``np.insert``; large batches (crash
-        sweeps) fall back to a full stable lexsort of the concatenation —
-        both reproduce the python sort's permutation bit-exactly, without
-        ever rebuilding a python list.
+        merge: each appended task lands after every equal-rank entry of
+        the queue, and appended tasks keep their relative order on ties.
+        A stable sort of the batch by rank, a right-side binary search and
+        one multi-index ``np.insert`` (which keeps equal insertion points
+        in value order) reproduce the python sort's permutation exactly.
         """
-        pending = self._pending
-        n = len(pending)
-        m = self._merged_len
-        if n == m:
+        appended = self._pending[self._merged_len :]
+        if not appended:
             return
-        cols = self.columns
-        row_of = cols.row_of
-        rows_new = np.fromiter(
-            (row_of[t.uid] for t in pending[m:n]), dtype=np.intp, count=n - m
+        row_of = self.columns.row_of
+        rows = np.fromiter(
+            (row_of[t.uid] for t in appended), dtype=np.intp, count=len(appended)
         )
-        pos_new = np.arange(m, n, dtype=np.intp)
-        negp_new = -cols.priority[rows_new]
-        submit_new = cols.submit[rows_new]
-        sorted_negp = self._sorted_negp
-        sorted_submit = self._sorted_submit
-        if len(sorted_negp) == 0 or (n - m) > 32:
-            pos_cat = np.concatenate([self._sorted_pos, pos_new])
-            rows_cat = np.concatenate([self._sorted_rows, rows_new])
-            negp_cat = np.concatenate([sorted_negp, negp_new])
-            submit_cat = np.concatenate([sorted_submit, submit_new])
-            order = np.lexsort((submit_cat, negp_cat))
-            self._sorted_pos = pos_cat[order]
-            self._sorted_rows = rows_cat[order]
-            self._sorted_negp = negp_cat[order]
-            self._sorted_submit = submit_cat[order]
-        else:
-            # Stable-sort the batch by key first: two appends landing in
-            # the same gap of the prefix must come out in key order (ties
-            # in append order), which multi-index ``np.insert`` preserves
-            # only if the values already arrive sorted.
-            batch_order = np.lexsort((submit_new, negp_new))
-            pos_new = pos_new[batch_order]
-            rows_new = rows_new[batch_order]
-            negp_new = negp_new[batch_order]
-            submit_new = submit_new[batch_order]
-            ins = np.empty(n - m, dtype=np.intp)
-            for k in range(n - m):
-                lo = int(np.searchsorted(sorted_negp, negp_new[k], side="left"))
-                hi = int(np.searchsorted(sorted_negp, negp_new[k], side="right"))
-                ins[k] = lo + int(
-                    np.searchsorted(
-                        sorted_submit[lo:hi], submit_new[k], side="right"
-                    )
-                )
-            self._sorted_pos = np.insert(self._sorted_pos, ins, pos_new)
-            self._sorted_rows = np.insert(self._sorted_rows, ins, rows_new)
-            self._sorted_negp = np.insert(sorted_negp, ins, negp_new)
-            self._sorted_submit = np.insert(sorted_submit, ins, submit_new)
-        self._merged_len = n
-        self._pending_dirty = False
-
-    def _sort_pending(self) -> None:
-        # The sorted order lives in the parallel arrays; never let the
-        # parent resort the append-only backing list.
-        self._merge_appends()
+        rows = rows[np.argsort(self.columns.rank[rows], kind="stable")]
+        rank = self.columns.rank[rows]
+        at = np.searchsorted(self._queue_rank, rank, side="right")
+        self._queue_rows = np.insert(self._queue_rows, at, rows)
+        self._queue_rank = np.insert(self._queue_rank, at, rank)
+        self._merged_len += len(appended)
 
     def _backlog_by_class(self) -> dict[int, int]:
-        """Parent's backlog census, vectorized, in the parent's key order.
+        """Queued tasks per class id, as the parent counts them.
 
-        The object engine iterates its pending list as *last sorted order
-        plus appends* and the dict's keys appear in first-encounter
-        order; counting the class-id column over the sorted rows plus the
-        unmerged tail and emitting classes sorted by first occurrence
-        reproduces both the counts and that key order exactly (the
-        append-only backing list's placed entries are skipped because the
-        sorted arrays never reference them).
+        Keys come in class-id order, not the parent's first-encounter
+        order; the controller reads the census by key only.
         """
-        cols = self.columns
-        rows = self._sorted_rows
-        pending = self._pending
-        m = self._merged_len
-        n = len(pending)
-        if n > m:
-            rows = np.concatenate([rows, cols.rows_for(pending[m:n])])
-        if not len(rows):
-            return {}
-        unique, first_index, counts = np.unique(
-            cols.class_id[rows], return_index=True, return_counts=True
+        self._merge_appends()
+        classes, counts = np.unique(
+            self.columns.class_id[self._queue_rows], return_counts=True
         )
-        order = np.argsort(first_index, kind="stable")
-        return {int(unique[i]): int(counts[i]) for i in order.tolist()}
+        return dict(zip(classes.tolist(), counts.tolist()))
 
     def _consume_events(self) -> None:
         """Retest flagged tasks against capacity growth / quota openings.
@@ -730,7 +624,7 @@ class ColumnarClusterSimulator(ClusterSimulator):
         if not growth and not openings:
             return
         flags = self._infeasible
-        rows = self._sorted_rows
+        rows = self._queue_rows
         flagged = flags[rows]
         if flagged.any():
             sub = rows[flagged]
@@ -815,8 +709,8 @@ class ColumnarClusterSimulator(ClusterSimulator):
         if not self._pending:
             return
         self._merge_appends()
-        spos = self._sorted_pos
-        total = len(spos)
+        rows = self._queue_rows
+        total = len(rows)
         if not total:
             # The append-only backing list may still reference placed
             # tasks; an empty active queue means the object engine would
@@ -826,10 +720,9 @@ class ColumnarClusterSimulator(ClusterSimulator):
         scheduler._flush()
         self._consume_events()
         now = self._queue.now
-        pending = self._pending
+        tasks = self.tasks
         window_len = min(max_attempts, total)
-        window_pos = spos[:window_len]
-        window_rows = self._sorted_rows[:window_len]
+        window_rows = rows[:window_len]
         infeasible = self._infeasible
         ledger = self.ledger
         class_ids = self.columns.class_id
@@ -868,16 +761,16 @@ class ColumnarClusterSimulator(ClusterSimulator):
             return
         placed = np.zeros(window_len, dtype=bool)
         placements: list[tuple[Task, int, Machine]] = []
-        failed: dict[int, list[tuple[float, float]]] = {}
         pool_index = scheduler._pool_index
         order = candidates.tolist()
         k = 0
         while k < len(order):
             i = order[k]
             k += 1
-            task = pending[window_pos[i]]
-            class_id = int(class_ids[window_rows[i]])
-            machine = scheduler.try_place(task, class_id, ledger, failed)
+            row = window_rows[i]
+            task = tasks[row]
+            class_id = int(class_ids[row])
+            machine = scheduler.try_place(task, class_id, ledger)
             if machine is not None:
                 placed[i] = True
                 placements.append((task, class_id, machine))
@@ -887,7 +780,7 @@ class ColumnarClusterSimulator(ClusterSimulator):
                         ledger.admits(platform_id, class_id)
                     )
                 continue
-            infeasible[window_rows[i]] = True
+            infeasible[row] = True
             if k == len(order):
                 break
             # Skip straight to the next candidate the walk can place.  Stocks
@@ -902,20 +795,10 @@ class ColumnarClusterSimulator(ClusterSimulator):
             order = rest[fits].tolist()
             k = 0
         if placements:
-            keep = ~placed
-            self._sorted_pos = np.concatenate([window_pos[keep], spos[window_len:]])
-            self._sorted_rows = np.concatenate(
-                [window_rows[keep], self._sorted_rows[window_len:]]
-            )
-            self._sorted_negp = np.concatenate(
-                [self._sorted_negp[:window_len][keep], self._sorted_negp[window_len:]]
-            )
-            self._sorted_submit = np.concatenate(
-                [
-                    self._sorted_submit[:window_len][keep],
-                    self._sorted_submit[window_len:],
-                ]
-            )
+            keep = np.ones(total, dtype=bool)
+            keep[:window_len] = ~placed
+            self._queue_rows = rows[keep]
+            self._queue_rank = self._queue_rank[keep]
         for task, class_id, machine in placements:
             self._machine_of[task.uid] = machine
             self._start_task(task, class_id, machine, now)

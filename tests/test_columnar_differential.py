@@ -153,8 +153,8 @@ class TestDeepBacklog:
                 events.append(("skip", int((~fits).sum())))
             return fits
 
-        def spy_try_place(self, task, class_id, ledger, failed=None):
-            machine = try_place(self, task, class_id, ledger, failed)
+        def spy_try_place(self, task, class_id, ledger):
+            machine = try_place(self, task, class_id, ledger)
             if in_round:
                 events.append(("walk", int(machine is not None)))
             return machine

@@ -10,7 +10,9 @@ object engine's code path; hypothesis drives randomized agreement checks:
   non-schedulable machines);
 - :meth:`ColumnarFirstFitScheduler.placeable`, the pass a scheduling round
   uses to skip candidates, must mark exactly the tasks ``try_place`` can
-  place on the same state.
+  place on the same state;
+- :meth:`ColumnarClusterSimulator._merge_appends` must leave the queue in
+  the order of the object engine's stable pending sort.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from hypothesis import strategies as st
 from repro.energy.models import LinearPowerModel, MachineModel
 from repro.simulation.columnar import (
     FIT_EPS,
+    ColumnarClusterSimulator,
     ColumnarFirstFitScheduler,
     TaskColumns,
     capacity_room,
@@ -181,15 +184,15 @@ def draw_state(draw):
     return scheduler, ledger, tasks, class_of
 
 
-def walk_places(scheduler, ledger, task, class_id, failed):
+def walk_places(scheduler, ledger, task, class_id):
     """Whether ``try_place`` places ``task`` on a copy of the state.
 
     Also checks the deferral a failing walk counts, which the round adds
     for every candidate the pass skips.
     """
-    scheduler, ledger, failed = copy.deepcopy((scheduler, ledger, failed))
+    scheduler, ledger = copy.deepcopy((scheduler, ledger))
     before = scheduler.fabric_deferrals
-    placed = scheduler.try_place(task, class_id, ledger, failed) is not None
+    placed = scheduler.try_place(task, class_id, ledger) is not None
     deferred = scheduler.fabric_deferrals - before
     assert deferred == (0 if placed else int(scheduler.defers))
     return placed
@@ -201,11 +204,11 @@ class TestPlaceable:
     def test_matches_try_place_along_a_serial_walk(self, data):
         """Every skipped row fails its walk; every kept row places.
 
-        The rows are walked serially as a round walks them, sharing one
-        pareto memo and patching the admission table after each
-        placement, and at every step the pass over the remaining rows
-        must agree with ``try_place`` row by row.  In particular the first
-        row it keeps is the first one ``try_place`` can place.
+        The rows are walked serially as a round walks them, patching the
+        admission table after each placement, and at every step the pass
+        over the remaining rows must agree with ``try_place`` row by row.
+        In particular the first row it keeps is the first one ``try_place``
+        can place.
         """
         scheduler, ledger, tasks, class_of = draw_state(data.draw)
         columns = TaskColumns(
@@ -215,18 +218,85 @@ class TestPlaceable:
         )
         classes = [class_of[task.uid] for task in tasks]
         table, index = scheduler.admission_table(ledger, np.array(classes))
-        failed: dict[int, list[tuple[float, float]]] = {}
         for k, task in enumerate(tasks):
             rows = np.arange(k, len(tasks))
             admits = table[index[k:]] if ledger.restricted else None
             fits = scheduler.placeable(rows, columns, admits)
             expected = [
-                walk_places(scheduler, ledger, tasks[row], classes[row], failed)
+                walk_places(scheduler, ledger, tasks[row], classes[row])
                 for row in rows
             ]
             assert fits.tolist() == expected
-            machine = scheduler.try_place(task, classes[k], ledger, failed)
+            machine = scheduler.try_place(task, classes[k], ledger)
             if machine is not None:
                 platform_id = machine.model.platform_id
                 j = scheduler._pool_index[platform_id]
                 table[index[k], j] = ledger.admits(platform_id, classes[k])
+
+
+# --------------------------------------------------------- the queue merge
+
+
+class TestQueueMerge:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_merges_match_the_object_engine_sort(self, data):
+        """The queue's rows follow ``list.sort(key=(-priority, submit))``.
+
+        Steps append batches of 1-100 tasks not currently queued — first
+        arrivals and re-appends of removed rows alike, as preemption and
+        crash sweeps append them — or remove a subset of the front window
+        as a round's placements do.  Priorities and submit times come from
+        small sets, so most keys tie.  After every merge the rows must be
+        the object engine's stable sort of its own pending list.
+        """
+        count = data.draw(st.integers(1, 150))
+        tasks = tuple(
+            Task(
+                job_id=0,
+                index=index,
+                submit_time=data.draw(st.sampled_from([0.0, 1.0, 2.5])),
+                duration=1.0,
+                priority=data.draw(st.integers(0, 2)),
+                scheduling_class=0,
+                cpu=0.1,
+                memory=0.1,
+            )
+            for index in range(count)
+        )
+        model = MachineModel(
+            name="m",
+            platform_id=1,
+            cpu_capacity=1.0,
+            memory_capacity=1.0,
+            count=1,
+            power_model=LinearPowerModel(100.0, (50.0, 10.0)),
+        )
+        sim = ColumnarClusterSimulator(tasks, 1.0, (model,), None, lambda task: 0)
+        row_of = sim.columns.row_of
+        expected: list[Task] = []
+        for _ in range(data.draw(st.integers(1, 8))):
+            queued = {task.uid for task in expected}
+            idle = [task for task in tasks if task.uid not in queued]
+            if idle and data.draw(st.booleans()):
+                batch = data.draw(
+                    st.lists(
+                        st.sampled_from(idle),
+                        min_size=1,
+                        max_size=min(100, len(idle)),
+                        unique_by=lambda task: task.uid,
+                    )
+                )
+                sim._pending.extend(batch)
+                expected.extend(batch)
+                sim._merge_appends()
+                expected.sort(key=lambda t: (-t.priority, t.submit_time))
+                assert sim._queue_rows.tolist() == [row_of[t.uid] for t in expected]
+            elif expected:
+                window = data.draw(st.integers(1, len(expected)))
+                placed = [data.draw(st.booleans()) for _ in range(window)]
+                keep = np.ones(len(expected), dtype=bool)
+                keep[:window] = np.logical_not(placed)
+                sim._queue_rows = sim._queue_rows[keep]
+                sim._queue_rank = sim._queue_rank[keep]
+                expected = [t for t, kept in zip(expected, keep) if kept]

@@ -2,9 +2,11 @@
 
 Every field here doubles the configurations tests and benchmarks must
 cover, so a value only ever left at its default is a module constant
-instead.  Adding a field means updating this list on purpose.
+instead.  Adding a field, or a constructor parameter to a pinned class,
+means updating these lists on purpose.
 """
 
+import inspect
 from dataclasses import fields
 
 import pytest
@@ -13,6 +15,7 @@ import repro.provisioning
 import repro.resilience
 from repro.classification import ClassifierConfig
 from repro.containers import ContainerManagerConfig
+from repro.provisioning import ControllerConfig, FirstFitRounder, HarmonyController
 from repro.runner import SupervisorConfig
 from repro.simulation import ClusterConfig, HarmonyConfig
 
@@ -26,6 +29,9 @@ FIELDS = {
     ClusterConfig: ["control_interval", "price", "fault_plan", "enable_preemption"],
     ContainerManagerConfig: ["epsilon", "delay_slos", "capacity_ladders"],
     ClassifierConfig: ["seed"],
+    ControllerConfig: [
+        "interval_seconds", "horizon", "price", "overprovision", "predictor_factory",
+    ],
     SupervisorConfig: [
         "timeout_seconds", "max_attempts", "backoff_base_seconds",
         "backoff_cap_seconds", "memory_ceiling_mb",
@@ -36,6 +42,18 @@ FIELDS = {
 @pytest.mark.parametrize("config", list(FIELDS), ids=lambda c: c.__name__)
 def test_config_fields_are_pinned(config):
     assert [f.name for f in fields(config)] == FIELDS[config]
+
+
+#: Constructor parameters of the provisioning classes, pinned like the fields.
+PARAMETERS = {
+    FirstFitRounder: [],
+    HarmonyController: ["machine_models", "manager", "config"],
+}
+
+
+@pytest.mark.parametrize("cls", list(PARAMETERS), ids=lambda c: c.__name__)
+def test_constructor_parameters_are_pinned(cls):
+    assert list(inspect.signature(cls).parameters) == PARAMETERS[cls]
 
 
 @pytest.mark.parametrize(
