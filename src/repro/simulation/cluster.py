@@ -142,8 +142,6 @@ class ClusterSimulator:
         )
 
         self._queue = EventQueue()
-        self._pending: list[Task] = []
-        self._pending_dirty = False
         self._class_cache: dict[tuple[int, int], int] = {}
         self._interval_arrivals: dict[int, float] = {}
         self._last_switch_counts: dict[int, tuple[int, int]] = {
@@ -262,8 +260,7 @@ class ClusterSimulator:
         if machine is None and self.config.enable_preemption:
             machine = self._try_preempt(task, class_id, now)
         if machine is None:
-            self._pending.append(task)
-            self._pending_dirty = True
+            self.scheduler.enqueue(task, proven=True)
         else:
             self._machine_of[task.uid] = machine
             self._start_task(task, class_id, machine, now)
@@ -287,23 +284,23 @@ class ClusterSimulator:
         self._finish_time.pop(task.uid, None)
         class_id = machine.release(task)
         self.ledger.release(machine.model.platform_id, class_id)
+        self.scheduler.released(machine, class_id)
         self.metrics.task_finished(task, now)
         self._demand_cpu = max(self._demand_cpu - task.cpu, 0.0)
         self._demand_memory = max(self._demand_memory - task.memory, 0.0)
         pool = self._pool_by_platform[machine.model.platform_id]
         pool.maybe_power_off(machine)
-        if self._pending:
-            self._schedule_round(BACKFILL_ATTEMPTS)
+        self._schedule_round(BACKFILL_ATTEMPTS)
 
     def _on_machine_ready(self, machine) -> None:
         pool = self._pool_by_platform[machine.model.platform_id]
         pool.machine_ready(machine)
+        self.scheduler.machine_changed(machine)
         if machine.state is MachineState.ON:
             # Closes the repair episode if this machine had crashed (no-op
             # otherwise); a boot cancelled by a mid-boot crash stays open.
             self.metrics.machine_recovered(machine.machine_id, self._queue.now)
-        if self._pending:
-            self._schedule_round(BACKFILL_ATTEMPTS)
+        self._schedule_round(BACKFILL_ATTEMPTS)
 
     def _on_tick(self, now: float) -> None:
         self._account_energy(now)
@@ -311,6 +308,8 @@ class ClusterSimulator:
         if now >= self.horizon:
             return
         if self.relabel is not None:
+            # Moves ledger slots without notifying the scheduler; sound
+            # only because _apply_decision invalidates it in this tick.
             self._relabel_running(now)
 
         # What the monitoring pipe reports — zeroed during a blackout, even
@@ -333,7 +332,7 @@ class ClusterSimulator:
             )
         view = ClusterView(
             time=now,
-            backlog=self._backlog_by_class(),
+            backlog=self.scheduler.backlog_by_class(self._task_class),
             running=self._running_by_class(),
             running_by_platform=running_by_platform,
             demand_cpu=self._demand_cpu,
@@ -417,10 +416,10 @@ class ClusterSimulator:
             record.schedule_time = None
             record.platform_id = None
             self.tasks_preempted += 1
-            self._pending.append(victim)
-            self._pending_dirty = True
+            self.scheduler.enqueue(victim)
         best_machine.place(task, class_id)
         self.ledger.place(best_machine.model.platform_id, class_id)
+        self.scheduler.invalidate()
         return best_machine
 
     # -------------------------------------------------------- fault hooks
@@ -440,8 +439,10 @@ class ClusterSimulator:
             return  # already down (overlapping faults)
         killed = pool.fail(machine, now, repair_seconds)
         self.metrics.machine_failed(machine.machine_id, now)
+        self.scheduler.machine_changed(machine)
         for task, class_id in killed:
             self.ledger.release(machine.model.platform_id, class_id)
+            self.scheduler.released(machine, class_id)
             self._machine_of.pop(task.uid, None)
             self._finish_time.pop(task.uid, None)
             # Invalidate the in-flight finish event.
@@ -451,8 +452,7 @@ class ClusterSimulator:
             record.platform_id = None
             self.metrics.task_killed(task, now)
             self.tasks_killed += 1
-            self._pending.append(task)
-            self._pending_dirty = True
+            self.scheduler.enqueue(task)
 
     def rescale_machine(self, machine, slowdown: float, now: float) -> None:
         """Set a machine's straggler factor.
@@ -606,13 +606,6 @@ class ClusterSimulator:
                     self.metrics.records[uid].class_id = new_class
                     self.relabel_events += 1
 
-    def _backlog_by_class(self) -> dict[int, int]:
-        backlog: dict[int, int] = {}
-        for task in self._pending:
-            class_id = self._task_class(task)
-            backlog[class_id] = backlog.get(class_id, 0) + 1
-        return backlog
-
     def _running_by_class(self) -> dict[int, int]:
         running: dict[int, int] = {}
         for pool in self.pools:
@@ -629,30 +622,17 @@ class ClusterSimulator:
                 self._queue.schedule(
                     now + machine.model.boot_seconds, EventKind.MACHINE_READY, machine
                 )
-
-    def _sort_pending(self) -> None:
-        """Priority-order the pending queue if appends dirtied it.
-
-        Highest priority first; FIFO (stable by submit time) within a
-        priority level.  The columnar engine's rank-keyed queue reproduces
-        this order exactly.
-        """
-        if self._pending_dirty:
-            self._pending.sort(key=lambda t: (-t.priority, t.submit_time))
-            self._pending_dirty = False
+        self.scheduler.invalidate()
 
     def _schedule_round(self, max_attempts: int) -> None:
-        if not self._pending:
+        if not self.scheduler.queued:
             return
-        self._sort_pending()
         now = self._queue.now
-        placements, leftover = self.scheduler.schedule(
-            self._pending, self.ledger, self._task_class, max_attempts=max_attempts
-        )
-        for placement in placements:
+        for placement in self.scheduler.schedule_round(
+            self.ledger, self._task_class, max_attempts
+        ):
             self._machine_of[placement.task.uid] = placement.machine
             self._start_task(placement.task, placement.class_id, placement.machine, now)
-        self._pending = leftover
 
     def _account_energy(self, now: float) -> None:
         # The interval that just ended may be shorter at the horizon edge.

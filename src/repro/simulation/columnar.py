@@ -1,15 +1,15 @@
-"""Columnar replay engine: vectorized batches over the object-engine rules.
+"""Columnar replay engine: the object engine's loop over a numpy scheduler.
 
-The object engine (:class:`~repro.simulation.cluster.ClusterSimulator`)
-walks the pending queue task by task every scheduling round, scanning
-machines in pure python.  This module keeps the *object state* — machines,
-pools, quota ledger, metrics — authoritative and bit-identical, but drives
-the hot paths through numpy columns:
+The two replay engines share the event loop and every handler of
+:class:`~repro.simulation.cluster.ClusterSimulator` and differ only in the
+scheduler it holds.  :class:`ColumnarFirstFitScheduler` answers the calls
+of the object engine's :class:`~repro.simulation.scheduler.FirstFitScheduler`
+through numpy columns instead of per-task python walks:
 
 - the task population lives in plain numpy columns (:class:`TaskColumns`:
   arrival, size, class, queue rank);
 - the pending queue is an array of task rows sorted by their static queue
-  rank, ties in append order, merged with one binary search per batch;
+  rank, ties in enqueue order, merged with one binary search per batch;
 - per-pool capacity columns (cpu-free / memory-free / schedulable) mirror
   the machine objects and are refreshed from them, never integrated
   independently, so no float drift can accumulate;
@@ -18,48 +18,37 @@ the hot paths through numpy columns:
   the cache admits, and after a failed placement it skips straight to the
   next candidate that can be placed;
 - the per-pool first-fit machine scan is a numpy kernel
-  (:func:`first_fit_index`) with scalar-identical semantics;
-- task arrivals stream from a pre-sorted column instead of the event heap,
-  merged against the heap under the exact ``(time, kind)`` ordering.
+  (:func:`first_fit_index`) with scalar-identical semantics.
+
+:class:`ColumnarClusterSimulator` installs that scheduler and streams task
+arrivals from the sorted submit column, merged against the event heap
+under the exact ``(time, kind)`` ordering.
 
 The feasibility cache is the core speedup.  A failed placement attempt is
-a *proof of infeasibility*: no reachable, constraint-allowed,
-quota-admitting pool had a machine with room.  That proof stays valid
-until something opens up, and every opening is a discrete, observable
-event — a task finish frees one machine (and one quota slot), a boot
-makes one machine schedulable, a control tick rewrites quotas, a fabric
-flip changes reachability.  The engine therefore keeps a per-task
-``infeasible`` bit and, instead of re-deriving feasibility from scratch
-each round, retests only the flagged tasks against only the *grown*
-capacity (usually a single machine) or the *opened* quota slot.  Bulk
-invalidations (reconcile, preemption, fabric changes) clear the cache and
-the next round rebuilds it with one full vectorized mask.
-
-Within a round the same vectorized pass
+a *proof of infeasibility* that stays valid until something opens up, and
+every opening reaches the scheduler as a notice from the shared handlers:
+``released`` (a finish or crash kill frees one machine and one quota
+slot), ``machine_changed`` (a boot or crash) and ``invalidate`` (a control
+tick's reconciliation and quotas, a preemption, a reachability flip).  The
+scheduler keeps a per-task ``infeasible`` bit and retests only the flagged
+tasks against only the *grown* capacity or the *opened* quota slot;
+``invalidate`` drops every bit, and the next round rebuilds them with one
+full vectorized mask.  Within a round the same vectorized pass
 (:meth:`ColumnarFirstFitScheduler.placeable`) runs again after each failed
-``try_place``, over the candidates still to come and on the current state:
-a retest after one task finish clears every flagged task fitting the freed
-machine, and the walk places only the few that fit it first.  Candidates
-the pass rejects are skipped, flagged and counted as the failing walk
-would count them; the rest go on to ``try_place``, still the only
-placement routine.  The skip is exact: stocks only tighten within a round,
-so the pass on the current state answers exactly what the walk would.
+``try_place`` over the candidates still to come; those it rejects are
+skipped, flagged and counted as their failing walk would count them.
 
 Determinism contract: for any scenario, the columnar engine produces a
 ``summary()`` bit-identical to the object engine's.  The cache may only
 *over*-approximate feasibility (capacity and quota stocks tighten
-monotonically within a round, so round-start feasibility is a superset of
-feasibility at any later point in the round, and retests clear bits
-conservatively), and a task examined without being placed has no
-outcome-affecting side effects in the object engine: the rotating hints
-mutate only on success, and the object engine's pareto memo, which a
-failed walk does extend, is outcome-neutral — it only rejects demands
-dominating one that already failed in that pool this round, which cannot
-fit there either.  The columnar walk therefore keeps no memo, and skipping
-a walk changes nothing but the work done.  Everything else (placement
-order, ledger stocks, metrics, fabric deferrals, event ordering) follows
-the object engine's code paths exactly; the differential suite
-(``tests/test_columnar_differential.py``) enforces the digests.
+monotonically within a round, and retests clear bits conservatively), and
+a task examined without being placed has no outcome-affecting side effects
+in the object engine: the rotating hints mutate only on success, and its
+pareto memo only rejects demands dominating one that already failed in
+that pool this round, which cannot fit there either.  The columnar walk
+therefore keeps no memo, and skipping a walk changes nothing but the work
+done.  The differential suite (``tests/test_columnar_differential.py``)
+enforces the digests.
 """
 
 from __future__ import annotations
@@ -71,7 +60,7 @@ import numpy as np
 from repro.simulation.cluster import ClusterSimulator
 from repro.simulation.engine import EventKind
 from repro.simulation.machine import Machine, MachinePool
-from repro.simulation.scheduler import FirstFitScheduler, QuotaLedger
+from repro.simulation.scheduler import Placement, QuotaLedger, pool_order
 from repro.trace.schema import Task
 
 #: The capacity epsilon of :meth:`Machine.fits` — the kernels must compare
@@ -173,20 +162,37 @@ class TaskColumns:
 # ----------------------------------------------------- columnar scheduler
 
 
-class ColumnarFirstFitScheduler(FirstFitScheduler):
+class ColumnarFirstFitScheduler:
     """First-fit over numpy capacity columns, outcome-identical.
 
-    The machine objects stay authoritative; the per-pool columns are
-    refreshed *from* them (point updates for single-machine mutations,
-    full rebuilds after control-tick reconciliation) and consulted by the
-    vectorized machine scan and the feasibility mask.  A per-pool upper
-    bound on free (cpu, memory) across schedulable machines — exact after
-    a full rebuild, never understated by point updates — rejects most
-    placement attempts against a saturated pool in O(1).
+    Answers the calls of :class:`FirstFitScheduler` — the pending queue,
+    rounds, backlog and capacity notices — with the same outcomes.  The
+    machine objects stay authoritative; the per-pool columns are
+    refreshed *from* them (point updates for single-machine notices, full
+    rebuilds after :meth:`invalidate`) and consulted by the vectorized
+    machine scan and the feasibility mask.  A per-pool upper bound on free
+    (cpu, memory) across schedulable machines — exact after a full
+    rebuild, never understated by point updates — rejects most placement
+    attempts against a saturated pool in O(1).
     """
 
-    def __init__(self, pools: list[MachinePool]) -> None:
-        super().__init__(pools)
+    def __init__(
+        self,
+        pools: list[MachinePool],
+        tasks: tuple[Task, ...],
+        class_of: Callable[[Task], int],
+    ) -> None:
+        self.pools = pool_order(pools)
+        #: Cells (platform ids) currently unreachable from ingest.
+        self._unreachable: frozenset[int] = frozenset()
+        #: Failing walks that skipped an unreachable cell.
+        self.fabric_deferrals = 0
+        #: Per-pool rotating first-fit origin, as the object scheduler's.
+        self._hints: dict[int, int] = {pool.platform_id: 0 for pool in self.pools}
+        self._tasks = tasks
+        self.columns = TaskColumns(
+            tasks, class_of, tuple(pool.platform_id for pool in self.pools)
+        )
         self._pool_index = {pool.platform_id: j for j, pool in enumerate(self.pools)}
         #: Per-pool :func:`capacity_room` columns (fit-comparable free
         #: capacity, ``-inf`` for non-schedulable machines).
@@ -221,7 +227,8 @@ class ColumnarFirstFitScheduler(FirstFitScheduler):
         }
         self._dirty = [True] * len(self.pools)
         self._any_dirty = True
-        self._stale: set[int] = set()
+        #: (pool index, machine index) slots to re-read at the next flush.
+        self._stale: set[tuple[int, int]] = set()
         #: Per-pool machine-model capacities, the walk's size check.
         self._cpu_capacity = np.array([pool.model.cpu_capacity for pool in self.pools])
         self._memory_capacity = np.array(
@@ -234,26 +241,75 @@ class ColumnarFirstFitScheduler(FirstFitScheduler):
         #: deferral: it does exactly when it skipped an unreachable pool,
         #: and a failing walk visits every pool.
         self.defers = False
+        #: The priority queue: the queued tasks' rows, in the exact order
+        #: the object scheduler's sorted list would have — by queue rank,
+        #: ties in enqueue order — and their ranks alongside.
+        self._queue_rows = np.empty(0, dtype=np.intp)
+        self._queue_rank = np.empty(0, dtype=np.intp)
+        #: Rows enqueued since the last merge, in enqueue order.
+        self._appended: list[int] = []
+        #: Per-task proof bits: True = a placement attempt (or a full
+        #: vectorized mask) proved this pending task unplaceable, and no
+        #: capacity growth / quota opening has invalidated the proof yet.
+        self._infeasible = np.zeros(len(self.columns), dtype=bool)
+        #: Whether the proof bits are trustworthy; False forces the next
+        #: round to rebuild them with one full feasibility mask.
+        self._mask_valid = False
+        #: (pool index, machine index) slots whose capacity grew (or whose
+        #: machine became schedulable) since the last round.
+        self._growth: set[tuple[int, int]] = set()
+        #: (platform, class) quota slots that released a unit since the
+        #: last round; retested only while a quota table is active.
+        self._openings: set[tuple[int, int]] = set()
 
     def set_unreachable(self, cells: frozenset[int]) -> None:
-        super().set_unreachable(cells)
+        """Update which cells the fabric has cut off from ingest."""
+        self._unreachable = frozenset(cells)
         self._reachable = np.array(
             [pool.platform_id not in self._unreachable for pool in self.pools],
             dtype=bool,
         )
         self.defers = not self._reachable.all()
+        # A cell coming back re-opens its pool to every proven task.
+        self.invalidate()
 
-    # ------------------------------------------------------ column upkeep
+    # ------------------------------------------------------------ notices
 
-    def mark_stale(self, machine: Machine) -> None:
-        """One machine's capacity/state changed; re-read it lazily."""
-        self._stale.add(machine.machine_id)
+    def enqueue(self, task: Task, proven: bool = False) -> None:
+        """Queue an unplaced task; ``proven`` = a walk just failed for it."""
+        row = self.columns.row_of[task.uid]
+        self._appended.append(row)
+        self._infeasible[row] = proven
 
-    def invalidate_all(self) -> None:
-        """Bulk mutation (reconcile, crash sweep): rebuild every pool."""
+    @property
+    def queued(self) -> int:
+        """Tasks waiting; the simulator runs a round only when non-zero."""
+        return len(self._queue_rows) + len(self._appended)
+
+    def machine_changed(self, machine: Machine) -> None:
+        """One machine's capacity or state changed: re-read it, retest."""
+        slot = self._slot_of[machine.machine_id]
+        self._stale.add(slot)
+        self._growth.add(slot)
+
+    def released(self, machine: Machine, class_id: int) -> None:
+        """A task left ``machine``: its room and its quota slot opened."""
+        self.machine_changed(machine)
+        self._openings.add((machine.model.platform_id, class_id))
+
+    def invalidate(self) -> None:
+        """Machines, quotas or reachability changed wholesale: rebuild
+        every pool's columns and drop every proof; the next round
+        re-derives them in one mask."""
         self._dirty = [True] * len(self.pools)
         self._any_dirty = True
         self._stale.clear()
+        self._mask_valid = False
+        self._infeasible[:] = False
+        self._growth.clear()
+        self._openings.clear()
+
+    # ------------------------------------------------------ column upkeep
 
     def _recompute_bounds(self, j: int) -> None:
         cpu_room = self._cpu_room[j]
@@ -281,8 +337,7 @@ class ColumnarFirstFitScheduler(FirstFitScheduler):
         if not self._stale and not self._any_dirty:
             return
         touched: set[int] = set()
-        for machine_id in self._stale:
-            j, i = self._slot_of[machine_id]
+        for j, i in self._stale:
             if self._dirty[j]:
                 continue
             self._refresh_machine(j, i)
@@ -376,12 +431,7 @@ class ColumnarFirstFitScheduler(FirstFitScheduler):
             table[:, j] = ledger.admits_each(pool.platform_id, class_list)
         return table, index
 
-    def placeable(
-        self,
-        rows: np.ndarray,
-        columns: TaskColumns,
-        admits: np.ndarray | None,
-    ) -> np.ndarray:
+    def placeable(self, rows: np.ndarray, admits: np.ndarray | None) -> np.ndarray:
         """Exactly which rows :meth:`try_place` would place on the current state.
 
         A row is placeable when some pool passes every check of the walk —
@@ -392,6 +442,7 @@ class ColumnarFirstFitScheduler(FirstFitScheduler):
         machine rooms are compared only for the pools a row passes it on.
         """
         self._flush()
+        columns = self.columns
         cpu = columns.cpu[rows]
         memory = columns.memory[rows]
         cpu_limit = np.minimum(self._cpu_capacity, self._cpu_bound)
@@ -425,54 +476,254 @@ class ColumnarFirstFitScheduler(FirstFitScheduler):
         return fits
 
 
+    # -------------------------------------------------------------- queue
+
+    def _merge(self) -> None:
+        """Merge the rows enqueued since the last merge into the queue.
+
+        The object scheduler's stable ``list.sort(key=(-priority, submit))``
+        over *already-sorted prefix + appended tail* is exactly a stable
+        merge: each appended task lands after every equal-rank entry of
+        the queue, and appended tasks keep their relative order on ties.
+        A stable sort of the batch by rank, a right-side binary search and
+        one multi-index ``np.insert`` (which keeps equal insertion points
+        in value order) reproduce the python sort's permutation exactly.
+        """
+        if not self._appended:
+            return
+        rows = np.array(self._appended, dtype=np.intp)
+        self._appended = []
+        rows = rows[np.argsort(self.columns.rank[rows], kind="stable")]
+        rank = self.columns.rank[rows]
+        at = np.searchsorted(self._queue_rank, rank, side="right")
+        self._queue_rows = np.insert(self._queue_rows, at, rows)
+        self._queue_rank = np.insert(self._queue_rank, at, rank)
+
+    def backlog_by_class(self, class_of: Callable[[Task], int]) -> dict[int, int]:
+        """Queued tasks per class id, from the class column.
+
+        Keys come in class-id order, not the object scheduler's
+        first-encounter order; the controller reads the census by key only.
+        """
+        self._merge()
+        classes, counts = np.unique(
+            self.columns.class_id[self._queue_rows], return_counts=True
+        )
+        return dict(zip(classes.tolist(), counts.tolist()))
+
+    def _consume_events(self, ledger: QuotaLedger) -> None:
+        """Retest flagged tasks against capacity growth / quota openings.
+
+        Clearing a proof bit is always safe (the task just gets examined
+        serially again); the invariant that matters is the converse —
+        every event that could turn a proven-infeasible task placeable
+        must clear its bit, and this retest is deliberately a superset:
+        a task fitting a grown machine clears even if admission would
+        still refuse elsewhere.  Without a quota table no slot can be
+        the reason a task was refused, so openings need no retest.
+        """
+        growth = self._growth
+        openings = self._openings
+        if not ledger.restricted:
+            openings.clear()
+        if not growth and not openings:
+            return
+        flags = self._infeasible
+        rows = self._queue_rows
+        flagged = flags[rows]
+        if flagged.any():
+            sub = rows[flagged]
+            cols = self.columns
+            cpu = cols.cpu[sub]
+            memory = cols.memory[sub]
+            classes = cols.class_id[sub]
+            cleared = np.zeros(len(sub), dtype=bool)
+            by_pool: dict[int, list[int]] = {}
+            for j, i in growth:
+                by_pool.setdefault(j, []).append(i)
+            for j in sorted(by_pool):
+                self._retest(
+                    ledger, sub, cleared, cpu, memory, classes, j,
+                    machine_index=np.asarray(sorted(by_pool[j]), dtype=np.intp),
+                )
+            for platform_id, class_id in sorted(openings):
+                j = self._pool_index.get(platform_id)
+                if j is None:
+                    continue
+                if not ledger.admits(platform_id, class_id):
+                    continue  # the slot refilled already; nothing opened
+                self._retest(
+                    ledger, sub, cleared, cpu, memory, classes, j,
+                    machine_index=None,
+                    class_id=class_id,
+                )
+            if cleared.any():
+                flags[sub[cleared]] = False
+        growth.clear()
+        openings.clear()
+
+    def _retest(
+        self,
+        ledger: QuotaLedger,
+        sub: np.ndarray,
+        cleared: np.ndarray,
+        cpu: np.ndarray,
+        memory: np.ndarray,
+        classes: np.ndarray,
+        j: int,
+        machine_index: np.ndarray | None,
+        class_id: int | None = None,
+    ) -> None:
+        """Clear proof bits for flagged tasks now fitting pool ``j``.
+
+        ``machine_index`` restricts the fit test to the grown machines
+        (the quota-opening path retests the whole pool instead, filtered
+        to the opened ``class_id``).
+        """
+        pool = self.pools[j]
+        if pool.platform_id in self._unreachable:
+            return  # a cell becoming reachable invalidates wholesale
+        candidates = ~cleared & self.columns.allowed[sub, j]
+        if class_id is not None:
+            candidates &= classes == class_id
+        elif ledger.restricted:
+            unique_classes, inverse = np.unique(classes, return_inverse=True)
+            admits = np.asarray(
+                ledger.admits_each(
+                    pool.platform_id, [int(c) for c in unique_classes]
+                ),
+                dtype=bool,
+            )
+            candidates &= admits[inverse]
+        k = np.flatnonzero(candidates)
+        if not len(k):
+            return
+        cpu_room = self._cpu_room[j]
+        memory_room = self._memory_room[j]
+        if machine_index is not None:
+            cpu_room = cpu_room[machine_index]
+            memory_room = memory_room[machine_index]
+        fits = (cpu[k, None] <= cpu_room[None, :]) & (
+            memory[k, None] <= memory_room[None, :]
+        )
+        cleared[k[fits.any(axis=1)]] = True
+
+    # ------------------------------------------------------------- rounds
+
+    def schedule_round(
+        self,
+        ledger: QuotaLedger,
+        class_of: Callable[[Task], int],
+        max_attempts: int,
+    ) -> list[Placement]:
+        """One round over the first ``max_attempts`` queued tasks.
+
+        Places exactly what :meth:`FirstFitScheduler.schedule_round` places,
+        in the same order; classes come from the class column.
+        """
+        self._merge()
+        rows = self._queue_rows
+        total = len(rows)
+        self._flush()
+        self._consume_events(ledger)
+        tasks = self._tasks
+        window_len = min(max_attempts, total)
+        window_rows = rows[:window_len]
+        infeasible = self._infeasible
+        class_ids = self.columns.class_id
+        # Round-local (class x pool) admission over the window's classes,
+        # built on first use when the ledger is restricted; each placement
+        # patches the one cell it moves, so it stays exact all round.
+        admission: np.ndarray | None = None
+        local_class: np.ndarray | None = None
+
+        def placeable(index: np.ndarray) -> np.ndarray:
+            """Which window entries ``try_place`` would place right now."""
+            nonlocal admission, local_class
+            if admission is None and ledger.restricted:
+                admission, local_class = self.admission_table(
+                    ledger, class_ids[window_rows]
+                )
+            admits = None if admission is None else admission[local_class[index]]
+            return self.placeable(window_rows[index], admits)
+
+        if self._mask_valid:
+            feasible = ~infeasible[window_rows]
+        else:
+            feasible = placeable(np.arange(window_len))
+            infeasible[window_rows] = ~feasible
+            self._mask_valid = True
+        # Only candidate entries need the serial walk; proven-infeasible
+        # entries keep their queue position wholesale.  A failing
+        # examination in the object engine walks every pool, so each one
+        # counts a fabric deferral exactly when any pool is unreachable
+        # (and serial failures count their own inside ``try_place``).
+        candidates = np.flatnonzero(feasible)
+        defers = self.defers
+        if defers:
+            self.fabric_deferrals += int(window_len - len(candidates))
+        if not len(candidates):
+            return []
+        placed = np.zeros(window_len, dtype=bool)
+        placements: list[Placement] = []
+        pool_index = self._pool_index
+        order = candidates.tolist()
+        k = 0
+        while k < len(order):
+            i = order[k]
+            k += 1
+            row = window_rows[i]
+            task = tasks[row]
+            class_id = int(class_ids[row])
+            machine = self.try_place(task, class_id, ledger)
+            if machine is not None:
+                placed[i] = True
+                placements.append(Placement(task=task, machine=machine, class_id=class_id))
+                if admission is not None:
+                    platform_id = machine.model.platform_id
+                    admission[local_class[i], pool_index[platform_id]] = (
+                        ledger.admits(platform_id, class_id)
+                    )
+                continue
+            infeasible[row] = True
+            if k == len(order):
+                break
+            # Skip straight to the next candidate the walk can place.  Stocks
+            # only tighten within a round, so each candidate the pass
+            # rejects fails its walk here too, and counts as that walk would.
+            rest = np.asarray(order[k:], dtype=np.intp)
+            fits = placeable(rest)
+            skipped = rest[~fits]
+            infeasible[window_rows[skipped]] = True
+            if defers:
+                self.fabric_deferrals += len(skipped)
+            order = rest[fits].tolist()
+            k = 0
+        if placements:
+            keep = np.ones(total, dtype=bool)
+            keep[:window_len] = ~placed
+            self._queue_rows = rows[keep]
+            self._queue_rank = self._queue_rank[keep]
+        return placements
+
+
 # ----------------------------------------------------- columnar simulator
 
 
 class ColumnarClusterSimulator(ClusterSimulator):
-    """Drop-in :class:`ClusterSimulator` with columnar hot paths.
+    """:class:`ClusterSimulator` on the columnar scheduler.
 
     The engine ``HarmonyConfig`` selects by default; the object engine
-    (``engine="object"``) remains the oracle.  All object state (pools, ledger, metrics,
-    generation/finish bookkeeping) is inherited unchanged — the overrides
-    (a) source arrivals from the sorted submit column, (b) run scheduling
-    rounds through the feasibility cache, (c) keep the capacity columns
-    and the cache in sync with machine mutations, and (d) hold the
-    priority queue as task rows sorted by queue rank, merging appends
-    instead of resorting a python list.
+    (``engine="object"``) remains the oracle.  Every handler is the
+    object engine's; only the scheduler differs, and :meth:`run` streams
+    arrivals from the scheduler's sorted submit column.
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.scheduler = ColumnarFirstFitScheduler(self.pools)
-        self.columns = TaskColumns(
-            self.tasks,
-            self._task_class,
-            tuple(pool.platform_id for pool in self.scheduler.pools),
+        self.scheduler = ColumnarFirstFitScheduler(
+            self.pools, self.tasks, self._task_class
         )
-        #: The priority queue: the queued tasks' rows, in the exact order the
-        #: object engine's sorted list would have — by queue rank, ties in
-        #: append order — and their ranks alongside.  ``self._pending``
-        #: stays append-only (the parent only ever appends).
-        self._queue_rows = np.empty(0, dtype=np.intp)
-        self._queue_rank = np.empty(0, dtype=np.intp)
-        #: Prefix of ``self._pending`` already merged into the queue;
-        #: entries past it are appends awaiting the next merge.
-        self._merged_len = 0
-        #: Per-task proof bits: True = a placement attempt (or a full
-        #: vectorized mask) proved this pending task unplaceable, and no
-        #: capacity growth / quota opening has invalidated the proof yet.
-        self._infeasible = np.zeros(len(self.columns), dtype=bool)
-        #: Whether the proof bits are trustworthy; False forces the next
-        #: round to rebuild them with one full feasibility mask.
-        self._mask_valid = False
-        #: (pool index, machine index) slots whose capacity grew (or whose
-        #: machine became schedulable) since the last round.
-        self._growth: set[tuple[int, int]] = set()
-        #: (platform, class) quota slots that released a unit since the
-        #: last round (only tracked while a quota table is active).
-        self._openings: set[tuple[int, int]] = set()
-
-    # ------------------------------------------------------------- replay
 
     def run(self):
         """Replay with arrivals streamed from the submit column.
@@ -484,8 +735,8 @@ class ColumnarClusterSimulator(ClusterSimulator):
         heap sorts by.  No TASK_ARRIVAL event is ever pushed.
         """
         self._push_control_ticks()
-        order = np.argsort(self.columns.submit, kind="stable")
-        submits = self.columns.submit[order]
+        order = np.argsort(self.scheduler.columns.submit, kind="stable")
+        submits = self.scheduler.columns.submit[order]
         tasks = self.tasks
         queue = self._queue
         cursor = 0
@@ -506,299 +757,3 @@ class ColumnarClusterSimulator(ClusterSimulator):
                 break
             self._dispatch(queue.pop())
         return self._finish_run()
-
-    # ------------------------------------------------------------- events
-
-    def _on_arrival(self, task: Task) -> None:
-        super()._on_arrival(task)
-        pending = self._pending
-        if pending and pending[-1] is task:
-            # The arrival walk just failed to place it: a fresh proof.
-            self._infeasible[self.columns.row_of[task.uid]] = True
-
-    def _on_finish(self, payload) -> None:
-        task, generation = payload
-        if self._generation.get(task.uid) == generation:
-            machine = self._machine_of.get(task.uid)
-            if machine is not None:
-                self.scheduler.mark_stale(machine)
-                self._growth.add(self.scheduler._slot_of[machine.machine_id])
-                if self.ledger.restricted:
-                    entry = machine.running.get(task.uid)
-                    if entry is not None:
-                        self._openings.add((machine.model.platform_id, entry[1]))
-        super()._on_finish(payload)
-
-    def _on_machine_ready(self, machine) -> None:
-        self.scheduler.mark_stale(machine)
-        self._growth.add(self.scheduler._slot_of[machine.machine_id])
-        super()._on_machine_ready(machine)
-
-    def _try_preempt(self, task, class_id, now):
-        machine = super()._try_preempt(task, class_id, now)
-        if machine is not None:
-            # Evictions freed quota slots and possibly net capacity on the
-            # target machine; rare enough to just rebuild the cache.
-            self.scheduler.mark_stale(machine)
-            self._invalidate_proofs()
-        return machine
-
-    def crash_machine(self, pool, machine, now, repair_seconds) -> None:
-        self.scheduler.mark_stale(machine)
-        if self.ledger.restricted:
-            for _uid, (_victim, class_id) in machine.running.items():
-                self._openings.add((machine.model.platform_id, class_id))
-        super().crash_machine(pool, machine, now, repair_seconds)
-
-    def _apply_decision(self, decision, now) -> None:
-        super()._apply_decision(decision, now)
-        # Reconciliation can flip many machines across every pool, and a
-        # fresh quota table may re-open admission: rebuild wholesale.
-        self.scheduler.invalidate_all()
-        self._invalidate_proofs()
-
-    def on_fabric_changed(self, now: float) -> None:
-        super().on_fabric_changed(now)
-        # Reachability may have grown; stretch reissues don't touch
-        # capacity but partitions healing re-open whole cells.
-        self._invalidate_proofs()
-
-    # ---------------------------------------------------- proof-bit cache
-
-    def _invalidate_proofs(self) -> None:
-        """Drop every proof; the next round re-derives them in one mask."""
-        self._mask_valid = False
-        self._infeasible[:] = False
-        self._growth.clear()
-        self._openings.clear()
-
-    def _merge_appends(self) -> None:
-        """Merge tasks appended to ``_pending`` into the queue.
-
-        The object engine's stable ``list.sort(key=(-priority, submit))``
-        over *already-sorted prefix + appended tail* is exactly a stable
-        merge: each appended task lands after every equal-rank entry of
-        the queue, and appended tasks keep their relative order on ties.
-        A stable sort of the batch by rank, a right-side binary search and
-        one multi-index ``np.insert`` (which keeps equal insertion points
-        in value order) reproduce the python sort's permutation exactly.
-        """
-        appended = self._pending[self._merged_len :]
-        if not appended:
-            return
-        row_of = self.columns.row_of
-        rows = np.fromiter(
-            (row_of[t.uid] for t in appended), dtype=np.intp, count=len(appended)
-        )
-        rows = rows[np.argsort(self.columns.rank[rows], kind="stable")]
-        rank = self.columns.rank[rows]
-        at = np.searchsorted(self._queue_rank, rank, side="right")
-        self._queue_rows = np.insert(self._queue_rows, at, rows)
-        self._queue_rank = np.insert(self._queue_rank, at, rank)
-        self._merged_len += len(appended)
-
-    def _backlog_by_class(self) -> dict[int, int]:
-        """Queued tasks per class id, as the parent counts them.
-
-        Keys come in class-id order, not the parent's first-encounter
-        order; the controller reads the census by key only.
-        """
-        self._merge_appends()
-        classes, counts = np.unique(
-            self.columns.class_id[self._queue_rows], return_counts=True
-        )
-        return dict(zip(classes.tolist(), counts.tolist()))
-
-    def _consume_events(self) -> None:
-        """Retest flagged tasks against capacity growth / quota openings.
-
-        Clearing a proof bit is always safe (the task just gets examined
-        serially again); the invariant that matters is the converse —
-        every event that could turn a proven-infeasible task placeable
-        must clear its bit, and this retest is deliberately a superset:
-        a task fitting a grown machine clears even if admission would
-        still refuse elsewhere.
-        """
-        growth = self._growth
-        openings = self._openings
-        if not growth and not openings:
-            return
-        flags = self._infeasible
-        rows = self._queue_rows
-        flagged = flags[rows]
-        if flagged.any():
-            sub = rows[flagged]
-            cols = self.columns
-            cpu = cols.cpu[sub]
-            memory = cols.memory[sub]
-            classes = cols.class_id[sub]
-            cleared = np.zeros(len(sub), dtype=bool)
-            by_pool: dict[int, list[int]] = {}
-            for j, i in growth:
-                by_pool.setdefault(j, []).append(i)
-            for j in sorted(by_pool):
-                self._retest(
-                    sub, cleared, cpu, memory, classes, j,
-                    machine_index=np.asarray(sorted(by_pool[j]), dtype=np.intp),
-                )
-            for platform_id, class_id in sorted(openings):
-                j = self.scheduler._pool_index.get(platform_id)
-                if j is None:
-                    continue
-                if not self.ledger.admits(platform_id, class_id):
-                    continue  # the slot refilled already; nothing opened
-                self._retest(
-                    sub, cleared, cpu, memory, classes, j,
-                    machine_index=None,
-                    class_id=class_id,
-                )
-            if cleared.any():
-                flags[sub[cleared]] = False
-        growth.clear()
-        openings.clear()
-
-    def _retest(
-        self,
-        sub: np.ndarray,
-        cleared: np.ndarray,
-        cpu: np.ndarray,
-        memory: np.ndarray,
-        classes: np.ndarray,
-        j: int,
-        machine_index: np.ndarray | None,
-        class_id: int | None = None,
-    ) -> None:
-        """Clear proof bits for flagged tasks now fitting pool ``j``.
-
-        ``machine_index`` restricts the fit test to the grown machines
-        (the quota-opening path retests the whole pool instead, filtered
-        to the opened ``class_id``).
-        """
-        scheduler = self.scheduler
-        pool = scheduler.pools[j]
-        if pool.platform_id in scheduler._unreachable:
-            return  # a cell becoming reachable invalidates wholesale
-        candidates = ~cleared & self.columns.allowed[sub, j]
-        if class_id is not None:
-            candidates &= classes == class_id
-        elif self.ledger.restricted:
-            unique_classes, inverse = np.unique(classes, return_inverse=True)
-            admits = np.asarray(
-                self.ledger.admits_each(
-                    pool.platform_id, [int(c) for c in unique_classes]
-                ),
-                dtype=bool,
-            )
-            candidates &= admits[inverse]
-        k = np.flatnonzero(candidates)
-        if not len(k):
-            return
-        cpu_room = scheduler._cpu_room[j]
-        memory_room = scheduler._memory_room[j]
-        if machine_index is not None:
-            cpu_room = cpu_room[machine_index]
-            memory_room = memory_room[machine_index]
-        fits = (cpu[k, None] <= cpu_room[None, :]) & (
-            memory[k, None] <= memory_room[None, :]
-        )
-        cleared[k[fits.any(axis=1)]] = True
-
-    # ------------------------------------------------------------- rounds
-
-    def _schedule_round(self, max_attempts: int) -> None:
-        if not self._pending:
-            return
-        self._merge_appends()
-        rows = self._queue_rows
-        total = len(rows)
-        if not total:
-            # The append-only backing list may still reference placed
-            # tasks; an empty active queue means the object engine would
-            # not have run this round at all.
-            return
-        scheduler = self.scheduler
-        scheduler._flush()
-        self._consume_events()
-        now = self._queue.now
-        tasks = self.tasks
-        window_len = min(max_attempts, total)
-        window_rows = rows[:window_len]
-        infeasible = self._infeasible
-        ledger = self.ledger
-        class_ids = self.columns.class_id
-        # Round-local (class x pool) admission over the window's classes,
-        # built on first use when the ledger is restricted; each placement
-        # patches the one cell it moves, so it stays exact all round.
-        admission: np.ndarray | None = None
-        local_class: np.ndarray | None = None
-
-        def placeable(index: np.ndarray) -> np.ndarray:
-            """Which window entries ``try_place`` would place right now."""
-            nonlocal admission, local_class
-            if admission is None and ledger.restricted:
-                admission, local_class = scheduler.admission_table(
-                    ledger, class_ids[window_rows]
-                )
-            admits = None if admission is None else admission[local_class[index]]
-            return scheduler.placeable(window_rows[index], self.columns, admits)
-
-        if self._mask_valid:
-            feasible = ~infeasible[window_rows]
-        else:
-            feasible = placeable(np.arange(window_len))
-            infeasible[window_rows] = ~feasible
-            self._mask_valid = True
-        # Only candidate entries need the serial walk; proven-infeasible
-        # entries keep their queue position wholesale.  A failing
-        # examination in the object engine walks every pool, so each one
-        # counts a fabric deferral exactly when any pool is unreachable
-        # (and serial failures count their own inside ``try_place``).
-        candidates = np.flatnonzero(feasible)
-        defers = scheduler.defers
-        if defers:
-            scheduler.fabric_deferrals += int(window_len - len(candidates))
-        if not len(candidates):
-            return
-        placed = np.zeros(window_len, dtype=bool)
-        placements: list[tuple[Task, int, Machine]] = []
-        pool_index = scheduler._pool_index
-        order = candidates.tolist()
-        k = 0
-        while k < len(order):
-            i = order[k]
-            k += 1
-            row = window_rows[i]
-            task = tasks[row]
-            class_id = int(class_ids[row])
-            machine = scheduler.try_place(task, class_id, ledger)
-            if machine is not None:
-                placed[i] = True
-                placements.append((task, class_id, machine))
-                if admission is not None:
-                    platform_id = machine.model.platform_id
-                    admission[local_class[i], pool_index[platform_id]] = (
-                        ledger.admits(platform_id, class_id)
-                    )
-                continue
-            infeasible[row] = True
-            if k == len(order):
-                break
-            # Skip straight to the next candidate the walk can place.  Stocks
-            # only tighten within a round, so each candidate the pass
-            # rejects fails its walk here too, and counts as that walk would.
-            rest = np.asarray(order[k:], dtype=np.intp)
-            fits = placeable(rest)
-            skipped = rest[~fits]
-            infeasible[window_rows[skipped]] = True
-            if defers:
-                scheduler.fabric_deferrals += len(skipped)
-            order = rest[fits].tolist()
-            k = 0
-        if placements:
-            keep = np.ones(total, dtype=bool)
-            keep[:window_len] = ~placed
-            self._queue_rows = rows[keep]
-            self._queue_rank = self._queue_rank[keep]
-        for task, class_id, machine in placements:
-            self._machine_of[task.uid] = machine
-            self._start_task(task, class_id, machine, now)

@@ -95,6 +95,14 @@ class Placement:
     class_id: int
 
 
+def pool_order(pools: list[MachinePool]) -> list[MachinePool]:
+    """First-fit walk order: smallest machine model first (better packing,
+    and big machines stay free for big tasks)."""
+    if not pools:
+        raise ValueError("scheduler needs at least one machine pool")
+    return sorted(pools, key=lambda p: (p.model.cpu_capacity, p.model.memory_capacity))
+
+
 class FirstFitScheduler:
     """First machine with room, scanning pools smallest-capacity first.
 
@@ -103,14 +111,16 @@ class FirstFitScheduler:
     re-scanning them for every task would make placement O(pool size).
     The wrap-around keeps the scan complete, so this is first-fit from a
     moving origin rather than next-fit.
+
+    It owns the pending queue and is the one object the two replay engines
+    swap: the simulator's handlers :meth:`enqueue` unplaced tasks, run
+    :meth:`schedule_round` while :attr:`queued` is non-zero and send the
+    capacity notices, which this scheduler ignores (it re-derives
+    everything each round; the columnar one keeps caches on them).
     """
 
     def __init__(self, pools: list[MachinePool]) -> None:
-        if not pools:
-            raise ValueError("scheduler needs at least one machine pool")
-        # Prefer the smallest machine that can host a task: better packing
-        # and it reserves big machines for big tasks.
-        self.pools = sorted(pools, key=lambda p: (p.model.cpu_capacity, p.model.memory_capacity))
+        self.pools = pool_order(pools)
         #: Cells (platform ids) currently unreachable from the trace-ingest
         #: cell — no placements there while a partition holds.
         self._unreachable: frozenset[int] = frozenset()
@@ -118,6 +128,9 @@ class FirstFitScheduler:
         #: cell (the partition may be why the task stayed pending).
         self.fabric_deferrals = 0
         self._hints: dict[int, int] = {pool.platform_id: 0 for pool in self.pools}
+        self._pending: list[Task] = []
+        #: Whether appends since the last round left the queue unsorted.
+        self._dirty = False
 
     def set_unreachable(self, cells: frozenset[int]) -> None:
         """Update which cells the fabric has cut off from ingest."""
@@ -217,3 +230,47 @@ class FirstFitScheduler:
                 placements.append(Placement(task=task, machine=machine, class_id=class_id))
         return placements, leftover
 
+    # ------------------------------------------------------ pending queue
+
+    def enqueue(self, task: Task, proven: bool = False) -> None:
+        """Queue an unplaced task (``proven``: its walk just failed)."""
+        self._pending.append(task)
+        self._dirty = True
+
+    @property
+    def queued(self) -> int:
+        """Tasks waiting; the simulator runs a round only when non-zero."""
+        return len(self._pending)
+
+    def machine_changed(self, machine: Machine) -> None:
+        """A machine finished booting or crashed."""
+
+    def released(self, machine: Machine, class_id: int) -> None:
+        """A task of ``class_id`` left ``machine`` (finish or crash kill)."""
+
+    def invalidate(self) -> None:
+        """Machines, quotas or reachability changed wholesale."""
+
+    def backlog_by_class(self, class_of: Callable[[Task], int]) -> dict[int, int]:
+        """Queued tasks per class id."""
+        backlog: dict[int, int] = {}
+        for task in self._pending:
+            class_id = class_of(task)
+            backlog[class_id] = backlog.get(class_id, 0) + 1
+        return backlog
+
+    def schedule_round(
+        self,
+        ledger: QuotaLedger,
+        class_of: Callable[[Task], int],
+        max_attempts: int,
+    ) -> list[Placement]:
+        """One round over the queue, highest priority first and FIFO
+        within a priority level; returns the placements."""
+        if self._dirty:
+            self._pending.sort(key=lambda t: (-t.priority, t.submit_time))
+            self._dirty = False
+        placements, self._pending = self.schedule(
+            self._pending, ledger, class_of, max_attempts=max_attempts
+        )
+        return placements

@@ -15,6 +15,7 @@ engine-specific summaries dumped to JSON and diff them to find the field.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
@@ -23,11 +24,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.resilience.scenarios import SCENARIOS, build_scenario_plan
-from repro.simulation import HarmonyConfig, HarmonySimulation
-from repro.simulation.columnar import (
-    ColumnarClusterSimulator,
-    ColumnarFirstFitScheduler,
-)
+from repro.simulation import HarmonyConfig, HarmonySimulation, cluster
+from repro.simulation.columnar import ColumnarFirstFitScheduler
+from repro.simulation.scheduler import FirstFitScheduler
 from repro.trace import SyntheticTraceConfig, generate_trace
 
 
@@ -134,21 +133,21 @@ class TestDeepBacklog:
         )
         # ("round", 0), ("skip", candidates skipped), ("walk", placed).
         events: list[tuple[str, int]] = []
-        in_round: list[ColumnarClusterSimulator] = []
-        schedule_round = ColumnarClusterSimulator._schedule_round
+        in_round: list[ColumnarFirstFitScheduler] = []
+        schedule_round = ColumnarFirstFitScheduler.schedule_round
         placeable = ColumnarFirstFitScheduler.placeable
         try_place = ColumnarFirstFitScheduler.try_place
 
-        def spy_round(self, max_attempts):
+        def spy_round(self, ledger, class_of, max_attempts):
             events.append(("round", 0))
             in_round.append(self)
             try:
-                schedule_round(self, max_attempts)
+                return schedule_round(self, ledger, class_of, max_attempts)
             finally:
                 in_round.pop()
 
-        def spy_placeable(self, rows, columns, admits):
-            fits = placeable(self, rows, columns, admits)
+        def spy_placeable(self, rows, admits):
+            fits = placeable(self, rows, admits)
             if in_round and in_round[-1]._mask_valid:
                 events.append(("skip", int((~fits).sum())))
             return fits
@@ -159,7 +158,7 @@ class TestDeepBacklog:
                 events.append(("walk", int(machine is not None)))
             return machine
 
-        monkeypatch.setattr(ColumnarClusterSimulator, "_schedule_round", spy_round)
+        monkeypatch.setattr(ColumnarFirstFitScheduler, "schedule_round", spy_round)
         monkeypatch.setattr(ColumnarFirstFitScheduler, "placeable", spy_placeable)
         monkeypatch.setattr(ColumnarFirstFitScheduler, "try_place", spy_try_place)
         summaries = {
@@ -182,6 +181,77 @@ class TestDeepBacklog:
         columnar = summaries["columnar"]
         assert columnar["tasks_preempted"] > 0
         assert columnar["resilience"]["fabric"]["deferred_placements"] > 0
+
+
+@pytest.fixture(scope="module")
+def backlog_trace():
+    """A deep pending backlog under the threshold policy (load 0.9)."""
+    return generate_trace(
+        SyntheticTraceConfig(
+            horizon_hours=0.5, seed=7, total_machines=120, load_factor=0.9
+        )
+    )
+
+
+class TestSchedulerSeam:
+    """The two engines share every handler and differ only in the
+    scheduler, so what the handlers ask of it must match call by call."""
+
+    def test_rounds_see_the_same_queue(self, backlog_trace, monkeypatch):
+        """``queued`` at every round is equal across engines, never zero.
+
+        A round is only ever run over a non-empty queue, and the columnar
+        queue holds exactly the object engine's pending tasks — no copy of
+        already-placed tasks survives in either.
+        """
+        seen: dict[type, list[int]] = {}
+        for scheduler_cls in (FirstFitScheduler, ColumnarFirstFitScheduler):
+            schedule_round = scheduler_cls.schedule_round
+
+            def spy(self, ledger, class_of, max_attempts, _round=schedule_round):
+                seen.setdefault(type(self), []).append(self.queued)
+                return _round(self, ledger, class_of, max_attempts)
+
+            monkeypatch.setattr(scheduler_cls, "schedule_round", spy)
+        digests = {
+            engine: run_engine(engine, backlog_trace, policy="threshold", seed=7)
+            for engine in ("object", "columnar")
+        }
+        assert digests["object"] == digests["columnar"]
+        object_queued = seen[FirstFitScheduler]
+        assert seen[ColumnarFirstFitScheduler] == object_queued
+        assert min(object_queued) > 0
+        assert max(object_queued) > cluster.MAX_SCHEDULE_ATTEMPTS // 10
+
+    @pytest.mark.parametrize("policy", ["threshold", "cbs"])
+    def test_policy_sees_the_same_views(self, backlog_trace, monkeypatch, policy):
+        """Every ``ClusterView`` handed to the policy is equal field by field.
+
+        The threshold policy ignores ``backlog``, so its summary digest
+        cannot see a wrong per-class queue count; this compares the views
+        themselves (``backlog`` as a dict: key order may differ).
+        """
+        views: list[cluster.ClusterView] = []
+        view_cls = cluster.ClusterView
+
+        def recording_view(**fields):
+            view = view_cls(**fields)
+            views.append(view)
+            return view
+
+        monkeypatch.setattr(cluster, "ClusterView", recording_view)
+        per_engine = {}
+        for engine in ("object", "columnar"):
+            views.clear()
+            run_engine(engine, backlog_trace, policy=policy, predictor="ewma", seed=7)
+            per_engine[engine] = list(views)
+        assert len(per_engine["object"]) == len(per_engine["columnar"]) > 1
+        for expected, got in zip(per_engine["object"], per_engine["columnar"]):
+            for field in dataclasses.fields(view_cls):
+                assert getattr(got, field.name) == getattr(expected, field.name), (
+                    f"{field.name} differs at t={expected.time}"
+                )
+        assert any(view.backlog for view in per_engine["object"])
 
 
 class TestRandomizedTraces:

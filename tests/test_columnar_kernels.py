@@ -11,8 +11,8 @@ object engine's code path; hypothesis drives randomized agreement checks:
 - :meth:`ColumnarFirstFitScheduler.placeable`, the pass a scheduling round
   uses to skip candidates, must mark exactly the tasks ``try_place`` can
   place on the same state;
-- :meth:`ColumnarClusterSimulator._merge_appends` must leave the queue in
-  the order of the object engine's stable pending sort.
+- :meth:`ColumnarFirstFitScheduler._merge` must leave the queue in the
+  order of the object scheduler's stable pending sort.
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ from hypothesis import strategies as st
 from repro.energy.models import LinearPowerModel, MachineModel
 from repro.simulation.columnar import (
     FIT_EPS,
-    ColumnarClusterSimulator,
     ColumnarFirstFitScheduler,
-    TaskColumns,
     capacity_room,
     first_fit_index,
 )
@@ -156,10 +154,6 @@ def draw_state(draw):
             for c in CLASSES:
                 for _ in range(draw(st.integers(0, 1))):
                     ledger.place(p, c)
-    scheduler = ColumnarFirstFitScheduler(pools)
-    scheduler.set_unreachable(
-        frozenset(p for p in platforms if draw(st.integers(0, 3)) == 0)
-    )
     tasks = []
     class_of = {}
     for index in range(draw(st.integers(2, 12))):
@@ -181,6 +175,12 @@ def draw_state(draw):
         )
         tasks.append(task)
         class_of[task.uid] = draw(st.sampled_from(CLASSES))
+    scheduler = ColumnarFirstFitScheduler(
+        pools, tuple(tasks), lambda task: class_of[task.uid]
+    )
+    scheduler.set_unreachable(
+        frozenset(p for p in platforms if draw(st.integers(0, 3)) == 0)
+    )
     return scheduler, ledger, tasks, class_of
 
 
@@ -211,17 +211,12 @@ class TestPlaceable:
         can place.
         """
         scheduler, ledger, tasks, class_of = draw_state(data.draw)
-        columns = TaskColumns(
-            tuple(tasks),
-            lambda task: class_of[task.uid],
-            tuple(pool.platform_id for pool in scheduler.pools),
-        )
         classes = [class_of[task.uid] for task in tasks]
         table, index = scheduler.admission_table(ledger, np.array(classes))
         for k, task in enumerate(tasks):
             rows = np.arange(k, len(tasks))
             admits = table[index[k:]] if ledger.restricted else None
-            fits = scheduler.placeable(rows, columns, admits)
+            fits = scheduler.placeable(rows, admits)
             expected = [
                 walk_places(scheduler, ledger, tasks[row], classes[row])
                 for row in rows
@@ -243,12 +238,12 @@ class TestQueueMerge:
     def test_merges_match_the_object_engine_sort(self, data):
         """The queue's rows follow ``list.sort(key=(-priority, submit))``.
 
-        Steps append batches of 1-100 tasks not currently queued — first
-        arrivals and re-appends of removed rows alike, as preemption and
-        crash sweeps append them — or remove a subset of the front window
+        Steps enqueue batches of 1-100 tasks not currently queued — first
+        arrivals and re-enqueues of removed rows alike, as preemption and
+        crash sweeps enqueue them — or remove a subset of the front window
         as a round's placements do.  Priorities and submit times come from
         small sets, so most keys tie.  After every merge the rows must be
-        the object engine's stable sort of its own pending list.
+        the object scheduler's stable sort of its own pending list.
         """
         count = data.draw(st.integers(1, 150))
         tasks = tuple(
@@ -272,8 +267,10 @@ class TestQueueMerge:
             count=1,
             power_model=LinearPowerModel(100.0, (50.0, 10.0)),
         )
-        sim = ColumnarClusterSimulator(tasks, 1.0, (model,), None, lambda task: 0)
-        row_of = sim.columns.row_of
+        scheduler = ColumnarFirstFitScheduler(
+            [MachinePool(model)], tasks, lambda task: 0
+        )
+        row_of = scheduler.columns.row_of
         expected: list[Task] = []
         for _ in range(data.draw(st.integers(1, 8))):
             queued = {task.uid for task in expected}
@@ -287,16 +284,20 @@ class TestQueueMerge:
                         unique_by=lambda task: task.uid,
                     )
                 )
-                sim._pending.extend(batch)
+                for task in batch:
+                    scheduler.enqueue(task)
                 expected.extend(batch)
-                sim._merge_appends()
+                scheduler._merge()
                 expected.sort(key=lambda t: (-t.priority, t.submit_time))
-                assert sim._queue_rows.tolist() == [row_of[t.uid] for t in expected]
+                assert scheduler._queue_rows.tolist() == [
+                    row_of[t.uid] for t in expected
+                ]
+                assert scheduler.queued == len(expected)
             elif expected:
                 window = data.draw(st.integers(1, len(expected)))
                 placed = [data.draw(st.booleans()) for _ in range(window)]
                 keep = np.ones(len(expected), dtype=bool)
                 keep[:window] = np.logical_not(placed)
-                sim._queue_rows = sim._queue_rows[keep]
-                sim._queue_rank = sim._queue_rank[keep]
+                scheduler._queue_rows = scheduler._queue_rows[keep]
+                scheduler._queue_rank = scheduler._queue_rank[keep]
                 expected = [t for t, kept in zip(expected, keep) if kept]

@@ -3,7 +3,7 @@
 Unit tests pin the deterministic topology/state model
 (:mod:`repro.resilience.fabric`) and the bisect-backed blackout index;
 cluster-level tests drive link degradation and partial partitions through
-:class:`ClusterSimulator` and assert the exact service-time stretch and
+both replay engines and assert the exact service-time stretch and
 placement-deferral semantics; the end-to-end acceptance test shows the
 guarded CBS controller degrading *per cell* under a partial partition —
 healthy cells keep the MPC rung while the severed cell is held and then
@@ -47,13 +47,13 @@ from repro.runner import (
 from repro.runner.suites import NETWORK_FAULT_SCENARIOS, network_faults_scenarios
 from repro.simulation import (
     ClusterConfig,
-    ClusterSimulator,
     DegradationLadder,
     HarmonyConfig,
     HarmonySimulation,
 )
 from repro.trace import SyntheticTraceConfig, generate_trace
 from tests.conftest import make_task
+from tests.test_cluster_simulation import SIMULATOR_CLASSES
 
 # --------------------------------------------------------------------------
 # Topology model
@@ -263,8 +263,8 @@ class TestBlackoutBisect:
 # Cluster-level semantics: stretch, deferral, heal
 
 
-def _fabric_cluster(plan, tasks, horizon=3600.0):
-    """An AllOn ClusterSimulator over the Table II fleet with ``plan``."""
+def _fabric_cluster(plan, tasks, engine, horizon=3600.0):
+    """An AllOn simulator of ``engine`` over the Table II fleet with ``plan``."""
     from repro.energy import table2_fleet
 
     fleet = table2_fleet(0.1)
@@ -277,7 +277,7 @@ def _fabric_cluster(plan, tasks, horizon=3600.0):
                 quotas=None,
             )
 
-    return ClusterSimulator(
+    return SIMULATOR_CLASSES[engine](
         tasks=tasks,
         horizon=horizon,
         machine_models=fleet,
@@ -292,6 +292,11 @@ _CELL4_ONLY = {"cpu": 0.6, "memory": 0.6}
 
 
 class TestLinkDegradationStretch:
+    """Asserted on the object engine; the subclass below reruns every test
+    on the columnar engine."""
+
+    engine = "object"
+
     def test_degraded_path_stretches_service_time_exactly(self):
         # All links into cell 4 carry stretch 2 for the whole run; the
         # task (placeable only in cell 4) must take exactly twice as long.
@@ -305,7 +310,7 @@ class TestLinkDegradationStretch:
             )
         )
         task = make_task(job_id=1, submit_time=1.0, duration=1000.0, **_CELL4_ONLY)
-        simulator = _fabric_cluster(plan, (task,))
+        simulator = _fabric_cluster(plan, (task,), self.engine)
         metrics = simulator.run()
         record = metrics.records[task.uid]
         # Placement waits for the machine boot; the run itself is 2x.
@@ -323,7 +328,7 @@ class TestLinkDegradationStretch:
             )
         )
         task = make_task(job_id=1, submit_time=1.0, duration=1000.0, **_CELL4_ONLY)
-        simulator = _fabric_cluster(plan, (task,))
+        simulator = _fabric_cluster(plan, (task,), self.engine)
         metrics = simulator.run()
         record = metrics.records[task.uid]
         # Stretched (2x) progress until the restore at t=1500.5, then the
@@ -338,13 +343,18 @@ class TestLinkDegradationStretch:
             LinkDegradation(time=0.5, duration=10_000.0, links=())
         )
         task = make_task(job_id=1, submit_time=1.0, duration=1000.0, **_CELL4_ONLY)
-        metrics = _fabric_cluster(plan, (task,)).run()
+        metrics = _fabric_cluster(plan, (task,), self.engine).run()
         record = metrics.records[task.uid]
         assert record.finish_time == pytest.approx(record.schedule_time + 1000.0)
         assert metrics.fabric.degraded_link_ticks == {}
 
 
 class TestPartialPartitionPlacement:
+    """Asserted on the object engine; the subclass below reruns every test
+    on the columnar engine."""
+
+    engine = "object"
+
     def test_unreachable_cell_defers_placement_until_heal(self):
         # Cell 4 is cut from t=100 to t=1000; the task (cell-4-only,
         # arriving at 200) must wait for the heal and the next control
@@ -355,7 +365,7 @@ class TestPartialPartitionPlacement:
             )
         )
         task = make_task(job_id=1, submit_time=200.0, duration=100.0, **_CELL4_ONLY)
-        simulator = _fabric_cluster(plan, (task,))
+        simulator = _fabric_cluster(plan, (task,), self.engine)
         metrics = simulator.run()
         record = metrics.records[task.uid]
         assert record.schedule_time is not None
@@ -375,8 +385,16 @@ class TestPartialPartitionPlacement:
         task = make_task(
             job_id=1, submit_time=200.0, duration=100.0, cpu=0.05, memory=0.05
         )
-        metrics = _fabric_cluster(plan, (task,)).run()
+        metrics = _fabric_cluster(plan, (task,), self.engine).run()
         assert metrics.records[task.uid].schedule_time == pytest.approx(200.0)
+
+
+class TestLinkDegradationStretchColumnar(TestLinkDegradationStretch):
+    engine = "columnar"
+
+
+class TestPartialPartitionPlacementColumnar(TestPartialPartitionPlacement):
+    engine = "columnar"
 
 
 # --------------------------------------------------------------------------

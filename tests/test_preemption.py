@@ -3,14 +3,14 @@
 import pytest
 
 from repro.energy import table2_fleet
-from repro.simulation import ClusterConfig, ClusterSimulator
+from repro.simulation import ClusterConfig
 from tests.conftest import make_task
-from tests.test_cluster_simulation import AllOnPolicy
+from tests.test_cluster_simulation import SIMULATOR_CLASSES, AllOnPolicy
 
 
-def run(tasks, preemption=True, horizon=3600.0, fleet_scale=0.002):
+def run(tasks, engine, preemption=True, horizon=3600.0, fleet_scale=0.002):
     fleet = table2_fleet(fleet_scale)
-    simulator = ClusterSimulator(
+    simulator = SIMULATOR_CLASSES[engine](
         tasks=tuple(sorted(tasks, key=lambda t: t.submit_time)),
         horizon=horizon,
         machine_models=fleet,
@@ -33,11 +33,16 @@ def big_task(job_id, submit, priority, duration=2000.0):
 
 
 class TestPreemption:
+    """Asserted on the object engine; the subclass below reruns every test
+    on the columnar engine."""
+
+    engine = "object"
+
     def test_production_evicts_gratis(self):
         # Fleet 0.002: exactly one DL585 can host 0.9/0.9 tasks.
         gratis = big_task(1, submit=400.0, priority=0)
         production = big_task(2, submit=800.0, priority=11)
-        simulator, metrics = run([gratis, production])
+        simulator, metrics = run([gratis, production], self.engine)
         assert simulator.tasks_preempted == 1
         prod_record = metrics.records[(2, 0)]
         gratis_record = metrics.records[(1, 0)]
@@ -49,7 +54,7 @@ class TestPreemption:
     def test_no_preemption_when_disabled(self):
         gratis = big_task(1, submit=400.0, priority=0)
         production = big_task(2, submit=800.0, priority=11)
-        simulator, metrics = run([gratis, production], preemption=False)
+        simulator, metrics = run([gratis, production], self.engine, preemption=False)
         assert simulator.tasks_preempted == 0
         prod_record = metrics.records[(2, 0)]
         # Production must wait for the gratis task to finish.
@@ -59,13 +64,13 @@ class TestPreemption:
         """A task only 1 level above cannot preempt with gap=2."""
         low = big_task(1, submit=400.0, priority=9)
         slightly_higher = big_task(2, submit=800.0, priority=10)
-        simulator, _ = run([low, slightly_higher])
+        simulator, _ = run([low, slightly_higher], self.engine)
         assert simulator.tasks_preempted == 0
 
     def test_equal_priority_never_preempts(self):
         a = big_task(1, submit=400.0, priority=11)
         b = big_task(2, submit=800.0, priority=11)
-        simulator, _ = run([a, b])
+        simulator, _ = run([a, b], self.engine)
         assert simulator.tasks_preempted == 0
 
     def test_minimal_victim_set(self):
@@ -83,7 +88,7 @@ class TestPreemption:
             priority=11, cpu=0.5, memory=0.5,
             allowed_platforms=frozenset({4}),
         )
-        simulator, metrics = run(smalls + [production])
+        simulator, metrics = run(smalls + [production], self.engine)
         # 0.2 free after 4 smalls; need 0.3 more -> evict exactly 2 smalls.
         assert simulator.tasks_preempted == 2
         assert metrics.records[(9, 0)].schedule_time == pytest.approx(600.0)
@@ -91,10 +96,14 @@ class TestPreemption:
     def test_evicted_tasks_eventually_finish(self):
         gratis = big_task(1, submit=300.0, priority=0, duration=500.0)
         production = big_task(2, submit=400.0, priority=11, duration=500.0)
-        simulator, metrics = run([gratis, production], horizon=7200.0)
+        simulator, metrics = run([gratis, production], self.engine, horizon=7200.0)
         assert metrics.num_finished == 2
         # No double finish: the evicted task's stale finish event is void.
         gratis_record = metrics.records[(1, 0)]
         assert gratis_record.finish_time == pytest.approx(
             gratis_record.schedule_time + 500.0
         )
+
+
+class TestPreemptionColumnar(TestPreemption):
+    engine = "columnar"

@@ -29,7 +29,6 @@ from repro.resilience import (
 from repro.resilience.guard import MAX_STEP_FRACTION, MIN_RESIDUAL, MIN_STEP_MACHINES
 from repro.simulation import (
     ClusterConfig,
-    ClusterSimulator,
     HarmonyConfig,
     HarmonySimulation,
     SimulationMetrics,
@@ -37,6 +36,7 @@ from repro.simulation import (
 from repro.simulation.cluster import ClusterView
 from repro.trace import SyntheticTraceConfig, generate_trace
 from tests.conftest import make_task
+from tests.test_cluster_simulation import SIMULATOR_CLASSES
 
 
 # --------------------------------------------------------------------------
@@ -294,7 +294,7 @@ class TestResilienceMetrics:
 # Failure-injection determinism (same seed => same run, bit for bit)
 
 
-def _crash_run(seed, rate=0.1, plan=None):
+def _crash_run(seed, engine, rate=0.1, plan=None):
     fleet = table2_fleet(0.02)
     tasks = tuple(
         make_task(job_id=i, submit_time=1.0 + i, duration=2500.0, cpu=0.05, memory=0.05)
@@ -314,7 +314,7 @@ def _crash_run(seed, rate=0.1, plan=None):
             RandomMachineFailures(rate_per_machine_hour=rate, repair_seconds=1800.0)
         )
     config = ClusterConfig(control_interval=300.0, fault_plan=plan)
-    simulator = ClusterSimulator(
+    simulator = SIMULATOR_CLASSES[engine](
         tasks=tasks,
         horizon=7200.0,
         machine_models=fleet,
@@ -333,15 +333,20 @@ def _crash_run(seed, rate=0.1, plan=None):
 
 
 class TestFailureDeterminism:
+    """Asserted on the object engine; the subclass below reruns every test
+    on the columnar engine."""
+
+    engine = "object"
+
     def test_same_seed_same_crash_schedule_and_metrics(self):
-        _, _, first = _crash_run(seed=3)
-        _, _, second = _crash_run(seed=3)
+        _, _, first = _crash_run(seed=3, engine=self.engine)
+        _, _, second = _crash_run(seed=3, engine=self.engine)
         assert first == second
         assert len(first[0]) > 0  # the runs actually crashed machines
 
     def test_different_seed_different_schedule(self):
-        _, _, first = _crash_run(seed=3)
-        _, _, second = _crash_run(seed=4)
+        _, _, first = _crash_run(seed=3, engine=self.engine)
+        _, _, second = _crash_run(seed=4, engine=self.engine)
         assert first[0] != second[0]
 
 
@@ -350,11 +355,16 @@ class TestFailureDeterminism:
 
 
 class TestDegradation:
+    """Asserted on the object engine; the subclass below reruns every test
+    on the columnar engine."""
+
+    engine = "object"
+
     def test_stragglers_slow_but_do_not_lose_tasks(self):
         plan = FaultPlan(seed=1).with_fault(
             MachineDegradation(time=600.0, duration=1800.0, fraction=0.5, slowdown=3.0)
         )
-        simulator, metrics, _ = _crash_run(seed=1, plan=plan)
+        simulator, metrics, _ = _crash_run(seed=1, engine=self.engine, plan=plan)
         assert simulator.fault_injector.stats.machines_degraded > 0
         # Nothing is killed by a slowdown; every task still finishes once,
         # and never earlier than its nominal duration allows.
@@ -369,6 +379,14 @@ class TestDegradation:
         # The degradation window ended inside the horizon: slowdowns reset.
         for pool in simulator.pools:
             assert all(m.slowdown == 1.0 for m in pool.machines)
+
+
+class TestFailureDeterminismColumnar(TestFailureDeterminism):
+    engine = "columnar"
+
+
+class TestDegradationColumnar(TestDegradation):
+    engine = "columnar"
 
 
 # --------------------------------------------------------------------------
