@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
-"""Chaos smoke test: kill a supervised bench run mid-suite, resume, compare.
+"""Chaos smoke test: kill a bench run mid-suite, resume, compare.
 
 Two phases, both asserting the digest-invariance contract — a run that was
 sabotaged and recovered must be indistinguishable (modulo timing fields)
 from one that was never interrupted:
 
-1. **Worker kill** (in-process): a scenario whose worker SIGKILLs itself on
-   the first attempt is retried by :class:`ScenarioSupervisor` and must
-   produce the same summary digest as an uninterrupted run.
-2. **Suite kill + resume** (subprocess): a supervised ``repro bench``
-   run is SIGKILLed — process group and all, workers included — once its
+1. **Worker kill** (two worker processes): a scenario whose worker
+   SIGKILLs itself on the first attempt is retried by
+   :class:`ScenarioSupervisor` in a fresh worker and must produce the same
+   summary digest as an uninterrupted run.
+2. **Suite kill + resume** (subprocess): a ``repro bench`` run is
+   SIGKILLed — process group and all, workers included — once its
    journal shows partial progress; ``repro bench --resume`` then finishes
    the suite and the final ``BENCH_<suite>.json`` must carry exactly the
    reference run's summary digests.
@@ -39,7 +40,6 @@ sys.path.insert(0, str(REPO / "src"))
 from repro.resilience import transient_fault_scenario  # noqa: E402
 from repro.runner import (  # noqa: E402
     Scenario,
-    ScenarioRunner,
     ScenarioSupervisor,
     SupervisorConfig,
 )
@@ -59,13 +59,14 @@ def phase_worker_kill(tmp: Path) -> bool:
         task="relax_solve",
         params={"num_classes": 8, "num_types": 2, "W": 2, "seed": 0, "repeats": 1},
     )
-    reference = ScenarioRunner("ref").run([inner], workers=1)["relax_ref"].digest()
+    reference = ScenarioSupervisor("ref").run([inner], workers=1)["relax_ref"].digest()
 
     flaky = transient_fault_scenario(
         "relax_ref_killed", inner, tmp / "markers", fail_attempts=1, mode="kill"
     )
     config = SupervisorConfig(backoff_base_seconds=0.01, backoff_cap_seconds=0.05)
-    report = ScenarioSupervisor("chaos", config).run([flaky])
+    # The attempt kills its own process, so it must not be this one.
+    report = ScenarioSupervisor("chaos", config).run([flaky], workers=2)
 
     if report.quarantined:
         log(f"FAIL: worker-kill scenario quarantined: {report.quarantined}")
@@ -90,7 +91,7 @@ def phase_worker_kill(tmp: Path) -> bool:
 def bench_command(suite: str, workers: int, output: Path, resume: bool) -> list[str]:
     command = [
         sys.executable, "-m", "repro", "bench", suite,
-        "--workers", str(workers), "--supervise", "--output", str(output),
+        "--workers", str(workers), "--output", str(output),
     ]
     if resume:
         command.append("--resume")
@@ -130,9 +131,9 @@ def load_digests(bench_file: Path) -> dict[str, str]:
 def phase_suite_kill_resume(
     tmp: Path, suite: str, workers: int, kill_after: int, timeout: float
 ) -> bool:
-    """SIGKILL a supervised bench mid-suite; --resume must match reference."""
+    """SIGKILL a bench mid-suite; --resume must match reference."""
     ref_dir = tmp / "reference"
-    log(f"reference run: bench {suite} --supervise")
+    log(f"reference run: bench {suite}")
     subprocess.run(
         bench_command(suite, workers, ref_dir, resume=False),
         env=bench_env(), check=True, stdout=subprocess.DEVNULL,

@@ -7,11 +7,12 @@ bytes of a run that was never interrupted, with an empty quarantine:
 
 1. **Reference** (in-process): one uninterrupted serial ``run_fleet`` —
    the merged fleet digest everything else must reproduce.
-2. **Shard-worker kill** (in-process): one shard's worker SIGKILLs
-   itself on its first attempt; :class:`ScenarioSupervisor` respawns it
-   and the re-merged fleet digest must match the reference.
-3. **Coordinator kill + resume** (subprocess): a supervised
-   ``repro fleet`` run is SIGKILLed — process group and all, shard
+2. **Shard-worker kill** (worker processes): one shard's worker SIGKILLs
+   itself on its first attempt; :class:`ScenarioSupervisor` retries the
+   shard in a fresh worker and the re-merged fleet digest must match the
+   reference.
+3. **Coordinator kill + resume** (subprocess): a ``repro fleet`` run is
+   SIGKILLed — process group and all, shard
    workers included — once its suite journal shows partial progress;
    ``repro fleet --resume`` then finishes the fleet and the final
    ``BENCH_google_fleet.json`` must carry the reference digest with
@@ -97,7 +98,7 @@ def fleet_command(shards: int, workers: int, output: Path, resume: bool) -> list
     command = [
         sys.executable, "-m", "repro", "fleet",
         "--shards", str(shards), "--workers", str(workers),
-        "--supervise", "--output", str(output),
+        "--output", str(output),
     ]
     if resume:
         command.append("--resume")
@@ -181,7 +182,11 @@ def phase_coordinator_kill_resume(
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--shards", type=int, default=3)
-    parser.add_argument("--workers", type=int, default=2)
+    parser.add_argument(
+        "--workers", type=int, default=2,
+        help="shard worker processes, >= 2: a shard kills its own process "
+             "(default 2)",
+    )
     parser.add_argument(
         "--kill-after", type=int, default=1,
         help="journaled shards to wait for before the SIGKILL (default 1)",
@@ -191,6 +196,9 @@ def main() -> int:
         help="budget for the chaos phase in seconds (default 600)",
     )
     args = parser.parse_args()
+    if args.workers < 2:
+        parser.error("--workers must be >= 2: at --workers 1 shards run in "
+                     "this process, which the shard kill would end")
 
     log(f"reference run: {args.shards} shard(s), serial, in-process")
     reference = run_fleet(

@@ -28,26 +28,27 @@ lint
     finding.  Exit codes are stable: 0 clean, 1 findings, 2
     usage/configuration error.
 bench
-    Run a scenario suite through the parallel runner, write a
+    Run a scenario suite through the scenario executor
+    (:class:`~repro.runner.ScenarioSupervisor`), write a
     ``BENCH_<suite>.json`` perf baseline, then print the suite's shapes
-    (``repro.runner.suites``); a failed one exits 1.  With ``--supervise`` (or
-    ``--timeout``/``--retries``/``--resume``) the suite runs under the
-    crash-safe :class:`~repro.runner.ScenarioSupervisor` instead:
-    per-scenario timeouts, deterministic-backoff retries, quarantine,
-    and a digest-verified ``JOURNAL_<suite>.jsonl`` that ``--resume``
-    replays so an interrupted suite finishes where it left off.  With
+    (``repro.runner.suites``); a failed one exits 1.  Scenarios run in
+    process at ``--workers 1`` and on warm worker processes otherwise,
+    always with deterministic-backoff retries, quarantine and a
+    digest-verified ``JOURNAL_<suite>_<run id>.jsonl`` in ``--output``
+    that ``--resume`` replays, so an interrupted suite finishes where it
+    left off; ``--timeout`` bounds each attempt of a worker.  With
     ``--corrupt`` the dirty-trace ``trace_corruption`` suite is appended
     to the run, exercising the data-plane hardening layer.
 fleet
     Run the sharded, crash-tolerant fleet simulation (:mod:`repro.fleet`)
     at Google-trace scale: partition the census into machine-type cells,
-    stream-route-replay each cell in its own worker (optionally under the
-    crash-safe supervisor with timeouts, retries, journaled ``--resume``
-    and a fleet-wide memory ceiling), then merge the per-shard summaries
-    into one deterministic fleet digest, recorded as
-    ``BENCH_google_fleet.json``.  Every run prints the ``google_fleet``
-    shapes and exits 1 on a failed one, as ``repro bench`` does.  The
-    trace defaults to the ``REPRO_BENCH_FLEET_*`` bench point.
+    stream-route-replay each cell as one scenario of the same executor
+    (timeouts, retries, journaled ``--resume`` and a fleet-wide memory
+    ceiling), then merge the per-shard summaries into one deterministic
+    fleet digest, recorded as ``BENCH_google_fleet.json``.  Every run
+    prints the ``google_fleet`` shapes and exits 1 on a failed one, as
+    ``repro bench`` does.  The trace defaults to the
+    ``REPRO_BENCH_FLEET_*`` bench point.
 serve
     Run the crash-safe online provisioning daemon (:mod:`repro.serve`):
     a live arrival stream (trace replay, ``--follow`` file tail or
@@ -188,14 +189,13 @@ def _usage_error(prog: str, message: str) -> int:
 def _supervision(
     prog: str, args: argparse.Namespace, unit: str, memory_ceiling=None
 ):
-    """The supervision half of ``repro bench`` / ``repro fleet`` arguments.
+    """The executor half of ``repro bench`` / ``repro fleet`` arguments.
 
     Returns exit code 2 after a usage line for a bad ``--workers`` /
     ``--timeout`` / ``--retries`` / ``memory_ceiling`` (``repro fleet``'s
-    ``--memory-ceiling-mb``); otherwise the
-    :class:`~repro.runner.SupervisorConfig` of a supervised run, or
-    ``None`` when no flag asked for supervision.  ``unit`` names what a
-    worker runs (scenarios, shards) in the ``--workers`` hint.
+    ``--memory-ceiling-mb``), or for ``--timeout`` at ``--workers 1``;
+    otherwise the run's :class:`~repro.runner.SupervisorConfig`.  ``unit``
+    names what a worker runs (scenarios, shards) in the ``--workers`` hint.
     """
     from repro.runner import SupervisorConfig
 
@@ -209,20 +209,18 @@ def _supervision(
         return _usage_error(
             prog, f"--timeout must be positive seconds, got {args.timeout}"
         )
+    if args.timeout is not None and args.workers == 1:
+        return _usage_error(
+            prog,
+            f"--timeout cannot be enforced on {unit} running in this process "
+            "(hint: --workers 2 or more runs them in worker processes)",
+        )
     if args.retries is not None and args.retries < 0:
         return _usage_error(prog, f"--retries must be >= 0, got {args.retries}")
     if memory_ceiling is not None and memory_ceiling <= 0:
         return _usage_error(
             prog, f"--memory-ceiling-mb must be positive MiB, got {memory_ceiling}"
         )
-    if not (
-        args.supervise
-        or args.resume
-        or args.timeout is not None
-        or args.retries is not None
-        or memory_ceiling is not None
-    ):
-        return None
     return SupervisorConfig(
         timeout_seconds=args.timeout,
         max_attempts=(args.retries if args.retries is not None else 2) + 1,
@@ -250,7 +248,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from repro.runner import (
         SUITES,
         BenchDefaults,
-        ScenarioRunner,
         ScenarioSupervisor,
         bench_defaults,
         write_baseline,
@@ -260,13 +257,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     supervision = _supervision("repro bench", args, "scenarios")
     if isinstance(supervision, int):
         return supervision
-    supervised = supervision is not None
-    if supervised and args.verify:
+    if args.verify and args.resume:
         return _usage_error(
             "repro bench",
-            "--verify compares plain serial/parallel runs and "
-            "cannot be combined with supervised execution "
-            "(--supervise/--resume/--timeout/--retries)",
+            "--verify reruns every scenario in process and on workers and "
+            "cannot be combined with --resume",
         )
 
     env = bench_defaults()
@@ -283,26 +278,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for suite in suites:
         scenarios = SUITES[suite](defaults)
         serial = None
-        if supervised:
-            supervisor = ScenarioSupervisor(
-                suite, supervision, journal_dir=args.output
+        supervisor = ScenarioSupervisor(suite, supervision, journal_dir=args.output)
+        if args.verify:
+            serial, report = supervisor.verify_determinism(
+                scenarios, workers=args.workers
             )
+        else:
             report = supervisor.run(
                 scenarios, workers=args.workers, resume=args.resume
             )
-            if supervisor.resumed:
-                print(
-                    f"resumed {len(supervisor.resumed)} scenario(s) from the "
-                    f"journal, executed {len(set(supervisor.executed))}"
-                )
-        else:
-            runner = ScenarioRunner(suite)
-            if args.verify:
-                serial, report = runner.verify_determinism(
-                    scenarios, workers=args.workers
-                )
-            else:
-                report = runner.run(scenarios, workers=args.workers)
+        if supervisor.resumed:
+            print(
+                f"resumed {len(supervisor.resumed)} scenario(s) from the "
+                f"journal, executed {len(set(supervisor.executed))}"
+            )
         rows = [
             [
                 r.name,
@@ -327,8 +316,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 ["scenario", "task", "wall", "phases"],
                 rows,
                 title=f"bench {suite} — {args.workers} worker(s)"
-                      + (" [serial-verified]" if args.verify else "")
-                      + (" [supervised]" if supervised else ""),
+                      + (" [serial-verified]" if args.verify else ""),
             )
         )
         path = write_baseline(report, args.output, compare_serial=serial)
@@ -357,7 +345,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     supervision = _supervision(prog, args, "shards", args.memory_ceiling_mb)
     if isinstance(supervision, int):
         return supervision
-    supervised = supervision is not None
     if args.shards < 1:
         return _usage_error(
             prog,
@@ -405,7 +392,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         trace_params,
         config,
         workers=args.workers,
-        supervise=supervised,
         resume=args.resume,
         journal_dir=args.output,
         supervisor_config=supervision,
@@ -442,8 +428,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             ["shard", "machines", "tasks", "wall", "peak rss"],
             rows,
             title=f"fleet {config.suite} — {config.shards} shard(s), "
-                  f"{args.workers} worker(s)"
-                  + (" [supervised]" if supervised else ""),
+                  f"{args.workers} worker(s)",
         )
     )
     if merged is not None:
@@ -713,27 +698,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run serially and assert bit-identical summaries",
     )
     bench.add_argument(
-        "--supervise", action="store_true",
-        help="run under the crash-safe supervisor: per-scenario worker "
-             "processes, retries with deterministic backoff, quarantine, "
-             "and a JOURNAL_<suite>.jsonl in the output directory",
-    )
-    bench.add_argument(
         "--resume", action="store_true",
-        help="replay JOURNAL_<suite>.jsonl (verifying digests) and only "
-             "execute scenarios it is missing; implies --supervise",
+        help="replay the suite's journal in --output (verifying digests) "
+             "and only execute scenarios it is missing",
     )
     bench.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-scenario wall-clock budget per attempt; implies --supervise",
+        help="per-scenario wall-clock budget per attempt (needs --workers "
+             ">= 2)",
     )
     bench.add_argument(
         "--retries", type=int, default=None, metavar="N",
-        help="retries per failing scenario before quarantine "
-             "(default 2 under supervision); implies --supervise",
+        help="retries per failing scenario before quarantine (default 2)",
     )
     bench.add_argument("--output", type=Path, default=Path("."),
-                       help="directory for the BENCH_<suite>.json baseline")
+                       help="directory for the BENCH_<suite>.json baseline "
+                            "and the suite journal")
     bench.add_argument("--hours", type=float, default=None,
                        help="override REPRO_BENCH_HOURS for this run")
     bench.add_argument("--machines", type=int, default=None,
@@ -781,30 +761,23 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--load", type=float, default=None,
                        help="override REPRO_BENCH_FLEET_LOAD for this run")
     fleet.add_argument(
-        "--supervise", action="store_true",
-        help="run shards under the crash-safe supervisor (respawn, "
-             "deterministic backoff, quarantine, suite journal)",
-    )
-    fleet.add_argument(
         "--resume", action="store_true",
-        help="replay JOURNAL_google_fleet.jsonl and only execute shards it "
-             "is missing; implies --supervise",
+        help="replay the google_fleet journal in --output and only execute "
+             "shards it is missing",
     )
     fleet.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-shard wall-clock budget per attempt (straggler guard); "
-             "implies --supervise",
+        help="per-shard wall-clock budget per attempt (straggler guard; "
+             "needs --workers >= 2)",
     )
     fleet.add_argument(
         "--retries", type=int, default=None, metavar="N",
-        help="retries per failing shard before quarantine "
-             "(default 2 under supervision); implies --supervise",
+        help="retries per failing shard before quarantine (default 2)",
     )
     fleet.add_argument(
         "--memory-ceiling-mb", type=float, default=None, metavar="MIB",
-        help="fleet-wide RSS ceiling; the supervisor defers shard spawns "
-             "while the coordinator+workers tree sits above the watermark; "
-             "implies --supervise",
+        help="fleet-wide RSS ceiling; no further shard is handed out while "
+             "the coordinator+workers tree sits above the watermark",
     )
     fleet.add_argument(
         "--memory-budget-mb", type=float, default=None, metavar="MIB",

@@ -1,8 +1,8 @@
 """Sharded, crash-tolerant fleet simulation at Google-trace scale.
 
 Partitions the machine census into disjoint machine-type cells
-(:mod:`repro.fleet.sharding`), replays each cell in a supervised spawn
-worker fed by the constant-memory streaming trace generator
+(:mod:`repro.fleet.sharding`), replays each cell as one supervised
+scenario fed by the constant-memory streaming trace generator
 (:mod:`repro.fleet.tasks`), and merges per-shard summaries into one
 deterministic fleet digest (:mod:`repro.fleet.coordinator` +
 :mod:`repro.simulation.merge`).  See ``docs/scaling.md`` for topology,

@@ -6,18 +6,19 @@
    memory (:func:`~repro.trace.generator.plan_trace`), and embed the
    serialized plan in every shard's params so workers pay a single
    emission pass instead of re-calibrating.
-2. **Fan out** — one ``fleet_shard`` scenario per cell, executed by the
-   plain runner (fast path) or the crash-safe supervisor (timeouts,
-   deterministic-backoff retries, journaled ``--resume``, memory-ceiling
-   backpressure).
+2. **Fan out** — one ``fleet_shard`` scenario per cell, executed by
+   :class:`~repro.runner.supervisor.ScenarioSupervisor`: in process at
+   ``workers=1``, else on warm worker processes with timeouts,
+   deterministic-backoff retries, memory-ceiling backpressure and, given
+   a ``journal_dir``, a suite journal for ``resume``.
 3. **Merge** — fold per-shard summaries with
    :func:`~repro.simulation.merge.merge_shard_summaries` and bind the
    shard digests into one fleet digest.  Quarantined shards degrade the
    run to an explicitly marked partial merge instead of sinking it.
 
-The merged digest is invariant across execution topology: serial,
-parallel, supervised, killed-and-resumed and straggler-retried runs of
-the same fleet params all produce the same bytes.
+The merged digest is invariant across execution topology: in-process,
+worker, killed-and-resumed and straggler-retried runs of the same fleet
+params all produce the same bytes.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.runner.runner import RunnerReport, ScenarioRunner, summary_digest
+from repro.runner.runner import RunnerReport, summary_digest
 from repro.runner.scenario import Scenario
 from repro.runner.supervisor import ScenarioSupervisor, SupervisorConfig
 from repro.simulation.merge import fleet_digest, merge_shard_summaries
@@ -202,21 +203,18 @@ def run_fleet(
     trace_params: dict,
     config: FleetConfig,
     workers: int = 1,
-    supervise: bool = False,
     resume: bool = False,
     journal_dir: str | Path | None = None,
     supervisor_config: SupervisorConfig | None = None,
     progress_dir: str | Path | None = None,
 ) -> FleetReport:
-    """Plan, fan out and merge one sharded fleet run."""
+    """Plan, fan out and merge one sharded fleet run.
+
+    The shards journal exactly when ``journal_dir`` is given.
+    """
     scenarios = fleet_scenarios(trace_params, config, progress_dir=progress_dir)
-    if supervise or resume:
-        supervisor = ScenarioSupervisor(
-            suite=config.suite,
-            config=supervisor_config,
-            journal_dir=journal_dir,
-        )
-        report = supervisor.run(scenarios, workers=workers, resume=resume)
-    else:
-        report = ScenarioRunner(suite=config.suite).run(scenarios, workers=workers)
+    supervisor = ScenarioSupervisor(
+        suite=config.suite, config=supervisor_config, journal_dir=journal_dir
+    )
+    report = supervisor.run(scenarios, workers=workers, resume=resume)
     return merge_fleet_report(config.suite, config.shards, report)

@@ -1,7 +1,7 @@
 """Shared scenario-execution subsystem.
 
-One runner serves the repo's consumers of "run these independent
-scenario configurations and report":
+One executor, :class:`ScenarioSupervisor`, serves the repo's consumers
+of "run these independent scenario configurations and report":
 
 - ``repro bench``, which runs a suite, checks its shapes and records it
   as a ``BENCH_<suite>.json`` perf baseline;
@@ -9,9 +9,13 @@ scenario configurations and report":
   which checks the ``google_fleet`` shapes the same way;
 - CI, which runs both at smoke size.
 
+It runs scenarios in process at ``workers=1`` and on warm, supervised
+worker processes otherwise, with the same retries, quarantine and
+journaled resume either way.
+
 Determinism contract: every task seeds all randomness from its scenario
-params, so per-scenario summaries are bit-identical between serial and
-parallel execution (see :meth:`ScenarioRunner.verify_determinism`).
+params, so per-scenario summaries are bit-identical between in-process
+and worker execution (see :meth:`ScenarioSupervisor.verify_determinism`).
 """
 
 from repro.runner.defaults import (
@@ -41,7 +45,6 @@ from repro.runner.runner import (
     RunnerReport,
     ScenarioFailure,
     ScenarioResult,
-    ScenarioRunner,
     baseline_payload,
     canonical_json,
     summary_digest,
@@ -81,7 +84,6 @@ __all__ = [
     "RunnerReport",
     "ScenarioFailure",
     "ScenarioResult",
-    "ScenarioRunner",
     "ScenarioSupervisor",
     "SupervisorConfig",
     "backoff_delay",

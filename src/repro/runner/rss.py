@@ -4,13 +4,12 @@ Two probes, both best-effort (they return ``None`` where the platform
 does not expose the reading, never raise):
 
 - :func:`self_peak_rss_mb` — the calling process's *high-water* RSS from
-  ``getrusage``.  Workers report this at the end of a scenario so the
-  baseline payload carries a true per-scenario peak even though the
-  coordinator only samples children periodically.
+  ``getrusage``.  Each scenario reports it at its end, so the baseline
+  payload carries a peak the coordinator's periodic samples may miss.
 - :func:`process_rss_mb` — a process's *current* RSS from
-  ``/proc/<pid>/status`` (``VmRSS``).  The supervisor samples itself and
-  its live workers each tick to enforce the fleet memory ceiling and to
-  observe the run-wide peak.
+  ``/proc/<pid>/status`` (``VmRSS``).  The executor samples itself and
+  its live workers to enforce the fleet memory ceiling and to observe
+  the run-wide peak.
 """
 
 from __future__ import annotations

@@ -1,12 +1,11 @@
-"""Parallel scenario execution and machine-readable perf baselines.
+"""Scenario results, their digests and machine-readable perf baselines.
 
-:class:`ScenarioRunner` fans a list of independent :class:`Scenario`
-configurations out across ``multiprocessing`` workers (spawn context, so
-the same code is fork-safety-agnostic on every platform) or runs them
-inline for ``workers=1``.  Because every task seeds its own randomness
-from the scenario params (see :mod:`repro.runner.tasks`), the per-scenario
-summaries are bit-identical between serial and parallel execution — the
-runner can and does verify this on demand.
+:func:`_execute` is the body every scenario runs in, in process or in a
+worker of :class:`~repro.runner.supervisor.ScenarioSupervisor`.  Because
+every task seeds its own randomness from the scenario params (see
+:mod:`repro.runner.tasks`), the per-scenario summaries are bit-identical
+between in-process and worker execution — the executor can and does
+verify this on demand.
 
 :func:`write_baseline` records a run as ``BENCH_<name>.json``: wall times,
 throughput, per-phase timings and a digest of every summary, giving the
@@ -17,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 import platform
 from dataclasses import dataclass
@@ -33,9 +31,8 @@ def _execute(scenario: Scenario) -> tuple[str, dict, dict, float, float | None]:
     """Worker body: run one scenario, time it, return plain picklables.
 
     The trailing element is the executing process's high-water RSS in MiB
-    (``None`` where the platform cannot report it).  In a spawned worker
-    that is a true per-scenario peak; inline (``workers=1``) it is the
-    host process's peak, which upper-bounds the scenario's.
+    (``None`` where the platform cannot report it): the peak of every
+    scenario that process has run so far, which upper-bounds this one's.
     """
     start = perf_counter()
     result = scenario.run()
@@ -84,8 +81,8 @@ class ScenarioResult:
     summary: dict
     phases: dict[str, float]
     wall_seconds: float
-    #: Execution attempts consumed (always 1 on the unsupervised path;
-    #: the supervisor counts retries).  Deliberately excluded from
+    #: Execution attempts consumed (1 unless the scenario was retried).
+    #: Deliberately excluded from
     #: ``BENCH_<suite>.json`` so a retried-then-resumed run stays
     #: byte-identical to an uninterrupted one.
     attempts: int = 1
@@ -104,7 +101,7 @@ class ScenarioResult:
 
 @dataclass(frozen=True)
 class ScenarioFailure:
-    """A scenario the supervisor gave up on (quarantined)."""
+    """A scenario the executor gave up on (quarantined)."""
 
     scenario: Scenario
     #: ``"timeout"`` | ``"crash"`` | ``"error"`` — the *last* failure kind.
@@ -125,12 +122,11 @@ class RunnerReport:
     workers: int
     results: tuple[ScenarioResult, ...]
     total_wall_seconds: float
-    #: Scenarios that kept failing under supervision; empty on the plain
-    #: (unsupervised) path, which raises on the first failure instead.
+    #: Scenarios that kept failing through every retry.
     quarantined: tuple[ScenarioFailure, ...] = ()
-    #: Coordinator-observed peak of (supervisor + live workers) current
-    #: RSS in MiB, sampled per supervision tick; ``None`` on the plain
-    #: path or where procfs is unavailable.
+    #: Peak resident memory of the run's process tree in MiB (see
+    #: :attr:`ScenarioSupervisor.peak_rss_mb`); ``None`` where the
+    #: platform gives no reading.
     peak_rss_mb: float | None = None
 
     def __post_init__(self) -> None:
@@ -166,71 +162,6 @@ class RunnerReport:
         if self.total_wall_seconds <= 0:
             return 0.0
         return tasks / self.total_wall_seconds
-
-
-class ScenarioRunner:
-    """Executes scenario lists serially or across worker processes."""
-
-    def __init__(self, suite: str = "suite") -> None:
-        self.suite = suite
-
-    def run(self, scenarios: list[Scenario], workers: int = 1) -> RunnerReport:
-        """Run every scenario; returns results in the input order.
-
-        ``workers=1`` executes inline (no processes).  ``workers>1`` uses
-        a spawn-context pool; scenario order in the report is preserved
-        regardless of completion order.
-        """
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        names = [s.name for s in scenarios]
-        if len(set(names)) != len(names):
-            raise ValueError(f"scenario names must be unique, got {names}")
-
-        start = perf_counter()
-        if workers == 1 or len(scenarios) <= 1:
-            raw = [_execute(s) for s in scenarios]
-        else:
-            context = multiprocessing.get_context("spawn")
-            with context.Pool(processes=min(workers, len(scenarios))) as pool:
-                raw = pool.map(_execute, scenarios)
-        total = perf_counter() - start
-
-        by_name = {
-            name: (summary, phases, wall, rss)
-            for name, summary, phases, wall, rss in raw
-        }
-        results = tuple(
-            ScenarioResult(
-                scenario=s,
-                summary=by_name[s.name][0],
-                phases=by_name[s.name][1],
-                wall_seconds=by_name[s.name][2],
-                rss_peak_mb=by_name[s.name][3],
-            )
-            for s in scenarios
-        )
-        return RunnerReport(
-            suite=self.suite, workers=workers, results=results,
-            total_wall_seconds=total,
-        )
-
-    def verify_determinism(
-        self, scenarios: list[Scenario], workers: int = 2
-    ) -> tuple[RunnerReport, RunnerReport]:
-        """Run serially and in parallel; raise if any summary differs."""
-        serial = self.run(scenarios, workers=1)
-        parallel = self.run(scenarios, workers=workers)
-        mismatches = [
-            name
-            for name in serial.digests()
-            if serial.digests()[name] != parallel.digests()[name]
-        ]
-        if mismatches:
-            raise AssertionError(
-                f"serial/parallel summaries diverged for scenarios: {mismatches}"
-            )
-        return serial, parallel
 
 
 def _tasks_submitted(summary: dict) -> int | None:
@@ -298,9 +229,8 @@ def baseline_payload(
     if report.peak_rss_mb is not None:
         rss_readings.append(report.peak_rss_mb)
     if rss_readings:
-        # Worker self-peaks bound any single scenario; the coordinator's
-        # tick-sampled tree peak bounds concurrent residency.  The max of
-        # the two is the run's best-known high-water mark.
+        # The run's concurrent residency: the process tree's sampled peak,
+        # raised to any process's own high-water mark the samples missed.
         payload["peak_rss_mb"] = round(max(rss_readings), 2)
     if compare_serial is not None:
         payload["serial_wall_s"] = round(compare_serial.total_wall_seconds, 4)

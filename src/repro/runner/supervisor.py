@@ -1,31 +1,39 @@
-"""Supervised, crash-safe scenario execution.
+"""The scenario executor: warm, supervised, journaled.
 
-:class:`ScenarioSupervisor` wraps the work :class:`~repro.runner.ScenarioRunner`
-does with the failure semantics a long sweep needs:
+:class:`ScenarioSupervisor` runs every scenario list in the repo — the
+``repro bench`` suites, the ``repro fleet`` shards — with the failure
+semantics a long sweep needs:
 
-- **Per-scenario wall-clock timeouts** — every attempt runs in its own
-  spawned worker process, so a hung scenario can be SIGKILLed without
-  touching its neighbours;
+- **In process at ``workers=1``** — scenarios run one after another in
+  the calling process, so tracing wrappers and reference digests see
+  them.  Retries, quarantine and the journal work as below; a timeout
+  cannot be enforced in this process, so none applies.
+- **Warm worker processes at ``workers>=2``** — up to ``workers``
+  persistent spawned workers, each handed one scenario at a time over its
+  own pipe.  A worker keeps its per-process trace and classifier memo
+  (:mod:`repro.runner.tasks`) from one scenario to the next, and its BLAS
+  runs one thread (:data:`WORKER_ENV`): the workers already share the
+  CPUs.  A worker is retired after any failed attempt, so a retry never
+  shares a process with the attempt that failed.  The coordinator blocks
+  on the worker pipes and sentinels until a result, the next deadline,
+  the next backoff wake-up or the next RSS sample, whichever comes first.
+- **Per-scenario wall-clock timeouts** — a worker whose attempt overruns
+  its budget is SIGKILLed without touching its neighbours;
 - **Bounded retries with deterministic backoff** — delays follow a capped
   exponential schedule whose jitter is derived from the scenario *name*
   (SHA-256), never from ``random`` or the clock, so a rerun of the same
   suite retries at bit-identical offsets;
-- **Worker-crash detection and respawn** — a worker that dies without
-  reporting (OOM kill, segfault, SIGKILL) is detected by its exit code and
-  the scenario is retried in a fresh worker; one poisoned worker can never
-  contaminate another scenario's process;
+- **Worker-crash detection** — a worker that dies without reporting (OOM
+  kill, segfault, SIGKILL) is detected through its sentinel and the
+  scenario is retried in another worker;
 - **Quarantine** — scenarios that keep failing are reported in
   :attr:`RunnerReport.quarantined` instead of sinking the suite;
-- **Journaled resume** — each completed result is durably appended to a
-  ``JOURNAL_<suite>.jsonl`` (see :mod:`repro.runner.journal`); a rerun with
-  ``resume=True`` replays the journal, verifies digests and only executes
-  what is missing, so an interrupted suite finishes where it left off with
-  an identical final ``BENCH_<suite>.json`` (modulo timing fields).
-
-The plain runner remains the fast path for trusted suites (a shared pool
-amortizes per-process trace/classifier caches); the supervisor trades that
-warmth for isolation, which is what an overnight thousand-scenario sweep
-actually needs.
+- **Journaled resume** — given a ``journal_dir``, each completed result is
+  durably appended to a ``JOURNAL_<suite>_<run id>.jsonl`` (see
+  :mod:`repro.runner.journal`); a rerun with ``resume=True`` replays the
+  journal, verifies digests and only executes what is missing, so an
+  interrupted suite finishes where it left off with an identical final
+  ``BENCH_<suite>.json`` (modulo timing fields).
 """
 
 from __future__ import annotations
@@ -36,11 +44,12 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from pathlib import Path
 
 from repro.errors import ScenarioCrash, ScenarioError, ScenarioFailed, ScenarioTimeout
 from repro.runner.journal import Journal, JournalEntry, journal_path, suite_run_id
-from repro.runner.rss import tree_rss_mb
+from repro.runner.rss import self_peak_rss_mb, tree_rss_mb
 from repro.runner.runner import (
     RunnerReport,
     ScenarioFailure,
@@ -49,8 +58,9 @@ from repro.runner.runner import (
 )
 from repro.runner.scenario import Scenario
 
-#: Supervisor poll granularity (seconds); bounds timeout overshoot.
-_TICK_SECONDS = 0.01
+#: Longest the coordinator blocks between two samples of the process
+#: tree's RSS while workers run (seconds).
+RSS_SAMPLE_SECONDS = 0.1
 #: Growth of the retry delay per failed attempt.
 BACKOFF_FACTOR = 2.0
 #: Max relative jitter added to each retry delay.
@@ -58,6 +68,13 @@ JITTER_FRACTION = 0.25
 #: Fraction of ``SupervisorConfig.memory_ceiling_mb`` at which admission
 #: pauses.
 MEMORY_WATERMARK = 0.9
+#: Set in every worker's environment before it starts, because spawning
+#: imports numpy before the worker body runs: one BLAS thread per worker.
+WORKER_ENV = {
+    "OPENBLAS_NUM_THREADS": "1",
+    "OMP_NUM_THREADS": "1",
+    "MKL_NUM_THREADS": "1",
+}
 
 
 @dataclass(frozen=True)
@@ -67,7 +84,8 @@ class SupervisorConfig:
     Attributes
     ----------
     timeout_seconds:
-        Per-attempt wall-clock budget; ``None`` disables timeouts.
+        Per-attempt wall-clock budget of a worker; ``None`` disables
+        timeouts.  Scenarios run in process (``workers=1``) have none.
     max_attempts:
         Total attempts (first try + retries) before quarantine.
     backoff_base_seconds / backoff_cap_seconds:
@@ -76,14 +94,14 @@ class SupervisorConfig:
         jitter of :func:`backoff_delay`.  The defaults keep test suites
         fast; production sweeps should raise the base.
     memory_ceiling_mb:
-        Soft cap on the run's resident memory (supervisor + live
+        Soft cap on the run's resident memory (coordinator + live
         workers), enforced as admission-control backpressure: while the
         sampled process-tree RSS sits above
         ``MEMORY_WATERMARK * memory_ceiling_mb`` and at least one worker
-        is in flight, no new workers are spawned.  Already-running
-        workers are never killed for memory — backpressure only delays
-        *new* streaming feeders, so results (and digests) are unchanged.
-        ``None`` disables the ceiling.
+        is busy, no further scenario is handed out.  Running workers are
+        never killed for memory — backpressure only delays *new*
+        scenarios, so results (and digests) are unchanged.  ``None``
+        disables the ceiling.
     """
 
     timeout_seconds: float | None = None
@@ -132,39 +150,37 @@ def backoff_delay(
     return base * (1.0 + JITTER_FRACTION * fraction)
 
 
-def _worker_main(scenario: Scenario, conn) -> None:
-    """Worker body: run one attempt, report over the pipe, exit."""
-    try:
-        payload = _execute(scenario)
-        conn.send(("ok", payload))
-    except BaseException as exc:  # noqa: BLE001 — report, parent decides
+def _worker_main(conn) -> None:
+    """Worker body: run each scenario sent over ``conn`` and report it.
+
+    Runs until the coordinator kills the worker or closes the pipe.  A
+    report that cannot be sent ends the worker, which the coordinator
+    classifies as a :class:`~repro.errors.ScenarioCrash`.
+    """
+    while True:
         try:
+            scenario = conn.recv()
+        except EOFError:
+            return
+        try:
+            conn.send(("ok", _execute(scenario)))
+        except BaseException as exc:  # noqa: BLE001 — report, parent decides
             conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except (OSError, ValueError):
-            # Pipe already gone or payload unpicklable: the parent
-            # classifies this attempt as a ScenarioCrash from the exit
-            # code instead.
-            pass
-    finally:
-        try:
-            conn.close()
-        except OSError:
-            pass
 
 
 @dataclass
-class _InFlight:
-    """One attempt currently running in a worker process."""
+class _Worker:
+    """One persistent worker process and the attempt it is running."""
 
-    scenario: Scenario
-    attempt: int
     process: multiprocessing.process.BaseProcess
     conn: object
-    deadline: float | None
+    scenario: Scenario | None = None
+    attempt: int = 0
+    deadline: float | None = None
 
 
 class ScenarioSupervisor:
-    """Runs scenario suites with timeouts, retries, quarantine and resume."""
+    """Runs scenario lists with timeouts, retries, quarantine and resume."""
 
     def __init__(
         self,
@@ -179,16 +195,19 @@ class ScenarioSupervisor:
         #: is known; the path carries the run id so journals from
         #: different scenario sets can never collide.
         self.journal: Journal | None = None
-        #: Names executed (spawned) by the most recent :meth:`run`.
+        #: One name per attempt started by the most recent :meth:`run`.
         self.executed: list[str] = []
         #: Names satisfied from the journal by the most recent :meth:`run`.
         self.resumed: list[str] = []
         #: Every per-attempt failure observed, for diagnostics.
         self.failure_log: list[ScenarioError] = []
-        #: Peak sampled (supervisor + workers) RSS over the most recent
-        #: :meth:`run`, MiB; ``None`` where procfs is unavailable.
+        #: Peak resident memory of the most recent :meth:`run`'s process
+        #: tree, MiB: in process, this process's high-water mark; with
+        #: workers, the largest sampled sum of coordinator + live worker
+        #: RSS.  ``None`` where the platform gives no reading.
         self.peak_rss_mb: float | None = None
-        #: Ticks on which the memory watermark deferred a ready spawn.
+        #: Admission rounds on which the memory watermark held back a
+        #: ready scenario.
         self.deferred_spawns: int = 0
 
     # ------------------------------------------------------------------ run
@@ -196,12 +215,12 @@ class ScenarioSupervisor:
     def run(
         self, scenarios: list[Scenario], workers: int = 1, resume: bool = False
     ) -> RunnerReport:
-        """Run every scenario under supervision; never raises mid-suite.
+        """Run every scenario; never raises mid-suite.
 
-        ``workers`` is the number of concurrently running worker processes
-        (each attempt always gets a fresh spawned process).  With
-        ``resume=True`` and a journal configured, journaled completions are
-        verified and skipped.  Quarantined scenarios appear in
+        ``workers=1`` runs the scenarios in this process; ``workers>=2``
+        runs them on up to that many worker processes.  With
+        ``resume=True`` and a journal configured, journaled completions
+        are verified and skipped.  Quarantined scenarios appear in
         ``report.quarantined``; everything else in ``report.results`` in
         input order.
         """
@@ -229,9 +248,12 @@ class ScenarioSupervisor:
             self.resumed = [s.name for s in scenarios if s.name in done]
 
         start = time.perf_counter()
-        quarantined = self._supervise(
-            [s for s in scenarios if s.name not in done], workers, done
-        )
+        todo = [s for s in scenarios if s.name not in done]
+        quarantined: dict[str, ScenarioFailure] = {}
+        if workers == 1:
+            self._run_in_process(todo, done, quarantined)
+        else:
+            self._run_workers(todo, workers, done, quarantined)
         total = time.perf_counter() - start
 
         results = tuple(done[s.name] for s in scenarios if s.name in done)
@@ -247,207 +269,249 @@ class ScenarioSupervisor:
             peak_rss_mb=self.peak_rss_mb,
         )
 
+    def verify_determinism(
+        self, scenarios: list[Scenario], workers: int = 2
+    ) -> tuple[RunnerReport, RunnerReport]:
+        """Run in process, then on ``workers``; raise if any summary differs."""
+        serial = self.run(scenarios, workers=1)
+        parallel = self.run(scenarios, workers=workers)
+        expected, got = serial.digests(), parallel.digests()
+        mismatches = sorted(
+            name for name in expected.keys() | got.keys()
+            if expected.get(name) != got.get(name)
+        )
+        if mismatches:
+            raise AssertionError(
+                f"serial/parallel summaries diverged for scenarios: {mismatches}"
+            )
+        return serial, parallel
+
     # ------------------------------------------------------------ internals
 
-    def _supervise(
+    def _run_in_process(
+        self,
+        scenarios: list[Scenario],
+        done: dict[str, ScenarioResult],
+        quarantined: dict[str, ScenarioFailure],
+    ) -> None:
+        for scenario in scenarios:
+            attempt = 1
+            while True:
+                self.executed.append(scenario.name)
+                try:
+                    outcome = ("ok", _execute(scenario))
+                except Exception as exc:  # noqa: BLE001 — retried or quarantined
+                    outcome = ("error", f"{type(exc).__name__}: {exc}")
+                delay = self._settle(scenario, attempt, outcome, done, quarantined)
+                if delay is None:
+                    break
+                time.sleep(delay)
+                attempt += 1
+        self.peak_rss_mb = self_peak_rss_mb()
+
+    def _run_workers(
         self,
         scenarios: list[Scenario],
         workers: int,
         done: dict[str, ScenarioResult],
-    ) -> dict[str, ScenarioFailure]:
+        quarantined: dict[str, ScenarioFailure],
+    ) -> None:
         context = multiprocessing.get_context("spawn")
         pending: deque[tuple[Scenario, int]] = deque((s, 1) for s in scenarios)
         delayed: list[tuple[float, Scenario, int]] = []  # (ready_at, s, attempt)
-        in_flight: list[_InFlight] = []
-        quarantined: dict[str, ScenarioFailure] = {}
+        idle: list[_Worker] = []
+        busy: list[_Worker] = []
+        try:
+            while pending or delayed or busy:
+                now = time.monotonic()
+                for item in [d for d in delayed if d[0] <= now]:
+                    delayed.remove(item)
+                    pending.append((item[1], item[2]))
 
-        while pending or delayed or in_flight:
-            now = time.monotonic()
-            for item in [d for d in delayed if d[0] <= now]:
-                delayed.remove(item)
-                pending.append((item[1], item[2]))
+                over_watermark = self._sample_memory(idle + busy)
+                while pending and len(busy) < workers:
+                    if over_watermark and busy:
+                        # Backpressure: above the memory watermark, finish
+                        # what is running before handing out more.  With
+                        # nothing busy admission proceeds regardless —
+                        # deferring then would deadlock the run.
+                        self.deferred_spawns += 1
+                        break
+                    worker = idle.pop() if idle else self._spawn(context)
+                    self._assign(worker, *pending.popleft())
+                    busy.append(worker)
 
-            over_watermark = self._sample_memory(in_flight)
-            while pending and len(in_flight) < workers:
-                if over_watermark and in_flight:
-                    # Backpressure: above the memory watermark, finish
-                    # what is running before admitting new feeders.  With
-                    # nothing in flight admission proceeds regardless —
-                    # deferring then would deadlock the run.
-                    self.deferred_spawns += 1
-                    break
-                scenario, attempt = pending.popleft()
-                in_flight.append(self._spawn(context, scenario, attempt))
-
-            finished: list[_InFlight] = []
-            for flight in in_flight:
-                outcome = self._poll(flight)
-                if outcome is None:
-                    continue
-                finished.append(flight)
-                kind, payload = outcome
-                if kind == "ok":
-                    name, summary, phases, wall, rss_mb = payload
-                    result = ScenarioResult(
-                        scenario=flight.scenario,
-                        summary=summary,
-                        phases=phases,
-                        wall_seconds=wall,
-                        attempts=flight.attempt,
-                        rss_peak_mb=rss_mb,
+                waits = [RSS_SAMPLE_SECONDS] + [d[0] - now for d in delayed] + [
+                    w.deadline - now for w in busy if w.deadline is not None
+                ]
+                wait(
+                    [w.conn for w in busy] + [w.process.sentinel for w in busy],
+                    timeout=max(min(waits), 0.0),
+                )
+                for worker in list(busy):
+                    outcome = self._collect(worker)
+                    if outcome is None:
+                        continue
+                    busy.remove(worker)
+                    if outcome[0] == "ok":
+                        idle.append(worker)
+                    else:
+                        self._retire(worker)
+                    delay = self._settle(
+                        worker.scenario, worker.attempt, outcome, done, quarantined
                     )
-                    done[name] = result
-                    if self.journal is not None:
-                        self.journal.append(
-                            JournalEntry(
-                                suite=self.suite,
-                                scenario=flight.scenario,
-                                summary=result.summary,
-                                phases=result.phases,
-                                wall_seconds=result.wall_seconds,
-                                attempts=result.attempts,
-                                rss_peak_mb=result.rss_peak_mb,
-                            )
+                    if delay is not None:
+                        delayed.append(
+                            (time.monotonic() + delay, worker.scenario,
+                             worker.attempt + 1)
                         )
-                else:
-                    self._handle_failure(
-                        flight, kind, payload, pending, delayed, quarantined
-                    )
-            for flight in finished:
-                in_flight.remove(flight)
+        finally:
+            for worker in idle + busy:
+                self._retire(worker)
 
-            if in_flight or pending:
-                time.sleep(_TICK_SECONDS)
-            elif delayed:
-                wake = min(d[0] for d in delayed)
-                time.sleep(max(min(wake - time.monotonic(), 0.25), 0.0))
-        return quarantined
-
-    def _sample_memory(self, in_flight: list[_InFlight]) -> bool:
-        """Sample the process tree's RSS; True when above the watermark.
-
-        Tracks the run-wide peak as a side effect.  Sampling only runs
-        when a ceiling is set or a worker is live — a serial resume pass
-        that replays the journal pays nothing.
-        """
-        ceiling = self.config.memory_ceiling_mb
-        if ceiling is None and not in_flight:
-            return False
-        pids = [os.getpid()] + [
-            f.process.pid for f in in_flight
-            if f.process.pid is not None and f.process.is_alive()
-        ]
-        observed = tree_rss_mb(pids)
-        if observed is None:
-            return False
-        if self.peak_rss_mb is None or observed > self.peak_rss_mb:
-            self.peak_rss_mb = observed
-        if ceiling is None:
-            return False
-        return observed >= MEMORY_WATERMARK * ceiling
-
-    def _spawn(self, context, scenario: Scenario, attempt: int) -> _InFlight:
-        parent_conn, child_conn = context.Pipe(duplex=False)
+    def _spawn(self, context) -> _Worker:
+        parent_conn, child_conn = context.Pipe()
         process = context.Process(
             target=_worker_main,
-            args=(scenario, child_conn),
-            name=f"repro-{self.suite}-{scenario.name}-a{attempt}",
+            args=(child_conn,),
+            name=f"repro-{self.suite}-worker",
             daemon=True,
         )
-        process.start()
-        child_conn.close()  # parent keeps only the read end
-        self.executed.append(scenario.name)
-        timeout = self.config.timeout_seconds
-        return _InFlight(
-            scenario=scenario,
-            attempt=attempt,
-            process=process,
-            conn=parent_conn,
-            deadline=None if timeout is None else time.monotonic() + timeout,
-        )
+        saved = {key: os.environ.get(key) for key in WORKER_ENV}
+        os.environ.update(WORKER_ENV)
+        try:
+            process.start()
+        finally:
+            for key, value in saved.items():
+                if value is None:
+                    del os.environ[key]
+                else:
+                    os.environ[key] = value
+        child_conn.close()  # the worker holds the other end
+        return _Worker(process=process, conn=parent_conn)
 
-    def _poll(self, flight: _InFlight) -> tuple[str, object] | None:
-        """One non-blocking check: ``None`` if still running, else outcome.
+    def _assign(self, worker: _Worker, scenario: Scenario, attempt: int) -> None:
+        timeout = self.config.timeout_seconds
+        worker.scenario = scenario
+        worker.attempt = attempt
+        worker.deadline = None if timeout is None else time.monotonic() + timeout
+        self.executed.append(scenario.name)
+        try:
+            worker.conn.send(scenario)
+        except OSError:
+            pass  # the worker died while idle; _collect reports the crash
+
+    def _collect(self, worker: _Worker) -> tuple[str, object] | None:
+        """One non-blocking check: ``None`` while running, else the outcome.
 
         Outcome kinds: ``("ok", payload)``, ``("error", message)``,
         ``("crash", exitcode)``, ``("timeout", budget)``.
         """
         try:
-            if flight.conn.poll():
-                try:
-                    message = flight.conn.recv()
-                except EOFError:
-                    message = None
-                self._reap(flight)
-                if message is not None:
-                    return message  # ("ok", payload) or ("error", text)
-                return ("crash", flight.process.exitcode)
-        except (OSError, ValueError):
-            self._reap(flight)
-            return ("crash", flight.process.exitcode)
-        if not flight.process.is_alive():
-            self._reap(flight)
-            return ("crash", flight.process.exitcode)
-        if flight.deadline is not None and time.monotonic() > flight.deadline:
-            flight.process.kill()
-            self._reap(flight)
-            return ("timeout", self.config.timeout_seconds)
-        return None
+            if worker.conn.poll():
+                return worker.conn.recv()  # ("ok", payload) or ("error", text)
+        except (EOFError, OSError, ValueError):
+            pass
+        else:
+            if worker.process.is_alive():
+                if worker.deadline is None or time.monotonic() <= worker.deadline:
+                    return None
+                return ("timeout", self.config.timeout_seconds)
+        self._retire(worker)
+        return ("crash", worker.process.exitcode)
 
     @staticmethod
-    def _reap(flight: _InFlight) -> None:
-        flight.process.join(timeout=5.0)
-        try:
-            flight.conn.close()
-        except OSError:
-            # Double-close after a poll() error is fine; the outcome was
-            # already classified as a ScenarioCrash by the caller.
-            pass
+    def _retire(worker: _Worker) -> None:
+        """Kill (if still running) and join a worker; close its pipe.
 
-    def _handle_failure(
+        Idempotent, so a crashed worker can be retired where it is found.
+        """
+        if worker.process.is_alive():
+            worker.process.kill()
+        worker.process.join()
+        worker.conn.close()
+
+    def _sample_memory(self, live: list[_Worker]) -> bool:
+        """Sample the process tree's RSS; True when above the watermark.
+
+        Tracks the run-wide peak as a side effect.
+        """
+        observed = tree_rss_mb([os.getpid()] + [w.process.pid for w in live])
+        if observed is None:
+            return False
+        if self.peak_rss_mb is None or observed > self.peak_rss_mb:
+            self.peak_rss_mb = observed
+        ceiling = self.config.memory_ceiling_mb
+        return ceiling is not None and observed >= MEMORY_WATERMARK * ceiling
+
+    def _settle(
         self,
-        flight: _InFlight,
-        kind: str,
-        payload,
-        pending: deque,
-        delayed: list,
+        scenario: Scenario,
+        attempt: int,
+        outcome: tuple[str, object],
+        done: dict[str, ScenarioResult],
         quarantined: dict[str, ScenarioFailure],
-    ) -> None:
-        name = flight.scenario.name
+    ) -> float | None:
+        """Record one attempt's outcome; the retry delay, or ``None`` if final."""
+        kind, payload = outcome
+        name = scenario.name
+        if kind == "ok":
+            _, summary, phases, wall, rss_mb = payload
+            result = ScenarioResult(
+                scenario=scenario,
+                summary=summary,
+                phases=phases,
+                wall_seconds=wall,
+                attempts=attempt,
+                rss_peak_mb=rss_mb,
+            )
+            done[name] = result
+            if self.journal is not None:
+                self.journal.append(
+                    JournalEntry(
+                        suite=self.suite,
+                        scenario=scenario,
+                        summary=summary,
+                        phases=phases,
+                        wall_seconds=wall,
+                        attempts=attempt,
+                        rss_peak_mb=rss_mb,
+                    )
+                )
+            return None
         if kind == "timeout":
             error: ScenarioError = ScenarioTimeout(
                 f"scenario {name!r} exceeded its wall-clock budget",
                 scenario=name,
-                attempt=flight.attempt,
+                attempt=attempt,
                 timeout_seconds=payload,
             )
         elif kind == "crash":
             error = ScenarioCrash(
                 f"worker for scenario {name!r} died without reporting",
                 scenario=name,
-                attempt=flight.attempt,
+                attempt=attempt,
                 exitcode=payload,
             )
         else:
             error = ScenarioFailed(
                 f"scenario {name!r} raised: {payload}",
                 scenario=name,
-                attempt=flight.attempt,
+                attempt=attempt,
             )
         self.failure_log.append(error)
 
-        if flight.attempt >= self.config.max_attempts:
+        if attempt >= self.config.max_attempts:
             quarantined[name] = ScenarioFailure(
-                scenario=flight.scenario,
-                kind=kind if kind in ("timeout", "crash") else "error",
-                attempts=flight.attempt,
+                scenario=scenario,
+                kind=kind,
+                attempts=attempt,
                 message=str(error),
             )
-            return
-        delay = backoff_delay(
+            return None
+        return backoff_delay(
             name,
-            flight.attempt,
+            attempt,
             self.config.backoff_base_seconds,
             self.config.backoff_cap_seconds,
         )
-        delayed.append((time.monotonic() + delay, flight.scenario, flight.attempt + 1))

@@ -86,6 +86,36 @@ class TestCli:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["bench", "ablation"], ["fleet"]])
+    def test_supervise_flag_is_gone(self, argv, capsys):
+        """Every run is supervised; there is no second executor to pick."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--supervise"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --supervise" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["bench", "ablation", "--verify", "--resume"],
+             "repro bench: --verify reruns every scenario"),
+            (["bench", "ablation", "--workers", "1", "--timeout", "5"],
+             "repro bench: --timeout cannot be enforced on scenarios"),
+            (["fleet", "--workers", "1", "--timeout", "5"],
+             "repro fleet: --timeout cannot be enforced on shards"),
+        ],
+        ids=["verify-resume", "bench-timeout-in-process", "fleet-timeout-in-process"],
+    )
+    def test_executor_flag_conflict_is_a_usage_error(
+        self, argv, message, tmp_path, capsys
+    ):
+        assert main([*argv, "--output", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(message)
+        assert list(tmp_path.iterdir()) == []
+
     def test_subcommands_are_exactly_the_documented_ten(self):
         (subparsers,) = [
             action for action in build_parser()._actions if action.dest == "command"

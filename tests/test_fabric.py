@@ -39,7 +39,6 @@ from repro.resilience.faults import FaultInjector
 from repro.runner import (
     BenchDefaults,
     Scenario,
-    ScenarioRunner,
     ScenarioSupervisor,
     SupervisorConfig,
     baseline_payload,
@@ -585,7 +584,7 @@ _FAST = SupervisorConfig(backoff_base_seconds=0.01, backoff_cap_seconds=0.05)
 class TestNetworkFaultsSuiteDeterminism:
     def test_serial_and_parallel_digests_identical(self):
         suite = network_faults_scenarios(_SUITE_DEFAULTS)
-        runner = ScenarioRunner("network_faults")
+        runner = ScenarioSupervisor("network_faults")
         serial, parallel = runner.verify_determinism(suite, workers=2)
         assert serial.digests() == parallel.digests()
 
@@ -595,7 +594,7 @@ class TestNetworkFaultsSuiteDeterminism:
         suite = network_faults_scenarios(_SUITE_DEFAULTS)
         partition = next(s for s in suite if s.name == "net_partial_partition")
         reference = (
-            ScenarioRunner("ref").run([partition], workers=1)[partition.name].digest()
+            ScenarioSupervisor("ref").run([partition], workers=1)[partition.name].digest()
         )
 
         # The worker is SIGKILLed mid-scenario on its first attempt; the
@@ -604,7 +603,7 @@ class TestNetworkFaultsSuiteDeterminism:
             "net_kill", partition, tmp_path / "markers", fail_attempts=1, mode="kill"
         )
         supervisor = ScenarioSupervisor("network_faults", _FAST, journal_dir=tmp_path)
-        report = supervisor.run([flaky])
+        report = supervisor.run([flaky], workers=2)
         assert report.quarantined == ()
         assert report["net_kill"].attempts == 2
         assert report["net_kill"].digest() == reference
@@ -620,7 +619,7 @@ class TestNetworkFaultsSuiteDeterminism:
         suite = network_faults_scenarios(
             _SUITE_DEFAULTS, scenarios=("clean", "partial_partition")
         )
-        report = ScenarioRunner("network_faults").run(suite, workers=1)
+        report = ScenarioSupervisor("network_faults").run(suite, workers=1)
         payload = baseline_payload(report)
         by_name = {entry["name"]: entry for entry in payload["scenarios"]}
         assert by_name["net_clean"]["fabric"]["partition_seconds"] == 0.0
@@ -632,6 +631,6 @@ class TestNetworkFaultsSuiteDeterminism:
             task="relax_solve",
             params={"num_classes": 4, "num_types": 2, "W": 2, "seed": 0, "repeats": 1},
         )
-        report = ScenarioRunner("unit").run([tiny], workers=1)
+        report = ScenarioSupervisor("unit").run([tiny], workers=1)
         (entry,) = baseline_payload(report)["scenarios"]
         assert "fabric" not in entry

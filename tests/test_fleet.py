@@ -3,11 +3,11 @@
 Covers the partition/router determinism contract, the two differential
 guarantees the fleet design rests on — a shards=1 fleet run is
 bit-identical to a directly-constructed unsharded simulation, and the
-merged digest is invariant across execution topology (serial, parallel,
-supervised, killed-and-retried, journal-resumed) — plus merge semantics
+merged digest is invariant across execution topology (in-process,
+worker, killed-and-retried, journal-resumed) — plus merge semantics
 (partial-merge marking, policy-mismatch rejection), per-shard progress
 journals, the worker-side memory budget's quarantine path and the
-supervisor's memory-ceiling admission backpressure.
+executor's memory-ceiling admission backpressure.
 """
 
 import itertools
@@ -196,20 +196,23 @@ class TestFleetDifferential:
         )
         assert shard.summary["shard"]["tasks_routed"] == trace.num_tasks
 
-    def test_parallel_and_supervised_match_serial(self, reference_fleet):
+    def test_worker_runs_match_in_process_run(self, reference_fleet, tmp_path):
         parallel = run_fleet(
             TRACE, FleetConfig(shards=3, suite="unit"), workers=3
         )
-        supervised = run_fleet(
+        journaled = run_fleet(
             TRACE,
             FleetConfig(shards=3, suite="unit"),
             workers=2,
-            supervise=True,
+            journal_dir=tmp_path,
             supervisor_config=FAST,
         )
         assert parallel.digest == reference_fleet.digest
-        assert supervised.digest == reference_fleet.digest
-        assert not parallel.partial and not supervised.partial
+        assert journaled.digest == reference_fleet.digest
+        assert not parallel.partial and not journaled.partial
+        assert reference_fleet.report.workers == 1
+        # Journaling follows journal_dir alone.
+        assert len(list(tmp_path.glob("JOURNAL_unit_*.jsonl"))) == 1
 
     @pytest.mark.parametrize(
         ("policy", "fault"),
@@ -540,7 +543,7 @@ class TestMemoryControls:
                 progress_every=100,
                 memory_budget_mb=1.0,
             ),
-            supervise=True,
+            workers=2,
             supervisor_config=SupervisorConfig(
                 max_attempts=1,
                 backoff_base_seconds=0.01,

@@ -1,8 +1,9 @@
 """Tests for the shared scenario-execution subsystem (repro.runner).
 
-Covers the registry, the runner's serial and spawned-parallel paths, the
-serial/parallel determinism contract, the perf-baseline writer, the shared
-bench defaults, the fault-scenario catalog and the phase-timing hook.
+Covers the registry, the executor's in-process and worker paths, the
+in-process/worker determinism contract, the perf-baseline writer, the
+shared bench defaults, the fault-scenario catalog and the phase-timing
+hook.
 """
 
 import json
@@ -18,7 +19,7 @@ from repro.runner import (
     Scenario,
     ScenarioFailure,
     ScenarioResult,
-    ScenarioRunner,
+    ScenarioSupervisor,
     baseline_payload,
     bench_defaults,
     canonical_json,
@@ -69,13 +70,13 @@ class TestScenarioRegistry:
 
 class TestScenarioRunnerSerial:
     def test_results_preserve_input_order(self):
-        report = ScenarioRunner("unit").run(SMALL, workers=1)
+        report = ScenarioSupervisor("unit").run(SMALL, workers=1)
         assert [r.name for r in report] == [s.name for s in SMALL]
         assert report.workers == 1
         assert report["relax_s1"].summary["num_classes"] == 8
 
     def test_serial_runs_are_reproducible(self):
-        runner = ScenarioRunner("unit")
+        runner = ScenarioSupervisor("unit")
         first = runner.run(SMALL, workers=1)
         second = runner.run(SMALL, workers=1)
         assert first.digests() == second.digests()
@@ -83,14 +84,14 @@ class TestScenarioRunnerSerial:
     def test_duplicate_names_rejected(self):
         twice = [SMALL[0], SMALL[0]]
         with pytest.raises(ValueError, match="unique"):
-            ScenarioRunner("unit").run(twice, workers=1)
+            ScenarioSupervisor("unit").run(twice, workers=1)
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
-            ScenarioRunner("unit").run(SMALL, workers=0)
+            ScenarioSupervisor("unit").run(SMALL, workers=0)
 
     def test_phases_and_walls_recorded(self):
-        report = ScenarioRunner("unit").run(SMALL[:1], workers=1)
+        report = ScenarioSupervisor("unit").run(SMALL[:1], workers=1)
         result = report.results[0]
         assert result.wall_seconds > 0
         assert "solve" in result.phases
@@ -103,7 +104,7 @@ class TestScenarioRunnerParallel:
     """The tentpole contract: spawn workers, bit-identical summaries."""
 
     def test_parallel_matches_serial_bit_for_bit(self):
-        runner = ScenarioRunner("unit")
+        runner = ScenarioSupervisor("unit")
         serial, parallel = runner.verify_determinism(SMALL, workers=2)
         assert serial.digests() == parallel.digests()
         assert parallel.workers == 2
@@ -112,7 +113,7 @@ class TestScenarioRunnerParallel:
 
 class TestBaseline:
     def test_payload_shape(self):
-        report = ScenarioRunner("unit").run(SMALL, workers=1)
+        report = ScenarioSupervisor("unit").run(SMALL, workers=1)
         payload = baseline_payload(report)
         assert payload["bench"] == "unit"
         assert payload["workers"] == 1
@@ -129,7 +130,7 @@ class TestBaseline:
         ``BENCH_*.json`` baselines read these keys; any addition or
         rename must update the gate script and this pin together.
         """
-        report = ScenarioRunner("unit").run(SMALL[:1], workers=1)
+        report = ScenarioSupervisor("unit").run(SMALL[:1], workers=1)
         payload = baseline_payload(report, compare_serial=report)
         assert set(payload) == {
             "bench", "workers", "python", "platform", "cpu_count",
@@ -146,15 +147,31 @@ class TestBaseline:
         assert entry["rss_peak_mb"] > 0
         assert payload["peak_rss_mb"] >= entry["rss_peak_mb"]
 
+    def test_peak_rss_bounds_concurrent_residency(self):
+        """The run's peak is the sampled process-tree peak, raised to any
+        process's own high-water mark the samples missed."""
+        report = ScenarioSupervisor("unit").run(SMALL, workers=1)
+        results = tuple(
+            ScenarioResult(r.scenario, r.summary, r.phases, r.wall_seconds,
+                           rss_peak_mb=rss)
+            for r, rss in zip(report.results, (90.0, 120.0))
+        )
+        for tree_peak, expected in ((300.0, 300.0), (100.0, 120.0), (None, 120.0)):
+            sampled = RunnerReport(
+                suite="unit", workers=2, results=results,
+                total_wall_seconds=1.0, peak_rss_mb=tree_peak,
+            )
+            assert baseline_payload(sampled)["peak_rss_mb"] == expected
+
     def test_compare_serial_fields(self):
-        runner = ScenarioRunner("unit")
+        runner = ScenarioSupervisor("unit")
         serial = runner.run(SMALL, workers=1)
         payload = baseline_payload(serial, compare_serial=serial)
         assert payload["summaries_match_serial"] is True
         assert "serial_wall_s" in payload
 
     def test_write_baseline_roundtrips(self, tmp_path):
-        report = ScenarioRunner("unit").run(SMALL[:1], workers=1)
+        report = ScenarioSupervisor("unit").run(SMALL[:1], workers=1)
         path = write_baseline(report, tmp_path)
         assert path == tmp_path / "BENCH_unit.json"
         payload = json.loads(path.read_text())

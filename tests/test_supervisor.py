@@ -1,16 +1,21 @@
-"""Tests for supervised, crash-safe scenario execution (repro.runner.supervisor).
+"""Tests for the scenario executor (repro.runner.supervisor).
 
-Covers the deterministic backoff schedule, the supervisor's retry /
-timeout / quarantine semantics (driven through the shipped
-``transient_fault`` injection task so spawned workers can resolve it), the
-digest-invariance contract — a scenario that fails transiently and
-succeeds on retry must produce the same summary digest as an
+Covers the deterministic backoff schedule, where scenarios run (in this
+process at ``workers=1``, on at most ``workers`` warm worker processes
+otherwise, never retried in a process an earlier attempt used), the
+executor's retry / timeout / quarantine semantics (driven through the
+shipped ``transient_fault`` injection task so spawned workers can resolve
+it), the digest-invariance contract — a scenario that fails transiently
+and succeeds on retry must produce the same summary digest as an
 uninterrupted run — and the crash-safe journal's append / verify / resume
 behaviour, including torn-tail tolerance and corruption detection.
 """
 
 import hashlib
 import json
+import os
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,13 +31,13 @@ from repro.runner import (
     Journal,
     JournalEntry,
     Scenario,
-    ScenarioRunner,
     ScenarioSupervisor,
     SupervisorConfig,
     backoff_delay,
     baseline_payload,
     canonical_json,
     journal_path,
+    process_rss_mb,
     suite_run_id,
     write_journal_record,
 )
@@ -70,9 +75,50 @@ _JSON = st.recursive(
 FAST = SupervisorConfig(backoff_base_seconds=0.01, backoff_cap_seconds=0.05)
 
 
+class PidScenario(Scenario):
+    """A scenario whose summary is the pid that ran it.
+
+    Workers unpickle it from this module, so the probe runs inside the
+    worker.  With ``params["marker_dir"]`` every attempt appends its pid
+    to a file there, and attempts before ``params["fail_attempts"]``
+    raise.  With ``params["hold_mb"]`` it keeps that many MiB resident
+    until every scenario sharing ``params["barrier"]`` holds its own, and
+    for a further half second.
+    """
+
+    def run(self) -> dict:
+        pid = os.getpid()
+        if "hold_mb" in self.params:
+            held = b"\x01" * (self.params["hold_mb"] << 20)
+            barrier = Path(self.params["barrier"])
+            (barrier / self.name).touch()
+            deadline = time.monotonic() + 60.0
+            while len(list(barrier.iterdir())) < self.params["holders"]:
+                assert time.monotonic() < deadline, "holders never met"
+                time.sleep(0.01)
+            time.sleep(0.5)
+            del held
+        marker_dir = self.params.get("marker_dir")
+        if marker_dir is not None:
+            log = Path(marker_dir) / f"{self.name}.pids"
+            earlier = log.read_text().split() if log.exists() else []
+            with open(log, "a") as handle:
+                handle.write(f"{pid}\n")
+            if len(earlier) < self.params["fail_attempts"]:
+                raise RuntimeError(f"injected failure on attempt {len(earlier) + 1}")
+        return {"summary": {"pid": pid}}
+
+
+def pid_scenarios(count: int, **params) -> list[PidScenario]:
+    return [
+        PidScenario(name=f"pid_{index}", task="pid", params=params)
+        for index in range(count)
+    ]
+
+
 def tiny_digest(scenario=TINY) -> str:
     """Digest of an uninterrupted in-process run, the invariance reference."""
-    return ScenarioRunner("ref").run([scenario], workers=1)[scenario.name].digest()
+    return ScenarioSupervisor("ref").run([scenario], workers=1)[scenario.name].digest()
 
 
 class TestBackoffDelay:
@@ -140,9 +186,9 @@ class TestSupervisorRun:
         with pytest.raises(ValueError, match="journal_dir"):
             ScenarioSupervisor("unit").run([TINY], resume=True)
 
-    def test_clean_run_matches_plain_runner(self, tmp_path):
+    def test_clean_worker_run_matches_in_process_run(self, tmp_path):
         supervisor = ScenarioSupervisor("unit", FAST, journal_dir=tmp_path)
-        report = supervisor.run([TINY])
+        report = supervisor.run([TINY], workers=2)
         assert report.quarantined == ()
         assert report["relax_tiny"].attempts == 1
         assert report["relax_tiny"].digest() == tiny_digest()
@@ -172,7 +218,7 @@ class TestSupervisorRun:
             "flaky_kill", TINY, tmp_path / "markers", fail_attempts=1, mode="kill"
         )
         supervisor = ScenarioSupervisor("unit", FAST)
-        report = supervisor.run([scenario])
+        report = supervisor.run([scenario], workers=2)
         assert report.quarantined == ()
         assert report["flaky_kill"].attempts == 2
         assert report["flaky_kill"].digest() == tiny_digest()
@@ -187,7 +233,7 @@ class TestSupervisorRun:
             timeout_seconds=0.75, max_attempts=2,
             backoff_base_seconds=0.01, backoff_cap_seconds=0.05,
         )
-        report = ScenarioSupervisor("unit", config).run([scenario])
+        report = ScenarioSupervisor("unit", config).run([scenario], workers=2)
         assert report.results == ()
         assert len(report.quarantined) == 1
         failure = report.quarantined[0]
@@ -220,22 +266,64 @@ class TestSupervisorRun:
             timeout_seconds=0.75, max_attempts=1, backoff_base_seconds=0.01
         )
         supervisor = ScenarioSupervisor("unit", config)
-        supervisor.run([scenario])
+        supervisor.run([scenario], workers=2)
         assert [type(e) for e in supervisor.failure_log] == [ScenarioTimeout]
         assert supervisor.failure_log[0].context["timeout_seconds"] == 0.75
+
+
+class TestWhereScenariosRun:
+    def test_in_process_run_uses_this_pid(self):
+        report = ScenarioSupervisor("unit").run(pid_scenarios(3), workers=1)
+        assert {r.summary["pid"] for r in report} == {os.getpid()}
+
+    def test_two_workers_run_two_scenarios_in_two_pids(self):
+        report = ScenarioSupervisor("unit").run(pid_scenarios(2), workers=2)
+        pids = {r.summary["pid"] for r in report}
+        assert len(pids) == 2
+        assert os.getpid() not in pids
+
+    def test_workers_stay_warm_across_scenarios(self):
+        report = ScenarioSupervisor("unit").run(pid_scenarios(4), workers=2)
+        pids = {r.summary["pid"] for r in report}
+        assert len(report.results) == 4
+        assert 1 <= len(pids) <= 2
+        assert os.getpid() not in pids
+
+    def test_peak_rss_counts_every_live_worker(self, tmp_path):
+        # Two workers holding 64 MiB each at once: a peak that misses
+        # either worker, or the coordinator, stays below this floor.
+        floor = process_rss_mb(os.getpid()) + 2 * 64
+        scenarios = pid_scenarios(2, hold_mb=64, barrier=str(tmp_path), holders=2)
+        report = ScenarioSupervisor("unit").run(scenarios, workers=2)
+        assert report.peak_rss_mb >= floor
+        assert baseline_payload(report)["peak_rss_mb"] >= floor
+
+    def test_retry_runs_in_a_pid_no_earlier_attempt_used(self, tmp_path):
+        # Three attempts each of two scenarios on two workers: were a
+        # failed worker kept, some scenario would repeat a pid.
+        scenarios = pid_scenarios(2, marker_dir=str(tmp_path), fail_attempts=2)
+        supervisor = ScenarioSupervisor("unit", FAST)
+        report = supervisor.run(scenarios, workers=2)
+        assert report.quarantined == ()
+        for result in report:
+            attempts = (tmp_path / f"{result.name}.pids").read_text().split()
+            assert result.attempts == len(attempts) == 3
+            assert len(set(attempts)) == 3
+            assert attempts[-1] == str(result.summary["pid"])
+        assert [type(e) for e in supervisor.failure_log] == [ScenarioFailed] * 4
 
 
 class TestJournalResume:
     def test_interrupted_suite_resumes_to_identical_digests(self, tmp_path):
         suite = [TINY, TINY2]
-        reference = ScenarioRunner("ref").run(suite, workers=1).digests()
+        reference = ScenarioSupervisor("ref").run(suite, workers=1).digests()
 
         # "Interrupted" run: only the first scenario's entry made it into
         # the *full suite's* journal before the (simulated) kill — the
         # journal path and header carry the run id of the whole suite.
         run_id = suite_run_id("bench", suite)
         journal = Journal(journal_path("bench", tmp_path, run_id), run_id)
-        done = ScenarioRunner("bench").run([TINY], workers=1)[TINY.name]
+        done = ScenarioSupervisor("bench").run([TINY], workers=1)[TINY.name]
         journal.append(
             JournalEntry(
                 suite="bench",
