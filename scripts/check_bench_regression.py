@@ -45,10 +45,12 @@ MIN_GATED_WALL_S = 0.5
 #: RSS checks: a spawn worker that imports the runner's tasks sits at
 #: ~41 MiB (interpreter + numpy), ~80 MiB once a CBS/CBP solve or an
 #: ARIMA fit loads scipy.optimize, and the committed baselines' small
-#: scenarios record 84-125 MiB.  Readings down there are mostly import
+#: scenarios record 84-131 MiB.  Readings down there are mostly import
 #: baseline — which moves with toolchain versions, not with our code —
-#: and their shares are meaninglessly uniform.
-MIN_GATED_RSS_MB = 192.0
+#: and their shares are meaninglessly uniform.  The floor sits below the
+#: scalability suite's ``replay_backlog`` (176 MiB with row-indexed replay
+#: state), so that scenario and the run peak it sets stay gated.
+MIN_GATED_RSS_MB = 150.0
 
 #: The share of a fresh scenario's wall its recorded phases must cover,
 #: checked for scenarios at or above ``MIN_GATED_WALL_S``.

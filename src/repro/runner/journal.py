@@ -231,9 +231,11 @@ def ensure_header(path: str | Path, run_id: str) -> None:
                 os.truncate(path, raw.rfind(b"\n") + 1)
         if records:
             return
-    write_journal_record(
-        path, {"version": JOURNAL_VERSION, "kind": "header", "run_id": run_id}
-    )
+    write_journal_record(path, _header(run_id))
+
+
+def _header(run_id: str) -> dict:
+    return {"version": JOURNAL_VERSION, "kind": "header", "run_id": run_id}
 
 
 # ------------------------------------------------------ the scenario journal
@@ -302,6 +304,13 @@ class Journal:
         self.path = Path(path)
         self.run_id = run_id
         self._header_checked = False
+
+    def start(self) -> None:
+        """Begin a fresh run: atomically replace the file with the run-id
+        header alone, so a journal holds one run and never an earlier
+        run's lines."""
+        replace_sealed_file(self.path, _header(self.run_id))
+        self._header_checked = True
 
     def append(self, entry: JournalEntry) -> None:
         """Durably append one completed scenario (flush + fsync per line)."""

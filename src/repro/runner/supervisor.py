@@ -220,7 +220,8 @@ class ScenarioSupervisor:
         ``workers=1`` runs the scenarios in this process; ``workers>=2``
         runs them on up to that many worker processes.  With
         ``resume=True`` and a journal configured, journaled completions
-        are verified and skipped.  Quarantined scenarios appear in
+        are verified and skipped; without it, the run starts the journal
+        afresh (:meth:`Journal.start`).  Quarantined scenarios appear in
         ``report.quarantined``; everything else in ``report.results`` in
         input order.
         """
@@ -234,6 +235,8 @@ class ScenarioSupervisor:
             self.journal = Journal(
                 journal_path(self.suite, self._journal_dir, run_id), run_id
             )
+            if not resume:
+                self.journal.start()
         self.executed = []
         self.resumed = []
         self.failure_log = []

@@ -19,8 +19,10 @@ CBS / CBP / baseline / static live in :mod:`repro.simulation.harmony`.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Callable, Protocol, Sequence
+
 
 from repro.energy.accounting import EnergyMeter
 from repro.energy.models import MachineModel
@@ -29,7 +31,7 @@ from repro.provisioning.controller import ProvisioningDecision
 from repro.resilience.fabric import FabricState, FabricView, link_label
 from repro.resilience.faults import FaultInjector, FaultPlan
 from repro.simulation.engine import EventKind, EventQueue
-from repro.simulation.machine import MachinePool, MachineState
+from repro.simulation.machine import Machine, MachinePool, MachineState
 from repro.simulation.metrics import SimulationMetrics
 from repro.simulation.scheduler import FirstFitScheduler, QuotaLedger
 from repro.trace.schema import Task
@@ -103,28 +105,53 @@ class ClusterConfig:
             raise ValueError(f"control_interval must be positive, got {self.control_interval}")
 
 
+def row_labels(
+    tasks: Sequence[Task], class_of: Callable[[Task], int] | array
+) -> array:
+    """The arrival class of every row: ``class_of`` called once per task,
+    or shared as given (not copied) when it is already a row-indexed
+    ``array("q")``: labels are never written."""
+    if callable(class_of):
+        return array("q", map(class_of, tasks))
+    if len(class_of) != len(tasks):
+        raise ValueError(f"{len(class_of)} class labels for {len(tasks)} tasks")
+    return class_of
+
+
 class ClusterSimulator:
-    """Replays a task stream against a machine fleet under one policy."""
+    """Replays a task stream against a machine fleet under one policy.
+
+    Every task is a *row*: its index in ``tasks``.  Per-task state lives in
+    flat row-indexed columns allocated once here — the arrival class
+    (``labels``), the placement generation, the scheduled finish and the
+    hosting machine id — and in :class:`SimulationMetrics`' columns; no
+    handler builds a per-task entry.  ``class_of`` gives the arrival class,
+    as a callable on the task or a row-indexed ``array("q")``, and ``relabel``
+    maps (arrival class, seconds running) to the class a running task
+    carries now.
+    """
 
     def __init__(
         self,
-        tasks: tuple[Task, ...],
+        tasks: Sequence[Task],
         horizon: float,
         machine_models: tuple[MachineModel, ...],
         policy: Policy,
-        class_of: Callable[[Task], int],
+        class_of: Callable[[Task], int] | array,
         config: ClusterConfig | None = None,
-        relabel: Callable[[Task, float], int] | None = None,
+        relabel: Callable[[int, float], int] | None = None,
     ) -> None:
         if horizon <= 0:
             raise ValueError(f"horizon must be positive, got {horizon}")
         self.config = config or ClusterConfig()
         self.horizon = horizon
         self.policy = policy
-        self.class_of = class_of
         self.relabel = relabel
         self.relabel_events = 0
         self.tasks = tasks
+        count = len(tasks)
+        #: Row -> arrival class (Section V labels every arrival short).
+        self.labels = row_labels(tasks, class_of)
 
         self.pools: list[MachinePool] = []
         offset = 0
@@ -133,16 +160,20 @@ class ClusterSimulator:
             offset += model.count
         self._pool_by_platform = {pool.platform_id: pool for pool in self.pools}
 
-        self.scheduler = FirstFitScheduler(self.pools)
+        #: Machine id -> machine (ids run 0..N-1 across the pools).
+        self._machines: list[Machine] = [
+            machine for pool in self.pools for machine in pool.machines
+        ]
+
+        self.scheduler = FirstFitScheduler(self.pools, tasks, self.labels)
         self.ledger = QuotaLedger()
-        self.metrics = SimulationMetrics()
+        self.metrics = SimulationMetrics(tasks)
         self.energy = EnergyMeter(
             models={m.platform_id: m for m in machine_models},
             price=self.config.price,
         )
 
         self._queue = EventQueue()
-        self._class_cache: dict[tuple[int, int], int] = {}
         self._interval_arrivals: dict[int, float] = {}
         self._last_switch_counts: dict[int, tuple[int, int]] = {
             pool.platform_id: (0, 0) for pool in self.pools
@@ -151,15 +182,16 @@ class ClusterSimulator:
         self._demand_memory = 0.0
         self._last_tick = 0.0
         self._total_machines = sum(pool.total for pool in self.pools)
-        #: task uid -> machine hosting it (O(1) release on finish).
-        self._machine_of: dict[tuple[int, int], "Machine"] = {}
-        #: task uid -> absolute scheduled finish time (for fault rescaling).
-        self._finish_time: dict[tuple[int, int], float] = {}
+        #: Row -> id of the machine hosting it, -1 when not running.
+        self._host = array("q", [-1]) * count
+        #: Row -> absolute scheduled finish time (for fault rescaling).
+        self._finish_at = array("d", [0.0]) * count
         self.tasks_killed = 0
         self.tasks_preempted = 0
-        #: Placement generation per task: invalidates stale finish events
-        #: after a failure-driven restart.
-        self._generation: dict[tuple[int, int], int] = {}
+        #: Row -> placement generation: a finish event carries the
+        #: generation it was issued under, so a restart or a rescale makes
+        #: the earlier event stale.
+        self._generation = array("q", [0]) * count
         #: Fabric link state, attached by the injector when the plan has
         #: fabric faults (None = no network fault universe this run).
         self.fabric: FabricState | None = None
@@ -195,8 +227,8 @@ class ClusterSimulator:
 
     def run(self) -> SimulationMetrics:
         """Replay the full trace; returns the collected metrics."""
-        for task in self.tasks:
-            self._queue.schedule(task.submit_time, EventKind.TASK_ARRIVAL, task)
+        for row, task in enumerate(self.tasks):
+            self._queue.schedule(task.submit_time, EventKind.TASK_ARRIVAL, row)
         self._push_control_ticks()
 
         while self._queue:
@@ -242,50 +274,53 @@ class ClusterSimulator:
 
     # -------------------------------------------------------------- events
 
-    def _task_class(self, task: Task) -> int:
-        cached = self._class_cache.get(task.uid)
-        if cached is None:
-            cached = self.class_of(task)
-            self._class_cache[task.uid] = cached
-        return cached
-
-    def _on_arrival(self, task: Task) -> None:
+    def _on_arrival(self, row: int) -> None:
         now = self._queue.now
-        self.metrics.task_submitted(task, now)
-        class_id = self._task_class(task)
+        task = self.tasks[row]
+        self.metrics.task_submitted(row, now)
+        class_id = self.labels[row]
         self._interval_arrivals[class_id] = self._interval_arrivals.get(class_id, 0.0) + 1.0
         self._demand_cpu += task.cpu
         self._demand_memory += task.memory
-        machine = self.scheduler.try_place(task, class_id, self.ledger)
+        machine = self.scheduler.try_place(row, class_id, self.ledger)
         if machine is None and self.config.enable_preemption:
-            machine = self._try_preempt(task, class_id, now)
+            machine = self._try_preempt(row, class_id, now)
         if machine is None:
-            self.scheduler.enqueue(task, proven=True)
+            self.scheduler.enqueue(row, proven=True)
         else:
-            self._machine_of[task.uid] = machine
-            self._start_task(task, class_id, machine, now)
+            self._start_task(row, class_id, machine, now)
 
-    def _start_task(self, task: Task, class_id: int, machine: "Machine", now: float) -> None:
-        self.metrics.task_scheduled(task, now, class_id, machine.model.platform_id)
-        generation = self._generation.get(task.uid, 0) + 1
-        self._generation[task.uid] = generation
+    def _start_task(self, row: int, class_id: int, machine: Machine, now: float) -> None:
+        """Account a placement just made and issue its finish event."""
+        self._host[row] = machine.machine_id
+        self.metrics.task_scheduled(row, now, class_id, machine.model.platform_id)
+        generation = self._generation[row] + 1
+        self._generation[row] = generation
         # Stragglers and degraded fabric paths stretch the work: a degraded
         # machine (or cell) runs its tasks slower.
-        finish = now + task.duration * machine.effective_slowdown
-        self._finish_time[task.uid] = finish
-        self._queue.schedule(finish, EventKind.TASK_FINISH, (task, generation))
+        finish = now + self.tasks[row].duration * machine.effective_slowdown
+        self._finish_at[row] = finish
+        self._queue.schedule(finish, EventKind.TASK_FINISH, (row, generation))
 
-    def _on_finish(self, payload: tuple[Task, int]) -> None:
-        task, generation = payload
-        if self._generation.get(task.uid) != generation:
+    def _unplace(self, row: int) -> None:
+        """A running row was evicted or killed: its finish event goes stale
+        and it is pending again."""
+        self._host[row] = -1
+        self._generation[row] += 1
+        self.metrics.task_unplaced(row)
+
+    def _on_finish(self, payload: tuple[int, int]) -> None:
+        row, generation = payload
+        if self._generation[row] != generation:
             return  # stale event: the task was killed and restarted
         now = self._queue.now
-        machine = self._machine_of.pop(task.uid)
-        self._finish_time.pop(task.uid, None)
-        class_id = machine.release(task)
+        task = self.tasks[row]
+        machine = self._machines[self._host[row]]
+        self._host[row] = -1
+        class_id = machine.release(row, task)
         self.ledger.release(machine.model.platform_id, class_id)
         self.scheduler.released(machine, class_id)
-        self.metrics.task_finished(task, now)
+        self.metrics.task_finished(row, now)
         self._demand_cpu = max(self._demand_cpu - task.cpu, 0.0)
         self._demand_memory = max(self._demand_memory - task.memory, 0.0)
         pool = self._pool_by_platform[machine.model.platform_id]
@@ -332,7 +367,7 @@ class ClusterSimulator:
             )
         view = ClusterView(
             time=now,
-            backlog=self.scheduler.backlog_by_class(self._task_class),
+            backlog=self.scheduler.backlog_by_class(),
             running=self._running_by_class(),
             running_by_platform=running_by_platform,
             demand_cpu=self._demand_cpu,
@@ -349,7 +384,7 @@ class ClusterSimulator:
 
     # ------------------------------------------------------------ internals
 
-    def _try_preempt(self, task: Task, class_id: int, now: float):
+    def _try_preempt(self, row: int, class_id: int, now: float) -> Machine | None:
         """Priority preemption: evict enough strictly-lower-priority work.
 
         Scans schedulable machines the task could run on for the one where
@@ -359,11 +394,13 @@ class ClusterSimulator:
         the clusterdata EVICT/resubmit semantics.  Quota admission still
         applies to the preemptor.
         """
+        tasks = self.tasks
+        task = tasks[row]
         threshold = task.priority - PREEMPTION_PRIORITY_GAP
         if threshold < 0:
             return None
         best_machine = None
-        best_victims: list[tuple[Task, int]] | None = None
+        best_victims: list[tuple[int, int]] | None = None
         for pool in self.pools:
             if pool.platform_id in self._unreachable:
                 continue  # no placements into partitioned cells
@@ -383,21 +420,21 @@ class ClusterSimulator:
                 candidates = sorted(
                     (
                         (victim, vid)
-                        for victim, vid in machine.running.values()
-                        if victim.priority <= threshold
+                        for victim, vid in machine.running.items()
+                        if tasks[victim].priority <= threshold
                     ),
-                    key=lambda pair: pair[0].cpu + pair[0].memory,
+                    key=lambda pair: tasks[pair[0]].cpu + tasks[pair[0]].memory,
                 )
                 need_cpu = task.cpu - machine.cpu_free
                 need_memory = task.memory - machine.memory_free
-                victims: list[tuple[Task, int]] = []
+                victims: list[tuple[int, int]] = []
                 freed_cpu = freed_memory = 0.0
                 for victim, vid in candidates:
                     if freed_cpu >= need_cpu and freed_memory >= need_memory:
                         break
                     victims.append((victim, vid))
-                    freed_cpu += victim.cpu
-                    freed_memory += victim.memory
+                    freed_cpu += tasks[victim].cpu
+                    freed_memory += tasks[victim].memory
                 if freed_cpu >= need_cpu and freed_memory >= need_memory:
                     if best_victims is None or len(victims) < len(best_victims):
                         best_machine, best_victims = machine, victims
@@ -407,17 +444,12 @@ class ClusterSimulator:
             return None
 
         for victim, victim_class in best_victims:
-            best_machine.release(victim)
+            best_machine.release(victim, tasks[victim])
             self.ledger.release(best_machine.model.platform_id, victim_class)
-            self._machine_of.pop(victim.uid, None)
-            self._finish_time.pop(victim.uid, None)
-            self._generation[victim.uid] = self._generation.get(victim.uid, 0) + 1
-            record = self.metrics.records[victim.uid]
-            record.schedule_time = None
-            record.platform_id = None
+            self._unplace(victim)
             self.tasks_preempted += 1
             self.scheduler.enqueue(victim)
-        best_machine.place(task, class_id)
+        best_machine.place(row, task, class_id)
         self.ledger.place(best_machine.model.platform_id, class_id)
         self.scheduler.invalidate()
         return best_machine
@@ -440,19 +472,13 @@ class ClusterSimulator:
         killed = pool.fail(machine, now, repair_seconds)
         self.metrics.machine_failed(machine.machine_id, now)
         self.scheduler.machine_changed(machine)
-        for task, class_id in killed:
+        for row, class_id in killed:
             self.ledger.release(machine.model.platform_id, class_id)
             self.scheduler.released(machine, class_id)
-            self._machine_of.pop(task.uid, None)
-            self._finish_time.pop(task.uid, None)
-            # Invalidate the in-flight finish event.
-            self._generation[task.uid] = self._generation.get(task.uid, 0) + 1
-            record = self.metrics.records[task.uid]
-            record.schedule_time = None
-            record.platform_id = None
-            self.metrics.task_killed(task, now)
+            self._unplace(row)
+            self.metrics.task_killed(row, now)
             self.tasks_killed += 1
-            self.scheduler.enqueue(task)
+            self.scheduler.enqueue(row)
 
     def rescale_machine(self, machine, slowdown: float, now: float) -> None:
         """Set a machine's straggler factor.
@@ -471,16 +497,13 @@ class ClusterSimulator:
 
     def _reissue_finishes(self, machine, ratio: float, now: float) -> None:
         """Stretch/compress remaining work of a machine's running tasks."""
-        for uid, (task, _) in machine.running.items():
-            finish = self._finish_time.get(uid)
-            if finish is None:
-                continue
-            remaining = max(finish - now, 0.0)
+        for row in machine.running:
+            remaining = max(self._finish_at[row] - now, 0.0)
             new_finish = now + remaining * ratio
-            generation = self._generation.get(uid, 0) + 1
-            self._generation[uid] = generation
-            self._finish_time[uid] = new_finish
-            self._queue.schedule(new_finish, EventKind.TASK_FINISH, (task, generation))
+            generation = self._generation[row] + 1
+            self._generation[row] = generation
+            self._finish_at[row] = new_finish
+            self._queue.schedule(new_finish, EventKind.TASK_FINISH, (row, generation))
 
     # ------------------------------------------------------- fabric hooks
 
@@ -585,25 +608,24 @@ class ClusterSimulator:
         """Section V's progressive relabeling: running tasks that outlive
         their class's short/long boundary migrate to the long sub-class,
         moving their quota stock with them."""
-        assert self.relabel is not None
+        relabel = self.relabel
+        assert relabel is not None
+        labels = self.labels
+        schedule_time = self.metrics.schedule_time
         for pool in self.pools:
             for machine in pool.machines:
                 if not machine.running:
                     continue
-                updates: list[tuple[tuple[int, int], Task, int, int]] = []
-                for uid, (task, class_id) in machine.running.items():
-                    record = self.metrics.records[uid]
-                    if record.schedule_time is None:
-                        continue
-                    elapsed = now - record.schedule_time
-                    new_class = self.relabel(task, elapsed)
+                updates: list[tuple[int, int, int]] = []
+                for row, class_id in machine.running.items():
+                    new_class = relabel(labels[row], now - schedule_time[row])
                     if new_class != class_id:
-                        updates.append((uid, task, class_id, new_class))
-                for uid, task, old_class, new_class in updates:
-                    machine.running[uid] = (task, new_class)
+                        updates.append((row, class_id, new_class))
+                for row, old_class, new_class in updates:
+                    machine.running[row] = new_class
                     self.ledger.release(machine.model.platform_id, old_class)
                     self.ledger.place(machine.model.platform_id, new_class)
-                    self.metrics.records[uid].class_id = new_class
+                    self.metrics.task_relabeled(row, new_class)
                     self.relabel_events += 1
 
     def _running_by_class(self) -> dict[int, int]:
@@ -628,11 +650,8 @@ class ClusterSimulator:
         if not self.scheduler.queued:
             return
         now = self._queue.now
-        for placement in self.scheduler.schedule_round(
-            self.ledger, self._task_class, max_attempts
-        ):
-            self._machine_of[placement.task.uid] = placement.machine
-            self._start_task(placement.task, placement.class_id, placement.machine, now)
+        for placement in self.scheduler.schedule_round(self.ledger, max_attempts):
+            self._start_task(placement.row, placement.class_id, placement.machine, now)
 
     def _account_energy(self, now: float) -> None:
         # The interval that just ended may be shorter at the horizon edge.

@@ -7,7 +7,7 @@ of the object engine's :class:`~repro.simulation.scheduler.FirstFitScheduler`
 through numpy columns instead of per-task python walks:
 
 - the task population lives in plain numpy columns (:class:`TaskColumns`:
-  arrival, size, class, queue rank);
+  arrival, size, class, queue rank), one row per task;
 - the pending queue is an array of task rows sorted by their static queue
   rank, ties in enqueue order, merged with one binary search per batch;
 - per-pool capacity columns (cpu-free / memory-free / schedulable) mirror
@@ -53,7 +53,7 @@ enforces the digests.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Sequence
 
 import numpy as np
 
@@ -123,29 +123,28 @@ class TaskColumns:
     """The task population as plain numpy columns plus constraint bits.
 
     One row per task in trace order: ``submit``, ``cpu``, ``memory`` and
-    ``class_id`` columns; a static queue ``rank``, ordering rows as the
+    ``class_id`` columns (``class_id`` is a view of the simulator's label
+    column, not a copy); a static queue ``rank``, ordering rows as the
     object engine's pending sort key ``(-priority, submit_time)`` does,
     with equal keys getting equal ranks; and a dense boolean
     ``allowed[row, pool]`` matrix resolving each task's
-    ``allowed_platforms`` against a pool ordering.  ``row_of`` maps task
-    uid -> row for O(1) gather of any pending window.
+    ``allowed_platforms`` against a pool ordering.
     """
 
     def __init__(
         self,
-        tasks: tuple[Task, ...],
-        class_of: Callable[[Task], int],
+        tasks: Sequence[Task],
+        labels: Sequence[int],
         pool_platform_ids: tuple[int, ...],
     ) -> None:
         self.submit = np.array([task.submit_time for task in tasks], dtype=np.float64)
         self.cpu = np.array([task.cpu for task in tasks], dtype=np.float64)
         self.memory = np.array([task.memory for task in tasks], dtype=np.float64)
-        self.class_id = np.array([class_of(task) for task in tasks], dtype=np.int64)
+        self.class_id = np.asarray(labels, dtype=np.int64)
         keys = [(-task.priority, task.submit_time) for task in tasks]
         rank_of = {key: rank for rank, key in enumerate(sorted(set(keys)))}
         self.rank = np.array([rank_of[key] for key in keys], dtype=np.intp)
         self.allowed = np.ones((len(tasks), len(pool_platform_ids)), dtype=bool)
-        self.row_of = {task.uid: row for row, task in enumerate(tasks)}
         pool_index = {pid: j for j, pid in enumerate(pool_platform_ids)}
         for row, task in enumerate(tasks):
             if task.allowed_platforms is not None:
@@ -179,8 +178,8 @@ class ColumnarFirstFitScheduler:
     def __init__(
         self,
         pools: list[MachinePool],
-        tasks: tuple[Task, ...],
-        class_of: Callable[[Task], int],
+        tasks: Sequence[Task],
+        labels: Sequence[int],
     ) -> None:
         self.pools = pool_order(pools)
         #: Cells (platform ids) currently unreachable from ingest.
@@ -191,7 +190,7 @@ class ColumnarFirstFitScheduler:
         self._hints: dict[int, int] = {pool.platform_id: 0 for pool in self.pools}
         self._tasks = tasks
         self.columns = TaskColumns(
-            tasks, class_of, tuple(pool.platform_id for pool in self.pools)
+            tasks, labels, tuple(pool.platform_id for pool in self.pools)
         )
         self._pool_index = {pool.platform_id: j for j, pool in enumerate(self.pools)}
         #: Per-pool :func:`capacity_room` columns (fit-comparable free
@@ -275,9 +274,8 @@ class ColumnarFirstFitScheduler:
 
     # ------------------------------------------------------------ notices
 
-    def enqueue(self, task: Task, proven: bool = False) -> None:
-        """Queue an unplaced task; ``proven`` = a walk just failed for it."""
-        row = self.columns.row_of[task.uid]
+    def enqueue(self, row: int, proven: bool = False) -> None:
+        """Queue an unplaced row; ``proven`` = a walk just failed for it."""
         self._appended.append(row)
         self._infeasible[row] = proven
 
@@ -362,7 +360,7 @@ class ColumnarFirstFitScheduler:
     # --------------------------------------------------------- placement
 
     def try_place(
-        self, task: Task, class_id: int, ledger: QuotaLedger
+        self, row: int, class_id: int, ledger: QuotaLedger
     ) -> Machine | None:
         """Check-for-check replica of the base walk over the room columns.
 
@@ -374,6 +372,7 @@ class ColumnarFirstFitScheduler:
         bounds up immediately so the bounds stay exact within a round.
         """
         self._flush()
+        task = self._tasks[row]
         skipped_unreachable = False
         task_cpu = task.cpu
         task_memory = task.memory
@@ -403,7 +402,7 @@ class ColumnarFirstFitScheduler:
             if index >= 0:
                 machine = machines[index]
                 hints[platform_id] = index
-                machine.place(task, class_id)
+                machine.place(row, task, class_id)
                 ledger.place(platform_id, class_id)
                 if not self._dirty[j]:
                     self._refresh_machine(j, index)
@@ -499,7 +498,7 @@ class ColumnarFirstFitScheduler:
         self._queue_rows = np.insert(self._queue_rows, at, rows)
         self._queue_rank = np.insert(self._queue_rank, at, rank)
 
-    def backlog_by_class(self, class_of: Callable[[Task], int]) -> dict[int, int]:
+    def backlog_by_class(self) -> dict[int, int]:
         """Queued tasks per class id, from the class column.
 
         Keys come in class-id order, not the object scheduler's
@@ -613,7 +612,6 @@ class ColumnarFirstFitScheduler:
     def schedule_round(
         self,
         ledger: QuotaLedger,
-        class_of: Callable[[Task], int],
         max_attempts: int,
     ) -> list[Placement]:
         """One round over the first ``max_attempts`` queued tasks.
@@ -626,7 +624,6 @@ class ColumnarFirstFitScheduler:
         total = len(rows)
         self._flush()
         self._consume_events(ledger)
-        tasks = self._tasks
         window_len = min(max_attempts, total)
         window_rows = rows[:window_len]
         infeasible = self._infeasible
@@ -672,13 +669,12 @@ class ColumnarFirstFitScheduler:
         while k < len(order):
             i = order[k]
             k += 1
-            row = window_rows[i]
-            task = tasks[row]
+            row = int(window_rows[i])
             class_id = int(class_ids[row])
-            machine = self.try_place(task, class_id, ledger)
+            machine = self.try_place(row, class_id, ledger)
             if machine is not None:
                 placed[i] = True
-                placements.append(Placement(task=task, machine=machine, class_id=class_id))
+                placements.append(Placement(row=row, machine=machine, class_id=class_id))
                 if admission is not None:
                     platform_id = machine.model.platform_id
                     admission[local_class[i], pool_index[platform_id]] = (
@@ -722,7 +718,7 @@ class ColumnarClusterSimulator(ClusterSimulator):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.scheduler = ColumnarFirstFitScheduler(
-            self.pools, self.tasks, self._task_class
+            self.pools, self.tasks, self.labels
         )
 
     def run(self):
@@ -737,7 +733,6 @@ class ColumnarClusterSimulator(ClusterSimulator):
         self._push_control_ticks()
         order = np.argsort(self.scheduler.columns.submit, kind="stable")
         submits = self.scheduler.columns.submit[order]
-        tasks = self.tasks
         queue = self._queue
         cursor = 0
         count = len(order)
@@ -750,7 +745,7 @@ class ColumnarClusterSimulator(ClusterSimulator):
                     key is None or (submit, arrival_key) < key
                 ):
                     queue.advance(submit)
-                    self._on_arrival(tasks[order[cursor]])
+                    self._on_arrival(int(order[cursor]))
                     cursor += 1
                     continue
             if key is None or key[0] > self.horizon:

@@ -26,7 +26,7 @@ class EventKind(enum.IntEnum):
     CONTROL_TICK = 4
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, order=False, slots=True)
 class Event:
     """A scheduled simulation event."""
 

@@ -9,6 +9,7 @@ heterogeneity-oblivious baseline for the Figs. 21-26 comparisons.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -306,7 +307,17 @@ class HarmonySimulation:
         #: :meth:`build_policy`.
         self.controller: HarmonyController | None = None
         with self.timer.phase("label_tasks"):
-            self._class_by_uid = self._precompute_classes()
+            #: Row -> arrival (short) class id: the trace classified once.
+            self.labels = array(
+                "q",
+                [
+                    leaf.class_id
+                    for leaf in self.classifier.classify_batch(
+                        self.trace.tasks, observed_runtime=0.0
+                    )
+                ],
+            )
+            self._long_of = self._long_siblings()
 
     def _fit_classifier(self) -> TaskClassifier:
         tasks = list(self.trace.tasks)
@@ -318,27 +329,22 @@ class HarmonySimulation:
             tasks = [tasks[i] for i in sorted(indices)]
         return TaskClassifier(self.config.classifier).fit(tasks)
 
-    def _precompute_classes(self) -> dict[tuple[int, int], int]:
-        tasks = list(self.trace.tasks)
-        leaves = self.classifier.classify_batch(tasks, observed_runtime=0.0)
-        # For every (short) arrival label, pre-resolve the long sibling and
-        # the split boundary so per-tick relabeling is a dict lookup.
-        relabel_by_leaf: dict[int, tuple[int, int, float]] = {}
+    def _long_siblings(self) -> dict[int, tuple[int, float]]:
+        """Leaf class id -> (its long sibling's id, the split boundary):
+        all :meth:`relabel_class` needs, one entry per leaf."""
+        long_of: dict[int, tuple[int, float]] = {}
         for leaf in self.classifier.classes:
             sibling = self.classifier.sibling(leaf)
             boundary = self.classifier.split_boundary(leaf.group, leaf.static_index)
             long_id = sibling.class_id if sibling is not None else leaf.class_id
-            relabel_by_leaf[leaf.class_id] = (leaf.class_id, long_id, boundary)
-        self._relabel_table: dict[tuple[int, int], tuple[int, int, float]] = {
-            task.uid: relabel_by_leaf[leaf.class_id]
-            for task, leaf in zip(tasks, leaves)
-        }
-        return {uid: short_id for uid, (short_id, _, _) in self._relabel_table.items()}
+            long_of[leaf.class_id] = (long_id, boundary)
+        return long_of
 
-    def relabel_class(self, task: Task, elapsed: float) -> int:
-        """The class a running task should carry after ``elapsed`` seconds."""
-        short_id, long_id, boundary = self._relabel_table[task.uid]
-        return long_id if elapsed > boundary else short_id
+    def relabel_class(self, class_id: int, elapsed: float) -> int:
+        """The class a task that arrived as ``class_id`` should carry after
+        running ``elapsed`` seconds."""
+        long_id, boundary = self._long_of[class_id]
+        return long_id if elapsed > boundary else class_id
 
     def split_arrivals(self, arrivals: dict[int, float]) -> dict[int, float]:
         """Redistribute arrival counts short->long by historical fractions."""
@@ -370,7 +376,7 @@ class HarmonySimulation:
         short/long by the classifier's historical fractions.
         """
         totals: dict[int, float] = {}
-        for class_id in self._class_by_uid.values():
+        for class_id in self.labels:
             totals[class_id] = totals.get(class_id, 0.0) + 1.0
         num_intervals = max(self.trace.horizon / self.config.control_interval, 1.0)
         per_interval = {cid: n / num_intervals for cid, n in totals.items()}
@@ -403,8 +409,13 @@ class HarmonySimulation:
         the :class:`~repro.simulation.cluster.ClusterSimulator` — the public
         seam for benchmarks and examples that drive a simulator directly
         with a custom :class:`~repro.simulation.cluster.ClusterConfig`.
+        ``class_of`` is row-indexed: ``class_of[row]`` is the arrival class
+        of ``tasks[row]``, so hand the simulator ``tasks`` exactly as
+        returned — reordered or filtered, its rows no longer match their
+        labels (filtering is caught as a length mismatch, reordering is
+        not).
         """
-        return self._prepare_tasks(), lambda task: self._class_by_uid[task.uid]
+        return self._prepare_tasks(), self.labels
 
     def build_policy(self):
         """Instantiate the configured policy (exposed for tests).

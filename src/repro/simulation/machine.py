@@ -47,8 +47,9 @@ class Machine:
     fabric_stretch: float = 1.0
     cpu_used: float = 0.0
     memory_used: float = 0.0
-    #: task uid -> (task, class_id) for everything currently running here.
-    running: dict[tuple[int, int], tuple[Task, int]] = field(default_factory=dict)
+    #: task row -> class id for everything currently running here (a row
+    #: indexes the simulator's ``tasks`` tuple).
+    running: dict[int, int] = field(default_factory=dict)
 
     @property
     def effective_slowdown(self) -> float:
@@ -93,21 +94,22 @@ class Machine:
             return False
         return task.cpu <= self.cpu_free + 1e-9 and task.memory <= self.memory_free + 1e-9
 
-    def place(self, task: Task, class_id: int) -> None:
+    def place(self, row: int, task: Task, class_id: int) -> None:
+        """Start ``task`` (the task at ``row``) here under ``class_id``."""
         if not self.fits(task):
             raise ValueError(f"task {task.uid} does not fit machine {self.machine_id}")
-        self.running[task.uid] = (task, class_id)
+        self.running[row] = class_id
         self.cpu_used += task.cpu
         self.memory_used += task.memory
 
-    def release(self, task: Task) -> int:
+    def release(self, row: int, task: Task) -> int:
         """Remove a finished task; returns the class id it ran under."""
-        entry = self.running.pop(task.uid, None)
-        if entry is None:
+        class_id = self.running.pop(row, None)
+        if class_id is None:
             raise KeyError(f"task {task.uid} is not running on machine {self.machine_id}")
         self.cpu_used = max(self.cpu_used - task.cpu, 0.0)
         self.memory_used = max(self.memory_used - task.memory, 0.0)
-        return entry[1]
+        return class_id
 
 
 @dataclass
@@ -186,7 +188,7 @@ class MachinePool:
         """Running tasks per class id across the pool (for quota stocks)."""
         counts: dict[int, int] = {}
         for machine in self.machines:
-            for _, class_id in machine.running.values():
+            for class_id in machine.running.values():
                 counts[class_id] = counts.get(class_id, 0) + 1
         return counts
 
@@ -252,15 +254,15 @@ class MachinePool:
             machine.state = MachineState.ON
 
     def fail(self, machine: Machine, now: float, repair_seconds: float
-             ) -> list[tuple["Task", int]]:
+             ) -> list[tuple[int, int]]:
         """Crash a machine: kill its tasks, power off, start repair.
 
-        Returns the (task, class_id) pairs that were running so the caller
+        Returns the (row, class_id) pairs that were running so the caller
         can re-enqueue them and release their quota stocks.
         """
         if repair_seconds < 0:
             raise ValueError(f"repair_seconds must be >= 0, got {repair_seconds}")
-        victims = list(machine.running.values())
+        victims = list(machine.running.items())
         machine.running.clear()
         machine.cpu_used = 0.0
         machine.memory_used = 0.0

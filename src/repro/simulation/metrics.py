@@ -9,11 +9,18 @@ energy totals (Fig. 26).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.trace.schema import PriorityGroup, Task
+from repro.trace.schema import NUM_PRIORITIES, PriorityGroup, Task
+
+#: Priority group index of each raw priority, for vectorized grouping.
+_GROUP_OF_PRIORITY = np.array(
+    [PriorityGroup.from_priority(p) for p in range(NUM_PRIORITIES)], dtype=np.int8
+)
 
 
 def _pooled(by_group: dict[PriorityGroup, np.ndarray]) -> np.ndarray:
@@ -32,9 +39,10 @@ def _within(delays: np.ndarray, tolerance: float) -> float:
     return float((delays <= tolerance).mean()) if delays.size else 0.0
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class TaskRecord:
-    """Lifecycle of one task through the simulator."""
+    """Lifecycle of one task through the simulator: a read-only snapshot
+    of its row, built on demand by :meth:`SimulationMetrics.record`."""
 
     task: Task
     submit_time: float
@@ -127,9 +135,18 @@ class FaultSample:
 
 @dataclass
 class SimulationMetrics:
-    """Aggregated run metrics."""
+    """Aggregated run metrics.
 
-    records: dict[tuple[int, int], TaskRecord] = field(default_factory=dict)
+    Per-task state is one *row* per task of ``tasks`` (the simulator's
+    row order), kept in flat columns allocated once: ``submit_time``,
+    ``schedule_time`` and ``finish_time`` (NaN = not yet), ``class_id``
+    (the class the task last ran under) and ``platform_id`` (-1 = not
+    placed), plus ``arrivals``, the rows in arrival order.  Every
+    per-task reduction runs over the arrived rows in that order, so a
+    float mean adds its terms in the order the tasks arrived.
+    """
+
+    tasks: Sequence[Task] = field(default=(), repr=False)
     #: (time, powered machines, schedulable machines) samples per interval.
     machine_timeline: list[tuple[float, int, int]] = field(default_factory=list)
     #: (time, {platform_id: powered}) samples.
@@ -154,36 +171,51 @@ class SimulationMetrics:
     fabric: FabricMetrics = field(default_factory=FabricMetrics)
     #: machine_id -> open failure episode awaiting recovery.
     _open_failures: dict[int, MachineFailure] = field(default_factory=dict, repr=False)
-    #: task uid -> open restart episode awaiting re-placement.
-    _open_restarts: dict[tuple[int, int], TaskRestart] = field(
-        default_factory=dict, repr=False
-    )
+    #: task row -> open restart episode awaiting re-placement.
+    _open_restarts: dict[int, TaskRestart] = field(default_factory=dict, repr=False)
+
+    def __post_init__(self) -> None:
+        count = len(self.tasks)
+        self.arrivals = array("q")
+        self.submit_time = array("d", [np.nan]) * count
+        self.schedule_time = array("d", [np.nan]) * count
+        self.finish_time = array("d", [np.nan]) * count
+        self.class_id = array("q", [-1]) * count
+        self.platform_id = array("q", [-1]) * count
 
     # --------------------------------------------------------------- events
 
-    def task_submitted(self, task: Task, time: float) -> None:
-        self.records[task.uid] = TaskRecord(task=task, submit_time=time)
+    def task_submitted(self, row: int, time: float) -> None:
+        self.arrivals.append(row)
+        self.submit_time[row] = time
 
     def task_scheduled(
-        self, task: Task, time: float, class_id: int, platform_id: int
+        self, row: int, time: float, class_id: int, platform_id: int
     ) -> None:
-        record = self.records[task.uid]
-        record.schedule_time = time
-        record.class_id = class_id
-        record.platform_id = platform_id
+        self.schedule_time[row] = time
+        self.class_id[row] = class_id
+        self.platform_id[row] = platform_id
         if self._open_restarts:
-            restart = self._open_restarts.pop(task.uid, None)
+            restart = self._open_restarts.pop(row, None)
             if restart is not None:
                 restart.reschedule_time = time
 
-    def task_finished(self, task: Task, time: float) -> None:
-        self.records[task.uid].finish_time = time
+    def task_finished(self, row: int, time: float) -> None:
+        self.finish_time[row] = time
 
-    def task_killed(self, task: Task, time: float) -> None:
+    def task_unplaced(self, row: int) -> None:
+        """A running task was evicted or killed: it is pending again."""
+        self.schedule_time[row] = np.nan
+        self.platform_id[row] = -1
+
+    def task_relabeled(self, row: int, class_id: int) -> None:
+        self.class_id[row] = class_id
+
+    def task_killed(self, row: int, time: float) -> None:
         """A fault killed a running task; it re-enters the pending queue."""
-        restart = TaskRestart(uid=task.uid, kill_time=time)
+        restart = TaskRestart(uid=self.tasks[row].uid, kill_time=time)
         self.restart_events.append(restart)
-        self._open_restarts[task.uid] = restart
+        self._open_restarts[row] = restart
 
     def machine_failed(self, machine_id: int, time: float) -> None:
         episode = MachineFailure(machine_id=machine_id, fail_time=time)
@@ -210,24 +242,71 @@ class SimulationMetrics:
 
     # -------------------------------------------------------------- queries
 
+    def record(self, row: int) -> TaskRecord:
+        """The task at ``row`` as a :class:`TaskRecord` snapshot."""
+
+        def optional(value: float) -> float | None:
+            return None if np.isnan(value) else value
+
+        class_id = self.class_id[row]
+        platform_id = self.platform_id[row]
+        return TaskRecord(
+            task=self.tasks[row],
+            submit_time=self.submit_time[row],
+            schedule_time=optional(self.schedule_time[row]),
+            finish_time=optional(self.finish_time[row]),
+            class_id=None if class_id < 0 else class_id,
+            platform_id=None if platform_id < 0 else platform_id,
+        )
+
+    def records(self) -> Iterator[TaskRecord]:
+        """A :class:`TaskRecord` per arrived task, in arrival order, one at
+        a time."""
+        return map(self.record, self.arrivals)
+
+    def _arrived(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows in arrival order, their priority group indices)."""
+        rows = np.asarray(self.arrivals, dtype=np.int64)
+        priorities = np.fromiter(
+            (self.tasks[row].priority for row in self.arrivals),
+            dtype=np.int8,
+            count=len(rows),
+        )
+        return rows, _GROUP_OF_PRIORITY[priorities]
+
+    def _delays(
+        self, rows: np.ndarray, include_unscheduled_at: float | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(delays, kept): the scheduling delay of each row in ``rows``,
+        censored at ``include_unscheduled_at`` when set, and which rows
+        have a delay at all (the scheduled ones when it is not set)."""
+        submit = np.asarray(self.submit_time)[rows]
+        delays = np.asarray(self.schedule_time)[rows] - submit
+        scheduled = ~np.isnan(delays)
+        if include_unscheduled_at is None:
+            return delays, scheduled
+        censored = np.maximum(include_unscheduled_at - submit, 0.0)
+        return np.where(scheduled, delays, censored), np.ones(len(rows), dtype=bool)
+
     def delays_by_group(self, include_unscheduled_at: float | None = None
                         ) -> dict[PriorityGroup, np.ndarray]:
-        """Scheduling delays per priority group.
+        """Scheduling delays per priority group, in arrival order.
 
         ``include_unscheduled_at``: when set (typically the horizon), tasks
         never scheduled contribute a censored delay of ``horizon - submit``
         instead of being silently dropped — otherwise a starving policy
         would look *better* on delay.
         """
-        delays: dict[PriorityGroup, list[float]] = {g: [] for g in PriorityGroup}
-        for record in self.records.values():
-            delay = record.scheduling_delay
-            if delay is None:
-                if include_unscheduled_at is None:
-                    continue
-                delay = max(include_unscheduled_at - record.submit_time, 0.0)
-            delays[record.group].append(delay)
-        return {g: np.asarray(v) for g, v in delays.items()}
+        return self._by_group(*self._arrived(), include_unscheduled_at)
+
+    def _by_group(
+        self,
+        rows: np.ndarray,
+        groups: np.ndarray,
+        include_unscheduled_at: float | None,
+    ) -> dict[PriorityGroup, np.ndarray]:
+        delays, kept = self._delays(rows, include_unscheduled_at)
+        return {g: delays[kept & (groups == g)] for g in PriorityGroup}
 
     def mean_delay(self, group: PriorityGroup | None = None,
                    include_unscheduled_at: float | None = None) -> float:
@@ -244,31 +323,32 @@ class SimulationMetrics:
 
     @property
     def num_submitted(self) -> int:
-        return len(self.records)
+        return len(self.arrivals)
 
     @property
     def num_scheduled(self) -> int:
-        return sum(1 for r in self.records.values() if r.schedule_time is not None)
+        return int(np.count_nonzero(~np.isnan(np.asarray(self.schedule_time))))
 
     @property
     def num_finished(self) -> int:
-        return sum(1 for r in self.records.values() if r.finish_time is not None)
+        return int(np.count_nonzero(~np.isnan(np.asarray(self.finish_time))))
 
     def immediate_fraction(self, group: PriorityGroup, tolerance: float = 1.0) -> float:
         """Fraction of a group's scheduled tasks placed within ``tolerance`` s."""
         return _within(self.delays_by_group()[group], tolerance)
 
     def delay_summary(self, horizon: float) -> dict:
-        """The delay figures of a run summary from two walks over ``records``.
+        """The delay figures of a run summary from one pass over the rows.
 
         ``by_group`` holds, per lower-case group name, :meth:`mean_delay`
         and the p95 of :meth:`delay_percentile` censored at ``horizon``, and
         :meth:`immediate_fraction`; ``mean_s`` is the censored overall mean
         and ``scheduled`` is :attr:`num_scheduled` — each value bit-identical
-        to its query, which walks ``records`` again per call.
+        to its query, which reduces the rows again per call.
         """
-        censored = self.delays_by_group(include_unscheduled_at=horizon)
-        scheduled = self.delays_by_group()
+        rows, groups = self._arrived()
+        censored = self._by_group(rows, groups, horizon)
+        scheduled = self._by_group(rows, groups, None)
         return {
             "by_group": {
                 group.name.lower(): {
@@ -349,19 +429,12 @@ class SimulationMetrics:
         ``include_unscheduled_at`` when given, or unconditionally missed
         otherwise).  1.0 with no tasks.
         """
-        hits = total = 0
-        for record in self.records.values():
-            if group is not None and record.group is not group:
-                continue
-            total += 1
-            delay = record.scheduling_delay
-            if delay is None:
-                if include_unscheduled_at is not None:
-                    delay = max(include_unscheduled_at - record.submit_time, 0.0)
-                else:
-                    continue  # still a miss: counted in total only
-            if delay <= bound_seconds:
-                hits += 1
+        rows, groups = self._arrived()
+        if group is not None:
+            rows = rows[groups == group]
+        total = len(rows)
+        delays, kept = self._delays(rows, include_unscheduled_at)
+        hits = int(np.count_nonzero(kept & (delays <= bound_seconds)))
         return hits / total if total else 1.0
 
     def max_degradation_level(self) -> int:

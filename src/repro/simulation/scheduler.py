@@ -15,7 +15,7 @@ task does not stop smaller lower-priority tasks from using leftover capacity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable, Sequence
 
 from repro.simulation.machine import Machine, MachinePool
 from repro.trace.schema import Task
@@ -86,11 +86,11 @@ class QuotaLedger:
         return result
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Placement:
-    """One successful task placement."""
+    """One successful task placement: the task's row, its host, its class."""
 
-    task: Task
+    row: int
     machine: Machine
     class_id: int
 
@@ -116,11 +116,21 @@ class FirstFitScheduler:
     swap: the simulator's handlers :meth:`enqueue` unplaced tasks, run
     :meth:`schedule_round` while :attr:`queued` is non-zero and send the
     capacity notices, which this scheduler ignores (it re-derives
-    everything each round; the columnar one keeps caches on them).
+    everything each round; the columnar one keeps caches on them).  Every
+    call names a task by its row in ``tasks``; this scheduler, the oracle,
+    reads the :class:`Task` at that row wherever it needs one, and
+    ``labels[row]`` is the class the row is placed under.
     """
 
-    def __init__(self, pools: list[MachinePool]) -> None:
+    def __init__(
+        self,
+        pools: list[MachinePool],
+        tasks: Sequence[Task],
+        labels: Sequence[int],
+    ) -> None:
         self.pools = pool_order(pools)
+        self.tasks = tasks
+        self.labels = labels
         #: Cells (platform ids) currently unreachable from the trace-ingest
         #: cell — no placements there while a partition holds.
         self._unreachable: frozenset[int] = frozenset()
@@ -128,7 +138,7 @@ class FirstFitScheduler:
         #: cell (the partition may be why the task stayed pending).
         self.fabric_deferrals = 0
         self._hints: dict[int, int] = {pool.platform_id: 0 for pool in self.pools}
-        self._pending: list[Task] = []
+        self._pending: list[int] = []
         #: Whether appends since the last round left the queue unsorted.
         self._dirty = False
 
@@ -150,18 +160,19 @@ class FirstFitScheduler:
 
     def try_place(
         self,
-        task: Task,
+        row: int,
         class_id: int,
         ledger: QuotaLedger,
         failed: dict[int, list[tuple[float, float]]] | None = None,
     ) -> Machine | None:
-        """Place one task; returns the machine or None.
+        """Place the task at ``row``; returns the machine or None.
 
         ``failed`` is an intra-round memo of (cpu, memory) demands that
         already failed a pool's machine scan purely on capacity.  A task
         dominating a failed demand in both dimensions cannot fit either, so
         its scan is skipped — capacity only shrinks within a round.
         """
+        task = self.tasks[row]
         skipped_unreachable = False
         for pool in self.pools:
             if pool.platform_id in self._unreachable:
@@ -183,7 +194,7 @@ class FirstFitScheduler:
                 continue
             machine = self._pick_machine(task, pool)
             if machine is not None:
-                machine.place(task, class_id)
+                machine.place(row, task, class_id)
                 ledger.place(pool.platform_id, class_id)
                 return machine
             if failed is not None:
@@ -200,41 +211,41 @@ class FirstFitScheduler:
 
     def schedule(
         self,
-        pending: Iterable[Task],
+        pending: Iterable[int],
         ledger: QuotaLedger,
-        class_of: Callable[[Task], int],
         max_attempts: int | None = None,
-    ) -> tuple[list[Placement], list[Task]]:
-        """Walk the pending queue (assumed priority-ordered) with backfill.
+    ) -> tuple[list[Placement], list[int]]:
+        """Walk the pending rows (assumed priority-ordered) with backfill.
 
-        Returns (placements, still-pending).  ``max_attempts`` caps how many
-        queue entries are examined per round, bounding worst-case cost under
-        a deep backlog.
+        Returns (placements, still-pending rows).  ``max_attempts`` caps how many
+        queue entries are examined per round, bounding worst-case cost
+        under a deep backlog.
         """
         placements: list[Placement] = []
-        leftover: list[Task] = []
+        leftover: list[int] = []
         attempts = 0
         failed: dict[int, list[tuple[float, float]]] = {}
+        labels = self.labels
         iterator = iter(pending)
-        for task in iterator:
+        for row in iterator:
             if max_attempts is not None and attempts >= max_attempts:
-                leftover.append(task)
+                leftover.append(row)
                 leftover.extend(iterator)
                 break
             attempts += 1
-            class_id = class_of(task)
-            machine = self.try_place(task, class_id, ledger, failed)
+            class_id = labels[row]
+            machine = self.try_place(row, class_id, ledger, failed)
             if machine is None:
-                leftover.append(task)
+                leftover.append(row)
             else:
-                placements.append(Placement(task=task, machine=machine, class_id=class_id))
+                placements.append(Placement(row=row, machine=machine, class_id=class_id))
         return placements, leftover
 
     # ------------------------------------------------------ pending queue
 
-    def enqueue(self, task: Task, proven: bool = False) -> None:
-        """Queue an unplaced task (``proven``: its walk just failed)."""
-        self._pending.append(task)
+    def enqueue(self, row: int, proven: bool = False) -> None:
+        """Queue an unplaced row (``proven``: its walk just failed)."""
+        self._pending.append(row)
         self._dirty = True
 
     @property
@@ -251,26 +262,29 @@ class FirstFitScheduler:
     def invalidate(self) -> None:
         """Machines, quotas or reachability changed wholesale."""
 
-    def backlog_by_class(self, class_of: Callable[[Task], int]) -> dict[int, int]:
+    def backlog_by_class(self) -> dict[int, int]:
         """Queued tasks per class id."""
+        labels = self.labels
         backlog: dict[int, int] = {}
-        for task in self._pending:
-            class_id = class_of(task)
+        for row in self._pending:
+            class_id = labels[row]
             backlog[class_id] = backlog.get(class_id, 0) + 1
         return backlog
 
     def schedule_round(
         self,
         ledger: QuotaLedger,
-        class_of: Callable[[Task], int],
         max_attempts: int,
     ) -> list[Placement]:
         """One round over the queue, highest priority first and FIFO
         within a priority level; returns the placements."""
         if self._dirty:
-            self._pending.sort(key=lambda t: (-t.priority, t.submit_time))
+            tasks = self.tasks
+            self._pending.sort(
+                key=lambda row: (-tasks[row].priority, tasks[row].submit_time)
+            )
             self._dirty = False
         placements, self._pending = self.schedule(
-            self._pending, ledger, class_of, max_attempts=max_attempts
+            self._pending, ledger, max_attempts=max_attempts
         )
         return placements

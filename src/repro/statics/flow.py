@@ -21,7 +21,8 @@ ORD001
 Every finding is attributed to the *source* site (the clock read, the
 iteration), carries the call path in both the message and
 the structured ``trace`` field, and fingerprints on the source line — so
-baselining and ``# repro: noqa`` behave exactly as for per-file rules.
+``# repro: noqa`` and the SARIF fingerprint behave exactly as for
+per-file rules.
 """
 
 from __future__ import annotations

@@ -145,6 +145,25 @@ class TestRssGate:
         # sub-threshold baseline peak cannot anchor the growth check.
         assert compare_reports(base, fresh) == []
 
+    def test_committed_replay_backlog_regression_fails(self):
+        """The committed scalability baseline's replay scenario and run peak
+        sit above the floor, so replay state growing back from 176 MiB to
+        the 268 MiB of uid-keyed per-task dicts fails both RSS checks."""
+        base = json.loads((REPO / "BENCH_scalability.json").read_text())
+        replay = next(s for s in base["scenarios"] if s["name"] == "replay_backlog")
+        assert replay["rss_peak_mb"] >= MIN_GATED_RSS_MB
+        assert base["peak_rss_mb"] >= MIN_GATED_RSS_MB
+        fresh = json.loads(json.dumps(base))
+        for scenario in fresh["scenarios"]:
+            if scenario["name"] == "replay_backlog":
+                scenario["rss_peak_mb"] = 268.19
+        fresh["peak_rss_mb"] = 268.19
+        problems = compare_reports(base, fresh)
+        assert any(
+            p.startswith("replay_backlog: peak-RSS share regressed") for p in problems
+        )
+        assert any(p.startswith("run peak RSS regressed") for p in problems)
+
     def test_ceiling_enforced(self):
         problems = compare_reports(
             RSS_BASELINE, RSS_BASELINE, rss_ceiling_mb=800.0

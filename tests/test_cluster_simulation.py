@@ -89,7 +89,7 @@ class TestClusterSimulator:
         fleet = table2_fleet(0.02)
         tasks = [make_task(job_id=1, submit_time=1.0, duration=50.0, cpu=0.05, memory=0.05)]
         _, metrics = self.run_sim(tasks, fleet, AllOnPolicy(fleet))
-        record = metrics.records[(1, 0)]
+        record = metrics.record(0)
         # Machines are ordered at t=0 and boot in 90-150 s: the task placed
         # at the first MACHINE_READY, not at its arrival.
         assert record.schedule_time is not None
@@ -129,7 +129,7 @@ class TestClusterSimulator:
             )
         ]
         _, metrics = self.run_sim(tasks, fleet, AllOnPolicy(fleet))
-        record = metrics.records[(1, 0)]
+        record = metrics.record(0)
         assert record.platform_id == dl585_pid
 
     def test_relabel_updates_ledger_and_record(self):
@@ -138,7 +138,7 @@ class TestClusterSimulator:
 
         observed = []
 
-        def relabel(t, elapsed):
+        def relabel(class_id, elapsed):
             observed.append(elapsed)
             return 1 if elapsed > 500.0 else 0
 
@@ -149,7 +149,7 @@ class TestClusterSimulator:
         # Mislabelled for at most the split boundary, plus the control
         # interval (300 s) it takes the next tick to notice.
         assert min(e for e in observed if e > 500.0) <= 500.0 + 300.0
-        assert metrics.records[(1, 0)].class_id == 1
+        assert metrics.record(0).class_id == 1
         snapshot = simulator.ledger.snapshot()
         stocks = {cid for by_class in snapshot.values() for cid in by_class}
         assert stocks == {1}
@@ -227,7 +227,7 @@ class TestFailureInjection:
     def test_stale_finish_events_ignored(self):
         """A killed-and-restarted task must finish exactly once."""
         simulator, metrics = self._run_with_failures(rate=0.2, num_tasks=10)
-        finished = [r for r in metrics.records.values() if r.finish_time is not None]
+        finished = [r for r in metrics.records() if r.finish_time is not None]
         for record in finished:
             # finish must come after the (latest) schedule time plus the
             # full duration, never earlier (stale events would be earlier).
@@ -302,10 +302,10 @@ class TestHarmonySimulation:
     def test_relabel_class_table(self, tiny_trace):
         config = HarmonyConfig(policy="cbs", classifier_sample=1000)
         simulation = HarmonySimulation(config, tiny_trace)
-        task = tiny_trace.tasks[0]
-        short_label = simulation.relabel_class(task, 0.0)
-        long_label = simulation.relabel_class(task, 10 * 24 * 3600.0)
-        assert short_label == simulation._class_by_uid[task.uid]
+        arrival_label = int(simulation.labels[0])
+        short_label = simulation.relabel_class(arrival_label, 0.0)
+        long_label = simulation.relabel_class(arrival_label, 10 * 24 * 3600.0)
+        assert short_label == arrival_label
         # After ten days every splittable class has flipped to long.
         leaf = simulation.classifier.class_by_id(long_label)
         assert leaf.class_id == long_label

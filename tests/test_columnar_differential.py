@@ -19,6 +19,7 @@ import dataclasses
 import hashlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -138,11 +139,11 @@ class TestDeepBacklog:
         placeable = ColumnarFirstFitScheduler.placeable
         try_place = ColumnarFirstFitScheduler.try_place
 
-        def spy_round(self, ledger, class_of, max_attempts):
+        def spy_round(self, ledger, max_attempts):
             events.append(("round", 0))
             in_round.append(self)
             try:
-                return schedule_round(self, ledger, class_of, max_attempts)
+                return schedule_round(self, ledger, max_attempts)
             finally:
                 in_round.pop()
 
@@ -193,6 +194,57 @@ def backlog_trace():
     )
 
 
+#: Per-row columns of a run's metrics, compared with ``np.array_equal``
+#: (NaN = not scheduled / not finished, -1 = no class / platform).
+ROW_COLUMNS = (
+    "arrivals", "submit_time", "schedule_time", "finish_time", "class_id", "platform_id",
+)
+
+
+class TestPerRowEquivalence:
+    """Per-row outcomes agree, not only the summary reductions.
+
+    Each case reaches a path that resets or relabels rows in place —
+    preemption, Poisson crash sweeps, short-to-long relabeling — and the
+    test checks that the path ran.
+    """
+
+    @pytest.mark.parametrize(
+        "case, kwargs, counter",
+        [
+            (
+                "preemption",
+                dict(policy="cbs", predictor="ewma", enable_preemption=True, seed=9),
+                "tasks_preempted",
+            ),
+            ("poisson", dict(policy="threshold", seed=3), "tasks_killed"),
+            ("relabel", dict(policy="cbs", predictor="ewma", seed=7), "relabel_events"),
+        ],
+        ids=lambda value: value if isinstance(value, str) else "",
+    )
+    def test_rows_agree(self, backlog_trace, case, kwargs, counter):
+        if case == "poisson":
+            kwargs = dict(
+                kwargs,
+                fault_plan=build_scenario_plan("poisson", backlog_trace.horizon, seed=3),
+            )
+        results = {
+            engine: HarmonySimulation(
+                HarmonyConfig(engine=engine, **kwargs), backlog_trace
+            ).run()
+            for engine in ("object", "columnar")
+        }
+        expected, got = results["object"].metrics, results["columnar"].metrics
+        for name in ROW_COLUMNS:
+            assert np.array_equal(
+                np.asarray(getattr(got, name)),
+                np.asarray(getattr(expected, name)),
+                equal_nan=True,
+            ), f"{name} differs"
+        assert getattr(results["object"], counter) > 0
+        assert getattr(results["columnar"], counter) == getattr(results["object"], counter)
+
+
 class TestSchedulerSeam:
     """The two engines share every handler and differ only in the
     scheduler, so what the handlers ask of it must match call by call."""
@@ -208,9 +260,9 @@ class TestSchedulerSeam:
         for scheduler_cls in (FirstFitScheduler, ColumnarFirstFitScheduler):
             schedule_round = scheduler_cls.schedule_round
 
-            def spy(self, ledger, class_of, max_attempts, _round=schedule_round):
+            def spy(self, ledger, max_attempts, _round=schedule_round):
                 seen.setdefault(type(self), []).append(self.queued)
-                return _round(self, ledger, class_of, max_attempts)
+                return _round(self, ledger, max_attempts)
 
             monkeypatch.setattr(scheduler_cls, "schedule_round", spy)
         digests = {

@@ -155,7 +155,7 @@ def draw_state(draw):
                 for _ in range(draw(st.integers(0, 1))):
                     ledger.place(p, c)
     tasks = []
-    class_of = {}
+    classes = []
     for index in range(draw(st.integers(2, 12))):
         allowed = None
         if draw(st.booleans()):
@@ -174,25 +174,23 @@ def draw_state(draw):
             allowed_platforms=allowed,
         )
         tasks.append(task)
-        class_of[task.uid] = draw(st.sampled_from(CLASSES))
-    scheduler = ColumnarFirstFitScheduler(
-        pools, tuple(tasks), lambda task: class_of[task.uid]
-    )
+        classes.append(draw(st.sampled_from(CLASSES)))
+    scheduler = ColumnarFirstFitScheduler(pools, tuple(tasks), classes)
     scheduler.set_unreachable(
         frozenset(p for p in platforms if draw(st.integers(0, 3)) == 0)
     )
-    return scheduler, ledger, tasks, class_of
+    return scheduler, ledger, tasks, classes
 
 
-def walk_places(scheduler, ledger, task, class_id):
-    """Whether ``try_place`` places ``task`` on a copy of the state.
+def walk_places(scheduler, ledger, row, class_id):
+    """Whether ``try_place`` places the task at ``row`` on a copy of the state.
 
     Also checks the deferral a failing walk counts, which the round adds
     for every candidate the pass skips.
     """
     scheduler, ledger = copy.deepcopy((scheduler, ledger))
     before = scheduler.fabric_deferrals
-    placed = scheduler.try_place(task, class_id, ledger) is not None
+    placed = scheduler.try_place(row, class_id, ledger) is not None
     deferred = scheduler.fabric_deferrals - before
     assert deferred == (0 if placed else int(scheduler.defers))
     return placed
@@ -210,19 +208,18 @@ class TestPlaceable:
         In particular the first row it keeps is the first one ``try_place``
         can place.
         """
-        scheduler, ledger, tasks, class_of = draw_state(data.draw)
-        classes = [class_of[task.uid] for task in tasks]
+        scheduler, ledger, tasks, classes = draw_state(data.draw)
         table, index = scheduler.admission_table(ledger, np.array(classes))
-        for k, task in enumerate(tasks):
+        for k in range(len(tasks)):
             rows = np.arange(k, len(tasks))
             admits = table[index[k:]] if ledger.restricted else None
             fits = scheduler.placeable(rows, admits)
             expected = [
-                walk_places(scheduler, ledger, tasks[row], classes[row])
-                for row in rows
+                walk_places(scheduler, ledger, row, classes[row])
+                for row in rows.tolist()
             ]
             assert fits.tolist() == expected
-            machine = scheduler.try_place(task, classes[k], ledger)
+            machine = scheduler.try_place(k, classes[k], ledger)
             if machine is not None:
                 platform_id = machine.model.platform_id
                 j = scheduler._pool_index[platform_id]
@@ -267,10 +264,7 @@ class TestQueueMerge:
             count=1,
             power_model=LinearPowerModel(100.0, (50.0, 10.0)),
         )
-        scheduler = ColumnarFirstFitScheduler(
-            [MachinePool(model)], tasks, lambda task: 0
-        )
-        row_of = scheduler.columns.row_of
+        scheduler = ColumnarFirstFitScheduler([MachinePool(model)], tasks, [0] * count)
         expected: list[Task] = []
         for _ in range(data.draw(st.integers(1, 8))):
             queued = {task.uid for task in expected}
@@ -285,13 +279,12 @@ class TestQueueMerge:
                     )
                 )
                 for task in batch:
-                    scheduler.enqueue(task)
+                    scheduler.enqueue(task.index)
                 expected.extend(batch)
                 scheduler._merge()
                 expected.sort(key=lambda t: (-t.priority, t.submit_time))
-                assert scheduler._queue_rows.tolist() == [
-                    row_of[t.uid] for t in expected
-                ]
+                # A task's index is its row.
+                assert scheduler._queue_rows.tolist() == [t.index for t in expected]
                 assert scheduler.queued == len(expected)
             elif expected:
                 window = data.draw(st.integers(1, len(expected)))

@@ -311,7 +311,7 @@ class TestLinkDegradationStretch:
         task = make_task(job_id=1, submit_time=1.0, duration=1000.0, **_CELL4_ONLY)
         simulator = _fabric_cluster(plan, (task,), self.engine)
         metrics = simulator.run()
-        record = metrics.records[task.uid]
+        record = metrics.record(0)
         # Placement waits for the machine boot; the run itself is 2x.
         assert record.finish_time == pytest.approx(record.schedule_time + 2000.0)
         assert metrics.fabric.degraded_link_ticks["1-4"] > 0
@@ -329,7 +329,7 @@ class TestLinkDegradationStretch:
         task = make_task(job_id=1, submit_time=1.0, duration=1000.0, **_CELL4_ONLY)
         simulator = _fabric_cluster(plan, (task,), self.engine)
         metrics = simulator.run()
-        record = metrics.records[task.uid]
+        record = metrics.record(0)
         # Stretched (2x) progress until the restore at t=1500.5, then the
         # remaining work units complete at full speed.
         restore = 1500.5
@@ -343,7 +343,7 @@ class TestLinkDegradationStretch:
         )
         task = make_task(job_id=1, submit_time=1.0, duration=1000.0, **_CELL4_ONLY)
         metrics = _fabric_cluster(plan, (task,), self.engine).run()
-        record = metrics.records[task.uid]
+        record = metrics.record(0)
         assert record.finish_time == pytest.approx(record.schedule_time + 1000.0)
         assert metrics.fabric.degraded_link_ticks == {}
 
@@ -366,7 +366,7 @@ class TestPartialPartitionPlacement:
         task = make_task(job_id=1, submit_time=200.0, duration=100.0, **_CELL4_ONLY)
         simulator = _fabric_cluster(plan, (task,), self.engine)
         metrics = simulator.run()
-        record = metrics.records[task.uid]
+        record = metrics.record(0)
         assert record.schedule_time is not None
         assert record.schedule_time >= 1000.0
         assert record.finish_time is not None
@@ -385,7 +385,7 @@ class TestPartialPartitionPlacement:
             job_id=1, submit_time=200.0, duration=100.0, cpu=0.05, memory=0.05
         )
         metrics = _fabric_cluster(plan, (task,), self.engine).run()
-        assert metrics.records[task.uid].schedule_time == pytest.approx(200.0)
+        assert metrics.record(0).schedule_time == pytest.approx(200.0)
 
 
 class TestLinkDegradationStretchColumnar(TestLinkDegradationStretch):

@@ -25,6 +25,12 @@ def run(tasks, engine, preemption=True, horizon=3600.0, fleet_scale=0.002):
     return simulator, metrics
 
 
+def record(simulator, uid):
+    """The metrics record of the task with ``uid``, looked up by row."""
+    row = next(row for row, task in enumerate(simulator.tasks) if task.uid == uid)
+    return simulator.metrics.record(row)
+
+
 def big_task(job_id, submit, priority, duration=2000.0):
     return make_task(
         job_id=job_id, submit_time=submit, duration=duration,
@@ -44,8 +50,8 @@ class TestPreemption:
         production = big_task(2, submit=800.0, priority=11)
         simulator, metrics = run([gratis, production], self.engine)
         assert simulator.tasks_preempted == 1
-        prod_record = metrics.records[(2, 0)]
-        gratis_record = metrics.records[(1, 0)]
+        prod_record = record(simulator, (2, 0))
+        gratis_record = record(simulator, (1, 0))
         # Production placed immediately at arrival (after eviction)...
         assert prod_record.schedule_time == pytest.approx(800.0)
         # ...and the gratis task restarted later (or stayed pending).
@@ -56,7 +62,7 @@ class TestPreemption:
         production = big_task(2, submit=800.0, priority=11)
         simulator, metrics = run([gratis, production], self.engine, preemption=False)
         assert simulator.tasks_preempted == 0
-        prod_record = metrics.records[(2, 0)]
+        prod_record = record(simulator, (2, 0))
         # Production must wait for the gratis task to finish.
         assert prod_record.schedule_time is None or prod_record.schedule_time > 2000.0
 
@@ -91,7 +97,7 @@ class TestPreemption:
         simulator, metrics = run(smalls + [production], self.engine)
         # 0.2 free after 4 smalls; need 0.3 more -> evict exactly 2 smalls.
         assert simulator.tasks_preempted == 2
-        assert metrics.records[(9, 0)].schedule_time == pytest.approx(600.0)
+        assert record(simulator, (9, 0)).schedule_time == pytest.approx(600.0)
 
     def test_evicted_tasks_eventually_finish(self):
         gratis = big_task(1, submit=300.0, priority=0, duration=500.0)
@@ -99,7 +105,7 @@ class TestPreemption:
         simulator, metrics = run([gratis, production], self.engine, horizon=7200.0)
         assert metrics.num_finished == 2
         # No double finish: the evicted task's stale finish event is void.
-        gratis_record = metrics.records[(1, 0)]
+        gratis_record = record(simulator, (1, 0))
         assert gratis_record.finish_time == pytest.approx(
             gratis_record.schedule_time + 500.0
         )

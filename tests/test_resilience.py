@@ -267,23 +267,20 @@ class TestResilienceMetrics:
         assert metrics.failure_events == []
 
     def test_restart_latency_closed_by_next_schedule(self):
-        metrics = SimulationMetrics()
-        task = make_task(job_id=7, submit_time=0.0)
-        metrics.task_submitted(task, time=0.0)
-        metrics.task_scheduled(task, time=10.0, class_id=0, platform_id=1)
-        metrics.task_killed(task, time=100.0)
-        metrics.task_scheduled(task, time=160.0, class_id=0, platform_id=1)
+        metrics = SimulationMetrics((make_task(job_id=7, submit_time=0.0),))
+        metrics.task_submitted(0, time=0.0)
+        metrics.task_scheduled(0, time=10.0, class_id=0, platform_id=1)
+        metrics.task_killed(0, time=100.0)
+        metrics.task_scheduled(0, time=160.0, class_id=0, platform_id=1)
         assert metrics.mean_restart_latency() == pytest.approx(60.0)
 
     def test_slo_attainment_counts_unscheduled_as_miss(self):
-        metrics = SimulationMetrics()
-        fast, slow, never = (
-            make_task(job_id=1, submit_time=0.0),
-            make_task(job_id=2, submit_time=0.0),
-            make_task(job_id=3, submit_time=0.0),
+        fast, slow, never = 0, 1, 2
+        metrics = SimulationMetrics(
+            tuple(make_task(job_id=job_id, submit_time=0.0) for job_id in (1, 2, 3))
         )
-        for task in (fast, slow, never):
-            metrics.task_submitted(task, time=0.0)
+        for row in (fast, slow, never):
+            metrics.task_submitted(row, time=0.0)
         metrics.task_scheduled(fast, time=30.0, class_id=0, platform_id=1)
         metrics.task_scheduled(slow, time=900.0, class_id=0, platform_id=1)
         attained = metrics.slo_attainment(300.0, include_unscheduled_at=3600.0)
@@ -370,7 +367,7 @@ class TestDegradation:
         # and never earlier than its nominal duration allows.
         assert simulator.tasks_killed == 0
         assert metrics.num_finished == metrics.num_scheduled
-        for record in metrics.records.values():
+        for record in metrics.records():
             if record.finish_time is not None:
                 assert (
                     record.finish_time
@@ -529,7 +526,7 @@ class TestPrepareAccessor:
         tasks, class_of = simulation.prepare()
         assert len(tasks) == res_trace.num_tasks
         assert [t.submit_time for t in tasks] == sorted(t.submit_time for t in tasks)
-        labels = {class_of(task) for task in tasks[:50]}
-        assert labels  # resolvable class ids for every prepared task
-        for task in tasks[:50]:
-            assert class_of(task) == simulation._class_by_uid[task.uid]
+        assert len(class_of) == len(tasks)  # a class id for every prepared row
+        for row, task in enumerate(tasks[:50]):
+            leaf = simulation.classifier.classify(task, observed_runtime=0.0)
+            assert class_of[row] == leaf.class_id

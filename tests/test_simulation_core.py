@@ -80,11 +80,11 @@ class TestMachine:
     def test_place_and_release(self):
         machine = self._machine()
         task = make_task(cpu=0.4, memory=0.3)
-        machine.place(task, class_id=7)
+        machine.place(0, task, class_id=7)
         assert machine.cpu_free == pytest.approx(0.6)
         assert machine.memory_free == pytest.approx(0.7)
         assert not machine.is_idle
-        assert machine.release(task) == 7
+        assert machine.release(0, task) == 7
         assert machine.is_idle
         assert machine.cpu_free == pytest.approx(1.0)
 
@@ -106,13 +106,13 @@ class TestMachine:
 
     def test_place_overflow_rejected(self):
         machine = self._machine()
-        machine.place(make_task(cpu=0.9, memory=0.1), class_id=0)
+        machine.place(0, make_task(cpu=0.9, memory=0.1), class_id=0)
         with pytest.raises(ValueError):
-            machine.place(make_task(job_id=2, cpu=0.2, memory=0.1), class_id=0)
+            machine.place(1, make_task(job_id=2, cpu=0.2, memory=0.1), class_id=0)
 
     def test_release_unknown_raises(self):
         with pytest.raises(KeyError):
-            self._machine().release(make_task())
+            self._machine().release(0, make_task())
 
 
 def _count(pool, state):
@@ -145,7 +145,7 @@ class TestMachinePool:
         for machine in started:
             pool.machine_ready(machine)
         busy = pool.machines[0]
-        busy.place(make_task(cpu=0.1, memory=0.1), class_id=0)
+        busy.place(0, make_task(cpu=0.1, memory=0.1), class_id=0)
         pool.reconcile(1)
         # The two idle machines shut off; the busy one stays.
         assert busy.state is MachineState.ON
@@ -157,12 +157,12 @@ class TestMachinePool:
         for machine in pool.reconcile(1):
             pool.machine_ready(machine)
         task = make_task(cpu=0.1, memory=0.1)
-        pool.machines[0].place(task, class_id=0)
+        pool.machines[0].place(0, task, class_id=0)
         pool.reconcile(0)
         assert pool.machines[0].draining
         assert pool.machines[0].state is MachineState.ON
         # Once the task finishes the machine can power off.
-        pool.machines[0].release(task)
+        pool.machines[0].release(0, task)
         assert pool.maybe_power_off(pool.machines[0])
         assert pool.machines[0].state is MachineState.OFF
 
@@ -171,8 +171,8 @@ class TestMachinePool:
         for machine in pool.reconcile(2):
             pool.machine_ready(machine)
         task = make_task(cpu=0.1, memory=0.1)
-        pool.machines[0].place(task, class_id=0)
-        pool.machines[1].place(make_task(job_id=2, cpu=0.1, memory=0.1), class_id=0)
+        pool.machines[0].place(0, task, class_id=0)
+        pool.machines[1].place(1, make_task(job_id=2, cpu=0.1, memory=0.1), class_id=0)
         pool.reconcile(0)  # both drain (busy)
         switch_ons_before = pool.stats.switch_on_events
         pool.reconcile(2)
@@ -189,7 +189,7 @@ class TestMachinePool:
         pool = self._pool()
         for machine in pool.reconcile(2):
             pool.machine_ready(machine)
-        pool.machines[0].place(make_task(cpu=0.25, memory=0.125), class_id=0)
+        pool.machines[0].place(0, make_task(cpu=0.25, memory=0.125), class_id=0)
         cpu, mem = pool.utilization()
         # 0.25 cpu over 2 machines x 0.5 capacity.
         assert cpu == pytest.approx(0.25)
@@ -199,8 +199,8 @@ class TestMachinePool:
         pool = self._pool()
         for machine in pool.reconcile(1):
             pool.machine_ready(machine)
-        pool.machines[0].place(make_task(cpu=0.1, memory=0.1), class_id=3)
-        pool.machines[0].place(make_task(job_id=2, cpu=0.1, memory=0.1), class_id=3)
+        pool.machines[0].place(0, make_task(cpu=0.1, memory=0.1), class_id=3)
+        pool.machines[0].place(1, make_task(job_id=2, cpu=0.1, memory=0.1), class_id=3)
         assert pool.running_count_by_class() == {3: 2}
 
 
@@ -248,142 +248,148 @@ class TestSchedulers:
 
     def test_small_task_goes_to_small_machine(self):
         pools = self._pools()
-        scheduler = FirstFitScheduler(pools)
-        machine = scheduler.try_place(make_task(cpu=0.05, memory=0.05), 0, QuotaLedger())
+        scheduler = FirstFitScheduler(pools, (make_task(cpu=0.05, memory=0.05),), [0])
+        machine = scheduler.try_place(0, 0, QuotaLedger())
         assert machine is not None
         assert machine.model.name == "Dell PowerEdge R210"
 
     def test_big_task_goes_to_big_machine(self):
         pools = self._pools()
-        scheduler = FirstFitScheduler(pools)
-        machine = scheduler.try_place(make_task(cpu=0.9, memory=0.9), 0, QuotaLedger())
+        scheduler = FirstFitScheduler(pools, (make_task(cpu=0.9, memory=0.9),), [0])
+        machine = scheduler.try_place(0, 0, QuotaLedger())
         assert machine is not None
         assert machine.model.name == "HP DL585 G7"
 
     def test_quota_blocks_placement(self):
         pools = self._pools()
-        scheduler = FirstFitScheduler(pools)
+        scheduler = FirstFitScheduler(pools, (make_task(cpu=0.05, memory=0.05),), [0])
         ledger = QuotaLedger()
         ledger.set_quotas({})  # nothing allowed anywhere
-        assert scheduler.try_place(make_task(cpu=0.05, memory=0.05), 0, ledger) is None
+        assert scheduler.try_place(0, 0, ledger) is None
 
     def test_quota_allows_specific_platform(self):
         pools = self._pools()
-        scheduler = FirstFitScheduler(pools)
+        scheduler = FirstFitScheduler(pools, (make_task(cpu=0.05, memory=0.05),), [0])
         ledger = QuotaLedger()
         dl585_pid = pools[3].platform_id
         ledger.set_quotas({dl585_pid: {0: 1}})
-        machine = scheduler.try_place(make_task(cpu=0.05, memory=0.05), 0, ledger)
+        machine = scheduler.try_place(0, 0, ledger)
         assert machine is not None
         assert machine.model.platform_id == dl585_pid
 
     def test_schedule_backfill(self):
         """A blocked big task does not block smaller ones behind it."""
         pools = self._pools()
-        scheduler = FirstFitScheduler(pools)
         huge = make_task(job_id=1, cpu=1.0, memory=1.0, priority=11)
         small = make_task(job_id=2, cpu=0.05, memory=0.05, priority=0)
+        tasks = (huge, small)
+        scheduler = FirstFitScheduler(pools, tasks, [0, 0])
         # Fill every DL585 so the huge task cannot place anywhere.
         for i, machine in enumerate(pools[3].machines):
-            machine.place(make_task(job_id=100 + i, cpu=0.9, memory=0.9), 0)
-        placements, leftover = scheduler.schedule(
-            [huge, small], QuotaLedger(), class_of=lambda t: 0
-        )
-        assert [p.task.job_id for p in placements] == [2]
-        assert [t.job_id for t in leftover] == [1]
+            machine.place(100 + i, make_task(job_id=100 + i, cpu=0.9, memory=0.9), 0)
+        placements, leftover = scheduler.schedule([0, 1], QuotaLedger())
+        assert [tasks[p.row].job_id for p in placements] == [2]
+        assert [tasks[row].job_id for row in leftover] == [1]
 
     def test_max_attempts_caps_scan(self):
         pools = self._pools()
-        scheduler = FirstFitScheduler(pools)
         tasks = [make_task(job_id=i, cpu=0.01, memory=0.01) for i in range(10)]
-        placements, leftover = scheduler.schedule(
-            tasks, QuotaLedger(), class_of=lambda t: 0, max_attempts=4
-        )
+        scheduler = FirstFitScheduler(pools, tasks, [0] * 10)
+        placements, leftover = scheduler.schedule(range(10), QuotaLedger(), max_attempts=4)
         assert len(placements) == 4
         assert len(leftover) == 6
 
     def test_empty_pools_rejected(self):
         with pytest.raises(ValueError):
-            FirstFitScheduler([])
+            FirstFitScheduler([], (), [])
 
     def test_failed_demand_memo_skips_dominating_tasks(self):
         """Within a round, a task dominating an already-failed demand skips
         the machine scan (and is correctly left pending)."""
         pools = self._pools()
-        scheduler = FirstFitScheduler(pools)
         # Saturate everything except tiny gaps.
         for pool in pools:
             for machine in pool.machines:
                 filler_cpu = machine.model.cpu_capacity * 0.97
                 filler_mem = machine.model.memory_capacity * 0.97
                 machine.place(
+                    machine.machine_id,
                     make_task(job_id=hash((pool.platform_id, machine.machine_id)) % 10**6,
                               cpu=filler_cpu, memory=filler_mem),
                     0,
                 )
         big = [make_task(job_id=10_000 + i, cpu=0.5, memory=0.5) for i in range(20)]
-        placements, leftover = scheduler.schedule(big, QuotaLedger(), lambda t: 0)
+        scheduler = FirstFitScheduler(pools, big, [0] * 20)
+        placements, leftover = scheduler.schedule(range(20), QuotaLedger())
         assert placements == []
         assert len(leftover) == 20
 
     def test_memo_does_not_block_smaller_tasks(self):
         pools = self._pools()
-        scheduler = FirstFitScheduler(pools)
         dl585 = pools[3]
         # Leave exactly one 0.3/0.3 hole in the DL585 pool.
         for i, machine in enumerate(dl585.machines):
             fill = 0.7 if i == 0 else 0.95
-            machine.place(make_task(job_id=500 + i, cpu=fill, memory=fill), 0)
+            machine.place(500 + i, make_task(job_id=500 + i, cpu=fill, memory=fill), 0)
         tasks = [
             make_task(job_id=1, cpu=0.6, memory=0.6, priority=11),   # fails
             make_task(job_id=2, cpu=0.25, memory=0.25, priority=0),  # fits hole
         ]
-        placements, leftover = scheduler.schedule(tasks, QuotaLedger(), lambda t: 0)
-        placed_ids = {p.task.job_id for p in placements}
+        scheduler = FirstFitScheduler(pools, tasks, [0, 0])
+        placements, leftover = scheduler.schedule([0, 1], QuotaLedger())
+        placed_ids = {tasks[p.row].job_id for p in placements}
         assert 2 in placed_ids
-        assert [t.job_id for t in leftover] == [1]
+        assert [tasks[row].job_id for row in leftover] == [1]
 
 
 class TestSimulationMetrics:
     def test_lifecycle_and_delays(self):
-        metrics = SimulationMetrics()
         task = make_task(priority=10, submit_time=5.0)
-        metrics.task_submitted(task, 5.0)
-        metrics.task_scheduled(task, 8.0, class_id=1, platform_id=2)
-        metrics.task_finished(task, 108.0)
+        metrics = SimulationMetrics((task,))
+        metrics.task_submitted(0, 5.0)
+        metrics.task_scheduled(0, 8.0, class_id=1, platform_id=2)
+        metrics.task_finished(0, 108.0)
         assert metrics.num_submitted == metrics.num_scheduled == metrics.num_finished == 1
         delays = metrics.delays_by_group()
         assert delays[PriorityGroup.PRODUCTION][0] == pytest.approx(3.0)
         assert metrics.mean_delay(PriorityGroup.PRODUCTION) == pytest.approx(3.0)
 
     def test_unscheduled_censoring(self):
-        metrics = SimulationMetrics()
         task = make_task(priority=0, submit_time=10.0)
-        metrics.task_submitted(task, 10.0)
+        metrics = SimulationMetrics((task,))
+        metrics.task_submitted(0, 10.0)
         assert (metrics.num_submitted, metrics.num_scheduled) == (1, 0)
         assert metrics.delays_by_group()[PriorityGroup.GRATIS].size == 0
         censored = metrics.delays_by_group(include_unscheduled_at=100.0)
         assert censored[PriorityGroup.GRATIS][0] == pytest.approx(90.0)
 
     def test_immediate_fraction(self):
-        metrics = SimulationMetrics()
-        for i, delay in enumerate((0.0, 0.5, 30.0)):
-            task = make_task(job_id=i, priority=9, submit_time=0.0)
-            metrics.task_submitted(task, 0.0)
-            metrics.task_scheduled(task, delay, class_id=0, platform_id=1)
+        metrics = SimulationMetrics(
+            tuple(make_task(job_id=i, priority=9, submit_time=0.0) for i in range(3))
+        )
+        for row, delay in enumerate((0.0, 0.5, 30.0)):
+            metrics.task_submitted(row, 0.0)
+            metrics.task_scheduled(row, delay, class_id=0, platform_id=1)
         assert metrics.immediate_fraction(PriorityGroup.PRODUCTION) == pytest.approx(2 / 3)
 
     def test_delay_summary_equals_the_per_query_values(self):
-        metrics = SimulationMetrics()
         rng = np.random.default_rng(3)
+        tasks, delays = [], []
         for i in range(300):
             priority = (0, 2, 9)[i % 3] if i < 250 else 0  # gratis-heavy tail
             submit = float(rng.uniform(0, 1000))
-            task = make_task(job_id=i, priority=priority, submit_time=submit)
-            metrics.task_submitted(task, submit)
+            tasks.append(make_task(job_id=i, priority=priority, submit_time=submit))
+            delay = None
             if rng.random() < 0.7:
                 delay = float(rng.choice([0.0, 0.5, rng.uniform(0, 600)]))
-                metrics.task_scheduled(task, submit + delay, class_id=0, platform_id=1)
+            delays.append(delay)
+        metrics = SimulationMetrics(tuple(tasks))
+        for row, (task, delay) in enumerate(zip(tasks, delays)):
+            metrics.task_submitted(row, task.submit_time)
+            if delay is not None:
+                metrics.task_scheduled(
+                    row, task.submit_time + delay, class_id=0, platform_id=1
+                )
         horizon = 1200.0
         summary = metrics.delay_summary(horizon)
         for group in PriorityGroup:

@@ -352,6 +352,27 @@ class TestJournalResume:
         assert again.resumed == ["relax_tiny"]
         assert report.digests() == original.digests()
 
+    def test_fresh_runs_leave_one_run_in_the_journal(self, tmp_path):
+        """Each run without ``resume`` starts the journal afresh: after
+        three runs it holds one header plus one line per scenario."""
+        suite = [TINY, TINY2]
+        for _ in range(3):
+            supervisor = ScenarioSupervisor("bench", FAST, journal_dir=tmp_path)
+            supervisor.run(suite)
+        (path,) = tmp_path.glob("JOURNAL_bench_*.jsonl")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 1 + len(suite)
+        assert json.loads(lines[0])["kind"] == "header"
+        assert [e.scenario.name for e in supervisor.journal.load()] == [
+            "relax_tiny",
+            "relax_tiny2",
+        ]
+
+    def test_verify_journals_one_run(self, tmp_path):
+        supervisor = ScenarioSupervisor("bench", FAST, journal_dir=tmp_path)
+        supervisor.verify_determinism([TINY], workers=2)
+        assert [e.scenario.name for e in supervisor.journal.load()] == ["relax_tiny"]
+
     def test_resume_ignores_entries_with_different_params(self, tmp_path):
         supervisor = ScenarioSupervisor("bench", FAST, journal_dir=tmp_path)
         supervisor.run([TINY])
