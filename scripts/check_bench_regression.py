@@ -4,13 +4,18 @@
 CI's perf + memory gate: after regenerating a suite, this script fails
 the build when
 
-- a scenario's share of the suite's total wall time regressed by more
-  than ``--max-regression`` (default 25%) relative to the committed
-  baseline — shares, not absolute seconds, so the gate is stable across
-  runner hardware;
-- a scenario's share of the suite's summed peak RSS regressed the same
-  way (same limit, same rationale) — scenarios without RSS data on
-  either side are skipped, so pre-RSS baselines stay comparable;
+- a scenario's wall time, relative to the baseline's, grew by more than
+  ``--max-regression`` (default 25%) beyond the host-speed factor: the
+  median fresh/base wall ratio over every scenario the two runs share.
+  A uniformly slower runner moves the median with every scenario and
+  passes; one scenario slowing down moves only its own ratio.  Shares
+  of the total would not do: a scenario that dominates the total (the
+  scalability suite's ``replay_backlog`` is ~60% of it) sits in its own
+  denominator, so its share barely moves when it slows down, while a
+  speed-up of it alone inflates every other scenario's share;
+- a scenario's peak RSS grew the same way against the median RSS ratio
+  (same limit, same rationale) — scenarios without RSS data on either
+  side are skipped, so pre-RSS baselines stay comparable;
 - the run's ``peak_rss_mb`` high-water mark grew past the baseline's by
   more than ``--max-regression``, or exceeds the absolute
   ``--rss-ceiling-mb`` (when given) — the committed memory envelope of
@@ -23,7 +28,7 @@ the build when
   ``tasks_per_second`` is 0 or missing: a throughput that reads 0 on a
   run that did work measures nothing.
 
-The replay kernel is gated through the wall share of the scalability
+The replay kernel is gated through the wall ratio of the scalability
 suite's ``replay_backlog`` scenario.  Pure comparison logic lives in
 :func:`compare_reports` for the unit tests
 (``tests/test_bench_regression.py``).
@@ -33,11 +38,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 from pathlib import Path
 
-#: Scenarios cheaper than this (seconds, in both runs) are exempt from the
-#: share check: their timings are dominated by constant overheads and one
+#: Scenarios cheaper than this (seconds, in either run) are exempt from the
+#: wall check: their timings are dominated by constant overheads and one
 #: scheduler hiccup would flap the gate.
 MIN_GATED_WALL_S = 0.5
 
@@ -46,10 +52,10 @@ MIN_GATED_WALL_S = 0.5
 #: ~41 MiB (interpreter + numpy), ~80 MiB once a CBS/CBP solve or an
 #: ARIMA fit loads scipy.optimize, and the committed baselines' small
 #: scenarios record 84-131 MiB.  Readings down there are mostly import
-#: baseline — which moves with toolchain versions, not with our code —
-#: and their shares are meaninglessly uniform.  The floor sits below the
-#: scalability suite's ``replay_backlog`` (176 MiB with row-indexed replay
-#: state), so that scenario and the run peak it sets stay gated.
+#: baseline — which moves with toolchain versions, not with our code.
+#: The floor sits below the scalability suite's ``replay_backlog``
+#: (176 MiB with row-indexed replay state), so that scenario and the run
+#: peak it sets stay gated.
 MIN_GATED_RSS_MB = 150.0
 
 #: The share of a fresh scenario's wall its recorded phases must cover,
@@ -69,6 +75,34 @@ def _scenario_rss(report: dict) -> dict[str, float]:
     }
 
 
+def _ratio_regressions(
+    base: dict[str, float],
+    fresh: dict[str, float],
+    floor: float,
+    what: str,
+    max_regression: float,
+) -> list[str]:
+    """Scenarios whose fresh/base ratio exceeds the median ratio by more
+    than ``max_regression``; only scenarios at or above ``floor`` in both
+    runs are gated, but every shared scenario sets the median."""
+    ratios = {
+        name: fresh[name] / base[name]
+        for name in sorted(set(base) & set(fresh))
+        if base[name] > 0 and fresh[name] > 0
+    }
+    if not ratios:
+        return []
+    median = statistics.median(ratios.values())
+    return [
+        f"{name}: {what} regressed {ratio:.2f}x against the median "
+        f"scenario's {median:.2f}x (limit +{max_regression:.0%})"
+        for name, ratio in ratios.items()
+        if base[name] >= floor
+        and fresh[name] >= floor
+        and ratio > median * (1.0 + max_regression)
+    ]
+
+
 def compare_reports(
     baseline: dict,
     fresh: dict,
@@ -84,21 +118,9 @@ def compare_reports(
     if missing:
         problems.append(f"scenarios missing from fresh run: {', '.join(missing)}")
 
-    common = sorted(set(base_walls) & set(fresh_walls))
-    base_total = sum(base_walls[name] for name in common)
-    fresh_total = sum(fresh_walls[name] for name in common)
-    if base_total > 0 and fresh_total > 0:
-        for name in common:
-            if base_walls[name] < MIN_GATED_WALL_S or fresh_walls[name] < MIN_GATED_WALL_S:
-                continue
-            base_share = base_walls[name] / base_total
-            fresh_share = fresh_walls[name] / fresh_total
-            if fresh_share > base_share * (1.0 + max_regression):
-                problems.append(
-                    f"{name}: wall-time share regressed "
-                    f"{base_share:.1%} -> {fresh_share:.1%} "
-                    f"(limit +{max_regression:.0%})"
-                )
+    problems += _ratio_regressions(
+        base_walls, fresh_walls, MIN_GATED_WALL_S, "wall time", max_regression
+    )
 
     for scenario in fresh.get("scenarios", []):
         wall = float(scenario["wall_s"])
@@ -118,28 +140,14 @@ def compare_reports(
             f"{fresh.get('tasks_per_second')!r}"
         )
 
-    # Peak-RSS share gate — the memory mirror of the wall-share gate.
     # Skips silently when either side predates RSS recording.
-    base_rss = _scenario_rss(baseline)
-    fresh_rss = _scenario_rss(fresh)
-    rss_common = sorted(set(base_rss) & set(fresh_rss))
-    base_rss_total = sum(base_rss[name] for name in rss_common)
-    fresh_rss_total = sum(fresh_rss[name] for name in rss_common)
-    if base_rss_total > 0 and fresh_rss_total > 0:
-        for name in rss_common:
-            if (
-                base_rss[name] < MIN_GATED_RSS_MB
-                or fresh_rss[name] < MIN_GATED_RSS_MB
-            ):
-                continue
-            base_share = base_rss[name] / base_rss_total
-            fresh_share = fresh_rss[name] / fresh_rss_total
-            if fresh_share > base_share * (1.0 + max_regression):
-                problems.append(
-                    f"{name}: peak-RSS share regressed "
-                    f"{base_share:.1%} -> {fresh_share:.1%} "
-                    f"(limit +{max_regression:.0%})"
-                )
+    problems += _ratio_regressions(
+        _scenario_rss(baseline),
+        _scenario_rss(fresh),
+        MIN_GATED_RSS_MB,
+        "peak RSS",
+        max_regression,
+    )
 
     base_peak = baseline.get("peak_rss_mb")
     fresh_peak = fresh.get("peak_rss_mb")
@@ -185,7 +193,8 @@ def main(argv: list[str] | None = None) -> int:
         "--max-regression",
         type=float,
         default=0.25,
-        help="allowed per-scenario wall-share regression (fraction)",
+        help="allowed per-scenario wall/RSS regression beyond the median "
+        "scenario's (fraction)",
     )
     parser.add_argument(
         "--rss-ceiling-mb",

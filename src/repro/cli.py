@@ -570,7 +570,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    from repro.statics import lint_paths, to_sarif
+    from repro.statics import lint_paths
 
     root = Path(args.root).resolve()
     if not root.is_dir():
@@ -594,13 +594,10 @@ def cmd_lint(args: argparse.Namespace) -> int:
             "summary": {
                 "total": len(findings),
                 "suppressed": report.suppressed,
-                "by_code": _lint_counts(findings),
+                "by_code": report.by_code(),
             },
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
-    elif args.format == "sarif":
-        sarif = to_sarif(findings, root_uri=root.as_uri() + "/")
-        print(json.dumps(sarif, indent=2, sort_keys=True))
     else:
         for finding in findings:
             print(finding.format_text())
@@ -610,13 +607,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
             f"file(s), {report.suppressed} suppressed"
         )
     return 1 if findings else 0
-
-
-def _lint_counts(findings) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for finding in findings:
-        counts[finding.code] = counts.get(finding.code, 0) + 1
-    return dict(sorted(counts.items()))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -862,9 +852,8 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: src tests)",
     )
     lint.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="output format (default: text); sarif emits SARIF 2.1.0 "
-             "for code-scanning upload",
+        "--format", choices=("text", "json"), default="text",
+        help="output format (default: text)",
     )
     lint.add_argument(
         "--root", type=Path, default=Path("."),

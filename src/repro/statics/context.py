@@ -52,10 +52,9 @@ NUMERIC_HOT_PATHS = ("src/repro/queueing",)
 NUMERIC_HOT_PATH_FILES = ("src/repro/containers/sizing.py",)
 
 
-#: Wall-clock reads.  DET002 flags them outside the timing allowlist,
-#: DET006 (plus ``time.sleep``) in the control plane, and FLOW001 treats
-#: them as nondeterministic value sources — one table, so the three rules
-#: cannot drift apart on what counts as a clock.
+#: Wall-clock reads.  DET002 flags them outside the timing allowlist and
+#: DET006 (plus ``time.sleep``) in the control plane — one table, so the
+#: two rules cannot drift apart on what counts as a clock.
 CLOCK_CALLS = frozenset(
     {
         "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
@@ -66,8 +65,7 @@ CLOCK_CALLS = frozenset(
     }
 )
 
-#: Functions of the process-global stdlib RNG (DET001, DET006; FLOW001
-#: uses the value-returning subset).
+#: Functions of the process-global stdlib RNG (DET001, DET006).
 STDLIB_RANDOM_GLOBALS = frozenset(
     {
         "random", "randint", "randrange", "uniform", "choice", "choices",
@@ -78,7 +76,7 @@ STDLIB_RANDOM_GLOBALS = frozenset(
     }
 )
 
-#: Functions of numpy's legacy global RNG (DET001; FLOW001 as above).
+#: Functions of numpy's legacy global RNG (DET001).
 NUMPY_LEGACY_GLOBALS = frozenset(
     {
         "rand", "randn", "randint", "random", "random_sample", "ranf",
@@ -95,7 +93,6 @@ class Suppression:
 
     line: int
     codes: frozenset[str] | None  # None = blanket (suppresses everything)
-    text: str = ""  # stripped source of the comment's line (SUP001 fingerprint)
     used_codes: set[str] = field(default_factory=set)
 
     def covers(self, code: str) -> bool:
@@ -108,7 +105,6 @@ class ModuleContext:
     def __init__(self, rel_path: str, source: str) -> None:
         self.rel_path = str(PurePosixPath(rel_path))
         self.source = source
-        self.lines = source.splitlines()
         self.tree: ast.Module | None = None
         self.syntax_error: SyntaxError | None = None
         try:
@@ -171,11 +167,6 @@ class ModuleContext:
     def parent(self, node: ast.AST) -> ast.AST | None:
         return self.parents.get(id(node))
 
-    def source_line(self, line: int) -> str:
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1].strip()
-        return ""
-
     # ------------------------------------------------------- name resolution
 
     def resolve(self, node: ast.AST) -> str | None:
@@ -235,10 +226,7 @@ class ModuleContext:
                 codes = frozenset(
                     c.strip().upper() for c in raw.split(",") if c.strip()
                 )
-            line = token.start[0]
-            found.append(
-                Suppression(line=line, codes=codes, text=self.source_line(line))
-            )
+            found.append(Suppression(line=token.start[0], codes=codes))
         return found
 
 

@@ -1,18 +1,15 @@
 """The harmonylint engine: discovery, dispatch, suppression, reporting.
 
-One serial pipeline, run start to finish on every invocation:
+One serial pipeline per module, run start to finish on every
+invocation — :meth:`LintEngine.lint_source` and
+:meth:`LintEngine.lint_paths` share it:
 
-1. **Per-file phase** — parse + rule walk + ``# repro: noqa`` suppression
-   per module (rules register by defining ``visit_<NodeType>`` methods;
-   the dispatcher indexes handlers per node type), producing findings
-   *and* a :class:`~repro.statics.graph.ModuleSummary`.
-2. **Graph phase** — summaries assemble into the project call graph.
-3. **Project phase** — the interprocedural passes
-   (:mod:`repro.statics.flow`: FLOW001/ORD001) run over the graph; their
-   findings pass through the same suppression comments.
-4. **SUP001 phase** — suppression usefulness is judged only now, once
-   both per-file and project findings have had the chance to use each
-   comment.
+1. parse, then walk the AST once (rules register by defining
+   ``visit_<NodeType>`` methods; the dispatcher indexes handlers per node
+   type);
+2. drop the findings a ``# repro: noqa`` comment covers;
+3. SUP001: report every suppression that names an unknown code or
+   matched nothing.
 
 Findings are sorted deterministically at the end — the linter is held to
 the same reproducibility bar it enforces.
@@ -22,13 +19,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from itertools import groupby
 from pathlib import Path
 
 from repro.statics.context import ModuleContext, Suppression
 from repro.statics.findings import Finding
-from repro.statics.flow import run_project_passes
-from repro.statics.graph import ModuleSummary, build_graph, summarize_module
 from repro.statics.rules import KNOWN_CODES, Rule, UselessSuppression, default_rules
 
 #: Directory names never descended into during discovery.  ``fixtures``
@@ -68,7 +62,6 @@ class _Walk(ast.NodeVisitor):
                 line=line,
                 column=column,
                 message=message,
-                source_line=self.ctx.source_line(line),
             )
         )
 
@@ -87,9 +80,6 @@ class _Walk(ast.NodeVisitor):
         finally:
             if is_scope:
                 self.scopes.pop()
-
-
-# -------------------------------------------------------- per-file analysis
 
 
 def _unsuppressed(
@@ -114,66 +104,6 @@ def _unsuppressed(
     return kept
 
 
-@dataclass
-class FileAnalysis:
-    """Per-file phase output for one module.
-
-    ``findings`` are post-suppression and contain no SUP001 entries —
-    suppression usefulness is judged only after the project passes.
-    """
-
-    rel_path: str
-    findings: list[Finding]
-    suppressions: list[Suppression]
-    summary: ModuleSummary
-    suppressed: int
-
-
-def analyze_source(
-    rel_path: str, source: str, rules: list[Rule] | None = None
-) -> FileAnalysis:
-    """Run the per-file phase on one in-memory module."""
-    rules = rules if rules is not None else default_rules()
-    ctx = ModuleContext(rel_path, source)
-    summary = summarize_module(ctx)
-    if ctx.tree is None:
-        error = ctx.syntax_error
-        line = error.lineno or 1
-        finding = Finding(
-            code="SYN000",
-            severity="error",
-            path=ctx.rel_path,
-            line=line,
-            column=(error.offset or 1) - 1,
-            message=f"file does not parse: {error.msg}",
-            source_line=ctx.source_line(line),
-        )
-        return FileAnalysis(
-            rel_path=ctx.rel_path,
-            findings=[finding],
-            suppressions=ctx.suppressions,
-            summary=summary,
-            suppressed=0,
-        )
-
-    active = [rule for rule in rules if not rule.project and rule.applies(ctx)]
-    for rule in active:
-        rule.start_module(ctx)
-    raw: list[Finding] = []
-    walker = _Walk(ctx, active, raw)
-    walker.visit(ctx.tree)
-
-    kept = _unsuppressed(raw, ctx.suppressions)
-    kept.sort(key=Finding.sort_key)
-    return FileAnalysis(
-        rel_path=ctx.rel_path,
-        findings=kept,
-        suppressions=ctx.suppressions,
-        summary=summary,
-        suppressed=len(raw) - len(kept),
-    )
-
-
 # ---------------------------------------------------------------- reporting
 
 
@@ -195,9 +125,6 @@ class LintReport:
         for finding in self.findings:
             counts[finding.code] = counts.get(finding.code, 0) + 1
         return dict(sorted(counts.items()))
-
-    def codes(self) -> set[str]:
-        return {finding.code for finding in self.findings}
 
 
 class LintEngine:
@@ -254,18 +181,35 @@ class LintEngine:
     # ------------------------------------------------------------------ lint
 
     def lint_source(self, rel_path: str, source: str) -> list[Finding]:
-        """Lint one in-memory module (the test-facing entry point).
+        """Lint one in-memory module (the test-facing entry point)."""
+        return self._lint_module(rel_path, source)[0]
 
-        Per-file rules plus inline SUP001 — no project passes, matching
-        the v1 contract for single-module callers.
-        """
-        analysis = analyze_source(rel_path, source, self.rules)
-        kept = list(analysis.findings)
-        if kept and kept[0].code == "SYN000":
-            return kept
-        kept.extend(self._useless_suppressions(rel_path, analysis.suppressions))
+    def _lint_module(self, rel_path: str, source: str) -> tuple[list[Finding], int]:
+        """One module's sorted findings and how many were suppressed."""
+        ctx = ModuleContext(rel_path, source)
+        if ctx.tree is None:
+            error = ctx.syntax_error
+            finding = Finding(
+                code="SYN000",
+                severity="error",
+                path=ctx.rel_path,
+                line=error.lineno or 1,
+                column=(error.offset or 1) - 1,
+                message=f"file does not parse: {error.msg}",
+            )
+            return [finding], 0
+
+        active = [rule for rule in self.rules if rule.applies(ctx)]
+        for rule in active:
+            rule.start_module(ctx)
+        raw: list[Finding] = []
+        _Walk(ctx, active, raw).visit(ctx.tree)
+
+        kept = _unsuppressed(raw, ctx.suppressions)
+        suppressed = len(raw) - len(kept)
+        kept.extend(self._useless_suppressions(ctx.rel_path, ctx.suppressions))
         kept.sort(key=Finding.sort_key)
-        return kept
+        return kept, suppressed
 
     def _useless_suppressions(
         self, rel_path: str, suppressions: list[Suppression]
@@ -285,7 +229,6 @@ class LintEngine:
                     line=suppression.line,
                     column=0,
                     message=message,
-                    source_line=suppression.text,
                 )
             )
 
@@ -304,46 +247,22 @@ class LintEngine:
                     )
         return findings
 
-    # -------------------------------------------------------------- pipeline
-
     def lint_paths(
         self, paths: list[str | Path], root: str | Path = "."
     ) -> LintReport:
         """Lint files/directories (resolved against ``root``).
 
         Finding paths are reported relative to ``root`` (POSIX form), so
-        the same tree lints identically from any working directory — and
-        so fingerprints are location-independent.
-
-        The full pipeline runs here: per-file rules, then the
-        whole-program passes over the project call graph, then deferred
-        SUP001.
+        the same tree lints identically from any working directory.
         """
         root = Path(root).resolve()
         sources = self._gather(paths, root)
-        results = {
-            rel: analyze_source(rel, sources[rel], self.rules)
-            for rel in sorted(sources)
-        }
-        graph = build_graph([analysis.summary for analysis in results.values()])
-
-        findings: list[Finding] = []
-        for analysis in results.values():
-            findings.extend(analysis.findings)
-        suppressed = sum(analysis.suppressed for analysis in results.values())
-        project = run_project_passes(graph)  # sorted, so grouped by path
-        for path, group in groupby(project, key=lambda finding: finding.path):
-            raw = list(group)
-            kept = _unsuppressed(raw, results[path].suppressions)
-            findings.extend(kept)
-            suppressed += len(raw) - len(kept)
-        for rel, analysis in results.items():
-            findings.extend(self._useless_suppressions(rel, analysis.suppressions))
-        findings.sort(key=Finding.sort_key)
-
-        return LintReport(
-            findings=findings, files=list(results), suppressed=suppressed
-        )
+        report = LintReport(files=sorted(sources))
+        for rel in report.files:
+            findings, suppressed = self._lint_module(rel, sources[rel])
+            report.findings.extend(findings)
+            report.suppressed += suppressed
+        return report
 
 
 def lint_paths(
@@ -355,11 +274,4 @@ def lint_paths(
     return LintEngine(rules=rules).lint_paths(paths, root=root)
 
 
-__all__ = [
-    "EXCLUDED_DIRS",
-    "FileAnalysis",
-    "LintEngine",
-    "LintReport",
-    "analyze_source",
-    "lint_paths",
-]
+__all__ = ["EXCLUDED_DIRS", "LintEngine", "LintReport", "lint_paths"]

@@ -10,9 +10,9 @@ declared per rule via :meth:`Rule.applies` against the precomputed
 The catalog (code — what it protects):
 
 =========  ==============================================================
-DET001     unseeded randomness → bit-identical serial/parallel sweeps
+DET001     unseeded randomness / OS entropy → bit-identical sweeps
 DET002     wall-clock reads outside runner//PhaseTimer → stable digests
-DET003     unsorted set iteration → canonical JSON / JSONL ordering
+DET003     unsorted set / dict.keys() iteration → canonical output order
 DET004     float ``==``/``!=`` → Lemma 1 / Erlang boundary robustness
 DET005     filesystem-order iteration → reproducible file discovery
 DET006     raw clock/random in serve//simulation/ → injected seams only
@@ -22,15 +22,7 @@ API001     mutable default arguments → no cross-call state leaks
 SUP001     useless/unknown ``# repro: noqa`` suppressions
 =========  ==============================================================
 
-Two further families are *whole-program* passes implemented in
-:mod:`repro.statics.flow` over the :mod:`repro.statics.graph` call graph
-(their classes here carry the catalog metadata; ``Rule.project`` is
-``True`` and they define no ``visit_*`` handlers):
-
-=========  ==============================================================
-FLOW001    nondeterministic sources reaching digest sinks (taint paths)
-ORD001     unsorted set / dict.keys() iteration on a digest path
-=========  ==============================================================
+Every rule sees one module at a time; none needs a call graph.
 """
 
 from __future__ import annotations
@@ -55,9 +47,6 @@ class Rule:
     severity: str = "error"
     summary: str = ""
     rationale: str = ""
-    #: Whole-program rules carry catalog metadata here but run in
-    #: :mod:`repro.statics.flow`, not in the per-file AST walk.
-    project: bool = False
 
     def applies(self, ctx: ModuleContext) -> bool:
         """Whether this rule runs on the module at all (path scoping)."""
@@ -88,14 +77,25 @@ def _leaf_names(expr: ast.AST, ctx: ModuleContext):
 # --------------------------------------------------------------------- DET001
 
 
+#: OS entropy: never reproducible, whatever the seed.
+_ENTROPY_CALLS = frozenset(
+    {
+        "os.urandom", "uuid.uuid1", "uuid.uuid4", "secrets.token_bytes",
+        "secrets.token_hex", "secrets.token_urlsafe", "secrets.randbelow",
+        "secrets.choice",
+    }
+)
+
+
 class UnseededRandomness(Rule):
     code = "DET001"
     name = "unseeded-randomness"
     summary = "randomness must flow through an explicitly seeded generator"
     rationale = (
         "Serial/parallel scenario sweeps are digest-compared bit for bit; "
-        "one draw from a global or unseeded RNG in src/repro makes the "
-        "digest depend on process scheduling and import order."
+        "one draw from a global or unseeded RNG, or one read of OS "
+        "entropy (os.urandom, uuid4, secrets), in src/repro makes the "
+        "digest depend on process scheduling, import order or the host."
     )
 
     def applies(self, ctx: ModuleContext) -> bool:
@@ -104,6 +104,13 @@ class UnseededRandomness(Rule):
     def visit_Call(self, node: ast.Call, walk) -> None:
         qualified = walk.ctx.resolve(node.func)
         if qualified is None:
+            return
+        if qualified in _ENTROPY_CALLS:
+            walk.report(
+                node,
+                f"OS entropy ({qualified}) is never reproducible; derive "
+                "the value from a seeded generator or the input",
+            )
             return
         if qualified == "random.Random" and not node.args and not node.keywords:
             walk.report(node, "random.Random() instantiated without a seed")
@@ -176,47 +183,117 @@ def _is_set_expr(node: ast.AST) -> bool:
     )
 
 
+_SET_ANNOTATIONS = frozenset({"set", "frozenset", "Set", "FrozenSet"})
+_FUNCTION_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _set_typed_params(args: ast.arguments) -> set[str]:
+    """Parameters annotated ``set``/``frozenset`` (bare or subscripted)."""
+    names: set[str] = set()
+    for arg in args.posonlyargs + args.args + args.kwonlyargs:
+        annotation = arg.annotation
+        if isinstance(annotation, ast.Subscript):
+            annotation = annotation.value
+        if isinstance(annotation, ast.Name) and annotation.id in _SET_ANNOTATIONS:
+            names.add(arg.arg)
+    return names
+
+
 class UnsortedSetIteration(Rule):
     code = "DET003"
     name = "unsorted-set-iteration"
-    summary = "iterating a set without sorted() yields unstable order"
+    summary = "iterating a set or dict.keys() without sorted() is unstable"
     rationale = (
         "Set iteration order varies with hash seeding; any set feeding "
         "ordered output (digests, JSONL, summaries) must go through "
-        "sorted() first."
+        "sorted() first.  Besides set expressions, the rule follows the "
+        "set-typed names of each function (locals bound to a set "
+        "expression, parameters annotated set/frozenset) and flags bare "
+        "dict.keys() iteration, whose order is insertion history."
     )
+
+    def __init__(self) -> None:
+        #: id(function node) -> its set-typed locals and parameters.
+        self._set_names: dict[int, set[str]] = {}
 
     def applies(self, ctx: ModuleContext) -> bool:
         return ctx.in_src
 
-    def visit_For(self, node: ast.For, walk) -> None:
-        if _is_set_expr(node.iter):
+    def start_module(self, ctx: ModuleContext) -> None:
+        self._set_names = {}
+
+    def visit_FunctionDef(self, node: ast.FunctionDef, walk) -> None:
+        self._set_names[id(node)] = _set_typed_params(node.args)
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def _note_binding(self, target: ast.AST, value: ast.AST | None, walk) -> None:
+        if not (isinstance(target, ast.Name) and _is_set_expr(value)):
+            return
+        scope = next(
+            (s for s in reversed(walk.scopes) if isinstance(s, _FUNCTION_SCOPES)),
+            None,
+        )
+        if scope is not None:
+            self._set_names[id(scope)].add(target.id)
+
+    def visit_Assign(self, node: ast.Assign, walk) -> None:
+        for target in node.targets:
+            self._note_binding(target, node.value, walk)
+
+    def visit_AnnAssign(self, node: ast.AnnAssign, walk) -> None:
+        self._note_binding(node.target, node.value, walk)
+
+    def visit_AugAssign(self, node: ast.AugAssign, walk) -> None:
+        self._note_binding(node.target, node.value, walk)
+
+    def _set_valued(self, node: ast.AST, walk) -> str | None:
+        """How ``node`` is known to be a set, or None."""
+        if _is_set_expr(node):
+            return "a set expression"
+        if isinstance(node, ast.Name) and any(
+            node.id in self._set_names.get(id(scope), ())
+            for scope in walk.scopes
+        ):
+            return f"set {node.id!r}"
+        return None
+
+    def _check_iter(self, node: ast.AST, kind: str, walk) -> None:
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "keys"
+            and not node.args
+        ):
+            what = "dict.keys()"
+        else:
+            what = self._set_valued(node, walk)
+        if what is not None:
             walk.report(
-                node.iter,
-                "for-loop over a set expression; wrap it in sorted() "
+                node,
+                f"{kind} over {what}; wrap it in sorted() "
                 "before it can feed ordered output",
             )
 
+    def visit_For(self, node: ast.For, walk) -> None:
+        self._check_iter(node.iter, "for-loop", walk)
+
     def visit_comprehension(self, node: ast.comprehension, walk) -> None:
-        if _is_set_expr(node.iter):
-            walk.report(
-                node.iter,
-                "comprehension over a set expression; wrap it in sorted() "
-                "before it can feed ordered output",
-            )
+        self._check_iter(node.iter, "comprehension", walk)
 
     def visit_Call(self, node: ast.Call, walk) -> None:
         if (
             isinstance(node.func, ast.Name)
             and node.func.id in ("list", "tuple")
             and node.args
-            and _is_set_expr(node.args[0])
         ):
-            walk.report(
-                node,
-                f"{node.func.id}() over a set expression freezes an "
-                "unstable order; use sorted() instead",
-            )
+            what = self._set_valued(node.args[0], walk)
+            if what is not None:
+                walk.report(
+                    node,
+                    f"{node.func.id}() over {what} freezes an "
+                    "unstable order; use sorted() instead",
+                )
 
 
 # --------------------------------------------------------------------- DET004
@@ -578,43 +655,6 @@ class MutableDefaultArgument(Rule):
                 )
 
 
-# --------------------------------------------------- whole-program rules
-
-
-class ProjectRule(Rule):
-    """Marker base for rules implemented in :mod:`repro.statics.flow`."""
-
-    project = True
-
-
-class TaintedDigestFlow(ProjectRule):
-    code = "FLOW001"
-    name = "tainted-digest-flow"
-    summary = "nondeterministic sources must not reach digest sinks"
-    rationale = (
-        "Per-file rules see one module; the flows that actually corrupt "
-        "digests cross modules.  A wall-clock read, unseeded RNG, "
-        "os.urandom or id() in a function from which canonical_json, "
-        "summary_digest, fleet_digest or a journal writer is reachable "
-        "(as an argument flowing down, or a return value flowing back up "
-        "into a summary() payload) makes the digest depend on scheduling, "
-        "hash seeds or process identity.  The finding carries the full "
-        "source→sink call path."
-    )
-
-
-class UnsortedDigestIteration(ProjectRule):
-    code = "ORD001"
-    name = "unsorted-digest-iteration"
-    summary = "set / dict.keys() iteration on digest paths must be sorted"
-    rationale = (
-        "DET003 catches iteration over set *expressions*; this pass "
-        "follows set-typed locals/params and bare dict.keys() through "
-        "the call graph, and flags them only on paths that feed a digest "
-        "sink or journal line — where iteration order becomes bytes."
-    )
-
-
 # --------------------------------------------------------------------- SUP001
 
 
@@ -649,14 +689,7 @@ ALL_RULES: tuple[type[Rule], ...] = (
     BroadExceptSwallow,
     UnguardedNumerics,
     MutableDefaultArgument,
-    TaintedDigestFlow,
-    UnsortedDigestIteration,
     UselessSuppression,
-)
-
-#: The whole-program rules, in catalog order (metadata singletons).
-PROJECT_RULES: tuple[Rule, ...] = tuple(
-    rule() for rule in ALL_RULES if rule.project
 )
 
 #: Known rule codes (includes SYN000, the engine's parse-failure code).
@@ -666,13 +699,12 @@ KNOWN_CODES = frozenset(
 
 
 def default_rules() -> list[Rule]:
-    """Fresh instances of every per-file rule, in catalog order."""
-    return [rule() for rule in ALL_RULES if not rule.project]
+    """Fresh instances of every rule, in catalog order."""
+    return [rule() for rule in ALL_RULES]
 
 
 __all__ = [
     "Rule",
-    "ProjectRule",
     "UnseededRandomness",
     "WallClockRead",
     "UnsortedSetIteration",
@@ -682,11 +714,8 @@ __all__ = [
     "BroadExceptSwallow",
     "UnguardedNumerics",
     "MutableDefaultArgument",
-    "TaintedDigestFlow",
-    "UnsortedDigestIteration",
     "UselessSuppression",
     "ALL_RULES",
-    "PROJECT_RULES",
     "KNOWN_CODES",
     "default_rules",
 ]

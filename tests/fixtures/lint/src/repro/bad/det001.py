@@ -1,5 +1,6 @@
-"""DET001 triggers: global / unseeded randomness."""
+"""DET001 triggers: global / unseeded randomness and OS entropy."""
 
+import os
 import random
 
 import numpy as np
@@ -19,3 +20,7 @@ def legacy_draw():
 
 def unseeded_rng():
     return np.random.default_rng()
+
+
+def checkpoint_nonce() -> str:
+    return os.urandom(4).hex()

@@ -64,8 +64,34 @@ class TestShares:
     def test_single_scenario_blowup_fails(self):
         problems = compare_reports(BASELINE, REPLAY_BLOWUP)
         assert len(problems) == 1
-        assert "replay_backlog" in problems[0]
-        assert "share regressed" in problems[0]
+        assert problems[0].startswith("replay_backlog: wall time regressed 5.00x")
+
+    @staticmethod
+    def _committed_with_replay_scaled(factor):
+        base = json.loads((REPO / "BENCH_scalability.json").read_text())
+        fresh = json.loads(json.dumps(base))
+        for scenario in fresh["scenarios"]:
+            if scenario["name"] == "replay_backlog":
+                scenario["wall_s"] *= factor
+                scenario["phases"] = {
+                    k: v * factor for k, v in scenario["phases"].items()
+                }
+        return base, fresh
+
+    def test_committed_replay_slowdown_fails(self):
+        """replay_backlog is ~60% of the committed suite's wall, so as a
+        share a 1.3x slowdown of it alone moves its share by only ~8%;
+        against the median scenario's ratio it is a 30% regression."""
+        problems = compare_reports(*self._committed_with_replay_scaled(1.3))
+        assert problems == [
+            "replay_backlog: wall time regressed 1.30x against the median "
+            "scenario's 1.00x (limit +25%)"
+        ]
+
+    def test_committed_replay_speedup_passes(self):
+        """A 0.65x replay_backlog leaves every other scenario's ratio at
+        1.0: no scenario whose code did not change can fail."""
+        assert compare_reports(*self._committed_with_replay_scaled(0.65)) == []
 
     def test_tiny_scenarios_not_gated(self):
         base = report([("tiny", MIN_GATED_WALL_S / 10, "x"), ("big", 50.0, "y")])
@@ -123,8 +149,7 @@ class TestRssGate:
         )
         problems = compare_reports(RSS_BASELINE, fresh)
         assert any(
-            "fleet_shard_00" in p and "peak-RSS share regressed" in p
-            for p in problems
+            p.startswith("fleet_shard_00: peak RSS regressed") for p in problems
         )
 
     def test_missing_rss_data_skips_checks(self):
@@ -160,7 +185,7 @@ class TestRssGate:
         fresh["peak_rss_mb"] = 268.19
         problems = compare_reports(base, fresh)
         assert any(
-            p.startswith("replay_backlog: peak-RSS share regressed") for p in problems
+            p.startswith("replay_backlog: peak RSS regressed") for p in problems
         )
         assert any(p.startswith("run peak RSS regressed") for p in problems)
 
@@ -284,4 +309,4 @@ class TestCli:
         assert (
             main(["--baseline", str(base_path), "--fresh", str(fresh_path)]) == 1
         )
-        assert "share regressed" in capsys.readouterr().err
+        assert "wall time regressed" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Tests for repro.statics (harmonylint): rules, suppressions, fingerprints, CLI.
+"""Tests for repro.statics (harmonylint): rules, suppressions, CLI.
 
 The fixture corpus under ``tests/fixtures/lint`` is a miniature tree
 (``src/repro/...``) linted with ``--root tests/fixtures/lint`` so the
@@ -15,7 +15,6 @@ from repro.cli import main
 from repro.statics import (
     ALL_RULES,
     KNOWN_CODES,
-    Finding,
     LintEngine,
     lint_paths,
 )
@@ -65,7 +64,6 @@ class TestBadCorpusTriggersEveryRule:
             ("src/repro/bad/sup001.py", "SUP001"),
             ("src/repro/bad/syn000.py", "SYN000"),
             ("src/repro/queueing/num001.py", "NUM001"),
-            ("src/repro/bad/ord001.py", "ORD001"),
         ],
     )
     def test_bad_fixture_triggers_exactly_its_code(self, fixture, code):
@@ -78,6 +76,52 @@ class TestBadCorpusTriggersEveryRule:
         assert "random.Random() instantiated" in messages
         assert "legacy numpy global RNG" in messages
         assert "default_rng() without a seed" in messages
+        assert "OS entropy (os.urandom)" in messages
+
+    def test_det001_flags_os_entropy_in_a_checkpoint(self, tmp_path):
+        # A nonce in a checkpoint payload makes the sealed file differ on
+        # every run, whether or not a digest sink is in the same module.
+        pkg = tmp_path / "src" / "repro"
+        pkg.mkdir(parents=True)
+        (pkg / "mod.py").write_text(
+            "import os\n\n"
+            "from repro.runner.journal import replace_sealed_file\n\n\n"
+            "def checkpoint(path) -> None:\n"
+            "    nonce = os.urandom(4).hex()\n"
+            "    replace_sealed_file(path, {'nonce': nonce})\n"
+        )
+        report = lint_paths(["src"], root=tmp_path)
+        [finding] = report.findings
+        assert finding.code == "DET001"
+        assert (finding.path, finding.line) == ("src/repro/mod.py", 7)
+        assert "os.urandom" in finding.message
+
+    def test_det003_names_what_it_iterates(self):
+        report = lint_corpus("src/repro/bad/det003.py")
+        assert {f.code for f in report.findings} == {"DET003"}
+        by_line = {f.line: f.message for f in report.findings}
+        assert "for-loop over set 'tags'" in by_line[15]
+        assert "comprehension over dict.keys()" in by_line[21]
+        # A set-typed local walked into "".join — the shard-digest roll-up.
+        assert "comprehension over set 'shard_digests'" in by_line[26]
+        assert "tuple() over set 'tags'" in by_line[31]
+
+    def test_det003_set_names_are_scoped_per_function(self):
+        engine = LintEngine()
+        findings = engine.lint_source(
+            "src/repro/x.py",
+            "def a(rows):\n"
+            "    seen = set(rows)\n"
+            "    return len(seen)\n\n\n"
+            "def b(rows):\n"
+            "    seen = list(rows)\n"
+            "    return [r for r in seen]\n\n\n"
+            "def c(tags: frozenset[str]):\n"
+            "    def inner():\n"
+            "        return [t for t in tags]\n"
+            "    return inner\n",
+        )
+        assert [(f.code, f.line) for f in findings] == [("DET003", 13)]
 
 
 class TestGoodCorpusIsClean:
@@ -94,11 +138,6 @@ class TestGoodCorpusIsClean:
             "src/repro/good/sup001.py",
             "src/repro/queueing/num001_good.py",
             "src/repro/runner/det002.py",
-            # each half of the taint pair is clean on its own; FLOW001
-            # only fires when both sides are linted together (see
-            # TestProjectPasses).
-            "src/repro/taint/entropy.py",
-            "src/repro/taint/ledger.py",
         ],
     )
     def test_good_fixture_is_clean(self, fixture):
@@ -178,6 +217,20 @@ class TestSuppressions:
         )
         assert {f.code for f in findings} == {"SUP001"}
 
+    def test_suppression_counts_in_report(self, tmp_path):
+        pkg = tmp_path / "src" / "repro"
+        pkg.mkdir(parents=True)
+        (pkg / "mod.py").write_text(
+            "import os\n\n\n"
+            "def stamp() -> str:\n"
+            "    return os.urandom(4).hex()  # repro: noqa[DET001]\n"
+        )
+        report = lint_paths(["src"], root=tmp_path)
+        # DET001 is suppressed, and the suppression is counted as used
+        # so no SUP001 appears either.
+        assert report.findings == []
+        assert report.suppressed == 1
+
     def test_directive_in_string_literal_is_ignored(self):
         engine = LintEngine()
         findings = engine.lint_source(
@@ -185,29 +238,6 @@ class TestSuppressions:
             'HELP = "# repro: noqa[DET004]"\n',
         )
         assert findings == []
-
-
-class TestFingerprints:
-    def test_fingerprint_is_line_number_independent(self):
-        a = Finding(
-            code="DET004", severity="error", path="src/repro/x.py",
-            line=10, column=4, message="m", source_line="if x == 1.0:",
-        )
-        b = Finding(
-            code="DET004", severity="error", path="src/repro/x.py",
-            line=99, column=0, message="m", source_line="if x == 1.0:",
-        )
-        assert a.fingerprint == b.fingerprint
-
-    def test_fingerprint_distinguishes_code_and_path(self):
-        base = dict(
-            severity="error", line=1, column=0, message="m",
-            source_line="if x == 1.0:",
-        )
-        a = Finding(code="DET004", path="src/repro/x.py", **base)
-        b = Finding(code="DET003", path="src/repro/x.py", **base)
-        c = Finding(code="DET004", path="src/repro/y.py", **base)
-        assert len({a.fingerprint, b.fingerprint, c.fingerprint}) == 3
 
 
 class TestCli:
@@ -237,6 +267,7 @@ class TestCli:
         [
             "--jobs=2", "--changed-only", "--graph=f", "--cache=c.json",
             "--no-cache", "--baseline=b.json", "--no-baseline", "--fix-baseline",
+            "--format=sarif",
         ],
     )
     def test_removed_option_is_a_usage_error(self, flag, capsys):
@@ -254,128 +285,12 @@ class TestCli:
         assert payload["version"] == 1
         assert set(payload["summary"]) == {"total", "suppressed", "by_code"}
         assert payload["summary"]["total"] == len(payload["findings"])
-        required = {
-            "code", "severity", "path", "line", "column",
-            "message", "fingerprint",
-        }
+        fields = {"code", "severity", "path", "line", "column", "message"}
         for finding in payload["findings"]:
-            # "trace" is only present on project-level findings that
-            # carry a rendered call path.
-            assert required <= set(finding) <= required | {"trace"}
+            assert set(finding) == fields
         by_code = payload["summary"]["by_code"]
         assert sum(by_code.values()) == payload["summary"]["total"]
         assert set(by_code) == KNOWN_CODES
-
-class TestProjectPasses:
-    def test_flow001_reports_cross_module_call_path(self):
-        report = lint_corpus("src/repro/taint")
-        [finding] = report.findings
-        assert finding.code == "FLOW001"
-        assert finding.path == "src/repro/taint/entropy.py"
-        assert "os.urandom()" in finding.message
-        assert "canonical_json()" in finding.message
-        assert (
-            "call path: repro.taint.entropy.stamp_entry"
-            " -> repro.taint.ledger.record_entry" in finding.message
-        )
-        assert finding.trace == (
-            "repro.taint.entropy.stamp_entry",
-            "repro.taint.ledger.record_entry",
-        )
-
-    def test_ord001_names_the_container_and_path(self):
-        report = lint_corpus("src/repro/bad/ord001.py")
-        messages = sorted(f.message for f in report.findings)
-        assert len(messages) == 2
-        assert "dict.keys()" in messages[0]
-        assert (
-            "repro.bad.ord001._key_order -> repro.bad.ord001.summarize"
-            in messages[0]
-        )
-        assert "set 'tags'" in messages[1]
-        assert (
-            "repro.bad.ord001._labels -> repro.bad.ord001.render"
-            in messages[1]
-        )
-
-    def test_checkpoint_payload_reaches_a_digest_sink(self, tmp_path):
-        # The serve checkpoint is written through replace_sealed_file, so a
-        # nondeterministic value in its payload is a FLOW001 finding.
-        pkg = tmp_path / "src" / "repro"
-        pkg.mkdir(parents=True)
-        (pkg / "mod.py").write_text(
-            "import os\n\n"
-            "from repro.runner.journal import replace_sealed_file\n\n\n"
-            "def checkpoint(path) -> None:\n"
-            "    nonce = os.urandom(4).hex()\n"
-            "    replace_sealed_file(path, {'nonce': nonce})\n"
-        )
-        report = lint_paths(["src"], root=tmp_path)
-        [finding] = report.findings
-        assert finding.code == "FLOW001"
-        assert "os.urandom()" in finding.message
-        assert "replace_sealed_file()" in finding.message
-
-    def test_project_finding_respects_noqa(self, tmp_path):
-        pkg = tmp_path / "src" / "repro"
-        pkg.mkdir(parents=True)
-        (pkg / "mod.py").write_text(
-            "import json\n"
-            "import os\n\n\n"
-            "def canonical_json(payload) -> str:\n"
-            "    return json.dumps(payload, sort_keys=True)\n\n\n"
-            "def stamp() -> str:\n"
-            "    nonce = os.urandom(4).hex()  # repro: noqa[FLOW001]\n"
-            "    return canonical_json({'nonce': nonce})\n"
-        )
-        report = lint_paths(["src"], root=tmp_path)
-        # FLOW001 is suppressed, and the suppression is counted as used
-        # so no SUP001 appears either.
-        assert report.findings == []
-        assert report.suppressed == 1
-
-
-class TestBaselineStability:
-    """Code scanning matches alerts across commits by fingerprint."""
-
-    def test_fingerprints_survive_line_moves(self):
-        engine = LintEngine()
-        src = "def f(scv):\n    return scv == 1.0\n"
-        moved = "# header comment\n\n\n" + src
-        a = engine.lint_source("src/repro/x.py", src)
-        b = engine.lint_source("src/repro/x.py", moved)
-        assert [f.fingerprint for f in a] == [f.fingerprint for f in b]
-
-    def test_fingerprints_survive_function_reordering(self):
-        engine = LintEngine()
-        f1 = "def f(scv):\n    return scv == 1.0\n"
-        f2 = "def g(load):\n    return load == 2.0\n"
-        a = engine.lint_source("src/repro/x.py", f1 + "\n\n" + f2)
-        b = engine.lint_source("src/repro/x.py", f2 + "\n\n" + f1)
-        assert {f.fingerprint for f in a} == {f.fingerprint for f in b}
-
-class TestCliV2:
-    def test_sarif_output(self, capsys):
-        code = main(
-            ["lint", "src", "--root", str(FIXTURE_ROOT),
-             "--format", "sarif"]
-        )
-        assert code == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["version"] == "2.1.0"
-        [run] = doc["runs"]
-        driver = run["tool"]["driver"]
-        assert driver["name"] == "harmonylint"
-        rule_ids = {rule["id"] for rule in driver["rules"]}
-        assert {"FLOW001", "ORD001"} <= rule_ids
-        results = run["results"]
-        assert results
-        for result in results:
-            assert "harmonylint/v1" in result["partialFingerprints"]
-        flows = [r for r in results if r["ruleId"] == "FLOW001"]
-        assert flows
-        assert all("codeFlows" in r for r in flows)
-
 
 class TestShippedTree:
     def test_repo_lints_clean(self):
