@@ -7,16 +7,14 @@ of the object engine's :class:`~repro.simulation.scheduler.FirstFitScheduler`
 through numpy columns instead of per-task python walks:
 
 - the task population lives in plain numpy columns (:class:`TaskColumns`:
-  arrival, size, class, queue rank), one row per task;
+  arrival, size, class, queue rank, placement signature), one row per task;
 - the pending queue is an array of task rows sorted by their static queue
   rank, ties in enqueue order, merged with one binary search per batch;
 - per-pool capacity columns (cpu-free / memory-free / schedulable) mirror
   the machine objects and are refreshed from them, never integrated
   independently, so no float drift can accumulate;
-- each scheduling round consults a vectorized *feasibility cache* over the
-  examined window and only runs the exact serial first-fit logic on tasks
-  the cache admits, and after a failed placement it skips straight to the
-  next candidate that can be placed;
+- infeasibility proofs are kept per placement signature, so a task shape
+  proven unplaceable is not walked again until something opens up;
 - the per-pool first-fit machine scan is a numpy kernel
   (:func:`first_fit_index`) with scalar-identical semantics.
 
@@ -24,31 +22,45 @@ through numpy columns instead of per-task python walks:
 arrivals from the sorted submit column, merged against the event heap
 under the exact ``(time, kind)`` ordering.
 
-The feasibility cache is the core speedup.  A failed placement attempt is
-a *proof of infeasibility* that stays valid until something opens up, and
-every opening reaches the scheduler as a notice from the shared handlers:
-``released`` (a finish or crash kill frees one machine and one quota
-slot), ``machine_changed`` (a boot or crash) and ``invalidate`` (a control
-tick's reconciliation and quotas, a preemption, a reachability flip).  The
-scheduler keeps a per-task ``infeasible`` bit and retests only the flagged
-tasks against only the *grown* capacity or the *opened* quota slot;
-``invalidate`` drops every bit, and the next round rebuilds them with one
-full vectorized mask.  Within a round the same vectorized pass
-(:meth:`ColumnarFirstFitScheduler.placeable`) runs again after each failed
-``try_place`` over the candidates still to come; those it rejects are
-skipped, flagged and counted as their failing walk would count them.
+The proofs are the core speedup.  A row's *placement signature* is its
+(cpu, memory, class, allowed pools): ``try_place`` succeeds or fails on
+exactly these fields and the cluster state, and the rotating hint only
+picks *which* machine.  So one failed walk proves every row of its
+signature unplaceable, and the proof stays valid until something opens
+up.  Every opening reaches the scheduler as a notice from the shared
+handlers: ``released`` (a finish or crash kill frees one machine and one
+quota slot), ``machine_changed`` (a boot or crash) and ``invalidate`` (a
+control tick's reconciliation and quotas, a preemption, a reachability
+flip).  The scheduler keeps one proof bit per signature and retests only
+the proven signatures against only the *grown* machines or the *opened*
+quota slot; ``invalidate`` drops every bit, and the next round proves its
+window's signatures with one vectorized mask
+(:meth:`ColumnarFirstFitScheduler.placeable_signatures`).  The bits save
+work in three places:
+
+- an arrival whose signature is proven, with no growth or quota opening
+  pending, fails without a walk;
+- a round walks only rows of unproven signatures, and once a walk fails
+  it skips the rest of that signature's rows: capacity and quota stocks
+  only tighten within a round;
+- a round that places nothing leaves its window proven, so until a bit
+  clears, an unproven row is queued or ``invalidate`` runs, a later round
+  over no more rows returns at once: rows leave the queue only by
+  placement, so that window still holds proven rows only.
+
+Each skipped walk counts the fabric deferral the failing walk would have.
 
 Determinism contract: for any scenario, the columnar engine produces a
-``summary()`` bit-identical to the object engine's.  The cache may only
-*over*-approximate feasibility (capacity and quota stocks tighten
-monotonically within a round, and retests clear bits conservatively), and
-a task examined without being placed has no outcome-affecting side effects
-in the object engine: the rotating hints mutate only on success, and its
-pareto memo only rejects demands dominating one that already failed in
-that pool this round, which cannot fit there either.  The columnar walk
-therefore keeps no memo, and skipping a walk changes nothing but the work
-done.  The differential suite (``tests/test_columnar_differential.py``)
-enforces the digests.
+``summary()`` bit-identical to the object engine's.  A proof bit is set
+only on a signature that really is unplaceable (capacity and quota stocks
+tighten monotonically within a round), clearing one is always safe (its
+rows just get walked again), and a task examined without being placed has
+no outcome-affecting side effects in the object engine: the rotating hints
+mutate only on success, and its pareto memo only rejects demands
+dominating one that already failed in that pool this round, which cannot
+fit there either.  The columnar walk therefore keeps no memo, and
+skipping a walk changes nothing but the work done.  The differential
+suite (``tests/test_columnar_differential.py``) enforces the digests.
 """
 
 from __future__ import annotations
@@ -120,15 +132,17 @@ def first_fit_index(
 
 
 class TaskColumns:
-    """The task population as plain numpy columns plus constraint bits.
+    """The task population as plain numpy columns plus placement signatures.
 
     One row per task in trace order: ``submit``, ``cpu``, ``memory`` and
     ``class_id`` columns (``class_id`` is a view of the simulator's label
     column, not a copy); a static queue ``rank``, ordering rows as the
     object engine's pending sort key ``(-priority, submit_time)`` does,
-    with equal keys getting equal ranks; and a dense boolean
-    ``allowed[row, pool]`` matrix resolving each task's
-    ``allowed_platforms`` against a pool ordering.
+    with equal keys getting equal ranks; and a ``signature`` column
+    numbering each row's distinct (cpu, memory, class, allowed pools).
+    The per-signature table sits next to it: ``sig_cpu``, ``sig_memory``,
+    ``sig_class`` and a dense boolean ``sig_allowed[signature, pool]``
+    resolving ``allowed_platforms`` against a pool ordering.
     """
 
     def __init__(
@@ -144,15 +158,35 @@ class TaskColumns:
         keys = [(-task.priority, task.submit_time) for task in tasks]
         rank_of = {key: rank for rank, key in enumerate(sorted(set(keys)))}
         self.rank = np.array([rank_of[key] for key in keys], dtype=np.intp)
-        self.allowed = np.ones((len(tasks), len(pool_platform_ids)), dtype=bool)
-        pool_index = {pid: j for j, pid in enumerate(pool_platform_ids)}
-        for row, task in enumerate(tasks):
-            if task.allowed_platforms is not None:
-                self.allowed[row, :] = False
-                for platform_id in task.allowed_platforms:
-                    j = pool_index.get(platform_id)
-                    if j is not None:
-                        self.allowed[row, j] = True
+        # Each distinct constraint resolves to a pool mask once, and rows
+        # key on the mask: constraints naming only absent platforms coincide.
+        mask_code: dict[frozenset[int] | None, int] = {}
+        masks: dict[tuple[bool, ...], int] = {}
+        for platforms in dict.fromkeys(task.allowed_platforms for task in tasks):
+            mask = tuple(
+                platforms is None or platform_id in platforms
+                for platform_id in pool_platform_ids
+            )
+            mask_code[platforms] = masks.setdefault(mask, len(masks))
+        signatures: dict[tuple[float, float, int, int], int] = {}
+        self.signature = np.fromiter(
+            (
+                signatures.setdefault(
+                    (task.cpu, task.memory, label, mask_code[task.allowed_platforms]),
+                    len(signatures),
+                )
+                for task, label in zip(tasks, labels)
+            ),
+            dtype=np.intp,
+            count=len(tasks),
+        )
+        table = list(signatures)
+        self.sig_cpu = np.array([key[0] for key in table], dtype=np.float64)
+        self.sig_memory = np.array([key[1] for key in table], dtype=np.float64)
+        self.sig_class = np.array([key[2] for key in table], dtype=np.int64)
+        self.sig_allowed = np.array(list(masks), dtype=bool).reshape(
+            len(masks), len(pool_platform_ids)
+        )[[key[3] for key in table]]
 
     def __len__(self) -> int:
         return len(self.submit)
@@ -169,9 +203,8 @@ class ColumnarFirstFitScheduler:
     machine objects stay authoritative; the per-pool columns are
     refreshed *from* them (point updates for single-machine notices, full
     rebuilds after :meth:`invalidate`) and consulted by the vectorized
-    machine scan and the feasibility mask.  A per-pool upper bound on free
-    (cpu, memory) across schedulable machines — exact after a full
-    rebuild, never understated by point updates — rejects most placement
+    machine scan and the signature mask.  A per-pool exact maximum of free
+    (cpu, memory) across schedulable machines rejects most placement
     attempts against a saturated pool in O(1).
     """
 
@@ -192,6 +225,7 @@ class ColumnarFirstFitScheduler:
         self.columns = TaskColumns(
             tasks, labels, tuple(pool.platform_id for pool in self.pools)
         )
+        self._signature = self.columns.signature
         self._pool_index = {pool.platform_id: j for j, pool in enumerate(self.pools)}
         #: Per-pool :func:`capacity_room` columns (fit-comparable free
         #: capacity, ``-inf`` for non-schedulable machines).
@@ -247,19 +281,29 @@ class ColumnarFirstFitScheduler:
         self._queue_rank = np.empty(0, dtype=np.intp)
         #: Rows enqueued since the last merge, in enqueue order.
         self._appended: list[int] = []
-        #: Per-task proof bits: True = a placement attempt (or a full
-        #: vectorized mask) proved this pending task unplaceable, and no
+        #: Per-signature proof bits: True = a failed walk (or the signature
+        #: mask) proved every row of this signature unplaceable, and no
         #: capacity growth / quota opening has invalidated the proof yet.
-        self._infeasible = np.zeros(len(self.columns), dtype=bool)
-        #: Whether the proof bits are trustworthy; False forces the next
-        #: round to rebuild them with one full feasibility mask.
+        self._proven = np.zeros(len(self.columns.sig_cpu), dtype=bool)
+        #: Whether a round has re-proven its window since the last
+        #: :meth:`invalidate`; False makes the next round run the mask.
         self._mask_valid = False
+        #: Window length of the last round, if it placed nothing (-1 =
+        #: none): its rows are all proven, so a round over no more rows
+        #: would place nothing either.
+        self._idle_window = -1
         #: (pool index, machine index) slots whose capacity grew (or whose
         #: machine became schedulable) since the last round.
         self._growth: set[tuple[int, int]] = set()
         #: (platform, class) quota slots that released a unit since the
         #: last round; retested only while a quota table is active.
         self._openings: set[tuple[int, int]] = set()
+        #: Work the proofs saved: arrivals failed without a walk, window
+        #: rows skipped after their signature's walk failed, and rounds
+        #: that returned at once over an idle window.
+        self.proven_arrivals = 0
+        self.proven_skips = 0
+        self.idle_rounds = 0
 
     def set_unreachable(self, cells: frozenset[int]) -> None:
         """Update which cells the fabric has cut off from ingest."""
@@ -277,7 +321,11 @@ class ColumnarFirstFitScheduler:
     def enqueue(self, row: int, proven: bool = False) -> None:
         """Queue an unplaced row; ``proven`` = a walk just failed for it."""
         self._appended.append(row)
-        self._infeasible[row] = proven
+        signature = self._signature[row]
+        if proven:
+            self._proven[signature] = True
+        elif not self._proven[signature]:
+            self._idle_window = -1  # a row no idle window has seen fail
 
     @property
     def queued(self) -> int:
@@ -298,48 +346,52 @@ class ColumnarFirstFitScheduler:
     def invalidate(self) -> None:
         """Machines, quotas or reachability changed wholesale: rebuild
         every pool's columns and drop every proof; the next round
-        re-derives them in one mask."""
+        re-derives its window's in one mask."""
         self._dirty = [True] * len(self.pools)
         self._any_dirty = True
         self._stale.clear()
         self._mask_valid = False
-        self._infeasible[:] = False
+        self._proven[:] = False
+        self._idle_window = -1
         self._growth.clear()
         self._openings.clear()
 
     # ------------------------------------------------------ column upkeep
 
-    def _recompute_bounds(self, j: int) -> None:
-        cpu_room = self._cpu_room[j]
-        if len(cpu_room):
-            self._cpu_bound[j] = float(cpu_room.max())
-            self._memory_bound[j] = float(self._memory_room[j].max())
-        else:
-            self._cpu_bound[j] = -np.inf
-            self._memory_bound[j] = -np.inf
-
     def _refresh_machine(self, j: int, i: int) -> None:
+        """Re-read one machine's room and keep the pool bounds exact.
+
+        A room that grew can only raise a bound; one that shrank moves a
+        bound only if it held it, and only then is the pool rescanned.
+        """
         machine = self.pools[j].machines[i]
+        cpu_room = self._cpu_room[j]
+        memory_room = self._memory_room[j]
+        old_cpu = cpu_room[i]
+        old_memory = memory_room[i]
         if machine.schedulable:
             model = machine.model
-            self._cpu_room[j][i] = model.cpu_capacity - machine.cpu_used + FIT_EPS
-            self._memory_room[j][i] = (
-                model.memory_capacity - machine.memory_used + FIT_EPS
-            )
+            cpu_room[i] = model.cpu_capacity - machine.cpu_used + FIT_EPS
+            memory_room[i] = model.memory_capacity - machine.memory_used + FIT_EPS
         else:
-            self._cpu_room[j][i] = -np.inf
-            self._memory_room[j][i] = -np.inf
+            cpu_room[i] = -np.inf
+            memory_room[i] = -np.inf
+        if cpu_room[i] >= old_cpu:
+            self._cpu_bound[j] = max(self._cpu_bound[j], float(cpu_room[i]))
+        elif old_cpu >= self._cpu_bound[j]:
+            self._cpu_bound[j] = float(cpu_room.max())
+        if memory_room[i] >= old_memory:
+            self._memory_bound[j] = max(self._memory_bound[j], float(memory_room[i]))
+        elif old_memory >= self._memory_bound[j]:
+            self._memory_bound[j] = float(memory_room.max())
 
     def _flush(self) -> None:
         """Bring the columns up to date with the machine objects."""
         if not self._stale and not self._any_dirty:
             return
-        touched: set[int] = set()
         for j, i in self._stale:
-            if self._dirty[j]:
-                continue
-            self._refresh_machine(j, i)
-            touched.add(j)
+            if not self._dirty[j]:
+                self._refresh_machine(j, i)
         self._stale.clear()
         if self._any_dirty:
             for j, dirty in enumerate(self._dirty):
@@ -347,15 +399,14 @@ class ColumnarFirstFitScheduler:
                     continue
                 cpu_free, memory_free, schedulable = self.pools[j].capacity_columns()
                 mask = np.asarray(schedulable, dtype=bool)
-                self._cpu_room[j][:] = capacity_room(np.asarray(cpu_free), mask)
-                self._memory_room[j][:] = capacity_room(
-                    np.asarray(memory_free), mask
-                )
+                cpu_room = self._cpu_room[j]
+                memory_room = self._memory_room[j]
+                cpu_room[:] = capacity_room(np.asarray(cpu_free), mask)
+                memory_room[:] = capacity_room(np.asarray(memory_free), mask)
                 self._dirty[j] = False
-                touched.add(j)
+                self._cpu_bound[j] = float(cpu_room.max(initial=-np.inf))
+                self._memory_bound[j] = float(memory_room.max(initial=-np.inf))
             self._any_dirty = False
-        for j in sorted(touched):
-            self._recompute_bounds(j)
 
     # --------------------------------------------------------- placement
 
@@ -367,10 +418,20 @@ class ColumnarFirstFitScheduler:
         Same pool order, same skip conditions and deferral accounting as
         :meth:`FirstFitScheduler.try_place`, without its pareto memo (which
         only rejects demands that cannot fit either) — but the machine scan
-        is the vectorized kernel, preceded by the O(1) bound reject, and a
-        successful placement fixes the placed machine's room and the pool
-        bounds up immediately so the bounds stay exact within a round.
+        is the vectorized kernel, preceded by the O(1) bound reject.  A row
+        whose signature is proven, with no growth or quota opening pending,
+        fails without a walk; a failing walk proves its signature.
         """
+        signature = self._signature[row]
+        if (
+            self._proven[signature]
+            and not self._growth
+            and not (self._openings and ledger.restricted)
+        ):
+            self.proven_arrivals += 1
+            if self.defers:
+                self.fabric_deferrals += 1
+            return None
         self._flush()
         task = self._tasks[row]
         skipped_unreachable = False
@@ -390,71 +451,61 @@ class ColumnarFirstFitScheduler:
             if not ledger.admits(platform_id, class_id):
                 continue
             if task_cpu > self._cpu_bound[j] or task_memory > self._memory_bound[j]:
-                index = -1
-            else:
-                index = first_fit_index(
-                    self._cpu_room[j],
-                    self._memory_room[j],
-                    task_cpu,
-                    task_memory,
-                    hints.get(platform_id, 0),
-                )
+                continue
+            index = first_fit_index(
+                self._cpu_room[j],
+                self._memory_room[j],
+                task_cpu,
+                task_memory,
+                hints.get(platform_id, 0),
+            )
             if index >= 0:
                 machine = machines[index]
                 hints[platform_id] = index
                 machine.place(row, task, class_id)
                 ledger.place(platform_id, class_id)
-                if not self._dirty[j]:
-                    self._refresh_machine(j, index)
-                    self._recompute_bounds(j)
+                self._refresh_machine(j, index)
                 return machine
+        self._proven[signature] = True
         if skipped_unreachable:
             self.fabric_deferrals += 1
         return None
 
     # ------------------------------------------------------ feasibility
 
-    def admission_table(
-        self, ledger: QuotaLedger, class_ids: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(table, index)``: ``table[index[k], j]`` is whether the ledger
-        admits ``class_ids[k]`` on pool j, one table row per distinct class.
+    def placeable_signatures(
+        self, signatures: np.ndarray, ledger: QuotaLedger
+    ) -> np.ndarray:
+        """Exactly which signatures :meth:`try_place` would place right now.
 
-        A snapshot: a caller that places tasks afterwards must patch the
-        placed (class, pool) cell, the only one a placement moves.
-        """
-        classes, index = np.unique(class_ids, return_inverse=True)
-        class_list = classes.tolist()
-        table = np.empty((len(class_list), len(self.pools)), dtype=bool)
-        for j, pool in enumerate(self.pools):
-            table[:, j] = ledger.admits_each(pool.platform_id, class_list)
-        return table, index
-
-    def placeable(self, rows: np.ndarray, admits: np.ndarray | None) -> np.ndarray:
-        """Exactly which rows :meth:`try_place` would place on the current state.
-
-        A row is placeable when some pool passes every check of the walk —
-        reachable, within the machine model's size, ``allowed``, admitted
-        (``admits[k, j]`` for row k, ``None`` meaning unrestricted) — and
-        has a schedulable machine with room.  The first four checks are one
-        (row x pool) prefilter, including the pools' exact room maxima;
-        machine rooms are compared only for the pools a row passes it on.
+        A signature is placeable when some pool passes every check of the
+        walk — reachable, within the machine model's size, ``allowed``,
+        admitted — and has a schedulable machine with room.  The first four
+        checks are one (signature x pool) prefilter, including the pools'
+        exact room maxima; machine rooms are compared only for the pools a
+        signature passes it on.
         """
         self._flush()
         columns = self.columns
-        cpu = columns.cpu[rows]
-        memory = columns.memory[rows]
-        cpu_limit = np.minimum(self._cpu_capacity, self._cpu_bound)
-        memory_limit = np.minimum(self._memory_capacity, self._memory_bound)
+        cpu = columns.sig_cpu[signatures]
+        memory = columns.sig_memory[signatures]
         passes = (
-            columns.allowed[rows]
+            columns.sig_allowed[signatures]
             & self._reachable
-            & (cpu[:, None] <= cpu_limit)
-            & (memory[:, None] <= memory_limit)
+            & (cpu[:, None] <= np.minimum(self._cpu_capacity, self._cpu_bound))
+            & (memory[:, None] <= np.minimum(self._memory_capacity, self._memory_bound))
         )
-        if admits is not None:
-            passes &= admits
-        fits = np.zeros(len(rows), dtype=bool)
+        if ledger.restricted:
+            classes, index = np.unique(
+                columns.sig_class[signatures], return_inverse=True
+            )
+            class_list = classes.tolist()
+            admits = np.array(
+                [ledger.admits_each(p.platform_id, class_list) for p in self.pools],
+                dtype=bool,
+            )
+            passes &= admits.T[index]
+        fits = np.zeros(len(signatures), dtype=bool)
         for j in np.flatnonzero(passes.any(axis=0)).tolist():
             sub = np.flatnonzero(passes[:, j] & ~fits)
             if not len(sub):
@@ -464,7 +515,7 @@ class ColumnarFirstFitScheduler:
             cpu_room = self._cpu_room[j]
             memory_room = self._memory_room[j]
             # Only a machine with room for the smallest demands can host
-            # any of them; compare the rows against those machines alone.
+            # any of them; compare the signatures against those alone.
             roomy = np.flatnonzero(
                 (sub_cpu.min() <= cpu_room) & (sub_memory.min() <= memory_room)
             )
@@ -473,7 +524,6 @@ class ColumnarFirstFitScheduler:
                 & (sub_memory[:, None] <= memory_room[roomy])
             ).any(axis=1)
         return fits
-
 
     # -------------------------------------------------------------- queue
 
@@ -511,15 +561,17 @@ class ColumnarFirstFitScheduler:
         return dict(zip(classes.tolist(), counts.tolist()))
 
     def _consume_events(self, ledger: QuotaLedger) -> None:
-        """Retest flagged tasks against capacity growth / quota openings.
+        """Retest proven signatures against capacity growth / quota openings.
 
-        Clearing a proof bit is always safe (the task just gets examined
-        serially again); the invariant that matters is the converse —
-        every event that could turn a proven-infeasible task placeable
-        must clear its bit, and this retest is deliberately a superset:
-        a task fitting a grown machine clears even if admission would
-        still refuse elsewhere.  Without a quota table no slot can be
-        the reason a task was refused, so openings need no retest.
+        Clearing a proof bit is always safe (the signature's rows just get
+        walked again); the invariant that matters is the converse — every
+        event that could make a proven signature placeable must clear its
+        bit, and this retest is deliberately a superset: it skips the
+        model-size check, and a signature fitting a grown machine clears
+        even if a pool the walk visits first would still refuse it.
+        Without a quota table no slot can be the reason a walk failed, so
+        openings need no retest.  The fit test runs first: allowed pools
+        and admission are checked only on the signatures that fit.
         """
         growth = self._growth
         openings = self._openings
@@ -527,85 +579,50 @@ class ColumnarFirstFitScheduler:
             openings.clear()
         if not growth and not openings:
             return
-        flags = self._infeasible
-        rows = self._queue_rows
-        flagged = flags[rows]
-        if flagged.any():
-            sub = rows[flagged]
-            cols = self.columns
-            cpu = cols.cpu[sub]
-            memory = cols.memory[sub]
-            classes = cols.class_id[sub]
-            cleared = np.zeros(len(sub), dtype=bool)
+        proven = np.flatnonzero(self._proven)
+        if len(proven):
+            columns = self.columns
+            cpu = columns.sig_cpu[proven, None]
+            memory = columns.sig_memory[proven, None]
             by_pool: dict[int, list[int]] = {}
             for j, i in growth:
                 by_pool.setdefault(j, []).append(i)
             for j in sorted(by_pool):
-                self._retest(
-                    ledger, sub, cleared, cpu, memory, classes, j,
-                    machine_index=np.asarray(sorted(by_pool[j]), dtype=np.intp),
+                machines = by_pool[j]
+                fits = (cpu <= self._cpu_room[j][machines]) & (
+                    memory <= self._memory_room[j][machines]
                 )
+                self._clear(ledger, proven[fits.any(axis=1)], j, admit=True)
             for platform_id, class_id in sorted(openings):
                 j = self._pool_index.get(platform_id)
-                if j is None:
+                # A slot that refilled already opened nothing.
+                if j is None or not ledger.admits(platform_id, class_id):
                     continue
-                if not ledger.admits(platform_id, class_id):
-                    continue  # the slot refilled already; nothing opened
-                self._retest(
-                    ledger, sub, cleared, cpu, memory, classes, j,
-                    machine_index=None,
-                    class_id=class_id,
+                of_class = columns.sig_class[proven] == class_id
+                fits = (cpu[of_class] <= self._cpu_room[j]) & (
+                    memory[of_class] <= self._memory_room[j]
                 )
-            if cleared.any():
-                flags[sub[cleared]] = False
+                self._clear(ledger, proven[of_class][fits.any(axis=1)], j, admit=False)
         growth.clear()
         openings.clear()
 
-    def _retest(
-        self,
-        ledger: QuotaLedger,
-        sub: np.ndarray,
-        cleared: np.ndarray,
-        cpu: np.ndarray,
-        memory: np.ndarray,
-        classes: np.ndarray,
-        j: int,
-        machine_index: np.ndarray | None,
-        class_id: int | None = None,
+    def _clear(
+        self, ledger: QuotaLedger, signatures: np.ndarray, j: int, admit: bool
     ) -> None:
-        """Clear proof bits for flagged tasks now fitting pool ``j``.
-
-        ``machine_index`` restricts the fit test to the grown machines
-        (the quota-opening path retests the whole pool instead, filtered
-        to the opened ``class_id``).
-        """
-        pool = self.pools[j]
-        if pool.platform_id in self._unreachable:
+        """Clear the proofs of ``signatures``, which fit room on pool ``j``,
+        where the pool is reachable, allowed and (``admit``) admits them."""
+        if not len(signatures) or not self._reachable[j]:
             return  # a cell becoming reachable invalidates wholesale
-        candidates = ~cleared & self.columns.allowed[sub, j]
-        if class_id is not None:
-            candidates &= classes == class_id
-        elif ledger.restricted:
-            unique_classes, inverse = np.unique(classes, return_inverse=True)
-            admits = np.asarray(
-                ledger.admits_each(
-                    pool.platform_id, [int(c) for c in unique_classes]
-                ),
-                dtype=bool,
+        columns = self.columns
+        signatures = signatures[columns.sig_allowed[signatures, j]]
+        if admit and ledger.restricted:
+            admits = ledger.admits_each(
+                self.pools[j].platform_id, columns.sig_class[signatures].tolist()
             )
-            candidates &= admits[inverse]
-        k = np.flatnonzero(candidates)
-        if not len(k):
-            return
-        cpu_room = self._cpu_room[j]
-        memory_room = self._memory_room[j]
-        if machine_index is not None:
-            cpu_room = cpu_room[machine_index]
-            memory_room = memory_room[machine_index]
-        fits = (cpu[k, None] <= cpu_room[None, :]) & (
-            memory[k, None] <= memory_room[None, :]
-        )
-        cleared[k[fits.any(axis=1)]] = True
+            signatures = signatures[np.array(admits, dtype=bool)]
+        if len(signatures):
+            self._proven[signatures] = False
+            self._idle_window = -1
 
     # ------------------------------------------------------------- rounds
 
@@ -617,57 +634,44 @@ class ColumnarFirstFitScheduler:
         """One round over the first ``max_attempts`` queued tasks.
 
         Places exactly what :meth:`FirstFitScheduler.schedule_round` places,
-        in the same order; classes come from the class column.
+        in the same order; classes come from the class column.  Only rows of
+        unproven signatures are walked, and a failing walk skips the rest of
+        its signature's rows: capacity and quota stocks only tighten within
+        a round.  A failing examination in the object engine walks every
+        pool, so each skipped row counts a fabric deferral exactly when any
+        pool is unreachable (walks count their own inside ``try_place``).
         """
-        self._merge()
-        rows = self._queue_rows
-        total = len(rows)
         self._flush()
         self._consume_events(ledger)
-        window_len = min(max_attempts, total)
-        window_rows = rows[:window_len]
-        infeasible = self._infeasible
-        class_ids = self.columns.class_id
-        # Round-local (class x pool) admission over the window's classes,
-        # built on first use when the ledger is restricted; each placement
-        # patches the one cell it moves, so it stays exact all round.
-        admission: np.ndarray | None = None
-        local_class: np.ndarray | None = None
-
-        def placeable(index: np.ndarray) -> np.ndarray:
-            """Which window entries ``try_place`` would place right now."""
-            nonlocal admission, local_class
-            if admission is None and ledger.restricted:
-                admission, local_class = self.admission_table(
-                    ledger, class_ids[window_rows]
-                )
-            admits = None if admission is None else admission[local_class[index]]
-            return self.placeable(window_rows[index], admits)
-
-        if self._mask_valid:
-            feasible = ~infeasible[window_rows]
-        else:
-            feasible = placeable(np.arange(window_len))
-            infeasible[window_rows] = ~feasible
-            self._mask_valid = True
-        # Only candidate entries need the serial walk; proven-infeasible
-        # entries keep their queue position wholesale.  A failing
-        # examination in the object engine walks every pool, so each one
-        # counts a fabric deferral exactly when any pool is unreachable
-        # (and serial failures count their own inside ``try_place``).
-        candidates = np.flatnonzero(feasible)
+        window_len = min(max_attempts, self.queued)
         defers = self.defers
-        if defers:
-            self.fabric_deferrals += int(window_len - len(candidates))
-        if not len(candidates):
+        if window_len <= self._idle_window:
+            # The window still holds proven rows only: rows leave the queue
+            # only by placement, and every way a row can become placeable
+            # or unproven resets the idle window.
+            self.idle_rounds += 1
+            if defers:
+                self.fabric_deferrals += window_len
             return []
+        self._merge()
+        window_rows = self._queue_rows[:window_len]
+        window_signature = self._signature[window_rows]
+        proven = self._proven
+        if not self._mask_valid:
+            signatures = np.unique(window_signature)
+            signatures = signatures[~proven[signatures]]
+            proven[signatures[~self.placeable_signatures(signatures, ledger)]] = True
+            self._mask_valid = True
+        order = np.flatnonzero(~proven[window_signature])
+        if defers:
+            self.fabric_deferrals += window_len - len(order)
         placed = np.zeros(window_len, dtype=bool)
         placements: list[Placement] = []
-        pool_index = self._pool_index
-        order = candidates.tolist()
+        class_ids = self.columns.class_id
+        pending = order.tolist()
         k = 0
-        while k < len(order):
-            i = order[k]
+        while k < len(pending):
+            i = pending[k]
             k += 1
             row = int(window_rows[i])
             class_id = int(class_ids[row])
@@ -675,30 +679,25 @@ class ColumnarFirstFitScheduler:
             if machine is not None:
                 placed[i] = True
                 placements.append(Placement(row=row, machine=machine, class_id=class_id))
-                if admission is not None:
-                    platform_id = machine.model.platform_id
-                    admission[local_class[i], pool_index[platform_id]] = (
-                        ledger.admits(platform_id, class_id)
-                    )
                 continue
-            infeasible[row] = True
-            if k == len(order):
+            if k == len(pending):
                 break
-            # Skip straight to the next candidate the walk can place.  Stocks
-            # only tighten within a round, so each candidate the pass
-            # rejects fails its walk here too, and counts as that walk would.
-            rest = np.asarray(order[k:], dtype=np.intp)
-            fits = placeable(rest)
-            skipped = rest[~fits]
-            infeasible[window_rows[skipped]] = True
+            # The walk proved its signature: skip that signature's rows.
+            rest = order[k:]
+            same = window_signature[rest] == window_signature[i]
+            skipped = int(np.count_nonzero(same))
+            self.proven_skips += skipped
             if defers:
-                self.fabric_deferrals += len(skipped)
-            order = rest[fits].tolist()
+                self.fabric_deferrals += skipped
+            order = rest[~same]
+            pending = order.tolist()
             k = 0
+        # A round that placed nothing proved its whole window.
+        self._idle_window = -1 if placements else window_len
         if placements:
-            keep = np.ones(total, dtype=bool)
+            keep = np.ones(len(self._queue_rows), dtype=bool)
             keep[:window_len] = ~placed
-            self._queue_rows = rows[keep]
+            self._queue_rows = self._queue_rows[keep]
             self._queue_rank = self._queue_rank[keep]
         return placements
 

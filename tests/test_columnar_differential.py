@@ -105,15 +105,16 @@ class TestDeepBacklog:
         )
 
     def test_round_skip_under_quotas_partition_and_preemption(self, monkeypatch):
-        """A deep backlog where scheduling rounds skip failing candidates.
+        """A deep backlog where signature proofs save walks everywhere.
 
         CBS quotas make admission refuse, constrained tasks exercise the
-        ``allowed`` rows, a partial partition makes skipped candidates
-        count fabric deferrals, and preemption invalidates proofs mid-run.
-        A spy inside scheduling rounds records each skip pass (a pass made
-        while the round's proofs are valid, i.e. after a failed
-        ``try_place``) and each walk: the skip must fire, and since it is
-        exact, the walk right after a pass always places.
+        ``allowed`` pools, a partial partition makes every skipped walk
+        count a fabric deferral, and preemption invalidates proofs
+        mid-run.  The columnar scheduler's counters must show all three
+        savings — rows skipped inside rounds on their signature's proof,
+        arrivals failed without a walk, and idle rounds returned at once —
+        and the summary, fabric deferrals included, must equal the object
+        engine's.
         """
         trace = generate_trace(
             SyntheticTraceConfig(
@@ -132,36 +133,14 @@ class TestDeepBacklog:
             enable_preemption=True,
             seed=22,
         )
-        # ("round", 0), ("skip", candidates skipped), ("walk", placed).
-        events: list[tuple[str, int]] = []
-        in_round: list[ColumnarFirstFitScheduler] = []
-        schedule_round = ColumnarFirstFitScheduler.schedule_round
-        placeable = ColumnarFirstFitScheduler.placeable
-        try_place = ColumnarFirstFitScheduler.try_place
+        schedulers: list[ColumnarFirstFitScheduler] = []
+        init = ColumnarFirstFitScheduler.__init__
 
-        def spy_round(self, ledger, max_attempts):
-            events.append(("round", 0))
-            in_round.append(self)
-            try:
-                return schedule_round(self, ledger, max_attempts)
-            finally:
-                in_round.pop()
+        def spy_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            schedulers.append(self)
 
-        def spy_placeable(self, rows, admits):
-            fits = placeable(self, rows, admits)
-            if in_round and in_round[-1]._mask_valid:
-                events.append(("skip", int((~fits).sum())))
-            return fits
-
-        def spy_try_place(self, task, class_id, ledger):
-            machine = try_place(self, task, class_id, ledger)
-            if in_round:
-                events.append(("walk", int(machine is not None)))
-            return machine
-
-        monkeypatch.setattr(ColumnarFirstFitScheduler, "schedule_round", spy_round)
-        monkeypatch.setattr(ColumnarFirstFitScheduler, "placeable", spy_placeable)
-        monkeypatch.setattr(ColumnarFirstFitScheduler, "try_place", spy_try_place)
+        monkeypatch.setattr(ColumnarFirstFitScheduler, "__init__", spy_init)
         summaries = {
             engine: HarmonySimulation(
                 HarmonyConfig(engine=engine, **config), trace
@@ -171,17 +150,18 @@ class TestDeepBacklog:
         assert summary_digest(summaries["object"]) == summary_digest(
             summaries["columnar"]
         )
-        assert sum(count for kind, count in events if kind == "skip") > 0
-        after_skip = [
-            placed
-            for (kind, _), (next_kind, placed) in zip(events, events[1:])
-            if kind == "skip" and next_kind == "walk"
-        ]
-        assert after_skip and all(after_skip)
+        (scheduler,) = schedulers
+        assert scheduler.proven_skips > 0
+        assert scheduler.proven_arrivals > 0
+        assert scheduler.idle_rounds > 0
         # The paths the scenario is meant to reach did run.
         columnar = summaries["columnar"]
         assert columnar["tasks_preempted"] > 0
-        assert columnar["resilience"]["fabric"]["deferred_placements"] > 0
+        deferred = columnar["resilience"]["fabric"]["deferred_placements"]
+        assert deferred > 0
+        assert deferred == summaries["object"]["resilience"]["fabric"][
+            "deferred_placements"
+        ]
 
 
 @pytest.fixture(scope="module")

@@ -8,9 +8,13 @@ object engine's code path; hypothesis drives randomized agreement checks:
 - :func:`capacity_room` must make ``demand <= room`` equivalent to
   :meth:`Machine.fits`'s ``demand <= free + 1e-9`` (and unsatisfiable for
   non-schedulable machines);
-- :meth:`ColumnarFirstFitScheduler.placeable`, the pass a scheduling round
-  uses to skip candidates, must mark exactly the tasks ``try_place`` can
-  place on the same state;
+- ``try_place`` must give every row of one placement signature the same
+  outcome, :meth:`ColumnarFirstFitScheduler.placeable_signatures` (the
+  mask a round proves its window with) must equal it, and a proven
+  signature must fail without a walk, counting the walk's deferral;
+- a scheduling round — proofs, signature skips and idle windows included
+  — must place what the object scheduler's round places and count the
+  same fabric deferrals;
 - :meth:`ColumnarFirstFitScheduler._merge` must leave the queue in the
   order of the object scheduler's stable pending sort.
 """
@@ -18,6 +22,7 @@ object engine's code path; hypothesis drives randomized agreement checks:
 from __future__ import annotations
 
 import copy
+import dataclasses
 
 import numpy as np
 from hypothesis import given, settings
@@ -31,7 +36,7 @@ from repro.simulation.columnar import (
     first_fit_index,
 )
 from repro.simulation.machine import MachinePool, MachineState
-from repro.simulation.scheduler import QuotaLedger
+from repro.simulation.scheduler import FirstFitScheduler, QuotaLedger
 from repro.trace.schema import Task
 
 finite = st.floats(
@@ -114,7 +119,7 @@ class TestCapacityRoom:
         assert not (0.0 <= room[0])
 
 
-# ------------------------------------------------------- the skip pass
+# ------------------------------------------------- signature proofs
 
 PLATFORMS = (1, 2, 3, 4)
 CLASSES = (0, 1, 2)
@@ -122,7 +127,12 @@ demand = st.sampled_from([0.05, 0.1, 0.25, 0.3, 0.5, 0.75, 1.0])
 
 
 def draw_state(draw):
-    """Random pools, machine rooms, ledger stocks, fabric and tasks."""
+    """Random pools, machine rooms, ledger stocks, fabric and tasks.
+
+    Tasks often repeat an earlier task's shape (and a third of the time
+    its class), so most states hold several rows of one placement
+    signature, and rows that share a shape but not a class.
+    """
     pools = []
     for offset, platform_id in enumerate(PLATFORMS[: draw(st.integers(1, 4))]):
         model = MachineModel(
@@ -157,6 +167,15 @@ def draw_state(draw):
     tasks = []
     classes = []
     for index in range(draw(st.integers(2, 12))):
+        if tasks and draw(st.booleans()):
+            twin = draw(st.integers(0, len(tasks) - 1))
+            tasks.append(
+                dataclasses.replace(
+                    tasks[twin], index=index, priority=draw(st.integers(0, 2))
+                )
+            )
+            classes.append(draw(st.sampled_from(CLASSES)))
+            continue
         allowed = None
         if draw(st.booleans()):
             allowed = frozenset(
@@ -167,7 +186,7 @@ def draw_state(draw):
             index=index,
             submit_time=0.0,
             duration=1.0,
-            priority=0,
+            priority=draw(st.integers(0, 2)),
             scheduling_class=0,
             cpu=draw(demand),
             memory=draw(demand),
@@ -185,8 +204,8 @@ def draw_state(draw):
 def walk_places(scheduler, ledger, row, class_id):
     """Whether ``try_place`` places the task at ``row`` on a copy of the state.
 
-    Also checks the deferral a failing walk counts, which the round adds
-    for every candidate the pass skips.
+    Also checks the deferral a failing walk counts, which a round adds
+    for every row it skips on a proof.
     """
     scheduler, ledger = copy.deepcopy((scheduler, ledger))
     before = scheduler.fabric_deferrals
@@ -196,34 +215,107 @@ def walk_places(scheduler, ledger, row, class_id):
     return placed
 
 
-class TestPlaceable:
+class TestSignatureProofs:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
-    def test_matches_try_place_along_a_serial_walk(self, data):
-        """Every skipped row fails its walk; every kept row places.
+    def test_mask_matches_every_walk_of_a_signature(self, data):
+        """One signature, one outcome, and the mask is that outcome.
 
-        The rows are walked serially as a round walks them, patching the
-        admission table after each placement, and at every step the pass
-        over the remaining rows must agree with ``try_place`` row by row.
-        In particular the first row it keeps is the first one ``try_place``
-        can place.
+        The rows are placed serially as a round places them.  At every
+        step each remaining row's walk (on a copy of the state) must agree
+        with the other rows of its signature and with
+        ``placeable_signatures``.  A row of an unplaceable signature, once
+        its walk has failed, must fail again without a walk and count the
+        same deferral.
         """
         scheduler, ledger, tasks, classes = draw_state(data.draw)
-        table, index = scheduler.admission_table(ledger, np.array(classes))
+        signature = scheduler.columns.signature
+        every = np.arange(len(scheduler.columns.sig_cpu))
         for k in range(len(tasks)):
-            rows = np.arange(k, len(tasks))
-            admits = table[index[k:]] if ledger.restricted else None
-            fits = scheduler.placeable(rows, admits)
-            expected = [
-                walk_places(scheduler, ledger, row, classes[row])
-                for row in rows.tolist()
+            fits = scheduler.placeable_signatures(every, ledger)
+            outcome: dict[int, bool] = {}
+            for row in range(k, len(tasks)):
+                placed = walk_places(scheduler, ledger, row, classes[row])
+                assert outcome.setdefault(int(signature[row]), placed) == placed
+                assert placed == fits[signature[row]]
+                if placed:
+                    continue
+                proven, proven_ledger = copy.deepcopy((scheduler, ledger))
+                before = proven.fabric_deferrals
+                assert proven.try_place(row, classes[row], proven_ledger) is None
+                skipped = proven.proven_arrivals
+                assert proven.try_place(row, classes[row], proven_ledger) is None
+                assert proven.proven_arrivals == skipped + 1
+                assert proven.fabric_deferrals - before == 2 * int(proven.defers)
+            scheduler.try_place(k, classes[k], ledger)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_notices_reopen_proven_signatures(self, data):
+        """A proof holds until a notice says something opened.
+
+        Every row is tried once, so failures prove their signatures.  Then
+        one machine's room grows, or a task leaves it and frees its quota
+        slot, with the notice the simulator sends.  Every row is tried again
+        on a copy: each must place exactly when the object scheduler's walk
+        places it on the same state.
+        """
+        scheduler, ledger, tasks, classes = draw_state(data.draw)
+        for row in range(len(tasks)):
+            scheduler.try_place(row, classes[row], ledger)
+        machines = [m for pool in scheduler.pools for m in pool.machines]
+        if machines:
+            machine = data.draw(st.sampled_from(machines))
+            machine.state = MachineState.ON
+            machine.cpu_used = data.draw(st.floats(0.0, machine.cpu_used))
+            machine.memory_used = data.draw(st.floats(0.0, machine.memory_used))
+            platform_id = machine.model.platform_id
+            class_id = data.draw(st.sampled_from(CLASSES))
+            if data.draw(st.booleans()) and ledger.running(platform_id, class_id):
+                ledger.release(platform_id, class_id)
+                scheduler.released(machine, class_id)
+            else:
+                scheduler.machine_changed(machine)
+        for row in range(len(tasks)):
+            oracle_pools, oracle_ledger = copy.deepcopy((scheduler.pools, ledger))
+            oracle = FirstFitScheduler(oracle_pools, tuple(tasks), classes)
+            oracle.set_unreachable(scheduler._unreachable)
+            expected = oracle.try_place(row, classes[row], oracle_ledger) is not None
+            assert walk_places(scheduler, ledger, row, classes[row]) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_rounds_match_the_object_rounds(self, data):
+        """Back-to-back rounds place and defer as the object engine's do.
+
+        Both schedulers queue the same rows on copies of one state and run
+        the same rounds.  The second round's window is no longer than the
+        first's, so a first round that places nothing leaves an idle window;
+        the rows queued between the rounds, some ahead of that window by
+        priority, must end it when unproven.
+        """
+        scheduler, ledger, tasks, classes = draw_state(data.draw)
+        oracle = FirstFitScheduler(
+            copy.deepcopy(scheduler.pools), tuple(tasks), classes
+        )
+        oracle.set_unreachable(scheduler._unreachable)
+        oracle_ledger = copy.deepcopy(ledger)
+        rows = data.draw(st.permutations(range(len(tasks))))
+        split = data.draw(st.integers(1, len(rows)))
+        batches = (rows[:split], rows[split:])
+        window = data.draw(st.integers(1, len(tasks)))
+        windows = (window, data.draw(st.integers(1, window)))
+        for batch, attempts in zip(batches, windows):
+            for row in batch:
+                scheduler.enqueue(row)
+                oracle.enqueue(row)
+            got = scheduler.schedule_round(ledger, attempts)
+            expected = oracle.schedule_round(oracle_ledger, attempts)
+            assert [(p.row, p.machine.machine_id) for p in got] == [
+                (p.row, p.machine.machine_id) for p in expected
             ]
-            assert fits.tolist() == expected
-            machine = scheduler.try_place(k, classes[k], ledger)
-            if machine is not None:
-                platform_id = machine.model.platform_id
-                j = scheduler._pool_index[platform_id]
-                table[index[k], j] = ledger.admits(platform_id, classes[k])
+            assert scheduler.fabric_deferrals == oracle.fabric_deferrals
+            assert scheduler.queued == oracle.queued
 
 
 # --------------------------------------------------------- the queue merge

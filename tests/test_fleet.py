@@ -12,10 +12,15 @@ executor's memory-ceiling admission backpressure.
 
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.classification import ClassifierConfig, TaskClassifier
 from repro.cli import main
 from repro.energy.catalog import google_like_energy_models
@@ -53,6 +58,7 @@ from repro.simulation import (
 )
 from repro.simulation.merge import _EXTENSIVE_FIELDS
 from repro.trace import generate_trace
+from repro.trace.sanitize import SanitizationReport
 from repro.trace.schema import Task
 
 #: Small fleet-wide workload: ~2.2k tasks over 150 machines, ~1 s serial.
@@ -285,6 +291,58 @@ class TestMerge:
         assert canonical_json(merge_shard_summaries(shuffled)) == canonical_json(
             merge_shard_summaries(shards)
         )
+
+    def test_fleet_digest_is_free_of_the_hash_seed(self, reference_fleet, tmp_path):
+        """String hashing is salted per interpreter (``PYTHONHASHSEED``), so
+        a merge that walks a set of strings in set order gives each process
+        its own fleet digest.  Two shards carrying sanitizer reports are
+        merged in two interpreters under different hash seeds; both must
+        print one digest."""
+        shards = []
+        for result, quarantined in zip(reference_fleet.report.results[:2], (2, 5)):
+            report = SanitizationReport(
+                records_total=100,
+                records_clean=90 - quarantined,
+                records_repaired=10,
+                records_quarantined=quarantined,
+                repairs_by_rule={"clamp_priority": 10},
+                quarantine_by_rule={"nan_field": quarantined},
+            )
+            sanitizer = {
+                key: value
+                for key, value in report.to_dict().items()
+                if key != "quarantined_rows"
+            }
+            summary = json.loads(json.dumps(result.summary))
+            data_plane = summary["simulation"]["resilience"]["data_plane"]
+            data_plane["sanitizer"] = {**sanitizer, "digest": report.digest}
+            shards.append(summary)
+        path = tmp_path / "shards.json"
+        path.write_text(json.dumps(shards))
+        code = (
+            "import json, sys\n"
+            "from repro.runner.runner import summary_digest\n"
+            "from repro.simulation.merge import fleet_digest, merge_shard_summaries\n"
+            "shards = json.loads(open(sys.argv[1]).read())\n"
+            "digests = {str(s['shard']['index']): summary_digest(s) for s in shards}\n"
+            "print(fleet_digest(merge_shard_summaries(shards), digests))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        printed = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            paths = [src, env.get("PYTHONPATH")]
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+            result = subprocess.run(
+                [sys.executable, "-c", code, str(path)],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            printed.append(result.stdout.strip())
+        assert len(printed[0]) == 64
+        assert printed[0] == printed[1]
 
     def test_partial_merge_is_marked_inside_the_digest(self, reference_fleet):
         full = reference_fleet.report
