@@ -48,10 +48,11 @@ from pathlib import Path
 MIN_GATED_WALL_S = 0.5
 
 #: Scenarios (and run peaks) below this resident size are exempt from the
-#: RSS checks: a spawn worker that imports the runner's tasks sits at
-#: ~41 MiB (interpreter + numpy), ~80 MiB once a CBS/CBP solve or an
-#: ARIMA fit loads scipy.optimize, and the committed baselines' small
-#: scenarios record 84-131 MiB.  Readings down there are mostly import
+#: RSS checks: a worker forked from the executor's template, which has
+#: the runner's tasks and scipy.optimize imported, sits at ~62 MiB after
+#: a tiny LP solve (the template itself at ~80 MiB; Python 3.11, numpy
+#: 2.4, scipy 1.17), and the committed baselines' small scenarios record
+#: 84-131 MiB.  Readings down there are mostly import
 #: baseline — which moves with toolchain versions, not with our code.
 #: The floor sits below the scalability suite's ``replay_backlog``
 #: (176 MiB with row-indexed replay state), so that scenario and the run

@@ -12,9 +12,11 @@ bytes of a run that was never interrupted, with an empty quarantine:
    shard in a fresh worker and the re-merged fleet digest must match the
    reference.
 3. **Coordinator kill + resume** (subprocess): a ``repro fleet`` run is
-   SIGKILLed — process group and all, shard
-   workers included — once its suite journal shows partial progress;
-   ``repro fleet --resume`` then finishes the fleet and the final
+   SIGKILLed — process group and all, shard workers and the worker
+   template they are forked from included — once its suite journal shows
+   partial progress, and no process of that group may survive the kill;
+   ``repro fleet --resume`` then finishes the fleet, leaves no process of
+   its own behind once it exits, and the final
    ``BENCH_google_fleet.json`` must carry the reference digest with
    ``partial: false`` and no missing shards.
 
@@ -111,6 +113,35 @@ def fleet_env() -> dict:
     return env
 
 
+#: How long the processes of a killed or finished run get to end.
+EXIT_GRACE_S = 5.0
+
+
+def live_group_members(pgid: int) -> list[int]:
+    """Pids of the live (not zombie) processes of process group ``pgid``."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path("/proc", entry, "stat").read_text()
+        except OSError:
+            continue
+        # "pid (comm) state ppid pgrp ..."; comm may itself hold ")".
+        state, _, pgrp = stat.rpartition(")")[2].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            members.append(int(entry))
+    return members
+
+
+def group_outlived(pgid: int) -> list[int]:
+    """The processes of group ``pgid`` still alive ``EXIT_GRACE_S`` on."""
+    deadline = time.monotonic() + EXIT_GRACE_S
+    while (members := live_group_members(pgid)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return members
+
+
 def complete_journal_lines(directory: Path) -> int:
     """Shard entries durably in the suite journal (ignores header + torn tail)."""
     candidates = sorted(directory.glob(f"JOURNAL_{SUITE}*.jsonl"))
@@ -156,15 +187,27 @@ def phase_coordinator_kill_resume(
         process.wait()
     journaled = complete_journal_lines(chaos_dir)
     log(f"killed coordinator+workers with {journaled}/{shards} shards journaled")
+    survivors = group_outlived(process.pid)
+    if survivors:
+        log(f"FAIL: processes of the killed fleet survived the kill: {survivors}")
+        return False
     if (chaos_dir / f"BENCH_{SUITE}.json").exists():
         log("FAIL: killed run should not have written its BENCH file yet")
         return False
 
     log("resume run: repro fleet --resume")
-    subprocess.run(
+    resumed = subprocess.Popen(
         fleet_command(shards, workers, chaos_dir, resume=True),
-        env=fleet_env(), check=True, stdout=subprocess.DEVNULL,
+        env=fleet_env(), stdout=subprocess.DEVNULL,
+        start_new_session=True,  # so what it leaves behind can be found
     )
+    if resumed.wait() != 0:
+        log(f"FAIL: resume run exited {resumed.returncode}")
+        return False
+    leftovers = group_outlived(resumed.pid)
+    if leftovers:
+        log(f"FAIL: processes outlived the finished resume run: {leftovers}")
+        return False
     payload = json.loads((chaos_dir / f"BENCH_{SUITE}.json").read_text())
     fleet = payload["fleet"]
     if fleet["partial"] or fleet["missing"]:

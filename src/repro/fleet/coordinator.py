@@ -23,6 +23,7 @@ params all produce the same bytes.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -77,7 +78,9 @@ def fleet_scenarios(
     Validates the shard count against the census (cells are machine-type
     granular) and runs the calibration plan if the caller has not already.
     Scenario params are pure JSON-native picklables, so journal resume's
-    params-equality check holds across processes and reruns.
+    params-equality check holds across processes and reruns.  A relative
+    ``progress_dir`` is made absolute here, against this process's working
+    directory, so a worker finds the same directory whatever its own.
     """
     from repro.runner.defaults import trace_config_from_params
 
@@ -107,7 +110,7 @@ def fleet_scenarios(
         if config.fault_scenario is not None:
             params["fault_scenario"] = config.fault_scenario
         if progress_dir is not None:
-            params["progress_dir"] = str(progress_dir)
+            params["progress_dir"] = os.path.abspath(progress_dir)
         if config.memory_budget_mb is not None:
             params["memory_budget_mb"] = float(config.memory_budget_mb)
         scenarios.append(

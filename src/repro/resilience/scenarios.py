@@ -313,13 +313,15 @@ def transient_fault_scenario(
 
     The wrapper runs the same inner task with the same params once the
     fault budget is spent, so the recovered summary — and therefore its
-    digest — matches an uninterrupted run of ``inner`` exactly.
+    digest — matches an uninterrupted run of ``inner`` exactly.  A relative
+    ``marker_dir`` is made absolute here, against this process's working
+    directory, so a worker finds the same directory whatever its own.
     """
     return Scenario(
         name=name,
         task="transient_fault",
         params={
-            "marker_dir": str(marker_dir),
+            "marker_dir": os.path.abspath(marker_dir),
             "marker_key": name,
             "fail_attempts": int(fail_attempts),
             "mode": mode,

@@ -114,6 +114,28 @@ def bench_defaults() -> BenchDefaults:
     )
 
 
+def resolved_params(params: dict) -> dict:
+    """``params`` with every ``trace`` dict in it, nested ones included,
+    carrying the trace defaults it leaves out, read from this process's
+    environment.
+
+    :func:`trace_config_from_params` falls back to the ``REPRO_BENCH_*``
+    knobs for a missing key.  A worker forked from the executor's template
+    sees the environment the template started with, not the caller's, so
+    the executor resolves the defaults before a scenario leaves this
+    process.  A resolved dict decodes to the same config here as the
+    original does.
+    """
+    resolved = {}
+    for key, value in params.items():
+        if isinstance(value, dict):
+            value = resolved_params(value)
+            if key == "trace":
+                value = {**bench_defaults().trace_params(), **value}
+        resolved[key] = value
+    return resolved
+
+
 def trace_config_from_params(params: dict) -> SyntheticTraceConfig:
     """Build the synthetic-trace config a scenario's ``trace`` params name.
 

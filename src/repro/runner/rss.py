@@ -7,8 +7,9 @@ does not expose the reading, never raise):
   ``getrusage``.  Each scenario reports it at its end, so the baseline
   payload carries a peak the coordinator's periodic samples may miss.
 - :func:`process_rss_mb` — a process's *current* RSS from
-  ``/proc/<pid>/status`` (``VmRSS``).  The executor samples itself and
-  its live workers to enforce the fleet memory ceiling and to observe
+  ``/proc/<pid>/status`` (``VmRSS``).  The executor samples itself, its
+  live workers and the template they were forked from (found through
+  :func:`parent_pid`) to enforce the fleet memory ceiling and to observe
   the run-wide peak.
 """
 
@@ -34,18 +35,30 @@ def self_peak_rss_mb() -> float | None:
     return float(peak) / divisor
 
 
-def process_rss_mb(pid: int) -> float | None:
-    """Current RSS of ``pid`` in MiB via procfs (None if unreadable)."""
+def _status_field(pid: int, field: str) -> int | None:
+    """The first number of ``field`` in ``/proc/<pid>/status`` (None if
+    unreadable)."""
     try:
         with open(f"/proc/{pid}/status", encoding="ascii", errors="replace") as fh:
             for line in fh:
-                if line.startswith("VmRSS:"):
+                if line.startswith(field):
                     parts = line.split()
                     if len(parts) >= 2:
-                        return float(int(parts[1])) / 1024.0
+                        return int(parts[1])
     except (OSError, ValueError):
         return None
     return None
+
+
+def process_rss_mb(pid: int) -> float | None:
+    """Current RSS of ``pid`` in MiB via procfs (None if unreadable)."""
+    rss_kb = _status_field(pid, "VmRSS:")
+    return None if rss_kb is None else float(rss_kb) / 1024.0
+
+
+def parent_pid(pid: int) -> int | None:
+    """The parent of ``pid`` via procfs (None if unreadable)."""
+    return _status_field(pid, "PPid:")
 
 
 def tree_rss_mb(pids: list[int]) -> float | None:

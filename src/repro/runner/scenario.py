@@ -1,7 +1,7 @@
 """Scenario specifications and the task registry.
 
 A :class:`Scenario` is a fully picklable description of one unit of bench
-work: a registered *task* name plus a parameter dict.  Workers (spawned
+work: a registered *task* name plus a parameter dict.  Workers (worker
 processes or the calling process) resolve the task by name and call it —
 so parallel execution never has to pickle closures, fixtures or fitted
 models, and a scenario's result is a pure function of its parameters.
@@ -31,9 +31,9 @@ def register_task(name: str) -> Callable[[Callable[[dict], dict]], Callable[[dic
 def get_task(name: str) -> Callable[[dict], dict]:
     """Resolve a registered task, importing the built-ins on first miss.
 
-    The lazy import matters for ``multiprocessing`` spawn workers: they
-    import this module fresh and must see the built-in tasks without the
-    parent having to pre-populate anything.
+    The lazy import matters for a worker that has not imported the
+    built-ins (a spawned one, where the platform lacks ``forkserver``):
+    it must see them without the parent having to pre-populate anything.
     """
     if name not in _REGISTRY:
         import repro.runner.tasks  # noqa: F401  (registers built-ins)

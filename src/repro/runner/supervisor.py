@@ -9,14 +9,24 @@ semantics a long sweep needs:
   them.  Retries, quarantine and the journal work as below; a timeout
   cannot be enforced in this process, so none applies.
 - **Warm worker processes at ``workers>=2``** — up to ``workers``
-  persistent spawned workers, each handed one scenario at a time over its
-  own pipe.  A worker keeps its per-process trace and classifier memo
-  (:mod:`repro.runner.tasks`) from one scenario to the next, and its BLAS
-  runs one thread (:data:`WORKER_ENV`): the workers already share the
-  CPUs.  A worker is retired after any failed attempt, so a retry never
-  shares a process with the attempt that failed.  The coordinator blocks
-  on the worker pipes and sentinels until a result, the next deadline,
-  the next backoff wake-up or the next RSS sample, whichever comes first.
+  persistent workers, each handed one scenario at a time over its own
+  pipe.  Every worker is a fork of one template process (the
+  ``forkserver``), started once per coordinator process with the task
+  registry and the solver stack imported (:data:`TEMPLATE_PRELOAD`) and
+  its BLAS pinned to one thread (:data:`WORKER_ENV`): the workers already
+  share the CPUs.  So a worker starts in milliseconds, not the second a
+  fresh interpreter takes to import numpy, ``repro`` and scipy.  The
+  template only imports: it never runs a scenario, so every run's workers
+  start with an empty trace and classifier memo
+  (:mod:`repro.runner.tasks`), which a worker then keeps from one
+  scenario to the next.  A worker sees the environment the template
+  started with, so the coordinator resolves the ``REPRO_BENCH_*``
+  defaults of every scenario's trace params before it hands the scenario
+  over (:func:`~repro.runner.defaults.resolved_params`).  A worker is
+  retired after any failed attempt, so a retry never shares a process
+  with the attempt that failed.  The coordinator blocks on the worker
+  pipes and sentinels until a result, the next deadline, the next backoff
+  wake-up or the next RSS sample, whichever comes first.
 - **Per-scenario wall-clock timeouts** — a worker whose attempt overruns
   its budget is SIGKILLed without touching its neighbours;
 - **Bounded retries with deterministic backoff** — delays follow a capped
@@ -42,14 +52,16 @@ import hashlib
 import multiprocessing
 import os
 import time
+import dataclasses
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import wait
 from pathlib import Path
 
 from repro.errors import ScenarioCrash, ScenarioError, ScenarioFailed, ScenarioTimeout
+from repro.runner.defaults import resolved_params
 from repro.runner.journal import Journal, JournalEntry, journal_path, suite_run_id
-from repro.runner.rss import self_peak_rss_mb, tree_rss_mb
+from repro.runner.rss import parent_pid, self_peak_rss_mb, tree_rss_mb
 from repro.runner.runner import (
     RunnerReport,
     ScenarioFailure,
@@ -68,13 +80,25 @@ JITTER_FRACTION = 0.25
 #: Fraction of ``SupervisorConfig.memory_ceiling_mb`` at which admission
 #: pauses.
 MEMORY_WATERMARK = 0.9
-#: Set in every worker's environment before it starts, because spawning
-#: imports numpy before the worker body runs: one BLAS thread per worker.
+#: Set in the worker template's environment when it starts, because its
+#: preload imports numpy: every worker forked from it runs one BLAS thread.
 WORKER_ENV = {
     "OPENBLAS_NUM_THREADS": "1",
     "OMP_NUM_THREADS": "1",
     "MKL_NUM_THREADS": "1",
 }
+#: Imported once by the worker template, so that no worker pays for them:
+#: the task registry (which registers every built-in task), the fleet
+#: shard task and the LP / ARIMA solver stack.  Imports only — never
+#: ``__main__``, and nothing that runs a scenario.
+TEMPLATE_PRELOAD = ("repro.runner.tasks", "repro.fleet.tasks", "scipy.optimize")
+#: How workers start: forked from the template, or, on a platform without
+#: ``forkserver``, spawned as fresh interpreters.
+START_METHOD = (
+    "forkserver"
+    if "forkserver" in multiprocessing.get_all_start_methods()
+    else "spawn"
+)
 
 
 @dataclass(frozen=True)
@@ -168,12 +192,46 @@ def _worker_main(conn) -> None:
             conn.send(("error", f"{type(exc).__name__}: {exc}"))
 
 
+def _worker_context():
+    """The context workers start from, with the template running.
+
+    The template starts on first use in this process (and again if it
+    died), inside :data:`WORKER_ENV`; this process's environment is
+    restored at once.
+    """
+    context = multiprocessing.get_context(START_METHOD)
+    if START_METHOD == "forkserver":
+        from multiprocessing import forkserver
+
+        context.set_forkserver_preload(list(TEMPLATE_PRELOAD))
+        saved = {key: os.environ.get(key) for key in WORKER_ENV}
+        os.environ.update(WORKER_ENV)
+        try:
+            forkserver.ensure_running()
+        finally:
+            for key, value in saved.items():
+                if value is None:
+                    del os.environ[key]
+                else:
+                    os.environ[key] = value
+    return context
+
+
+def _portable(scenario: Scenario) -> Scenario:
+    """``scenario`` with the environment defaults of its params resolved
+    here, as a worker must receive it."""
+    return dataclasses.replace(scenario, params=resolved_params(scenario.params))
+
+
 @dataclass
 class _Worker:
     """One persistent worker process and the attempt it is running."""
 
     process: multiprocessing.process.BaseProcess
     conn: object
+    #: The process the worker was forked from (the template; this
+    #: process under ``spawn``), resident while the worker runs.
+    parent: int | None = None
     scenario: Scenario | None = None
     attempt: int = 0
     deadline: float | None = None
@@ -203,8 +261,9 @@ class ScenarioSupervisor:
         self.failure_log: list[ScenarioError] = []
         #: Peak resident memory of the most recent :meth:`run`'s process
         #: tree, MiB: in process, this process's high-water mark; with
-        #: workers, the largest sampled sum of coordinator + live worker
-        #: RSS.  ``None`` where the platform gives no reading.
+        #: workers, the largest sampled sum of coordinator + worker
+        #: template + live worker RSS.  ``None`` where the platform gives
+        #: no reading.
         self.peak_rss_mb: float | None = None
         #: Admission rounds on which the memory watermark held back a
         #: ready scenario.
@@ -302,7 +361,7 @@ class ScenarioSupervisor:
             while True:
                 self.executed.append(scenario.name)
                 try:
-                    outcome = ("ok", _execute(scenario))
+                    outcome = ("ok", _execute(_portable(scenario)))
                 except Exception as exc:  # noqa: BLE001 — retried or quarantined
                     outcome = ("error", f"{type(exc).__name__}: {exc}")
                 delay = self._settle(scenario, attempt, outcome, done, quarantined)
@@ -319,7 +378,7 @@ class ScenarioSupervisor:
         done: dict[str, ScenarioResult],
         quarantined: dict[str, ScenarioFailure],
     ) -> None:
-        context = multiprocessing.get_context("spawn")
+        context = _worker_context()
         pending: deque[tuple[Scenario, int]] = deque((s, 1) for s in scenarios)
         delayed: list[tuple[float, Scenario, int]] = []  # (ready_at, s, attempt)
         idle: list[_Worker] = []
@@ -380,18 +439,11 @@ class ScenarioSupervisor:
             name=f"repro-{self.suite}-worker",
             daemon=True,
         )
-        saved = {key: os.environ.get(key) for key in WORKER_ENV}
-        os.environ.update(WORKER_ENV)
-        try:
-            process.start()
-        finally:
-            for key, value in saved.items():
-                if value is None:
-                    del os.environ[key]
-                else:
-                    os.environ[key] = value
+        process.start()
         child_conn.close()  # the worker holds the other end
-        return _Worker(process=process, conn=parent_conn)
+        return _Worker(
+            process=process, conn=parent_conn, parent=parent_pid(process.pid)
+        )
 
     def _assign(self, worker: _Worker, scenario: Scenario, attempt: int) -> None:
         timeout = self.config.timeout_seconds
@@ -400,7 +452,7 @@ class ScenarioSupervisor:
         worker.deadline = None if timeout is None else time.monotonic() + timeout
         self.executed.append(scenario.name)
         try:
-            worker.conn.send(scenario)
+            worker.conn.send(_portable(scenario))
         except OSError:
             pass  # the worker died while idle; _collect reports the crash
 
@@ -439,7 +491,9 @@ class ScenarioSupervisor:
 
         Tracks the run-wide peak as a side effect.
         """
-        observed = tree_rss_mb([os.getpid()] + [w.process.pid for w in live])
+        pids = {os.getpid(), *(w.process.pid for w in live)}
+        pids.update(w.parent for w in live if w.parent is not None)
+        observed = tree_rss_mb(sorted(pids))
         if observed is None:
             return False
         if self.peak_rss_mb is None or observed > self.peak_rss_mb:

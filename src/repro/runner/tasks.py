@@ -2,7 +2,7 @@
 
 Each task is a pure function of its picklable parameter dict: all
 randomness is seeded from the params, so a scenario produces bit-identical
-summaries whether it runs serially, in a spawned worker, or on a different
+summaries whether it runs serially, in a worker process, or on a different
 worker count.  Expensive shared artifacts (the synthetic trace and the
 classifier fitted on it) are memoized *per process*, keyed by the exact
 trace parameters — pool workers serving many scenarios pay for them once.
@@ -559,7 +559,7 @@ def consolidation_task(params: dict) -> dict:
 
 # The worker-fault injection task ("transient_fault") lives with the fault
 # catalog, and the sharded-fleet task ("fleet_shard") with the fleet layer;
-# importing them here guarantees spawn workers — which only import this
-# module on a registry miss — see them too.
+# importing them here guarantees every worker — which has this module
+# preloaded, or imports it on a registry miss — sees them too.
 import repro.fleet.tasks  # noqa: E402,F401
 import repro.resilience.scenarios  # noqa: E402,F401

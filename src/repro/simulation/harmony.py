@@ -474,28 +474,30 @@ class HarmonySimulation:
     def run(self) -> SimulationResult:
         with self.timer.phase("policy_build"):
             policy = self.build_policy()
+        # The simulator's build (the columnar engine's task columns) is
+        # part of preparing the replay, so it is timed with it.
         with self.timer.phase("prepare"):
             tasks, class_of = self.prepare()
-        if self.config.engine == "columnar":
-            from repro.simulation.columnar import ColumnarClusterSimulator
+            if self.config.engine == "columnar":
+                from repro.simulation.columnar import ColumnarClusterSimulator
 
-            simulator_cls = ColumnarClusterSimulator
-        else:
-            simulator_cls = ClusterSimulator
-        simulator = simulator_cls(
-            tasks=tasks,
-            horizon=self.trace.horizon,
-            machine_models=self.config.fleet,
-            policy=policy,
-            class_of=class_of,
-            config=ClusterConfig(
-                control_interval=self.config.control_interval,
-                price=self.config.price,
-                enable_preemption=self.config.enable_preemption,
-                fault_plan=self.config.fault_plan,
-            ),
-            relabel=self.relabel_class,
-        )
+                simulator_cls = ColumnarClusterSimulator
+            else:
+                simulator_cls = ClusterSimulator
+            simulator = simulator_cls(
+                tasks=tasks,
+                horizon=self.trace.horizon,
+                machine_models=self.config.fleet,
+                policy=policy,
+                class_of=class_of,
+                config=ClusterConfig(
+                    control_interval=self.config.control_interval,
+                    price=self.config.price,
+                    enable_preemption=self.config.enable_preemption,
+                    fault_plan=self.config.fault_plan,
+                ),
+                relabel=self.relabel_class,
+            )
         with self.timer.phase("replay"):
             metrics = simulator.run()
 

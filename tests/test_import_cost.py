@@ -1,7 +1,9 @@
 """What ``import repro`` costs, and the quantile function that keeps it low.
 
-Every fleet shard, runner worker and CLI call imports the package once.
-``repro`` loads numpy and no scipy module: the one special function it
+Every CLI call imports the package once, and so does the executor's
+worker template (the process runner workers and fleet shards are forked
+from), which also preloads ``scipy.optimize`` on purpose.  ``import
+repro`` itself loads numpy and no scipy module: the one special function it
 needs, the standard normal quantile, is :func:`repro.normal.ndtri`, a port
 of the Cephes routine behind ``scipy.special.ndtri`` that returns the same
 float.  ``scipy.optimize`` (and with it ``scipy.sparse`` and

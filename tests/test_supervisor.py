@@ -3,10 +3,13 @@
 Covers the deterministic backoff schedule, where scenarios run (in this
 process at ``workers=1``, on at most ``workers`` warm worker processes
 otherwise, never retried in a process an earlier attempt used), the
-executor's retry / timeout / quarantine semantics (driven through the
-shipped ``transient_fault`` injection task so spawned workers can resolve
-it), the digest-invariance contract — a scenario that fails transiently
-and succeeds on retry must produce the same summary digest as an
+worker template every worker is forked from (BLAS pins, no memo carried
+across runs, environment defaults and working directory followed from
+the coordinator, counted in the run's peak RSS), the executor's retry /
+timeout / quarantine semantics (driven through the shipped
+``transient_fault`` injection task so workers can resolve it), the
+digest-invariance contract — a scenario that fails transiently and
+succeeds on retry must produce the same summary digest as an
 uninterrupted run — and the crash-safe journal's append / verify / resume
 behaviour, including torn-tail tolerance and corruption detection.
 """
@@ -26,6 +29,7 @@ from repro.errors import (
     ScenarioFailed,
     ScenarioTimeout,
 )
+from repro.fleet import FleetConfig, run_fleet, shard_progress_path
 from repro.resilience import transient_fault_scenario
 from repro.runner import (
     Journal,
@@ -42,6 +46,7 @@ from repro.runner import (
     write_journal_record,
 )
 from repro.runner.journal import _sealed_line, record_digest
+from repro.runner.supervisor import WORKER_ENV
 
 #: One tiny LP solve — the cheapest spawnable unit of real work.
 TINY = Scenario(
@@ -76,18 +81,24 @@ FAST = SupervisorConfig(backoff_base_seconds=0.01, backoff_cap_seconds=0.05)
 
 
 class PidScenario(Scenario):
-    """A scenario whose summary is the pid that ran it.
+    """A scenario whose summary is the pid that ran it, that pid's parent
+    and the :data:`WORKER_ENV` keys of its environment.
 
     Workers unpickle it from this module, so the probe runs inside the
     worker.  With ``params["marker_dir"]`` every attempt appends its pid
     to a file there, and attempts before ``params["fail_attempts"]``
     raise.  With ``params["hold_mb"]`` it keeps that many MiB resident
     until every scenario sharing ``params["barrier"]`` holds its own, and
-    for a further half second.
+    for a further half second, and reports its RSS while it holds them.
     """
 
     def run(self) -> dict:
         pid = os.getpid()
+        summary = {
+            "pid": pid,
+            "parent": os.getppid(),
+            "env": {key: os.environ.get(key) for key in WORKER_ENV},
+        }
         if "hold_mb" in self.params:
             held = b"\x01" * (self.params["hold_mb"] << 20)
             barrier = Path(self.params["barrier"])
@@ -97,6 +108,7 @@ class PidScenario(Scenario):
                 assert time.monotonic() < deadline, "holders never met"
                 time.sleep(0.01)
             time.sleep(0.5)
+            summary["held_rss_mb"] = process_rss_mb(pid)
             del held
         marker_dir = self.params.get("marker_dir")
         if marker_dir is not None:
@@ -106,7 +118,7 @@ class PidScenario(Scenario):
                 handle.write(f"{pid}\n")
             if len(earlier) < self.params["fail_attempts"]:
                 raise RuntimeError(f"injected failure on attempt {len(earlier) + 1}")
-        return {"summary": {"pid": pid}}
+        return {"summary": summary}
 
 
 def pid_scenarios(count: int, **params) -> list[PidScenario]:
@@ -311,6 +323,77 @@ class TestWhereScenariosRun:
             assert len(set(attempts)) == 3
             assert attempts[-1] == str(result.summary["pid"])
         assert [type(e) for e in supervisor.failure_log] == [ScenarioFailed] * 4
+
+
+#: A simulation small enough to build its trace in a fraction of a second.
+TINY_SIM = Scenario(
+    name="sim_tiny",
+    task="simulate",
+    params={
+        "trace": {"hours": 0.25, "seed": 5, "machines": 60, "load": 0.3},
+        "policy": "static",
+    },
+)
+
+
+class TestWorkerTemplate:
+    """Workers are forks of one template process per coordinator process;
+    they must behave as fresh interpreters started by this process would."""
+
+    def test_worker_environment_carries_the_blas_pins(self):
+        report = ScenarioSupervisor("unit").run(pid_scenarios(2), workers=2)
+        for result in report:
+            assert result.summary["env"] == WORKER_ENV
+
+    def test_each_run_starts_with_an_empty_trace_memo(self):
+        # The template never runs a scenario: the first scenario of every
+        # run builds its trace, as a freshly started worker would.
+        for _ in range(2):
+            report = ScenarioSupervisor("unit").run([TINY_SIM], workers=2)
+            assert "trace" in report["sim_tiny"].phases
+
+    def test_worker_follows_a_bench_default_set_between_runs(self, monkeypatch):
+        scenario = Scenario(
+            name="figures",
+            task="trace_figures",
+            params={"trace": {"hours": 0.25, "machines": 60, "load": 0.3}},
+        )
+        monkeypatch.setenv("REPRO_BENCH_SEED", "5")
+        first = ScenarioSupervisor("unit").run([scenario], workers=2)
+        monkeypatch.setenv("REPRO_BENCH_SEED", "6")
+        second = ScenarioSupervisor("unit").run([scenario], workers=2)
+        in_process = ScenarioSupervisor("unit").run([scenario], workers=1)
+        assert second["figures"].digest() == in_process["figures"].digest()
+        assert second["figures"].digest() != first["figures"].digest()
+
+    def test_relative_progress_dir_follows_the_working_directory(
+        self, tmp_path, monkeypatch
+    ):
+        trace = {"hours": 0.5, "seed": 7, "machines": 150, "load": 0.5}
+        config = FleetConfig(shards=2, suite="cwd")
+        for name in ("first", "second"):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            fleet = run_fleet(trace, config, workers=2, progress_dir="progress")
+            assert not fleet.partial
+            for index in range(2):
+                assert shard_progress_path(
+                    tmp_path / name / "progress", "cwd", index
+                ).exists()
+
+    def test_peak_rss_counts_the_template(self, tmp_path):
+        # Coordinator, template and both workers at once, each worker
+        # holding 64 MiB: a peak that misses the template stays below.
+        coordinator = process_rss_mb(os.getpid())
+        scenarios = pid_scenarios(2, hold_mb=64, barrier=str(tmp_path), holders=2)
+        report = ScenarioSupervisor("unit").run(scenarios, workers=2)
+        (template,) = {r.summary["parent"] for r in report}
+        assert template != os.getpid()
+        floor = coordinator + process_rss_mb(template) + sum(
+            r.summary["held_rss_mb"] for r in report
+        )
+        # Slack for pages a process returns between a sample and a reading.
+        assert report.peak_rss_mb >= floor - 4.0
 
 
 class TestJournalResume:
