@@ -16,7 +16,14 @@ service time.  :func:`required_containers` inverts Eq. 1: the smallest N
 meeting a target mean delay with ``rho < 1``.
 
 Erlang-C is computed through the numerically stable Erlang-B recurrence, so
-N in the thousands poses no overflow risk.
+N in the thousands poses no overflow risk.  That recurrence starts at
+``B(a, 0) = 1`` and costs O(a) steps before it reaches the first stable N,
+``floor(a) + 1``.  :func:`required_containers` does not pay that: each
+inversion starts a *certified* curve at ``floor(a) + 1`` from a direct sum
+of O(sqrt(a)) terms and decides each probe from it whenever a proven error
+margin separates the wait from the target (:func:`_certified_probe`); only
+a probe within that margin runs the exact O(a) chain.  Every integer it
+returns is the one the exact chain gives.
 """
 
 from __future__ import annotations
@@ -24,57 +31,82 @@ from __future__ import annotations
 import math
 import threading
 from array import array
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+
+import numpy as np
 
 from repro.errors import CapacityModelUnstable
 
-#: The MPC loop re-evaluates Eqs. 1-3 with the *same* (load, N) pairs at
-#: every tick (the container manager's classes change slowly); memoizing the
-#: O(N) Erlang recurrence and the O(log N)-probe inversion turns the
-#: controller's hot path into dictionary lookups.  Sized generously: a key
-#: is two floats + an int, so even full caches stay in the low MB.
+#: The MPC loop re-evaluates Eqs. 1-3 with the *same* classes at every
+#: tick (the container manager's classes change slowly); memoizing the
+#: inversion (and the O(N) Erlang recurrence behind stand-alone and
+#: fallback calls) turns the controller's hot path into dictionary
+#: lookups.  Sized generously: a key is a few floats and ints, so even
+#: full caches stay in the low MB.
 _ERLANG_CACHE_SIZE = 65_536
 _INVERSE_CACHE_SIZE = 16_384
 
-class _OpenCurves(threading.local):
-    """The Erlang-B curve of the inversion running on this thread.
+#: A probe trusts the certified curve only when its wait lies farther than
+#: this fraction of the target from the target (see :func:`_certified_probe`).
+_MARGIN = 2.0**-20
+#: Largest N the margin's proof covers; above it every probe runs the
+#: exact chain.
+_CERTIFIED_MAX_SERVERS = 10_000_000
+#: Terms per numpy block of the direct sum behind a certified curve.
+_SUM_CHUNK = 1024
+#: The direct sum stops once its remaining terms provably add less than
+#: this fraction of it.
+_SUM_TAIL = 2.0**-60
+#: The proof is about normal floats: a reading or a service rate below
+#: ``_FLOOR`` (or above ``_CEIL``, or a NaN) falls back to the exact chain.
+_FLOOR = 2.0**-1000
+_CEIL = 2.0**1000
 
-    ``by_load[a][k] = B(a, k)``, grown on demand.  Every probe of one
-    inversion shares ``a``, so each probe reads the prefix instead of
-    restarting the recurrence at ``k = 1``.  A curve lives for its one
-    inversion only (a compact ``array('d')``, never a process-global
-    cache), so it costs nothing once the inversion returns.
+
+class _OpenCurves(threading.local):
+    """The Erlang-B curves of the inversion running on this thread.
+
+    ``certified[a][k - N0] = B(a, k)`` for ``k >= N0 = floor(a) + 1``: the
+    curve every probe reads first (:func:`_certified_probe`).
+    ``by_load[a][k] = B(a, k)`` from ``k = 0``: the exact chain, grown only
+    when a probe falls back to it.  Both live for their one inversion only
+    (compact ``array('d')``, never a process-global cache), so they cost
+    nothing once the inversion returns.
     """
 
     def __init__(self) -> None:
         self.by_load: dict[float, array] = {}
+        self.certified: dict[float, array] = {}
 
 
 _open_curves = _OpenCurves()
 
 
-def _erlang_b_prefix(curve: array, offered_load: float, servers: int) -> float:
-    """``B(a, servers)``, extending ``curve`` (``curve[k] = B(a, k)``) as needed.
+def _erlang_b_prefix(
+    curve: array, offered_load: float, servers: int, first: int = 0
+) -> float:
+    """``B(a, servers)``, extending ``curve`` (``curve[k - first] = B(a, k)``)
+    as needed.
 
-    The one implementation of the recurrence: the same operations in the
-    same order as a loop from ``B(a, 0) = 1``, so a value read from the
-    prefix is the float a fresh recurrence would return.  Validated here so
-    the recurrence can never run on a negative or NaN load, whichever
-    entry point reached it.
+    The one implementation of the recurrence step: from ``first = 0`` it is
+    the same operations in the same order as a loop from ``B(a, 0) = 1``,
+    so a value read from the prefix is the float a fresh recurrence would
+    return.  Validated here so the recurrence can never run on a negative
+    or NaN load, whichever entry point reached it.
     """
     if not (offered_load >= 0):
         raise ValueError(f"offered_load must be >= 0, got {offered_load}")
     if servers < 0:
         raise ValueError(f"servers must be >= 0, got {servers}")
-    if servers >= len(curve):
+    if servers - first >= len(curve):
         # ``a * B`` is computed once per step (the textbook line evaluates
         # the same product twice), ``k`` counts in floats (exact below
         # 2**53, and ``int + float`` converts the int first), and the new
         # entries land in one ``extend``: every float is unchanged.
-        start = len(curve)
+        start = first + len(curve)
         block = [0.0] * (servers + 1 - start)
         blocking = curve[-1]
         k = float(start)
@@ -84,17 +116,52 @@ def _erlang_b_prefix(curve: array, offered_load: float, servers: int) -> float:
             block[i] = blocking
             k += 1.0
         curve.extend(block)
-    return curve[servers]
+    return curve[servers - first]
+
+
+def _erlang_b_direct(offered_load: float, servers: int) -> float:
+    """``B(a, N)`` from ``1/B = sum_{j=0..N} t_j``, ``t_j = prod_{i<j} (N - i)/a``.
+
+    The terms come from ``np.cumprod`` in blocks of :data:`_SUM_CHUNK`.
+    For ``N = floor(a) + 1`` every ratio ``r_i = (N - i)/a`` past ``i = 0``
+    is at most one and falls with ``i``, so the terms after ``t_j`` add at
+    most ``t_j r / (1 - r)`` with ``r = (N - j)/a``; the sum stops once
+    that bound is below :data:`_SUM_TAIL` of it, after about
+    ``9 sqrt(a)`` terms (one block up to ~12,000 Erlangs).  Rounding: a
+    term ``t_j`` takes ``j`` divisions and ``j`` multiplications, the sum
+    of ``J`` non-negative terms at most ``J`` additions, the reciprocal
+    one more, so ``ln B`` is within ``(3J + 2) u`` of the true value
+    (``u = 2**-53``; ``N - i`` is exact below ``2**53``).
+    """
+    if not offered_load > 0.0:
+        return 0.0  # B(0, N) for N >= 1; below any certified reading
+    total = 1.0  # t_0
+    term = 1.0
+    j = 0  # the index of ``term``
+    while j < servers:
+        stop = min(j + _SUM_CHUNK, servers)
+        ratios = (servers - np.arange(j, stop, dtype=np.float64)) / offered_load
+        block = term * np.cumprod(ratios)  # t_{j+1} .. t_stop
+        total += float(block.sum())
+        term = float(block[-1])
+        j = stop
+        ratio = (servers - j) / offered_load  # t_{j+1} = t_j * ratio
+        if ratio < 1.0 and term * ratio < _SUM_TAIL * total * (1.0 - ratio):
+            break
+    return 1.0 / total
 
 
 @contextmanager
 def _open_curve(offered_load: float) -> Iterator[None]:
-    """Share one Erlang-B prefix among every probe of one inversion."""
+    """Share one certified curve (and, for fallbacks, one exact prefix)
+    among every probe of one inversion."""
     _open_curves.by_load[offered_load] = array("d", (1.0,))
+    _open_curves.certified[offered_load] = array("d")
     try:
         yield
     finally:
         del _open_curves.by_load[offered_load]
+        del _open_curves.certified[offered_load]
 
 
 @lru_cache(maxsize=_ERLANG_CACHE_SIZE)
@@ -181,6 +248,88 @@ def mgn_mean_wait(
     return mmn_wait * (1.0 + scv) / 2.0
 
 
+def _certified_probe(
+    offered: float,
+    arrival_rate: float,
+    service_rate: float,
+    scv: float,
+    target_delay: float,
+) -> Callable[[int], float]:
+    """``wait_at(N)`` for one inversion: a wait on the same side of
+    ``target_delay`` as ``mgn_mean_wait``'s.
+
+    Inside an inversion only.  ``wait_at`` evaluates Eq. 1 with
+    ``B(a, N)`` read from the inversion's certified curve and returns that
+    wait when it lies outside ``target_delay * (1 -/+ m)``, ``m`` =
+    :data:`_MARGIN`; otherwise it returns ``mgn_mean_wait``'s own float.
+    So ``<=`` and ``>`` against ``target_delay`` decide exactly as they do
+    on the exact chain.  The branches that read no ``B`` (``rho >= 1``
+    and ``erlang_c``'s cut-off) return ``mgn_mean_wait``'s float directly.
+
+    Why ``m = 2**-20`` suffices, in relative (log) errors with
+    ``u = 2**-53`` and every float normal:
+
+    - The step ``B_k = a B / (k + a B)`` has
+      ``d ln B_k / d ln B_{k-1} = k / (k + a B_{k-1}) < 1``: an error
+      already in ``B_{k-1}`` never grows, and the step's three roundings
+      add at most ``3u``.
+    - The certified ``B(a, N)`` starts at ``N0 = floor(a) + 1`` from the
+      direct sum (``(3J + 2) u``, :func:`_erlang_b_direct`) and takes
+      ``K = N - N0`` steps (``3K u``); ``J <= N0 + 1``, so it is within
+      ``(3N + 5) u`` of the true value.
+    - The exact chain takes ``N`` steps from ``B(a, 0) = 1``: within
+      ``3N u`` of the true value.
+    - ``pi = B / (1 - rho + rho B)`` has ``d ln pi / d ln B =
+      (1 - rho) / (1 - rho + rho B)``, in ``(0, 1]``.  The rest of Eq. 1
+      divides by ``N mu (1 - rho)`` and scales by ``1 + CV^2`` and ``1/2``,
+      the same floats in both paths.  The ``B``-dependent roundings (``rho
+      B``, the sum, two divisions, one product) add at most ``5u`` per
+      path; halving a normal float is exact.
+
+    So the certified and the exact wait differ by at most
+    ``eps = (6N + 15) u``: ``6.7e-9`` at ``N = 10**7``
+    (:data:`_CERTIFIED_MAX_SERVERS`), which ``m ~ 9.5e-7`` covers 142
+    times over.  A certified wait above ``target (1 + m)`` (itself within
+    ``u`` of the product) puts the exact wait above
+    ``target (1 + m)(1 - u) e**-eps > target``; below ``target (1 - m)``
+    symmetrically.  A ``B`` or ``pi / (N mu (1 - rho))`` under
+    :data:`_FLOOR`, a wait over :data:`_CEIL`, a NaN, a service rate
+    outside ``[_FLOOR, _CEIL]``, or ``N`` above
+    :data:`_CERTIFIED_MAX_SERVERS` falls back.
+    """
+    exact = partial(mgn_mean_wait, arrival_rate, service_rate, scv=scv)
+    if not offered < _CERTIFIED_MAX_SERVERS:
+        return exact  # every stable N is beyond the proof
+    first = int(math.floor(offered)) + 1
+    cutoff = offered + 12.0 * math.sqrt(offered) + 50.0
+    lower = target_delay * (1.0 - _MARGIN)
+    upper = target_delay * (1.0 + _MARGIN)
+    curve = _open_curves.certified[offered]
+
+    def wait_at(servers: int) -> float:
+        rho = offered / servers
+        if (
+            rho >= 1.0
+            or servers > cutoff
+            or servers > _CERTIFIED_MAX_SERVERS
+            or not _FLOOR <= service_rate <= _CEIL
+        ):
+            return exact(servers)
+        if not curve:
+            curve.append(_erlang_b_direct(offered, first))
+        blocking = _erlang_b_prefix(curve, offered, servers, first)
+        pi = blocking / (1.0 - rho + rho * blocking)
+        mmn_wait = pi / (servers * service_rate * (1.0 - rho))
+        wait = mmn_wait * (1.0 + scv) / 2.0
+        if blocking >= _FLOOR and mmn_wait >= _FLOOR and wait <= _CEIL and (
+            wait < lower or wait > upper
+        ):
+            return wait
+        return exact(servers)
+
+    return wait_at
+
+
 def _halfin_whitt_wait_probability(beta: float) -> float:
     """Asymptotic P(wait) for N = a + beta*sqrt(a) servers (Halfin-Whitt).
 
@@ -204,12 +353,15 @@ def required_containers(
     """Smallest N with ``rho < 1`` and mean wait <= ``target_delay``.
 
     Mean wait is monotonically decreasing in N.  Small offered loads use
-    exponential search plus bisection on the exact Eq. 1; large offered
-    loads (> ~2000 Erlangs, where each exact Erlang-C costs O(a)) start
-    from the Halfin-Whitt square-root-staffing estimate and walk to the
-    exact answer with a handful of exact evaluations.  Every probe shares
-    one Erlang-B prefix ``B(a, 0..k)``, so one inversion runs the O(N)
-    recurrence once, up to the largest N it probes.
+    exponential search plus bisection on Eq. 1; large offered loads
+    (> ~2000 Erlangs) start from the Halfin-Whitt square-root-staffing
+    estimate and walk to the exact answer with a handful of probes.  Every
+    probe reads one certified Erlang-B curve ``B(a, N0..k)``,
+    ``N0 = floor(a) + 1``, opened from a direct sum of O(sqrt(a)) terms, so
+    an inversion costs O(sqrt(a) + probes), not O(a).  A probe whose wait
+    lies within a proven error margin of the target
+    (:func:`_certified_probe`) is decided on the exact O(a) chain instead,
+    so the integer returned is always the exact chain's.
 
     Results are memoized per exact argument tuple (the inverse-lookup
     cache): the container manager re-inverts the same (lambda, mu, SLO,
@@ -228,20 +380,27 @@ def required_containers(
         raise ValueError(f"service_rate must be positive, got {service_rate}")
     if arrival_rate == 0:
         return 0
+    # The offered load is divided out here, where ``service_rate`` is
+    # checked, and rides along in the memo key.
     return _required_containers_cached(
-        arrival_rate, service_rate, target_delay, scv, max_servers
+        arrival_rate / service_rate,
+        arrival_rate,
+        service_rate,
+        target_delay,
+        scv,
+        max_servers,
     )
 
 
 @lru_cache(maxsize=_INVERSE_CACHE_SIZE)
 def _required_containers_cached(
+    offered: float,
     arrival_rate: float,
     service_rate: float,
     target_delay: float,
     scv: float,
     max_servers: int,
 ) -> int:
-    offered = arrival_rate / service_rate
     with _open_curve(offered):
         low = int(math.floor(offered)) + 1  # smallest N with rho < 1
         if low > max_servers:
@@ -252,7 +411,14 @@ def _required_containers_cached(
                 target_delay=target_delay,
                 max_servers=max_servers,
             )
-        if mgn_mean_wait(arrival_rate, service_rate, low, scv) <= target_delay:
+        # The certified wait never checks ``scv``; the first exact probe
+        # would raise here.
+        if scv < 0:
+            raise ValueError(f"scv must be >= 0, got {scv}")
+        wait_at = _certified_probe(
+            offered, arrival_rate, service_rate, scv, target_delay
+        )
+        if wait_at(low) <= target_delay:
             return low
 
         if offered > 2000.0:
@@ -283,18 +449,11 @@ def _required_containers_cached(
                 )
             # Walk down while the exact wait still meets the target, then up if
             # the approximation undershot.  Steps of ~0.5% of sqrt(a) keep the
-            # number of exact O(a) evaluations small.
+            # number of probes small.
             step = max(int(0.05 * sqrt_a), 1)
-            while (
-                candidate - step >= low
-                and mgn_mean_wait(arrival_rate, service_rate, candidate - step, scv)
-                <= target_delay
-            ):
+            while candidate - step >= low and wait_at(candidate - step) <= target_delay:
                 candidate -= step
-            while (
-                mgn_mean_wait(arrival_rate, service_rate, candidate, scv)
-                > target_delay
-            ):
+            while wait_at(candidate) > target_delay:
                 candidate += 1
                 if candidate > max_servers:
                     raise CapacityModelUnstable(
@@ -306,17 +465,13 @@ def _required_containers_cached(
                         max_servers=max_servers,
                     )
             # Refine to the exact minimum within the last step.
-            while (
-                candidate - 1 >= low
-                and mgn_mean_wait(arrival_rate, service_rate, candidate - 1, scv)
-                <= target_delay
-            ):
+            while candidate - 1 >= low and wait_at(candidate - 1) <= target_delay:
                 candidate -= 1
             return candidate
 
         # Exact exponential search + bisection for modest loads.
         high = low
-        while mgn_mean_wait(arrival_rate, service_rate, high, scv) > target_delay:
+        while wait_at(high) > target_delay:
             high *= 2
             if high > max_servers:
                 raise CapacityModelUnstable(
@@ -329,7 +484,7 @@ def _required_containers_cached(
                 )
         while low + 1 < high:
             mid = (low + high) // 2
-            if mgn_mean_wait(arrival_rate, service_rate, mid, scv) <= target_delay:
+            if wait_at(mid) <= target_delay:
                 high = mid
             else:
                 low = mid
@@ -337,7 +492,13 @@ def _required_containers_cached(
 
 
 def queueing_cache_info() -> dict[str, dict[str, int]]:
-    """Hit/miss statistics of the Erlang and inverse-lookup caches."""
+    """Hit/miss statistics of the Erlang and inverse-lookup caches.
+
+    ``"required_containers"`` counts inversions.  ``"erlang_b"`` counts
+    calls of :func:`erlang_b` (through ``erlang_c`` / ``mgn_mean_wait`` or
+    directly): inside an inversion only the probes that fall back to the
+    exact chain make one, so its misses there count fallback probes.
+    """
     return {
         "erlang_b": _erlang_b_cached.cache_info()._asdict(),
         "required_containers": _required_containers_cached.cache_info()._asdict(),

@@ -127,7 +127,25 @@ def scalability_scenarios(
         )
         for num_classes, num_types in SCALABILITY_SIZES
         for seed in seeds
-    ] + [replay_scenario()]
+    ] + [sizing_scenario(repeats), replay_scenario()]
+
+
+#: Eq. 1 inversions per decade of offered load in the sizing scenario.
+SIZING_INVERSIONS = 1200
+
+
+def sizing_scenario(repeats: int) -> Scenario:
+    """Eq. 1 inverted cold over a seeded grid, 10 to 10**5 Erlangs.
+
+    The M/G/N sizing layer's own data point: its wall is all sizing (one
+    phase per decade), and its shape checks that an inversion's cost does
+    not grow with the offered load the way an O(a) recurrence does.
+    """
+    return Scenario(
+        name="mgn_sizing",
+        task="mgn_sizing",
+        params={"inversions": SIZING_INVERSIONS, "seed": 0, "repeats": repeats},
+    )
 
 
 def replay_scenario() -> Scenario:
@@ -154,15 +172,21 @@ def replay_scenario() -> Scenario:
 
 
 def scalability_shapes(report, serial=None) -> list[ShapeRow]:
-    """Section VII-B's online-control claim, and the parallel speedup of a
-    ``--verify`` run (``serial``) on >= 4 workers with as many cores."""
+    """Section VII-B's online-control claim, an Eq. 1 inversion at 10**5
+    Erlangs costing under 10x one at 10**3 (the same number of cold
+    inversions per decade; an O(a) search costs ~89x there), and the parallel
+    speedup of a ``--verify`` run (``serial``) on >= 4 workers with as many
+    cores."""
 
     def seconds_per_solve(result):
         return result.wall_seconds / result.summary["repeats"]
 
+    def sizing_cost_1e5_over_1e3(result):
+        return result.phases["sizing_1e5"] / result.phases["sizing_1e3"]
+
     specs = [
         (f"relax_c80_t10_s{seed}", seconds_per_solve, "<", 10.0) for seed in (0, 1)
-    ]
+    ] + [("mgn_sizing", sizing_cost_1e5_over_1e3, "<", 10.0)]
     rows = check_shapes(specs, {r.name: r for r in report})
     speedup = None
     if serial is not None and 4 <= report.workers <= (os.cpu_count() or 1):

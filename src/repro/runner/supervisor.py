@@ -416,6 +416,7 @@ class ScenarioSupervisor:
                         continue
                     busy.remove(worker)
                     if outcome[0] == "ok":
+                        self._fold_reported_peak(worker, outcome[1][-1])
                         idle.append(worker)
                     else:
                         self._retire(worker)
@@ -500,6 +501,17 @@ class ScenarioSupervisor:
             self.peak_rss_mb = observed
         ceiling = self.config.memory_ceiling_mb
         return ceiling is not None and observed >= MEMORY_WATERMARK * ceiling
+
+    def _fold_reported_peak(self, worker: _Worker, reported: float | None) -> None:
+        """Fold a worker's own high-water mark into the run-wide peak, with
+        the coordinator and the template as sampled now: a worker can peak
+        and shrink between two periodic samples, but it reports its peak."""
+        if reported is None:
+            return
+        pids = {os.getpid(), worker.parent} - {None}
+        observed = reported + (tree_rss_mb(sorted(pids)) or 0.0)
+        if self.peak_rss_mb is None or observed > self.peak_rss_mb:
+            self.peak_rss_mb = observed
 
     def _settle(
         self,

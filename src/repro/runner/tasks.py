@@ -372,6 +372,57 @@ def relax_solve_task(params: dict) -> dict:
     }
 
 
+#: Decades of offered load the ``mgn_sizing`` grid covers: 10 .. 10**5 Erlangs.
+SIZING_DECADES = (1, 2, 3, 4, 5)
+
+
+@register_task("mgn_sizing")
+def mgn_sizing_task(params: dict) -> dict:
+    """Invert Eq. 1 over a seeded grid of classes, decade by decade.
+
+    Params: ``inversions`` (per decade), ``seed``, ``repeats``.  Decade
+    ``k`` draws offered loads in ``[10**k, 1.1 * 10**k]`` Erlangs, service
+    rates in ``[0.01, 1]`` and delay targets from a tenth to ten times
+    ``1 / (mu sqrt(a))`` (the square-root-staffing regime the controller
+    sizes in).  Every repeat clears the queueing caches and inverts the
+    whole grid cold; the container counts go in the summary, and each
+    decade's sizing time is its own ``sizing_1e<k>`` phase.
+    """
+    from repro.queueing import clear_queueing_caches, required_containers
+
+    rng = np.random.default_rng(int(params.get("seed", 0)))
+    inversions = int(params.get("inversions", 1))
+    repeats = int(params.get("repeats", 1))
+    grid = {}
+    for k in SIZING_DECADES:
+        loads = 10.0**k * rng.uniform(1.0, 1.1, inversions)
+        service_rates = rng.uniform(0.01, 1.0, inversions)
+        spread = 10.0 ** rng.uniform(-1.0, 1.0, inversions)
+        scvs = rng.choice([0.0, 0.5, 1.0, 2.0, 4.0], inversions)
+        grid[k] = [
+            (float(a * mu), float(mu), float(c / (mu * np.sqrt(a))), float(scv))
+            for a, mu, c, scv in zip(loads, service_rates, spread, scvs)
+        ]
+    containers: dict[str, list[int]] = {}
+    phases = {f"sizing_1e{k}": 0.0 for k in SIZING_DECADES}
+    for _ in range(repeats):
+        clear_queueing_caches()
+        for k, classes in grid.items():
+            start = perf_counter()
+            counts = [required_containers(*c) for c in classes]
+            phases[f"sizing_1e{k}"] += perf_counter() - start
+            containers[f"1e{k}"] = counts
+    clear_queueing_caches()
+    return {
+        "summary": {
+            "inversions": inversions,
+            "repeats": repeats,
+            "containers": containers,
+        },
+        "phases": phases,
+    }
+
+
 @register_task("omega_round")
 def omega_round_task(params: dict) -> dict:
     """Solve + round one CBS instance at a given omega (Eq. 17 ablation).

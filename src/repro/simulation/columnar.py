@@ -131,6 +131,28 @@ def first_fit_index(
 # ----------------------------------------------------------- task columns
 
 
+def _dense_codes(key: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Row -> index of its key among the sorted distinct keys, and the
+    first row holding each distinct key.
+
+    ``key`` holds equal-length columns, the most significant first; two
+    rows share a code exactly when every column compares equal (``==``,
+    as tuple keys of a dict do), and codes follow the lexicographic order
+    of the keys, as ``sorted(set(...))`` would rank them.
+    """
+    count = len(key[0])
+    order = np.lexsort(key[::-1])
+    new = np.zeros(count, dtype=bool)
+    new[:1] = True
+    for column in key:
+        ordered = column[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    codes = np.empty(count, dtype=np.intp)
+    codes[order] = np.cumsum(new) - 1
+    # lexsort is stable, so each run of equal keys starts at its first row.
+    return codes, order[new]
+
+
 class TaskColumns:
     """The task population as plain numpy columns plus placement signatures.
 
@@ -155,9 +177,8 @@ class TaskColumns:
         self.cpu = np.array([task.cpu for task in tasks], dtype=np.float64)
         self.memory = np.array([task.memory for task in tasks], dtype=np.float64)
         self.class_id = np.asarray(labels, dtype=np.int64)
-        keys = [(-task.priority, task.submit_time) for task in tasks]
-        rank_of = {key: rank for rank, key in enumerate(sorted(set(keys)))}
-        self.rank = np.array([rank_of[key] for key in keys], dtype=np.intp)
+        priority = np.array([task.priority for task in tasks], dtype=np.int64)
+        self.rank, _ = _dense_codes((-priority, self.submit))
         # Each distinct constraint resolves to a pool mask once, and rows
         # key on the mask: constraints naming only absent platforms coincide.
         mask_code: dict[frozenset[int] | None, int] = {}
@@ -168,25 +189,23 @@ class TaskColumns:
                 for platform_id in pool_platform_ids
             )
             mask_code[platforms] = masks.setdefault(mask, len(masks))
-        signatures: dict[tuple[float, float, int, int], int] = {}
-        self.signature = np.fromiter(
-            (
-                signatures.setdefault(
-                    (task.cpu, task.memory, label, mask_code[task.allowed_platforms]),
-                    len(signatures),
-                )
-                for task, label in zip(tasks, labels)
-            ),
-            dtype=np.intp,
-            count=len(tasks),
+        mask_of_row = np.array(
+            [mask_code[task.allowed_platforms] for task in tasks], dtype=np.int64
         )
-        table = list(signatures)
-        self.sig_cpu = np.array([key[0] for key in table], dtype=np.float64)
-        self.sig_memory = np.array([key[1] for key in table], dtype=np.float64)
-        self.sig_class = np.array([key[2] for key in table], dtype=np.int64)
+        key = (self.cpu, self.memory, self.class_id, mask_of_row)
+        codes, first_rows = _dense_codes(key)
+        # Signatures are numbered in order of first appearance in the trace.
+        by_first = np.argsort(first_rows)
+        renumber = np.empty(len(by_first), dtype=np.intp)
+        renumber[by_first] = np.arange(len(by_first), dtype=np.intp)
+        self.signature = renumber[codes]
+        table = first_rows[by_first]
+        self.sig_cpu = self.cpu[table]
+        self.sig_memory = self.memory[table]
+        self.sig_class = self.class_id[table]
         self.sig_allowed = np.array(list(masks), dtype=bool).reshape(
             len(masks), len(pool_platform_ids)
-        )[[key[3] for key in table]]
+        )[mask_of_row[table]]
 
     def __len__(self) -> int:
         return len(self.submit)

@@ -16,7 +16,10 @@ object engine's code path; hypothesis drives randomized agreement checks:
   — must place what the object scheduler's round places and count the
   same fabric deferrals;
 - :meth:`ColumnarFirstFitScheduler._merge` must leave the queue in the
-  order of the object scheduler's stable pending sort.
+  order of the object scheduler's stable pending sort;
+- :class:`TaskColumns` must rank rows as ``sorted(set(...))`` ranks their
+  ``(-priority, submit_time)`` keys and number signatures in order of
+  first appearance, as dict-keyed numbering does.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from repro.energy.models import LinearPowerModel, MachineModel
 from repro.simulation.columnar import (
     FIT_EPS,
     ColumnarFirstFitScheduler,
+    TaskColumns,
     capacity_room,
     first_fit_index,
 )
@@ -386,3 +390,65 @@ class TestQueueMerge:
                 scheduler._queue_rows = scheduler._queue_rows[keep]
                 scheduler._queue_rank = scheduler._queue_rank[keep]
                 expected = [t for t, kept in zip(expected, keep) if kept]
+
+
+# ------------------------------------------------------------ task columns
+
+
+def scalar_columns(tasks, labels, pool_platform_ids):
+    """Rank and signature numbering, transcribed with tuple-keyed dicts."""
+    keys = [(-task.priority, task.submit_time) for task in tasks]
+    rank_of = {key: rank for rank, key in enumerate(sorted(set(keys)))}
+    signatures: dict = {}
+    masks: dict = {}
+    rows = []
+    for task, label in zip(tasks, labels):
+        mask = tuple(
+            task.allowed_platforms is None or p in task.allowed_platforms
+            for p in pool_platform_ids
+        )
+        code = masks.setdefault(mask, len(masks))
+        key = (task.cpu, task.memory, label, code)
+        rows.append(signatures.setdefault(key, len(signatures)))
+    table = list(signatures)
+    allowed = [list(masks)[key[3]] for key in table]
+    return [rank_of[key] for key in keys], rows, table, allowed
+
+
+class TestTaskColumns:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dict_numbering(self, data):
+        count = data.draw(st.integers(0, 40))
+        tasks = []
+        for index in range(count):
+            allowed = None
+            if data.draw(st.booleans()):
+                allowed = frozenset(
+                    p for p in PLATFORMS + (9,) if data.draw(st.booleans())
+                )
+            tasks.append(
+                Task(
+                    job_id=0,
+                    index=index,
+                    submit_time=data.draw(st.sampled_from([0.0, 1.0, 2.5, 7.25])),
+                    duration=1.0,
+                    priority=data.draw(st.integers(0, 11)),
+                    scheduling_class=0,
+                    cpu=data.draw(demand),
+                    memory=data.draw(demand),
+                    allowed_platforms=allowed,
+                )
+            )
+        labels = [data.draw(st.sampled_from(CLASSES)) for _ in range(count)]
+        order = data.draw(st.permutations(PLATFORMS))
+        pools = tuple(order[: data.draw(st.integers(1, 4))])
+        columns = TaskColumns(tuple(tasks), labels, pools)
+        rank, signature, table, allowed = scalar_columns(tasks, labels, pools)
+        assert columns.rank.tolist() == rank
+        assert columns.signature.tolist() == signature
+        assert columns.sig_cpu.tolist() == [key[0] for key in table]
+        assert columns.sig_memory.tolist() == [key[1] for key in table]
+        assert columns.sig_class.tolist() == [key[2] for key in table]
+        assert columns.sig_allowed.shape == (len(table), len(pools))
+        assert columns.sig_allowed.tolist() == [list(mask) for mask in allowed]

@@ -3,9 +3,10 @@ references.
 
 Three kernels stopped recomputing what they already knew:
 
-- the Eq. 1 inversion runs the Erlang-B recurrence once per offered load,
-  as a prefix every probe reads, instead of restarting it at ``k = 1`` for
-  every probe;
+- the Eq. 1 inversion reads every probe from one certified Erlang-B curve
+  started at ``floor(a) + 1``, instead of restarting the recurrence at
+  ``k = 1`` for every probe, and runs the exact chain only for a probe
+  within the curve's proven error margin of the target;
 - ``first_fit_pack`` computes one empty machine's fill and emits it for
   the whole run of identical machines it covers;
 - CBS-RELAX is assembled from arrays instead of entry by entry.
@@ -19,7 +20,9 @@ these numbers.
 from __future__ import annotations
 
 import math
+import random
 from array import array
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -58,9 +61,11 @@ _DELAYS = [(1.0, 1e-4), (1.0, 0.05), (0.01, 30.0), (0.01, 5_000.0)]
 
 
 def _outcome(fn, *args):
+    """The return value, or the raise as (type, message); a
+    :class:`CapacityModelUnstable` is also a ``ValueError``."""
     try:
         return fn(*args)
-    except CapacityModelUnstable as exc:
+    except ValueError as exc:
         return (type(exc), str(exc))
 
 
@@ -88,6 +93,21 @@ def test_unstable_raise_matches_reference(load):
         )
         got = _outcome(mgn.required_containers, load, 1.0, 1e-3, 1.0, max_servers)
         assert got == expected, max_servers
+
+
+@pytest.mark.parametrize("scv", [-0.5, -2.0])
+def test_negative_scv_raises_as_the_reference_does(scv):
+    """The certified wait reads no check of ``scv``; the reference's first
+    probe raises on it, after the ``max_servers`` check and never at zero
+    arrivals."""
+    for load in (0.0, 0.4, 57.5, 3100.0):
+        for max_servers in (10_000_000, 2):
+            mgn.clear_queueing_caches()
+            expected = _outcome(
+                reference.required_containers, load, 1.0, 0.01, scv, max_servers
+            )
+            got = _outcome(mgn.required_containers, load, 1.0, 0.01, scv, max_servers)
+            assert got == expected, (load, max_servers)
 
 
 def test_erlang_formulas_match_reference_outside_an_inversion():
@@ -120,39 +140,152 @@ def test_erlang_b_prefix_is_the_textbook_curve(load):
     assert np.array_equal(grown, textbook)
 
 
-class _ProbeCounter:
-    """Counts the reference inversion's Erlang-B probes, repeats included."""
+class _TextbookCurve:
+    """``reference.erlang_b`` with the textbook curve of the last load kept.
+
+    The reference restarts the recurrence for every probe, which at 10**5
+    Erlangs costs seconds per inversion.  This evaluates the reference's
+    own line, ``a * B / (k + a * B)`` with an int ``k``, in the same order
+    from ``B(a, 0) = 1``, so every float is the one the reference computes;
+    it only stops recomputing the prefix while the load stays the same.
+    """
 
     def __init__(self, monkeypatch) -> None:
-        self.calls: list[tuple[float, int]] = []
-        inner = reference.erlang_b
+        self.load: float | None = None
+        self.curve = [1.0]
+        monkeypatch.setattr(reference, "erlang_b", self)
 
-        def counted(offered_load, servers):
-            self.calls.append((offered_load, servers))
-            return inner(offered_load, servers)
+    def __call__(self, offered_load: float, servers: int) -> float:
+        if offered_load != self.load:
+            self.load, self.curve = offered_load, [1.0]
+        curve = self.curve
+        blocking = curve[-1]
+        for k in range(len(curve), servers + 1):
+            blocking = offered_load * blocking / (k + offered_load * blocking)
+            curve.append(blocking)
+        return curve[servers]
 
-        monkeypatch.setattr(reference, "erlang_b", counted)
+
+def _random_inversion(rng: random.Random) -> tuple[float, float, float, float]:
+    """(lambda, mu, target, CV^2): load log-uniform in [0.5, 2e5] Erlangs,
+    target log-uniform in [1e-4, 10] mean service times."""
+    load = math.exp(rng.uniform(math.log(0.5), math.log(2e5)))
+    service_rate = 10.0 ** rng.uniform(-3.0, 0.0)
+    target = 10.0 ** rng.uniform(-4.0, 1.0) / service_rate
+    scv = rng.choice([0.0, 0.25, 1.0, 2.0, 4.0, 9.0])
+    return load * service_rate, service_rate, target, scv
 
 
-def test_cache_counters_follow_the_reference_probe_pattern(monkeypatch):
-    """One probe, one ``_erlang_b_cached`` call: hits and misses unchanged."""
-    probes = _ProbeCounter(monkeypatch)
+@pytest.mark.parametrize("seed", range(5))
+def test_required_containers_matches_reference_on_random_draws(seed, monkeypatch):
+    """1,000 draws per seed, each also at ``max_servers`` one below and at
+    what the target needs (a ``CapacityModelUnstable``, then the count)."""
+    _TextbookCurve(monkeypatch)
+    rng = random.Random(4700 + seed)
+    for _ in range(1000):
+        args = _random_inversion(rng)
+        mgn.clear_queueing_caches()
+        expected = _outcome(reference.required_containers, *args)
+        assert _outcome(mgn.required_containers, *args) == expected, args
+        if isinstance(expected, int):
+            for max_servers in (expected - 1, expected):
+                mgn.clear_queueing_caches()
+                want = _outcome(reference.required_containers, *args, max_servers)
+                got = _outcome(mgn.required_containers, *args, max_servers)
+                assert got == want, (args, max_servers)
+
+
+def test_required_containers_matches_reference_at_ties(monkeypatch):
+    """Targets equal to the exact wait at the answer N and to the doubles
+    either side of it: the certified curve cannot tell these apart from
+    the target, so each falls back to the exact chain, and the integer is
+    the reference's."""
+    _TextbookCurve(monkeypatch)
+    rng = random.Random(4711)
+    fallbacks = 0
+    for _ in range(300):
+        load = math.exp(rng.uniform(math.log(64.0), math.log(5e4)))
+        scv = rng.choice([0.0, 1.0, 4.0])
+        answer = reference.required_containers(load, 1.0, 10.0 ** rng.uniform(-3, 0), scv)
+        tie = reference.mgn_mean_wait(load, 1.0, answer, scv)
+        for target in (tie, math.nextafter(tie, 0.0), math.nextafter(tie, math.inf)):
+            mgn.clear_queueing_caches()
+            expected = _outcome(reference.required_containers, load, 1.0, target, scv)
+            got = _outcome(mgn.required_containers, load, 1.0, target, scv)
+            assert got == expected, (load, scv, target)
+            fallbacks += mgn.queueing_cache_info()["erlang_b"]["misses"]
+    assert fallbacks > 0
+
+
+@pytest.mark.parametrize("load", [0.5, 3.4, 131.0, 3540.4, 14078.4, 5e4, 1e5, 2e5])
+def test_certified_start_is_within_its_bound(load):
+    """The direct sum's ``B(a, floor(a) + 1)`` against a 50-digit sum of
+    every term, within the ``(3J + 2) u`` of ``_erlang_b_direct`` (``J`` at
+    most ``floor(a) + 2``)."""
+    first = int(math.floor(load)) + 1
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a = Decimal(load)
+        total = term = Decimal(1)
+        for i in range(first):
+            term = term * (first - i) / a
+            total += term
+            if term < total * Decimal("1e-45"):
+                break
+        exact = 1 / total
+    got = mgn._erlang_b_direct(load, first)
+    error = abs(Decimal(got) / exact - 1)
+    assert error <= Decimal((3 * (first + 1) + 2) * 2.0**-53), (load, error)
+
+
+@pytest.mark.parametrize("load", [0.5, 3.4, 131.0, 3540.4, 14078.4, 1e5])
+def test_certified_curve_tracks_the_exact_chain(load):
+    """From ``floor(a) + 1`` to ``erlang_c``'s cut-off, every entry of the
+    certified curve is within the margin proof's ``(6N + 15) u`` of the
+    exact chain's float, and the margin covers that at least 100 times."""
+    first = int(math.floor(load)) + 1
+    top = int(load + 12.0 * math.sqrt(load) + 50.0)
+    exact = array("d", (1.0,))
+    mgn._erlang_b_prefix(exact, load, top)
+    curve = array("d", (mgn._erlang_b_direct(load, first),))
+    mgn._erlang_b_prefix(curve, load, top, first)
+    assert len(curve) == top - first + 1
+    for servers in range(first, top + 1):
+        bound = (6 * servers + 15) * 2.0**-53
+        assert abs(math.log(curve[servers - first] / exact[servers])) <= bound
+    assert 100 * (6 * mgn._CERTIFIED_MAX_SERVERS + 15) * 2.0**-53 <= mgn._MARGIN
+
+
+def test_cache_counters_count_fallback_probes_only():
+    """The ``erlang_b`` memo sees only the probes that fell back to the
+    exact chain: none for ordinary targets, at least one at a tie; the
+    inverse memo still counts one miss per distinct inversion."""
     for load, delay, scv in [(0.4, 0.01, 1.0), (57.5, 0.02, 4.0), (3100.0, 1e-3, 0.0)]:
         mgn.clear_queueing_caches()
-        probes.calls.clear()
-        reference.required_containers(load, 1.0, delay, scv)
+        answer = mgn.required_containers(load, 1.0, delay, scv)
         mgn.required_containers(load, 1.0, delay, scv)
-        info = mgn.queueing_cache_info()["erlang_b"]
-        assert info["misses"] == len(set(probes.calls))
-        assert info["hits"] == len(probes.calls) - len(set(probes.calls))
+        info = mgn.queueing_cache_info()
+        assert info["erlang_b"]["hits"] == info["erlang_b"]["misses"] == 0
+        assert info["required_containers"]["misses"] == 1
+        assert info["required_containers"]["hits"] == 1
+        tie = reference.mgn_mean_wait(load, 1.0, answer, scv)
+        mgn.clear_queueing_caches()
+        assert mgn.required_containers(load, 1.0, tie, scv) == answer
+        assert mgn.queueing_cache_info()["erlang_b"]["misses"] >= 1
 
 
 def test_the_erlang_prefix_lives_for_one_inversion():
+    """Both curves, the certified one and the exact prefix a fallback
+    grows, are gone after a return, a tie's fallback and a raise."""
     mgn.clear_queueing_caches()
     mgn.required_containers(2500.0, 1.0, 1e-3, 1.0)
+    tie = mgn.mgn_mean_wait(2500.0, 1.0, mgn.required_containers(2500.0, 1.0, 1e-3), 1.0)
+    mgn.required_containers(2500.0, 1.0, tie, 1.0)
+    assert mgn.queueing_cache_info()["erlang_b"]["misses"] >= 1
     with pytest.raises(CapacityModelUnstable):
         mgn.required_containers(50.0, 1.0, 1e-6, 1.0, max_servers=52)
     assert mgn._open_curves.by_load == {}
+    assert mgn._open_curves.certified == {}
 
 
 # --------------------------------------------------------------- First-Fit

@@ -96,6 +96,21 @@ class TestInverseConsistency:
             assert mgn_mean_wait(lam, mu, n, scv=scv) <= target
             if n > stability_floor:
                 assert mgn_mean_wait(lam, mu, n - 1, scv=scv) > target
+        # 10**3 to 10**5 Erlangs, both sides of the 2000-Erlang switch to
+        # the Halfin-Whitt walk; targets from a tenth to ten times the mean
+        # service time over sqrt(a).
+        rng = random.Random(SWEEP_SEED + 7)
+        for _ in range(20):
+            mu = rng.uniform(0.01, 1.0)
+            lam = 10.0 ** rng.uniform(3.0, 5.0) * mu
+            target = 10.0 ** rng.uniform(-1.0, 1.0) / math.sqrt(lam * mu)
+            scv = rng.choice([0.0, 0.5, 1.0, 2.0, 8.0])
+            n = required_containers(lam, mu, target, scv=scv)
+            stability_floor = int(math.floor(lam / mu)) + 1
+            assert n >= stability_floor
+            assert mgn_mean_wait(lam, mu, n, scv=scv) <= target
+            if n > stability_floor:
+                assert mgn_mean_wait(lam, mu, n - 1, scv=scv) > target
 
     def test_wait_probability_consistent_at_returned_count(self):
         rng = random.Random(SWEEP_SEED + 5)

@@ -47,9 +47,21 @@ class TestScenarioRegistry:
         names = registered_tasks()
         for expected in (
             "simulate", "relax_solve", "omega_round", "horizon_solve",
-            "predictor_eval", "consolidation",
+            "predictor_eval", "consolidation", "mgn_sizing",
         ):
             assert expected in names
+
+    def test_mgn_sizing_summary_pins_every_container_count(self):
+        task = get_task("mgn_sizing")
+        first = task({"inversions": 3, "seed": 4, "repeats": 2})
+        second = task({"inversions": 3, "seed": 4, "repeats": 1})
+        assert first["summary"]["containers"] == second["summary"]["containers"]
+        counts = first["summary"]["containers"]
+        assert sorted(counts) == ["1e1", "1e2", "1e3", "1e4", "1e5"]
+        for decade, values in counts.items():
+            assert len(values) == 3
+            assert all(n > float(decade) for n in values)
+        assert sorted(first["phases"]) == [f"sizing_1e{k}" for k in range(1, 6)]
 
     def test_unknown_task_raises(self):
         with pytest.raises(KeyError, match="unknown scenario task"):

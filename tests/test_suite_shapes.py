@@ -217,12 +217,20 @@ class TestRobustnessShapes:
 SCALABILITY_PASSING = {
     "relax_c80_t10_s0": {"repeats": 3},
     "relax_c80_t10_s1": {"repeats": 3},
+    "mgn_sizing": {"inversions": 1200, "repeats": 3},
 }
+SIZING_PHASES = {"sizing_1e3": 0.2, "sizing_1e5": 0.32}
 
 
-def _scalability_rows(walls=None, workers=4, serial_wall=2.5, cores=8, monkeypatch=None):
+def _scalability_rows(
+    walls=None, workers=4, serial_wall=2.5, cores=8, monkeypatch=None,
+    sizing=SIZING_PHASES,
+):
     monkeypatch.setattr(suites.os, "cpu_count", lambda: cores)
-    report = _report(SCALABILITY_PASSING, walls=walls, workers=workers, total_wall=1.0)
+    report = _report(
+        SCALABILITY_PASSING, phases={"mgn_sizing": sizing}, walls=walls,
+        workers=workers, total_wall=1.0,
+    )
     serial = (
         None
         if serial_wall is None
@@ -232,16 +240,25 @@ def _scalability_rows(walls=None, workers=4, serial_wall=2.5, cores=8, monkeypat
 
 
 SPEEDUP = "parallel speedup over serial"
+SIZING = "mgn_sizing sizing_cost_1e5_over_1e3"
 
 
 class TestScalabilityShapes:
     def test_passing_run_passes_every_shape(self, monkeypatch):
         rows = _scalability_rows(monkeypatch=monkeypatch)
-        assert len(rows) == 3
+        assert len(rows) == 4
         assert all(row.ok is True for row in rows.values()), rows
         assert rows[SPEEDUP].measured == 2.5
+        assert rows[SIZING].measured == pytest.approx(1.6)
 
-    @pytest.mark.parametrize("name", sorted(SCALABILITY_PASSING))
+    def test_sizing_cost_growing_with_the_load_fails(self, monkeypatch):
+        # An O(a) inversion: ~89x the time per inversion at 10**5 Erlangs.
+        rows = _scalability_rows(
+            sizing={"sizing_1e3": 0.2, "sizing_1e5": 17.8}, monkeypatch=monkeypatch
+        )
+        assert [s for s, row in rows.items() if row.ok is False] == [SIZING]
+
+    @pytest.mark.parametrize("name", ["relax_c80_t10_s0", "relax_c80_t10_s1"])
     def test_slow_paper_scale_solve_fails(self, name, monkeypatch):
         rows = _scalability_rows(walls={name: 30.0}, monkeypatch=monkeypatch)
         assert [s for s, row in rows.items() if row.ok is False] == [

@@ -46,6 +46,7 @@ from repro.runner import (
     write_journal_record,
 )
 from repro.runner.journal import _sealed_line, record_digest
+from repro.runner import supervisor as supervisor_module
 from repro.runner.supervisor import WORKER_ENV
 
 #: One tiny LP solve — the cheapest spawnable unit of real work.
@@ -90,6 +91,8 @@ class PidScenario(Scenario):
     raise.  With ``params["hold_mb"]`` it keeps that many MiB resident
     until every scenario sharing ``params["barrier"]`` holds its own, and
     for a further half second, and reports its RSS while it holds them.
+    With ``params["spike_mb"]`` it touches that many MiB and frees them
+    at once, a peak that ends long before the scenario reports.
     """
 
     def run(self) -> dict:
@@ -110,6 +113,9 @@ class PidScenario(Scenario):
             time.sleep(0.5)
             summary["held_rss_mb"] = process_rss_mb(pid)
             del held
+        if "spike_mb" in self.params:
+            spike = bytearray(self.params["spike_mb"] << 20)  # zero-filled: touched
+            del spike
         marker_dir = self.params.get("marker_dir")
         if marker_dir is not None:
             log = Path(marker_dir) / f"{self.name}.pids"
@@ -309,6 +315,17 @@ class TestWhereScenariosRun:
         report = ScenarioSupervisor("unit").run(scenarios, workers=2)
         assert report.peak_rss_mb >= floor
         assert baseline_payload(report)["peak_rss_mb"] >= floor
+
+    def test_peak_rss_covers_every_reported_worker_peak(self, monkeypatch):
+        # With no periodic sample while the worker runs, the only sample
+        # comes before it starts: the run-wide peak must still reach the
+        # high-water mark the worker reports.
+        monkeypatch.setattr(supervisor_module, "RSS_SAMPLE_SECONDS", 60.0)
+        report = ScenarioSupervisor("unit").run(
+            pid_scenarios(1, spike_mb=128), workers=2
+        )
+        assert len(report.results) == 1
+        assert report.peak_rss_mb >= max(r.rss_peak_mb for r in report)
 
     def test_retry_runs_in_a_pid_no_earlier_attempt_used(self, tmp_path):
         # Three attempts each of two scenarios on two workers: were a
