@@ -88,10 +88,16 @@ def fleet_shard_task(params: dict) -> dict:
     kept: list = []
     seen = 0
     kept_by_priority = [0] * NUM_PRIORITIES
+    # ``route`` is a pure function of these fields, and a job's tasks
+    # stream one after another with one shape: route each such run once.
+    last_key, cell_of_run = None, -1
     with timer.phase("stream"):
         for task in stream_trace(config, plan=plan):
             seen += 1
-            if router.route(task) == index:
+            key = (task.job_id, task.cpu, task.memory, task.allowed_platforms)
+            if key != last_key:
+                last_key, cell_of_run = key, router.route(task)
+            if cell_of_run == index:
                 kept.append(task)
                 kept_by_priority[task.priority] += 1
             if seen % progress_every == 0:

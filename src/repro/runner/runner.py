@@ -90,6 +90,11 @@ class ScenarioResult:
     #: the platform reports it.  A timing-class side channel: surfaced in
     #: baselines and journals but never folded into the summary digest.
     rss_peak_mb: float | None = None
+    #: The attempt's wall as the executor observed it, from hand-over to
+    #: result, minus :attr:`wall_seconds`: what starting, feeding and
+    #: hearing from a worker cost.  Timing only, like ``rss_peak_mb``,
+    #: and not journaled, so a result resumed from a journal has none.
+    overhead_seconds: float | None = None
 
     @property
     def name(self) -> str:
@@ -193,6 +198,8 @@ def _scenario_entry(result: ScenarioResult) -> dict:
     }
     if result.rss_peak_mb is not None:
         entry["rss_peak_mb"] = round(result.rss_peak_mb, 2)
+    if result.overhead_seconds is not None:
+        entry["overhead_s"] = round(result.overhead_seconds, 4)
     tasks = _tasks_submitted(result.summary)
     if tasks is not None:
         entry["tasks"] = int(tasks)

@@ -11,15 +11,15 @@ semantics a long sweep needs:
 - **Warm worker processes at ``workers>=2``** — up to ``workers``
   persistent workers, each handed one scenario at a time over its own
   pipe.  Every worker is a fork of one template process (the
-  ``forkserver``), started once per coordinator process with the task
-  registry and the solver stack imported (:data:`TEMPLATE_PRELOAD`) and
-  its BLAS pinned to one thread (:data:`WORKER_ENV`): the workers already
-  share the CPUs.  So a worker starts in milliseconds, not the second a
-  fresh interpreter takes to import numpy, ``repro`` and scipy.  The
-  template only imports: it never runs a scenario, so every run's workers
-  start with an empty trace and classifier memo
-  (:mod:`repro.runner.tasks`), which a worker then keeps from one
-  scenario to the next.  A worker sees the environment the template
+  ``forkserver``), started once per coordinator process on its import
+  path, with the task registry and the solver stack imported
+  (:data:`TEMPLATE_PRELOAD`) and its BLAS pinned to one thread
+  (:data:`WORKER_ENV`): the workers already share the CPUs.  So a worker
+  starts in milliseconds, not the second a fresh interpreter takes to
+  import numpy, ``repro`` and scipy.  The template only imports: it never
+  runs a scenario, so every run's workers start with an empty trace and
+  classifier memo (:mod:`repro.runner.tasks`), which a worker then keeps
+  from one scenario to the next.  A worker sees the environment the template
   started with, so the coordinator resolves the ``REPRO_BENCH_*``
   defaults of every scenario's trace params before it hands the scenario
   over (:func:`~repro.runner.defaults.resolved_params`).  A worker is
@@ -51,9 +51,11 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import os
+import sys
 import time
 import dataclasses
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing.connection import wait
 from pathlib import Path
@@ -174,46 +176,62 @@ def backoff_delay(
     return base * (1.0 + JITTER_FRACTION * fraction)
 
 
-def _worker_main(conn) -> None:
+def _worker_main(conn, forked: bool) -> None:
     """Worker body: run each scenario sent over ``conn`` and report it.
 
-    Runs until the coordinator kills the worker or closes the pipe.  A
-    report that cannot be sent ends the worker, which the coordinator
-    classifies as a :class:`~repro.errors.ScenarioCrash`.
+    Every reply is ``(kind, payload, cold)``; ``cold`` says that the
+    worker was ``forked`` from a template that failed to preload some
+    :data:`TEMPLATE_PRELOAD` module (``forkserver`` swallows the
+    ``ImportError``), so this worker imports it itself.  Runs until the
+    coordinator kills the worker or closes the pipe.  A report that
+    cannot be sent ends the worker, which the coordinator classifies as a
+    :class:`~repro.errors.ScenarioCrash`.
     """
+    cold = forked and not all(name in sys.modules for name in TEMPLATE_PRELOAD)
     while True:
         try:
             scenario = conn.recv()
         except EOFError:
             return
         try:
-            conn.send(("ok", _execute(scenario)))
+            conn.send(("ok", _execute(scenario), cold))
         except BaseException as exc:  # noqa: BLE001 — report, parent decides
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
+            conn.send(("error", f"{type(exc).__name__}: {exc}", cold))
+
+
+@contextmanager
+def _environment(values: dict[str, str]):
+    """Set ``values`` in this process's environment, restoring it after."""
+    saved = {key: os.environ.get(key) for key in values}
+    os.environ.update(values)
+    try:
+        yield
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                del os.environ[key]
+            else:
+                os.environ[key] = value
 
 
 def _worker_context():
     """The context workers start from, with the template running.
 
     The template starts on first use in this process (and again if it
-    died), inside :data:`WORKER_ENV`; this process's environment is
-    restored at once.
+    died), inside :data:`WORKER_ENV` and with this process's ``sys.path``
+    as its ``PYTHONPATH``: ``forkserver`` hands the template that path
+    but never applies it, so a ``repro`` this process put on ``sys.path``
+    at run time would not preload, and an installed copy would preload in
+    its place.  This process's environment is restored at once.
     """
     context = multiprocessing.get_context(START_METHOD)
     if START_METHOD == "forkserver":
         from multiprocessing import forkserver
 
         context.set_forkserver_preload(list(TEMPLATE_PRELOAD))
-        saved = {key: os.environ.get(key) for key in WORKER_ENV}
-        os.environ.update(WORKER_ENV)
-        try:
+        import_path = os.pathsep.join(entry for entry in sys.path if entry)
+        with _environment({**WORKER_ENV, "PYTHONPATH": import_path}):
             forkserver.ensure_running()
-        finally:
-            for key, value in saved.items():
-                if value is None:
-                    del os.environ[key]
-                else:
-                    os.environ[key] = value
     return context
 
 
@@ -235,6 +253,11 @@ class _Worker:
     scenario: Scenario | None = None
     attempt: int = 0
     deadline: float | None = None
+    #: When the attempt was handed over (``perf_counter``).
+    assigned_at: float = 0.0
+    #: What the worker's first reply said about its template (see
+    #: :func:`_worker_main`); ``None`` before it replied.
+    cold: bool | None = None
 
 
 class ScenarioSupervisor:
@@ -268,6 +291,9 @@ class ScenarioSupervisor:
         #: Admission rounds on which the memory watermark held back a
         #: ready scenario.
         self.deferred_spawns: int = 0
+        #: Workers whose template lacked a :data:`TEMPLATE_PRELOAD`
+        #: module, so that each imported it itself.
+        self.cold_workers: int = 0
 
     # ------------------------------------------------------------------ run
 
@@ -301,6 +327,7 @@ class ScenarioSupervisor:
         self.failure_log = []
         self.peak_rss_mb = None
         self.deferred_spawns = 0
+        self.cold_workers = 0
 
         done: dict[str, ScenarioResult] = {}
         if resume:
@@ -360,11 +387,15 @@ class ScenarioSupervisor:
             attempt = 1
             while True:
                 self.executed.append(scenario.name)
+                start = time.perf_counter()
                 try:
                     outcome = ("ok", _execute(_portable(scenario)))
                 except Exception as exc:  # noqa: BLE001 — retried or quarantined
                     outcome = ("error", f"{type(exc).__name__}: {exc}")
-                delay = self._settle(scenario, attempt, outcome, done, quarantined)
+                delay = self._settle(
+                    scenario, attempt, outcome, done, quarantined,
+                    observed=time.perf_counter() - start,
+                )
                 if delay is None:
                     break
                 time.sleep(delay)
@@ -421,7 +452,8 @@ class ScenarioSupervisor:
                     else:
                         self._retire(worker)
                     delay = self._settle(
-                        worker.scenario, worker.attempt, outcome, done, quarantined
+                        worker.scenario, worker.attempt, outcome, done, quarantined,
+                        observed=time.perf_counter() - worker.assigned_at,
                     )
                     if delay is not None:
                         delayed.append(
@@ -434,13 +466,19 @@ class ScenarioSupervisor:
 
     def _spawn(self, context) -> _Worker:
         parent_conn, child_conn = context.Pipe()
+        method = context.get_start_method()
         process = context.Process(
             target=_worker_main,
-            args=(child_conn,),
+            args=(child_conn, method == "forkserver"),
             name=f"repro-{self.suite}-worker",
             daemon=True,
         )
-        process.start()
+        if method == "spawn":
+            # A spawned worker inherits this process's environment.
+            with _environment(WORKER_ENV):
+                process.start()
+        else:
+            process.start()
         child_conn.close()  # the worker holds the other end
         return _Worker(
             process=process, conn=parent_conn, parent=parent_pid(process.pid)
@@ -451,6 +489,7 @@ class ScenarioSupervisor:
         worker.scenario = scenario
         worker.attempt = attempt
         worker.deadline = None if timeout is None else time.monotonic() + timeout
+        worker.assigned_at = time.perf_counter()
         self.executed.append(scenario.name)
         try:
             worker.conn.send(_portable(scenario))
@@ -465,7 +504,11 @@ class ScenarioSupervisor:
         """
         try:
             if worker.conn.poll():
-                return worker.conn.recv()  # ("ok", payload) or ("error", text)
+                kind, payload, cold = worker.conn.recv()
+                if worker.cold is None:
+                    worker.cold = cold
+                    self.cold_workers += cold
+                return (kind, payload)  # ("ok", payload) or ("error", text)
         except (EOFError, OSError, ValueError):
             pass
         else:
@@ -520,8 +563,14 @@ class ScenarioSupervisor:
         outcome: tuple[str, object],
         done: dict[str, ScenarioResult],
         quarantined: dict[str, ScenarioFailure],
+        observed: float,
     ) -> float | None:
-        """Record one attempt's outcome; the retry delay, or ``None`` if final."""
+        """Record one attempt's outcome; the retry delay, or ``None`` if final.
+
+        ``observed`` is the attempt's wall as this process saw it, from
+        hand-over to outcome; what the task's own wall leaves of it is the
+        result's executor overhead.
+        """
         kind, payload = outcome
         name = scenario.name
         if kind == "ok":
@@ -533,6 +582,7 @@ class ScenarioSupervisor:
                 wall_seconds=wall,
                 attempts=attempt,
                 rss_peak_mb=rss_mb,
+                overhead_seconds=observed - wall,
             )
             done[name] = result
             if self.journal is not None:

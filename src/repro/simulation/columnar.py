@@ -65,6 +65,7 @@ suite (``tests/test_columnar_differential.py``) enforces the digests.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -245,15 +246,16 @@ class ColumnarFirstFitScheduler:
             tasks, labels, tuple(pool.platform_id for pool in self.pools)
         )
         self._signature = self.columns.signature
+        #: The signature table as python lists, for the scalar retests.
+        self._sig_cpu, self._sig_memory, self._sig_class, self._sig_allowed = (
+            getattr(self.columns, name).tolist()
+            for name in ("sig_cpu", "sig_memory", "sig_class", "sig_allowed")
+        )
         self._pool_index = {pool.platform_id: j for j, pool in enumerate(self.pools)}
         #: Per-pool :func:`capacity_room` columns (fit-comparable free
         #: capacity, ``-inf`` for non-schedulable machines).
-        self._cpu_room: list[np.ndarray] = []
-        self._memory_room: list[np.ndarray] = []
-        for pool in self.pools:
-            n = len(pool.machines)
-            self._cpu_room.append(np.full(n, -np.inf))
-            self._memory_room.append(np.full(n, -np.inf))
+        self._cpu_room = [np.full(len(p.machines), -np.inf) for p in self.pools]
+        self._memory_room = [np.full(len(p.machines), -np.inf) for p in self.pools]
         #: Per-pool exact maxima of the room columns: a demand exceeding
         #: either bound cannot fit any machine, so a saturated pool
         #: rejects placement attempts in O(1) without a scan.
@@ -384,10 +386,8 @@ class ColumnarFirstFitScheduler:
         bound only if it held it, and only then is the pool rescanned.
         """
         machine = self.pools[j].machines[i]
-        cpu_room = self._cpu_room[j]
-        memory_room = self._memory_room[j]
-        old_cpu = cpu_room[i]
-        old_memory = memory_room[i]
+        cpu_room, memory_room = self._cpu_room[j], self._memory_room[j]
+        old_cpu, old_memory = cpu_room[i], memory_room[i]
         if machine.schedulable:
             model = machine.model
             cpu_room[i] = model.cpu_capacity - machine.cpu_used + FIT_EPS
@@ -580,68 +580,67 @@ class ColumnarFirstFitScheduler:
         return dict(zip(classes.tolist(), counts.tolist()))
 
     def _consume_events(self, ledger: QuotaLedger) -> None:
-        """Retest proven signatures against capacity growth / quota openings.
+        """Clear the proofs that capacity growth or a quota opening undid.
 
-        Clearing a proof bit is always safe (the signature's rows just get
-        walked again); the invariant that matters is the converse — every
-        event that could make a proven signature placeable must clear its
-        bit, and this retest is deliberately a superset: it skips the
-        model-size check, and a signature fitting a grown machine clears
-        even if a pool the walk visits first would still refuse it.
-        Without a quota table no slot can be the reason a walk failed, so
-        openings need no retest.  The fit test runs first: allowed pools
-        and admission are checked only on the signatures that fit.
+        Every event that could make a proven signature placeable must clear
+        its bit, and clearing one is always safe.  A grown machine clears
+        the proven signatures that fit its room, on a reachable pool they
+        are allowed on and, under quotas, admitted to (no model-size check:
+        a needless clear only costs a walk); an opened slot is
+        :meth:`_opening_clears`.  Scalar compares against the room columns'
+        own float64 values, over the few proven signatures only.
         """
-        growth = self._growth
-        openings = self._openings
+        growth, openings = self._growth, self._openings
         if not ledger.restricted:
-            openings.clear()
-        if not growth and not openings:
-            return
-        proven = np.flatnonzero(self._proven)
-        if len(proven):
-            columns = self.columns
-            cpu = columns.sig_cpu[proven, None]
-            memory = columns.sig_memory[proven, None]
-            by_pool: dict[int, list[int]] = {}
-            for j, i in growth:
-                by_pool.setdefault(j, []).append(i)
-            for j in sorted(by_pool):
-                machines = by_pool[j]
-                fits = (cpu <= self._cpu_room[j][machines]) & (
-                    memory <= self._memory_room[j][machines]
-                )
-                self._clear(ledger, proven[fits.any(axis=1)], j, admit=True)
-            for platform_id, class_id in sorted(openings):
-                j = self._pool_index.get(platform_id)
-                # A slot that refilled already opened nothing.
-                if j is None or not ledger.admits(platform_id, class_id):
-                    continue
-                of_class = columns.sig_class[proven] == class_id
-                fits = (cpu[of_class] <= self._cpu_room[j]) & (
-                    memory[of_class] <= self._memory_room[j]
-                )
-                self._clear(ledger, proven[of_class][fits.any(axis=1)], j, admit=False)
+            openings.clear()  # no slot can be why a walk failed
+        proven = self._proven.nonzero()[0].tolist() if growth or openings else []
+        sig_cpu, sig_memory = self._sig_cpu, self._sig_memory
+        allowed = self._sig_allowed
+        opened: list[int] = []
+        for j, i in growth if proven else ():
+            if not self._reachable[j]:
+                continue  # a cell becoming reachable invalidates wholesale
+            cpu, memory = self._cpu_room[j].item(i), self._memory_room[j].item(i)
+            fit = [
+                s for s in proven
+                if sig_cpu[s] <= cpu and sig_memory[s] <= memory and allowed[s][j]
+            ]
+            if fit and ledger.restricted:
+                classes = [self._sig_class[s] for s in fit]
+                admits = ledger.admits_each(self.pools[j].platform_id, classes)
+                fit = compress(fit, admits)
+            opened += fit
+        rest = [s for s in proven if s not in opened] if openings else []
+        for platform_id, class_id in openings if rest else ():
+            opened += self._opening_clears(rest, platform_id, class_id, ledger)
+        for s in opened:
+            self._proven[s] = False
+            self._idle_window = -1
         growth.clear()
         openings.clear()
 
-    def _clear(
-        self, ledger: QuotaLedger, signatures: np.ndarray, j: int, admit: bool
-    ) -> None:
-        """Clear the proofs of ``signatures``, which fit room on pool ``j``,
-        where the pool is reachable, allowed and (``admit``) admits them."""
-        if not len(signatures) or not self._reachable[j]:
-            return  # a cell becoming reachable invalidates wholesale
-        columns = self.columns
-        signatures = signatures[columns.sig_allowed[signatures, j]]
-        if admit and ledger.restricted:
-            admits = ledger.admits_each(
-                self.pools[j].platform_id, columns.sig_class[signatures].tolist()
-            )
-            signatures = signatures[np.array(admits, dtype=bool)]
-        if len(signatures):
-            self._proven[signatures] = False
-            self._idle_window = -1
+    def _opening_clears(
+        self, proven: list[int], platform_id: int, class_id: int, ledger: QuotaLedger
+    ) -> list[int]:
+        """Those of ``proven`` that one free ``class_id`` slot on ``platform_id``
+        lets the walk place: of that class, on a reachable pool they are
+        allowed on, fitting one machine; the room maxima filter first."""
+        j = self._pool_index.get(platform_id, -1)
+        if j < 0 or not self._reachable[j] or not ledger.admits(platform_id, class_id):
+            return []  # a slot that refilled opened nothing
+        cpu_bound, memory_bound = self._cpu_bound[j], self._memory_bound[j]
+        fit = [
+            s for s in proven
+            if self._sig_class[s] == class_id and self._sig_allowed[s][j]
+            and self._sig_cpu[s] <= cpu_bound and self._sig_memory[s] <= memory_bound
+        ]
+        if not fit:
+            return []
+        fits = (
+            (self.columns.sig_cpu[fit, None] <= self._cpu_room[j])
+            & (self.columns.sig_memory[fit, None] <= self._memory_room[j])
+        ).any(axis=1)
+        return list(compress(fit, fits.tolist()))
 
     # ------------------------------------------------------------- rounds
 

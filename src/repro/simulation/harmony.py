@@ -10,6 +10,7 @@ heterogeneity-oblivious baseline for the Figs. 21-26 comparisons.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -375,9 +376,7 @@ class HarmonySimulation:
         multi-week history a production deployment would profile — and split
         short/long by the classifier's historical fractions.
         """
-        totals: dict[int, float] = {}
-        for class_id in self.labels:
-            totals[class_id] = totals.get(class_id, 0.0) + 1.0
+        totals = Counter(self.labels)
         num_intervals = max(self.trace.horizon / self.config.control_interval, 1.0)
         per_interval = {cid: n / num_intervals for cid, n in totals.items()}
         return self.split_arrivals(per_interval)

@@ -29,6 +29,7 @@ from repro.simulation import HarmonyConfig, HarmonySimulation, cluster
 from repro.simulation.columnar import ColumnarFirstFitScheduler
 from repro.simulation.scheduler import FirstFitScheduler
 from repro.trace import SyntheticTraceConfig, generate_trace
+from tests import reference_retest as reference
 
 
 def summary_digest(summary: dict) -> str:
@@ -114,7 +115,8 @@ class TestDeepBacklog:
         savings — rows skipped inside rounds on their signature's proof,
         arrivals failed without a walk, and idle rounds returned at once —
         and the summary, fabric deferrals included, must equal the object
-        engine's.
+        engine's.  Every proof retest must leave the bits the frozen
+        vectorized retest leaves, so the savings counters stay as they were.
         """
         trace = generate_trace(
             SyntheticTraceConfig(
@@ -141,6 +143,20 @@ class TestDeepBacklog:
             schedulers.append(self)
 
         monkeypatch.setattr(ColumnarFirstFitScheduler, "__init__", spy_init)
+        consume = ColumnarFirstFitScheduler._consume_events
+        retests = {"run": 0, "cleared": 0}
+
+        def checked_consume(self, ledger):
+            before = self._proven.copy()
+            expected = reference.retested_proofs(self, ledger)
+            consume(self, ledger)
+            assert np.array_equal(self._proven, expected)
+            retests["run"] += 1
+            retests["cleared"] += int(not np.array_equal(before, expected))
+
+        monkeypatch.setattr(
+            ColumnarFirstFitScheduler, "_consume_events", checked_consume
+        )
         summaries = {
             engine: HarmonySimulation(
                 HarmonyConfig(engine=engine, **config), trace
@@ -151,9 +167,11 @@ class TestDeepBacklog:
             summaries["columnar"]
         )
         (scheduler,) = schedulers
-        assert scheduler.proven_skips > 0
-        assert scheduler.proven_arrivals > 0
-        assert scheduler.idle_rounds > 0
+        # Frozen: a retest clearing more or fewer proofs moves them.
+        assert scheduler.proven_skips == 34415
+        assert scheduler.proven_arrivals == 1670
+        assert scheduler.idle_rounds == 695
+        assert 0 < retests["cleared"] < retests["run"]
         # The paths the scenario is meant to reach did run.
         columnar = summaries["columnar"]
         assert columnar["tasks_preempted"] > 0

@@ -12,6 +12,9 @@ object engine's code path; hypothesis drives randomized agreement checks:
   outcome, :meth:`ColumnarFirstFitScheduler.placeable_signatures` (the
   mask a round proves its window with) must equal it, and a proven
   signature must fail without a walk, counting the walk's deferral;
+- after every capacity or quota notice, the proof retest must leave
+  exactly the proof bits the frozen vectorized retest
+  (``tests/reference_retest.py``) leaves;
 - a scheduling round — proofs, signature skips and idle windows included
   — must place what the object scheduler's round places and count the
   same fabric deferrals;
@@ -42,6 +45,7 @@ from repro.simulation.columnar import (
 from repro.simulation.machine import MachinePool, MachineState
 from repro.simulation.scheduler import FirstFitScheduler, QuotaLedger
 from repro.trace.schema import Task
+from tests import reference_retest as reference
 
 finite = st.floats(
     min_value=0.0, max_value=8.0, allow_nan=False, allow_infinity=False
@@ -219,6 +223,25 @@ def walk_places(scheduler, ledger, row, class_id):
     return placed
 
 
+def send_notice(draw, scheduler, ledger) -> None:
+    """Open room on one machine with the notice the simulator sends: a
+    task leaving it, which frees its quota slot, or a bare capacity change."""
+    machines = [m for pool in scheduler.pools for m in pool.machines]
+    if not machines:
+        return
+    machine = draw(st.sampled_from(machines))
+    machine.state = MachineState.ON
+    machine.cpu_used = draw(st.floats(0.0, machine.cpu_used))
+    machine.memory_used = draw(st.floats(0.0, machine.memory_used))
+    platform_id = machine.model.platform_id
+    class_id = draw(st.sampled_from(CLASSES))
+    if draw(st.booleans()) and ledger.running(platform_id, class_id):
+        ledger.release(platform_id, class_id)
+        scheduler.released(machine, class_id)
+    else:
+        scheduler.machine_changed(machine)
+
+
 class TestSignatureProofs:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -267,25 +290,67 @@ class TestSignatureProofs:
         scheduler, ledger, tasks, classes = draw_state(data.draw)
         for row in range(len(tasks)):
             scheduler.try_place(row, classes[row], ledger)
-        machines = [m for pool in scheduler.pools for m in pool.machines]
-        if machines:
-            machine = data.draw(st.sampled_from(machines))
-            machine.state = MachineState.ON
-            machine.cpu_used = data.draw(st.floats(0.0, machine.cpu_used))
-            machine.memory_used = data.draw(st.floats(0.0, machine.memory_used))
-            platform_id = machine.model.platform_id
-            class_id = data.draw(st.sampled_from(CLASSES))
-            if data.draw(st.booleans()) and ledger.running(platform_id, class_id):
-                ledger.release(platform_id, class_id)
-                scheduler.released(machine, class_id)
-            else:
-                scheduler.machine_changed(machine)
+        send_notice(data.draw, scheduler, ledger)
         for row in range(len(tasks)):
             oracle_pools, oracle_ledger = copy.deepcopy((scheduler.pools, ledger))
             oracle = FirstFitScheduler(oracle_pools, tuple(tasks), classes)
             oracle.set_unreachable(scheduler._unreachable)
             expected = oracle.try_place(row, classes[row], oracle_ledger) is not None
             assert walk_places(scheduler, ledger, row, classes[row]) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_retest_clears_exactly_the_oracles_bits(self, data):
+        """After each batch of notices the proof bits equal the oracle's.
+
+        Unplaced rows are tried again before every batch, so proofs the
+        retest cleared are set again wherever the rows still fail.
+        """
+        scheduler, ledger, tasks, classes = draw_state(data.draw)
+        unplaced = set(range(len(tasks)))
+        for _ in range(data.draw(st.integers(1, 4))):
+            for row in sorted(unplaced):
+                if scheduler.try_place(row, classes[row], ledger) is not None:
+                    unplaced.discard(row)
+            for _ in range(data.draw(st.integers(1, 3))):
+                send_notice(data.draw, scheduler, ledger)
+            scheduler._flush()
+            expected = reference.retested_proofs(scheduler, ledger)
+            scheduler._consume_events(ledger)
+            assert np.array_equal(scheduler._proven, expected)
+            assert not scheduler._growth and not scheduler._openings
+
+    def test_an_opening_needs_one_machine_with_room_for_both(self):
+        """A pool's room maxima can come from two machines: a freed quota
+        slot leaves the proof of a shape that neither machine alone fits."""
+        model = MachineModel(
+            name="m1",
+            platform_id=1,
+            cpu_capacity=1.0,
+            memory_capacity=1.0,
+            count=2,
+            power_model=LinearPowerModel(100.0, (50.0, 10.0)),
+        )
+        pool = MachinePool(model, id_offset=0)
+        for machine, used in zip(pool.machines, [(0.5, 0.9), (0.9, 0.5)]):
+            machine.state = MachineState.ON
+            machine.cpu_used, machine.memory_used = used
+        task = Task(
+            job_id=0, index=0, submit_time=0.0, duration=1.0, priority=0,
+            scheduling_class=0, cpu=0.3, memory=0.3, allowed_platforms=None,
+        )
+        scheduler = ColumnarFirstFitScheduler([pool], (task,), [0])
+        ledger = QuotaLedger()
+        ledger.set_quotas({1: {0: 1}})
+        ledger.place(1, 0)
+        assert scheduler.try_place(0, 0, ledger) is None
+        ledger.release(1, 0)
+        scheduler.released(pool.machines[0], 0)
+        scheduler._flush()
+        expected = reference.retested_proofs(scheduler, ledger)
+        scheduler._consume_events(ledger)
+        assert scheduler._proven[0] and expected[0]
+        assert not scheduler.placeable_signatures(np.arange(1), ledger)[0]
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())

@@ -246,6 +246,17 @@ class TestFleetDifferential:
         # Every task the generator emitted was routed exactly once.
         assert merged["shards"]["tasks_routed"] == shards[0]["tasks_seen"]
 
+    def test_each_shard_keeps_what_the_router_assigns(self, reference_fleet):
+        # A shard routes each run of one job's tasks once; its share must
+        # be what routing every task on its own gives.
+        cells = partition_census(small_census(), 3)
+        router = TaskRouter(cells)
+        routed = [0] * len(cells)
+        for task in generate_trace(trace_config_from_params(TRACE)).tasks:
+            routed[router.route(task)] += 1
+        shards = [r.summary["shard"] for r in reference_fleet.report.results]
+        assert [s["tasks_routed"] for s in shards] == routed
+
 
 class TestMerge:
     def test_empty_merge_rejected(self):

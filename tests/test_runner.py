@@ -153,7 +153,7 @@ class TestBaseline:
         entry = payload["scenarios"][0]
         assert set(entry) == {
             "name", "task", "wall_s", "phases", "summary_digest",
-            "rss_peak_mb",
+            "rss_peak_mb", "overhead_s",
         }
         # RSS rides along per scenario and as the run high-water mark.
         assert entry["rss_peak_mb"] > 0

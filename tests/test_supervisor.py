@@ -17,6 +17,8 @@ behaviour, including torn-tail tolerance and corruption detection.
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -47,7 +49,36 @@ from repro.runner import (
 )
 from repro.runner.journal import _sealed_line, record_digest
 from repro.runner import supervisor as supervisor_module
-from repro.runner.supervisor import WORKER_ENV
+from repro.runner.supervisor import TEMPLATE_PRELOAD, WORKER_ENV
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: A coordinator that puts ``src`` on ``sys.path`` at run time, as
+#: ``perf/run.py`` and the chaos scripts do, and prints what its workers
+#: saw: the ``repro`` each imported and how many started cold.
+PRELOAD_PROBE = '''
+import json, os, sys
+sys.path.insert(0, {src!r})
+import repro
+from repro.runner import Scenario, ScenarioSupervisor
+
+
+class FileScenario(Scenario):
+    def run(self):
+        return {{"summary": {{"file": repro.__file__, "pid": os.getpid()}}}}
+
+
+if __name__ == "__main__":
+    supervisor = ScenarioSupervisor("preload")
+    scenarios = [FileScenario(name=f"probe_{{i}}", task="probe") for i in range(2)]
+    report = supervisor.run(scenarios, workers=2)
+    print(json.dumps({{
+        "file": repro.__file__,
+        "cold_workers": supervisor.cold_workers,
+        "workers": sorted({{r.summary["pid"] for r in report}}),
+        "worker_files": [r.summary["file"] for r in report],
+    }}))
+'''
 
 #: One tiny LP solve — the cheapest spawnable unit of real work.
 TINY = Scenario(
@@ -357,10 +388,64 @@ class TestWorkerTemplate:
     """Workers are forks of one template process per coordinator process;
     they must behave as fresh interpreters started by this process would."""
 
-    def test_worker_environment_carries_the_blas_pins(self):
-        report = ScenarioSupervisor("unit").run(pid_scenarios(2), workers=2)
+    @staticmethod
+    def assert_blas_pins(report):
         for result in report:
             assert result.summary["env"] == WORKER_ENV
+
+    def test_worker_environment_carries_the_blas_pins(self):
+        self.assert_blas_pins(
+            ScenarioSupervisor("unit").run(pid_scenarios(2), workers=2)
+        )
+
+    def test_spawned_workers_carry_the_blas_pins(self, monkeypatch):
+        # Where forkserver is missing, workers are fresh interpreters that
+        # inherit this process's environment at start.
+        monkeypatch.setattr(supervisor_module, "START_METHOD", "spawn")
+        for key in WORKER_ENV:
+            monkeypatch.delenv(key, raising=False)
+        self.assert_blas_pins(
+            ScenarioSupervisor("unit").run(pid_scenarios(2), workers=2)
+        )
+        assert not set(WORKER_ENV) & set(os.environ)
+
+    def test_template_preloads_a_repro_put_on_sys_path_at_run_time(self, tmp_path):
+        script = tmp_path / "coordinator.py"
+        script.write_text(PRELOAD_PROBE.format(src=str(SRC)))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        done = subprocess.run(
+            [sys.executable, str(script)],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        seen = json.loads(done.stdout.splitlines()[-1])
+        assert len(seen["workers"]) == 2
+        assert seen["cold_workers"] == 0
+        assert seen["worker_files"] == [seen["file"]] * 2
+
+    def test_preload_check_is_not_satisfied_by_the_worker_body(self):
+        # A worker imports the supervisor to run its body; the cold check
+        # means something only if that import leaves the preload undone.
+        probe = (
+            "import sys, repro.runner.supervisor as s; "
+            "print(sorted(m for m in s.TEMPLATE_PRELOAD if m in sys.modules))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        )
+        repro_preload = [m for m in TEMPLATE_PRELOAD if m.startswith("repro.")]
+        assert repro_preload
+        assert not set(repro_preload) & set(eval(done.stdout))
+
+    def test_executor_overhead_is_reported_outside_the_digest(self):
+        report = ScenarioSupervisor("unit").run(pid_scenarios(2), workers=2)
+        payload = baseline_payload(report)
+        for result, entry in zip(report, payload["scenarios"]):
+            assert result.overhead_seconds >= 0.0
+            assert entry["overhead_s"] == round(result.overhead_seconds, 4)
+            assert "overhead" not in json.dumps(result.summary)
 
     def test_each_run_starts_with_an_empty_trace_memo(self):
         # The template never runs a scenario: the first scenario of every
